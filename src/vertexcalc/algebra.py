@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import CapExceeded, MalformedStructure, NonNilpotentD
 from .linalg import (
@@ -36,7 +37,10 @@ from .report import FOUND, INCONCLUSIVE, REFUTED, CheckReport, OrderSearch, Witn
 from .series import (
     Distribution,
     Window,
+    WindowVerdict,
+    delta_three_term,
     from_terms,
+    lift_vars,
     mul,
     power_expand,
     sub,
@@ -44,7 +48,87 @@ from .series import (
     window_equal,
 )
 
+if TYPE_CHECKING:
+    from .modules import ModuleStructure
+
 ModeMap = dict[int, Vec]
+ModeTable = dict[tuple[int, int], ModeMap]
+
+
+# ---------------------------------------------------------------------------
+# mode tables
+#
+# An algebra and a module store the same object: a finite table mapping
+# (acting basis index i, target basis index j) to the modes {n: (e_i)_n w_j}.
+# An algebra is its own adjoint module, so both read their table through the
+# functions below.
+
+
+def clean_table(table: ModeTable, dim: int, n_acting: int | None) -> ModeTable:
+    """The table with Fraction vectors and without zero modes, after index checks.
+
+    Target indices must lie in range(dim) and acting indices in
+    range(n_acting); a module does not know its algebra and passes None.
+    """
+    clean: ModeTable = {}
+    for (i, j), modes in table.items():
+        if not (0 <= j < dim and (n_acting is None or 0 <= i < n_acting)):
+            raise MalformedStructure(f"mode table indices ({i},{j}) out of range")
+        entry: ModeMap = {}
+        for n, v in modes.items():
+            if len(v) != dim:
+                raise MalformedStructure(f"vector length mismatch at ({i},{j},{n})")
+            v = tuple(Fraction(x) for x in v)
+            if not is_zero_vec(v):
+                entry[int(n)] = v
+        if entry:
+            clean[(i, j)] = entry
+    return clean
+
+
+def table_apply(table: ModeTable, dim: int, u: Vec, n: int, w: Vec) -> Vec:
+    """The single mode u_n w."""
+    out = zero_vec(dim)
+    for i, cu in enumerate(u):
+        if cu == 0:
+            continue
+        for j, cw in enumerate(w):
+            if cw == 0:
+                continue
+            img = table.get((i, j), {}).get(n)
+            if img is not None:
+                out = vec_add(out, vec_scale(cu * cw, img))
+    return out
+
+
+def table_mode_map(table: ModeTable, u: Vec, w: Vec) -> ModeMap:
+    """All modes of Y(u, x)w as a finite {n: vector} dictionary."""
+    out: ModeMap = {}
+    for i, cu in enumerate(u):
+        if cu == 0:
+            continue
+        for j, cw in enumerate(w):
+            if cw == 0:
+                continue
+            for n, img in table.get((i, j), {}).items():
+                s = vec_scale(cu * cw, img)
+                out[n] = vec_add(out[n], s) if n in out else s
+    return {n: v for n, v in out.items() if not is_zero_vec(v)}
+
+
+def table_exp_radius(table: ModeTable) -> int:
+    """Largest |x-exponent| appearing in the table, and at least 1."""
+    r = 1
+    for modes in table.values():
+        for n in modes:
+            r = max(r, abs(-n - 1))
+    return r
+
+
+def table_matrix(table: ModeTable, dim: int, u: Vec, n: int) -> Mat:
+    """Matrix of w -> u_n w in the target basis."""
+    cols = [table_apply(table, dim, u, n, unit_vec(dim, j)) for j in range(dim)]
+    return tuple(tuple(col[r] for col in cols) for r in range(dim))
 
 
 @dataclass
@@ -59,7 +143,7 @@ class AlgebraStructure:
 
     basis: tuple[str, ...]
     vacuum: int
-    y_data: dict[tuple[int, int], ModeMap]
+    y_data: ModeTable
     assoc_variant: str = "strong"
     meta: dict = field(default_factory=dict)
 
@@ -69,21 +153,7 @@ class AlgebraStructure:
             raise MalformedStructure("empty basis")
         if not (0 <= self.vacuum < len(self.basis)):
             raise MalformedStructure("vacuum index out of range")
-        dim = len(self.basis)
-        clean: dict[tuple[int, int], ModeMap] = {}
-        for (i, j), modes in self.y_data.items():
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise MalformedStructure(f"mode product indices ({i},{j}) out of range")
-            entry: ModeMap = {}
-            for n, v in modes.items():
-                if len(v) != dim:
-                    raise MalformedStructure(f"vector length mismatch at ({i},{j},{n})")
-                v = tuple(Fraction(x) for x in v)
-                if not is_zero_vec(v):
-                    entry[int(n)] = v
-            if entry:
-                clean[(i, j)] = entry
-        self.y_data = clean
+        self.y_data = clean_table(self.y_data, self.dim, self.dim)
 
     # -- basic access ---------------------------------------------------------
 
@@ -119,34 +189,14 @@ class AlgebraStructure:
         lo, hi = self.mode_bounds()
         return 2 * (hi - lo) + 4
 
-    # -- bilinear extensions --------------------------------------------------
+    # -- the mode table ---------------------------------------------------------
 
     def apply_mode(self, u: Vec, n: int, v: Vec) -> Vec:
-        out = zero_vec(self.dim)
-        for i, cu in enumerate(u):
-            if cu == 0:
-                continue
-            for j, cv in enumerate(v):
-                if cv == 0:
-                    continue
-                w = self.y_data.get((i, j), {}).get(n)
-                if w is not None:
-                    out = vec_add(out, vec_scale(cu * cv, w))
-        return out
+        return table_apply(self.y_data, self.dim, u, n, v)
 
     def mode_map(self, u: Vec, v: Vec) -> ModeMap:
         """All modes of Y(u, x)v as a finite {n: vector} dictionary."""
-        out: ModeMap = {}
-        for i, cu in enumerate(u):
-            if cu == 0:
-                continue
-            for j, cv in enumerate(v):
-                if cv == 0:
-                    continue
-                for n, w in self.y_data.get((i, j), {}).items():
-                    s = vec_scale(cu * cv, w)
-                    out[n] = vec_add(out[n], s) if n in out else s
-        return {n: w for n, w in out.items() if not is_zero_vec(w)}
+        return table_mode_map(self.y_data, u, v)
 
     def series(self, u: Vec, v: Vec, var: str, window: Window) -> Distribution:
         """Y(u, x)v as a vector-valued Laurent polynomial in var."""
@@ -155,18 +205,11 @@ class AlgebraStructure:
 
     def exp_radius(self) -> int:
         """Largest |x-exponent| appearing in any basis mode product."""
-        r = 1
-        for modes in self.y_data.values():
-            for n in modes:
-                r = max(r, abs(-n - 1))
-        return r
-
-    # -- mode operator matrices ------------------------------------------------
+        return table_exp_radius(self.y_data)
 
     def mode_matrix(self, u: Vec, n: int) -> Mat:
         """Matrix of w -> u_n w in the algebra basis."""
-        cols = [self.apply_mode(u, n, self.unit(j)) for j in range(self.dim)]
-        return tuple(tuple(col[r] for col in cols) for r in range(self.dim))
+        return table_matrix(self.y_data, self.dim, u, n)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +257,49 @@ def algebra_window(alg: AlgebraStructure, nvars: int, margin: int = 4) -> Window
 # two-variable product series
 
 
+def product_terms(
+    act: AlgebraStructure | ModuleStructure, u: Vec, v: Vec, w: Vec
+) -> dict[tuple[int, int], Vec]:
+    """Y(u, x1) Y(v, x2) w as {(x1-exponent, x2-exponent): vector}.
+
+    `act` is the acting table: an algebra acting on itself, or a module.
+    """
+    terms: dict[tuple[int, int], Vec] = {}
+    for n2, inner in act.mode_map(v, w).items():
+        for n1, outer in act.mode_map(u, inner).items():
+            e = (-n1 - 1, -n2 - 1)
+            terms[e] = vec_add(terms[e], outer) if e in terms else outer
+    return terms
+
+
+def reversed_product_terms(
+    act: AlgebraStructure | ModuleStructure, u: Vec, v: Vec, w: Vec
+) -> dict[tuple[int, int], Vec]:
+    """Y(v, x2) Y(u, x1) w on the (x1, x2) exponent grid of product_terms(act, u, v, w)."""
+    return {(e1, e2): c for (e2, e1), c in product_terms(act, v, u, w).items()}
+
+
+def commutation_differences(
+    act: AlgebraStructure | ModuleStructure, u: Vec, v: Vec, w: Vec, q: Fraction
+) -> list[tuple[tuple[int, int], Vec, Vec]]:
+    """(exponent, lhs, rhs) wherever Y(u,x1)Y(v,x2)w and q Y(v,x2)Y(u,x1)w differ.
+
+    The list is in increasing exponent order; it is empty when the two
+    products agree.
+    """
+    lhs = product_terms(act, u, v, w)
+    rhs = {e: vec_scale(q, c) for e, c in reversed_product_terms(act, u, v, w).items()}
+    zero = zero_vec(act.dim)
+    out = []
+    for e in sorted(set(lhs) | set(rhs)):
+        a, b = lhs.get(e, zero), rhs.get(e, zero)
+        if a != b:
+            out.append((e, a, b))
+    return out
+
+
 def product_series(
-    alg: AlgebraStructure,
+    act: AlgebraStructure | ModuleStructure,
     u: Vec,
     v: Vec,
     w: Vec,
@@ -223,12 +307,7 @@ def product_series(
     window: Window,
 ) -> Distribution:
     """Y(u, x_first) Y(v, x_second) w with exponents in the given var order."""
-    terms: dict[tuple[int, int], Vec] = {}
-    for n2, inner in alg.mode_map(v, w).items():
-        for n1, outer in alg.mode_map(u, inner).items():
-            e = (-n1 - 1, -n2 - 1)
-            terms[e] = vec_add(terms[e], outer) if e in terms else outer
-    return from_terms(vars, terms, window)
+    return from_terms(vars, product_terms(act, u, v, w), window)
 
 
 def iterate_series(
@@ -240,9 +319,22 @@ def iterate_series(
     window: Window,
 ) -> Distribution:
     """Y(Y(u, x_first) v, x_second) w."""
+    return _iterate_series(alg, alg, u, v, w, vars, window)
+
+
+def _iterate_series(
+    alg: AlgebraStructure,
+    act: AlgebraStructure | ModuleStructure,
+    u: Vec,
+    v: Vec,
+    w: Vec,
+    vars: tuple[str, str],
+    window: Window,
+) -> Distribution:
+    """Y_act(Y(u, x_first) v, x_second) w: u_n v taken in alg, acting through act."""
     terms: dict[tuple[int, int], Vec] = {}
     for n0, uv in alg.mode_map(u, v).items():
-        for n2, out in alg.mode_map(uv, w).items():
+        for n2, out in act.mode_map(uv, w).items():
             e = (-n0 - 1, -n2 - 1)
             terms[e] = vec_add(terms[e], out) if e in terms else out
     return from_terms(vars, terms, window)
@@ -366,7 +458,6 @@ def find_locality_k(
     u_idx: int,
     v_idx: int,
     q: Fraction,
-    bound: int | None = None,
 ) -> OrderSearch:
     """Least k with (x1-x2)^k Y(u,x1)Y(v,x2) = q (x1-x2)^k Y(v,x2)Y(u,x1).
 
@@ -375,34 +466,14 @@ def find_locality_k(
     exactly when it holds at k = 0, and a nonzero difference is a certified
     refutation for every k (the constant witness of the nonlocal fixtures).
     """
-    bound = alg.default_bound() if bound is None else bound
-    window = algebra_window(alg, 2)
     u, v = alg.unit(u_idx), alg.unit(v_idx)
     q = Fraction(q)
     for w_idx in range(alg.dim):
-        w = alg.unit(w_idx)
-        p_uv = product_series(alg, u, v, w, ("x1", "x2"), window)
-        # Y(v,x2)Y(u,x1) w, written on the same (x1, x2) exponent grid
-        terms: dict[tuple[int, int], Vec] = {}
-        for n1, inner in alg.mode_map(u, w).items():
-            for n2, outer in alg.mode_map(v, inner).items():
-                e = (-n1 - 1, -n2 - 1)
-                terms[e] = vec_add(terms[e], outer) if e in terms else outer
-        p_vu = from_terms(("x1", "x2"), terms, window)
-        diff = sub(p_uv, p_vu.scale(q))
-        if not diff.is_zero():
-            e, c = diff.sorted_items()[0]
-            return OrderSearch(
-                REFUTED,
-                bound=bound,
-                witness=Witness(
-                    (alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx]),
-                    e,
-                    p_uv.coeff(e, zero_vec(alg.dim)),
-                    vec_scale(q, p_vu.coeff(e, zero_vec(alg.dim))),
-                ),
-            )
-    return OrderSearch(FOUND, order=0, bound=bound)
+        diffs = commutation_differences(alg, u, v, alg.unit(w_idx), q)
+        if diffs:
+            names = (alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx])
+            return OrderSearch(REFUTED, witness=Witness(names, *diffs[0]))
+    return OrderSearch(FOUND, order=0)
 
 
 def truncation_order(alg: AlgebraStructure, u_idx: int, v_idx: int) -> int:
@@ -418,7 +489,6 @@ def check_skew_symmetry(
     u_idx: int,
     v_idx: int,
     q: Fraction,
-    bound: int | None = None,
 ) -> CheckReport:
     """Y(u,x)v = q e^{xD} Y(v,-x)u plus the truncation condition."""
     report = CheckReport(f"skew-symmetry[{alg.basis[u_idx]},{alg.basis[v_idx]}]")
@@ -450,7 +520,7 @@ def check_skew_symmetry(
         )
     # truncation at the locality order when one exists
     k_min = truncation_order(alg, u_idx, v_idx)
-    loc = find_locality_k(alg, u_idx, v_idx, q, bound)
+    loc = find_locality_k(alg, u_idx, v_idx, q)
     k_used = loc.order if loc.found else k_min
     report.found_orders["truncation_k"] = k_min
     if loc.found:
@@ -473,6 +543,7 @@ def check_skew_symmetry(
 
 def _assoc_sides(
     alg: AlgebraStructure,
+    act: AlgebraStructure | ModuleStructure,
     u: Vec,
     v: Vec,
     w: Vec,
@@ -480,29 +551,28 @@ def _assoc_sides(
     window2: Window,
 ) -> tuple[Distribution, Distribution]:
     """Both sides of the order-l associativity relation on (x0, x2)."""
-    inner_window = algebra_window(alg, 2, margin=4 + l)
-    a = product_series(alg, u, v, w, ("x1", "x2"), inner_window)
+    a = product_series(act, u, v, w, ("x1", "x2"), window2)
     lhs = subst_with_power(a, "x1", "x0", "x2", l, window2)
-    c = iterate_series(alg, u, v, w, ("x0", "x2"), window2)
+    c = _iterate_series(alg, act, u, v, w, ("x0", "x2"), window2)
     factor = power_expand(l, "x0", "x2", window2, 1, 1)
     rhs = mul(factor, c, window2)
     return lhs, rhs
 
 
-def weak_assoc_triple(
+def assoc_search(
     alg: AlgebraStructure,
-    u_idx: int,
-    v_idx: int,
-    w_idx: int,
-    bound: int | None = None,
+    act: AlgebraStructure | ModuleStructure,
+    u: Vec,
+    v: Vec,
+    w: Vec,
+    bound: int,
+    names: tuple,
 ) -> OrderSearch:
-    """Least order for the three-argument associativity relation."""
-    bound = alg.default_bound() if bound is None else bound
-    u, v, w = alg.unit(u_idx), alg.unit(v_idx), alg.unit(w_idx)
-    names = (alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx])
+    """Least order for the associativity of u, v in alg acting through act on w."""
+    r = max(alg.exp_radius(), act.exp_radius())
     for l in range(bound + 1):
-        window2 = algebra_window(alg, 2, margin=4 + 2 * l)
-        lhs, rhs = _assoc_sides(alg, u, v, w, l, window2)
+        window2 = Window.symmetric(2, 3 * r + 4 + 2 * l)
+        lhs, rhs = _assoc_sides(alg, act, u, v, w, l, window2)
         verdict = window_equal(lhs, rhs)
         if verdict.matched:
             return OrderSearch(FOUND, order=l, bound=bound, exact=verdict.exact)
@@ -515,6 +585,20 @@ def weak_assoc_triple(
                 witness=Witness(names, verdict.witness, verdict.lhs, verdict.rhs),
             )
     return OrderSearch(INCONCLUSIVE, bound=bound)
+
+
+def weak_assoc_triple(
+    alg: AlgebraStructure,
+    u_idx: int,
+    v_idx: int,
+    w_idx: int,
+    bound: int | None = None,
+) -> OrderSearch:
+    """Least order for the three-argument associativity relation."""
+    bound = alg.default_bound() if bound is None else bound
+    names = (alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx])
+    units = (alg.unit(u_idx), alg.unit(v_idx), alg.unit(w_idx))
+    return assoc_search(alg, alg, *units, bound, names)
 
 
 def find_weak_assoc_l(
@@ -533,7 +617,7 @@ def find_weak_assoc_l(
         refutation = None
         for v_idx in range(alg.dim):
             v = alg.unit(v_idx)
-            lhs, rhs = _assoc_sides(alg, u, v, w, l, window2)
+            lhs, rhs = _assoc_sides(alg, alg, u, v, w, l, window2)
             verdict = window_equal(lhs, rhs)
             if verdict.matched:
                 all_exact = all_exact and verdict.exact
@@ -560,39 +644,32 @@ def find_weak_assoc_l(
 # the q-Jacobi identity
 
 
-def _delta_composite(kind: str, window: Window) -> Distribution:
-    """One of the three delta composites on exponent order (x0, x1, x2)."""
-    from .series import delta_three_term  # local import keeps series lean
-
-    if kind in ("left", "right"):
-        return delta_three_term(kind, window)
-    (w0lo, w0hi), (w1lo, w1hi), (w2lo, w2hi) = window.bounds
-    coeffs: dict[tuple[int, int, int], Fraction] = {}
-    from .series import binom
-
-    if kind == "d1":
-        # x0^(-1) delta((x1-x2)/x0)
-        for n in range(-1 - w0hi, -w0lo):
-            for i in range(max(0, w2lo, n - w1hi), min(w2hi, n - w1lo) + 1):
-                c = binom(n, i) * (-1) ** i
-                if c != 0:
-                    coeffs[(-n - 1, n - i, i)] = c
-        support = ((None, None), (None, None), (0, None))
-    elif kind == "d2":
-        # x0^(-1) delta((x2-x1)/(-x0))
-        for n in range(-1 - w0hi, -w0lo):
-            for i in range(max(0, w1lo, n - w2hi), min(w1hi, n - w2lo) + 1):
-                c = binom(n, i) * (-1) ** (n % 2) * (-1) ** i
-                if c != 0:
-                    coeffs[(-n - 1, i, n - i)] = c
-        support = ((None, None), (0, None), (None, None))
-    else:
-        raise ValueError(kind)
-    return Distribution(("x0", "x1", "x2"), coeffs, support, window)
-
-
 def jacobi_window(alg: AlgebraStructure) -> Window:
     return Window.symmetric(3, alg.exp_radius() + 3)
+
+
+def jacobi_deltas(window: Window) -> tuple[Distribution, Distribution, Distribution]:
+    """The delta composites d1, d2 and right of the Jacobi identity on the window."""
+    return tuple(delta_three_term(side, window) for side in ("d1", "d2", "right"))
+
+
+def jacobi_verdict(
+    deltas: tuple[Distribution, Distribution, Distribution],
+    p12: Distribution,
+    p21: Distribution,
+    c02: Distribution,
+    q: Fraction,
+    window: Window,
+) -> WindowVerdict:
+    """d1 p12 - q d2 p21 against c02 d3 on (x0, x1, x2), compared on the window.
+
+    p12 and p21 are the straight and reversed products on (x1, x2), c02 the
+    iterate on (x0, x2).
+    """
+    d1, d2, d3 = deltas
+    p12, p21, c02 = (lift_vars(d, ("x0", "x1", "x2"), window) for d in (p12, p21, c02))
+    lhs = sub(mul(d1, p12, window), mul(d2, p21, window).scale(q))
+    return window_equal(lhs, mul(c02, d3, window))
 
 
 def check_jacobi(
@@ -615,27 +692,18 @@ def check_jacobi(
     window = window or jacobi_window(alg)
     q = Fraction(q)
     u, v = alg.unit(u_idx), alg.unit(v_idx)
-    d1 = _delta_composite("d1", window)
-    d2 = _delta_composite("d2", window)
-    d3 = _delta_composite("right", window)
+    deltas = jacobi_deltas(window)
     prod_window = algebra_window(alg, 2)
     for w_idx in range(alg.dim):
         w = alg.unit(w_idx)
-        p12 = product_series(alg, u, v, w, ("x1", "x2"), prod_window)
-        # reversed product on the same exponent grid
-        terms: dict[tuple[int, int], Vec] = {}
-        for n1, inner in alg.mode_map(u, w).items():
-            for n2, outer in alg.mode_map(v, inner).items():
-                e = (-n1 - 1, -n2 - 1)
-                terms[e] = vec_add(terms[e], outer) if e in terms else outer
-        p21 = from_terms(("x1", "x2"), terms, prod_window)
-        c02 = iterate_series(alg, u, v, w, ("x0", "x2"), prod_window)
-
-        t1 = mul(d1, _embed12(p12, window), window)
-        t2 = mul(d2, _embed12(p21, window), window)
-        rhs = mul(_embed02(c02, window), d3, window)
-        lhs = sub(t1, t2.scale(q))
-        verdict = window_equal(lhs, rhs)
+        verdict = jacobi_verdict(
+            deltas,
+            product_series(alg, u, v, w, ("x1", "x2"), prod_window),
+            from_terms(("x1", "x2"), reversed_product_terms(alg, u, v, w), prod_window),
+            iterate_series(alg, u, v, w, ("x0", "x2"), prod_window),
+            q,
+            window,
+        )
         report.exact = report.exact and verdict.exact
         if not verdict.matched:
             report.fail(
@@ -647,7 +715,7 @@ def check_jacobi(
                 )
             )
     if cross_check:
-        loc = find_locality_k(alg, u_idx, v_idx, q, bound)
+        loc = find_locality_k(alg, u_idx, v_idx, q)
         assoc_ok = True
         for w_idx in range(alg.dim):
             if not weak_assoc_triple(alg, u_idx, v_idx, w_idx, bound).found:
@@ -667,22 +735,6 @@ def check_jacobi(
                 )
             )
     return report
-
-
-def _embed12(d: Distribution, window3: Window) -> Distribution:
-    """Lift a (x1, x2) distribution into (x0, x1, x2)."""
-    coeffs = {(0, e[0], e[1]): c for e, c in d.coeffs.items()}
-    support = ((0, 0), d.support[0], d.support[1])
-    win = Window([window3.bounds[0], d.window.bounds[0], d.window.bounds[1]])
-    return Distribution(("x0", "x1", "x2"), coeffs, support, win)
-
-
-def _embed02(d: Distribution, window3: Window) -> Distribution:
-    """Lift a (x0, x2) distribution into (x0, x1, x2)."""
-    coeffs = {(e[0], 0, e[1]): c for e, c in d.coeffs.items()}
-    support = (d.support[0], (0, 0), d.support[1])
-    win = Window([d.window.bounds[0], window3.bounds[1], d.window.bounds[1]])
-    return Distribution(("x0", "x1", "x2"), coeffs, support, win)
 
 
 # ---------------------------------------------------------------------------

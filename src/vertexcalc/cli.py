@@ -8,18 +8,18 @@ errors; classification outcomes such as "nonlocal" exit zero.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .construct import cocycle_twist, cross_product, from_assoc_with_derivation, matrix_algebra, tensor_product
-from .errors import VertexCalcError
+from .errors import ParseError, VertexCalcError
 from .fileio import (
     algebra_to_data,
     cocycle_section,
     grading_section,
     group_section,
     parse_algebra_file,
+    read_json,
     write_algebra_file,
 )
 from .suite import SuiteOptions, SuiteReport, SuiteRecord, SUITES, emit_report, run_suite
@@ -162,27 +162,31 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    data = json.loads(args.report.read_text(encoding="utf-8"))
-    report = SuiteReport(
-        target=data.get("target", ""),
-        suite=data.get("suite", ""),
-        options=data.get("options", {}),
-        records=[
-            SuiteRecord(
-                id=r["id"],
-                identity=r.get("identity", ""),
-                kind=r.get("kind", "check"),
-                verdict=r.get("verdict", ""),
-                exact=r.get("exact", True),
-                orders=r.get("orders", {}),
-                witnesses=r.get("witnesses", []),
-                notes=r.get("notes", []),
-            )
-            for r in data.get("records", [])
-        ],
-        embedded=data.get("embedded", {}),
-    )
-    sys.stdout.write(emit_report(report, args.format).decode())
+    data = read_json(args.report)
+    try:
+        report = SuiteReport(
+            target=data.get("target", ""),
+            suite=data.get("suite", ""),
+            options=data.get("options", {}),
+            records=[
+                SuiteRecord(
+                    id=r["id"],
+                    identity=r.get("identity", ""),
+                    kind=r.get("kind", "check"),
+                    verdict=r.get("verdict", ""),
+                    exact=r.get("exact", True),
+                    orders=r.get("orders", {}),
+                    witnesses=r.get("witnesses", []),
+                    notes=r.get("notes", []),
+                )
+                for r in data.get("records", [])
+            ],
+            embedded=data.get("embedded", {}),
+        )
+        payload = emit_report(report, args.format)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{args.report}: not a vertexcalc report ({exc!r})") from None
+    sys.stdout.write(payload.decode())
     return 0
 
 

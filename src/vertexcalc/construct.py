@@ -15,13 +15,13 @@ from itertools import product as iproduct
 
 from .algebra import (
     AlgebraStructure,
-    _delta_composite,
-    _embed02,
-    _embed12,
     algebra_window,
     iterate_series,
+    jacobi_deltas,
+    jacobi_verdict,
     jacobi_window,
     product_series,
+    reversed_product_terms,
     truncation_order,
     weak_assoc_triple,
 )
@@ -45,7 +45,7 @@ from .linalg import (
     zero_vec,
 )
 from .report import CheckReport, Witness
-from .series import Window, binom_expand, from_terms, mul, sub, window_equal
+from .series import Window, binom_expand, from_terms, mul, sub
 
 
 # ---------------------------------------------------------------------------
@@ -616,13 +616,15 @@ def rmap_tensor_swap(dim_v: int, dim_a: int) -> RMap:
     return RMap(dim=dim, entries=entries)
 
 
-def rmap_cross_abelian(alg: AlgebraStructure, act: GroupActionData) -> RMap:
-    """R(vg2 ⊗ ug1 ⊗ wg3) = g1(v)g2 ⊗ g2^{-1}(u)g1 ⊗ wg3 for abelian G."""
+def rmap_cross_abelian(base_dim: int, act: GroupActionData) -> RMap:
+    """R(vg2 ⊗ ug1 ⊗ wg3) = g1(v)g2 ⊗ g2^{-1}(u)g1 ⊗ wg3 for abelian G.
+
+    base_dim is the dimension of the structure the group acts on.
+    """
     if not act.is_abelian():
         raise MalformedStructure("the reduced R-map formula requires an abelian group")
     ng = len(act.elements)
-    dim_v = alg.dim
-    dim = dim_v * ng
+    dim = base_dim * ng
 
     def unpack(k: int) -> tuple[int, int]:
         return divmod(k, ng)
@@ -634,8 +636,8 @@ def rmap_cross_abelian(alg: AlgebraStructure, act: GroupActionData) -> RMap:
             u_idx, g1 = unpack(b2)
             m1 = act.action[g1]
             m2inv = act.action[act.inverse(g2)]
-            gv = mat_vec(m1, alg.unit(v_idx))
-            gu = mat_vec(m2inv, alg.unit(u_idx))
+            gv = mat_vec(m1, unit_vec(base_dim, v_idx))
+            gu = mat_vec(m2inv, unit_vec(base_dim, u_idx))
             terms: list[tuple[Fraction, tuple[int, int]]] = []
             for r1, c1 in enumerate(gv):
                 if c1 == 0:
@@ -669,9 +671,7 @@ def check_jacobi_like(
         raise MalformedStructure("R-map dimension mismatch")
     window = window or jacobi_window(alg)
     prod_window = algebra_window(alg, 2)
-    d1 = _delta_composite("d1", window)
-    d2 = _delta_composite("d2", window)
-    d3 = _delta_composite("right", window)
+    deltas = jacobi_deltas(window)
     all_triples = triples or [
         (u, v, w)
         for u in range(alg.dim)
@@ -687,19 +687,12 @@ def check_jacobi_like(
         rterms: dict[tuple[int, int], Vec] = {}
         for coeff, (a_i, b_i, c_i) in rmap.image((v_idx, u_idx, w_idx)):
             a, b, c = alg.unit(a_i), alg.unit(b_i), alg.unit(c_i)
-            for n1, inner in alg.mode_map(b, c).items():
-                for n2, outer in alg.mode_map(a, inner).items():
-                    e = (-n1 - 1, -n2 - 1)
-                    contrib = vec_scale(coeff, outer)
-                    rterms[e] = vec_add(rterms[e], contrib) if e in rterms else contrib
+            for e, outer in reversed_product_terms(alg, b, a, c).items():
+                contrib = vec_scale(coeff, outer)
+                rterms[e] = vec_add(rterms[e], contrib) if e in rterms else contrib
         p_r = from_terms(("x1", "x2"), rterms, prod_window)
 
-        lhs = sub(
-            mul(d1, _embed12(p12, window), window),
-            mul(d2, _embed12(p_r, window), window),
-        )
-        rhs = mul(_embed02(c02, window), d3, window)
-        verdict = window_equal(lhs, rhs)
+        verdict = jacobi_verdict(deltas, p12, p_r, c02, Fraction(1), window)
         report.exact = report.exact and verdict.exact
         if not verdict.matched:
             report.fail(Witness(names, verdict.witness, verdict.lhs, verdict.rhs))

@@ -62,11 +62,8 @@ def _sparse_from_vec(v: Vec, names: tuple[str, ...]) -> dict:
     return {names[i]: format_rational(c) for i, c in enumerate(v) if c != 0}
 
 
-def _mat_from_rows(rows, what: str) -> Mat:
-    try:
-        return tuple(tuple(parse_rational(x) for x in row) for row in rows)
-    except TypeError:
-        raise ParseError(f"{what}: expected a matrix of rational strings") from None
+def _mat_from_rows(rows) -> Mat:
+    return tuple(tuple(parse_rational(x) for x in row) for row in rows)
 
 
 def _rows_from_mat(m: Mat) -> list[list[str]]:
@@ -109,20 +106,8 @@ class AlgebraBundle:
         if kind == "cross-abelian":
             if self.group is None or self.group_base_basis is None:
                 raise ValidationError("cross-abelian R-map needs the group section")
-            # only the base dimension and the action matrices enter the map
-            shell = _BareSpace(len(self.group_base_basis))
-            return rmap_cross_abelian(shell, self.group)
+            return rmap_cross_abelian(len(self.group_base_basis), self.group)
         raise ValidationError(f"unknown R-map kind {kind!r}")
-
-
-class _BareSpace:
-    """Duck-typed stand-in exposing dim/unit for R-map construction."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-
-    def unit(self, i: int):
-        return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -130,151 +115,162 @@ class _BareSpace:
 
 
 def parse_algebra_data(data: dict, name: str = "") -> AlgebraBundle:
+    """Build the bundle from decoded JSON.
+
+    This is the one parse boundary: a missing field, a value of the wrong
+    type or an unknown group element in any section ends as a ParseError
+    that names the section.
+    """
     if not isinstance(data, dict):
         raise ParseError("top level must be an object")
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version!r}")
+    section = "basis"
     try:
+        if not isinstance(data["basis"], list):
+            raise ParseError("basis must be a list of names")
         basis = tuple(str(x) for x in data["basis"])
         vacuum_name = data["vacuum"]
-    except KeyError as exc:
-        raise ParseError(f"missing required field {exc}") from None
-    if len(set(basis)) != len(basis):
-        raise ParseError("duplicate basis names")
-    if "dim" in data and int(data["dim"]) != len(basis):
-        raise ParseError("declared dim disagrees with the basis length")
-    if vacuum_name not in basis:
-        raise ValidationError(f"vacuum {vacuum_name!r} is not a basis name")
-    index = {nm: i for i, nm in enumerate(basis)}
+        if len(set(basis)) != len(basis):
+            raise ParseError("duplicate basis names")
+        if "dim" in data and int(data["dim"]) != len(basis):
+            raise ParseError("declared dim disagrees with the basis length")
+        if vacuum_name not in basis:
+            raise ValidationError(f"vacuum {vacuum_name!r} is not a basis name")
+        index = {nm: i for i, nm in enumerate(basis)}
 
-    y_data: dict[tuple[int, int], dict[int, Vec]] = {}
-    for entry in data.get("entries", []):
-        try:
+        section = "entries"
+        y_data: dict[tuple[int, int], dict[int, Vec]] = {}
+        for entry in data.get("entries", []):
             u, v, n = entry["u"], entry["v"], int(entry["n"])
             result = entry["result"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad entry {entry!r}: {exc}") from None
-        if u not in index or v not in index:
-            raise ValidationError(f"entry references unknown basis name: {entry!r}")
-        vec = _vec_from_sparse(result, basis, f"entry ({u},{v},{n})")
-        y_data.setdefault((index[u], index[v]), {})[n] = vec
+            if u not in index or v not in index:
+                raise ValidationError(f"entry references unknown basis name: {entry!r}")
+            vec = _vec_from_sparse(result, basis, f"entry ({u},{v},{n})")
+            y_data.setdefault((index[u], index[v]), {})[n] = vec
 
-    variant = data.get("variant", "strong")
-    if variant not in ("strong", "weak"):
-        raise ParseError(f"unknown associativity variant {variant!r}")
-    alg = AlgebraStructure(
-        basis=basis, vacuum=index[vacuum_name], y_data=y_data, assoc_variant=variant
-    )
-    bundle = AlgebraBundle(alg=alg, name=name or data.get("name", ""))
+        section = "variant"
+        variant = data.get("variant", "strong")
+        if variant not in ("strong", "weak"):
+            raise ParseError(f"unknown associativity variant {variant!r}")
+        alg = AlgebraStructure(
+            basis=basis, vacuum=index[vacuum_name], y_data=y_data, assoc_variant=variant
+        )
+        bundle = AlgebraBundle(alg=alg, name=name or data.get("name", ""))
 
-    if "grading" in data:
-        g = data["grading"]
-        orders = tuple(int(x) for x in g["orders"])
-        try:
-            degrees = tuple(tuple(int(x) for x in g["degrees"][nm]) for nm in basis)
-        except KeyError as exc:
-            raise ValidationError(f"grading misses a degree for {exc}") from None
-        bundle.grading = GradedTag(orders=orders, degrees=degrees)
-
-    if "cocycle" in data:
-        if bundle.grading is None:
-            raise ValidationError("a cocycle table needs a grading section")
-        table = {}
-        for key, val in data["cocycle"]["table"].items():
+        if "grading" in data:
+            section = "grading"
+            g = data["grading"]
+            orders = tuple(int(x) for x in g["orders"])
             try:
+                degrees = tuple(tuple(int(x) for x in g["degrees"][nm]) for nm in basis)
+            except KeyError as exc:
+                raise ValidationError(f"grading misses a degree for {exc}") from None
+            bundle.grading = GradedTag(orders=orders, degrees=degrees)
+
+        if "cocycle" in data:
+            section = "cocycle"
+            if bundle.grading is None:
+                raise ValidationError("a cocycle table needs a grading section")
+            table = {}
+            for key, val in data["cocycle"]["table"].items():
                 left, right = key.split("|")
                 gtup = tuple(int(x) for x in left.split(","))
                 htup = tuple(int(x) for x in right.split(","))
-            except ValueError:
-                raise ParseError(f"bad cocycle key {key!r}") from None
-            table[(gtup, htup)] = parse_rational(val)
-        bundle.cocycle = CocycleData(grading=bundle.grading, table=table)
+                table[(gtup, htup)] = parse_rational(val)
+            bundle.cocycle = CocycleData(grading=bundle.grading, table=table)
 
-    if "group" in data:
-        g = data["group"]
-        elements = tuple(str(x) for x in g["elements"])
-        el_index = {nm: i for i, nm in enumerate(elements)}
-        table = {}
-        rows = g["table"]
-        for i, row in enumerate(rows):
-            for j, val in enumerate(row):
-                table[(i, j)] = el_index[val]
-        action = {
-            el_index[nm]: _mat_from_rows(mat_rows, f"action of {nm}")
-            for nm, mat_rows in g["action"].items()
-        }
-        bundle.group = GroupActionData(elements=elements, table=table, action=action)
-        if "base_basis" in g:
-            bundle.group_base_basis = tuple(str(x) for x in g["base_basis"])
+        if "group" in data:
+            section = "group"
+            g = data["group"]
+            elements = tuple(str(x) for x in g["elements"])
+            el_index = {nm: i for i, nm in enumerate(elements)}
+            table = {}
+            rows = g["table"]
+            for i, row in enumerate(rows):
+                for j, val in enumerate(row):
+                    table[(i, j)] = el_index[val]
+            action = {
+                el_index[nm]: _mat_from_rows(mat_rows) for nm, mat_rows in g["action"].items()
+            }
+            bundle.group = GroupActionData(elements=elements, table=table, action=action)
+            if "base_basis" in g:
+                bundle.group_base_basis = tuple(str(x) for x in g["base_basis"])
 
-    if "assoc" in data:
-        a = data["assoc"]
-        a_basis = tuple(str(x) for x in a["basis"])
-        table = {}
-        for i, row in enumerate(a["table"]):
-            for j, cell in enumerate(row):
-                table[(i, j)] = _vec_from_sparse(cell, a_basis, f"assoc ({i},{j})")
-        bundle.assoc = AssocAlgebraData(
-            basis=a_basis,
-            table=table,
-            identity=a_basis.index(a["identity"]),
-            derivation=_mat_from_rows(a["derivation"], "derivation"),
-        )
+        if "assoc" in data:
+            section = "assoc"
+            a = data["assoc"]
+            a_basis = tuple(str(x) for x in a["basis"])
+            table = {}
+            for i, row in enumerate(a["table"]):
+                for j, cell in enumerate(row):
+                    table[(i, j)] = _vec_from_sparse(cell, a_basis, f"assoc ({i},{j})")
+            bundle.assoc = AssocAlgebraData(
+                basis=a_basis,
+                table=table,
+                identity=a_basis.index(a["identity"]),
+                derivation=_mat_from_rows(a["derivation"]),
+            )
 
-    if "module" in data:
-        m = data["module"]
-        w_basis = tuple(str(x) for x in m["basis"])
-        w_index = {nm: i for i, nm in enumerate(w_basis)}
-        action: dict[tuple[int, int], dict[int, Vec]] = {}
-        for entry in m.get("entries", []):
-            v, w, n = entry["v"], entry["w"], int(entry["n"])
-            if v not in index or w not in w_index:
-                raise ValidationError(f"module entry references unknown name: {entry!r}")
-            vec = _vec_from_sparse(entry["result"], w_basis, f"module ({v},{w},{n})")
-            action.setdefault((index[v], w_index[w]), {})[n] = vec
-        bundle.module = ModuleStructure(basis=w_basis, action=action)
+        if "module" in data:
+            section = "module"
+            m = data["module"]
+            w_basis = tuple(str(x) for x in m["basis"])
+            w_index = {nm: i for i, nm in enumerate(w_basis)}
+            action: dict[tuple[int, int], dict[int, Vec]] = {}
+            for entry in m.get("entries", []):
+                v, w, n = entry["v"], entry["w"], int(entry["n"])
+                if v not in index or w not in w_index:
+                    raise ValidationError(f"module entry references unknown name: {entry!r}")
+                vec = _vec_from_sparse(entry["result"], w_basis, f"module ({v},{w},{n})")
+                action.setdefault((index[v], w_index[w]), {})[n] = vec
+            bundle.module = ModuleStructure(basis=w_basis, action=action)
 
-    if "operators" in data:
-        o = data["operators"]
-        if "from_basis" in o:
-            bundle.operator_names = [str(x) for x in o["from_basis"]]
-            for nm in bundle.operator_names:
-                if nm not in index:
-                    raise ValidationError(f"operators.from_basis names unknown {nm!r}")
-        else:
-            space = tuple(str(x) for x in o["space"])
-            ops = []
-            for spec in o["ops"]:
-                modes = {
-                    int(n): _mat_from_rows(rows, f"operator {spec.get('name')}")
-                    for n, rows in spec["modes"].items()
-                }
-                for m_ in modes.values():
-                    if len(m_) != len(space) or any(len(r) != len(space) for r in m_):
-                        raise ValidationError("operator matrix shape mismatch")
-                ops.append(
-                    VertexOperator(len(space), modes, name=str(spec.get("name", "")))
-                )
-            bundle.operators = ops
+        if "operators" in data:
+            section = "operators"
+            o = data["operators"]
+            if "from_basis" in o:
+                bundle.operator_names = [str(x) for x in o["from_basis"]]
+                for nm in bundle.operator_names:
+                    if nm not in index:
+                        raise ValidationError(f"operators.from_basis names unknown {nm!r}")
+            else:
+                space = tuple(str(x) for x in o["space"])
+                ops = []
+                for spec in o["ops"]:
+                    modes = {int(n): _mat_from_rows(rows) for n, rows in spec["modes"].items()}
+                    for m_ in modes.values():
+                        if len(m_) != len(space) or any(len(r) != len(space) for r in m_):
+                            raise ValidationError("operator matrix shape mismatch")
+                    ops.append(
+                        VertexOperator(len(space), modes, name=str(spec.get("name", "")))
+                    )
+                bundle.operators = ops
 
-    if "rmap" in data:
-        bundle.rmap_spec = dict(data["rmap"])
-
+        if "rmap" in data:
+            section = "rmap"
+            bundle.rmap_spec = dict(data["rmap"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed {section!r} section: {exc!r}") from None
     return bundle
 
 
-def parse_algebra_file(path: str | Path) -> AlgebraBundle:
+def read_json(path: str | Path):
+    """Decoded JSON from a file; an unreadable or invalid file is a ParseError."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    return parse_algebra_data(data, name=path.stem)
+
+
+def parse_algebra_file(path: str | Path) -> AlgebraBundle:
+    return parse_algebra_data(read_json(path), name=Path(path).stem)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +344,6 @@ def module_section(mod: ModuleStructure, alg: AlgebraStructure) -> dict:
 def operators_section(ops: list[VertexOperator], space: tuple[str, ...]) -> dict:
     out = []
     for op in ops:
-        if not op.polynomial:
-            raise ValidationError("only polynomial-mode operators can be serialized")
         out.append(
             {
                 "name": op.name,

@@ -4,8 +4,9 @@ A ModuleStructure carries the action modes v_n w for algebra basis vectors v
 and module basis vectors w.  The checkers verify the module axioms (identity
 action, truncation, weak associativity in both the per-triple and the
 uniform variants), the derivative property of the translation operator,
-locality transfer between an algebra and a faithful module, and bounded
-compatibility of multi-operator products.
+locality transfer between an algebra and a faithful module, and the
+compatibility of multi-operator products, which finite support makes an
+invariant (damping order zero).
 """
 
 from __future__ import annotations
@@ -13,10 +14,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import AlgebraStructure, d_operator
+from .algebra import (
+    AlgebraStructure,
+    ModeMap,
+    ModeTable,
+    assoc_search,
+    clean_table,
+    commutation_differences,
+    d_operator,
+    find_locality_k,
+    table_apply,
+    table_exp_radius,
+    table_matrix,
+    table_mode_map,
+)
 from .construct import _MatrixBasis, matrix_algebra, tensor_product
 from .errors import MalformedStructure
 from .linalg import (
+    Mat,
     SpanBasis,
     Vec,
     is_zero_vec,
@@ -28,78 +43,40 @@ from .linalg import (
     zero_vec,
 )
 from .report import FAIL, FOUND, INCONCLUSIVE, PASS, REFUTED, CheckReport, OrderSearch, Witness
-from .series import Window, from_terms, mul, power_expand, subst_with_power, window_equal
-
-ModeMap = dict[int, Vec]
 
 
 @dataclass
 class ModuleStructure:
-    """Finite module basis and action modes (e_i)_n w_j, finitely supported."""
+    """Finite module basis and action modes (e_i)_n w_j, finitely supported.
+
+    The action is a mode table like an algebra's y_data, read through the
+    same table functions; only the acting basis is the algebra's.
+    """
 
     basis: tuple[str, ...]
-    action: dict[tuple[int, int], ModeMap]  # (algebra idx, module idx) -> {n: vec}
+    action: ModeTable  # (algebra idx, module idx) -> {n: vec}
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.basis = tuple(self.basis)
         if not self.basis:
             raise MalformedStructure("empty module basis")
-        dim = len(self.basis)
-        clean: dict[tuple[int, int], ModeMap] = {}
-        for (i, j), modes in self.action.items():
-            if not (0 <= j < dim):
-                raise MalformedStructure(f"module index {j} out of range")
-            entry: ModeMap = {}
-            for n, v in modes.items():
-                if len(v) != dim:
-                    raise MalformedStructure(f"module vector length mismatch at ({i},{j})")
-                v = tuple(Fraction(x) for x in v)
-                if not is_zero_vec(v):
-                    entry[int(n)] = v
-            if entry:
-                clean[(i, j)] = entry
-        self.action = clean
+        self.action = clean_table(self.action, self.dim, None)
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def unit(self, j: int) -> Vec:
-        return unit_vec(self.dim, j)
+    dim = AlgebraStructure.dim
+    unit = AlgebraStructure.unit
 
     def apply_mode(self, u: Vec, n: int, w: Vec) -> Vec:
-        out = zero_vec(self.dim)
-        for i, cu in enumerate(u):
-            if cu == 0:
-                continue
-            for j, cw in enumerate(w):
-                if cw == 0:
-                    continue
-                img = self.action.get((i, j), {}).get(n)
-                if img is not None:
-                    out = vec_add(out, vec_scale(cu * cw, img))
-        return out
+        return table_apply(self.action, self.dim, u, n, w)
 
     def mode_map(self, u: Vec, w: Vec) -> ModeMap:
-        out: ModeMap = {}
-        for i, cu in enumerate(u):
-            if cu == 0:
-                continue
-            for j, cw in enumerate(w):
-                if cw == 0:
-                    continue
-                for n, img in self.action.get((i, j), {}).items():
-                    s = vec_scale(cu * cw, img)
-                    out[n] = vec_add(out[n], s) if n in out else s
-        return {n: v for n, v in out.items() if not is_zero_vec(v)}
+        return table_mode_map(self.action, u, w)
 
     def exp_radius(self) -> int:
-        r = 1
-        for modes in self.action.values():
-            for n in modes:
-                r = max(r, abs(-n - 1))
-        return r
+        return table_exp_radius(self.action)
+
+    def mode_matrix(self, u: Vec, n: int) -> Mat:
+        return table_matrix(self.action, self.dim, u, n)
 
 
 def adjoint_module(alg: AlgebraStructure) -> ModuleStructure:
@@ -112,74 +89,6 @@ def adjoint_module(alg: AlgebraStructure) -> ModuleStructure:
 
 # ---------------------------------------------------------------------------
 # module axiom checks
-
-
-def _module_window(alg: AlgebraStructure, mod: ModuleStructure, nvars: int, margin: int = 4) -> Window:
-    r = max(alg.exp_radius(), mod.exp_radius())
-    return Window.symmetric(nvars, 3 * r + margin)
-
-
-def module_product_series(
-    alg: AlgebraStructure,
-    mod: ModuleStructure,
-    u: Vec,
-    v: Vec,
-    w: Vec,
-    vars: tuple[str, str],
-    window: Window,
-):
-    """Y_W(u, x_first) Y_W(v, x_second) w."""
-    terms: dict[tuple[int, int], Vec] = {}
-    for n2, inner in mod.mode_map(v, w).items():
-        for n1, outer in mod.mode_map(u, inner).items():
-            e = (-n1 - 1, -n2 - 1)
-            terms[e] = vec_add(terms[e], outer) if e in terms else outer
-    return from_terms(vars, terms, window)
-
-
-def module_iterate_series(
-    alg: AlgebraStructure,
-    mod: ModuleStructure,
-    u: Vec,
-    v: Vec,
-    w: Vec,
-    vars: tuple[str, str],
-    window: Window,
-):
-    """Y_W(Y(u, x_first) v, x_second) w, the inner product taken in the algebra."""
-    terms: dict[tuple[int, int], Vec] = {}
-    for n0, uv in alg.mode_map(u, v).items():
-        for n2, out in mod.mode_map(uv, w).items():
-            e = (-n0 - 1, -n2 - 1)
-            terms[e] = vec_add(terms[e], out) if e in terms else out
-    return from_terms(vars, terms, window)
-
-
-def module_assoc_triple(
-    alg: AlgebraStructure,
-    mod: ModuleStructure,
-    u: Vec,
-    v: Vec,
-    w: Vec,
-    bound: int,
-    names: tuple,
-) -> OrderSearch:
-    for l in range(bound + 1):
-        window2 = _module_window(alg, mod, 2, margin=4 + 2 * l)
-        a = module_product_series(alg, mod, u, v, w, ("x1", "x2"), window2)
-        lhs = subst_with_power(a, "x1", "x0", "x2", l, window2)
-        c = module_iterate_series(alg, mod, u, v, w, ("x0", "x2"), window2)
-        rhs = mul(power_expand(l, "x0", "x2", window2, 1, 1), c, window2)
-        verdict = window_equal(lhs, rhs)
-        if verdict.matched:
-            return OrderSearch(FOUND, order=l, bound=bound, exact=verdict.exact)
-        if lhs.complete and rhs.complete:
-            return OrderSearch(
-                REFUTED,
-                bound=bound,
-                witness=Witness(names, verdict.witness, verdict.lhs, verdict.rhs),
-            )
-    return OrderSearch(INCONCLUSIVE, bound=bound)
 
 
 def check_module(
@@ -237,7 +146,7 @@ def check_module(
             worst = 0
             ok = True
             for v_idx in range(alg.dim):
-                search = module_assoc_triple(
+                search = assoc_search(
                     alg,
                     mod,
                     alg.unit(u_idx),
@@ -375,29 +284,17 @@ def check_embedded_actions_commute(
     for i in range(alg_a.dim):
         for j in range(alg_b.dim):
             for w_idx in range(mod.dim):
-                w = mod.unit(w_idx)
-                ab: dict[tuple[int, int], Vec] = {}
-                for n2, inner in mod.mode_map(emb_b(j), w).items():
-                    for n1, outer in mod.mode_map(emb_a(i), inner).items():
-                        e = (n1, n2)
-                        ab[e] = vec_add(ab[e], outer) if e in ab else outer
-                ba: dict[tuple[int, int], Vec] = {}
-                for n1, inner in mod.mode_map(emb_a(i), w).items():
-                    for n2, outer in mod.mode_map(emb_b(j), inner).items():
-                        e = (n1, n2)
-                        ba[e] = vec_add(ba[e], outer) if e in ba else outer
-                for e in sorted(set(ab) | set(ba)):
-                    lhs = ab.get(e, zero_vec(mod.dim))
-                    rhs = ba.get(e, zero_vec(mod.dim))
-                    if lhs != rhs:
-                        report.fail(
-                            Witness(
-                                (alg_a.basis[i], alg_b.basis[j], mod.basis[w_idx]),
-                                e,
-                                lhs,
-                                rhs,
-                            )
+                diffs = commutation_differences(mod, emb_a(i), emb_b(j), mod.unit(w_idx), 1)
+                # witnesses name the modes (n1, n2), in increasing order
+                for e, lhs, rhs in reversed(diffs):
+                    report.fail(
+                        Witness(
+                            (alg_a.basis[i], alg_b.basis[j], mod.basis[w_idx]),
+                            (-e[0] - 1, -e[1] - 1),
+                            lhs,
+                            rhs,
                         )
+                    )
     return report
 
 
@@ -425,42 +322,21 @@ def check_locality_transfer(
     u_idx: int,
     v_idx: int,
     q: Fraction,
-    bound: int | None = None,
 ) -> CheckReport:
     """Algebra locality carries to modules; faithful modules carry it back."""
-    from .algebra import find_locality_k
-
     report = CheckReport(f"locality-transfer[{alg.basis[u_idx]},{alg.basis[v_idx]}]")
-    bound = alg.default_bound() if bound is None else bound
     q = Fraction(q)
-    alg_loc = find_locality_k(alg, u_idx, v_idx, q, bound)
+    alg_loc = find_locality_k(alg, u_idx, v_idx, q)
     u, v = alg.unit(u_idx), alg.unit(v_idx)
     # module-side relation at order zero (Laurent data collapses every order)
-    mod_holds = True
     witness = None
     for w_idx in range(mod.dim):
-        w = mod.unit(w_idx)
-        lhs: dict[tuple[int, int], Vec] = {}
-        for n2, inner in mod.mode_map(v, w).items():
-            for n1, outer in mod.mode_map(u, inner).items():
-                e = (-n1 - 1, -n2 - 1)
-                lhs[e] = vec_add(lhs[e], outer) if e in lhs else outer
-        rhs: dict[tuple[int, int], Vec] = {}
-        for n1, inner in mod.mode_map(u, w).items():
-            for n2, outer in mod.mode_map(v, inner).items():
-                e = (-n1 - 1, -n2 - 1)
-                rhs[e] = vec_add(rhs[e], outer) if e in rhs else outer
-        for e in sorted(set(lhs) | set(rhs)):
-            a = lhs.get(e, zero_vec(mod.dim))
-            b = vec_scale(q, rhs.get(e, zero_vec(mod.dim)))
-            if a != b:
-                mod_holds = False
-                witness = Witness(
-                    (alg.basis[u_idx], alg.basis[v_idx], mod.basis[w_idx]), e, a, b
-                )
-                break
-        if not mod_holds:
+        diffs = commutation_differences(mod, u, v, mod.unit(w_idx), q)
+        if diffs:
+            names = (alg.basis[u_idx], alg.basis[v_idx], mod.basis[w_idx])
+            witness = Witness(names, *diffs[0])
             break
+    mod_holds = witness is None
     faithful = is_faithful(alg, mod)
     report.found_orders["faithful"] = int(faithful)
     if alg_loc.found:
@@ -492,29 +368,12 @@ def check_product_compatibility(
 ) -> OrderSearch:
     """Least k with the (x_i - x_j)^k-damped operator product lower-truncated.
 
-    Finitely supported action data makes every multiple product a Laurent
-    polynomial, so the certification succeeds at k = 0; the search still
-    materializes the product to certify the claim rather than assuming it.
+    Finitely supported action data makes every multiple product Y_W(v_1, x_1)
+    ... Y_W(v_r, x_r) w a Laurent polynomial, so the answer is always k = 0:
+    this is the stated invariant, not a search.
     """
     bound = alg.default_bound() if bound is None else bound
-    r = len(vs)
-    if r == 0:
-        return OrderSearch(FOUND, order=0, bound=bound)
-    for w_idx in range(mod.dim):
-        layers = [mod.unit(w_idx)]
-        # apply Y_W(v_r) ... Y_W(v_1) front to back, tracking joint exponents
-        states: dict[tuple[int, ...], Vec] = {(): mod.unit(w_idx)}
-        for v_idx in reversed(vs):
-            nxt: dict[tuple[int, ...], Vec] = {}
-            for exps, vecw in states.items():
-                for n, img in mod.mode_map(alg.unit(v_idx), vecw).items():
-                    key = (-n - 1,) + exps
-                    nxt[key] = vec_add(nxt[key], img) if key in nxt else img
-            states = nxt
-        # finite state dictionary == membership in W((x_1, ..., x_r))
-        if any(len(e) != r for e in states):
-            return OrderSearch(INCONCLUSIVE, bound=bound)
-    return OrderSearch(FOUND, order=0, bound=bound, exact=True)
+    return OrderSearch(FOUND, order=0, bound=bound)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Vertex operators on a finite-dimensional space and the closure engine.
 
-A VertexOperator is an End(W)-valued Laurent object: finitely many matrix
-coefficients in polynomial mode, or a memoized coefficient oracle with a
-declared truncation bound.  On finite-dimensional W every such operator lies
-in End(W)((x)), so ordered sequences are compatible at damping order zero;
-the interesting content is downstream: the reordering transform T, the
-residue-defined products, the associativity relation they satisfy, and the
-span generated from a compatible set, which carries a full vertex-structure
-with W as a faithful module.
+A VertexOperator is an End(W)-valued Laurent polynomial: finitely many matrix
+coefficients.  On finite-dimensional W every such operator lies in
+End(W)((x)), so every ordered sequence of operators on the same space is
+compatible at damping order zero.  That is a stated invariant, not a search:
+find_compat_order returns it after checking that the operands act on one
+space.  The interesting content is downstream: the reordering transform T,
+the residue-defined products, the associativity relation they satisfy, and
+the span generated from a compatible set, which carries a full
+vertex-structure with W as a faithful module.
 
 The product formulas are evaluated in closed form.  Writing a(x) with
 x-exponent coefficients A_p, b(x) with B_q, the n-th product collects
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 from .algebra import AlgebraStructure
 from .errors import MalformedStructure, NotCompatible
@@ -51,100 +51,46 @@ STATUS_RANGE = "index-range-exhausted"
 
 
 class VertexOperator:
-    """An End(W)-valued Laurent series with truncation above a declared mode.
+    """An End(W)-valued Laurent polynomial: every nonzero mode stored outright."""
 
-    Polynomial mode stores every nonzero coefficient outright.  Oracle mode
-    carries a callable n -> matrix with a declared mode_hi (a_n = 0 for
-    n >= mode_hi) and an optional known mode_lo; coefficients are memoized on
-    demand and any verdict that had to window the tail is flagged by callers.
-    """
+    __slots__ = ("dim", "modes", "name")
 
-    __slots__ = ("dim", "modes", "oracle", "mode_hi", "mode_lo", "_memo", "name")
-
-    def __init__(
-        self,
-        dim: int,
-        modes: dict[int, Mat] | None = None,
-        oracle: Callable[[int], Mat] | None = None,
-        mode_hi: int | None = None,
-        mode_lo: int | None = None,
-        name: str = "",
-    ):
+    def __init__(self, dim: int, modes: dict[int, Mat] | None = None, name: str = ""):
         self.dim = dim
-        self.oracle = oracle
         self.name = name
-        self._memo: dict[int, Mat] = {}
-        if oracle is None:
-            clean = {}
-            for n, m in (modes or {}).items():
-                m = tuple(tuple(Fraction(x) for x in row) for row in m)
-                if not is_zero_mat(m):
-                    clean[int(n)] = m
-            self.modes = clean
-            self.mode_hi = (max(clean) + 1) if clean else 0
-            self.mode_lo = min(clean) if clean else 0
-        else:
-            if mode_hi is None:
-                raise MalformedStructure("oracle operators must declare a truncation bound")
-            self.modes = None
-            self.mode_hi = mode_hi
-            self.mode_lo = mode_lo
+        clean = {}
+        for n, m in (modes or {}).items():
+            m = tuple(tuple(Fraction(x) for x in row) for row in m)
+            if not is_zero_mat(m):
+                clean[int(n)] = m
+        self.modes = clean
 
     # -- coefficient access ----------------------------------------------------
 
-    @property
-    def polynomial(self) -> bool:
-        return self.oracle is None
-
     def mode(self, n: int) -> Mat:
-        if self.polynomial:
-            return self.modes.get(n) or tuple(
-                tuple(Fraction(0) for _ in range(self.dim)) for _ in range(self.dim)
-            )
-        if n >= self.mode_hi:
-            return tuple(tuple(Fraction(0) for _ in range(self.dim)) for _ in range(self.dim))
-        if n not in self._memo:
-            m = self.oracle(n)
-            self._memo[n] = tuple(tuple(Fraction(x) for x in row) for row in m)
-        return self._memo[n]
+        return self.modes.get(n) or tuple(
+            tuple(Fraction(0) for _ in range(self.dim)) for _ in range(self.dim)
+        )
 
     def exps(self, lo: int | None = None, hi: int | None = None) -> dict[int, Mat]:
         """Nonzero coefficients by x-exponent, optionally windowed to [lo, hi]."""
-        if self.polynomial:
-            out = {-n - 1: m for n, m in self.modes.items()}
-            if lo is not None:
-                out = {p: m for p, m in out.items() if p >= lo}
-            if hi is not None:
-                out = {p: m for p, m in out.items() if p <= hi}
-            return out
-        if lo is None or hi is None:
-            raise NotCompatible("oracle operators need an exponent window to materialize")
-        out = {}
-        for p in range(lo, hi + 1):
-            m = self.mode(-p - 1)
-            if not is_zero_mat(m):
-                out[p] = m
+        out = {-n - 1: m for n, m in self.modes.items()}
+        if lo is not None:
+            out = {p: m for p, m in out.items() if p >= lo}
+        if hi is not None:
+            out = {p: m for p, m in out.items() if p <= hi}
         return out
 
-    def exp_bounds(self) -> tuple[int | None, int]:
-        """(min exponent or None if unknown, max exponent).
-
-        The truncation bound gives the exponent floor -mode_hi; the top is
-        unknown exactly when an oracle has no declared mode_lo.
-        """
-        if self.polynomial:
-            if not self.modes:
-                return (0, 0)
-            return (-max(self.modes) - 1, -min(self.modes) - 1)
-        top = None if self.mode_lo is None else -self.mode_lo - 1
-        return (-self.mode_hi, top) if top is None else (-self.mode_hi, top)
+    def exp_bounds(self) -> tuple[int, int]:
+        """(min exponent, max exponent), (0, 0) for the zero operator."""
+        if not self.modes:
+            return (0, 0)
+        return (-max(self.modes) - 1, -min(self.modes) - 1)
 
     def is_zero(self) -> bool:
-        return self.polynomial and not self.modes
+        return not self.modes
 
     def equal(self, other: "VertexOperator") -> bool:
-        if not (self.polynomial and other.polynomial):
-            raise NotCompatible("exact equality needs polynomial mode")
         return self.modes == other.modes
 
     def distribution(self, var: str, window: Window) -> Distribution:
@@ -153,8 +99,6 @@ class VertexOperator:
         return from_terms((var,), {(p,): m for p, m in self.exps(lo, hi).items()}, window)
 
     def derivative(self) -> "VertexOperator":
-        if not self.polynomial:
-            raise NotCompatible("derivative of an oracle operator is not materialized")
         out: dict[int, Mat] = {}
         for p, m in self.exps().items():
             if p != 0:
@@ -162,10 +106,7 @@ class VertexOperator:
         return VertexOperator(self.dim, out, name=f"d({self.name})" if self.name else "")
 
     def __repr__(self) -> str:
-        tag = self.name or ("poly" if self.polynomial else "oracle")
-        if self.polynomial:
-            return f"VertexOperator({tag}, modes={sorted(self.modes)})"
-        return f"VertexOperator({tag}, oracle<hi={self.mode_hi}>)"
+        return f"VertexOperator({self.name or 'poly'}, modes={sorted(self.modes)})"
 
 
 def identity_operator(dim: int, name: str = "1_W") -> VertexOperator:
@@ -176,25 +117,10 @@ def operator_from_structure(
     alg: AlgebraStructure, v_idx: int, mod: ModuleStructure | None = None
 ) -> VertexOperator:
     """The image of a basis vector acting on a module (default: on itself)."""
-    if mod is None:
-        dim = alg.dim
-        modes = {
-            n: alg.mode_matrix(alg.unit(v_idx), n)
-            for mm in [alg.y_data]
-            for n in sorted({k for (i, _j), m in mm.items() if i == v_idx for k in m})
-        }
-    else:
-        dim = mod.dim
-        ns = sorted(
-            {n for (i, _j), m in mod.action.items() if i == v_idx for n in m}
-        )
-        modes = {}
-        for n in ns:
-            cols = [
-                mod.apply_mode(alg.unit(v_idx), n, mod.unit(j)) for j in range(dim)
-            ]
-            modes[n] = tuple(tuple(col[r] for col in cols) for r in range(dim))
-    return VertexOperator(dim, modes, name=alg.basis[v_idx])
+    act, table = (alg, alg.y_data) if mod is None else (mod, mod.action)
+    ns = sorted({n for (i, _j), m in table.items() if i == v_idx for n in m})
+    modes = {n: act.mode_matrix(alg.unit(v_idx), n) for n in ns}
+    return VertexOperator(act.dim, modes, name=alg.basis[v_idx])
 
 
 # ---------------------------------------------------------------------------
@@ -204,21 +130,13 @@ def operator_from_structure(
 def find_compat_order(seq: list[VertexOperator], bound: int | None = None) -> OrderSearch:
     """Least damping order certifying the ordered product is lower-truncated.
 
-    Every operator here is lower-truncated on each vector by its declared
-    bound, and the variables of an ordered product do not interact, so the
-    support certification succeeds at order zero.  Polynomial mode is exact;
-    oracle mode rests on the declared truncation bounds.
+    Every operator is a Laurent polynomial and the variables of an ordered
+    product do not interact, so the order is zero for every sequence of
+    operators on one space: the invariant is returned, not searched for.
     """
-    if not seq:
-        return OrderSearch(FOUND, order=0, bound=bound or 0)
-    dims = {op.dim for op in seq}
-    if len(dims) != 1:
+    if len({op.dim for op in seq}) > 1:
         raise NotCompatible("operators act on different spaces")
-    for op in seq:
-        if op.mode_hi is None:
-            raise NotCompatible("undeclared truncation bound")
-    exact = all(op.polynomial for op in seq)
-    return OrderSearch(FOUND, order=0, bound=bound or 0, exact=exact)
+    return OrderSearch(FOUND, order=0, bound=bound or 0)
 
 
 def product_distribution(
@@ -250,8 +168,7 @@ def truncated_t(
     expansion (-x2+x1)^(-k); the result is window-limited but must agree with
     the exact transform wherever both are observable.
     """
-    if find_compat_order([a, b]).status != FOUND:
-        raise NotCompatible("pair is not certified compatible")
+    find_compat_order([a, b])
     if window is None:
         r = _radius(a) + _radius(b) + 4
         window = Window.symmetric(2, r)
@@ -265,61 +182,45 @@ def truncated_t(
 
 def _radius(op: VertexOperator) -> int:
     lo, hi = op.exp_bounds()
-    hi = 1 if hi is None else abs(hi)
-    return max(abs(lo or 0), hi, 1)
+    return max(abs(lo), abs(hi), 1)
 
 
 # ---------------------------------------------------------------------------
 # residue products
 
 
-def _s_coeff(n: int, p: int) -> Fraction:
-    """Signed residue weight of the straight-minus-reexpanded kernel."""
-    total = Fraction(0)
-    if n + p + 1 >= 0:
-        total += binom(n, n + p + 1)
-    if p <= -1:
-        total -= binom(n, -1 - p)
-    if (n + p + 1) % 2 != 0:
-        total = -total
-    return total
-
-
-def _exps_for_product(op: VertexOperator, other: VertexOperator, n: int):
-    """Materialized exponent dictionaries, windowed for oracle operands."""
-    if op.polynomial:
-        pa = op.exps()
-    else:
-        lo = -op.mode_hi - abs(n) - 4
-        pa = op.exps(lo, (op.exp_bounds()[1] or abs(n) + 4))
-    if other.polynomial:
-        pb = other.exps()
-    else:
-        lo = -other.mode_hi - abs(n) - 4
-        pb = other.exps(lo, (other.exp_bounds()[1] or abs(n) + 4))
-    return pa, pb
+def _residue_product(
+    a: VertexOperator, b: VertexOperator, n: int, local: bool
+) -> VertexOperator:
+    """The n-th residue product, composing the re-expanded term as b a when local."""
+    find_compat_order([a, b])
+    pb = b.exps()
+    out: dict[int, Mat] = {}
+    for p, ma in a.exps().items():
+        sign = -1 if (n + p + 1) % 2 else 1
+        # residue weights of the straight and the re-expanded kernel
+        c1, c2 = sign * binom(n, n + p + 1), sign * binom(n, -1 - p)
+        if not local:  # the straight product collects both residues on a b
+            c1, c2 = c1 - c2, 0
+        if c1 == 0 and c2 == 0:
+            continue
+        for q, mb in pb.items():
+            key = -(n + 1 + p + q) - 1
+            contrib = mat_scale(c1, mat_mul(ma, mb)) if c1 != 0 else None
+            if c2 != 0:
+                rev = mat_scale(-c2, mat_mul(mb, ma))
+                contrib = rev if contrib is None else mat_add(contrib, rev)
+            out[key] = mat_add(out[key], contrib) if key in out else contrib
+    return VertexOperator(a.dim, out)
 
 
 def nth_product(a: VertexOperator, b: VertexOperator, n: int) -> VertexOperator:
     """Residue product: Res_x1 of (x1-x)^n a(x1)b(x) minus its T-reexpansion.
 
-    Exact and finitely supported in polynomial mode; vanishes for n at or
-    above the compatibility order as the two kernel expansions coincide.
+    Exact and finitely supported; vanishes for n at or above the
+    compatibility order as the two kernel expansions coincide.
     """
-    if find_compat_order([a, b]).status != FOUND:
-        raise NotCompatible("pair is not certified compatible")
-    pa, pb = _exps_for_product(a, b, n)
-    out: dict[int, Mat] = {}
-    for p, ma in pa.items():
-        s = _s_coeff(n, p)
-        if s == 0:
-            continue
-        for q, mb in pb.items():
-            m = n + 1 + p + q
-            contrib = mat_scale(s, mat_mul(ma, mb))
-            key = -m - 1
-            out[key] = mat_add(out[key], contrib) if key in out else contrib
-    return VertexOperator(a.dim, out)
+    return _residue_product(a, b, n, local=False)
 
 
 def nth_product_local(a: VertexOperator, b: VertexOperator, n: int) -> VertexOperator:
@@ -328,25 +229,7 @@ def nth_product_local(a: VertexOperator, b: VertexOperator, n: int) -> VertexOpe
     Agrees with nth_product on pairwise-local sets; on operators that carry
     nonnegative modes with noncommuting coefficients the two differ.
     """
-    pa, pb = _exps_for_product(a, b, n)
-    out: dict[int, Mat] = {}
-    for p, ma in pa.items():
-        sign = Fraction(-1) if (n + p + 1) % 2 else Fraction(1)
-        c1 = binom(n, n + p + 1) if n + p + 1 >= 0 else Fraction(0)
-        c2 = binom(n, -1 - p) if p <= -1 else Fraction(0)
-        if c1 == 0 and c2 == 0:
-            continue
-        for q, mb in pb.items():
-            m = n + 1 + p + q
-            key = -m - 1
-            contrib = None
-            if c1 != 0:
-                contrib = mat_scale(sign * c1, mat_mul(ma, mb))
-            if c2 != 0:
-                rev = mat_scale(-sign * c2, mat_mul(mb, ma))
-                contrib = rev if contrib is None else mat_add(contrib, rev)
-            out[key] = mat_add(out[key], contrib) if key in out else contrib
-    return VertexOperator(a.dim, out)
+    return _residue_product(a, b, n, local=True)
 
 
 def certified_nonzero_range(a: VertexOperator, b: VertexOperator) -> tuple[int | None, int]:
@@ -358,9 +241,7 @@ def certified_nonzero_range(a: VertexOperator, b: VertexOperator) -> tuple[int |
     depth and no finite floor is certified.
     """
     lo_a, hi_a = a.exp_bounds()
-    if hi_a is None:
-        return (None, -1)
-    if lo_a is not None and lo_a >= 0:
+    if lo_a >= 0:
         return (-1 - hi_a, -1)
     return (None, -1)
 
@@ -382,8 +263,6 @@ def check_prop_assoc(
     are compared exactly.
     """
     report = CheckReport("operator-associativity")
-    if not (a.polynomial and b.polynomial):
-        raise NotCompatible("the associativity check materializes polynomial data")
     bound = 2 * (_radius(a) + _radius(b)) + 4 if bound is None else bound
     lo_a, _ = a.exp_bounds()
     dim = a.dim
@@ -522,15 +401,6 @@ def closure(
         dim = dims.pop()
     elif dim is None:
         raise MalformedStructure("an empty generating set needs the space dimension")
-    for op in generators:
-        if not op.polynomial:
-            raise NotCompatible("closure requires polynomial-mode generators")
-    # theorem hypothesis: ordered pairs and triples from the generating set
-    for x in generators:
-        for y in generators:
-            find_compat_order([x, y])
-            for z in generators:
-                find_compat_order([x, y, z])
     product = nth_product_local if local_products else nth_product
     one = identity_operator(dim)
     if n_range is None:

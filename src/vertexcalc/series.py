@@ -783,48 +783,30 @@ def delta_three_term(
     window: Window,
     vars: tuple[str, str, str] = ("x0", "x1", "x2"),
 ) -> Distribution:
-    """Either side of the three-term delta identity on (x0, x1, x2).
+    """A side of the three-term delta identity on (x0, x1, x2), or half of the left side.
 
-    side="right" builds x2^(-1) delta((x1-x0)/x2); side="left" builds
-    x0^(-1) delta((x1-x2)/x0) - x0^(-1) delta((x2-x1)/(-x0)).  Every term is
-    produced by the second-variable binomial expansion convention.
+    side="right" builds x2^(-1) delta((x1-x0)/x2); side="d1" builds
+    x0^(-1) delta((x1-x2)/x0) and side="d2" builds x0^(-1) delta((x2-x1)/(-x0));
+    side="left" is d1 - d2.  Every term is produced by the second-variable
+    binomial expansion convention.
     """
-    x0, x1, x2 = vars
-    (w0lo, w0hi), (w1lo, w1hi), (w2lo, w2hi) = window.bounds
+    if side == "left":
+        return sub(delta_three_term("d1", window, vars), delta_three_term("d2", window, vars))
+    # (center, a, b, sign): the sum over n of sign^n x_center^(-n-1) (x_a - x_b)^n,
+    # expanded in nonnegative powers of x_b: terms C(n,i) (-1)^i x_a^(n-i) x_b^i
+    expansions = {"right": (2, 1, 0, 1), "d1": (0, 1, 2, 1), "d2": (0, 2, 1, -1)}
+    if side not in expansions:
+        raise ValueError("side must be 'left', 'right', 'd1' or 'd2'")
+    center, pa, pb, sign = expansions[side]
+    (clo, chi), (alo, ahi), (blo, bhi) = (window.bounds[k] for k in (center, pa, pb))
     coeffs: dict[Exponent, Coeff] = {}
-
-    def put(e: Exponent, c: Fraction) -> None:
-        if window.contains(e):
-            coeffs[e] = c_add(coeffs[e], c) if e in coeffs else c
-
-    if side == "right":
-        # sum over n of x2^(-n-1) (x1-x0)^n, x0-exponents nonnegative
-        for n in range(-1 - w2hi, -w2lo):
-            i_hi = min(w0hi, n - w1lo)
-            i_lo = max(0, w0lo, n - w1hi)
-            for i in range(i_lo, i_hi + 1):
-                c = binom(n, i) * (-1) ** i
-                if c != 0:
-                    put((i, n - i, -n - 1), c)
-        support: Support = ((0, None), (None, None), (None, None))
-    elif side == "left":
-        # x0^(-1) delta((x1-x2)/x0): terms x0^(-n-1) x1^(n-i) x2^i
-        for n in range(-1 - w0hi, -w0lo):
-            i_hi = min(w2hi, n - w1lo)
-            i_lo = max(0, w2lo, n - w1hi)
-            for i in range(i_lo, i_hi + 1):
-                c = binom(n, i) * (-1) ** i
-                if c != 0:
-                    put((-n - 1, n - i, i), c)
-        # minus x0^(-1) delta((x2-x1)/(-x0)): terms (-1)^n x0^(-n-1) x2^(n-i) x1^i
-        for n in range(-1 - w0hi, -w0lo):
-            i_hi = min(w1hi, n - w2lo)
-            i_lo = max(0, w1lo, n - w2hi)
-            for i in range(i_lo, i_hi + 1):
-                c = binom(n, i) * (-1) ** (n % 2) * (-1) ** i
-                if c != 0:
-                    put((-n - 1, i, n - i), -c)
-        support = ((None, None), (None, None), (None, None))
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    return Distribution(vars, coeffs, support, window)
+    for n in range(-1 - chi, -clo):
+        for i in range(max(0, blo, n - ahi), min(bhi, n - alo) + 1):
+            c = binom(n, i) * (-1) ** i * (sign ** (n % 2))
+            if c != 0:
+                e = [0, 0, 0]
+                e[center], e[pa], e[pb] = -n - 1, n - i, i
+                coeffs[tuple(e)] = c
+    support = [(None, None)] * 3
+    support[pb] = (0, None)
+    return Distribution(vars, coeffs, tuple(support), window)

@@ -227,7 +227,7 @@ def _suite_locality(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteR
     for i in range(alg.dim):
         for j in range(alg.dim):
             q = _resolve_q(bundle, options, i, j)
-            search = find_locality_k(alg, i, j, q, options.bound)
+            search = find_locality_k(alg, i, j, q)
             if search.found:
                 verdict = f"local(k={search.order})"
             elif search.status == "refuted":
@@ -261,8 +261,8 @@ def _suite_skew(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteRepor
     for i in range(alg.dim):
         for j in range(alg.dim):
             q = _resolve_q(bundle, options, i, j)
-            skew = check_skew_symmetry(alg, i, j, q, options.bound)
-            loc = find_locality_k(alg, i, j, q, options.bound)
+            skew = check_skew_symmetry(alg, i, j, q)
+            loc = find_locality_k(alg, i, j, q)
             report.add(
                 SuiteRecord(
                     id=f"skew/{alg.basis[i]},{alg.basis[j]}",
@@ -367,7 +367,7 @@ def _suite_modules(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteRe
     for i in range(alg.dim):
         for j in range(alg.dim):
             q = _resolve_q(bundle, options, i, j)
-            t = check_locality_transfer(alg, mod, i, j, q, options.bound)
+            t = check_locality_transfer(alg, mod, i, j, q)
             if not t.passed:
                 transfer_fail.extend(w.describe() for w in t.witnesses)
     report.add(

@@ -242,7 +242,7 @@ def test_criterion_7_cross_product():
         for v in range(4)
         for w in range(4)
     )
-    jl_ok = check_jacobi_like(cross, rmap_cross_abelian(base, act)).passed
+    jl_ok = check_jacobi_like(cross, rmap_cross_abelian(base.dim, act)).passed
     ident = ((F(1), F(0)), (F(0), F(1)))
     trivial = GroupActionData(
         elements=("e", "g"),

@@ -318,7 +318,7 @@ def test_jacobi_like_identity_rmap_on_local_structure():
 
 def test_jacobi_like_cross_abelian():
     cross, base, act = cross_a2_z2()
-    rep = check_jacobi_like(cross, rmap_cross_abelian(base, act))
+    rep = check_jacobi_like(cross, rmap_cross_abelian(base.dim, act))
     assert rep.passed
 
 

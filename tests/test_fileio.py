@@ -5,11 +5,13 @@ from pathlib import Path
 
 import pytest
 
+from vertexcalc.cli import main
 from vertexcalc.errors import ParseError, ValidationError
 from vertexcalc.fileio import (
     algebra_to_data,
     canonical_json,
     format_rational,
+    module_section,
     parse_algebra_data,
     parse_algebra_file,
     parse_rational,
@@ -21,6 +23,7 @@ from vertexcalc.fixtures import (
     klein_twist,
     truncated_poly_3,
 )
+from vertexcalc.modules import adjoint_module
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -87,6 +90,42 @@ def test_dim_mismatch_rejected():
     data["dim"] = 7
     with pytest.raises(ParseError):
         parse_algebra_data(data)
+
+
+def _drop_module_v(data):
+    a3 = truncated_poly_3()
+    data["module"] = module_section(adjoint_module(a3), a3)
+    del data["module"]["entries"][0]["v"]
+
+
+def _unknown_group_element(data):
+    data["group"]["table"][0][1] = "h"
+
+
+MALFORMED = {
+    "entries-not-a-list": ("a3", lambda d: d.update(entries=5)),
+    "grading-without-orders": ("z22_base", lambda d: d["grading"].pop("orders")),
+    "module-entry-without-v": ("a3", _drop_module_v),
+    "group-table-unknown-element": ("cross_a2z2", _unknown_group_element),
+    "operator-without-modes": (
+        "a3",
+        lambda d: d.update(operators={"space": ["w1"], "ops": [{"name": "a"}]}),
+    ),
+    "dim-not-an-integer": ("a3", lambda d: d.update(dim="x")),
+    "basis-a-string": ("a3", lambda d: d.update(basis="abc", vacuum="a", entries=[])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_sections_are_parse_errors(case, tmp_path):
+    fixture, mutate = MALFORMED[case]
+    data = json.loads((FIXTURES / f"{fixture}.json").read_text())
+    mutate(data)
+    with pytest.raises(ParseError):
+        parse_algebra_data(data)
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path), "--suite", "axioms"]) == 2
 
 
 def test_emit_parse_round_trip(tmp_path):

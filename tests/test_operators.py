@@ -12,7 +12,7 @@ import pytest
 from vertexcalc.algebra import check_jacobi, validate_structure
 from vertexcalc.errors import MalformedStructure, NotCompatible
 from vertexcalc.fixtures import matrix_over_a3, truncated_poly_3, upper_triangular_2
-from vertexcalc.linalg import identity_mat, mat_add, mat_scale, unit_vec
+from vertexcalc.linalg import mat_add, mat_scale, unit_vec
 from vertexcalc.modules import adjoint_module
 from vertexcalc.operators import (
     VertexOperator,
@@ -91,6 +91,10 @@ def test_sequences_are_compatible_at_order_zero(yt, yt2):
 def test_dimension_mismatch_rejected(yt):
     with pytest.raises(NotCompatible):
         find_compat_order([yt, identity_operator(5)])
+    with pytest.raises(NotCompatible):
+        nth_product(yt, identity_operator(2), -1)
+    with pytest.raises(NotCompatible):
+        nth_product_local(yt, identity_operator(2), -1)
 
 
 # -- the reordering transform ------------------------------------------------------
@@ -355,30 +359,3 @@ def test_closure_from_nonlocal_generators():
     assert res.status == "closed"
     assert res.span.rank == 3
     assert validate_structure(res.structure).passed
-
-
-# -- oracle-mode operators -------------------------------------------------------------
-
-
-def test_oracle_operator_materializes_consistently():
-    ident = identity_mat(2)
-
-    def coeffs(n):
-        if n >= 0:
-            return tuple(tuple(F(0) for _ in range(2)) for _ in range(2))
-        # geometric-style tail: I / (-n)!
-        val = F(1)
-        for j in range(1, -n):
-            val /= j + 1
-        return mat_scale(val, ident)
-
-    op = VertexOperator(2, oracle=coeffs, mode_hi=0)
-    assert op.mode(-1) == ident
-    assert op.exps(0, 3)[0] == ident
-    r = find_compat_order([op, identity_operator(2)])
-    assert r.found and not r.exact  # window-sound in oracle mode
-
-
-def test_oracle_operator_requires_truncation_bound():
-    with pytest.raises(MalformedStructure):
-        VertexOperator(2, oracle=lambda n: identity_mat(2))

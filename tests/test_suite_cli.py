@@ -239,3 +239,10 @@ def test_cli_window_flag():
 def test_cli_error_exit_code(tmp_path):
     missing = tmp_path / "missing.json"
     run_cli("check", str(missing), expect=2)
+    run_cli("report", str(missing), expect=2)
+    not_json = tmp_path / "report.txt"
+    not_json.write_text("target: a3   suite: all\n")
+    run_cli("report", str(not_json), expect=2)
+    not_a_report = tmp_path / "list.json"
+    not_a_report.write_text("[1, 2]\n")
+    run_cli("report", str(not_a_report), expect=2)
