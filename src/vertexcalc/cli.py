@@ -43,7 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run a verification suite on an algebra file")
     check.add_argument("target", nargs="+", help="algebra file(s) to check")
     check.add_argument("--suite", choices=SUITES, default="all")
-    check.add_argument("--bound", type=int, default=None, help="search bound for orders")
     check.add_argument("--window", type=int, default=None, help="window radius per variable")
     check.add_argument("--q", default="1", help="commutation scalar, or 'from-cocycle'")
     check.add_argument("--dim-cap", type=int, default=64)
@@ -68,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     clos.add_argument("--dim-cap", type=int, default=64)
     clos.add_argument("--depth-cap", type=int, default=8)
     clos.add_argument("--local-products", action="store_true")
-    clos.add_argument("--bound", type=int, default=None)
     clos.add_argument("--format", choices=("text", "json"), default="text")
     clos.add_argument("--out", type=Path, default=None)
     clos.add_argument("--emit-algebra", type=Path, default=None,
@@ -89,7 +87,6 @@ def _deliver(payload: bytes, out: Path | None) -> None:
 
 def _cmd_check(args) -> int:
     options = SuiteOptions(
-        bound=args.bound,
         window=args.window,
         q=args.q,
         dim_cap=args.dim_cap,
@@ -148,7 +145,6 @@ def _cmd_construct(args) -> int:
 def _cmd_closure(args) -> int:
     bundle = parse_algebra_file(args.target)
     options = SuiteOptions(
-        bound=args.bound,
         n_range=args.n_range,
         dim_cap=args.dim_cap,
         depth_cap=args.depth_cap,

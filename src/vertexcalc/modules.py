@@ -2,8 +2,8 @@
 
 A ModuleStructure carries the action modes v_n w for algebra basis vectors v
 and module basis vectors w.  The checkers verify the module axioms (identity
-action, truncation, weak associativity in both the per-triple and the
-uniform variants), the derivative property of the translation operator,
+action, truncation, and weak associativity, decided like the algebra's by one
+exact comparison), the derivative property of the translation operator,
 locality transfer between an algebra and a faithful module, and the
 compatibility of multi-operator products, which finite support makes an
 invariant (damping order zero).
@@ -21,12 +21,14 @@ from .algebra import (
     assoc_search,
     clean_table,
     commutation_differences,
-    d_operator,
+    d_images,
     find_locality_k,
+    mode_derivative,
     table_apply,
     table_exp_radius,
     table_matrix,
     table_mode_map,
+    term_differences,
 )
 from .construct import _MatrixBasis, matrix_algebra, tensor_product
 from .errors import MalformedStructure
@@ -35,14 +37,12 @@ from .linalg import (
     SpanBasis,
     Vec,
     is_zero_vec,
-    mat_vec,
     rank,
     unit_vec,
     vec_add,
-    vec_scale,
     zero_vec,
 )
-from .report import FAIL, FOUND, INCONCLUSIVE, PASS, REFUTED, CheckReport, OrderSearch, Witness
+from .report import FOUND, CheckReport, OrderSearch, Witness
 
 
 @dataclass
@@ -50,7 +50,9 @@ class ModuleStructure:
     """Finite module basis and action modes (e_i)_n w_j, finitely supported.
 
     The action is a mode table like an algebra's y_data, read through the
-    same table functions; only the acting basis is the algebra's.
+    same table functions; only the acting basis is the algebra's.  A module
+    does not know its algebra, so the acting indices are checked against it
+    by require_acting_range wherever the two meet.
     """
 
     basis: tuple[str, ...]
@@ -79,6 +81,16 @@ class ModuleStructure:
         return table_matrix(self.action, self.dim, u, n)
 
 
+def require_acting_range(alg: AlgebraStructure, mod: ModuleStructure) -> None:
+    """Raise MalformedStructure when the action names an index outside alg's basis."""
+    stray = sorted({i for i, _j in mod.action if not 0 <= i < alg.dim})
+    if stray:
+        raise MalformedStructure(
+            f"module action names acting indices {stray} outside the algebra's "
+            f"{alg.dim} basis vectors"
+        )
+
+
 def adjoint_module(alg: AlgebraStructure) -> ModuleStructure:
     """The algebra acting on itself by its own mode products."""
     action = {key: dict(modes) for key, modes in alg.y_data.items()}
@@ -91,20 +103,16 @@ def adjoint_module(alg: AlgebraStructure) -> ModuleStructure:
 # module axiom checks
 
 
-def check_module(
-    alg: AlgebraStructure,
-    mod: ModuleStructure,
-    bound: int | None = None,
-) -> CheckReport:
+def check_module(alg: AlgebraStructure, mod: ModuleStructure) -> CheckReport:
     """Identity action, derivative property, and module weak associativity.
 
-    The per-triple variant is always verified.  When the algebra is tagged
-    with the uniform associativity variant, the report additionally records
-    the uniform order per (u, w) pair (the maximum over middle arguments,
-    which at finite dimension always exists when every triple has one).
+    Every triple (u, v, w) is decided by assoc_search with the module as the
+    acting table; its order is 0 whenever the relation holds.  When some
+    (u, w) holds for every middle argument, the report records the uniform
+    order, the maximum over middle arguments, which is then 0 as well.
     """
+    require_acting_range(alg, mod)
     report = CheckReport("module-axioms")
-    bound = alg.default_bound() if bound is None else bound
     dim_w = mod.dim
     # identity action
     for j in range(dim_w):
@@ -120,31 +128,16 @@ def check_module(
                 )
             )
     # derivative property: Y_W(Dv, x) = d/dx Y_W(v, x)
-    d_mat = d_operator(alg)
-    for i in range(alg.dim):
-        dv = mat_vec(d_mat, alg.unit(i))
+    for i, dv in enumerate(d_images(alg)):
         for j in range(dim_w):
             lhs = mod.mode_map(dv, mod.unit(j))
-            base = mod.mode_map(alg.unit(i), mod.unit(j))
-            rhs: ModeMap = {}
-            for n, w in base.items():
-                if -n - 1 != 0:
-                    rhs[n + 1] = vec_add(
-                        rhs.get(n + 1, zero_vec(dim_w)), vec_scale(Fraction(-n - 1), w)
-                    )
-            for n in sorted(set(lhs) | set(rhs)):
-                a = lhs.get(n, zero_vec(dim_w))
-                b = rhs.get(n, zero_vec(dim_w))
-                if a != b:
-                    report.fail(
-                        Witness(("d-derivative", alg.basis[i], mod.basis[j]), (n,), a, b)
-                    )
-    # weak associativity, per triple; collect uniform orders on the way
-    uniform: dict[tuple[int, int], int] = {}
+            rhs = mode_derivative(mod.mode_map(alg.unit(i), mod.unit(j)))
+            for n, a, b in term_differences(lhs, rhs, zero_vec(dim_w)):
+                report.fail(Witness(("d-derivative", alg.basis[i], mod.basis[j]), (n,), a, b))
+    # weak associativity, per triple; a (u, w) that holds for every v is uniform
+    uniform = False
     for u_idx in range(alg.dim):
         for w_idx in range(dim_w):
-            worst = 0
-            ok = True
             for v_idx in range(alg.dim):
                 search = assoc_search(
                     alg,
@@ -152,23 +145,15 @@ def check_module(
                     alg.unit(u_idx),
                     alg.unit(v_idx),
                     mod.unit(w_idx),
-                    bound,
                     (alg.basis[u_idx], alg.basis[v_idx], mod.basis[w_idx]),
                 )
                 if not search.found:
-                    ok = False
-                    report.verdict = FAIL if search.status == REFUTED else report.verdict
-                    if search.witness:
-                        report.witnesses.append(search.witness)
-                    if search.status == INCONCLUSIVE and report.verdict == PASS:
-                        report.verdict = INCONCLUSIVE
+                    report.fail(search.witness)
                     break
-                report.exact = report.exact and search.exact
-                worst = max(worst, search.order)
-            if ok:
-                uniform[(u_idx, w_idx)] = worst
+            else:
+                uniform = True
     if uniform:
-        report.found_orders["max_assoc_order"] = max(uniform.values())
+        report.found_orders["max_assoc_order"] = 0
         report.notes.append(
             "uniform variant orders recorded per (u, w): max over middle arguments"
         )
@@ -304,6 +289,7 @@ def check_embedded_actions_commute(
 
 def is_faithful(alg: AlgebraStructure, mod: ModuleStructure) -> bool:
     """Exact rank test of the action map v -> (all modes of Y_W(v))."""
+    require_acting_range(alg, mod)
     exps = sorted({n for modes in mod.action.values() for n in modes})
     rows = []
     for i in range(alg.dim):
@@ -364,7 +350,6 @@ def check_product_compatibility(
     alg: AlgebraStructure,
     mod: ModuleStructure,
     vs: list[int],
-    bound: int | None = None,
 ) -> OrderSearch:
     """Least k with the (x_i - x_j)^k-damped operator product lower-truncated.
 
@@ -372,8 +357,7 @@ def check_product_compatibility(
     ... Y_W(v_r, x_r) w a Laurent polynomial, so the answer is always k = 0:
     this is the stated invariant, not a search.
     """
-    bound = alg.default_bound() if bound is None else bound
-    return OrderSearch(FOUND, order=0, bound=bound)
+    return OrderSearch(FOUND, order=0)
 
 
 # ---------------------------------------------------------------------------

@@ -67,11 +67,15 @@ class CheckReport:
 
 @dataclass
 class OrderSearch:
-    """Outcome of a bounded search for a locality/associativity order."""
+    """Outcome of a locality, associativity or compatibility order question.
 
-    status: str  # FOUND | REFUTED | INCONCLUSIVE
+    At finite dimension each of these orders is a stated invariant, not the
+    result of a search: the relation holds at order 0 (FOUND) or at no order
+    (REFUTED, with a witness).
+    """
+
+    status: str  # FOUND | REFUTED
     order: int | None = None
-    bound: int = 0
     exact: bool = True
     witness: Witness | None = None
 
@@ -83,6 +87,4 @@ class OrderSearch:
         if self.found:
             tag = "" if self.exact else ", window-sound"
             return f"Found({self.order}{tag})"
-        if self.status == REFUTED:
-            return f"Refuted(bound={self.bound})"
-        return f"Inconclusive(bound={self.bound})"
+        return "Refuted()"

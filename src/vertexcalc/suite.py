@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
+    AlgebraStructure,
     check_creation_exponential,
     check_d_bracket,
     check_jacobi,
@@ -44,7 +45,6 @@ CLASSIFICATION = "classification"
 
 @dataclass
 class SuiteOptions:
-    bound: int | None = None
     window: int | None = None
     q: str = "1"
     dim_cap: int = 64
@@ -55,7 +55,6 @@ class SuiteOptions:
 
     def as_dict(self) -> dict:
         return {
-            "bound": self.bound,
             "window": self.window,
             "q": self.q,
             "dim_cap": self.dim_cap,
@@ -166,59 +165,45 @@ def _suite_axioms(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteRep
         "state from vacuum via the translation exponential",
         check_creation_exponential(alg),
     )
-    bound = options.bound
-    if alg.assoc_variant == "strong":
-        worst = 0
-        verdict = PASS
-        exact = True
-        witnesses = []
-        for u in range(alg.dim):
-            for w in range(alg.dim):
-                search = find_weak_assoc_l(alg, u, w, bound)
-                if not search.found:
-                    verdict = FAIL if search.status == "refuted" else INCONCLUSIVE
-                    if search.witness:
-                        witnesses.append(search.witness.describe())
-                else:
-                    worst = max(worst, search.order)
-                    exact = exact and search.exact
-        report.add(
-            SuiteRecord(
-                id="axioms/weak-associativity",
-                identity="uniform weak associativity",
-                kind=CHECK,
-                verdict=verdict,
-                exact=exact,
-                orders={"max_l": worst},
-                witnesses=witnesses[: options.max_witnesses],
-                notes=["variant: uniform over middle arguments"],
-            )
-        )
+    uniform = alg.assoc_variant == "strong"
+    if uniform:
+        identity, note = "uniform weak associativity", "variant: uniform over middle arguments"
     else:
-        worst = 0
-        verdict = PASS
-        witnesses = []
-        for u in range(alg.dim):
-            for v in range(alg.dim):
-                for w in range(alg.dim):
-                    search = weak_assoc_triple(alg, u, v, w, bound)
-                    if not search.found:
-                        verdict = FAIL if search.status == "refuted" else INCONCLUSIVE
-                        if search.witness:
-                            witnesses.append(search.witness.describe())
-                    else:
-                        worst = max(worst, search.order)
-        report.add(
-            SuiteRecord(
-                id="axioms/weak-associativity",
-                identity="three-argument weak associativity",
-                kind=CHECK,
-                verdict=verdict,
-                orders={"max_l": worst},
-                witnesses=witnesses[: options.max_witnesses],
-                notes=["variant: per-triple (the construction only guarantees this)"],
-            )
-        )
+        identity = "three-argument weak associativity"
+        note = "variant: per-triple (the construction only guarantees this)"
+    report.add(
+        _assoc_record("axioms/weak-associativity", identity, alg, uniform, options, [note])
+    )
+
+
+def _assoc_record(
+    rid: str,
+    identity: str,
+    alg: AlgebraStructure,
+    uniform: bool,
+    options: SuiteOptions,
+    notes: list[str],
+) -> SuiteRecord:
+    """One weak-associativity check over every (u, w) pair or every triple.
+
+    Each relation holds at order 0 or at none, so max_l is 0; it is kept as
+    the record's order.
+    """
+    basis = range(alg.dim)
+    if uniform:
+        searches = [find_weak_assoc_l(alg, u, w) for u in basis for w in basis]
+    else:
+        searches = [weak_assoc_triple(alg, u, v, w) for u in basis for v in basis for w in basis]
+    failed = [s.witness.describe() for s in searches if not s.found]
+    return SuiteRecord(
+        id=rid,
+        identity=identity,
+        kind=CHECK,
+        verdict=FAIL if failed else PASS,
+        orders={"max_l": 0},
+        witnesses=failed[: options.max_witnesses],
+        notes=notes,
+    )
 
 
 def _suite_locality(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteReport):
@@ -230,11 +215,9 @@ def _suite_locality(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteR
             search = find_locality_k(alg, i, j, q)
             if search.found:
                 verdict = f"local(k={search.order})"
-            elif search.status == "refuted":
+            else:
                 verdict = "nonlocal"
                 nonlocal_pairs += 1
-            else:
-                verdict = "inconclusive"
             report.add(
                 SuiteRecord(
                     id=f"locality/{alg.basis[i]},{alg.basis[j]}",
@@ -262,7 +245,8 @@ def _suite_skew(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteRepor
         for j in range(alg.dim):
             q = _resolve_q(bundle, options, i, j)
             skew = check_skew_symmetry(alg, i, j, q)
-            loc = find_locality_k(alg, i, j, q)
+            # the skew report records locality_k exactly when the pair is local
+            local = "locality_k" in skew.found_orders
             report.add(
                 SuiteRecord(
                     id=f"skew/{alg.basis[i]},{alg.basis[j]}",
@@ -273,7 +257,7 @@ def _suite_skew(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteRepor
                     orders=dict(skew.found_orders),
                 )
             )
-            agree = skew.passed == loc.found
+            agree = skew.passed == local
             report.add(
                 SuiteRecord(
                     id=f"skew/equivalence/{alg.basis[i]},{alg.basis[j]}",
@@ -282,7 +266,7 @@ def _suite_skew(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteRepor
                     verdict=PASS if agree else FAIL,
                     witnesses=[]
                     if agree
-                    else [f"skew={skew.passed} locality={loc.found}"],
+                    else [f"skew={skew.passed} locality={local}"],
                 )
             )
 
@@ -298,7 +282,7 @@ def _suite_jacobi(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteRep
     for i in range(alg.dim):
         for j in range(alg.dim):
             q = _resolve_q(bundle, options, i, j)
-            rep = check_jacobi(alg, i, j, q, window=_window3(options), bound=options.bound)
+            rep = check_jacobi(alg, i, j, q, window=_window3(options))
             agree = rep.found_orders.get("lemma_equivalence", 0) == 1
             report.add(
                 SuiteRecord(
@@ -336,9 +320,7 @@ def _suite_jacobi_like(bundle: AlgebraBundle, options: SuiteOptions, report: Sui
             )
         )
         return
-    rep = check_jacobi_like(
-        bundle.alg, rmap, window=_window3(options), bound=options.bound
-    )
+    rep = check_jacobi_like(bundle.alg, rmap, window=_window3(options))
     report.add_check(
         "jacobi-like/identity",
         "Jacobi-like identity with an R-map",
@@ -351,7 +333,7 @@ def _suite_modules(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteRe
     alg = bundle.alg
     mod = bundle.module or adjoint_module(alg)
     source = "file" if bundle.module is not None else "adjoint"
-    rep = check_module(alg, mod, options.bound)
+    rep = check_module(alg, mod)
     rep.notes.append(f"module source: {source}")
     report.add_check("modules/axioms", "module axioms with derivative property", rep)
     faithful = is_faithful(alg, mod)
@@ -382,7 +364,7 @@ def _suite_modules(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteRe
     compat_bad = 0
     for i in range(alg.dim):
         for j in range(alg.dim):
-            if not check_product_compatibility(alg, mod, [i, j], options.bound).found:
+            if not check_product_compatibility(alg, mod, [i, j]).found:
                 compat_bad += 1
     report.add(
         SuiteRecord(
@@ -452,24 +434,8 @@ def _suite_closure(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteRe
     report.add_check(
         "closure/structure-axioms", "closed span satisfies the axioms", validate_structure(st)
     )
-    worst = 0
-    verdict = PASS
-    for u in range(st.dim):
-        for w in range(st.dim):
-            search = find_weak_assoc_l(st, u, w, options.bound)
-            if not search.found:
-                verdict = FAIL
-            else:
-                worst = max(worst, search.order)
-    report.add(
-        SuiteRecord(
-            id="closure/weak-associativity",
-            identity="uniform weak associativity of the closed span",
-            kind=CHECK,
-            verdict=verdict,
-            orders={"max_l": worst},
-        )
-    )
+    identity = "uniform weak associativity of the closed span"
+    report.add(_assoc_record("closure/weak-associativity", identity, st, True, options, []))
     report.add_check(
         "closure/module",
         "the underlying space is a faithful module of the span",

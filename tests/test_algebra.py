@@ -5,6 +5,8 @@ tables: for a3, Y(a,x)b = (e^{xd}a)b with d = t^2 d/dt, so e.g. e^{xd}t =
 t + x t^2 and Y(t,x)one = t + x t^2.
 """
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,9 @@ from vertexcalc.algebra import (
     find_locality_k,
     find_weak_assoc_l,
     generate_subalgebra,
+    iterate_series,
     localizer,
+    product_series,
     stabilizer,
     subspace_is_subalgebra,
     validate_structure,
@@ -28,6 +32,7 @@ from vertexcalc.algebra import (
 from vertexcalc.errors import MalformedStructure
 from vertexcalc.fixtures import klein_twist, truncated_poly_3, upper_triangular_2
 from vertexcalc.linalg import SpanBasis, unit_vec
+from vertexcalc.series import Window, mul, power_expand, subst_with_power, window_equal
 
 F = Fraction
 ONE_Q = F(1)
@@ -156,14 +161,14 @@ def test_nonassociative_table_is_refuted():
     bad = {k: dict(v) for k, v in ut2.y_data.items()}
     bad[(1, 2)] = {-1: unit_vec(3, 1)}
     alg = AlgebraStructure(basis=ut2.basis, vacuum=0, y_data=bad)
-    r = find_weak_assoc_l(alg, 1, 1, bound=8)
+    r = find_weak_assoc_l(alg, 1, 1)
     assert r.status == "refuted"
     assert r.witness is not None
 
 
 def _two_dim_with_mode(n: int) -> AlgebraStructure:
     # synthetic structure with a nonnegative mode a_n a = a; not associative,
-    # used to drive the order scan through its window-limited branches
+    # and its outer mode puts the associativity decision at order n + 1
     return AlgebraStructure(
         basis=("one", "a"),
         vacuum=0,
@@ -177,21 +182,80 @@ def _two_dim_with_mode(n: int) -> AlgebraStructure:
 
 
 def test_order_scan_passes_window_limited_levels_then_refutes():
-    # at order 0 the substituted side is window-escaping, so the mismatch is
-    # not a certificate; one order later both sides are complete and the
-    # failure becomes permanent
+    # at order 0 the substituted side is not a Laurent polynomial; at order 1
+    # both sides are, and their difference refutes every order
     alg = _two_dim_with_mode(0)
-    r = weak_assoc_triple(alg, 1, 1, 1, bound=6)
+    r = weak_assoc_triple(alg, 1, 1, 1)
     assert r.status == "refuted"
 
 
-def test_order_scan_reports_inconclusive_within_small_bounds():
-    # with a deep nonnegative mode every order below the bound stays
-    # window-escaping, so the honest verdict is inconclusive
+def test_deep_nonnegative_mode_is_refuted_exactly():
+    # a_4 a = a puts the decision at order 5, where one exact comparison
+    # refutes the relation
     alg = _two_dim_with_mode(4)
-    r = weak_assoc_triple(alg, 1, 1, 1, bound=2)
-    assert r.status == "inconclusive"
-    assert r.bound == 2
+    r = weak_assoc_triple(alg, 1, 1, 1)
+    assert r.status == "refuted" and r.exact
+    assert r.witness is not None and r.witness.exponent is not None
+    assert r.witness.lhs != r.witness.rhs
+
+
+def _series_assoc_reference(alg: AlgebraStructure, u: int, v: int, w: int):
+    """Reference verdict and witness: both sides as windowed distributions.
+
+    The order L is read off the product series' own support: the least one
+    at which every power (x0+x2)^(e1+L) is a polynomial.  The window is wide
+    enough for both sides to be complete, so the windowed comparison is exact
+    and a difference is the first differing exponent of the two sides.
+    """
+    big = Window.symmetric(2, 3 * alg.exp_radius() + 2 * (alg.mode_bounds()[1] + 1) + 4)
+    units = (alg.unit(u), alg.unit(v), alg.unit(w))
+    prod = product_series(alg, *units, ("x1", "x2"), big)
+    order = max(0, -prod.support[0][0])
+    lhs = subst_with_power(prod, "x1", "x0", "x2", order, big)
+    it = iterate_series(alg, *units, ("x0", "x2"), big)
+    rhs = mul(power_expand(order, "x0", "x2", big, 1, 1), it, big)
+    assert lhs.complete and rhs.complete
+    verdict = window_equal(lhs, rhs)
+    if verdict.matched:
+        assert verdict.exact
+        return "found", None
+    return "refuted", (verdict.witness, verdict.lhs, verdict.rhs)
+
+
+def _random_table(rng: random.Random) -> AlgebraStructure:
+    # dim 3 with a clean vacuum row and column; the two other basis vectors
+    # get sparse products with modes in [-4, 2], nonnegative ones included
+    y_data = {(0, j): {-1: unit_vec(3, j)} for j in range(3)}
+    y_data.update({(i, 0): {-1: unit_vec(3, i)} for i in (1, 2)})
+    for i in (1, 2):
+        for j in (1, 2):
+            if rng.random() < 0.6:
+                vec = (0, rng.choice((-1, 0, 1)), rng.choice((-1, 0, 1)))
+                y_data[(i, j)] = {rng.randint(-4, 2): vec}
+    return AlgebraStructure(basis=("one", "a", "b"), vacuum=0, y_data=y_data)
+
+
+def test_assoc_invariant_matches_series_reference():
+    # 60 seeded random tables that carry a nonnegative mode, where the order
+    # 0 substitution is not a Laurent polynomial, and three shipped structures
+    rng = random.Random(20020408)
+    tables = (_random_table(rng) for _ in itertools.count())
+    algs = [_two_dim_with_mode(n) for n in range(5)]
+    algs += itertools.islice((t for t in tables if t.mode_bounds()[1] >= 0), 60)
+    algs += [truncated_poly_3(), upper_triangular_2(), klein_twist()[0]]
+    seen = set()
+    for alg in algs:
+        basis = range(alg.dim)
+        for u, v, w in itertools.product(basis, basis, basis):
+            r = weak_assoc_triple(alg, u, v, w)
+            assert r.status in ("found", "refuted")
+            assert r.exact and (r.order == 0) == r.found
+            status, witness = _series_assoc_reference(alg, u, v, w)
+            assert r.status == status, (alg.y_data, u, v, w)
+            if witness is not None:
+                assert (r.witness.exponent, r.witness.lhs, r.witness.rhs) == witness
+            seen.add(r.status)
+    assert seen == {"found", "refuted"}
 
 
 # -- locality -------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from vertexcalc.errors import MalformedStructure
 from vertexcalc.fixtures import (
     cross_a2_z2,
     klein_twist,
@@ -63,6 +64,19 @@ def test_corrupted_action_fails(a3, a3_adj):
 def test_adjoint_is_faithful(a3, a3_adj):
     # creation pins every algebra element to its action on the vacuum
     assert is_faithful(a3, a3_adj)
+
+
+def test_stray_acting_indices_are_malformed(a3, a3_adj):
+    # entries acting through indices 7 and -1, outside a3's three basis
+    # vectors, must be rejected rather than silently ignored
+    action = {k: dict(v) for k, v in a3_adj.action.items()}
+    action[(7, 0)] = {-1: unit_vec(3, 1)}
+    action[(-1, 2)] = {0: unit_vec(3, 0)}
+    mod = ModuleStructure(basis=a3_adj.basis, action=action)
+    with pytest.raises(MalformedStructure, match=r"\[-1, 7\]"):
+        check_module(a3, mod)
+    with pytest.raises(MalformedStructure, match=r"\[-1, 7\]"):
+        is_faithful(a3, mod)
 
 
 def test_locality_transfer_a3(a3, a3_adj):

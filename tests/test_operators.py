@@ -5,6 +5,7 @@ windowed oracle that literally multiplies by the two one-sided kernel
 expansions and extracts the residue through the distribution machinery.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -247,6 +248,35 @@ def test_prop_assoc_on_local_pair(a3, yt):
 def test_prop_assoc_identity_is_trivial(yt):
     rep = check_prop_assoc(identity_operator(3), yt, unit_vec(3, 1))
     assert rep.passed and rep.found_orders["l"] == 0
+
+
+def test_prop_assoc_with_nonnegative_mode_holds_at_first_polynomial_order():
+    # a(x) = I x^-1 has the nonnegative mode 0, so Y(a,x0)b has no certified
+    # floor; the relation holds at l = 1 on the x0-exponents that hold every
+    # term of the left side, and the report says it is window-sound
+    a = VertexOperator(2, {0: ((1, 0), (0, 1))})
+    rep = check_prop_assoc(a, identity_operator(2), unit_vec(2, 0))
+    assert rep.passed and rep.found_orders["l"] == 1
+    assert not rep.exact
+
+
+def test_prop_assoc_holds_for_random_operator_pairs():
+    # every pair of operators on one finite-dimensional space is compatible at
+    # order zero, so the relation is a theorem for all of them, with or
+    # without nonnegative modes
+    rng = random.Random(204)
+    for _ in range(100):
+        dim = rng.choice((1, 2))
+
+        def random_mat():
+            return tuple(tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(dim))
+
+        a, b = (
+            VertexOperator(dim, {rng.randint(-3, 2): random_mat() for _ in range(3)})
+            for _ in "ab"
+        )
+        rep = check_prop_assoc(a, b, unit_vec(dim, rng.randrange(dim)))
+        assert rep.passed, (a.modes, b.modes, rep.witnesses)
 
 
 def test_prop_assoc_holds_where_locality_fails():

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from vertexcalc.fileio import parse_algebra_file
+from vertexcalc.algebra import AlgebraStructure
+from vertexcalc.fileio import algebra_to_data, parse_algebra_file, write_algebra_file
+from vertexcalc.linalg import unit_vec
 from vertexcalc.suite import SuiteOptions, emit_report, run_suite
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -118,6 +120,41 @@ def test_failing_text_report_carries_witnesses(tmp_path):
     text = emit_report(report, "text").decode()
     assert "witness:" in text
     assert "exponent (-1,)" in text
+
+
+def _shift_chain_table(path: Path) -> Path:
+    # ten basis vectors, a clean vacuum row, and (e_j)_(-2) 1 = e_(j+1): the
+    # translation operator shifts e1 -> e2 -> ... -> e9, so e^{xD} e1 has
+    # degree 8 while exp_radius is 1
+    basis = ["one"] + [f"e{j}" for j in range(1, 10)]
+    alg = AlgebraStructure(
+        basis=basis,
+        vacuum=0,
+        y_data={
+            **{(0, j): {-1: unit_vec(10, j)} for j in range(10)},
+            **{
+                (j, 0): {-1: unit_vec(10, j), **({-2: unit_vec(10, j + 1)} if j < 9 else {})}
+                for j in range(1, 10)
+            },
+        },
+    )
+    write_algebra_file(path, algebra_to_data(alg))
+    return path
+
+
+def test_long_translation_chain_fails_creation_instead_of_erroring(tmp_path):
+    # e^{xD} e1 reaches x^8, past any window sized from exp_radius 1; the
+    # creation check must fail with a witness (exit 1), not error (exit 2)
+    target = _shift_chain_table(tmp_path / "chain.json")
+    out = run_cli("check", str(target), "--suite", "axioms", "--format", "json", expect=1)
+    out = json.loads(out)
+    records = {r["id"]: r for r in out["records"]}
+    creation = records["axioms/creation-exponential"]
+    assert creation["verdict"] == "fail"
+    assert "exponent (2,)" in creation["witnesses"][0]
+    skew = run_suite(parse_algebra_file(target), "skew")
+    assert {r.verdict for r in skew.records if r.kind == "classification"} <= {"holds", "fails"}
+    assert len(skew.records) == 2 * 10 * 10
 
 
 # -- command line -----------------------------------------------------------------
