@@ -43,7 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run a verification suite on an algebra file")
     check.add_argument("target", nargs="+", help="algebra file(s) to check")
     check.add_argument("--suite", choices=SUITES, default="all")
-    check.add_argument("--window", type=int, default=None, help="window radius per variable")
     check.add_argument("--q", default="1", help="commutation scalar, or 'from-cocycle'")
     check.add_argument("--dim-cap", type=int, default=64)
     check.add_argument("--depth-cap", type=int, default=8)
@@ -87,7 +86,6 @@ def _deliver(payload: bytes, out: Path | None) -> None:
 
 def _cmd_check(args) -> int:
     options = SuiteOptions(
-        window=args.window,
         q=args.q,
         dim_cap=args.dim_cap,
         depth_cap=args.depth_cap,

@@ -308,8 +308,14 @@ def check_locality_transfer(
     u_idx: int,
     v_idx: int,
     q: Fraction,
+    *,
+    faithful: bool,
 ) -> CheckReport:
-    """Algebra locality carries to modules; faithful modules carry it back."""
+    """Algebra locality carries to modules; faithful modules carry it back.
+
+    `faithful` is is_faithful(alg, mod), which callers decide once per module.
+    """
+    require_acting_range(alg, mod)
     report = CheckReport(f"locality-transfer[{alg.basis[u_idx]},{alg.basis[v_idx]}]")
     q = Fraction(q)
     alg_loc = find_locality_k(alg, u_idx, v_idx, q)
@@ -323,7 +329,6 @@ def check_locality_transfer(
             witness = Witness(names, *diffs[0])
             break
     mod_holds = witness is None
-    faithful = is_faithful(alg, mod)
     report.found_orders["faithful"] = int(faithful)
     if alg_loc.found:
         report.found_orders["algebra_k"] = alg_loc.order

@@ -118,8 +118,12 @@ def test_criterion_2_equivalence_round_trip():
             for i in range(alg.dim):
                 for j in range(alg.dim):
                     rep = check_jacobi(alg, i, j, q)
+                    loc = find_locality_k(alg, i, j, q)
+                    assoc = all(weak_assoc_triple(alg, i, j, w).found for w in range(alg.dim))
                     total += 1
-                    agreements += rep.found_orders.get("lemma_equivalence", 0)
+                    agreements += rep.found_orders["lemma_equivalence"] == 1 and (
+                        rep.passed == (loc.found and assoc)
+                    )
     conclude(
         "2",
         agreements == total,
@@ -313,10 +317,11 @@ def test_criterion_9b_locality_transfer():
     ok = True
     for alg in (truncated_poly_3(), upper_triangular_2()):
         adj = adjoint_module(alg)
-        assert is_faithful(alg, adj)
+        faithful = is_faithful(alg, adj)
+        assert faithful
         for i in range(alg.dim):
             for j in range(alg.dim):
-                ok &= check_locality_transfer(alg, adj, i, j, F(1)).passed
+                ok &= check_locality_transfer(alg, adj, i, j, F(1), faithful=faithful).passed
     conclude("9b", ok, "locality transfer agrees in both directions on the "
                        "faithful adjoint fixtures")
 

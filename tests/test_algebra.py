@@ -5,8 +5,10 @@ tables: for a3, Y(a,x)b = (e^{xd}a)b with d = t^2 d/dt, so e.g. e^{xd}t =
 t + x t^2 and Y(t,x)one = t + x t^2.
 """
 
+import functools
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,15 +26,33 @@ from vertexcalc.algebra import (
     iterate_series,
     localizer,
     product_series,
+    product_terms,
+    reversed_product_terms,
     stabilizer,
     subspace_is_subalgebra,
     validate_structure,
     weak_assoc_triple,
 )
+from vertexcalc.construct import check_jacobi_like, rmap_identity, rmap_tensor_swap
 from vertexcalc.errors import MalformedStructure
-from vertexcalc.fixtures import klein_twist, truncated_poly_3, upper_triangular_2
-from vertexcalc.linalg import SpanBasis, unit_vec
-from vertexcalc.series import Window, mul, power_expand, subst_with_power, window_equal
+from vertexcalc.fixtures import (
+    klein_twist,
+    matrix_over_a3,
+    truncated_poly_3,
+    upper_triangular_2,
+)
+from vertexcalc.linalg import SpanBasis, unit_vec, vec_add, vec_scale
+from vertexcalc.series import (
+    Window,
+    delta_three_term,
+    from_terms,
+    lift_vars,
+    mul,
+    power_expand,
+    sub,
+    subst_with_power,
+    window_equal,
+)
 
 F = Fraction
 ONE_Q = F(1)
@@ -235,16 +255,19 @@ def _random_table(rng: random.Random) -> AlgebraStructure:
     return AlgebraStructure(basis=("one", "a", "b"), vacuum=0, y_data=y_data)
 
 
-def test_assoc_invariant_matches_series_reference():
+def _reference_algebras() -> list[AlgebraStructure]:
     # 60 seeded random tables that carry a nonnegative mode, where the order
     # 0 substitution is not a Laurent polynomial, and three shipped structures
     rng = random.Random(20020408)
     tables = (_random_table(rng) for _ in itertools.count())
     algs = [_two_dim_with_mode(n) for n in range(5)]
     algs += itertools.islice((t for t in tables if t.mode_bounds()[1] >= 0), 60)
-    algs += [truncated_poly_3(), upper_triangular_2(), klein_twist()[0]]
+    return algs + [truncated_poly_3(), upper_triangular_2(), klein_twist()[0]]
+
+
+def test_assoc_invariant_matches_series_reference():
     seen = set()
-    for alg in algs:
+    for alg in _reference_algebras():
         basis = range(alg.dim)
         for u, v, w in itertools.product(basis, basis, basis):
             r = weak_assoc_triple(alg, u, v, w)
@@ -256,6 +279,105 @@ def test_assoc_invariant_matches_series_reference():
                 assert (r.witness.exponent, r.witness.lhs, r.witness.rhs) == witness
             seen.add(r.status)
     assert seen == {"found", "refuted"}
+
+
+_HALVES = ("commutation", "associativity")
+
+
+@functools.lru_cache(maxsize=None)
+def _jacobi_deltas(radius: int):
+    window = Window.symmetric(3, radius)
+    return window, tuple(delta_three_term(side, window) for side in ("d1", "d2", "right"))
+
+
+def _series_jacobi_reference(alg: AlgebraStructure, u: int, v: int, w: int, rterms) -> bool:
+    """Reference verdict: the Jacobi-type identity as windowed delta composites.
+
+    d1 Y(u,x1)Y(v,x2)w - d2 R(x1,x2) against d3 Y(Y(u,x0)v,x2)w on the
+    (x0, x1, x2) window of radius exp_radius + 3, where R is the given
+    reversed product on (x1, x2) and d1, d2, d3 are the three delta
+    composites.  This is the windowed path the checks used to run.
+    """
+    window, (d1, d2, d3) = _jacobi_deltas(alg.exp_radius() + 3)
+    prod_window = Window.symmetric(2, 3 * alg.exp_radius() + 4)
+    units = (alg.unit(u), alg.unit(v), alg.unit(w))
+    p12 = product_series(alg, *units, ("x1", "x2"), prod_window)
+    p21 = from_terms(("x1", "x2"), rterms, prod_window)
+    c02 = iterate_series(alg, *units, ("x0", "x2"), prod_window)
+    p12, p21, c02 = (lift_vars(d, ("x0", "x1", "x2"), window) for d in (p12, p21, c02))
+    lhs = sub(mul(d1, p12, window), mul(d2, p21, window))
+    return window_equal(lhs, mul(c02, d3, window)).matched
+
+
+@pytest.mark.parametrize("q", [Fraction(1), Fraction(-1)])
+def test_jacobi_invariant_matches_series_reference(q):
+    seen, halves = set(), set()
+    for alg in _reference_algebras():
+        basis = range(alg.dim)
+        for u, v in itertools.product(basis, basis):
+            rep = check_jacobi(alg, u, v, q)
+            assert rep.exact and rep.found_orders["lemma_equivalence"] == 1
+            halves.update(wit.where[0] for wit in rep.witnesses)
+            failing = {wit.where[1:] for wit in rep.witnesses}
+            assert len(failing) == len(rep.witnesses)
+            for w in basis:
+                reversed_terms = reversed_product_terms(alg, alg.unit(u), alg.unit(v), alg.unit(w))
+                rterms = {e: vec_scale(q, c) for e, c in reversed_terms.items()}
+                holds = _series_jacobi_reference(alg, u, v, w, rterms)
+                names = (alg.basis[u], alg.basis[v], alg.basis[w])
+                assert holds == (names not in failing), (alg.y_data, u, v, w, q)
+                seen.add(holds)
+    assert seen == {True, False}
+    assert halves == set(_HALVES)
+
+
+def _rmap_terms(alg: AlgebraStructure, rmap, u: int, v: int, w: int) -> dict:
+    # (Y x Y)(x2, x1) R(v ⊗ u ⊗ w) on the (x1, x2) grid
+    terms: dict = {}
+    for coeff, (a, b, c) in rmap.image((v, u, w)):
+        units = (alg.unit(a), alg.unit(b), alg.unit(c))
+        for (e2, e1), vec in product_terms(alg, *units).items():
+            vec = vec_scale(coeff, vec)
+            terms[(e1, e2)] = vec_add(terms[(e1, e2)], vec) if (e1, e2) in terms else vec
+    return terms
+
+
+@pytest.mark.parametrize(
+    "rmap, fails",
+    [(rmap_tensor_swap(3, 4), False), (rmap_identity(12), True)],
+    ids=["swap", "identity"],
+)
+def test_jacobi_like_invariant_matches_series_reference(rmap, fails):
+    # M(2, a3) with its tensor-swap R-map passes everywhere; the identity
+    # R-map cannot absorb the noncommutativity of the matrix factor
+    alg = matrix_over_a3()
+    rep = check_jacobi_like(alg, rmap)
+    assert rep.exact
+    failing = {wit.where[1:] for wit in rep.witnesses}
+    assert all(wit.where[0] in _HALVES for wit in rep.witnesses)
+    assert len(failing) == len(rep.witnesses)
+    expected = set()
+    for u, v, w in itertools.product(range(alg.dim), repeat=3):
+        if not _series_jacobi_reference(alg, u, v, w, _rmap_terms(alg, rmap, u, v, w)):
+            expected.add((alg.basis[u], alg.basis[v], alg.basis[w]))
+    assert failing == expected
+    assert bool(expected) == fails
+
+
+def test_jacobi_commutation_witness_is_the_locality_witness():
+    # on a nonlocal pair the first failing w is the first w on which
+    # commutation fails, so the first witness is the one find_locality_k names
+    for alg in (upper_triangular_2(), matrix_over_a3()):
+        nonlocal_pairs = 0
+        for u, v in itertools.product(range(alg.dim), repeat=2):
+            loc = find_locality_k(alg, u, v, ONE_Q)
+            if loc.found:
+                continue
+            nonlocal_pairs += 1
+            first = check_jacobi(alg, u, v, ONE_Q).witnesses[0]
+            assert first.where[0] == "commutation"
+            assert replace(first, where=first.where[1:]) == loc.witness
+        assert nonlocal_pairs > 0
 
 
 # -- locality -------------------------------------------------------------------

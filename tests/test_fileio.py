@@ -1,12 +1,15 @@
 """File format: parsing, validation errors, canonical emission, round-trips."""
 
+import copy
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vertexcalc.cli import main
-from vertexcalc.errors import ParseError, ValidationError
+from vertexcalc.errors import GradingInvalid, ParseError, ValidationError, VertexCalcError
 from vertexcalc.fileio import (
     algebra_to_data,
     canonical_json,
@@ -24,6 +27,7 @@ from vertexcalc.fixtures import (
     truncated_poly_3,
 )
 from vertexcalc.modules import adjoint_module
+from vertexcalc.suite import run_suite
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -126,6 +130,70 @@ def test_malformed_sections_are_parse_errors(case, tmp_path):
     path = tmp_path / f"{case}.json"
     path.write_text(json.dumps(data))
     assert main(["check", str(path), "--suite", "axioms"]) == 2
+
+
+MALFORMED_GRADINGS = {
+    "order-zero": ("z22_base", lambda d: d["grading"].update(orders=[0, 2])),
+    "no-orders": ("z22_base", lambda d: d["grading"].update(orders=[])),
+    "short-degree": ("z22_twist", lambda d: d["grading"]["degrees"].update(g00=[1])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GRADINGS))
+def test_malformed_gradings_are_invalid(case, tmp_path):
+    # a group order below 1 used to divide by zero, and zip silently
+    # truncated degree tuples of the wrong length
+    fixture, mutate = MALFORMED_GRADINGS[case]
+    data = json.loads((FIXTURES / f"{fixture}.json").read_text())
+    mutate(data)
+    with pytest.raises(GradingInvalid):
+        parse_algebra_data(data)
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path), "--suite", "axioms"]) == 2
+
+
+SHIPPED = {p.stem: json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))}
+DROP = object()
+JUNK = (None, 5, -1, "x", "1/0", [], {}, 1.5, True, 0)
+
+
+def _paths(node, path=()):
+    """Every dict key and list position below node, as a path from it."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data())
+def test_mutated_fixtures_fail_only_as_vertexcalc_errors(tmp_path_factory, data):
+    # one dropped key or list element, or one value replaced by junk, in a
+    # shipped fixture: parsing and the axioms suite either succeed or raise a
+    # VertexCalcError, and the CLI turns that error into exit code 2
+    name = data.draw(st.sampled_from(sorted(SHIPPED)))
+    doc = copy.deepcopy(SHIPPED[name])
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    junk = data.draw(st.sampled_from((DROP,) + JUNK))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if junk is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(junk)
+    try:
+        run_suite(parse_algebra_data(doc, name=name), "axioms")
+    except VertexCalcError:
+        target = tmp_path_factory.getbasetemp() / f"{name}.json"
+        target.write_text(json.dumps(doc))
+        assert main(["check", str(target), "--suite", "axioms"]) == 2
 
 
 def test_emit_parse_round_trip(tmp_path):

@@ -11,6 +11,16 @@ the earlier report with `options["bound"]` (always null) deleted and the rest
 re-emitted by `fileio.canonical_json`, so every record is byte-identical to
 the one the order scans produced.  The text digests were pinned from the same
 code before the change and did not move.
+
+They were re-pinned again when the Jacobi-type checks became exact term
+comparisons and `--window` went.  The earlier reports were saved first, and
+a script checked the new ones against them: `options["window"]` (always
+null) is gone from every JSON report; a2_base, a3 and z22_base are otherwise
+byte-identical in both formats; cross_a2z2, m2a3, ut2 and z22_twist differ
+only in the witness strings of failing `jacobi/<pair>` classification
+records, which now name the failing half ("commutation" or "associativity")
+and its first differing exponent, with the same number of witnesses.  Every
+verdict and every `exact` flag is unchanged.
 """
 
 import hashlib

@@ -80,9 +80,10 @@ def test_stray_acting_indices_are_malformed(a3, a3_adj):
 
 
 def test_locality_transfer_a3(a3, a3_adj):
+    faithful = is_faithful(a3, a3_adj)
     for i in range(3):
         for j in range(3):
-            rep = check_locality_transfer(a3, a3_adj, i, j, F(1))
+            rep = check_locality_transfer(a3, a3_adj, i, j, F(1), faithful=faithful)
             assert rep.passed
             assert rep.found_orders["faithful"] == 1
 
@@ -90,9 +91,10 @@ def test_locality_transfer_a3(a3, a3_adj):
 def test_locality_transfer_agrees_on_nonlocal_fixture():
     ut2 = upper_triangular_2()
     adj = adjoint_module(ut2)
+    faithful = is_faithful(ut2, adj)
     for i in range(3):
         for j in range(3):
-            rep = check_locality_transfer(ut2, adj, i, j, F(1))
+            rep = check_locality_transfer(ut2, adj, i, j, F(1), faithful=faithful)
             assert rep.passed
             assert rep.notes[-1] == "agree"
 
@@ -101,7 +103,7 @@ def test_locality_transfer_scalar_pair():
     tw, grading, cocycle = klein_twist()
     adj = adjoint_module(tw)
     i10, i01 = tw.basis_index("g10"), tw.basis_index("g01")
-    rep = check_locality_transfer(tw, adj, i10, i01, F(-1))
+    rep = check_locality_transfer(tw, adj, i10, i01, F(-1), faithful=is_faithful(tw, adj))
     assert rep.passed
     assert rep.found_orders["algebra_k"] == 0
     assert rep.found_orders["module_k"] == 0
