@@ -21,6 +21,7 @@ from .fileio import (
     parse_algebra_file,
     read_json,
     write_algebra_file,
+    write_bytes,
 )
 from .suite import SuiteOptions, SuiteReport, SuiteRecord, SUITES, emit_report, run_suite
 
@@ -81,7 +82,7 @@ def _deliver(payload: bytes, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(payload.decode())
     else:
-        out.write_bytes(payload)
+        write_bytes(out, payload)
 
 
 def _cmd_check(args) -> int:

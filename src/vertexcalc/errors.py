@@ -45,6 +45,14 @@ class CapExceeded(VertexCalcError):
     """A bounded search or span computation exceeded its cap."""
 
 
+class InvalidArgument(VertexCalcError):
+    """A caller-supplied option is outside what the computation accepts."""
+
+
+class OutputError(VertexCalcError):
+    """An output file could not be written."""
+
+
 class ParseError(VertexCalcError):
     """An algebra file could not be parsed."""
 

@@ -27,7 +27,7 @@ from .construct import (
     rmap_identity,
     rmap_tensor_swap,
 )
-from .errors import ParseError, ValidationError
+from .errors import OutputError, ParseError, ValidationError
 from .linalg import Mat, Vec
 from .modules import ModuleStructure
 from .operators import VertexOperator
@@ -357,7 +357,14 @@ def canonical_json(data) -> bytes:
     return (json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
+def write_bytes(path: str | Path, payload: bytes) -> None:
+    """Write payload to a file; a failed write is an OutputError."""
+    path = Path(path)
+    try:
+        path.write_bytes(payload)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def write_algebra_file(path: str | Path, data: dict) -> None:
-    Path(path).write_bytes(
-        (json.dumps(data, sort_keys=True, indent=1) + "\n").encode()
-    )
+    write_bytes(path, (json.dumps(data, sort_keys=True, indent=1) + "\n").encode())

@@ -23,6 +23,13 @@ truncation statement that products vanish at and above the compatibility
 order.  The commutator-style variant composes the matrices the other way in
 the second term; a windowed delta-kernel evaluation of the same residues is
 kept in the tests as an independent oracle.
+
+Mode matrices are mostly zero, so each operator also keeps its modes as
+nonzero-only rows, {n: {r: {c: entry}}}, built once on construction.  The
+residue products multiply those rows row by row (Gustavson's sparse
+product, ACM TOMS 4, 1978) into one sparse accumulator, drop the entries
+that cancel to zero, and build the result from it; the dense ``modes`` are
+the public view.
 """
 
 from __future__ import annotations
@@ -31,14 +38,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import AlgebraStructure, add_term, term_differences
-from .errors import MalformedStructure, NotCompatible
+from .errors import InvalidArgument, MalformedStructure, NotCompatible
 from .linalg import (
+    ZERO,
     CoordSpan,
     Mat,
     Vec,
     identity_mat,
-    is_zero_mat,
-    mat_add,
     mat_mul,
     mat_scale,
     mat_vec,
@@ -62,20 +68,47 @@ STATUS_CAP = "cap-exceeded"
 STATUS_RANGE = "index-range-exhausted"
 
 
-class VertexOperator:
-    """An End(W)-valued Laurent polynomial: every nonzero mode stored outright."""
+# nonzero-only rows of one matrix: row index -> {column index: nonzero entry}
+Rows = dict[int, dict[int, Fraction]]
 
-    __slots__ = ("dim", "modes", "name")
+
+class VertexOperator:
+    """An End(W)-valued Laurent polynomial: every nonzero mode stored outright.
+
+    ``modes`` holds each nonzero mode as a dense matrix, ``rows`` the same
+    modes as nonzero-only rows.
+    """
+
+    __slots__ = ("dim", "modes", "name", "rows")
 
     def __init__(self, dim: int, modes: dict[int, Mat] | None = None, name: str = ""):
         self.dim = dim
         self.name = name
-        clean = {}
+        self.modes: dict[int, Mat] = {}
+        self.rows: dict[int, Rows] = {}
         for n, m in (modes or {}).items():
             m = tuple(tuple(Fraction(x) for x in row) for row in m)
-            if not is_zero_mat(m):
-                clean[int(n)] = m
-        self.modes = clean
+            rows = {
+                r: nz for r, row in enumerate(m) if (nz := {c: x for c, x in enumerate(row) if x})
+            }
+            if rows:
+                self.modes[int(n)] = m
+                self.rows[int(n)] = rows
+
+    @classmethod
+    def _from_rows(cls, dim: int, rows: dict[int, Rows]) -> "VertexOperator":
+        """An unnamed operator from nonzero-only rows of Fraction entries."""
+        op = cls.__new__(cls)
+        op.dim, op.name, op.rows = dim, "", rows
+        zero_row = (ZERO,) * dim
+        op.modes = {
+            n: tuple(
+                tuple(row.get(c, ZERO) for c in range(dim)) if (row := m.get(r)) else zero_row
+                for r in range(dim)
+            )
+            for n, m in rows.items()
+        }
+        return op
 
     # -- coefficient access ----------------------------------------------------
 
@@ -201,14 +234,29 @@ def _radius(op: VertexOperator) -> int:
 # residue products
 
 
+def _add_product(acc: Rows, w: Fraction, x: Rows, y: Rows) -> None:
+    """acc += w x y, one row of x at a time against the rows of y it selects."""
+    for r, xr in x.items():
+        out = None
+        for k, xv in xr.items():
+            yr = y.get(k)
+            if yr is None:
+                continue
+            if out is None:
+                out = acc.setdefault(r, {})
+            f = w * xv
+            for c, yv in yr.items():
+                out[c] = out.get(c, ZERO) + f * yv
+
+
 def _residue_product(
     a: VertexOperator, b: VertexOperator, n: int, local: bool
 ) -> VertexOperator:
     """The n-th residue product, composing the re-expanded term as b a when local."""
     find_compat_order([a, b])
-    pb = b.exps()
-    out: dict[int, Mat] = {}
-    for p, ma in a.exps().items():
+    acc: dict[int, Rows] = {}
+    for na, ra in a.rows.items():
+        p = -na - 1
         sign = -1 if (n + p + 1) % 2 else 1
         # residue weights of the straight and the re-expanded kernel
         c1, c2 = sign * binom(n, n + p + 1), sign * binom(n, -1 - p)
@@ -216,14 +264,18 @@ def _residue_product(
             c1, c2 = c1 - c2, 0
         if c1 == 0 and c2 == 0:
             continue
-        for q, mb in pb.items():
-            key = -(n + 1 + p + q) - 1
-            contrib = mat_scale(c1, mat_mul(ma, mb)) if c1 != 0 else None
+        for nb, rb in b.rows.items():
+            out = acc.setdefault(na + nb - n, {})  # the mode at exponent n+1+p+q
+            if c1 != 0:
+                _add_product(out, c1, ra, rb)
             if c2 != 0:
-                rev = mat_scale(-c2, mat_mul(mb, ma))
-                contrib = rev if contrib is None else mat_add(contrib, rev)
-            out[key] = mat_add(out[key], contrib) if key in out else contrib
-    return VertexOperator(a.dim, out)
+                _add_product(out, -c2, rb, ra)
+    rows: dict[int, Rows] = {}
+    for key, mrows in acc.items():
+        kept = {r: nz for r, row in mrows.items() if (nz := {c: x for c, x in row.items() if x})}
+        if kept:
+            rows[key] = kept
+    return VertexOperator._from_rows(a.dim, rows)
 
 
 def nth_product(a: VertexOperator, b: VertexOperator, n: int) -> VertexOperator:
@@ -369,8 +421,17 @@ def closure(
     row-reduce fingerprints until a fixpoint or a cap.  After a fixpoint the
     span is verified closed pairwise; when some pair's nonzero mode range has
     no certified floor, modes just below n_range are probed, and a new
-    element there downgrades the status to index-range-exhausted.
+    element there downgrades the status to index-range-exhausted.  The
+    default n_range reaches two modes below the lowest generator mode and
+    always holds -1, the mode that puts each generator itself in the span.
+    An empty n_range, or a cap below 1, is an InvalidArgument.
     """
+    if n_range is not None and n_range[0] > n_range[1]:
+        raise InvalidArgument(f"empty mode range {n_range[0]}:{n_range[1]}")
+    if dim_cap < 1 or depth_cap < 1:
+        raise InvalidArgument(
+            f"caps must be at least 1 (dim cap {dim_cap}, depth cap {depth_cap})"
+        )
     if generators:
         dims = {op.dim for op in generators}
         if len(dims) != 1:
@@ -382,7 +443,7 @@ def closure(
     one = identity_operator(dim)
     if n_range is None:
         lo = min((min(op.modes) for op in generators if op.modes), default=-1)
-        n_range = (lo - 2, 0)
+        n_range = (min(lo - 2, -1), 0)
     n_lo, n_hi = n_range
 
     ops: list[VertexOperator] = [one]

@@ -24,7 +24,7 @@ from .algebra import (
     weak_assoc_triple,
 )
 from .construct import check_jacobi_like
-from .errors import ValidationError
+from .errors import InvalidArgument, ValidationError
 from .fileio import AlgebraBundle, algebra_to_data, canonical_json
 from .modules import (
     adjoint_module,
@@ -136,14 +136,25 @@ class SuiteReport:
         }
 
 
-def _resolve_q(bundle: AlgebraBundle, options: SuiteOptions, i: int, j: int) -> Fraction:
+def _fixed_q(options: SuiteOptions) -> Fraction | None:
+    """The commutation scalar as a rational, or None for 'from-cocycle'."""
     if options.q == "from-cocycle":
-        if bundle.grading is None or bundle.cocycle is None:
-            raise ValidationError("--q from-cocycle needs grading and cocycle sections")
-        return bundle.cocycle.commutator(
-            bundle.grading.degrees[i], bundle.grading.degrees[j]
-        )
-    return Fraction(options.q)
+        return None
+    try:
+        return Fraction(options.q)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidArgument(
+            f"--q must be a rational number or 'from-cocycle', not {options.q!r}"
+        ) from None
+
+
+def _resolve_q(bundle: AlgebraBundle, options: SuiteOptions, i: int, j: int) -> Fraction:
+    q = _fixed_q(options)
+    if q is not None:
+        return q
+    if bundle.grading is None or bundle.cocycle is None:
+        raise ValidationError("--q from-cocycle needs grading and cocycle sections")
+    return bundle.cocycle.commutator(bundle.grading.degrees[i], bundle.grading.degrees[j])
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +463,7 @@ def run_suite(
     if suite not in SUITES:
         raise ValidationError(f"unknown suite {suite!r}; choose from {SUITES}")
     options = options or SuiteOptions()
+    _fixed_q(options)  # a malformed --q is an error before any check runs
     report = SuiteReport(target=bundle.name, suite=suite, options=options.as_dict())
     names = (
         ["axioms", "locality", "skew", "jacobi", "jacobi-like", "modules", "closure"]

@@ -3,6 +3,8 @@
 The closed-form residue products are cross-checked against an independent
 windowed oracle that literally multiplies by the two one-sided kernel
 expansions and extracts the residue through the distribution machinery.
+The sparse row products are also held against the same closed form
+evaluated with dense matrix products.
 """
 
 import random
@@ -11,9 +13,10 @@ from fractions import Fraction
 import pytest
 
 from vertexcalc.algebra import check_jacobi, validate_structure
-from vertexcalc.errors import MalformedStructure, NotCompatible
+from vertexcalc import operators
+from vertexcalc.errors import InvalidArgument, MalformedStructure, NotCompatible
 from vertexcalc.fixtures import matrix_over_a3, truncated_poly_3, upper_triangular_2
-from vertexcalc.linalg import mat_add, mat_scale, unit_vec
+from vertexcalc.linalg import is_zero_mat, mat_add, mat_mul, mat_scale, unit_vec
 from vertexcalc.modules import adjoint_module
 from vertexcalc.operators import (
     VertexOperator,
@@ -31,6 +34,7 @@ from vertexcalc.operators import (
 )
 from vertexcalc.series import (
     Window,
+    binom,
     binom_expand,
     mul,
     power_expand,
@@ -237,6 +241,113 @@ def test_noncommuting_nonnegative_modes_separate_definitions():
     )
 
 
+# -- sparse products against the dense formula ---------------------------------------------
+
+
+def dense_residue_sums(a, b, n, local, mul=mat_mul):
+    """The closed-form residue product by dense matrix products.
+
+    Returns, for every mode that some nonzero weighted product A_p B_q (or
+    B_q A_p) reaches, the sum of those products, zero sums included, so a
+    caller can see which modes cancelled.
+    """
+    out = {}
+    for p, ma in a.exps().items():
+        sign = -1 if (n + p + 1) % 2 else 1
+        c1, c2 = sign * binom(n, n + p + 1), sign * binom(n, -1 - p)
+        if not local:
+            c1, c2 = c1 - c2, 0
+        for q, mb in b.exps().items():
+            key = -(n + 1 + p + q) - 1
+            terms = []
+            if c1:
+                terms.append(mat_scale(c1, mul(ma, mb)))
+            if c2:
+                terms.append(mat_scale(-c2, mul(mb, ma)))
+            for term in terms:
+                if not is_zero_mat(term):
+                    out[key] = mat_add(out[key], term) if key in out else term
+    return out
+
+
+def dense_residue_product(a, b, n, local, mul=mat_mul):
+    return VertexOperator(a.dim, dense_residue_sums(a, b, n, local, mul))
+
+
+def _random_operator(rng, dim, commuting_with=None):
+    """Sparse modes in [-4, 3] with non-integer rational entries.
+
+    With commuting_with=M every mode is c M + d M^2, so all modes of all
+    such operators commute and two-sided residues cancel exactly.
+    """
+    def entry():
+        if rng.random() < 0.5:
+            return F(0)
+        return F(rng.choice((-5, -3, -1, 1, 2, 7)), rng.choice((2, 3, 4, 9)))
+
+    modes = {}
+    for n in rng.sample(range(-4, 4), rng.randint(1, 4)):
+        if commuting_with is None:
+            modes[n] = tuple(tuple(entry() for _ in range(dim)) for _ in range(dim))
+        else:
+            m = commuting_with
+            modes[n] = mat_add(mat_scale(entry(), m), mat_scale(entry(), mat_mul(m, m)))
+    return VertexOperator(dim, modes)
+
+
+def test_sparse_residue_product_matches_dense_formula():
+    rng = random.Random(606)
+    cancelled = 0
+    for trial in range(160):
+        dim = rng.randint(1, 5)
+        if trial % 2:
+            m = _random_operator(rng, dim).mode(0)
+            a, b = _random_operator(rng, dim, m), _random_operator(rng, dim, m)
+        else:
+            a, b = _random_operator(rng, dim), _random_operator(rng, dim)
+        for n in range(-8, 3):
+            for local in (False, True):
+                got = (nth_product_local if local else nth_product)(a, b, n)
+                sums = dense_residue_sums(a, b, n, local)
+                assert got.modes == VertexOperator(dim, sums).modes, (a.modes, b.modes, n, local)
+                assert not any(is_zero_mat(m) for m in got.modes.values())
+                assert set(got.rows) == set(got.modes)
+                cancelled += sum(1 for s in sums.values() if is_zero_mat(s))
+    # some modes sum to zero from nonzero terms: exact cancellation is exercised
+    assert cancelled > 0
+
+
+# the two generator sets of the closure-m2a3 benchmark workload
+M2A3_GENERATOR_SETS = (("t*one", "one*E12", "one*E21"), ("t*E12", "t*E21"))
+
+
+@pytest.mark.parametrize("local", [False, True], ids=["straight", "local"])
+def test_closure_on_m2a3_matches_dense_formula(monkeypatch, local):
+    m = matrix_over_a3()
+    memo = {}
+
+    def memo_mul(x, y):
+        if (x, y) not in memo:
+            memo[(x, y)] = mat_mul(x, y)
+        return memo[(x, y)]
+
+    def dense(a, b, n, local):
+        return dense_residue_product(a, b, n, local, memo_mul)
+
+    for names in M2A3_GENERATOR_SETS:
+        gens = [operator_from_structure(m, m.basis_index(nm)) for nm in names]
+        sparse = closure(gens, local_products=local)
+        with monkeypatch.context() as patch:
+            patch.setattr(operators, "_residue_product", dense)
+            ref = closure(gens, local_products=local)
+        assert sparse.status == ref.status == "closed"
+        assert (sparse.rounds, sparse.notes) == (ref.rounds, ref.notes)
+        assert [op.modes for op in sparse.span.operators] == [
+            op.modes for op in ref.span.operators
+        ]
+        assert sparse.structure.y_data == ref.structure.y_data
+
+
 # -- associativity relation ----------------------------------------------------------------
 
 
@@ -366,6 +477,25 @@ def test_empty_generating_set(a3):
 def test_empty_generating_set_needs_dimension():
     with pytest.raises(MalformedStructure):
         closure([])
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"n_range": (5, 1)}, {"dim_cap": 0}, {"dim_cap": -1}, {"depth_cap": 0}],
+    ids=["empty-range", "dim-cap-0", "dim-cap-negative", "depth-cap-0"],
+)
+def test_closure_rejects_empty_range_and_caps_below_one(yt, kwargs):
+    with pytest.raises(InvalidArgument):
+        closure([yt], **kwargs)
+
+
+def test_default_mode_range_reaches_the_generator():
+    # a generator whose lowest mode is 3 (x^-4): the default range must still
+    # hold mode -1, which puts the generator itself in the span
+    a_op = VertexOperator(2, {3: ((F(1), F(0)), (F(0), F(0)))})
+    res = closure([a_op])
+    assert res.span.rank >= 2
+    assert any(op.equal(a_op) for op in res.span.operators)
 
 
 def test_unbounded_tail_is_reported_honestly():

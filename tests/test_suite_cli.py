@@ -22,6 +22,8 @@ def run_cli(*args, expect: int = 0):
         text=True,
     )
     assert proc.returncode == expect, proc.stderr or proc.stdout
+    if expect == 2:
+        assert "error: " in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
     return proc.stdout
 
 
@@ -281,3 +283,19 @@ def test_cli_error_exit_code(tmp_path):
     not_a_report = tmp_path / "list.json"
     not_a_report.write_text("[1, 2]\n")
     run_cli("report", str(not_a_report), expect=2)
+    a3 = str(FIXTURES / "a3.json")
+    # an empty mode range and caps below 1, in the closure suite and subcommand
+    for bad in (("--n-range", "5:1"), ("--dim-cap", "-1"), ("--depth-cap", "0")):
+        run_cli("check", a3, "--suite", "closure", *bad, expect=2)
+        run_cli("closure", a3, *bad, expect=2)
+    # a malformed --q is rejected whichever suite runs
+    for q in ("1/0", "abc"):
+        run_cli("check", a3, "--q", q, expect=2)
+        run_cli("check", a3, "--suite", "closure", "--q", q, expect=2)
+    # outputs that cannot be written
+    unwritable = str(tmp_path / "no-such-dir" / "x.json")
+    run_cli("check", a3, "--suite", "axioms", "--out", unwritable, expect=2)
+    run_cli("closure", a3, "--out", unwritable, expect=2)
+    report = str(tmp_path / "rep.txt")
+    run_cli("closure", a3, "--out", report, "--emit-algebra", unwritable, expect=2)
+    run_cli("construct", "matrix", a3, "-o", unwritable, expect=2)
