@@ -34,6 +34,18 @@ def _parse_n_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError("expected n-range as LO:HI") from None
 
 
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """Join each --n-range or --q to its value with "=": argparse reads a value
+    that starts with "-" (a negative LO, a negative q) as a flag of its own."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in ("--n-range", "--q"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vertexcalc",
@@ -187,7 +199,7 @@ def _cmd_report(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "check":
             return _cmd_check(args)

@@ -3,7 +3,9 @@
 Vectors are tuples of Fraction, matrices are tuples of row tuples.  Everything
 is immutable and exact; there is no floating point anywhere in the package.
 Row reduction pivots on the first nonzero column in canonical order, so
-reduced bases and solved coordinates are reproducible across runs.
+reduced bases and solved coordinates are reproducible across runs.  CoordSpan
+alone works on sparse vectors, {key: nonzero Fraction} dicts, and pivots on
+the least key.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
+SparseVec = dict[object, Fraction]  # nonzero entries only; absent keys are zero
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -199,76 +202,68 @@ class SpanBasis:
 
 
 class CoordSpan:
-    """Row space that can express members as combinations of the inserted reps.
+    """Sparse row space that expresses members as combinations of the inserted reps.
 
+    A vector is a {key: nonzero Fraction} dict over sortable, hashable keys;
+    absent keys are zero.  Rows stay fully reduced with a unit pivot on their
+    least key, so no row holds another row's pivot and reduction is one pass.
     Unlike SpanBasis, dependence answers come with exact coordinates over the
     representative vectors in insertion order, which is what the closure
     engine needs to read off structure constants.
     """
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.reps: list[Vec] = []
-        self._rows: list[tuple[list[Fraction], list[Fraction]]] = []
-        self._pivots: list[int] = []
+    def __init__(self):
+        self.reps: list[SparseVec] = []
+        # (pivot key, reduced row, the row's coordinates over the reps)
+        self._rows: list[tuple[object, SparseVec, SparseVec]] = []
 
     @property
     def dim(self) -> int:
         return len(self.reps)
 
-    def solve(self, v: Vec) -> Vec | None:
-        """Coordinates of v over the reps, or None if v is outside the span."""
-        w = list(v)
-        combo = [ZERO] * len(self.reps)
-        for (row, cmb), p in zip(self._rows, self._pivots):
-            f = w[p]
-            if f != 0:
-                for j in range(p, self.ncols):
-                    w[j] -= f * row[j]
-                for k in range(len(cmb)):
-                    combo[k] += f * cmb[k]
-        if any(x != 0 for x in w):
-            return None
-        return tuple(combo)
+    def _reduce(self, v: SparseVec) -> tuple[SparseVec, Vec]:
+        """(v minus its span component, coordinates of that component over the reps)."""
+        w = {k: x for k, x in v.items() if x}
+        combo: SparseVec = {}
+        for p, row, cmb in self._rows:
+            if f := w.get(p):
+                _sub_scaled(w, f, row)
+                _sub_scaled(combo, -f, cmb)
+        return w, tuple(combo.get(k, ZERO) for k in range(len(self.reps)))
 
-    def insert(self, v: Vec) -> Vec | None:
+    def solve(self, v: SparseVec) -> Vec | None:
+        """Coordinates of v over the reps, or None if v is outside the span."""
+        w, coords = self._reduce(v)
+        return None if w else coords
+
+    def insert(self, v: SparseVec) -> Vec | None:
         """Add v as a new rep if independent; returns coords when dependent."""
-        w = list(v)
-        combo = [ZERO] * (len(self.reps) + 1)
-        combo[-1] = ONE
-        for (row, cmb), p in zip(self._rows, self._pivots):
-            f = w[p]
-            if f != 0:
-                for j in range(p, self.ncols):
-                    w[j] -= f * row[j]
-                for k in range(len(cmb)):
-                    combo[k] -= f * cmb[k]
-        pivot = None
-        for j, x in enumerate(w):
-            if x != 0:
-                pivot = j
-                break
-        if pivot is None:
-            # dependent: v = sum of f_i * reduced rows; combo tracked the
-            # negated reduction, so the rep coordinates are -combo[:-1]
-            return tuple(-c for c in combo[:-1])
+        w, coords = self._reduce(v)
+        if not w:
+            return coords
+        pivot = min(w)
         inv = 1 / w[pivot]
-        w = [inv * x for x in w]
-        cmb = [inv * c for c in combo]
-        for (row, rc) in self._rows:
-            f = row[pivot]
-            if f != 0:
-                for j in range(self.ncols):
-                    row[j] -= f * w[j]
-                rc.extend([ZERO] * (len(cmb) - len(rc)))
-                for k in range(len(cmb)):
-                    rc[k] -= f * cmb[k]
-        for (row, rc) in self._rows:
-            rc.extend([ZERO] * (len(cmb) - len(rc)))
-        self._rows.append((w, cmb))
-        self._pivots.append(pivot)
-        self.reps.append(tuple(v))
+        row = {k: inv * x for k, x in w.items()}
+        # w = v - sum of coords[k] * rep k, and v becomes the last rep
+        cmb = {k: -inv * c for k, c in enumerate(coords) if c}
+        cmb[len(self.reps)] = inv
+        for _p, r, rc in self._rows:
+            if f := r.get(pivot):
+                _sub_scaled(r, f, row)
+                _sub_scaled(rc, f, cmb)
+        self._rows.append((pivot, row, cmb))
+        self.reps.append(dict(v))
         return None
+
+
+def _sub_scaled(w: dict, f: Fraction, x: dict) -> None:
+    """w -= f x in place, dropping the entries that cancel to zero."""
+    for k, xv in x.items():
+        y = w.get(k, ZERO) - f * xv
+        if y:
+            w[k] = y
+        else:
+            del w[k]
 
 
 def nullspace(rows: Sequence[Vec], ncols: int) -> list[Vec]:

@@ -24,12 +24,15 @@ order.  The commutator-style variant composes the matrices the other way in
 the second term; a windowed delta-kernel evaluation of the same residues is
 kept in the tests as an independent oracle.
 
-Mode matrices are mostly zero, so each operator also keeps its modes as
-nonzero-only rows, {n: {r: {c: entry}}}, built once on construction.  The
-residue products multiply those rows row by row (Gustavson's sparse
-product, ACM TOMS 4, 1978) into one sparse accumulator, drop the entries
-that cancel to zero, and build the result from it; the dense ``modes`` are
-the public view.
+Mode matrices are mostly zero, so each operator stores its modes only as
+nonzero-only rows, {n: {r: {c: entry}}}, built once on construction; the
+dense ``modes`` are a view computed on demand.  The residue products
+multiply those rows row by row (Gustavson's sparse product, ACM TOMS 4,
+1978) into one sparse accumulator, drop the entries that cancel to zero,
+and build the result from it.  The closure span works on the same nonzero
+entries: an operator's fingerprint is its rows flattened to
+{(n, r, c): entry}, row-reduced in a sparse CoordSpan, so no exponent
+window is fixed in advance and none has to grow.
 """
 
 from __future__ import annotations
@@ -72,19 +75,26 @@ STATUS_RANGE = "index-range-exhausted"
 Rows = dict[int, dict[int, Fraction]]
 
 
+def _dense(dim: int, rows: Rows) -> Mat:
+    zero_row = (ZERO,) * dim
+    return tuple(
+        tuple(row.get(c, ZERO) for c in range(dim)) if (row := rows.get(r)) else zero_row
+        for r in range(dim)
+    )
+
+
 class VertexOperator:
     """An End(W)-valued Laurent polynomial: every nonzero mode stored outright.
 
-    ``modes`` holds each nonzero mode as a dense matrix, ``rows`` the same
-    modes as nonzero-only rows.
+    ``rows`` holds each nonzero mode as nonzero-only rows and is the one
+    stored form; ``modes`` is the same modes as dense matrices, built on read.
     """
 
-    __slots__ = ("dim", "modes", "name", "rows")
+    __slots__ = ("dim", "name", "rows")
 
     def __init__(self, dim: int, modes: dict[int, Mat] | None = None, name: str = ""):
         self.dim = dim
         self.name = name
-        self.modes: dict[int, Mat] = {}
         self.rows: dict[int, Rows] = {}
         for n, m in (modes or {}).items():
             m = tuple(tuple(Fraction(x) for x in row) for row in m)
@@ -92,7 +102,6 @@ class VertexOperator:
                 r: nz for r, row in enumerate(m) if (nz := {c: x for c, x in enumerate(row) if x})
             }
             if rows:
-                self.modes[int(n)] = m
                 self.rows[int(n)] = rows
 
     @classmethod
@@ -100,22 +109,17 @@ class VertexOperator:
         """An unnamed operator from nonzero-only rows of Fraction entries."""
         op = cls.__new__(cls)
         op.dim, op.name, op.rows = dim, "", rows
-        zero_row = (ZERO,) * dim
-        op.modes = {
-            n: tuple(
-                tuple(row.get(c, ZERO) for c in range(dim)) if (row := m.get(r)) else zero_row
-                for r in range(dim)
-            )
-            for n, m in rows.items()
-        }
         return op
 
     # -- coefficient access ----------------------------------------------------
 
+    @property
+    def modes(self) -> dict[int, Mat]:
+        """Each nonzero mode as a dense matrix."""
+        return {n: _dense(self.dim, m) for n, m in self.rows.items()}
+
     def mode(self, n: int) -> Mat:
-        return self.modes.get(n) or tuple(
-            tuple(Fraction(0) for _ in range(self.dim)) for _ in range(self.dim)
-        )
+        return _dense(self.dim, self.rows.get(n, {}))
 
     def exps(self, lo: int | None = None, hi: int | None = None) -> dict[int, Mat]:
         """Nonzero coefficients by x-exponent, optionally windowed to [lo, hi]."""
@@ -128,15 +132,15 @@ class VertexOperator:
 
     def exp_bounds(self) -> tuple[int, int]:
         """(min exponent, max exponent), (0, 0) for the zero operator."""
-        if not self.modes:
+        if not self.rows:
             return (0, 0)
-        return (-max(self.modes) - 1, -min(self.modes) - 1)
+        return (-max(self.rows) - 1, -min(self.rows) - 1)
 
     def is_zero(self) -> bool:
-        return not self.modes
+        return not self.rows
 
     def equal(self, other: "VertexOperator") -> bool:
-        return self.modes == other.modes
+        return self.dim == other.dim and self.rows == other.rows
 
     def distribution(self, var: str, window: Window) -> Distribution:
         """The operator as a matrix-valued distribution on a window."""
@@ -151,7 +155,7 @@ class VertexOperator:
         return VertexOperator(self.dim, out, name=f"d({self.name})" if self.name else "")
 
     def __repr__(self) -> str:
-        return f"VertexOperator({self.name or 'poly'}, modes={sorted(self.modes)})"
+        return f"VertexOperator({self.name or 'poly'}, modes={sorted(self.rows)})"
 
 
 def identity_operator(dim: int, name: str = "1_W") -> VertexOperator:
@@ -364,11 +368,9 @@ def check_prop_assoc(a: VertexOperator, b: VertexOperator, w: Vec) -> CheckRepor
 
 @dataclass
 class OperatorSpan:
-    """Representative operators with row-reduced fingerprints over a window."""
+    """Representative operators with their row-reduced sparse fingerprints."""
 
     operators: list[VertexOperator]
-    fp_lo: int
-    fp_hi: int
     coords: CoordSpan
 
     @property
@@ -386,24 +388,15 @@ class ClosureResult:
     notes: list[str] = field(default_factory=list)
 
 
-def _fingerprint(op: VertexOperator, lo: int, hi: int) -> Vec:
-    out: list[Fraction] = []
-    exps = op.exps(lo, hi)
-    zero_row = (Fraction(0),) * op.dim
-    for p in range(lo, hi + 1):
-        m = exps.get(p)
-        for r in range(op.dim):
-            out.extend(m[r] if m is not None else zero_row)
-    return tuple(out)
+# how many modes below n_range a pair with no certified mode floor is probed
+PROBE_MARGIN = 2
 
 
-def _exp_range(ops: list[VertexOperator]) -> tuple[int, int]:
-    lo, hi = 0, 0
-    for op in ops:
-        for p in op.exps():
-            lo = min(lo, p)
-            hi = max(hi, p)
-    return lo, hi
+def _fingerprint(op: VertexOperator) -> dict[tuple[int, int, int], Fraction]:
+    """The operator's nonzero entries keyed by (mode, row, column)."""
+    return {
+        (n, r, c): x for n, rows in op.rows.items() for r, row in rows.items() for c, x in row.items()
+    }
 
 
 def closure(
@@ -412,19 +405,19 @@ def closure(
     dim_cap: int = 64,
     depth_cap: int = 8,
     local_products: bool = False,
-    probe_margin: int = 2,
     dim: int | None = None,
 ) -> ClosureResult:
     """Span of all residue-product words of the generators applied to 1_W.
 
     Rounds apply every generator mode in n_range to the current span and
-    row-reduce fingerprints until a fixpoint or a cap.  After a fixpoint the
-    span is verified closed pairwise; when some pair's nonzero mode range has
-    no certified floor, modes just below n_range are probed, and a new
-    element there downgrades the status to index-range-exhausted.  The
-    default n_range reaches two modes below the lowest generator mode and
-    always holds -1, the mode that puts each generator itself in the span.
-    An empty n_range, or a cap below 1, is an InvalidArgument.
+    row-reduce the sparse fingerprints of the products until a fixpoint or
+    a cap.  After a fixpoint the span is verified closed pairwise; when some
+    pair's nonzero mode range has no certified floor, the PROBE_MARGIN modes
+    just below n_range are probed, and a new element there downgrades the
+    status to index-range-exhausted.  The default n_range reaches two modes
+    below the lowest generator mode and always holds -1, the mode that puts
+    each generator itself in the span.  An empty n_range, or a cap below 1,
+    is an InvalidArgument.
     """
     if n_range is not None and n_range[0] > n_range[1]:
         raise InvalidArgument(f"empty mode range {n_range[0]}:{n_range[1]}")
@@ -442,14 +435,14 @@ def closure(
     product = nth_product_local if local_products else nth_product
     one = identity_operator(dim)
     if n_range is None:
-        lo = min((min(op.modes) for op in generators if op.modes), default=-1)
+        lo = min((min(op.rows) for op in generators if op.rows), default=-1)
         n_range = (min(lo - 2, -1), 0)
     n_lo, n_hi = n_range
 
     ops: list[VertexOperator] = [one]
     notes: list[str] = []
-    fp_lo, fp_hi = _exp_range(ops + generators)
-    coords, fp_lo, fp_hi = _rebuild_with(ops, fp_lo, fp_hi, dim)
+    coords = CoordSpan()
+    coords.insert(_fingerprint(one))
     rounds = 0
     status = STATUS_CLOSED
     while True:
@@ -466,17 +459,12 @@ def closure(
                     cand = product(g, beta, n)
                     if cand.is_zero():
                         continue
-                    lo_c, hi_c = _exp_range([cand])
-                    if lo_c < fp_lo or hi_c > fp_hi:
-                        coords, fp_lo, fp_hi = _rebuild_with(
-                            ops, min(lo_c, fp_lo), max(hi_c, fp_hi), dim
-                        )
-                    if coords.insert(_fingerprint(cand, fp_lo, fp_hi)) is None:
+                    if coords.insert(_fingerprint(cand)) is None:
                         ops.append(cand)
                         grew = True
                         if len(ops) > dim_cap:
                             return ClosureResult(
-                                OperatorSpan(ops, fp_lo, fp_hi, coords),
+                                OperatorSpan(ops, coords),
                                 None,
                                 STATUS_CAP,
                                 False,
@@ -487,7 +475,7 @@ def closure(
             break
     if status != STATUS_CLOSED:
         return ClosureResult(
-            OperatorSpan(ops, fp_lo, fp_hi, coords), None, status, False, rounds, notes
+            OperatorSpan(ops, coords), None, status, False, rounds, notes
         )
 
     # pairwise closure verification over certified or probed mode ranges
@@ -498,7 +486,7 @@ def closure(
             lo_cert, hi_cert = certified_nonzero_range(alpha, beta)
             if lo_cert is None:
                 certified = False
-                lo_cert = n_lo - probe_margin
+                lo_cert = n_lo - PROBE_MARGIN
                 notes.append(
                     f"pair ({i},{j}) has no certified mode floor; probed to {lo_cert}"
                 )
@@ -507,15 +495,10 @@ def closure(
                 prod = product(alpha, beta, n)
                 if prod.is_zero():
                     continue
-                lo_c, hi_c = _exp_range([prod])
-                if lo_c < fp_lo or hi_c > fp_hi:
-                    coords, fp_lo, fp_hi = _rebuild_with(
-                        ops, min(lo_c, fp_lo), max(hi_c, fp_hi), dim
-                    )
-                sol = coords.solve(_fingerprint(prod, fp_lo, fp_hi))
+                sol = coords.solve(_fingerprint(prod))
                 if sol is None:
                     return ClosureResult(
-                        OperatorSpan(ops, fp_lo, fp_hi, coords),
+                        OperatorSpan(ops, coords),
                         None,
                         STATUS_RANGE,
                         False,
@@ -548,22 +531,13 @@ def closure(
         meta={"source": "operator-closure"},
     )
     return ClosureResult(
-        OperatorSpan(ops, fp_lo, fp_hi, coords),
+        OperatorSpan(ops, coords),
         structure,
         STATUS_CLOSED,
         certified,
         rounds,
         notes,
     )
-
-
-def _rebuild_with(
-    ops: list[VertexOperator], lo: int, hi: int, dim: int
-) -> tuple[CoordSpan, int, int]:
-    cs = CoordSpan((hi - lo + 1) * dim * dim)
-    for op in ops:
-        cs.insert(_fingerprint(op, lo, hi))
-    return cs, lo, hi
 
 
 def closure_module(result: ClosureResult) -> ModuleStructure:

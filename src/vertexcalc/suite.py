@@ -42,6 +42,9 @@ SUITES = ("axioms", "locality", "jacobi", "skew", "modules", "jacobi-like", "clo
 CHECK = "check"
 CLASSIFICATION = "classification"
 
+# witnesses kept per record in the report
+MAX_WITNESSES = 3
+
 
 @dataclass
 class SuiteOptions:
@@ -50,7 +53,6 @@ class SuiteOptions:
     depth_cap: int = 8
     n_range: tuple[int, int] | None = None
     local_products: bool = False
-    max_witnesses: int = 3
 
     def as_dict(self) -> dict:
         return {
@@ -97,7 +99,7 @@ class SuiteReport:
     def add(self, record: SuiteRecord) -> None:
         self.records.append(record)
 
-    def add_check(self, rid: str, identity: str, rep: CheckReport, limit: int = 3) -> None:
+    def add_check(self, rid: str, identity: str, rep: CheckReport) -> None:
         self.add(
             SuiteRecord(
                 id=rid,
@@ -106,7 +108,7 @@ class SuiteReport:
                 verdict=rep.verdict,
                 exact=rep.exact,
                 orders=dict(rep.found_orders),
-                witnesses=[w.describe() for w in rep.witnesses[:limit]],
+                witnesses=[w.describe() for w in rep.witnesses[:MAX_WITNESSES]],
                 notes=list(rep.notes),
             )
         )
@@ -180,9 +182,7 @@ def _suite_axioms(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteRep
     else:
         identity = "three-argument weak associativity"
         note = "variant: per-triple (the construction only guarantees this)"
-    report.add(
-        _assoc_record("axioms/weak-associativity", identity, alg, uniform, options, [note])
-    )
+    report.add(_assoc_record("axioms/weak-associativity", identity, alg, uniform, [note]))
 
 
 def _assoc_record(
@@ -190,7 +190,6 @@ def _assoc_record(
     identity: str,
     alg: AlgebraStructure,
     uniform: bool,
-    options: SuiteOptions,
     notes: list[str],
 ) -> SuiteRecord:
     """One weak-associativity check over every (u, w) pair or every triple.
@@ -210,7 +209,7 @@ def _assoc_record(
         kind=CHECK,
         verdict=FAIL if failed else PASS,
         orders={"max_l": 0},
-        witnesses=failed[: options.max_witnesses],
+        witnesses=failed[:MAX_WITNESSES],
         notes=notes,
     )
 
@@ -295,7 +294,7 @@ def _suite_jacobi(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteRep
                     # decided exactly; perfbench/pinned_records.json pins false
                     exact=False,
                     orders={"q": str(q)},
-                    witnesses=[w.describe() for w in rep.witnesses[: options.max_witnesses]],
+                    witnesses=[w.describe() for w in rep.witnesses[:MAX_WITNESSES]],
                 )
             )
             # the equivalence is the invariant check_jacobi is decided by
@@ -323,12 +322,7 @@ def _suite_jacobi_like(bundle: AlgebraBundle, options: SuiteOptions, report: Sui
         return
     rep = check_jacobi_like(bundle.alg, rmap)
     rep.exact = False  # decided exactly; perfbench/pinned_records.json pins false
-    report.add_check(
-        "jacobi-like/identity",
-        "Jacobi-like identity with an R-map",
-        rep,
-        options.max_witnesses,
-    )
+    report.add_check("jacobi-like/identity", "Jacobi-like identity with an R-map", rep)
 
 
 def _suite_modules(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteReport):
@@ -360,7 +354,7 @@ def _suite_modules(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteRe
             identity="locality transfers to modules and back on faithful ones",
             kind=CHECK,
             verdict=FAIL if transfer_fail else PASS,
-            witnesses=transfer_fail[: options.max_witnesses],
+            witnesses=transfer_fail[:MAX_WITNESSES],
         )
     )
     compat_bad = 0
@@ -437,7 +431,7 @@ def _suite_closure(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteRe
         "closure/structure-axioms", "closed span satisfies the axioms", validate_structure(st)
     )
     identity = "uniform weak associativity of the closed span"
-    report.add(_assoc_record("closure/weak-associativity", identity, st, True, options, []))
+    report.add(_assoc_record("closure/weak-associativity", identity, st, True, []))
     report.add_check(
         "closure/module",
         "the underlying space is a faithful module of the span",

@@ -83,29 +83,35 @@ def test_mat_mul_against_manual():
     assert mat_vec(a, vec([1, 1])) == (Fraction(3), Fraction(1))
 
 
+def _sparse(v, order):
+    """v as a {column: nonzero entry} dict, keys inserted in the given order."""
+    return {c: v[c] for c in order if v[c] != 0}
+
+
 def test_coord_span_coordinates_are_exact():
-    cs = CoordSpan(3)
+    cs = CoordSpan()
     r1 = vec([1, 2, 0])
     r2 = vec([0, 1, 1])
-    assert cs.insert(r1) is None
-    assert cs.insert(r2) is None
+    assert cs.insert(_sparse(r1, (1, 0, 2))) is None
+    assert cs.insert(_sparse(r2, (2, 1, 0))) is None
     combo = vec_add(vec_scale(Fraction(3), r1), vec_scale(Fraction(-2), r2))
-    coords = cs.insert(combo)
+    coords = cs.insert(_sparse(combo, (2, 0, 1)))
     assert coords == (Fraction(3), Fraction(-2))
-    assert cs.solve(combo) == (Fraction(3), Fraction(-2))
-    assert cs.solve(vec([0, 0, 5])) is None
+    assert cs.solve(_sparse(combo, (0, 1, 2))) == (Fraction(3), Fraction(-2))
+    assert cs.solve({2: Fraction(5)}) is None
     assert cs.dim == 2
 
 
-@given(st.lists(small_vec, min_size=1, max_size=6))
-def test_coord_span_reconstructs_members(rows):
-    cs = CoordSpan(4)
+@given(st.lists(small_vec, min_size=1, max_size=6), st.permutations(range(4)))
+def test_coord_span_reconstructs_members(rows, order):
+    cs = CoordSpan()
     reps = []
     for r in rows:
-        if cs.insert(r) is None:
+        if cs.insert(_sparse(r, order)) is None:
             reps.append(r)
+    assert cs.dim == rank(rows)
     for r in rows:
-        coords = cs.solve(r)
+        coords = cs.solve(_sparse(r, order))
         assert coords is not None
         rebuilt = zero_vec(4)
         for c, rep in zip(coords, reps):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from vertexcalc.algebra import check_jacobi, validate_structure
+from vertexcalc.algebra import check_jacobi, generate_subalgebra, validate_structure
 from vertexcalc import operators
 from vertexcalc.errors import InvalidArgument, MalformedStructure, NotCompatible
 from vertexcalc.fixtures import matrix_over_a3, truncated_poly_3, upper_triangular_2
@@ -317,8 +317,10 @@ def test_sparse_residue_product_matches_dense_formula():
     assert cancelled > 0
 
 
-# the two generator sets of the closure-m2a3 benchmark workload
+# the two generator sets of the closure-m2a3 benchmark workload, with the
+# ranks of the subalgebras they generate
 M2A3_GENERATOR_SETS = (("t*one", "one*E12", "one*E21"), ("t*E12", "t*E21"))
+M2A3_SPAN_RANKS = (12, 7)
 
 
 @pytest.mark.parametrize("local", [False, True], ids=["straight", "local"])
@@ -334,9 +336,13 @@ def test_closure_on_m2a3_matches_dense_formula(monkeypatch, local):
     def dense(a, b, n, local):
         return dense_residue_product(a, b, n, local, memo_mul)
 
-    for names in M2A3_GENERATOR_SETS:
+    for names, span_rank in zip(M2A3_GENERATOR_SETS, M2A3_SPAN_RANKS):
         gens = [operator_from_structure(m, m.basis_index(nm)) for nm in names]
         sparse = closure(gens, local_products=local)
+        # the benchmark's oracle: the span is the generated subalgebra
+        units = [m.unit(m.basis_index(nm)) for nm in names]
+        assert sparse.span.rank == len(generate_subalgebra(m, units)) == span_rank
+        assert validate_structure(sparse.structure).passed
         with monkeypatch.context() as patch:
             patch.setattr(operators, "_residue_product", dense)
             ref = closure(gens, local_products=local)

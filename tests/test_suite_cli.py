@@ -1,12 +1,19 @@
 """Suite orchestration and the command-line surface."""
 
+import argparse
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vertexcalc import cli
 from vertexcalc.algebra import AlgebraStructure
 from vertexcalc.fileio import algebra_to_data, parse_algebra_file, write_algebra_file
 from vertexcalc.linalg import unit_vec
@@ -299,3 +306,73 @@ def test_cli_error_exit_code(tmp_path):
     report = str(tmp_path / "rep.txt")
     run_cli("closure", a3, "--out", report, "--emit-algebra", unwritable, expect=2)
     run_cli("construct", "matrix", a3, "-o", unwritable, expect=2)
+
+
+def test_cli_negative_values_parse_with_a_space():
+    # argparse reads "-3:0" or "-1/2" after a flag as a flag of its own
+    a3 = str(FIXTURES / "a3.json")
+    spaced = run_cli("closure", a3, "--n-range", "-3:0", "--format", "json")
+    assert spaced == run_cli("closure", a3, "--n-range=-3:0", "--format", "json")
+    assert json.loads(spaced)["options"]["n_range"] == [-3, 0]
+    out = run_cli("check", a3, "--suite", "closure", "--n-range", "-3:0", "--format", "json")
+    assert json.loads(out)["options"]["n_range"] == [-3, 0]
+    out = run_cli("check", a3, "--suite", "axioms", "--q", "-1/2", "--format", "json")
+    assert json.loads(out)["options"]["q"] == "-1/2"
+
+
+def _parser_flags() -> dict[str, list[str]]:
+    """Each subcommand with its option strings, help left out."""
+    sub = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        name: sorted(s for a in p._actions for s in a.option_strings if s not in ("-h", "--help"))
+        for name, p in sub.choices.items()
+    }
+
+
+PARSER_FLAGS = _parser_flags()
+# small fixtures only: a drawn construct matrix -n is at most 4, dim 48 on a3
+FUZZ_TARGETS = (str(FIXTURES / "a3.json"), str(FIXTURES / "ut2.json"))
+JUNK = ("abc", "1/0", "", "5:1", "-3:0", "3:-3", "missing.json", "no-dir/x.json") + tuple(
+    str(k) for k in range(-4, 5)
+)
+
+
+def test_cli_argv_fuzz_never_tracebacks(tmp_path, monkeypatch):
+    # relative junk paths (an --out of "5:1") land in tmp_path
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["check", FUZZ_TARGETS[0], "--suite", "axioms", "--format", "json",
+                     "--out", "report.json"]) == 0
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.data())
+    def run(data):
+        command = data.draw(st.sampled_from(sorted(PARSER_FLAGS)))
+        target = data.draw(st.sampled_from(FUZZ_TARGETS))
+        if command == "construct":
+            kind = data.draw(st.sampled_from(("from-assoc", "tensor", "matrix", "twist", "cross")))
+            base = ["construct", kind, target, "-o", "built.json"]
+        elif command == "report":
+            base = ["report", "report.json"]
+        else:
+            base = [command, target]
+        flag = data.draw(st.sampled_from(PARSER_FLAGS[command]))
+        argv = base + [flag, data.draw(st.sampled_from(JUNK))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+        assert "Traceback" not in err.getvalue(), argv
+        assert code in (0, 1, 2), (argv, code)
+        if code == 2:
+            assert "error: " in err.getvalue(), argv
+        if code == 1:
+            emitted = out.getvalue()
+            if flag == "--out":
+                emitted += Path(argv[-1]).read_text()
+            assert re.search(r'[1-9]\d* failures|"failures":\s*[1-9]', emitted), argv
+
+    run()
