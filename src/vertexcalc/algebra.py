@@ -15,6 +15,12 @@ refutations and its confirmations are exact-complete.  The Jacobi-type
 identities multiply by delta composites, but on such data they hold exactly
 when commutation and order-0 weak associativity hold (`jacobi_witness`), so
 they are decided by the same comparisons and no window is involved.
+
+The checks compute on nonzero entries only.  Each structure builds a sparse
+image index of its mode table once, and every product walks the nonzero
+coordinates of its arguments through it.  The translation operator D is
+applied through its sparse columns, D v = sum over nonzero v_j of v_j D e_j,
+read off the same index; the dense matrix `d_operator` is never multiplied.
 """
 
 from __future__ import annotations
@@ -25,12 +31,16 @@ from typing import TYPE_CHECKING
 
 from .errors import CapExceeded, MalformedStructure, NonNilpotentD
 from .linalg import (
+    ZERO,
     Mat,
     SpanBasis,
+    Support,
     Vec,
+    add_scaled,
+    densify,
     is_zero_vec,
-    mat_vec,
     nullspace,
+    support,
     unit_vec,
     vec_add,
     vec_scale,
@@ -45,6 +55,7 @@ if TYPE_CHECKING:
 
 ModeMap = dict[int, Vec]
 ModeTable = dict[tuple[int, int], ModeMap]
+ModeIndex = dict[tuple[int, int], dict[int, Support]]
 
 
 # ---------------------------------------------------------------------------
@@ -53,11 +64,17 @@ ModeTable = dict[tuple[int, int], ModeMap]
 # An algebra and a module store the same object: a finite table mapping
 # (acting basis index i, target basis index j) to the modes {n: (e_i)_n w_j}.
 # An algebra is its own adjoint module, so both read their table through the
-# functions below.
+# functions below.  The dense table is the public data.  The products read a
+# sparse image index built from it once, {(i, j): {n: [(k, c), ...]}} with
+# only the nonzero coordinates c of each image, and walk only the nonzero
+# coordinates of their arguments: a product costs its nonzero terms, not a
+# test against zero for each of dim^2 coordinate pairs.
 
 
 def clean_table(table: ModeTable, dim: int, n_acting: int | None) -> ModeTable:
     """The table with Fraction vectors and without zero modes, after index checks.
+
+    Every zero coordinate is the shared ZERO, which support skips by identity.
 
     Target indices must lie in range(dim) and acting indices in
     range(n_acting); a module does not know its algebra and passes None.
@@ -70,7 +87,7 @@ def clean_table(table: ModeTable, dim: int, n_acting: int | None) -> ModeTable:
         for n, v in modes.items():
             if len(v) != dim:
                 raise MalformedStructure(f"vector length mismatch at ({i},{j},{n})")
-            v = tuple(Fraction(x) for x in v)
+            v = tuple(Fraction(x) or ZERO for x in v)
             if not is_zero_vec(v):
                 entry[int(n)] = v
         if entry:
@@ -78,34 +95,39 @@ def clean_table(table: ModeTable, dim: int, n_acting: int | None) -> ModeTable:
     return clean
 
 
-def table_apply(table: ModeTable, dim: int, u: Vec, n: int, w: Vec) -> Vec:
+def table_index(table: ModeTable) -> ModeIndex:
+    """The sparse image index of a clean table: each image as its nonzero (k, c)."""
+    return {key: {n: support(v) for n, v in modes.items()} for key, modes in table.items()}
+
+
+def table_apply(index: ModeIndex, u: Vec, n: int, w: Vec) -> Vec:
     """The single mode u_n w."""
-    out = zero_vec(dim)
-    for i, cu in enumerate(u):
-        if cu == 0:
-            continue
-        for j, cw in enumerate(w):
-            if cw == 0:
-                continue
-            img = table.get((i, j), {}).get(n)
+    acc: dict[int, Fraction] = {}
+    sw = support(w)
+    for i, cu in support(u):
+        for j, cw in sw:
+            img = index.get((i, j), {}).get(n)
             if img is not None:
-                out = vec_add(out, vec_scale(cu * cw, img))
-    return out
+                add_scaled(acc, cu * cw, img)
+    return densify(acc, len(w))
 
 
-def table_mode_map(table: ModeTable, u: Vec, w: Vec) -> ModeMap:
-    """All modes of Y(u, x)w as a finite {n: vector} dictionary."""
-    out: ModeMap = {}
-    for i, cu in enumerate(u):
-        if cu == 0:
-            continue
-        for j, cw in enumerate(w):
-            if cw == 0:
-                continue
-            for n, img in table.get((i, j), {}).items():
-                s = vec_scale(cu * cw, img)
-                out[n] = vec_add(out[n], s) if n in out else s
-    return {n: v for n, v in out.items() if not is_zero_vec(v)}
+def table_mode_map(index: ModeIndex, u: Vec, w: Vec) -> ModeMap:
+    """All modes of Y(u, x)w as a finite {n: vector} dictionary, in (i, j, n) order.
+
+    Each mode is accumulated on its nonzero coordinates, dropping what
+    cancels, and densified once.
+    """
+    sw = support(w)
+    acc: dict[int, dict[int, Fraction]] = {}
+    for i, cu in support(u):
+        for j, cw in sw:
+            modes = index.get((i, j))
+            if modes is not None:
+                c = cu * cw
+                for n, img in modes.items():
+                    add_scaled(acc.setdefault(n, {}), c, img)
+    return {n: densify(coords, len(w)) for n, coords in acc.items() if coords}
 
 
 def table_exp_radius(table: ModeTable) -> int:
@@ -117,9 +139,9 @@ def table_exp_radius(table: ModeTable) -> int:
     return r
 
 
-def table_matrix(table: ModeTable, dim: int, u: Vec, n: int) -> Mat:
+def table_matrix(index: ModeIndex, dim: int, u: Vec, n: int) -> Mat:
     """Matrix of w -> u_n w in the target basis."""
-    cols = [table_apply(table, dim, u, n, unit_vec(dim, j)) for j in range(dim)]
+    cols = [table_apply(index, u, n, unit_vec(dim, j)) for j in range(dim)]
     return tuple(tuple(col[r] for col in cols) for r in range(dim))
 
 
@@ -130,7 +152,9 @@ class AlgebraStructure:
     y_data maps (i, j) to a finite {n: vector} dictionary; missing entries
     are zero.  `assoc_variant` records which associativity flavor the source
     construction guarantees ("strong": the order depends only on the outer
-    pair; "weak": it may depend on all three arguments).
+    pair; "weak": it may depend on all three arguments).  `mode_index` is
+    the sparse image index of y_data, built once; the products read it, and
+    nothing changes y_data after construction.
     """
 
     basis: tuple[str, ...]
@@ -138,6 +162,7 @@ class AlgebraStructure:
     y_data: ModeTable
     assoc_variant: str = "strong"
     meta: dict = field(default_factory=dict)
+    mode_index: ModeIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.basis = tuple(self.basis)
@@ -146,6 +171,7 @@ class AlgebraStructure:
         if not (0 <= self.vacuum < len(self.basis)):
             raise MalformedStructure("vacuum index out of range")
         self.y_data = clean_table(self.y_data, self.dim, self.dim)
+        self.mode_index = table_index(self.y_data)
 
     # -- basic access ---------------------------------------------------------
 
@@ -180,11 +206,11 @@ class AlgebraStructure:
     # -- the mode table ---------------------------------------------------------
 
     def apply_mode(self, u: Vec, n: int, v: Vec) -> Vec:
-        return table_apply(self.y_data, self.dim, u, n, v)
+        return table_apply(self.mode_index, u, n, v)
 
     def mode_map(self, u: Vec, v: Vec) -> ModeMap:
         """All modes of Y(u, x)v as a finite {n: vector} dictionary."""
-        return table_mode_map(self.y_data, u, v)
+        return table_mode_map(self.mode_index, u, v)
 
     def exp_radius(self) -> int:
         """Largest |x-exponent| appearing in any basis mode product."""
@@ -192,7 +218,7 @@ class AlgebraStructure:
 
     def mode_matrix(self, u: Vec, n: int) -> Mat:
         """Matrix of w -> u_n w in the algebra basis."""
-        return table_matrix(self.y_data, self.dim, u, n)
+        return table_matrix(self.mode_index, self.dim, u, n)
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +236,30 @@ def d_operator(alg: AlgebraStructure) -> Mat:
     return tuple(tuple(col[r] for col in cols) for r in range(alg.dim))
 
 
+def d_columns(alg: AlgebraStructure) -> list[Support]:
+    """The nonzero coordinates of each image D e_j, read off the sparse index."""
+    return [alg.mode_index.get((j, alg.vacuum), {}).get(-2, ()) for j in range(alg.dim)]
+
+
+def apply_columns(cols: list[Support], v: Vec) -> Vec:
+    """D v = sum over the nonzero v_j of v_j D e_j, for D given by its sparse columns."""
+    acc: dict[int, Fraction] = {}
+    for j, c in support(v):
+        add_scaled(acc, c, cols[j])
+    return densify(acc, len(v))
+
+
 def mode_derivative(modes: ModeMap) -> ModeMap:
     """d/dx of sum_n w_n x^(-n-1): mode n moves to n+1 with the factor -n-1."""
     return {n + 1: vec_scale(Fraction(-n - 1), w) for n, w in modes.items() if n != -1}
 
 
-def exp_x_matrix(m: Mat, v: Vec, cap: int | None = None) -> dict[int, Vec]:
-    """{j: m^j v / j!} until the iterate vanishes; errors if it never does."""
-    cap = len(m) + 1 if cap is None else cap
+def exp_x_matrix(cols: list[Support], v: Vec, cap: int | None = None) -> dict[int, Vec]:
+    """{j: D^j v / j!} until the iterate vanishes; errors if it never does.
+
+    D is given by its sparse columns (d_columns).
+    """
+    cap = len(cols) + 1 if cap is None else cap
     out: dict[int, Vec] = {}
     cur = v
     fact = Fraction(1)
@@ -225,7 +267,7 @@ def exp_x_matrix(m: Mat, v: Vec, cap: int | None = None) -> dict[int, Vec]:
         if is_zero_vec(cur):
             return out
         out[j] = vec_scale(1 / fact, cur)
-        cur = mat_vec(m, cur)
+        cur = apply_columns(cols, cur)
         fact *= j + 1
     raise NonNilpotentD("matrix iterates did not vanish within the dimension cap")
 
@@ -372,7 +414,7 @@ def validate_structure(alg: AlgebraStructure) -> CheckReport:
 def check_d_bracket(alg: AlgebraStructure) -> CheckReport:
     """Both translation identities: [D, Y(v,x)] = Y(Dv,x) = d/dx Y(v,x)."""
     report = CheckReport("translation-bracket")
-    d_mat = d_operator(alg)
+    cols = d_columns(alg)
     zero = zero_vec(alg.dim)
     d_units = d_images(alg)
     if not is_zero_vec(d_units[alg.vacuum]):
@@ -381,7 +423,7 @@ def check_d_bracket(alg: AlgebraStructure) -> CheckReport:
         for j in range(alg.dim):
             base = alg.mode_map(alg.unit(i), alg.unit(j))
             # commutator [D, Y(e_i, x)] e_j, mode by mode
-            commutator = {n: mat_vec(d_mat, w) for n, w in base.items()}
+            commutator = {n: apply_columns(cols, w) for n, w in base.items()}
             for n, w in alg.mode_map(alg.unit(i), d_units[j]).items():
                 add_term(commutator, n, vec_scale(-1, w))
             middle = alg.mode_map(d_units[i], alg.unit(j))
@@ -397,10 +439,10 @@ def check_d_bracket(alg: AlgebraStructure) -> CheckReport:
 def check_creation_exponential(alg: AlgebraStructure) -> CheckReport:
     """Y(v, x) vacuum = e^{xD} v for every basis vector, compared term by term."""
     report = CheckReport("creation-exponential")
-    d_mat = d_operator(alg)
+    cols = d_columns(alg)
     for i in range(alg.dim):
         lhs = {(-n - 1,): w for n, w in alg.mode_map(alg.unit(i), alg.vacuum_vec()).items()}
-        rhs = {(j,): w for j, w in exp_x_matrix(d_mat, alg.unit(i)).items()}
+        rhs = {(j,): w for j, w in exp_x_matrix(cols, alg.unit(i)).items()}
         diffs = term_differences(lhs, rhs, zero_vec(alg.dim))
         if diffs:
             report.fail(Witness((alg.basis[i],), *diffs[0]))
@@ -442,13 +484,16 @@ def truncation_order(alg: AlgebraStructure, u_idx: int, v_idx: int) -> int:
     return max(0, max(modes) + 1)
 
 
-def skew_terms(d_mat: Mat, modes: ModeMap, q: Fraction) -> dict[int, Vec]:
-    """q e^{xD} Y(v,-x)u as {x-exponent: vector}, from the modes of Y(v,x)u."""
+def skew_terms(cols: list[Support], modes: ModeMap, q: Fraction) -> dict[int, Vec]:
+    """q e^{xD} Y(v,-x)u as {x-exponent: vector}, from the modes of Y(v,x)u.
+
+    D is given by its sparse columns (d_columns).
+    """
     terms: dict[int, Vec] = {}
     for n, w in modes.items():
         m = -n - 1
         sgn = -q if m % 2 else q
-        for j, dv in exp_x_matrix(d_mat, w).items():
+        for j, dv in exp_x_matrix(cols, w).items():
             add_term(terms, m + j, vec_scale(sgn, dv))
     return terms
 
@@ -469,7 +514,7 @@ def check_skew_symmetry(
     q = Fraction(q)
     u, v = alg.unit(u_idx), alg.unit(v_idx)
     lhs = {(-n - 1,): w for n, w in alg.mode_map(u, v).items()}
-    rhs = {(m,): c for m, c in skew_terms(d_operator(alg), alg.mode_map(v, u), q).items()}
+    rhs = {(m,): c for m, c in skew_terms(d_columns(alg), alg.mode_map(v, u), q).items()}
     diffs = term_differences(lhs, rhs, zero_vec(alg.dim))
     report.exact = not diffs
     if diffs:
@@ -677,7 +722,7 @@ def localizer(alg: AlgebraStructure, targets: list[Vec]) -> list[Vec]:
     the exact nullspace of one linear condition per (target, exponent,
     coordinate).
     """
-    d_mat = d_operator(alg)
+    cols = d_columns(alg)
     zero = zero_vec(alg.dim)
     rows: list[Vec] = []
     for w in targets:
@@ -686,7 +731,7 @@ def localizer(alg: AlgebraStructure, targets: list[Vec]) -> list[Vec]:
         for i in range(alg.dim):
             ei = alg.unit(i)
             diff = {-n - 1: c for n, c in alg.mode_map(ei, w).items()}
-            for m, c in skew_terms(d_mat, alg.mode_map(w, ei), Fraction(-1)).items():
+            for m, c in skew_terms(cols, alg.mode_map(w, ei), Fraction(-1)).items():
                 add_term(diff, m, c)
             diffs.append(diff)
         for m in sorted(set().union(*diffs)):

@@ -8,6 +8,7 @@ errors; classification outcomes such as "nonlocal" exit zero.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -32,18 +33,6 @@ def _parse_n_range(text: str) -> tuple[int, int]:
         return int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError("expected n-range as LO:HI") from None
-
-
-def _join_signed_values(argv: list[str]) -> list[str]:
-    """Join each --n-range or --q to its value with "=": argparse reads a value
-    that starts with "-" (a negative LO, a negative q) as a flag of its own."""
-    out: list[str] = []
-    for tok in argv:
-        if out and out[-1] in ("--n-range", "--q"):
-            out[-1] += "=" + tok
-        else:
-            out.append(tok)
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,6 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
     clos.add_argument("--out", type=Path, default=None)
     clos.add_argument("--emit-algebra", type=Path, default=None,
                       help="write the closed structure as an algebra file")
+    # argparse takes a token after a flag for an option unless it looks like a
+    # negative number; "-3:0", "-5:-2" and "-1/2" are values of --n-range and
+    # --q (also under an abbreviated flag), and no option here starts "-<digit>".
+    check._negative_number_matcher = clos._negative_number_matcher = re.compile(r"^-\.?\d")
 
     rep = sub.add_parser("report", help="re-render a stored JSON report")
     rep.add_argument("report", type=Path)
@@ -199,7 +192,7 @@ def _cmd_report(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if args.command == "check":
             return _cmd_check(args)

@@ -4,8 +4,10 @@ Vectors are tuples of Fraction, matrices are tuples of row tuples.  Everything
 is immutable and exact; there is no floating point anywhere in the package.
 Row reduction pivots on the first nonzero column in canonical order, so
 reduced bases and solved coordinates are reproducible across runs.  CoordSpan
-alone works on sparse vectors, {key: nonzero Fraction} dicts, and pivots on
-the least key.
+works on sparse vectors, {key: nonzero Fraction} dicts, and pivots on the
+least key.  `support`, `add_scaled` and `densify` move a dense vector to its
+nonzero entries, accumulate there, and come back; they are what the mode
+tables and the translation operator compute with.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Iterable, Sequence
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 SparseVec = dict[object, Fraction]  # nonzero entries only; absent keys are zero
+Support = Sequence[tuple[int, Fraction]]  # the nonzero (index, value) pairs of a Vec
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -30,19 +33,49 @@ def zero_vec(n: int) -> Vec:
 
 
 def unit_vec(n: int, i: int) -> Vec:
-    return tuple(ONE if j == i else ZERO for j in range(n))
+    v = [ZERO] * n
+    v[i] = ONE
+    return tuple(v)
 
 
 def is_zero_vec(v: Vec) -> bool:
-    return all(c == 0 for c in v)
+    return all(c is ZERO or not c for c in v)
+
+
+def support(v: Vec) -> Support:
+    """The nonzero coordinates (k, c) of v in increasing k.
+
+    The shared ZERO is skipped by identity, so a unit vector or a densified
+    vector costs no Fraction method call per zero coordinate.
+    """
+    return [(k, c) for k, c in enumerate(v) if c is not ZERO and c]
+
+
+def densify(coords: dict[int, Fraction], n: int) -> Vec:
+    """The length-n vector with the given {index: value} entries and ZERO elsewhere."""
+    out = [ZERO] * n
+    for k, c in coords.items():
+        out[k] = c
+    return tuple(out)
+
+
+def add_scaled(acc: SparseVec, c: Fraction, entries: Iterable[tuple[object, Fraction]]) -> None:
+    """acc += c * entries in place, dropping the entries that cancel to zero.
+
+    c and every entry value are nonzero, so a key absent from acc never
+    receives a zero.
+    """
+    for k, x in entries:
+        y = acc.get(k)
+        y = c * x if y is None else y + c * x
+        if y:
+            acc[k] = y
+        else:
+            del acc[k]
 
 
 def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def vec_scale(c, v: Vec) -> Vec:
@@ -186,20 +219,6 @@ class SpanBasis:
         self.rows, self.pivots = row_reduce(list(self.rows) + [v])
         return True
 
-    def coordinates(self, v: Vec) -> Vec | None:
-        """Coefficients of v on the reduced basis rows, or None if outside."""
-        w = list(v)
-        coords = []
-        for row, p in zip(self.rows, self.pivots):
-            f = w[p]
-            coords.append(f)
-            if f != 0:
-                for j in range(p, len(w)):
-                    w[j] -= f * row[j]
-        if any(x != 0 for x in w):
-            return None
-        return tuple(coords)
-
 
 class CoordSpan:
     """Sparse row space that expresses members as combinations of the inserted reps.
@@ -227,8 +246,8 @@ class CoordSpan:
         combo: SparseVec = {}
         for p, row, cmb in self._rows:
             if f := w.get(p):
-                _sub_scaled(w, f, row)
-                _sub_scaled(combo, -f, cmb)
+                add_scaled(w, -f, row.items())
+                add_scaled(combo, f, cmb.items())
         return w, tuple(combo.get(k, ZERO) for k in range(len(self.reps)))
 
     def solve(self, v: SparseVec) -> Vec | None:
@@ -249,21 +268,11 @@ class CoordSpan:
         cmb[len(self.reps)] = inv
         for _p, r, rc in self._rows:
             if f := r.get(pivot):
-                _sub_scaled(r, f, row)
-                _sub_scaled(rc, f, cmb)
+                add_scaled(r, -f, row.items())
+                add_scaled(rc, -f, cmb.items())
         self._rows.append((pivot, row, cmb))
         self.reps.append(dict(v))
         return None
-
-
-def _sub_scaled(w: dict, f: Fraction, x: dict) -> None:
-    """w -= f x in place, dropping the entries that cancel to zero."""
-    for k, xv in x.items():
-        y = w.get(k, ZERO) - f * xv
-        if y:
-            w[k] = y
-        else:
-            del w[k]
 
 
 def nullspace(rows: Sequence[Vec], ncols: int) -> list[Vec]:

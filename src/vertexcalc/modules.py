@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .algebra import (
     AlgebraStructure,
+    ModeIndex,
     ModeMap,
     ModeTable,
     assoc_search,
@@ -26,6 +27,7 @@ from .algebra import (
     mode_derivative,
     table_apply,
     table_exp_radius,
+    table_index,
     table_matrix,
     table_mode_map,
     term_differences,
@@ -50,35 +52,38 @@ class ModuleStructure:
     """Finite module basis and action modes (e_i)_n w_j, finitely supported.
 
     The action is a mode table like an algebra's y_data, read through the
-    same table functions; only the acting basis is the algebra's.  A module
-    does not know its algebra, so the acting indices are checked against it
-    by require_acting_range wherever the two meet.
+    same table functions, with its sparse image index `mode_index` built
+    once; only the acting basis is the algebra's.  A module does not know
+    its algebra, so the acting indices are checked against it by
+    require_acting_range wherever the two meet.
     """
 
     basis: tuple[str, ...]
     action: ModeTable  # (algebra idx, module idx) -> {n: vec}
     meta: dict = field(default_factory=dict)
+    mode_index: ModeIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.basis = tuple(self.basis)
         if not self.basis:
             raise MalformedStructure("empty module basis")
         self.action = clean_table(self.action, self.dim, None)
+        self.mode_index = table_index(self.action)
 
     dim = AlgebraStructure.dim
     unit = AlgebraStructure.unit
 
     def apply_mode(self, u: Vec, n: int, w: Vec) -> Vec:
-        return table_apply(self.action, self.dim, u, n, w)
+        return table_apply(self.mode_index, u, n, w)
 
     def mode_map(self, u: Vec, w: Vec) -> ModeMap:
-        return table_mode_map(self.action, u, w)
+        return table_mode_map(self.mode_index, u, w)
 
     def exp_radius(self) -> int:
         return table_exp_radius(self.action)
 
     def mode_matrix(self, u: Vec, n: int) -> Mat:
-        return table_matrix(self.action, self.dim, u, n)
+        return table_matrix(self.mode_index, self.dim, u, n)
 
 
 def require_acting_range(alg: AlgebraStructure, mod: ModuleStructure) -> None:

@@ -10,16 +10,20 @@ import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from vertexcalc.algebra import (
     AlgebraStructure,
+    apply_columns,
     check_creation_exponential,
     check_d_bracket,
     check_jacobi,
     check_skew_symmetry,
+    d_columns,
     d_operator,
+    exp_x_matrix,
     find_locality_k,
     find_weak_assoc_l,
     generate_subalgebra,
@@ -33,15 +37,17 @@ from vertexcalc.algebra import (
     validate_structure,
     weak_assoc_triple,
 )
-from vertexcalc.construct import check_jacobi_like, rmap_identity, rmap_tensor_swap
-from vertexcalc.errors import MalformedStructure
+from vertexcalc.construct import check_jacobi_like, matrix_algebra, rmap_identity, rmap_tensor_swap
+from vertexcalc.errors import MalformedStructure, NonNilpotentD
+from vertexcalc.fileio import parse_algebra_file
 from vertexcalc.fixtures import (
     klein_twist,
     matrix_over_a3,
     truncated_poly_3,
     upper_triangular_2,
 )
-from vertexcalc.linalg import SpanBasis, unit_vec, vec_add, vec_scale
+from vertexcalc.linalg import ZERO, SpanBasis, mat_vec, support, unit_vec, vec_add, vec_scale
+from vertexcalc.modules import ModuleStructure
 from vertexcalc.series import (
     Window,
     delta_three_term,
@@ -122,6 +128,102 @@ def test_empty_basis_rejected():
         AlgebraStructure(basis=(), vacuum=0, y_data={})
 
 
+# -- the sparse mode table ------------------------------------------------------
+
+
+def _dense_mode_map(table, u, w):
+    """The dense formula: every coordinate pair of u and w tested against zero."""
+    out = {}
+    for i, cu in enumerate(u):
+        if cu == 0:
+            continue
+        for j, cw in enumerate(w):
+            if cw == 0:
+                continue
+            for n, img in table.get((i, j), {}).items():
+                s = vec_scale(cu * cw, img)
+                out[n] = vec_add(out[n], s) if n in out else s
+    return {n: v for n, v in out.items() if any(x != 0 for x in v)}
+
+
+_RATIONALS = (F(1, 2), F(-3, 4), F(5, 3), F(-7, 6), F(2), F(-1))
+
+
+def _random_mode_table(rng, n_acting, dim):
+    """A table with non-integer images; acting index 1 mirrors index 0 times -r."""
+    table = {}
+    for i in range(n_acting):
+        for j in range(dim):
+            if rng.random() < 0.6:
+                table[(i, j)] = {
+                    n: tuple(rng.choice(_RATIONALS) if rng.random() < 0.5 else 0 for _ in range(dim))
+                    for n in rng.sample(range(-4, 3), rng.randint(1, 3))
+                }
+    r = rng.choice(_RATIONALS)
+    if n_acting > 1:
+        for j in range(dim):
+            table.pop((1, j), None)
+            if (0, j) in table:
+                table[(1, j)] = {n: vec_scale(-r, v) for n, v in table[(0, j)].items()}
+    return table, r
+
+
+def _probe_vectors(rng, dim, r):
+    """Units, rational vectors whose zeros are fresh Fraction(0), vec_add sums, and
+    r e_0 + e_1, on which every image of acting index 1 cancels exactly."""
+    units = [unit_vec(dim, k) for k in range(dim)]
+    fresh = [tuple(rng.choice(_RATIONALS) if rng.random() < 0.4 else F(0) for _ in range(dim))
+             for _ in range(3)]
+    fresh.append(tuple(F(0) for _ in range(dim)))
+    sums = [vec_add(rng.choice(units), vec_scale(rng.choice(_RATIONALS), rng.choice(units))),
+            vec_add(units[0], vec_scale(-1, units[0]))]
+    out = units + fresh + sums
+    if dim > 1:
+        out.append(vec_add(vec_scale(r, units[0]), units[1]))
+    return out
+
+
+def _assert_sparse_matches_dense(act, table, acting, targets):
+    for u in acting:
+        for w in targets:
+            got, ref = act.mode_map(u, w), _dense_mode_map(table, u, w)
+            assert got == ref and list(got) == list(ref), (u, w)
+            assert all(any(x != 0 for x in v) for v in got.values())
+            for n in range(-5, 4):
+                assert act.apply_mode(u, n, w) == ref.get(n, tuple(F(0) for _ in w))
+        for n in range(-5, 4):
+            cols = [_dense_mode_map(table, u, e).get(n, (F(0),) * act.dim)
+                    for e in (unit_vec(act.dim, j) for j in range(act.dim))]
+            assert act.mode_matrix(u, n) == tuple(zip(*cols))
+
+
+def test_sparse_mode_table_matches_dense_formula():
+    rng = random.Random(8)
+    assert F(0) is not ZERO
+    assert support((F(0), F(-1, 2), ZERO, F(0), F(3))) == [(1, F(-1, 2)), (4, F(3))]
+    for dim in range(1, 7):
+        for _ in range(3):
+            table, r = _random_mode_table(rng, dim, dim)
+            alg = AlgebraStructure(basis=tuple(f"e{k}" for k in range(dim)), vacuum=0, y_data=table)
+            probes = _probe_vectors(rng, dim, r)
+            _assert_sparse_matches_dense(alg, alg.y_data, probes, probes)
+            n_acting = rng.randint(2, 6)
+            action, r = _random_mode_table(rng, n_acting, dim)
+            mod = ModuleStructure(basis=tuple(f"w{k}" for k in range(dim)), action=action)
+            acting = _probe_vectors(rng, n_acting, r)
+            _assert_sparse_matches_dense(mod, mod.action, acting, _probe_vectors(rng, dim, r))
+            # the cancelling combination leaves no mode at all, not a zero mode
+            for j in range(dim):
+                assert mod.mode_map(acting[-1], unit_vec(dim, j)) == {}
+            # mode_map hands out fresh dicts, never the stored modes
+            for act, table, n in ((alg, alg.y_data, dim), (mod, mod.action, n_acting)):
+                for (i, j), stored in table.items():
+                    modes = act.mode_map(unit_vec(n, i), unit_vec(dim, j))
+                    assert modes == stored
+                    modes[99] = unit_vec(dim, 0)
+                    assert 99 not in act.mode_map(unit_vec(n, i), unit_vec(dim, j))
+
+
 # -- translation operator ------------------------------------------------------
 
 
@@ -154,6 +256,40 @@ def test_d_bracket_detects_corruption(a3):
 def test_creation_exponential(a3, ut2):
     assert check_creation_exponential(a3).passed
     assert check_creation_exponential(ut2).passed
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _dense_exp(m, v):
+    """{j: m^j v / j!} by dense matrix iteration, until the iterate vanishes."""
+    out, cur, fact = {}, v, F(1)
+    while any(x != 0 for x in cur):
+        assert len(out) <= len(m)
+        out[len(out)] = tuple(x / fact for x in cur)
+        cur = mat_vec(m, cur)
+        fact *= len(out)
+    return out
+
+
+def test_sparse_d_matches_dense_matrix():
+    shipped = [parse_algebra_file(p).alg for p in sorted(FIXTURES.glob("*.json"))]
+    assert len(shipped) == 7
+    for alg in shipped + [matrix_algebra(parse_algebra_file(FIXTURES / "a3.json").alg, 3)]:
+        d, cols = d_operator(alg), d_columns(alg)
+        units = [alg.unit(k) for k in range(alg.dim)]
+        mixed = tuple(F(k % 3, 2) if k % 2 else F(0) for k in range(alg.dim))
+        for v in units + [mixed, vec_add(units[-1], vec_scale(F(-5, 3), units[0]))]:
+            assert apply_columns(cols, v) == mat_vec(d, v)
+            assert exp_x_matrix(cols, v) == _dense_exp(d, v)
+
+
+def test_non_nilpotent_d_is_refused():
+    # D a = a: e^{xD} a never terminates
+    y_data = {(0, 0): {-1: (1, 0)}, (0, 1): {-1: (0, 1)}, (1, 0): {-1: (0, 1), -2: (0, 1)}}
+    alg = AlgebraStructure(basis=("one", "a"), vacuum=0, y_data=y_data)
+    with pytest.raises(NonNilpotentD):
+        check_creation_exponential(alg)
 
 
 # -- weak associativity ---------------------------------------------------------

@@ -318,6 +318,13 @@ def test_cli_negative_values_parse_with_a_space():
     assert json.loads(out)["options"]["n_range"] == [-3, 0]
     out = run_cli("check", a3, "--suite", "axioms", "--q", "-1/2", "--format", "json")
     assert json.loads(out)["options"]["q"] == "-1/2"
+    # argparse resolves an unambiguous prefix to its flag, so these are --n-range too
+    assert run_cli("closure", a3, "--n-ra", "-3:0", "--format", "json") == spaced
+    out = run_cli("check", a3, "--suite", "closure", "--n", "-3:0", "--format", "json")
+    assert json.loads(out)["options"]["n_range"] == [-3, 0]
+    parser = cli.build_parser()
+    assert parser.parse_args(["closure", a3, "--n-range", "-5:-2"]).n_range == (-5, -2)
+    assert parser.parse_args(["check", a3, "--q", "-.5"]).q == "-.5"
 
 
 def _parser_flags() -> dict[str, list[str]]:
