@@ -2,7 +2,10 @@
 
 Each builder validates its input invariants (Leibniz rule, cocycle identity,
 automorphism property, ...) before producing an AlgebraStructure, and each
-output is meant to pass validate_structure.  The R-map checker at the bottom
+output is meant to pass validate_structure.  Tensor products, matrix
+structures, cross products, and column and tensor modules all take their
+tables from one kernel, table_tensor, of the formula
+Y(u*u', x)(w*w') = Y(u, x)w * Y(u', x)w'.  The R-map checker at the bottom
 verifies the Jacobi-like identity whose reversed-product term is routed
 through a fixed linear map on the triple tensor space.
 """
@@ -13,7 +16,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .algebra import AlgebraStructure, add_term, jacobi_witness, reversed_product_terms
+from .algebra import (
+    AlgebraStructure,
+    ModeIndex,
+    ModeTable,
+    add_term,
+    jacobi_witness,
+    reversed_product_terms,
+    table_index,
+)
 from .errors import (
     CocycleInvalid,
     GradingInvalid,
@@ -23,11 +34,15 @@ from .errors import (
     NotAnAutomorphism,
 )
 from .linalg import (
+    ONE,
     Mat,
     Vec,
+    add_scaled,
+    densify,
     is_zero_vec,
     mat_vec,
     nilpotency_index,
+    support,
     unit_vec,
     vec_add,
     vec_scale,
@@ -149,6 +164,8 @@ class _MatrixBasis:
     """
 
     def __init__(self, n: int):
+        if n < 1:
+            raise MalformedStructure("matrix size must be positive")
         self.n = n
         if n == 1:
             self.names: tuple[str, ...] = ("one",)
@@ -190,15 +207,31 @@ class _MatrixBasis:
                     out[(a, d)] = out.get((a, d), Fraction(0)) + x * y
         return {k: v for k, v in out.items() if v != 0}
 
+    def product(self, i: int, j: int) -> Vec:
+        """Coordinates of the product of basis matrices i and j."""
+        return self.to_coords(self.mult(self.entries(i), self.entries(j)))
+
+    def product_index(self) -> ModeIndex:
+        """The matrix product as a sparse image index at mode -1."""
+        imgs = {
+            (i, j): support(self.product(i, j)) for i in range(self.dim) for j in range(self.dim)
+        }
+        return {key: {-1: img} for key, img in imgs.items() if img}
+
+    def column_index(self) -> ModeIndex:
+        """Basis matrix i acting on the column unit e_c, at mode -1."""
+        imgs = {
+            (i, c): [(r, x) for (r, cc), x in self.entries(i).items() if cc == c]
+            for i in range(self.dim)
+            for c in range(self.n)
+        }
+        return {key: {-1: img} for key, img in imgs.items() if img}
+
 
 def full_matrix_algebra(n: int) -> AlgebraStructure:
     """Rational n x n matrices as a structure with constant vertex operators."""
     mb = _MatrixBasis(n)
-    table = {
-        (i, j): mb.to_coords(mb.mult(mb.entries(i), mb.entries(j)))
-        for i in range(mb.dim)
-        for j in range(mb.dim)
-    }
+    table = {(i, j): mb.product(i, j) for i in range(mb.dim) for j in range(mb.dim)}
     data = AssocAlgebraData(
         basis=mb.names,
         table=table,
@@ -212,112 +245,67 @@ def full_matrix_algebra(n: int) -> AlgebraStructure:
 # tensor products
 
 
+def table_tensor(
+    index_a: ModeIndex, index_b: ModeIndex, acting_b: int, dim_a: int, dim_b: int
+) -> ModeTable:
+    """The mode table of the tensor formula, read off two sparse image indices.
+
+    The targets have dimensions dim_a and dim_b; acting_b is the size of the
+    second acting basis.  The x-exponents add, (-na-1) + (-nb-1) = -n-1, so
+    modes na and nb meet at n = na + nb + 1; image coordinates ra and rb
+    multiply into slot ra*dim_b + rb, and the key ((i, j), (k, l)) packs as
+    (i*acting_b + k, j*dim_b + l).  Each mode is accumulated on its nonzero
+    coordinates, modes that cancel are dropped, and the rest are densified once.
+    """
+    dim = dim_a * dim_b
+    table: ModeTable = {}
+    for (i, j), modes_a in index_a.items():
+        for (k, l), modes_b in index_b.items():
+            acc: dict[int, dict[int, Fraction]] = {}
+            for na, img_a in modes_a.items():
+                for nb, img_b in modes_b.items():
+                    coords = acc.setdefault(na + nb + 1, {})
+                    for ra, ca in img_a:
+                        add_scaled(coords, ca, [(ra * dim_b + rb, cb) for rb, cb in img_b])
+            modes = {n: densify(coords, dim) for n, coords in acc.items() if coords}
+            if modes:
+                table[(i * acting_b + k, j * dim_b + l)] = modes
+    return table
+
+
 def tensor_product(factors: list[AlgebraStructure]) -> AlgebraStructure:
     """Tensor product structure with mode convolution and tensor vacuum."""
     if not factors:
         raise MalformedStructure("tensor product of no factors")
     out = factors[0]
-    for nxt in factors[1:]:
-        out = _tensor_pair(out, nxt)
+    for b in factors[1:]:
+        out = AlgebraStructure(
+            basis=tuple(f"{x}*{y}" for x in out.basis for y in b.basis),
+            vacuum=out.vacuum * b.dim + b.vacuum,
+            y_data=table_tensor(out.mode_index, b.mode_index, b.dim, out.dim, b.dim),
+            meta={"source": "tensor", "factor_dims": (out.dim, b.dim)},
+        )
     return out
-
-
-def _tensor_pair(a: AlgebraStructure, b: AlgebraStructure) -> AlgebraStructure:
-    basis = tuple(f"{x}*{y}" for x in a.basis for y in b.basis)
-    dim_a, dim_b = a.dim, b.dim
-
-    def pack(ia: int, ib: int) -> int:
-        return ia * dim_b + ib
-
-    y_data: dict[tuple[int, int], dict[int, Vec]] = {}
-    for ia in range(dim_a):
-        for ja in range(dim_a):
-            modes_a = a.y_data.get((ia, ja))
-            if not modes_a:
-                continue
-            for ib in range(dim_b):
-                for jb in range(dim_b):
-                    modes_b = b.y_data.get((ib, jb))
-                    if not modes_b:
-                        continue
-                    out_modes: dict[int, Vec] = {}
-                    # x-exponents add: (-na-1) + (-nb-1) = -n-1 gives
-                    # n = na + nb + 1
-                    for na, va in modes_a.items():
-                        for nb, vb in modes_b.items():
-                            n = na + nb + 1
-                            w = [Fraction(0)] * (dim_a * dim_b)
-                            for ra, ca in enumerate(va):
-                                if ca == 0:
-                                    continue
-                                for rb, cb in enumerate(vb):
-                                    if cb != 0:
-                                        w[pack(ra, rb)] += ca * cb
-                            wt = tuple(w)
-                            if n in out_modes:
-                                out_modes[n] = vec_add(out_modes[n], wt)
-                            else:
-                                out_modes[n] = wt
-                    out_modes = {n: w for n, w in out_modes.items() if not is_zero_vec(w)}
-                    if out_modes:
-                        y_data[(pack(ia, ib), pack(ja, jb))] = out_modes
-    return AlgebraStructure(
-        basis=basis,
-        vacuum=pack(a.vacuum, b.vacuum),
-        y_data=y_data,
-        meta={"source": "tensor", "factor_dims": (dim_a, dim_b)},
-    )
 
 
 def matrix_algebra(alg: AlgebraStructure, n: int) -> AlgebraStructure:
     """n x n matrices over a vertex structure, via the formal matrix product.
 
     Basis vectors are v*M for v a basis vector of the input and M in the
-    adapted matrix basis; Y(v*M, x)(w*N) is computed as the entrywise formal
-    matrix product, which collapses to (Y(v,x)w) * (MN).  The result carries
-    the same basis order as tensor_product(alg, full_matrix_algebra(n)), so
-    the canonical identification of the two is index-by-index.
+    adapted matrix basis; Y(v*M, x)(w*N) is the entrywise formal matrix
+    product, which collapses to (Y(v,x)w) * (MN): the tensor product with
+    full_matrix_algebra(n), whose table is the matrix product at mode -1,
+    in the same basis order, so the identification is index-by-index.
     """
-    if n < 1:
-        raise MalformedStructure("matrix size must be positive")
     mb = _MatrixBasis(n)
-    dim = alg.dim
-    basis = tuple(f"{v}*{m}" for v in alg.basis for m in mb.names)
-
-    def pack(v: int, m: int) -> int:
-        return v * mb.dim + m
-
-    y_data: dict[tuple[int, int], dict[int, Vec]] = {}
-    for a in range(dim):
-        for b in range(dim):
-            modes = alg.y_data.get((a, b))
-            if not modes:
-                continue
-            for mi in range(mb.dim):
-                for mj in range(mb.dim):
-                    prod_coords = mb.to_coords(mb.mult(mb.entries(mi), mb.entries(mj)))
-                    out_modes: dict[int, Vec] = {}
-                    for nn, w in modes.items():
-                        out = [Fraction(0)] * (dim * mb.dim)
-                        for r, cv in enumerate(w):
-                            if cv == 0:
-                                continue
-                            for mk, cm in enumerate(prod_coords):
-                                if cm != 0:
-                                    out[pack(r, mk)] += cv * cm
-                        wt = tuple(out)
-                        if not is_zero_vec(wt):
-                            out_modes[nn] = wt
-                    if out_modes:
-                        y_data[(pack(a, mi), pack(b, mj))] = out_modes
     return AlgebraStructure(
-        basis=basis,
-        vacuum=pack(alg.vacuum, 0),
-        y_data=y_data,
+        basis=tuple(f"{v}*{m}" for v in alg.basis for m in mb.names),
+        vacuum=alg.vacuum * mb.dim,
+        y_data=table_tensor(alg.mode_index, mb.product_index(), mb.dim, alg.dim, mb.dim),
         meta={
             "source": "matrix-over",
             "matrix_size": n,
-            "factor_dims": (dim, mb.dim),
+            "factor_dims": (alg.dim, mb.dim),
         },
     )
 
@@ -510,32 +498,19 @@ def cross_product(alg: AlgebraStructure, act: GroupActionData) -> AlgebraStructu
     act.validate_action(alg)
     ng = len(act.elements)
     dim = alg.dim
-    basis = tuple(f"{v}|{g}" for v in alg.basis for g in act.elements)
-
-    def pack(v: int, g: int) -> int:
-        return v * ng + g
-
-    y_data: dict[tuple[int, int], dict[int, Vec]] = {}
-    for i in range(dim):
-        for g in range(ng):
-            mg = act.action[g]
-            for j in range(dim):
-                for h in range(ng):
-                    gv = mat_vec(mg, alg.unit(j))
-                    gh = act.table[(g, h)]
-                    modes: dict[int, Vec] = {}
-                    for n, w in alg.mode_map(alg.unit(i), gv).items():
-                        out = [Fraction(0)] * (dim * ng)
-                        for r, c in enumerate(w):
-                            if c != 0:
-                                out[pack(r, gh)] += c
-                        modes[n] = tuple(out)
-                    modes = {n: w for n, w in modes.items() if not is_zero_vec(w)}
-                    if modes:
-                        y_data[(pack(i, g), pack(j, h))] = modes
+    # for each g: the table (u, v) -> Y(u, x)g(v) tensor left multiplication by g
+    y_data: ModeTable = {}
+    for g in range(ng):
+        twisted = {
+            (i, j): alg.mode_map(alg.unit(i), mat_vec(act.action[g], alg.unit(j)))
+            for i in range(dim)
+            for j in range(dim)
+        }
+        left = {(g, h): {-1: [(act.table[(g, h)], ONE)]} for h in range(ng)}
+        y_data.update(table_tensor(table_index(twisted), left, ng, dim, ng))
     return AlgebraStructure(
-        basis=basis,
-        vacuum=pack(alg.vacuum, act.identity),
+        basis=tuple(f"{v}|{g}" for v in alg.basis for g in act.elements),
+        vacuum=alg.vacuum * ng + act.identity,
         y_data=y_data,
         assoc_variant="weak",
         meta={

@@ -6,7 +6,8 @@ action, truncation, and weak associativity, decided like the algebra's by one
 exact comparison), the derivative property of the translation operator,
 locality transfer between an algebra and a faithful module, and the
 compatibility of multi-operator products, which finite support makes an
-invariant (damping order zero).
+invariant (damping order zero).  Column and tensor modules take their
+action tables from construct.table_tensor, the one tensor kernel.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .algebra import (
     table_mode_map,
     term_differences,
 )
-from .construct import _MatrixBasis, matrix_algebra, tensor_product
+from .construct import _MatrixBasis, matrix_algebra, table_tensor, tensor_product
 from .errors import MalformedStructure
 from .linalg import (
     Mat,
@@ -41,7 +42,6 @@ from .linalg import (
     is_zero_vec,
     rank,
     unit_vec,
-    vec_add,
     zero_vec,
 )
 from .report import FOUND, CheckReport, OrderSearch, Witness
@@ -172,36 +172,17 @@ def check_module(alg: AlgebraStructure, mod: ModuleStructure) -> CheckReport:
 def wn_module(
     alg: AlgebraStructure, mod: ModuleStructure, n: int
 ) -> tuple[AlgebraStructure, ModuleStructure]:
-    """Column modules over the matrix structure: returns (M(n,alg), W^n)."""
+    """Column modules over the matrix structure: returns (M(n,alg), W^n).
+
+    W^n is W tensor Q^n, on which v*M acts as Y(v, x) tensor M at mode -1.
+    """
+    require_acting_range(alg, mod)
     mat_alg = matrix_algebra(alg, n)
     mb = _MatrixBasis(n)
-    dim_w = mod.dim
-    basis = tuple(f"{w}#c{c+1}" for w in mod.basis for c in range(n))
-
-    def pack(j: int, c: int) -> int:
-        return j * n + c
-
-    action: dict[tuple[int, int], ModeMap] = {}
-    for (i, j), modes in mod.action.items():
-        for mi in range(mb.dim):
-            entries = mb.entries(mi)  # the matrix part of basis vector v*M
-            for c in range(n):
-                out_modes: ModeMap = {}
-                for nn, w in modes.items():
-                    out = [Fraction(0)] * (dim_w * n)
-                    hit = False
-                    for (r, cc), val in entries.items():
-                        if cc == c:
-                            for wj, cwj in enumerate(w):
-                                if cwj != 0:
-                                    out[pack(wj, r)] += val * cwj
-                                    hit = True
-                    if hit:
-                        out_modes[nn] = tuple(out)
-                if out_modes:
-                    action[(i * mb.dim + mi, pack(j, c))] = out_modes
     return mat_alg, ModuleStructure(
-        basis=basis, action=action, meta={"source": "column-module", "n": n}
+        basis=tuple(f"{w}#c{c+1}" for w in mod.basis for c in range(n)),
+        action=table_tensor(mod.mode_index, mb.column_index(), mb.dim, mod.dim, n),
+        meta={"source": "column-module", "n": n},
     )
 
 
@@ -211,49 +192,16 @@ def tensor_module(
     """Tensor module over the tensor product structure (pairwise fold)."""
     if len(algs) != len(mods) or not algs:
         raise MalformedStructure("need one module per tensor factor")
-    alg_out = tensor_product(algs)
+    for alg, mod in zip(algs, mods):
+        require_acting_range(alg, mod)
     mod_out = mods[0]
-    cur_alg = algs[0]
-    for nxt_alg, nxt_mod in zip(algs[1:], mods[1:]):
-        mod_out = _tensor_module_pair(cur_alg, mod_out, nxt_alg, nxt_mod)
-        cur_alg = tensor_product([cur_alg, nxt_alg])
-    return alg_out, mod_out
-
-
-def _tensor_module_pair(
-    alg_a: AlgebraStructure,
-    mod_a: ModuleStructure,
-    alg_b: AlgebraStructure,
-    mod_b: ModuleStructure,
-) -> ModuleStructure:
-    basis = tuple(f"{x}*{y}" for x in mod_a.basis for y in mod_b.basis)
-    da, db = mod_a.dim, mod_b.dim
-
-    def packw(ja: int, jb: int) -> int:
-        return ja * db + jb
-
-    action: dict[tuple[int, int], ModeMap] = {}
-    for (ia, ja), modes_a in mod_a.action.items():
-        for (ib, jb), modes_b in mod_b.action.items():
-            out_modes: ModeMap = {}
-            for na, va in modes_a.items():
-                for nb, vb in modes_b.items():
-                    nn = na + nb + 1
-                    out = [Fraction(0)] * (da * db)
-                    for ra, ca in enumerate(va):
-                        if ca == 0:
-                            continue
-                        for rb, cb in enumerate(vb):
-                            if cb != 0:
-                                out[packw(ra, rb)] += ca * cb
-                    wt = tuple(out)
-                    out_modes[nn] = (
-                        vec_add(out_modes[nn], wt) if nn in out_modes else wt
-                    )
-            out_modes = {n: v for n, v in out_modes.items() if not is_zero_vec(v)}
-            if out_modes:
-                action[(ia * alg_b.dim + ib, packw(ja, jb))] = out_modes
-    return ModuleStructure(basis=basis, action=action, meta={"source": "tensor-module"})
+    for alg, mod in zip(algs[1:], mods[1:]):
+        mod_out = ModuleStructure(
+            basis=tuple(f"{x}*{y}" for x in mod_out.basis for y in mod.basis),
+            action=table_tensor(mod_out.mode_index, mod.mode_index, alg.dim, mod_out.dim, mod.dim),
+            meta={"source": "tensor-module"},
+        )
+    return tensor_product(algs), mod_out
 
 
 def check_embedded_actions_commute(

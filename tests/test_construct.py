@@ -1,10 +1,13 @@
 """Builders: associative sources, tensors, matrices, twists, cross products."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from vertexcalc.algebra import (
+    AlgebraStructure,
     d_operator,
     find_locality_k,
     find_weak_assoc_l,
@@ -16,6 +19,7 @@ from vertexcalc.construct import (
     CocycleData,
     GradedTag,
     GroupActionData,
+    _MatrixBasis,
     check_jacobi_like,
     cocycle_twist,
     cross_product,
@@ -27,16 +31,19 @@ from vertexcalc.construct import (
     rmap_from_commutator,
     rmap_identity,
     rmap_tensor_swap,
+    table_tensor,
     tensor_product,
 )
 from vertexcalc.errors import (
     CocycleInvalid,
     GradingInvalid,
+    MalformedStructure,
     NonNilpotentD,
     NotADerivation,
     NotAnAutomorphism,
 )
 from vertexcalc.fixtures import (
+    all_fixture_builders,
     cross_a2_z2,
     dual_numbers,
     klein_cocycle,
@@ -46,7 +53,8 @@ from vertexcalc.fixtures import (
     sign_flip_action,
     truncated_poly_3,
 )
-from vertexcalc.linalg import mat_vec, unit_vec
+from vertexcalc.linalg import mat_vec, unit_vec, vec_add, vec_scale
+from vertexcalc.modules import ModuleStructure, adjoint_module, tensor_module, wn_module
 
 F = Fraction
 
@@ -161,6 +169,15 @@ def test_matrix_algebra_equals_tensor_with_matrix_factor():
     assert set(direct.y_data) == set(via_tensor.y_data)
     for key in direct.y_data:
         assert direct.y_data[key] == via_tensor.y_data[key]
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_matrix_size_below_one_is_malformed(n):
+    a3 = truncated_poly_3()
+    for build in (lambda: full_matrix_algebra(n), lambda: matrix_algebra(a3, n),
+                  lambda: wn_module(a3, adjoint_module(a3), n)):
+        with pytest.raises(MalformedStructure, match="matrix size must be positive"):
+            build()
 
 
 def test_matrix_algebra_mode_value():
@@ -341,3 +358,188 @@ def test_jacobi_like_fails_with_wrong_rmap():
     v = m.basis_index("one*E12")
     rep = check_jacobi_like(m, rmap_identity(12), triples=[(u, v, m.vacuum)])
     assert not rep.passed
+
+
+# -- the tensor kernel against the dense formulas -------------------------------------
+#
+# The dense loops below are the builders' former formulas, one coordinate pair
+# at a time with every coordinate tested against zero; they share no code with
+# table_tensor and are the oracle for every tensor-type table.
+
+
+def _dense_tensor(table_a, table_b, acting_b, dim_a, dim_b):
+    """Y(u*u', x)(w*w') = Y(u, x)w * Y(u', x)w' on two raw mode tables."""
+    out = {}
+    for (ia, ja), modes_a in table_a.items():
+        for (ib, jb), modes_b in table_b.items():
+            modes = {}
+            for na, va in modes_a.items():
+                for nb, vb in modes_b.items():
+                    w = [F(0)] * (dim_a * dim_b)
+                    for ra, ca in enumerate(va):
+                        if ca == 0:
+                            continue
+                        for rb, cb in enumerate(vb):
+                            if cb != 0:
+                                w[ra * dim_b + rb] += ca * cb
+                    n = na + nb + 1
+                    modes[n] = vec_add(modes[n], tuple(w)) if n in modes else tuple(w)
+            modes = {n: w for n, w in modes.items() if any(x != 0 for x in w)}
+            if modes:
+                out[(ia * acting_b + ib, ja * dim_b + jb)] = modes
+    return out
+
+
+def _dense_matrix(alg, n):
+    """The entrywise formal matrix product: (Y(v,x)w) * (MN), coordinate by coordinate."""
+    mb = _MatrixBasis(n)
+    prods = {(mi, mj): mb.to_coords(mb.mult(mb.entries(mi), mb.entries(mj)))
+             for mi in range(mb.dim) for mj in range(mb.dim)}
+    out = {}
+    for (a, b), modes in alg.y_data.items():
+        for (mi, mj), prod in prods.items():
+            out_modes = {}
+            for nn, w in modes.items():
+                v = [F(0)] * (alg.dim * mb.dim)
+                for r, cv in enumerate(w):
+                    if cv == 0:
+                        continue
+                    for mk, cm in enumerate(prod):
+                        if cm != 0:
+                            v[r * mb.dim + mk] += cv * cm
+                if any(x != 0 for x in v):
+                    out_modes[nn] = tuple(v)
+            if out_modes:
+                out[(a * mb.dim + mi, b * mb.dim + mj)] = out_modes
+    return out
+
+
+def _dense_columns(mod, n):
+    """v*M acting on w in column c: Y(v, x)w placed in the rows r with M[r][c] != 0."""
+    mb = _MatrixBasis(n)
+    out = {}
+    for (i, j), modes in mod.action.items():
+        for mi in range(mb.dim):
+            for c in range(n):
+                out_modes = {}
+                for nn, w in modes.items():
+                    v = [F(0)] * (mod.dim * n)
+                    for (r, cc), val in mb.entries(mi).items():
+                        for wj, cw in enumerate(w):
+                            if cc == c and cw != 0:
+                                v[wj * n + r] += val * cw
+                    if any(x != 0 for x in v):
+                        out_modes[nn] = tuple(v)
+                if out_modes:
+                    out[(i * mb.dim + mi, j * n + c)] = out_modes
+    return out
+
+
+def _dense_cross(alg, act):
+    """Y(ug, x)(vh) = Y(u, x)g(v) gh, coordinate by coordinate."""
+    ng = len(act.elements)
+    out = {}
+    for i, g, j, h in itertools.product(range(alg.dim), range(ng), range(alg.dim), range(ng)):
+        gv = mat_vec(act.action[g], unit_vec(alg.dim, j))
+        modes = {}
+        for n, w in alg.mode_map(unit_vec(alg.dim, i), gv).items():
+            v = [F(0)] * (alg.dim * ng)
+            for r, c in enumerate(w):
+                if c != 0:
+                    v[r * ng + act.table[(g, h)]] += c
+            modes[n] = tuple(v)
+        if modes:
+            out[(i * ng + g, j * ng + h)] = modes
+    return out
+
+
+_RATIONALS = (F(1, 2), F(-3, 4), F(5, 3), F(-7, 6), F(2), F(-1))
+
+
+def _random_table(rng, n_acting, dim, sign):
+    """Non-integer images whose zeros are fresh Fraction(0).
+
+    The last entry holds modes p and p + 1 with images v and sign * v: against
+    a table of the opposite sign, the pairs (p, q + 1) and (p + 1, q) meet at
+    p + q + 2 and cancel exactly.
+    """
+    def image(k0):
+        return tuple(rng.choice(_RATIONALS) if k == k0 or rng.random() < 0.4 else F(0)
+                     for k in range(dim))
+
+    table = {
+        (i, j): {n: image(-1) for n in rng.sample(range(-3, 2), rng.randint(1, 2))}
+        for i in range(n_acting)
+        for j in range(dim)
+        if rng.random() < 0.5
+    }
+    v, p = image(rng.randrange(dim)), rng.randint(-3, 1)
+    table[(n_acting - 1, dim - 1)] = {p: v, p + 1: vec_scale(sign, v)}
+    return table, p
+
+
+def _assert_tensor_module(algs, mods):
+    alg_t, mod_t = tensor_module(algs, mods)
+    assert alg_t.y_data == tensor_product(algs).y_data
+    ref, names = mods[0].action, mods[0].basis
+    for alg, mod in zip(algs[1:], mods[1:]):
+        ref = _dense_tensor(ref, mod.action, alg.dim, len(names), mod.dim)
+        names = tuple(f"{x}*{y}" for x in names for y in mod.basis)
+    assert mod_t.action == ref and mod_t.basis == names
+
+
+def _assert_matrix_and_columns(alg, mod, n):
+    mat = matrix_algebra(alg, n)
+    mb = _MatrixBasis(n)
+    assert mat.y_data == _dense_matrix(alg, n)
+    assert mat.basis == tuple(f"{v}*{m}" for v in alg.basis for m in mb.names)
+    assert (mat.vacuum, mat.meta) == (alg.vacuum * mb.dim, {
+        "source": "matrix-over", "matrix_size": n, "factor_dims": (alg.dim, mb.dim)})
+    mat_w, wn = wn_module(alg, mod, n)
+    assert mat_w.y_data == mat.y_data and wn.action == _dense_columns(mod, n)
+    assert wn.basis == tuple(f"{w}#c{c+1}" for w in mod.basis for c in range(n))
+    assert wn.meta == {"source": "column-module", "n": n}
+
+
+def test_tensor_kernel_matches_dense_formulas():
+    rng = random.Random(9)
+    for _ in range(16):
+        da, db, dc = (rng.randint(1, 4) for _ in range(3))
+        (ta, p), (tb, q) = _random_table(rng, da, da, 1), _random_table(rng, db, db, -1)
+        a = AlgebraStructure(tuple(f"a{k}" for k in range(da)), rng.randrange(da), ta)
+        b = AlgebraStructure(tuple(f"b{k}" for k in range(db)), rng.randrange(db), tb)
+        got = table_tensor(a.mode_index, b.mode_index, b.dim, a.dim, b.dim)
+        assert got == _dense_tensor(a.y_data, b.y_data, db, da, db)
+        assert p + q + 2 not in got[(da * db - 1, da * db - 1)]
+        ab = tensor_product([a, b])
+        assert ab.y_data == got and ab.basis == tuple(f"{x}*{y}" for x in a.basis for y in b.basis)
+        assert (ab.vacuum, ab.meta) == (a.vacuum * db + b.vacuum, {"source": "tensor", "factor_dims": (da, db)})
+        (tm, p), (tw, q) = _random_table(rng, da, dc, 1), _random_table(rng, db, dc, -1)
+        ma = ModuleStructure(tuple(f"w{k}" for k in range(dc)), tm)
+        mw = ModuleStructure(tuple(f"x{k}" for k in range(dc)), tw)
+        got = table_tensor(ma.mode_index, mw.mode_index, db, dc, dc)
+        assert got == _dense_tensor(ma.action, mw.action, db, dc, dc)
+        assert p + q + 2 not in got[(da * db - 1, dc * dc - 1)]
+        _assert_tensor_module([a, b], [ma, mw])
+        _assert_tensor_module([a, b, a], [ma, mw, ma])
+        _assert_matrix_and_columns(a, ma, rng.randint(1, 3))
+
+
+def test_tensor_builders_match_dense_formulas_on_fixtures():
+    algs = {name: build() for name, build in sorted(all_fixture_builders().items())}
+    for alg in algs.values():
+        for n in (1, 2):
+            _assert_matrix_and_columns(alg, adjoint_module(alg), n)
+        for other in algs.values():
+            if alg.dim * other.dim <= 40:
+                assert tensor_product([alg, other]).y_data == _dense_tensor(
+                    alg.y_data, other.y_data, other.dim, alg.dim, other.dim)
+                _assert_tensor_module([alg, other], [adjoint_module(alg), adjoint_module(other)])
+    a3, unit = algs["a3"], full_matrix_algebra(2)
+    _assert_matrix_and_columns(a3, adjoint_module(a3), 3)
+    _assert_tensor_module([a3, unit, a3], [adjoint_module(x) for x in (a3, unit, a3)])
+    cross, base, act = cross_a2_z2()
+    assert cross.y_data == _dense_cross(base, act)
+    ident = ((F(1), F(0)), (F(0), F(1)))
+    trivial = GroupActionData(elements=("e", "g"), table=act.table, action={0: ident, 1: ident})
+    assert cross_product(base, trivial).y_data == _dense_cross(base, trivial)

@@ -1,6 +1,7 @@
 """File format: parsing, validation errors, canonical emission, round-trips."""
 
 import copy
+import importlib.util
 import json
 from pathlib import Path
 
@@ -260,3 +261,18 @@ def test_operator_section_round_trip(tmp_path):
     back = parse_algebra_file(path)
     assert back.operators is not None
     assert back.operators[0].modes == ops[0].modes
+
+
+def test_fixture_generator_reproduces_shipped_fixtures(tmp_path, monkeypatch):
+    # tools/gen_fixtures.py rebuilds every shipped fixture from the library
+    # builders; the files it writes must equal the shipped ones byte for byte
+    path = FIXTURES.parent / "tools" / "gen_fixtures.py"
+    spec = importlib.util.spec_from_file_location("gen_fixtures", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    monkeypatch.setattr(gen, "OUT", tmp_path)
+    gen.main()
+    shipped = sorted(p.name for p in FIXTURES.glob("*.json"))
+    assert len(shipped) == 7 and sorted(p.name for p in tmp_path.iterdir()) == shipped
+    for name in shipped:
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name

@@ -109,6 +109,20 @@ def test_locality_transfer_scalar_pair():
     assert rep.found_orders["module_k"] == 0
 
 
+def test_stray_acting_index_is_not_packed_into_a_tensor(a3, a3_adj):
+    # acting index 3 lies outside a3's basis; packed as the second tensor
+    # factor it would silently alias the acting index of t*one
+    action = {k: dict(v) for k, v in a3_adj.action.items()}
+    action[(3, 0)] = {-1: unit_vec(3, 1)}
+    stray = ModuleStructure(basis=a3_adj.basis, action=action)
+    with pytest.raises(MalformedStructure, match=r"\[3\]"):
+        tensor_module([a3, a3], [a3_adj, stray])
+    with pytest.raises(MalformedStructure, match=r"\[3\]"):
+        tensor_module([a3, a3], [stray, a3_adj])
+    with pytest.raises(MalformedStructure, match=r"\[3\]"):
+        wn_module(a3, stray, 2)
+
+
 # -- column modules over matrix structures -------------------------------------
 
 
