@@ -16,11 +16,12 @@ identities multiply by delta composites, but on such data they hold exactly
 when commutation and order-0 weak associativity hold (`jacobi_witness`), so
 they are decided by the same comparisons and no window is involved.
 
-The checks compute on nonzero entries only.  Each structure builds a sparse
-image index of its mode table once, and every product walks the nonzero
-coordinates of its arguments through it.  The translation operator D is
-applied through its sparse columns, D v = sum over nonzero v_j of v_j D e_j,
-read off the same index; the dense matrix `d_operator` is never multiplied.
+The checks compute on nonzero entries only, from the mode index to the
+witness.  `sparse_modes`, the one mode product, walks the nonzero (k, c) of
+its arguments (a basis vector is ((i, ONE),)) through each structure's
+sparse image index.  Products, iterates and the powers of D (applied through
+its sparse columns) are term dictionaries {exponent: {k: c}}; only a
+differing pair is densified.  The dense functions are wrappers over these.
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ from typing import TYPE_CHECKING
 
 from .errors import CapExceeded, MalformedStructure, NonNilpotentD
 from .linalg import (
+    ONE,
     ZERO,
     Mat,
+    SparseVec,
     SpanBasis,
     Support,
     Vec,
@@ -42,8 +45,6 @@ from .linalg import (
     nullspace,
     support,
     unit_vec,
-    vec_add,
-    vec_scale,
     zero_vec,
 )
 from .report import FOUND, REFUTED, CheckReport, OrderSearch, Witness
@@ -56,6 +57,7 @@ if TYPE_CHECKING:
 ModeMap = dict[int, Vec]
 ModeTable = dict[tuple[int, int], ModeMap]
 ModeIndex = dict[tuple[int, int], dict[int, Support]]
+Terms = dict  # {exponent: {k: nonzero c}}, a sparse term dictionary
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +89,7 @@ def clean_table(table: ModeTable, dim: int, n_acting: int | None) -> ModeTable:
         for n, v in modes.items():
             if len(v) != dim:
                 raise MalformedStructure(f"vector length mismatch at ({i},{j},{n})")
-            v = tuple(Fraction(x) or ZERO for x in v)
+            v = tuple((x if type(x) is Fraction else Fraction(x)) or ZERO for x in v)
             if not is_zero_vec(v):
                 entry[int(n)] = v
         if entry:
@@ -100,34 +102,35 @@ def table_index(table: ModeTable) -> ModeIndex:
     return {key: {n: support(v) for n, v in modes.items()} for key, modes in table.items()}
 
 
-def table_apply(index: ModeIndex, u: Vec, n: int, w: Vec) -> Vec:
-    """The single mode u_n w."""
-    acc: dict[int, Fraction] = {}
-    sw = support(w)
-    for i, cu in support(u):
-        for j, cw in sw:
-            img = index.get((i, j), {}).get(n)
-            if img is not None:
-                add_scaled(acc, cu * cw, img)
-    return densify(acc, len(w))
+def sparse_modes(index: ModeIndex, su: Support, sw: Support) -> dict[int, SparseVec]:
+    """All modes of Y(u, x)w as {n: {k: c}}, in (i, j, n) order, from nonzero (k, c) pairs.
 
-
-def table_mode_map(index: ModeIndex, u: Vec, w: Vec) -> ModeMap:
-    """All modes of Y(u, x)w as a finite {n: vector} dictionary, in (i, j, n) order.
-
-    Each mode is accumulated on its nonzero coordinates, dropping what
-    cancels, and densified once.
+    Entries that cancel and modes left empty are dropped; every dict is fresh.
     """
-    sw = support(w)
-    acc: dict[int, dict[int, Fraction]] = {}
-    for i, cu in support(u):
+    acc: dict[int, SparseVec] = {}
+    for i, cu in su:
         for j, cw in sw:
             modes = index.get((i, j))
             if modes is not None:
-                c = cu * cw
+                c = cw if cu is ONE else cu if cw is ONE else cu * cw
                 for n, img in modes.items():
                     add_scaled(acc.setdefault(n, {}), c, img)
-    return {n: densify(coords, len(w)) for n, coords in acc.items() if coords}
+    return {n: v for n, v in acc.items() if v}
+
+
+def dense_terms(terms: Terms, dim: int) -> dict:
+    """A sparse term dictionary with every value densified to length dim."""
+    return {e: densify(v, dim) for e, v in terms.items()}
+
+
+def table_apply(index: ModeIndex, u: Vec, n: int, w: Vec) -> Vec:
+    """The single mode u_n w."""
+    return densify(sparse_modes(index, support(u), support(w)).get(n, {}), len(w))
+
+
+def table_mode_map(index: ModeIndex, u: Vec, w: Vec) -> ModeMap:
+    """All modes of Y(u, x)w as a finite {n: vector} dictionary, in (i, j, n) order."""
+    return dense_terms(sparse_modes(index, support(u), support(w)), len(w))
 
 
 def table_exp_radius(table: ModeTable) -> int:
@@ -225,14 +228,9 @@ class AlgebraStructure:
 # the translation operator and its exponential
 
 
-def d_images(alg: AlgebraStructure) -> list[Vec]:
-    """The images D e_j = (e_j)_(-2) vacuum of the basis vectors."""
-    return [alg.product(j, -2, alg.vacuum) for j in range(alg.dim)]
-
-
 def d_operator(alg: AlgebraStructure) -> Mat:
     """Matrix of v -> v_(-2) vacuum (column j is the image of e_j)."""
-    cols = d_images(alg)
+    cols = [alg.product(j, -2, alg.vacuum) for j in range(alg.dim)]
     return tuple(tuple(col[r] for col in cols) for r in range(alg.dim))
 
 
@@ -242,86 +240,157 @@ def d_columns(alg: AlgebraStructure) -> list[Support]:
 
 
 def apply_columns(cols: list[Support], v: Vec) -> Vec:
-    """D v = sum over the nonzero v_j of v_j D e_j, for D given by its sparse columns."""
-    acc: dict[int, Fraction] = {}
-    for j, c in support(v):
+    """D v for D given by its sparse columns, as a dense vector."""
+    return densify(d_sparse(cols, support(v)), len(v))
+
+
+def d_sparse(cols: list[Support], entries: Support) -> SparseVec:
+    """D v = sum over the nonzero v_j of v_j D e_j, on nonzero coordinates."""
+    acc: SparseVec = {}
+    for j, c in entries:
         add_scaled(acc, c, cols[j])
-    return densify(acc, len(v))
+    return acc
 
 
-def mode_derivative(modes: ModeMap) -> ModeMap:
+def scale(c, v: SparseVec) -> SparseVec:
+    """c v for a nonzero c; v itself when c is 1."""
+    return v if c == 1 else {k: c * x for k, x in v.items()}
+
+
+def mode_derivative(modes: dict[int, SparseVec]) -> dict[int, SparseVec]:
     """d/dx of sum_n w_n x^(-n-1): mode n moves to n+1 with the factor -n-1."""
-    return {n + 1: vec_scale(Fraction(-n - 1), w) for n, w in modes.items() if n != -1}
+    return {n + 1: scale(-n - 1, w) for n, w in modes.items() if n != -1}
 
 
 def exp_x_matrix(cols: list[Support], v: Vec, cap: int | None = None) -> dict[int, Vec]:
+    """exp_sparse of v, each iterate densified."""
+    return dense_terms(exp_sparse(cols, support(v), cap), len(v))
+
+
+def exp_sparse(cols: list[Support], entries: Support, cap: int | None = None) -> Terms:
     """{j: D^j v / j!} until the iterate vanishes; errors if it never does.
 
-    D is given by its sparse columns (d_columns).
+    D is given by its sparse columns (d_columns), v by its nonzero entries.
     """
     cap = len(cols) + 1 if cap is None else cap
-    out: dict[int, Vec] = {}
-    cur = v
+    out: Terms = {}
+    cur = dict(entries)
     fact = Fraction(1)
     for j in range(cap + 1):
-        if is_zero_vec(cur):
+        if not cur:
             return out
-        out[j] = vec_scale(1 / fact, cur)
-        cur = apply_columns(cols, cur)
+        out[j] = scale(1 / fact, cur)
+        cur = d_sparse(cols, cur.items())
         fact *= j + 1
     raise NonNilpotentD("matrix iterates did not vanish within the dimension cap")
 
 
 # ---------------------------------------------------------------------------
-# term dictionaries and two-variable product series
+# term dictionaries {exponent: {k: c}} (missing or empty reads as zero)
 
 
-def add_term(terms: dict, e, c: Vec) -> None:
-    """Accumulate the vector c at exponent e of a term dictionary."""
-    terms[e] = vec_add(terms[e], c) if e in terms else c
+def add_term(terms: Terms, e, c, entries: Support) -> None:
+    """terms[e] += c * entries, nothing for c = 0; a new exponent gets a fresh dict.
+
+    So accumulating at e never writes into a vector stored elsewhere.
+    """
+    if c:
+        add_scaled(terms.setdefault(e, {}), c, entries)
 
 
-def term_differences(lhs: dict, rhs: dict, zero: Vec) -> list[tuple[tuple, Vec, Vec]]:
+def scale_terms(q, terms: Terms) -> Terms:
+    """q times a term dictionary; q = 0 leaves no term."""
+    return {e: scale(q, v) for e, v in terms.items()} if q else {}
+
+
+def term_differences(lhs: Terms, rhs: Terms, dim: int) -> list[tuple[object, Vec, Vec]]:
     """(exponent, lhs, rhs) wherever two term dictionaries differ, in increasing order.
 
-    Missing exponents read as zero; the list is empty when the two sides are
-    the same Laurent polynomial.
+    The list is empty when the two sides are the same Laurent polynomial;
+    only the differing pairs are densified, to length dim.
     """
     out = []
     for e in sorted(set(lhs) | set(rhs)):
-        a, b = lhs.get(e, zero), rhs.get(e, zero)
+        a, b = lhs.get(e, {}), rhs.get(e, {})
         if a != b:
-            out.append((e, a, b))
+            out.append((e, densify(a, dim), densify(b, dim)))
     return out
+
+
+def product_sparse(
+    act: AlgebraStructure | ModuleStructure, su: Support, sv: Support, sw: Support
+) -> Terms:
+    """Y(u, x1) Y(v, x2) w as {(x1-exponent, x2-exponent): {k: c}}, from nonzero (k, c) pairs.
+
+    `act` is the acting table: an algebra acting on itself, or a module.
+    """
+    index = act.mode_index
+    return {
+        (-n1 - 1, -n2 - 1): outer
+        for n2, inner in sparse_modes(index, sv, sw).items()
+        for n1, outer in sparse_modes(index, su, inner.items()).items()
+    }
+
+
+def reversed_sparse(
+    act: AlgebraStructure | ModuleStructure, su: Support, sv: Support, sw: Support
+) -> Terms:
+    """Y(v, x2) Y(u, x1) w on the (x1, x2) exponent grid of product_sparse(act, su, sv, sw)."""
+    return {(e1, e2): c for (e2, e1), c in product_sparse(act, sv, su, sw).items()}
+
+
+def commutation_sparse(
+    act: AlgebraStructure | ModuleStructure, su: Support, sv: Support, sw: Support, q: Fraction
+) -> list[tuple[tuple[int, int], Vec, Vec]]:
+    """term_differences of Y(u,x1)Y(v,x2)w against q Y(v,x2)Y(u,x1)w."""
+    rhs = scale_terms(q, reversed_sparse(act, su, sv, sw))
+    return term_differences(product_sparse(act, su, sv, sw), rhs, act.dim)
+
+
+def iterate_sparse(
+    alg: AlgebraStructure,
+    act: AlgebraStructure | ModuleStructure,
+    su: Support,
+    sv: Support,
+    sw: Support,
+) -> Terms:
+    """Y_act(Y(u, x0) v, x2) w as {(x0-exponent, x2-exponent): {k: c}}.
+
+    u_n v is taken in alg and acts on w through act.
+    """
+    return {
+        (-n0 - 1, -n2 - 1): out
+        for n0, uv in sparse_modes(alg.mode_index, su, sv).items()
+        for n2, out in sparse_modes(act.mode_index, uv.items(), sw).items()
+    }
 
 
 def product_terms(
     act: AlgebraStructure | ModuleStructure, u: Vec, v: Vec, w: Vec
 ) -> dict[tuple[int, int], Vec]:
-    """Y(u, x1) Y(v, x2) w as {(x1-exponent, x2-exponent): vector}.
-
-    `act` is the acting table: an algebra acting on itself, or a module.
-    """
-    terms: dict[tuple[int, int], Vec] = {}
-    for n2, inner in act.mode_map(v, w).items():
-        for n1, outer in act.mode_map(u, inner).items():
-            add_term(terms, (-n1 - 1, -n2 - 1), outer)
-    return terms
+    """product_sparse of dense vectors, densified."""
+    return dense_terms(product_sparse(act, support(u), support(v), support(w)), act.dim)
 
 
 def reversed_product_terms(
     act: AlgebraStructure | ModuleStructure, u: Vec, v: Vec, w: Vec
 ) -> dict[tuple[int, int], Vec]:
-    """Y(v, x2) Y(u, x1) w on the (x1, x2) exponent grid of product_terms(act, u, v, w)."""
-    return {(e1, e2): c for (e2, e1), c in product_terms(act, v, u, w).items()}
+    """reversed_sparse of dense vectors, densified."""
+    return dense_terms(reversed_sparse(act, support(u), support(v), support(w)), act.dim)
 
 
 def commutation_differences(
     act: AlgebraStructure | ModuleStructure, u: Vec, v: Vec, w: Vec, q: Fraction
 ) -> list[tuple[tuple[int, int], Vec, Vec]]:
-    """term_differences of Y(u,x1)Y(v,x2)w against q Y(v,x2)Y(u,x1)w."""
-    rhs = {e: vec_scale(q, c) for e, c in reversed_product_terms(act, u, v, w).items()}
-    return term_differences(product_terms(act, u, v, w), rhs, zero_vec(act.dim))
+    """commutation_sparse of dense vectors."""
+    return commutation_sparse(act, support(u), support(v), support(w), q)
+
+
+def iterate_terms(
+    alg: AlgebraStructure, act: AlgebraStructure | ModuleStructure, u: Vec, v: Vec, w: Vec
+) -> dict[tuple[int, int], Vec]:
+    """iterate_sparse of dense vectors, densified."""
+    return dense_terms(iterate_sparse(alg, act, support(u), support(v), support(w)), act.dim)
 
 
 def product_series(
@@ -346,20 +415,6 @@ def iterate_series(
 ) -> Distribution:
     """Y(Y(u, x_first) v, x_second) w."""
     return from_terms(vars, iterate_terms(alg, alg, u, v, w), window)
-
-
-def iterate_terms(
-    alg: AlgebraStructure, act: AlgebraStructure | ModuleStructure, u: Vec, v: Vec, w: Vec
-) -> dict[tuple[int, int], Vec]:
-    """Y_act(Y(u, x0) v, x2) w as {(x0-exponent, x2-exponent): vector}.
-
-    u_n v is taken in alg and acts on w through act.
-    """
-    terms: dict[tuple[int, int], Vec] = {}
-    for n0, uv in alg.mode_map(u, v).items():
-        for n2, out in act.mode_map(uv, w).items():
-            add_term(terms, (-n0 - 1, -n2 - 1), out)
-    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -415,23 +470,24 @@ def check_d_bracket(alg: AlgebraStructure) -> CheckReport:
     """Both translation identities: [D, Y(v,x)] = Y(Dv,x) = d/dx Y(v,x)."""
     report = CheckReport("translation-bracket")
     cols = d_columns(alg)
-    zero = zero_vec(alg.dim)
-    d_units = d_images(alg)
-    if not is_zero_vec(d_units[alg.vacuum]):
-        report.fail(Witness((alg.basis[alg.vacuum],), None, d_units[alg.vacuum], zero))
+    index = alg.mode_index
+    if cols[alg.vacuum]:
+        d_vac = apply_columns(cols, alg.vacuum_vec())
+        report.fail(Witness((alg.basis[alg.vacuum],), None, d_vac, zero_vec(alg.dim)))
     for i in range(alg.dim):
         for j in range(alg.dim):
-            base = alg.mode_map(alg.unit(i), alg.unit(j))
+            ui, uj = ((i, ONE),), ((j, ONE),)
+            base = sparse_modes(index, ui, uj)
             # commutator [D, Y(e_i, x)] e_j, mode by mode
-            commutator = {n: apply_columns(cols, w) for n, w in base.items()}
-            for n, w in alg.mode_map(alg.unit(i), d_units[j]).items():
-                add_term(commutator, n, vec_scale(-1, w))
-            middle = alg.mode_map(d_units[i], alg.unit(j))
+            commutator = {n: d_sparse(cols, w.items()) for n, w in base.items()}
+            for n, w in sparse_modes(index, ui, cols[j]).items():
+                add_term(commutator, n, -1, w.items())
+            middle = sparse_modes(index, cols[i], uj)
             for name, lhs, rhs in (
                 ("commutator-vs-middle", commutator, middle),
                 ("middle-vs-derivative", middle, mode_derivative(base)),
             ):
-                for n, a, b in term_differences(lhs, rhs, zero):
+                for n, a, b in term_differences(lhs, rhs, alg.dim):
                     report.fail(Witness((name, alg.basis[i], alg.basis[j]), (n,), a, b))
     return report
 
@@ -441,9 +497,11 @@ def check_creation_exponential(alg: AlgebraStructure) -> CheckReport:
     report = CheckReport("creation-exponential")
     cols = d_columns(alg)
     for i in range(alg.dim):
-        lhs = {(-n - 1,): w for n, w in alg.mode_map(alg.unit(i), alg.vacuum_vec()).items()}
-        rhs = {(j,): w for j, w in exp_x_matrix(cols, alg.unit(i)).items()}
-        diffs = term_differences(lhs, rhs, zero_vec(alg.dim))
+        ui = ((i, ONE),)
+        modes = sparse_modes(alg.mode_index, ui, ((alg.vacuum, ONE),))
+        lhs = {(-n - 1,): w for n, w in modes.items()}
+        rhs = {(j,): w for j, w in exp_sparse(cols, ui).items()}
+        diffs = term_differences(lhs, rhs, alg.dim)
         if diffs:
             report.fail(Witness((alg.basis[i],), *diffs[0]))
     return report
@@ -466,10 +524,10 @@ def find_locality_k(
     exactly when it holds at k = 0, and a nonzero difference is a certified
     refutation for every k (the constant witness of the nonlocal fixtures).
     """
-    u, v = alg.unit(u_idx), alg.unit(v_idx)
+    su, sv = ((u_idx, ONE),), ((v_idx, ONE),)
     q = Fraction(q)
     for w_idx in range(alg.dim):
-        diffs = commutation_differences(alg, u, v, alg.unit(w_idx), q)
+        diffs = commutation_sparse(alg, su, sv, ((w_idx, ONE),), q)
         if diffs:
             names = (alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx])
             return OrderSearch(REFUTED, witness=Witness(names, *diffs[0]))
@@ -484,17 +542,17 @@ def truncation_order(alg: AlgebraStructure, u_idx: int, v_idx: int) -> int:
     return max(0, max(modes) + 1)
 
 
-def skew_terms(cols: list[Support], modes: ModeMap, q: Fraction) -> dict[int, Vec]:
-    """q e^{xD} Y(v,-x)u as {x-exponent: vector}, from the modes of Y(v,x)u.
+def skew_terms(cols: list[Support], modes: dict[int, SparseVec], q: Fraction) -> Terms:
+    """q e^{xD} Y(v,-x)u as {x-exponent: {k: c}}, from the sparse modes of Y(v,x)u.
 
     D is given by its sparse columns (d_columns).
     """
-    terms: dict[int, Vec] = {}
+    terms: Terms = {}
     for n, w in modes.items():
         m = -n - 1
         sgn = -q if m % 2 else q
-        for j, dv in exp_x_matrix(cols, w).items():
-            add_term(terms, m + j, vec_scale(sgn, dv))
+        for j, dv in exp_sparse(cols, w.items()).items():
+            add_term(terms, m + j, sgn, dv.items())
     return terms
 
 
@@ -512,10 +570,11 @@ def check_skew_symmetry(
     """
     report = CheckReport(f"skew-symmetry[{alg.basis[u_idx]},{alg.basis[v_idx]}]")
     q = Fraction(q)
-    u, v = alg.unit(u_idx), alg.unit(v_idx)
-    lhs = {(-n - 1,): w for n, w in alg.mode_map(u, v).items()}
-    rhs = {(m,): c for m, c in skew_terms(d_columns(alg), alg.mode_map(v, u), q).items()}
-    diffs = term_differences(lhs, rhs, zero_vec(alg.dim))
+    su, sv = ((u_idx, ONE),), ((v_idx, ONE),)
+    lhs = {(-n - 1,): w for n, w in sparse_modes(alg.mode_index, su, sv).items()}
+    modes = sparse_modes(alg.mode_index, sv, su)
+    rhs = {(m,): c for m, c in skew_terms(d_columns(alg), modes, q).items()}
+    diffs = term_differences(lhs, rhs, alg.dim)
     report.exact = not diffs
     if diffs:
         report.fail(Witness((alg.basis[u_idx], alg.basis[v_idx]), *diffs[0]))
@@ -545,9 +604,9 @@ def check_skew_symmetry(
 def assoc_search(
     alg: AlgebraStructure,
     act: AlgebraStructure | ModuleStructure,
-    u: Vec,
-    v: Vec,
-    w: Vec,
+    su: Support,
+    sv: Support,
+    sw: Support,
     names: tuple,
 ) -> OrderSearch:
     """Weak associativity of u, v in alg acting through act on w, decided once.
@@ -561,18 +620,19 @@ def assoc_search(
     (x0+x2)^(-n1-1+L) is a polynomial, so both sides are Laurent polynomials
     and one comparison of their terms is exact.  A difference refutes every
     order; its witness is the first differing (x0, x2)-exponent at order L.
+    u, v and w are given by their nonzero (k, c) pairs.
     """
-    prod = product_terms(act, u, v, w)
-    order = max([0] + [-e1 for (e1, _e2), c in prod.items() if not is_zero_vec(c)])
-    lhs: dict[tuple[int, int], Vec] = {}
+    prod = product_sparse(act, su, sv, sw)
+    order = max([0] + [-e1 for e1, _e2 in prod])
+    lhs: Terms = {}
     for (e1, e2), c in prod.items():
         for i in range(e1 + order + 1):
-            add_term(lhs, (e1 + order - i, e2 + i), vec_scale(binom(e1 + order, i), c))
-    rhs: dict[tuple[int, int], Vec] = {}
-    for (e0, e2), c in iterate_terms(alg, act, u, v, w).items():
+            add_term(lhs, (e1 + order - i, e2 + i), binom(e1 + order, i), c.items())
+    rhs: Terms = {}
+    for (e0, e2), c in iterate_sparse(alg, act, su, sv, sw).items():
         for i in range(order + 1):
-            add_term(rhs, (e0 + order - i, e2 + i), vec_scale(binom(order, i), c))
-    diffs = term_differences(lhs, rhs, zero_vec(act.dim))
+            add_term(rhs, (e0 + order - i, e2 + i), binom(order, i), c.items())
+    diffs = term_differences(lhs, rhs, act.dim)
     if diffs:
         return OrderSearch(REFUTED, witness=Witness(names, *diffs[0]))
     return OrderSearch(FOUND, order=0)
@@ -581,16 +641,15 @@ def assoc_search(
 def weak_assoc_triple(alg: AlgebraStructure, u_idx: int, v_idx: int, w_idx: int) -> OrderSearch:
     """The three-argument associativity relation: FOUND at order 0, or REFUTED."""
     names = (alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx])
-    units = (alg.unit(u_idx), alg.unit(v_idx), alg.unit(w_idx))
-    return assoc_search(alg, alg, *units, names)
+    return assoc_search(alg, alg, ((u_idx, ONE),), ((v_idx, ONE),), ((w_idx, ONE),), names)
 
 
 def find_weak_assoc_l(alg: AlgebraStructure, u_idx: int, w_idx: int) -> OrderSearch:
     """The uniform variant: order 0 for every middle argument v, or the first failing v."""
-    u, w = alg.unit(u_idx), alg.unit(w_idx)
+    su, sw = ((u_idx, ONE),), ((w_idx, ONE),)
     for v_idx in range(alg.dim):
         names = (alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx])
-        search = assoc_search(alg, alg, u, alg.unit(v_idx), w, names)
+        search = assoc_search(alg, alg, su, ((v_idx, ONE),), sw, names)
         if not search.found:
             return search
     return OrderSearch(FOUND, order=0)
@@ -602,10 +661,10 @@ def find_weak_assoc_l(alg: AlgebraStructure, u_idx: int, w_idx: int) -> OrderSea
 
 def jacobi_witness(
     alg: AlgebraStructure,
-    u: Vec,
-    v: Vec,
-    w: Vec,
-    reversed_terms: dict[tuple[int, int], Vec],
+    su: Support,
+    sv: Support,
+    sw: Support,
+    reversed_terms: Terms,
     names: tuple,
 ) -> Witness | None:
     """The first failure of a Jacobi-type identity on (u, v, w), or None when it holds.
@@ -615,19 +674,20 @@ def jacobi_witness(
             = x2^-1 d((x1-x0)/x2) Y(Y(u,x0)v,x2)w,
     where d is the formal delta function and R the reversed product
     (q-scaled, or routed through an R-map), given on the (x1, x2) grid of
-    product_terms.  Taking Res_x0 leaves the
-    product minus R on the left and a finite sum of derivatives of
-    x1^-1 d(x2/x1) on the right; a nonzero sum of that kind is never a
-    Laurent polynomial, so both vanish and the product equals R.  Then the
-    left side is the product times x2^-1 d((x1-x0)/x2), and substituting
-    x1 = x0 + x2 under that delta function leaves order-0 weak associativity.
-    So the identity holds exactly when the commutation comparison and
-    assoc_search both pass, and the witness names the half that failed.
+    product_sparse; u, v and w are given by their nonzero (k, c) pairs.
+    Taking Res_x0 leaves the product minus R on the left and a finite sum of
+    derivatives of x1^-1 d(x2/x1) on the right; a nonzero sum of that kind
+    is never a Laurent polynomial, so both vanish and the product equals R.
+    Then the left side is the product times x2^-1 d((x1-x0)/x2), and
+    substituting x1 = x0 + x2 under that delta function leaves order-0 weak
+    associativity.  So the identity holds exactly when the commutation
+    comparison and assoc_search both pass, and the witness names the half
+    that failed.
     """
-    diffs = term_differences(product_terms(alg, u, v, w), reversed_terms, zero_vec(alg.dim))
+    diffs = term_differences(product_sparse(alg, su, sv, sw), reversed_terms, alg.dim)
     if diffs:
         return Witness(("commutation",) + names, *diffs[0])
-    assoc = assoc_search(alg, alg, u, v, w, names)
+    assoc = assoc_search(alg, alg, su, sv, sw, names)
     if not assoc.found:
         return replace(assoc.witness, where=("associativity",) + names)
     return None
@@ -641,12 +701,12 @@ def check_jacobi(alg: AlgebraStructure, u_idx: int, v_idx: int, q: Fraction) -> 
     """
     report = CheckReport(f"jacobi[{alg.basis[u_idx]},{alg.basis[v_idx]};q={q}]")
     q = Fraction(q)
-    u, v = alg.unit(u_idx), alg.unit(v_idx)
+    su, sv = ((u_idx, ONE),), ((v_idx, ONE),)
     for w_idx in range(alg.dim):
-        w = alg.unit(w_idx)
-        rterms = {e: vec_scale(q, c) for e, c in reversed_product_terms(alg, u, v, w).items()}
+        sw = ((w_idx, ONE),)
+        rterms = scale_terms(q, reversed_sparse(alg, su, sv, sw))
         names = (alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx])
-        witness = jacobi_witness(alg, u, v, w, rterms, names)
+        witness = jacobi_witness(alg, su, sv, sw, rterms, names)
         if witness is not None:
             report.fail(witness)
     report.found_orders["lemma_equivalence"] = 1
@@ -723,21 +783,22 @@ def localizer(alg: AlgebraStructure, targets: list[Vec]) -> list[Vec]:
     coordinate).
     """
     cols = d_columns(alg)
-    zero = zero_vec(alg.dim)
+    index = alg.mode_index
     rows: list[Vec] = []
     for w in targets:
         # Y(e_i,x)w - e^{xD}Y(w,-x)e_i for each i, every image e^{xD} built once
+        sw = support(w)
         diffs = []
         for i in range(alg.dim):
-            ei = alg.unit(i)
-            diff = {-n - 1: c for n, c in alg.mode_map(ei, w).items()}
-            for m, c in skew_terms(cols, alg.mode_map(w, ei), Fraction(-1)).items():
-                add_term(diff, m, c)
+            ei = ((i, ONE),)
+            diff = {-n - 1: c for n, c in sparse_modes(index, ei, sw).items()}
+            for m, c in skew_terms(cols, sparse_modes(index, sw, ei), Fraction(-1)).items():
+                add_term(diff, m, 1, c.items())
             diffs.append(diff)
         for m in sorted(set().union(*diffs)):
-            cols = [diff.get(m, zero) for diff in diffs]
+            images = [diff.get(m, {}) for diff in diffs]
             for r in range(alg.dim):
-                row = tuple(col[r] for col in cols)
+                row = tuple(img.get(r, ZERO) for img in images)
                 if not is_zero_vec(row):
                     rows.append(row)
     return nullspace(rows, alg.dim)

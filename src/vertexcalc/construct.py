@@ -20,9 +20,10 @@ from .algebra import (
     AlgebraStructure,
     ModeIndex,
     ModeTable,
+    Terms,
     add_term,
     jacobi_witness,
-    reversed_product_terms,
+    reversed_sparse,
     table_index,
 )
 from .errors import (
@@ -642,15 +643,15 @@ def check_jacobi_like(
         for w in range(alg.dim)
     ]
     for (u_idx, v_idx, w_idx) in all_triples:
-        u, v, w = alg.unit(u_idx), alg.unit(v_idx), alg.unit(w_idx)
         names = (alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx])
         # (Y x Y)(x2, x1) applied to R(v ⊗ u ⊗ w): sum of Y(a,x2)Y(b,x1)c
-        rterms: dict[tuple[int, int], Vec] = {}
+        rterms: Terms = {}
         for coeff, (a_i, b_i, c_i) in rmap.image((v_idx, u_idx, w_idx)):
-            a, b, c = alg.unit(a_i), alg.unit(b_i), alg.unit(c_i)
-            for e, outer in reversed_product_terms(alg, b, a, c).items():
-                add_term(rterms, e, vec_scale(coeff, outer))
-        witness = jacobi_witness(alg, u, v, w, rterms, names)
+            sa, sb, sc = ((a_i, ONE),), ((b_i, ONE),), ((c_i, ONE),)
+            for e, outer in reversed_sparse(alg, sb, sa, sc).items():
+                add_term(rterms, e, coeff, outer.items())
+        su, sv, sw = ((u_idx, ONE),), ((v_idx, ONE),), ((w_idx, ONE),)
+        witness = jacobi_witness(alg, su, sv, sw, rterms, names)
         if witness is not None:
             report.fail(witness)
     return report

@@ -5,9 +5,10 @@ is immutable and exact; there is no floating point anywhere in the package.
 Row reduction pivots on the first nonzero column in canonical order, so
 reduced bases and solved coordinates are reproducible across runs.  CoordSpan
 works on sparse vectors, {key: nonzero Fraction} dicts, and pivots on the
-least key.  `support`, `add_scaled` and `densify` move a dense vector to its
-nonzero entries, accumulate there, and come back; they are what the mode
-tables and the translation operator compute with.
+least key.  The structure checks compute on the same sparse form: `support`
+reads the nonzero entries of a dense vector once, `add_scaled` accumulates
+on them, and `densify` comes back only for a public return value or a
+witness.
 """
 
 from __future__ import annotations
@@ -63,12 +64,14 @@ def add_scaled(acc: SparseVec, c: Fraction, entries: Iterable[tuple[object, Frac
     """acc += c * entries in place, dropping the entries that cancel to zero.
 
     c and every entry value are nonzero, so a key absent from acc never
-    receives a zero.
+    receives a zero.  A c equal to 1 adds the entries without a multiply.
     """
+    one = c is ONE or c == 1
     for k, x in entries:
-        y = acc.get(k)
-        y = c * x if y is None else y + c * x
-        if y:
+        x = x if one else c * x
+        if k not in acc:
+            acc[k] = x
+        elif y := acc[k] + x:
             acc[k] = y
         else:
             del acc[k]

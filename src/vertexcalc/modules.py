@@ -22,10 +22,11 @@ from .algebra import (
     ModeTable,
     assoc_search,
     clean_table,
-    commutation_differences,
-    d_images,
+    commutation_sparse,
+    d_columns,
     find_locality_k,
     mode_derivative,
+    sparse_modes,
     table_apply,
     table_exp_radius,
     table_index,
@@ -36,12 +37,12 @@ from .algebra import (
 from .construct import _MatrixBasis, matrix_algebra, table_tensor, tensor_product
 from .errors import MalformedStructure
 from .linalg import (
+    ONE,
     Mat,
     SpanBasis,
     Vec,
     is_zero_vec,
     rank,
-    unit_vec,
     zero_vec,
 )
 from .report import FOUND, CheckReport, OrderSearch, Witness
@@ -133,11 +134,12 @@ def check_module(alg: AlgebraStructure, mod: ModuleStructure) -> CheckReport:
                 )
             )
     # derivative property: Y_W(Dv, x) = d/dx Y_W(v, x)
-    for i, dv in enumerate(d_images(alg)):
+    for i, dv in enumerate(d_columns(alg)):
         for j in range(dim_w):
-            lhs = mod.mode_map(dv, mod.unit(j))
-            rhs = mode_derivative(mod.mode_map(alg.unit(i), mod.unit(j)))
-            for n, a, b in term_differences(lhs, rhs, zero_vec(dim_w)):
+            uj = ((j, ONE),)
+            lhs = sparse_modes(mod.mode_index, dv, uj)
+            rhs = mode_derivative(sparse_modes(mod.mode_index, ((i, ONE),), uj))
+            for n, a, b in term_differences(lhs, rhs, dim_w):
                 report.fail(Witness(("d-derivative", alg.basis[i], mod.basis[j]), (n,), a, b))
     # weak associativity, per triple; a (u, w) that holds for every v is uniform
     uniform = False
@@ -147,9 +149,9 @@ def check_module(alg: AlgebraStructure, mod: ModuleStructure) -> CheckReport:
                 search = assoc_search(
                     alg,
                     mod,
-                    alg.unit(u_idx),
-                    alg.unit(v_idx),
-                    mod.unit(w_idx),
+                    ((u_idx, ONE),),
+                    ((v_idx, ONE),),
+                    ((w_idx, ONE),),
                     (alg.basis[u_idx], alg.basis[v_idx], mod.basis[w_idx]),
                 )
                 if not search.found:
@@ -211,18 +213,12 @@ def check_embedded_actions_commute(
 ) -> CheckReport:
     """On a tensor module, u (x) 1 and 1 (x) v must commute exactly."""
     report = CheckReport("embedded-actions-commute")
-    dim = alg_a.dim * alg_b.dim
-
-    def emb_a(i: int) -> Vec:
-        return unit_vec(dim, i * alg_b.dim + alg_b.vacuum)
-
-    def emb_b(i: int) -> Vec:
-        return unit_vec(dim, alg_a.vacuum * alg_b.dim + i)
-
     for i in range(alg_a.dim):
+        emb_a = ((i * alg_b.dim + alg_b.vacuum, ONE),)
         for j in range(alg_b.dim):
+            emb_b = ((alg_a.vacuum * alg_b.dim + j, ONE),)
             for w_idx in range(mod.dim):
-                diffs = commutation_differences(mod, emb_a(i), emb_b(j), mod.unit(w_idx), 1)
+                diffs = commutation_sparse(mod, emb_a, emb_b, ((w_idx, ONE),), 1)
                 # witnesses name the modes (n1, n2), in increasing order
                 for e, lhs, rhs in reversed(diffs):
                     report.fail(
@@ -272,11 +268,11 @@ def check_locality_transfer(
     report = CheckReport(f"locality-transfer[{alg.basis[u_idx]},{alg.basis[v_idx]}]")
     q = Fraction(q)
     alg_loc = find_locality_k(alg, u_idx, v_idx, q)
-    u, v = alg.unit(u_idx), alg.unit(v_idx)
+    su, sv = ((u_idx, ONE),), ((v_idx, ONE),)
     # module-side relation at order zero (Laurent data collapses every order)
     witness = None
     for w_idx in range(mod.dim):
-        diffs = commutation_differences(mod, u, v, mod.unit(w_idx), q)
+        diffs = commutation_sparse(mod, su, sv, ((w_idx, ONE),), q)
         if diffs:
             names = (alg.basis[u_idx], alg.basis[v_idx], mod.basis[w_idx])
             witness = Witness(names, *diffs[0])

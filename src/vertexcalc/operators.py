@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import AlgebraStructure, add_term, term_differences
+from .algebra import AlgebraStructure, Terms, add_term, term_differences
 from .errors import InvalidArgument, MalformedStructure, NotCompatible
 from .linalg import (
     ZERO,
@@ -51,8 +51,7 @@ from .linalg import (
     mat_mul,
     mat_scale,
     mat_vec,
-    vec_scale,
-    zero_vec,
+    support,
 )
 from .modules import ModuleStructure, check_module, is_faithful
 from .report import FOUND, INCONCLUSIVE, CheckReport, OrderSearch, Witness
@@ -334,14 +333,14 @@ def check_prop_assoc(a: VertexOperator, b: VertexOperator, w: Vec) -> CheckRepor
     report = CheckReport("operator-associativity")
     lo_a, hi_a = a.exp_bounds()
     l = max(0, -lo_a)
-    lhs: dict[tuple[int, int], Vec] = {}
+    lhs: Terms = {}
     bw = {q: mat_vec(mb, w) for q, mb in b.exps().items()}
     for p, ma in a.exps().items():
         for i in range(0, p + l + 1):
             for q, vecq in bw.items():
-                add_term(lhs, (p + l - i, i + q), vec_scale(binom(p + l, i), mat_vec(ma, vecq)))
+                add_term(lhs, (p + l - i, i + q), binom(p + l, i), support(mat_vec(ma, vecq)))
     # right side: (x2+x0)^l (Y(a,x0)b)(x2) w
-    rhs: dict[tuple[int, int], Vec] = {}
+    rhs: Terms = {}
     lo_cert, hi_cert = certified_nonzero_range(a, b)
     top = None  # the highest compared x0-exponent when the residue sum is truncated
     if lo_cert is None:
@@ -352,11 +351,11 @@ def check_prop_assoc(a: VertexOperator, b: VertexOperator, w: Vec) -> CheckRepor
     for n in range(lo_cert, hi_cert + 1):
         for s, ms in nth_product(a, b, n).exps().items():
             for i in range(0, l + 1):
-                add_term(rhs, (-n - 1 + i, l - i + s), vec_scale(binom(l, i), mat_vec(ms, w)))
+                add_term(rhs, (-n - 1 + i, l - i + s), binom(l, i), support(mat_vec(ms, w)))
     if top is not None:
         rhs = {e: c for e, c in rhs.items() if e[0] <= top}
     report.found_orders["l"] = l
-    diffs = term_differences(lhs, rhs, zero_vec(a.dim))
+    diffs = term_differences(lhs, rhs, a.dim)
     if diffs:
         report.fail(Witness((a.name or "a", b.name or "b"), *diffs[0]))
     return report

@@ -16,28 +16,44 @@ import pytest
 
 from vertexcalc.algebra import (
     AlgebraStructure,
+    add_term,
     apply_columns,
+    assoc_search,
     check_creation_exponential,
     check_d_bracket,
     check_jacobi,
     check_skew_symmetry,
+    clean_table,
+    commutation_differences,
     d_columns,
     d_operator,
+    dense_terms,
     exp_x_matrix,
     find_locality_k,
     find_weak_assoc_l,
     generate_subalgebra,
     iterate_series,
+    iterate_terms,
     localizer,
     product_series,
     product_terms,
     reversed_product_terms,
+    skew_terms,
+    sparse_modes,
     stabilizer,
     subspace_is_subalgebra,
+    term_differences,
     validate_structure,
     weak_assoc_triple,
 )
-from vertexcalc.construct import check_jacobi_like, matrix_algebra, rmap_identity, rmap_tensor_swap
+from vertexcalc.construct import (
+    AssocAlgebraData,
+    check_jacobi_like,
+    from_assoc_with_derivation,
+    matrix_algebra,
+    rmap_identity,
+    rmap_tensor_swap,
+)
 from vertexcalc.errors import MalformedStructure, NonNilpotentD
 from vertexcalc.fileio import parse_algebra_file
 from vertexcalc.fixtures import (
@@ -46,10 +62,22 @@ from vertexcalc.fixtures import (
     truncated_poly_3,
     upper_triangular_2,
 )
-from vertexcalc.linalg import ZERO, SpanBasis, mat_vec, support, unit_vec, vec_add, vec_scale
-from vertexcalc.modules import ModuleStructure
+from vertexcalc.linalg import (
+    ONE,
+    ZERO,
+    SpanBasis,
+    mat_vec,
+    nullspace,
+    support,
+    unit_vec,
+    vec_add,
+    vec_scale,
+)
+from vertexcalc.modules import ModuleStructure, adjoint_module
+from vertexcalc.report import Witness
 from vertexcalc.series import (
     Window,
+    binom,
     delta_three_term,
     from_terms,
     lift_vars,
@@ -126,6 +154,26 @@ def test_malformed_indices_rejected(a3):
 def test_empty_basis_rejected():
     with pytest.raises(MalformedStructure):
         AlgebraStructure(basis=(), vacuum=0, y_data={})
+
+
+class _SubFraction(Fraction):
+    pass
+
+
+def test_clean_table_keeps_clean_fractions_and_shares_zero():
+    kept, fresh_zero = F(-3, 4), F(0)
+    table = {
+        (0, 0): {-1: (F(1), fresh_zero), -2: (0, "1/2")},
+        (0, 1): {-1: (kept, ZERO), -3: (_SubFraction(2), True)},
+        (1, 1): {-1: (F(0), 0)},
+    }
+    clean = clean_table(table, 2, 2)
+    assert clean[(0, 0)][-1][1] is ZERO  # a fresh Fraction(0) becomes the shared ZERO
+    assert clean[(0, 1)][-1][0] is kept  # a clean Fraction is not converted again
+    assert clean[(0, 0)][-2] == (ZERO, F(1, 2)) and clean[(0, 0)][-2][0] is ZERO
+    assert clean[(0, 1)][-3] == (F(2), F(1))
+    assert {type(x) for modes in clean.values() for v in modes.values() for x in v} == {Fraction}
+    assert (1, 1) not in clean  # a mode that is all zeros is dropped
 
 
 # -- the sparse mode table ------------------------------------------------------
@@ -222,6 +270,174 @@ def test_sparse_mode_table_matches_dense_formula():
                     assert modes == stored
                     modes[99] = unit_vec(dim, 0)
                     assert 99 not in act.mode_map(unit_vec(n, i), unit_vec(dim, j))
+
+
+# -- the sparse term kernel against the dense formulas ----------------------------
+#
+# The reference functions are the dense term-dictionary code the kernel
+# replaced: every mode product by _dense_mode_map, every vector a tuple, and
+# zero vectors kept wherever they arise.
+
+
+def _ref_add(terms, e, c):
+    terms[e] = vec_add(terms[e], c) if e in terms else c
+
+
+def _ref_product(table, u, v, w):
+    terms = {}
+    for n2, inner in _dense_mode_map(table, v, w).items():
+        for n1, outer in _dense_mode_map(table, u, inner).items():
+            _ref_add(terms, (-n1 - 1, -n2 - 1), outer)
+    return terms
+
+
+def _ref_iterate(alg_table, table, u, v, w):
+    terms = {}
+    for n0, uv in _dense_mode_map(alg_table, u, v).items():
+        for n2, out in _dense_mode_map(table, uv, w).items():
+            _ref_add(terms, (-n0 - 1, -n2 - 1), out)
+    return terms
+
+
+def _ref_differences(lhs, rhs, zero):
+    out = []
+    for e in sorted(set(lhs) | set(rhs)):
+        a, b = lhs.get(e, zero), rhs.get(e, zero)
+        if a != b:
+            out.append((e, a, b))
+    return out
+
+
+def _ref_assoc(alg_table, table, u, v, w, zero):
+    prod = _ref_product(table, u, v, w)
+    order = max([0] + [-e1 for (e1, _e2), c in prod.items() if any(c)])
+    lhs, rhs = {}, {}
+    for (e1, e2), c in prod.items():
+        for i in range(e1 + order + 1):
+            _ref_add(lhs, (e1 + order - i, e2 + i), vec_scale(binom(e1 + order, i), c))
+    for (e0, e2), c in _ref_iterate(alg_table, table, u, v, w).items():
+        for i in range(order + 1):
+            _ref_add(rhs, (e0 + order - i, e2 + i), vec_scale(binom(order, i), c))
+    return _ref_differences(lhs, rhs, zero)
+
+
+def _ref_skew(d, modes, q):
+    terms = {}
+    for n, w in modes.items():
+        m = -n - 1
+        sgn = -q if m % 2 else q
+        for j, dv in _dense_exp(d, w).items():
+            _ref_add(terms, m + j, vec_scale(sgn, dv))
+    return terms
+
+
+def _nonzero_terms(terms):
+    return {e: v for e, v in terms.items() if any(v)}
+
+
+def _random_nilpotent(rng, dim):
+    """A strictly lower triangular D, as its dense matrix and its sparse columns."""
+    d = tuple(
+        tuple(rng.choice(_RATIONALS) if r > c and rng.random() < 0.6 else F(0) for c in range(dim))
+        for r in range(dim)
+    )
+    return d, [support(tuple(row[c] for row in d)) for c in range(dim)]
+
+
+def _truncated_poly(n):
+    """Q[t]/(t^n) with the derivation t^2 d/dt: associative, with x-powers up to n - 2."""
+    table = {
+        (i, j): unit_vec(n, i + j) if i + j < n else (F(0),) * n
+        for i in range(n)
+        for j in range(n)
+    }
+    d = tuple(tuple(F(c) if r == c + 1 else F(0) for c in range(n)) for r in range(n))
+    basis = tuple(f"t{k}" for k in range(n))
+    return from_assoc_with_derivation(AssocAlgebraData(basis, table, 0, d))
+
+
+def _kernel_cases(rng):
+    """(alg, mod, acting probes, module probes): random tables, with module
+    dimensions other than and equal to the algebra's, then Q[t]/(t^5) on
+    itself, whose associativity holds through binomial weights above 1."""
+    for dim in range(1, 6):
+        for dim_m in (dim % 5 + 1, dim):
+            table, r = _random_mode_table(rng, dim, dim)
+            basis = tuple(f"e{k}" for k in range(dim))
+            alg = AlgebraStructure(basis=basis, vacuum=0, y_data=table)
+            action, r_m = _random_mode_table(rng, dim, dim_m)
+            mod = ModuleStructure(basis=tuple(f"w{k}" for k in range(dim_m)), action=action)
+            yield alg, mod, _probe_vectors(rng, dim, r), _probe_vectors(rng, dim_m, r_m)
+    poly = _truncated_poly(5)
+    probes = _probe_vectors(rng, 5, F(1))
+    yield poly, adjoint_module(poly), probes, probes
+
+
+_QS = (F(0), F(-1), F(1, 3), F(1))
+
+
+def test_term_kernel_matches_dense_formulas():
+    rng = random.Random(10)
+    seen = set()
+    for alg, mod, acting, module_probes in _kernel_cases(rng):
+        dim = alg.dim
+        for act, table, targets in ((alg, alg.y_data, acting), (mod, mod.action, module_probes)):
+            zero = (ZERO,) * act.dim
+            for _ in range(30):
+                u, v, w = rng.choice(acting), rng.choice(acting), rng.choice(targets)
+                prod, rev = _ref_product(table, u, v, w), _ref_product(table, v, u, w)
+                assert product_terms(act, u, v, w) == prod
+                assert reversed_product_terms(act, u, v, w) == {
+                    (e1, e2): c for (e2, e1), c in rev.items()
+                }
+                iterated = _ref_iterate(alg.y_data, table, u, v, w)
+                assert iterate_terms(alg, act, u, v, w) == iterated
+                for q in _QS:
+                    rhs = {(e1, e2): vec_scale(q, c) for (e2, e1), c in rev.items()}
+                    diffs = _ref_differences(prod, rhs, zero)
+                    assert commutation_differences(act, u, v, w, q) == diffs
+                    seen.add(("commute", q, not diffs))
+                diffs = _ref_assoc(alg.y_data, table, u, v, w, zero)
+                names = ("u", "v", "w")
+                got = assoc_search(alg, act, support(u), support(v), support(w), names)
+                assert got.found == (not diffs)
+                assert got.witness == (Witness(names, *diffs[0]) if diffs else None)
+                seen.add(("assoc", act is alg, not diffs))
+        # skew-symmetry terms and the exponential, against a random nilpotent D
+        d, cols = _random_nilpotent(rng, dim)
+        for _ in range(30):
+            u, v = rng.choice(acting), rng.choice(acting)
+            straight = sparse_modes(alg.mode_index, support(u), support(v))
+            lhs = {(-n - 1,): c for n, c in straight.items()}
+            modes = sparse_modes(alg.mode_index, support(v), support(u))
+            assert dense_terms(modes, dim) == _dense_mode_map(alg.y_data, v, u)
+            assert exp_x_matrix(cols, u) == _dense_exp(d, u)
+            assert apply_columns(cols, u) == mat_vec(d, u)
+            for q in _QS:
+                got = skew_terms(cols, modes, q)
+                ref = _ref_skew(d, _dense_mode_map(alg.y_data, v, u), q)
+                assert _nonzero_terms(dense_terms(got, dim)) == _nonzero_terms(ref)
+                rhs = {(m,): c for m, c in got.items()}
+                ref_lhs = {(-n - 1,): c for n, c in _dense_mode_map(alg.y_data, u, v).items()}
+                ref_rhs = {(m,): c for m, c in ref.items()}
+                diffs = _ref_differences(ref_lhs, ref_rhs, (ZERO,) * dim)
+                assert term_differences(lhs, rhs, dim) == diffs
+                seen.add(("skew", q, not diffs))
+    # every q refutes and confirms somewhere, and so does associativity on both tables
+    kinds = ("commute", "skew")
+    assert seen >= {(kind, q, ok) for kind in kinds for q in _QS for ok in (True, False)}
+    assert seen >= {("assoc", on_alg, ok) for on_alg in (True, False) for ok in (True, False)}
+
+
+def test_add_term_never_writes_into_its_source():
+    src = {0: F(1, 2), 3: F(-1)}
+    terms = {}
+    add_term(terms, (1, 0), ONE, src.items())
+    add_term(terms, (1, 0), 1, src.items())
+    add_term(terms, (1, 0), F(-2), {0: F(1, 2)}.items())
+    add_term(terms, (2, 0), 0, src.items())
+    assert src == {0: F(1, 2), 3: F(-1)}
+    assert terms == {(1, 0): {3: F(-2)}}  # coordinate 0 cancels and is dropped
 
 
 # -- translation operator ------------------------------------------------------
@@ -669,6 +885,28 @@ def test_localizer_ut2(ut2):
     assert not span.contains(e12)  # skew-symmetry fails for (e12, e11)
     rows12 = localizer(ut2, [e12])
     assert SpanBasis(rows12).contains(unit_vec(3, ut2.vacuum))
+
+
+def _intersection(dim, spans):
+    """The intersection of subspaces: the nullspace of their stacked annihilators."""
+    return nullspace([a for rows in spans for a in nullspace(rows, dim)], dim)
+
+
+def _same_span(a, b):
+    sa = SpanBasis(a)
+    return sa.dim == SpanBasis(b).dim and all(sa.contains(v) for v in b)
+
+
+@pytest.mark.parametrize("name", ["a3", "ut2", "z22_twist", "m2a3"])
+def test_localizer_of_several_targets_is_the_intersection(name):
+    alg = parse_algebra_file(FIXTURES / f"{name}.json").alg
+    units = [alg.unit(k) for k in range(alg.dim)]
+    mixed = vec_add(units[-1], vec_scale(F(-2, 3), units[0]))
+    for targets in (units, [units[-1], mixed]):
+        rows = localizer(alg, targets)
+        assert _same_span(rows, _intersection(alg.dim, [localizer(alg, [w]) for w in targets]))
+    if name == "a3":  # commutative: every vector localizes every target
+        assert len(localizer(alg, units)) == alg.dim
 
 
 def test_localizer_output_is_subalgebra(ut2):

@@ -21,8 +21,15 @@ only in the witness strings of failing `jacobi/<pair>` classification
 records, which now name the failing half ("commutation" or "associativity")
 and its first differing exponent, with the same number of witnesses.  Every
 verdict and every `exact` flag is unchanged.
+
+Under "q" the same two digests are pinned for `--q` 0, -1 and 1/3 on every
+fixture, and for `--q from-cocycle` on the fixtures that declare a grading
+and a cocycle: q = 1 never reaches the scaling of the reversed product, and
+q = 0 drops it.  They were pinned before the term comparisons moved onto
+sparse vectors.
 """
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -30,15 +37,21 @@ from pathlib import Path
 import pytest
 
 from vertexcalc.fileio import parse_algebra_file
-from vertexcalc.suite import emit_report, run_suite
+from vertexcalc.suite import SuiteOptions, emit_report, run_suite
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "tests" / "golden_reports.json").read_text())
 
 
-def _digest(name: str, format: str) -> str:
+@functools.cache
+def _report(name: str, q: str):
+    # one run per fixture and q serves both formats; emit_report only reads it
     bundle = parse_algebra_file(ROOT / "fixtures" / f"{name}.json")
-    return hashlib.sha256(emit_report(run_suite(bundle, "all"), format)).hexdigest()
+    return run_suite(bundle, "all", SuiteOptions(q=q))
+
+
+def _digest(name: str, format: str, q: str = "1") -> str:
+    return hashlib.sha256(emit_report(_report(name, q), format)).hexdigest()
 
 
 def test_every_fixture_is_pinned():
@@ -55,3 +68,26 @@ def test_all_suite_json_report_is_byte_identical(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN["text"]))
 def test_all_suite_text_report_is_byte_identical(name):
     assert _digest(name, "text") == GOLDEN["text"][name]
+
+
+def test_every_fixture_is_pinned_under_each_q():
+    paths = sorted((ROOT / "fixtures").glob("*.json"))
+    fixtures = [p.stem for p in paths]
+    graded = [p.stem for p in paths if {"grading", "cocycle"} <= json.loads(p.read_text()).keys()]
+    assert sorted(GOLDEN["q"]) == ["-1", "0", "1/3", "from-cocycle"]
+    for q, formats in GOLDEN["q"].items():
+        expect = graded if q == "from-cocycle" else fixtures
+        assert sorted(formats["json"]) == sorted(formats["text"]) == expect
+
+
+@pytest.mark.parametrize(
+    "q,name,format",
+    [
+        (q, name, format)
+        for q, formats in sorted(GOLDEN["q"].items())
+        for format, digests in sorted(formats.items())
+        for name in sorted(digests)
+    ],
+)
+def test_all_suite_report_under_q_is_byte_identical(q, name, format):
+    assert _digest(name, format, q) == GOLDEN["q"][q][format][name]
