@@ -22,8 +22,9 @@ from .algebra import (
     ModeTable,
     Terms,
     add_term,
-    jacobi_witness,
+    product_sparse,
     reversed_sparse,
+    sparse_differences,
     table_index,
 )
 from .errors import (
@@ -49,7 +50,8 @@ from .linalg import (
     vec_scale,
     zero_vec,
 )
-from .report import CheckReport
+from .pairs import pair_analysis
+from .report import CheckReport, Witness
 
 
 # ---------------------------------------------------------------------------
@@ -628,14 +630,16 @@ def check_jacobi_like(
 ) -> CheckReport:
     """The Jacobi-like identity with the reversed product routed through R.
 
-    Decided exactly per triple by jacobi_witness: the straight product must
-    equal the R-twisted reversed one, and the triple must be weakly
-    associative at order 0.  These are also the identity's two standard
+    Decided exactly per triple as algebra.check_jacobi decides the q-Jacobi
+    identity: the straight product must equal the R-twisted reversed one,
+    and the triple must be weakly associative at order 0, which the pair
+    analysis records.  These are also the identity's two standard
     consequences, so one verdict covers them.
     """
     report = CheckReport("jacobi-like")
     if rmap.dim != alg.dim:
         raise MalformedStructure("R-map dimension mismatch")
+    pairs = pair_analysis(alg)
     all_triples = triples or [
         (u, v, w)
         for u in range(alg.dim)
@@ -651,7 +655,12 @@ def check_jacobi_like(
             for e, outer in reversed_sparse(alg, sb, sa, sc).items():
                 add_term(rterms, e, coeff, outer.items())
         su, sv, sw = ((u_idx, ONE),), ((v_idx, ONE),), ((w_idx, ONE),)
-        witness = jacobi_witness(alg, su, sv, sw, rterms, names)
-        if witness is not None:
-            report.fail(witness)
+        diff = next(sparse_differences(product_sparse(alg, su, sv, sw), rterms), None)
+        if diff is not None:
+            e, lhs, rhs = diff
+            report.fail(
+                Witness(("commutation",) + names, e, densify(lhs, alg.dim), densify(rhs, alg.dim))
+            )
+        elif (assoc := pairs.assoc_failure(u_idx, v_idx, w_idx)) is not None:
+            report.fail(Witness(("associativity",) + names, *assoc))
     return report

@@ -6,7 +6,10 @@ action, truncation, and weak associativity, decided like the algebra's by one
 exact comparison), the derivative property of the translation operator,
 locality transfer between an algebra and a faithful module, and the
 compatibility of multi-operator products, which finite support makes an
-invariant (damping order zero).  Column and tensor modules take their
+invariant (damping order zero).  Module weak associativity and the
+module side of locality transfer read the module's pair analysis
+(pairs.pair_analysis), which is the algebra's own for the adjoint.
+Faithfulness is a sparse rank test.  Column and tensor modules take their
 action tables from construct.table_tensor, the one tensor kernel.
 """
 
@@ -20,7 +23,6 @@ from .algebra import (
     ModeIndex,
     ModeMap,
     ModeTable,
-    assoc_search,
     clean_table,
     commutation_sparse,
     d_columns,
@@ -35,16 +37,16 @@ from .algebra import (
     term_differences,
 )
 from .construct import _MatrixBasis, matrix_algebra, table_tensor, tensor_product
-from .errors import MalformedStructure
+from .errors import CapExceeded, MalformedStructure
 from .linalg import (
     ONE,
+    CoordSpan,
     Mat,
     SpanBasis,
     Vec,
     is_zero_vec,
-    rank,
-    zero_vec,
 )
+from .pairs import PairAnalysis, pair_analysis
 from .report import FOUND, CheckReport, OrderSearch, Witness
 
 
@@ -56,13 +58,16 @@ class ModuleStructure:
     same table functions, with its sparse image index `mode_index` built
     once; only the acting basis is the algebra's.  A module does not know
     its algebra, so the acting indices are checked against it by
-    require_acting_range wherever the two meet.
+    require_acting_range wherever the two meet.  `_pairs` holds the pair
+    analysis of the module under the algebra it was last checked with
+    (pairs.pair_analysis), built on first use.
     """
 
     basis: tuple[str, ...]
     action: ModeTable  # (algebra idx, module idx) -> {n: vec}
     meta: dict = field(default_factory=dict)
     mode_index: ModeIndex = field(init=False, repr=False, compare=False)
+    _pairs: PairAnalysis | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.basis = tuple(self.basis)
@@ -112,10 +117,11 @@ def adjoint_module(alg: AlgebraStructure) -> ModuleStructure:
 def check_module(alg: AlgebraStructure, mod: ModuleStructure) -> CheckReport:
     """Identity action, derivative property, and module weak associativity.
 
-    Every triple (u, v, w) is decided by assoc_search with the module as the
-    acting table; its order is 0 whenever the relation holds.  When some
-    (u, w) holds for every middle argument, the report records the uniform
-    order, the maximum over middle arguments, which is then 0 as well.
+    Every triple (u, v, w) is decided by the module's pair analysis
+    (algebra.assoc_sides with the module as the acting table); its order is
+    0 whenever the relation holds.  When some (u, w) holds for every middle
+    argument, the report records the uniform order, the maximum over middle
+    arguments, which is then 0 as well.
     """
     require_acting_range(alg, mod)
     report = CheckReport("module-axioms")
@@ -142,20 +148,15 @@ def check_module(alg: AlgebraStructure, mod: ModuleStructure) -> CheckReport:
             for n, a, b in term_differences(lhs, rhs, dim_w):
                 report.fail(Witness(("d-derivative", alg.basis[i], mod.basis[j]), (n,), a, b))
     # weak associativity, per triple; a (u, w) that holds for every v is uniform
+    pairs = pair_analysis(alg, mod)
     uniform = False
     for u_idx in range(alg.dim):
         for w_idx in range(dim_w):
             for v_idx in range(alg.dim):
-                search = assoc_search(
-                    alg,
-                    mod,
-                    ((u_idx, ONE),),
-                    ((v_idx, ONE),),
-                    ((w_idx, ONE),),
-                    (alg.basis[u_idx], alg.basis[v_idx], mod.basis[w_idx]),
-                )
-                if not search.found:
-                    report.fail(search.witness)
+                diff = pairs.assoc_failure(u_idx, v_idx, w_idx)
+                if diff is not None:
+                    names = (alg.basis[u_idx], alg.basis[v_idx], mod.basis[w_idx])
+                    report.fail(Witness(names, *diff))
                     break
             else:
                 uniform = True
@@ -237,18 +238,19 @@ def check_embedded_actions_commute(
 
 
 def is_faithful(alg: AlgebraStructure, mod: ModuleStructure) -> bool:
-    """Exact rank test of the action map v -> (all modes of Y_W(v))."""
+    """Exact rank test of the action map v -> (all modes of Y_W(v)).
+
+    Row i holds the nonzero coordinates of every mode of e_i on every w_j,
+    keyed by (j, mode, coordinate); the map is injective exactly when the
+    rows are independent, which a sparse span decides row by row.
+    """
     require_acting_range(alg, mod)
-    exps = sorted({n for modes in mod.action.values() for n in modes})
-    rows = []
-    for i in range(alg.dim):
-        row: list[Fraction] = []
-        for j in range(mod.dim):
-            modes = mod.action.get((i, j), {})
-            for n in exps:
-                row.extend(modes.get(n, zero_vec(mod.dim)))
-        rows.append(tuple(row))
-    return rank(rows) == alg.dim
+    rows: list[dict] = [{} for _ in range(alg.dim)]
+    for (i, j), modes in mod.mode_index.items():
+        for n, img in modes.items():
+            rows[i].update(((j, n, k), c) for k, c in img)
+    span = CoordSpan()
+    return all(span.insert(row) is None for row in rows)
 
 
 def check_locality_transfer(
@@ -268,15 +270,13 @@ def check_locality_transfer(
     report = CheckReport(f"locality-transfer[{alg.basis[u_idx]},{alg.basis[v_idx]}]")
     q = Fraction(q)
     alg_loc = find_locality_k(alg, u_idx, v_idx, q)
-    su, sv = ((u_idx, ONE),), ((v_idx, ONE),)
-    # module-side relation at order zero (Laurent data collapses every order)
+    # module-side relation at order zero (Laurent data collapses every order),
+    # read off the module's pair analysis: the algebra's own for the adjoint
     witness = None
-    for w_idx in range(mod.dim):
-        diffs = commutation_sparse(mod, su, sv, ((w_idx, ONE),), q)
-        if diffs:
-            names = (alg.basis[u_idx], alg.basis[v_idx], mod.basis[w_idx])
-            witness = Witness(names, *diffs[0])
-            break
+    failure = next(pair_analysis(alg, mod).commutation_failures(u_idx, v_idx, q), None)
+    if failure is not None:
+        w_idx, *diff = failure
+        witness = Witness((alg.basis[u_idx], alg.basis[v_idx], mod.basis[w_idx]), *diff)
     mod_holds = witness is None
     report.found_orders["faithful"] = int(faithful)
     if alg_loc.found:
@@ -330,7 +330,7 @@ def generate_submodule(
         changed = False
         rounds += 1
         if rounds > mod.dim + 1:
-            break
+            raise CapExceeded("generated submodule failed to stabilize within the dimension")
         for i in range(alg.dim):
             for b in list(span.rows):
                 for n in modes:

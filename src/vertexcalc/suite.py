@@ -202,14 +202,14 @@ def _assoc_record(
         searches = [find_weak_assoc_l(alg, u, w) for u in basis for w in basis]
     else:
         searches = [weak_assoc_triple(alg, u, v, w) for u in basis for v in basis for w in basis]
-    failed = [s.witness.describe() for s in searches if not s.found]
+    failed = [s.witness for s in searches if not s.found]
     return SuiteRecord(
         id=rid,
         identity=identity,
         kind=CHECK,
         verdict=FAIL if failed else PASS,
         orders={"max_l": 0},
-        witnesses=failed[:MAX_WITNESSES],
+        witnesses=[w.describe() for w in failed[:MAX_WITNESSES]],
         notes=notes,
     )
 
@@ -346,15 +346,14 @@ def _suite_modules(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteRe
         for j in range(alg.dim):
             q = _resolve_q(bundle, options, i, j)
             t = check_locality_transfer(alg, mod, i, j, q, faithful=faithful)
-            if not t.passed:
-                transfer_fail.extend(w.describe() for w in t.witnesses)
+            transfer_fail.extend(t.witnesses)
     report.add(
         SuiteRecord(
             id="modules/locality-transfer",
             identity="locality transfers to modules and back on faithful ones",
             kind=CHECK,
             verdict=FAIL if transfer_fail else PASS,
-            witnesses=transfer_fail[:MAX_WITNESSES],
+            witnesses=[w.describe() for w in transfer_fail[:MAX_WITNESSES]],
         )
     )
     compat_bad = 0

@@ -28,6 +28,7 @@ from vertexcalc.algebra import (
     d_columns,
     d_operator,
     dense_terms,
+    exp_sparse,
     exp_x_matrix,
     find_locality_k,
     find_weak_assoc_l,
@@ -405,6 +406,7 @@ def test_term_kernel_matches_dense_formulas():
                 seen.add(("assoc", act is alg, not diffs))
         # skew-symmetry terms and the exponential, against a random nilpotent D
         d, cols = _random_nilpotent(rng, dim)
+        images = [exp_sparse(cols, ((k, ONE),)) for k in range(dim)]
         for _ in range(30):
             u, v = rng.choice(acting), rng.choice(acting)
             straight = sparse_modes(alg.mode_index, support(u), support(v))
@@ -414,7 +416,7 @@ def test_term_kernel_matches_dense_formulas():
             assert exp_x_matrix(cols, u) == _dense_exp(d, u)
             assert apply_columns(cols, u) == mat_vec(d, u)
             for q in _QS:
-                got = skew_terms(cols, modes, q)
+                got = skew_terms(images, modes, q)
                 ref = _ref_skew(d, _dense_mode_map(alg.y_data, v, u), q)
                 assert _nonzero_terms(dense_terms(got, dim)) == _nonzero_terms(ref)
                 rhs = {(m,): c for m, c in got.items()}

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from vertexcalc.errors import MalformedStructure
+from vertexcalc.errors import CapExceeded, MalformedStructure
 from vertexcalc.fixtures import (
     cross_a2_z2,
     klein_twist,
@@ -12,7 +12,8 @@ from vertexcalc.fixtures import (
     truncated_poly_3,
     upper_triangular_2,
 )
-from vertexcalc.linalg import unit_vec
+from vertexcalc.construct import matrix_algebra
+from vertexcalc.linalg import SpanBasis, rank, unit_vec, zero_vec
 from vertexcalc.modules import (
     ModuleStructure,
     adjoint_module,
@@ -64,6 +65,48 @@ def test_corrupted_action_fails(a3, a3_adj):
 def test_adjoint_is_faithful(a3, a3_adj):
     # creation pins every algebra element to its action on the vacuum
     assert is_faithful(a3, a3_adj)
+
+
+def _dense_is_faithful(alg, mod) -> bool:
+    """Rank of the dense rows (every mode of e_i on every w_j), length dim x dim x modes."""
+    exps = sorted({n for modes in mod.action.values() for n in modes})
+    rows = []
+    for i in range(alg.dim):
+        row = []
+        for j in range(mod.dim):
+            modes = mod.action.get((i, j), {})
+            for n in exps:
+                row.extend(modes.get(n, zero_vec(mod.dim)))
+        rows.append(tuple(row))
+    return rank(rows) == alg.dim
+
+
+def test_trivial_module_is_unfaithful(a3):
+    # the vacuum acts as the identity on one vector and t, t^2 act as zero
+    trivial = ModuleStructure(basis=("w",), action={(a3.vacuum, 0): {-1: (1,)}})
+    assert check_module(a3, trivial).passed
+    assert not is_faithful(a3, trivial)
+    assert not _dense_is_faithful(a3, trivial)
+    # a module that forgets t^2 only: t acts, t^2 does not
+    t, t2 = a3.basis_index("t"), a3.basis_index("t2")
+    action = {k: dict(v) for k, v in adjoint_module(a3).action.items() if k[0] != t2}
+    forgetful = ModuleStructure(basis=a3.basis, action=action)
+    assert is_faithful(a3, forgetful) is _dense_is_faithful(a3, forgetful) is False
+    action.pop((t, a3.vacuum))
+    assert is_faithful(a3, ModuleStructure(basis=a3.basis, action=action)) is False
+
+
+def test_sparse_faithfulness_matches_the_dense_rank():
+    a3 = truncated_poly_3()
+    cases = []
+    for alg in (a3, upper_triangular_2(), klein_twist()[0], cross_a2_z2()[0], matrix_over_a3()):
+        cases.append((alg, adjoint_module(alg)))
+        cases.append(wn_module(alg, adjoint_module(alg), 2))
+    m3 = matrix_algebra(a3, 3)
+    cases.append((m3, adjoint_module(m3)))
+    cases.append(tensor_module([a3, a3], [adjoint_module(a3), adjoint_module(a3)]))
+    for alg, mod in cases:
+        assert is_faithful(alg, mod) == _dense_is_faithful(alg, mod) is True
 
 
 def test_stray_acting_indices_are_malformed(a3, a3_adj):
@@ -221,6 +264,14 @@ def test_ideal_vectors_do_not_generate(a3, a3_adj):
     # t only reaches the ideal spanned by (t, t^2): a proper submodule
     rows = generate_submodule(a3, a3_adj, a3_adj.unit(a3.basis_index("t")))
     assert len(rows) == 2
+
+
+def test_generation_that_never_stabilizes_is_refused(a3, a3_adj, monkeypatch):
+    # a span that reports growth on every image never stabilizes: the round
+    # cap must raise instead of returning a partial span
+    monkeypatch.setattr(SpanBasis, "add", lambda self, v: True)
+    with pytest.raises(CapExceeded):
+        generate_submodule(a3, a3_adj, a3_adj.unit(a3.vacuum))
 
 
 def test_generation_transfers_to_column_modules(a3, a3_adj):
