@@ -42,6 +42,7 @@ from .errors import CapExceeded, MalformedStructure, NonNilpotentD
 from .linalg import (
     ONE,
     ZERO,
+    CoordSpan,
     Mat,
     SparseVec,
     SpanBasis,
@@ -752,39 +753,36 @@ def check_jacobi(alg: AlgebraStructure, u_idx: int, v_idx: int, q: Fraction) -> 
 # subspaces: generated subalgebra, stabilizer, localizer
 
 
-def generate_subalgebra(alg: AlgebraStructure, generators: list[Vec]) -> list[Vec]:
-    """Row-reduced basis of the subalgebra generated by the given vectors.
+def spin(index: ModeIndex, acting: list[Support], start: list[SparseVec], dim: int) -> list:
+    """The span of start under every mode of the acting vectors, in spin order.
 
-    Breadth-first span of all mode words applied to the vacuum; stabilizes
-    within dim steps for valid data.
+    MeatAxe spinning (Parker 1984): each accepted vector is multiplied once
+    by each acting vector (all modes in one sparse_modes call), and each
+    nonzero image outside the span so far is accepted and queued.  More
+    accepted vectors than dim would be a dependent set: CapExceeded.
     """
-    span = SpanBasis([alg.vacuum_vec()])
-    gen_modes: list[tuple[Vec, list[int]]] = []
-    for g in generators:
-        modes = set()
-        for i, c in enumerate(g):
-            if c == 0:
-                continue
-            for (a, _b), mm in alg.y_data.items():
-                if a == i:
-                    modes.update(mm.keys())
-        gen_modes.append((g, sorted(modes)))
-    changed = True
-    rounds = 0
-    while changed:
-        changed = False
-        rounds += 1
-        if rounds > alg.dim + 1:
-            raise CapExceeded("generated span failed to stabilize within the dimension")
-        for g, modes in gen_modes:
-            for b in list(span.rows):
-                for n in modes:
-                    w = alg.apply_mode(g, n, b)
-                    if not is_zero_vec(w) and span.add(w):
-                        changed = True
-        if span.dim > alg.dim:
-            raise CapExceeded("span dimension exceeded the ambient dimension")
-    return list(span.rows)
+    span = CoordSpan()
+    accepted: list[SparseVec] = []
+    for v in start:
+        if v and span.insert(v) is None:
+            accepted.append(v)
+    for v in accepted:  # the queue: appended to while it is read
+        for su in acting:
+            for img in sparse_modes(index, su, v.items()).values():
+                if span.insert(img) is None:
+                    accepted.append(img)
+                    if len(accepted) > dim:
+                        raise CapExceeded("spin accepted more vectors than the dimension")
+    return accepted
+
+
+def generate_subalgebra(alg: AlgebraStructure, generators: list[Vec]) -> list[Vec]:
+    """Basis of the subalgebra generated by the vectors: the vacuum spun under their modes.
+
+    The rows are the accepted vectors in spin order, vacuum first, not an RREF.
+    """
+    rows = spin(alg.mode_index, [support(g) for g in generators], [{alg.vacuum: ONE}], alg.dim)
+    return [densify(v, alg.dim) for v in rows]
 
 
 def _all_modes(alg: AlgebraStructure) -> list[int]:

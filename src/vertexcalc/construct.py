@@ -23,7 +23,6 @@ from .algebra import (
     Terms,
     add_term,
     product_sparse,
-    reversed_sparse,
     sparse_differences,
     table_index,
 )
@@ -545,7 +544,7 @@ class RMap:
     def image(
         self, triple: tuple[int, int, int]
     ) -> list[tuple[Fraction, tuple[int, int, int]]]:
-        return self.entries.get(triple, [(Fraction(1), triple)])
+        return self.entries.get(triple, [(ONE, triple)])
 
 
 def rmap_identity(dim: int) -> RMap:
@@ -582,7 +581,7 @@ def rmap_tensor_swap(dim_v: int, dim_a: int) -> RMap:
                     if (src1, src2) == (dst1, dst2):
                         continue
                     for w in range(dim):
-                        entries[(src1, src2, w)] = [(Fraction(1), (dst1, dst2, w))]
+                        entries[(src1, src2, w)] = [(ONE, (dst1, dst2, w))]
     return RMap(dim=dim, entries=entries)
 
 
@@ -646,21 +645,43 @@ def check_jacobi_like(
         for v in range(alg.dim)
         for w in range(alg.dim)
     ]
-    for (u_idx, v_idx, w_idx) in all_triples:
+    products: dict[tuple[int, int, int], Terms] = {}
+
+    def product(triple: tuple[int, int, int]) -> Terms:
+        """Y(a,x1)Y(b,x2)c for the basis triple (a, b, c), built once per w."""
+        if triple not in products:
+            products[triple] = product_sparse(alg, *(((i, ONE),) for i in triple))
+        return products[triple]
+
+    def witness(u_idx: int, v_idx: int, w_idx: int) -> Witness | None:
         names = (alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx])
-        # (Y x Y)(x2, x1) applied to R(v ⊗ u ⊗ w): sum of Y(a,x2)Y(b,x1)c
+        # (Y x Y)(x2, x1) applied to R(v ⊗ u ⊗ w): sum of Y(a,x2)Y(b,x1)c, which
+        # is Y(a,x1)Y(b,x2)c with its two exponents swapped
         rterms: Terms = {}
-        for coeff, (a_i, b_i, c_i) in rmap.image((v_idx, u_idx, w_idx)):
-            sa, sb, sc = ((a_i, ONE),), ((b_i, ONE),), ((c_i, ONE),)
-            for e, outer in reversed_sparse(alg, sb, sa, sc).items():
-                add_term(rterms, e, coeff, outer.items())
-        su, sv, sw = ((u_idx, ONE),), ((v_idx, ONE),), ((w_idx, ONE),)
-        diff = next(sparse_differences(product_sparse(alg, su, sv, sw), rterms), None)
+        for coeff, triple in rmap.image((v_idx, u_idx, w_idx)):
+            for (e2, e1), outer in product(triple).items():
+                add_term(rterms, (e1, e2), coeff, outer.items())
+        diff = next(sparse_differences(product((u_idx, v_idx, w_idx)), rterms), None)
         if diff is not None:
             e, lhs, rhs = diff
-            report.fail(
-                Witness(("commutation",) + names, e, densify(lhs, alg.dim), densify(rhs, alg.dim))
-            )
-        elif (assoc := pairs.assoc_failure(u_idx, v_idx, w_idx)) is not None:
-            report.fail(Witness(("associativity",) + names, *assoc))
+            return Witness(("commutation",) + names, e, densify(lhs, alg.dim), densify(rhs, alg.dim))
+        if (assoc := pairs.assoc_failure(u_idx, v_idx, w_idx)) is not None:
+            return Witness(("associativity",) + names, *assoc)
+        return None
+
+    # every R-map built here keeps the third factor w, so a product is read
+    # only by triples with its own w: deciding one w at a time keeps only that
+    # w's products, and the witnesses are then reported in triple order
+    by_w: dict[int, list[tuple[int, int, int]]] = {}
+    for t in all_triples:
+        by_w.setdefault(t[2], []).append(t)
+    failures: dict[tuple[int, int, int], Witness] = {}
+    for group in by_w.values():
+        products.clear()
+        for t in group:
+            if (found := witness(*t)) is not None:
+                failures[t] = found
+    for t in all_triples:
+        if t in failures:
+            report.fail(failures[t])
     return report

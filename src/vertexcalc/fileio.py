@@ -33,6 +33,7 @@ from .modules import ModuleStructure
 from .operators import VertexOperator
 
 FORMAT_VERSION = 1
+RMAP_KINDS = ("identity", "cocycle-commutator", "tensor-swap", "cross-abelian")
 
 
 def parse_rational(s) -> Fraction:
@@ -99,10 +100,7 @@ class AlgebraBundle:
                 raise ValidationError("cocycle-commutator R-map needs grading + cocycle")
             return rmap_from_commutator(self.alg, self.grading, self.cocycle)
         if kind == "tensor-swap":
-            left, right = int(spec["left_dim"]), int(spec["right_dim"])
-            if left * right != self.alg.dim:
-                raise ValidationError("tensor-swap factor dimensions do not multiply up")
-            return rmap_tensor_swap(left, right)
+            return rmap_tensor_swap(spec["left_dim"], spec["right_dim"])
         if kind == "cross-abelian":
             if self.group is None or self.group_base_basis is None:
                 raise ValidationError("cross-abelian R-map needs the group section")
@@ -250,10 +248,30 @@ def parse_algebra_data(data: dict, name: str = "") -> AlgebraBundle:
 
         if "rmap" in data:
             section = "rmap"
-            bundle.rmap_spec = dict(data["rmap"])
+            bundle.rmap_spec = _rmap_spec(data["rmap"], alg.dim)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed {section!r} section: {exc!r}") from None
     return bundle
+
+
+def _rmap_spec(spec, dim: int) -> dict:
+    """The rmap section after its checks: an object with a known kind.
+
+    tensor-swap needs two factor dimensions that are JSON integers of at
+    least 1, not booleans, whose product is dim.
+    """
+    if not isinstance(spec, dict):
+        raise ParseError("the rmap section must be an object")
+    kind = spec.get("kind")
+    if kind not in RMAP_KINDS:
+        raise ValidationError(f"unknown R-map kind {kind!r}")
+    if kind == "tensor-swap":
+        dims = [spec.get("left_dim"), spec.get("right_dim")]
+        if not all(type(d) is int and d >= 1 for d in dims):
+            raise ParseError(f"tensor-swap factor dimensions must be integers >= 1, got {dims}")
+        if dims[0] * dims[1] != dim:
+            raise ValidationError("tensor-swap factor dimensions do not multiply up")
+    return dict(spec)
 
 
 def read_json(path: str | Path):

@@ -9,8 +9,12 @@ compatibility of multi-operator products, which finite support makes an
 invariant (damping order zero).  Module weak associativity and the
 module side of locality transfer read the module's pair analysis
 (pairs.pair_analysis), which is the algebra's own for the adjoint.
-Faithfulness is a sparse rank test.  Column and tensor modules take their
-action tables from construct.table_tensor, the one tensor kernel.
+Faithfulness is a sparse rank test.  Generation is sparse spinning
+(algebra.spin): each accepted vector is multiplied once by every algebra
+basis vector, and each image outside the span so far joins a sparse
+CoordSpan, so the generated rows come in spin order, not row-reduced.
+Column and tensor modules take their action tables from
+construct.table_tensor, the one tensor kernel.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .algebra import (
     find_locality_k,
     mode_derivative,
     sparse_modes,
+    spin,
     table_apply,
     table_exp_radius,
     table_index,
@@ -37,14 +42,14 @@ from .algebra import (
     term_differences,
 )
 from .construct import _MatrixBasis, matrix_algebra, table_tensor, tensor_product
-from .errors import CapExceeded, MalformedStructure
+from .errors import MalformedStructure
 from .linalg import (
     ONE,
     CoordSpan,
     Mat,
-    SpanBasis,
     Vec,
-    is_zero_vec,
+    densify,
+    support,
 )
 from .pairs import PairAnalysis, pair_analysis
 from .report import FOUND, CheckReport, OrderSearch, Witness
@@ -321,23 +326,13 @@ def check_product_compatibility(
 def generate_submodule(
     alg: AlgebraStructure, mod: ModuleStructure, start: Vec
 ) -> list[Vec]:
-    """Span saturation of one vector under every algebra mode."""
-    span = SpanBasis([start])
-    modes = sorted({n for mm in mod.action.values() for n in mm})
-    changed = True
-    rounds = 0
-    while changed:
-        changed = False
-        rounds += 1
-        if rounds > mod.dim + 1:
-            raise CapExceeded("generated submodule failed to stabilize within the dimension")
-        for i in range(alg.dim):
-            for b in list(span.rows):
-                for n in modes:
-                    w = mod.apply_mode(alg.unit(i), n, b)
-                    if not is_zero_vec(w) and span.add(w):
-                        changed = True
-    return list(span.rows)
+    """Basis of the submodule generated by start: start spun under every algebra basis vector.
+
+    The rows are the accepted vectors in spin order, start first, not an RREF.
+    """
+    acting = [((i, ONE),) for i in range(alg.dim)]
+    rows = spin(mod.mode_index, acting, [dict(support(start))], mod.dim)
+    return [densify(v, mod.dim) for v in rows]
 
 
 def generating_basis_vectors(alg: AlgebraStructure, mod: ModuleStructure) -> list[bool]:

@@ -6,11 +6,16 @@ from fractions import Fraction
 
 import pytest
 
+from vertexcalc import algebra, construct
 from vertexcalc.algebra import (
     AlgebraStructure,
+    add_term,
     d_operator,
     find_locality_k,
     find_weak_assoc_l,
+    product_sparse,
+    reversed_sparse,
+    sparse_differences,
     validate_structure,
     weak_assoc_triple,
 )
@@ -53,8 +58,10 @@ from vertexcalc.fixtures import (
     sign_flip_action,
     truncated_poly_3,
 )
-from vertexcalc.linalg import mat_vec, unit_vec, vec_add, vec_scale
+from vertexcalc.linalg import ONE, densify, mat_vec, unit_vec, vec_add, vec_scale
 from vertexcalc.modules import ModuleStructure, adjoint_module, tensor_module, wn_module
+from vertexcalc.pairs import pair_analysis
+from vertexcalc.report import CheckReport, Witness
 
 F = Fraction
 
@@ -358,6 +365,70 @@ def test_jacobi_like_fails_with_wrong_rmap():
     v = m.basis_index("one*E12")
     rep = check_jacobi_like(m, rmap_identity(12), triples=[(u, v, m.vacuum)])
     assert not rep.passed
+
+
+def _unshared_jacobi_like(alg, rmap):
+    # check_jacobi_like's former loop: each triple builds its straight product
+    # and every reversed product of its R-image afresh
+    pairs = pair_analysis(alg)
+    report = CheckReport("jacobi-like")
+    for u, v, w in itertools.product(range(alg.dim), repeat=3):
+        names = (alg.basis[u], alg.basis[v], alg.basis[w])
+        rterms = {}
+        for coeff, (a, b, c) in rmap.image((v, u, w)):
+            for e, outer in reversed_sparse(alg, _e(b), _e(a), _e(c)).items():
+                add_term(rterms, e, coeff, outer.items())
+        diff = next(sparse_differences(product_sparse(alg, _e(u), _e(v), _e(w)), rterms), None)
+        if diff is not None:
+            e, lhs, rhs = diff
+            report.fail(
+                Witness(("commutation",) + names, e, densify(lhs, alg.dim), densify(rhs, alg.dim))
+            )
+        elif (assoc := pairs.assoc_failure(u, v, w)) is not None:
+            report.fail(Witness(("associativity",) + names, *assoc))
+    return report
+
+
+def _e(i):
+    return ((i, ONE),)
+
+
+@pytest.mark.parametrize(
+    "rmap", [rmap_tensor_swap(3, 4), rmap_identity(12)], ids=["swap", "identity"]
+)
+def test_jacobi_like_builds_each_product_once(rmap, monkeypatch):
+    # one product per distinct basis triple, shared by the straight side and
+    # the reversed side of every R-image that names it
+    m = matrix_over_a3()
+    expected = _unshared_jacobi_like(m, rmap)
+    built = []
+
+    def counting(act, su, sv, sw):
+        built.append((su, sv, sw))
+        return product_sparse(act, su, sv, sw)
+
+    # every path to a product: the name construct calls and, through
+    # reversed_sparse, the one algebra calls
+    monkeypatch.setattr(construct, "product_sparse", counting)
+    monkeypatch.setattr(algebra, "product_sparse", counting)
+    rep = check_jacobi_like(m, rmap)
+    assert len(built) == len(set(built)) == m.dim**3 == 1728
+    assert (rep.verdict, rep.exact, rep.witnesses) == (
+        expected.verdict,
+        expected.exact,
+        expected.witnesses,
+    )
+    assert rep.passed == (rmap.entries != {})
+
+
+def test_jacobi_like_reports_witnesses_in_the_order_of_the_triples():
+    # the triples are decided grouped by w, but reported in the order given
+    m = matrix_over_a3()
+    full = check_jacobi_like(m, rmap_identity(12))
+    failing = [tuple(m.basis_index(nm) for nm in wit.where[1:]) for wit in full.witnesses]
+    assert len({t[2] for t in failing}) > 1
+    rev = check_jacobi_like(m, rmap_identity(12), triples=failing[::-1])
+    assert rev.witnesses == full.witnesses[::-1]
 
 
 # -- the tensor kernel against the dense formulas -------------------------------------

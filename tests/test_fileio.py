@@ -154,6 +154,39 @@ def test_malformed_gradings_are_invalid(case, tmp_path):
     assert main(["check", str(path), "--suite", "axioms"]) == 2
 
 
+def _swap(**dims):
+    return lambda d: d.update(rmap={"kind": "tensor-swap", **dims})
+
+
+MALFORMED_RMAPS = {
+    "swap-without-dims": (ParseError, lambda d: d.update(rmap={"kind": "tensor-swap"})),
+    "swap-dim-a-string": (ParseError, _swap(left_dim="x", right_dim=4)),
+    "swap-negative-dims": (ParseError, _swap(left_dim=-3, right_dim=-4)),
+    "swap-dim-a-boolean": (ParseError, _swap(left_dim=True, right_dim=12)),
+    "swap-dim-a-float": (ParseError, _swap(left_dim=3.5, right_dim=4)),
+    "swap-dims-do-not-multiply-up": (ValidationError, _swap(left_dim=3, right_dim=3)),
+    "section-a-list-of-pairs": (
+        ParseError,
+        lambda d: d.update(rmap=[["kind", "tensor-swap"], ["left_dim", 3], ["right_dim", 4]]),
+    ),
+    "unknown-kind": (ValidationError, lambda d: d.update(rmap={"kind": "swap"})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RMAPS))
+def test_malformed_rmap_sections_are_refused_at_parse(case, tmp_path):
+    # these ended in a KeyError or ValueError traceback (exit code 1) in the
+    # jacobi-like suite, or were accepted and ran as a trivial or wrong swap
+    error, mutate = MALFORMED_RMAPS[case]
+    data = json.loads((FIXTURES / "m2a3.json").read_text())
+    mutate(data)
+    with pytest.raises(error):
+        parse_algebra_data(data)
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path), "--suite", "jacobi-like"]) == 2
+
+
 SHIPPED = {p.stem: json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))}
 DROP = object()
 JUNK = (None, 5, -1, "x", "1/0", [], {}, 1.5, True, 0)

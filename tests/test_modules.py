@@ -13,7 +13,7 @@ from vertexcalc.fixtures import (
     upper_triangular_2,
 )
 from vertexcalc.construct import matrix_algebra
-from vertexcalc.linalg import SpanBasis, rank, unit_vec, zero_vec
+from vertexcalc.linalg import CoordSpan, rank, unit_vec, zero_vec
 from vertexcalc.modules import (
     ModuleStructure,
     adjoint_module,
@@ -267,9 +267,10 @@ def test_ideal_vectors_do_not_generate(a3, a3_adj):
 
 
 def test_generation_that_never_stabilizes_is_refused(a3, a3_adj, monkeypatch):
-    # a span that reports growth on every image never stabilizes: the round
-    # cap must raise instead of returning a partial span
-    monkeypatch.setattr(SpanBasis, "add", lambda self, v: True)
+    # a span that accepts every image as independent never closes: the spin
+    # must raise once it holds more vectors than the dimension, instead of
+    # running on or returning a partial span
+    monkeypatch.setattr(CoordSpan, "insert", lambda self, v: None)
     with pytest.raises(CapExceeded):
         generate_submodule(a3, a3_adj, a3_adj.unit(a3.vacuum))
 
