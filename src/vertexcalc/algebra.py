@@ -45,13 +45,13 @@ from .linalg import (
     CoordSpan,
     Mat,
     SparseVec,
-    SpanBasis,
     Support,
     Vec,
     add_scaled,
+    dense_span,
     densify,
     is_zero_vec,
-    nullspace,
+    span_nullspace,
     support,
     unit_vec,
     zero_vec,
@@ -241,12 +241,6 @@ class AlgebraStructure:
 # the translation operator and its exponential
 
 
-def d_operator(alg: AlgebraStructure) -> Mat:
-    """Matrix of v -> v_(-2) vacuum (column j is the image of e_j)."""
-    cols = [alg.product(j, -2, alg.vacuum) for j in range(alg.dim)]
-    return tuple(tuple(col[r] for col in cols) for r in range(alg.dim))
-
-
 def d_columns(alg: AlgebraStructure) -> list[Support]:
     """The nonzero coordinates of each image D e_j, read off the sparse index."""
     return [alg.mode_index.get((j, alg.vacuum), {}).get(-2, ()) for j in range(alg.dim)]
@@ -273,11 +267,6 @@ def scale(c, v: SparseVec) -> SparseVec:
 def mode_derivative(modes: dict[int, SparseVec]) -> dict[int, SparseVec]:
     """d/dx of sum_n w_n x^(-n-1): mode n moves to n+1 with the factor -n-1."""
     return {n + 1: scale(-n - 1, w) for n, w in modes.items() if n != -1}
-
-
-def exp_x_matrix(cols: list[Support], v: Vec, cap: int | None = None) -> dict[int, Vec]:
-    """exp_sparse of v, each iterate densified."""
-    return dense_terms(exp_sparse(cols, support(v), cap), len(v))
 
 
 def exp_sparse(cols: list[Support], entries: Support, cap: int | None = None) -> Terms:
@@ -396,20 +385,6 @@ def product_terms(
 ) -> dict[tuple[int, int], Vec]:
     """product_sparse of dense vectors, densified."""
     return dense_terms(product_sparse(act, support(u), support(v), support(w)), act.dim)
-
-
-def reversed_product_terms(
-    act: AlgebraStructure | ModuleStructure, u: Vec, v: Vec, w: Vec
-) -> dict[tuple[int, int], Vec]:
-    """reversed_sparse of dense vectors, densified."""
-    return dense_terms(reversed_sparse(act, support(u), support(v), support(w)), act.dim)
-
-
-def commutation_differences(
-    act: AlgebraStructure | ModuleStructure, u: Vec, v: Vec, w: Vec, q: Fraction
-) -> list[tuple[tuple[int, int], Vec, Vec]]:
-    """commutation_sparse of dense vectors."""
-    return commutation_sparse(act, support(u), support(v), support(w), q)
 
 
 def iterate_terms(
@@ -785,27 +760,20 @@ def generate_subalgebra(alg: AlgebraStructure, generators: list[Vec]) -> list[Ve
     return [densify(v, alg.dim) for v in rows]
 
 
-def _all_modes(alg: AlgebraStructure) -> list[int]:
-    modes = set()
-    for mm in alg.y_data.values():
-        modes.update(mm.keys())
-    return sorted(modes)
-
-
 def stabilizer(alg: AlgebraStructure, subspace: list[Vec]) -> list[Vec]:
-    """{v : v_n U inside U for all n}, solved as exact linear conditions."""
-    span = SpanBasis(subspace)
-    rows: list[Vec] = []
-    modes = _all_modes(alg)
-    for u in span.rows:
-        for n in modes:
-            # residues of (e_i)_n u modulo U, one linear row per coordinate
-            images = [span.reduce(alg.apply_mode(alg.unit(i), n, u)) for i in range(alg.dim)]
-            for r in range(alg.dim):
-                row = tuple(images[i][r] for i in range(alg.dim))
-                if not is_zero_vec(row):
-                    rows.append(row)
-    return nullspace(rows, alg.dim)
+    """{v : v_n U inside U for all n}, solved as exact linear conditions.
+
+    For each echelon row u of U, mode n and coordinate r, the residue of
+    (e_i)_n u modulo U at r, over i, is one condition on v.
+    """
+    span = dense_span(subspace)
+    conditions: dict[tuple, SparseVec] = {}
+    for p, u in span.echelon():
+        for i in range(alg.dim):
+            for n, img in sparse_modes(alg.mode_index, ((i, ONE),), u.items()).items():
+                for r, c in span.residue(img).items():
+                    conditions.setdefault((p, n, r), {})[i] = c
+    return span_nullspace(CoordSpan(conditions.values()), alg.dim)
 
 
 def localizer(alg: AlgebraStructure, targets: list[Vec]) -> list[Vec]:
@@ -817,35 +785,31 @@ def localizer(alg: AlgebraStructure, targets: list[Vec]) -> list[Vec]:
     """
     exp_images = _analysis(alg).exp_images
     index = alg.mode_index
-    rows: list[Vec] = []
-    for w in targets:
+    conditions: dict[tuple, SparseVec] = {}
+    for t, w in enumerate(targets):
         # Y(e_i,x)w - e^{xD}Y(w,-x)e_i for each i, e^{xD} read off its basis images
         sw = support(w)
-        diffs = []
         for i in range(alg.dim):
             ei = ((i, ONE),)
             diff = {-n - 1: c for n, c in sparse_modes(index, ei, sw).items()}
             for m, c in skew_terms(exp_images, sparse_modes(index, sw, ei), Fraction(-1)).items():
                 add_term(diff, m, 1, c.items())
-            diffs.append(diff)
-        for m in sorted(set().union(*diffs)):
-            images = [diff.get(m, {}) for diff in diffs]
-            for r in range(alg.dim):
-                row = tuple(img.get(r, ZERO) for img in images)
-                if not is_zero_vec(row):
-                    rows.append(row)
-    return nullspace(rows, alg.dim)
+            for m, img in diff.items():
+                for r, c in img.items():
+                    conditions.setdefault((t, m, r), {})[i] = c
+    return span_nullspace(CoordSpan(conditions.values()), alg.dim)
 
 
 def subspace_is_subalgebra(alg: AlgebraStructure, rows: list[Vec]) -> CheckReport:
     """Verify a subspace contains the vacuum and is closed under all modes."""
     report = CheckReport("subalgebra-closure")
-    span = SpanBasis(rows)
-    if not span.contains(alg.vacuum_vec()):
+    span = dense_span(rows)
+    if span.residue({alg.vacuum: ONE}):
         report.fail(Witness(("vacuum",), None, "missing", "vacuum in span"))
-    for a in span.rows:
-        for b in span.rows:
-            for n, w in alg.mode_map(a, b).items():
-                if not span.contains(w):
-                    report.fail(Witness(("closure",), (n,), w, "inside span"))
+    echelon = [row.items() for _p, row in span.echelon()]
+    for a in echelon:
+        for b in echelon:
+            for n, w in sparse_modes(alg.mode_index, a, b).items():
+                if span.residue(w):
+                    report.fail(Witness(("closure",), (n,), densify(w, alg.dim), "inside span"))
     return report

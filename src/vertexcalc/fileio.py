@@ -92,20 +92,14 @@ class AlgebraBundle:
         spec = self.rmap_spec
         if spec is None:
             return None
-        kind = spec.get("kind")
+        kind = spec["kind"]
         if kind == "identity":
             return rmap_identity(self.alg.dim)
         if kind == "cocycle-commutator":
-            if self.grading is None or self.cocycle is None:
-                raise ValidationError("cocycle-commutator R-map needs grading + cocycle")
             return rmap_from_commutator(self.alg, self.grading, self.cocycle)
         if kind == "tensor-swap":
             return rmap_tensor_swap(spec["left_dim"], spec["right_dim"])
-        if kind == "cross-abelian":
-            if self.group is None or self.group_base_basis is None:
-                raise ValidationError("cross-abelian R-map needs the group section")
-            return rmap_cross_abelian(len(self.group_base_basis), self.group)
-        raise ValidationError(f"unknown R-map kind {kind!r}")
+        return rmap_cross_abelian(len(self.group_base_basis), self.group)
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +242,19 @@ def parse_algebra_data(data: dict, name: str = "") -> AlgebraBundle:
 
         if "rmap" in data:
             section = "rmap"
-            bundle.rmap_spec = _rmap_spec(data["rmap"], alg.dim)
+            bundle.rmap_spec = _rmap_spec(data["rmap"], bundle)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed {section!r} section: {exc!r}") from None
     return bundle
 
 
-def _rmap_spec(spec, dim: int) -> dict:
+def _rmap_spec(spec, bundle: AlgebraBundle) -> dict:
     """The rmap section after its checks: an object with a known kind.
 
     tensor-swap needs two factor dimensions that are JSON integers of at
-    least 1, not booleans, whose product is dim.
+    least 1, not booleans, whose product is the dimension.  cocycle-commutator
+    needs the grading and cocycle sections, and cross-abelian the group
+    section with its base_basis, so resolve_rmap finds what it reads.
     """
     if not isinstance(spec, dict):
         raise ParseError("the rmap section must be an object")
@@ -269,8 +265,12 @@ def _rmap_spec(spec, dim: int) -> dict:
         dims = [spec.get("left_dim"), spec.get("right_dim")]
         if not all(type(d) is int and d >= 1 for d in dims):
             raise ParseError(f"tensor-swap factor dimensions must be integers >= 1, got {dims}")
-        if dims[0] * dims[1] != dim:
+        if dims[0] * dims[1] != bundle.alg.dim:
             raise ValidationError("tensor-swap factor dimensions do not multiply up")
+    if kind == "cocycle-commutator" and (bundle.grading is None or bundle.cocycle is None):
+        raise ValidationError("cocycle-commutator R-map needs grading + cocycle")
+    if kind == "cross-abelian" and bundle.group_base_basis is None:
+        raise ValidationError("cross-abelian R-map needs the group section with base_basis")
     return dict(spec)
 
 

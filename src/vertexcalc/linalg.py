@@ -2,13 +2,14 @@
 
 Vectors are tuples of Fraction, matrices are tuples of row tuples.  Everything
 is immutable and exact; there is no floating point anywhere in the package.
-Row reduction pivots on the first nonzero column in canonical order, so
-reduced bases and solved coordinates are reproducible across runs.  CoordSpan
-works on sparse vectors, {key: nonzero Fraction} dicts, and pivots on the
-least key.  The structure checks compute on the same sparse form: `support`
-reads the nonzero entries of a dense vector once, `add_scaled` accumulates
-on them, and `densify` comes back only for a public return value or a
-witness.
+There is one elimination, the sparse span CoordSpan: vectors are {key:
+nonzero Fraction} dicts, and each row is fully reduced with a unit pivot on
+its least key.  Row reduction, rank and nullspace are views of it: its rows
+in pivot order are the reduced row echelon form, which is unique, so reduced
+bases are reproducible across runs.  The structure checks compute on the same
+sparse form: `support` reads the nonzero entries of a dense vector once,
+`add_scaled` accumulates on them, and `densify` comes back only for a public
+return value or a witness.
 """
 
 from __future__ import annotations
@@ -147,97 +148,24 @@ def nilpotency_index(m: Mat, cap: int | None = None) -> int | None:
     return None
 
 
-def row_reduce(rows: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form with unit pivots; returns (rows, pivot columns).
-
-    Zero rows are dropped.  Pivoting always takes the first nonzero column,
-    scanning rows in the order given, so the result is deterministic.
-    """
-    work = [list(r) for r in rows if not is_zero_vec(r)]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    pivots: list[int] = []
-    reduced: list[list[Fraction]] = []
-    for col in range(ncols):
-        pivot_row = None
-        for r in work:
-            if r[col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        work.remove(pivot_row)
-        inv = 1 / pivot_row[col]
-        pivot_row = [inv * x for x in pivot_row]
-        for r in work:
-            f = r[col]
-            if f != 0:
-                for j in range(col, ncols):
-                    r[j] -= f * pivot_row[j]
-        work = [r for r in work if any(x != 0 for x in r)]
-        for r in reduced:
-            f = r[col]
-            if f != 0:
-                for j in range(col, ncols):
-                    r[j] -= f * pivot_row[j]
-        reduced.append(pivot_row)
-        pivots.append(col)
-        if not work:
-            break
-    return [tuple(r) for r in reduced], pivots
-
-
-def rank(rows: Sequence[Vec]) -> int:
-    return len(row_reduce(rows)[0])
-
-
-class SpanBasis:
-    """A row-reduced basis of a subspace, supporting exact membership tests."""
-
-    def __init__(self, rows: Sequence[Vec] = ()):  # rows need not be independent
-        self.rows, self.pivots = row_reduce(rows)
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, v: Vec) -> Vec:
-        """Residue of v modulo the span (zero iff v is a member)."""
-        w = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            f = w[p]
-            if f != 0:
-                for j in range(p, len(w)):
-                    w[j] -= f * row[j]
-        return tuple(w)
-
-    def contains(self, v: Vec) -> bool:
-        return is_zero_vec(self.reduce(v))
-
-    def add(self, v: Vec) -> bool:
-        """Insert v if independent; returns True when the span grew."""
-        if self.contains(v):
-            return False
-        self.rows, self.pivots = row_reduce(list(self.rows) + [v])
-        return True
-
-
 class CoordSpan:
     """Sparse row space that expresses members as combinations of the inserted reps.
 
     A vector is a {key: nonzero Fraction} dict over sortable, hashable keys;
     absent keys are zero.  Rows stay fully reduced with a unit pivot on their
-    least key, so no row holds another row's pivot and reduction is one pass.
-    Unlike SpanBasis, dependence answers come with exact coordinates over the
+    least key, so no row holds another row's pivot, reduction is one pass, and
+    the rows taken in pivot order are the reduced row echelon form of the
+    span.  Dependence answers come with exact coordinates over the
     representative vectors in insertion order, which is what the closure
     engine needs to read off structure constants.
     """
 
-    def __init__(self):
+    def __init__(self, rows: Iterable[SparseVec] = ()):
         self.reps: list[SparseVec] = []
         # (pivot key, reduced row, the row's coordinates over the reps)
         self._rows: list[tuple[object, SparseVec, SparseVec]] = []
+        for v in rows:
+            self.insert(v)
 
     @property
     def dim(self) -> int:
@@ -253,6 +181,10 @@ class CoordSpan:
                 add_scaled(combo, f, cmb.items())
         return w, tuple(combo.get(k, ZERO) for k in range(len(self.reps)))
 
+    def residue(self, v: SparseVec) -> SparseVec:
+        """v minus its span component: empty exactly when v is a member."""
+        return self._reduce(v)[0]
+
     def solve(self, v: SparseVec) -> Vec | None:
         """Coordinates of v over the reps, or None if v is outside the span."""
         w, coords = self._reduce(v)
@@ -264,7 +196,7 @@ class CoordSpan:
         if not w:
             return coords
         pivot = min(w)
-        inv = 1 / w[pivot]
+        inv = ONE / w[pivot]
         row = {k: inv * x for k, x in w.items()}
         # w = v - sum of coords[k] * rep k, and v becomes the last rep
         cmb = {k: -inv * c for k, c in enumerate(coords) if c}
@@ -277,18 +209,49 @@ class CoordSpan:
         self.reps.append(dict(v))
         return None
 
+    def echelon(self) -> list[tuple[object, SparseVec]]:
+        """(pivot, row) in pivot order, each row's keys sorted: the span's RREF."""
+        rows = sorted(self._rows, key=lambda t: t[0])
+        return [(p, {k: row[k] for k in sorted(row)}) for p, row, _cmb in rows]
+
+
+def dense_span(rows: Iterable[Vec]) -> CoordSpan:
+    """The CoordSpan of dense rows, keyed by column index."""
+    return CoordSpan(dict(support(r)) for r in rows)
+
+
+def row_reduce(rows: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
+    """Reduced row echelon form with unit pivots; returns (rows, pivot columns).
+
+    The span's echelon rows, densified.  Zero and dependent rows are
+    dropped, and the RREF of a row space is unique, so the result does not
+    depend on the order of the rows.
+    """
+    echelon = dense_span(rows).echelon()
+    ncols = len(rows[0]) if echelon else 0
+    return [densify(row, ncols) for _p, row in echelon], [p for p, _row in echelon]
+
+
+def rank(rows: Sequence[Vec]) -> int:
+    return dense_span(rows).dim
+
+
+def span_nullspace(span: CoordSpan, ncols: int) -> list[Vec]:
+    """RREF basis of {v : r . v = 0 for every row r of the span}, column keys below ncols.
+
+    Each free column fc gives the vector with 1 at fc and minus the fc entry
+    of each echelon row at that row's pivot.
+    """
+    echelon = span.echelon()
+    pivots = {p for p, _row in echelon}
+    kernel = CoordSpan(
+        {fc: ONE, **{p: -row[fc] for p, row in echelon if fc in row}}
+        for fc in range(ncols)
+        if fc not in pivots
+    )
+    return [densify(row, ncols) for _p, row in kernel.echelon()]
+
 
 def nullspace(rows: Sequence[Vec], ncols: int) -> list[Vec]:
-    """Basis of {v : M v = 0} for the matrix with the given rows."""
-    reduced, pivots = row_reduce(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[fc]
-        basis.append(tuple(v))
-    reduced_basis, _ = row_reduce(basis)
-    return reduced_basis
+    """Basis of {v : M v = 0} for the matrix with the given rows, in RREF."""
+    return span_nullspace(dense_span(rows), ncols)

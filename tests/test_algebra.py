@@ -13,6 +13,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from reference_spans import (
+    SpanBasis,
+    dense_localizer,
+    dense_nullspace,
+    dense_stabilizer,
+    dense_subspace_is_subalgebra,
+)
 
 from vertexcalc.algebra import (
     AlgebraStructure,
@@ -24,12 +31,10 @@ from vertexcalc.algebra import (
     check_jacobi,
     check_skew_symmetry,
     clean_table,
-    commutation_differences,
+    commutation_sparse,
     d_columns,
-    d_operator,
     dense_terms,
     exp_sparse,
-    exp_x_matrix,
     find_locality_k,
     find_weak_assoc_l,
     generate_subalgebra,
@@ -38,7 +43,7 @@ from vertexcalc.algebra import (
     localizer,
     product_series,
     product_terms,
-    reversed_product_terms,
+    reversed_sparse,
     skew_terms,
     sparse_modes,
     stabilizer,
@@ -66,9 +71,8 @@ from vertexcalc.fixtures import (
 from vertexcalc.linalg import (
     ONE,
     ZERO,
-    SpanBasis,
     mat_vec,
-    nullspace,
+    densify,
     support,
     unit_vec,
     vec_add,
@@ -388,7 +392,8 @@ def test_term_kernel_matches_dense_formulas():
                 u, v, w = rng.choice(acting), rng.choice(acting), rng.choice(targets)
                 prod, rev = _ref_product(table, u, v, w), _ref_product(table, v, u, w)
                 assert product_terms(act, u, v, w) == prod
-                assert reversed_product_terms(act, u, v, w) == {
+                su, sv, sw = support(u), support(v), support(w)
+                assert dense_terms(reversed_sparse(act, su, sv, sw), act.dim) == {
                     (e1, e2): c for (e2, e1), c in rev.items()
                 }
                 iterated = _ref_iterate(alg.y_data, table, u, v, w)
@@ -396,7 +401,7 @@ def test_term_kernel_matches_dense_formulas():
                 for q in _QS:
                     rhs = {(e1, e2): vec_scale(q, c) for (e2, e1), c in rev.items()}
                     diffs = _ref_differences(prod, rhs, zero)
-                    assert commutation_differences(act, u, v, w, q) == diffs
+                    assert commutation_sparse(act, su, sv, sw, q) == diffs
                     seen.add(("commute", q, not diffs))
                 diffs = _ref_assoc(alg.y_data, table, u, v, w, zero)
                 names = ("u", "v", "w")
@@ -413,7 +418,7 @@ def test_term_kernel_matches_dense_formulas():
             lhs = {(-n - 1,): c for n, c in straight.items()}
             modes = sparse_modes(alg.mode_index, support(v), support(u))
             assert dense_terms(modes, dim) == _dense_mode_map(alg.y_data, v, u)
-            assert exp_x_matrix(cols, u) == _dense_exp(d, u)
+            assert dense_terms(exp_sparse(cols, support(u)), dim) == _dense_exp(d, u)
             assert apply_columns(cols, u) == mat_vec(d, u)
             for q in _QS:
                 got = skew_terms(images, modes, q)
@@ -445,16 +450,21 @@ def test_add_term_never_writes_into_its_source():
 # -- translation operator ------------------------------------------------------
 
 
+def _d_columns_dense(alg):
+    """The images D e_j, read off the sparse columns and densified."""
+    return [densify(dict(col), alg.dim) for col in d_columns(alg)]
+
+
 def test_a3_d_operator(a3):
-    d = d_operator(a3)
+    d = _d_columns_dense(a3)
     t, t2 = a3.basis_index("t"), a3.basis_index("t2")
-    assert tuple(row[t] for row in d) == unit_vec(3, t2)  # D(t) = t^2
-    assert all(row[t2] == 0 for row in d)  # D(t^2) = 0
-    assert all(row[a3.vacuum] == 0 for row in d)  # D(1) = 0
+    assert d[t] == unit_vec(3, t2)  # D(t) = t^2
+    assert all(x == 0 for x in d[t2])  # D(t^2) = 0
+    assert all(x == 0 for x in d[a3.vacuum])  # D(1) = 0
 
 
 def test_ut2_d_operator_is_zero(ut2):
-    assert all(x == 0 for row in d_operator(ut2) for x in row)
+    assert all(x == 0 for col in _d_columns_dense(ut2) for x in col)
 
 
 def test_d_bracket_fixtures(a3, ut2):
@@ -490,16 +500,22 @@ def _dense_exp(m, v):
     return out
 
 
+def _d_matrix(alg):
+    """Matrix of v -> v_(-2) vacuum from the dense products (column j is D e_j)."""
+    cols = [alg.product(j, -2, alg.vacuum) for j in range(alg.dim)]
+    return tuple(tuple(col[r] for col in cols) for r in range(alg.dim))
+
+
 def test_sparse_d_matches_dense_matrix():
     shipped = [parse_algebra_file(p).alg for p in sorted(FIXTURES.glob("*.json"))]
     assert len(shipped) == 7
     for alg in shipped + [matrix_algebra(parse_algebra_file(FIXTURES / "a3.json").alg, 3)]:
-        d, cols = d_operator(alg), d_columns(alg)
+        d, cols = _d_matrix(alg), d_columns(alg)
         units = [alg.unit(k) for k in range(alg.dim)]
         mixed = tuple(F(k % 3, 2) if k % 2 else F(0) for k in range(alg.dim))
         for v in units + [mixed, vec_add(units[-1], vec_scale(F(-5, 3), units[0]))]:
             assert apply_columns(cols, v) == mat_vec(d, v)
-            assert exp_x_matrix(cols, v) == _dense_exp(d, v)
+            assert dense_terms(exp_sparse(cols, support(v)), alg.dim) == _dense_exp(d, v)
 
 
 def test_non_nilpotent_d_is_refused():
@@ -675,7 +691,8 @@ def test_jacobi_invariant_matches_series_reference(q):
             failing = {wit.where[1:] for wit in rep.witnesses}
             assert len(failing) == len(rep.witnesses)
             for w in basis:
-                reversed_terms = reversed_product_terms(alg, alg.unit(u), alg.unit(v), alg.unit(w))
+                units = ((u, ONE),), ((v, ONE),), ((w, ONE),)
+                reversed_terms = dense_terms(reversed_sparse(alg, *units), alg.dim)
                 rterms = {e: vec_scale(q, c) for e, c in reversed_terms.items()}
                 holds = _series_jacobi_reference(alg, u, v, w, rterms)
                 names = (alg.basis[u], alg.basis[v], alg.basis[w])
@@ -891,7 +908,7 @@ def test_localizer_ut2(ut2):
 
 def _intersection(dim, spans):
     """The intersection of subspaces: the nullspace of their stacked annihilators."""
-    return nullspace([a for rows in spans for a in nullspace(rows, dim)], dim)
+    return dense_nullspace([a for rows in spans for a in dense_nullspace(rows, dim)], dim)
 
 
 def _same_span(a, b):
@@ -915,3 +932,45 @@ def test_localizer_output_is_subalgebra(ut2):
     for target in range(3):
         rows = localizer(ut2, [unit_vec(3, target)])
         assert subspace_is_subalgebra(ut2, rows).passed
+
+
+SUBSPACE_STRUCTURES = sorted(p.stem for p in FIXTURES.glob("*.json")) + ["matrix-a3-3"]
+
+
+@functools.cache
+def _subspace_structure(name):
+    if name == "matrix-a3-3":
+        return matrix_algebra(truncated_poly_3(), 3)
+    return parse_algebra_file(FIXTURES / f"{name}.json").alg
+
+
+def _random_subspaces(rng, dim, count):
+    """Spans of one to three seeded rational vectors plus one dependent row."""
+    for _ in range(count):
+        rows = []
+        for _ in range(rng.randint(1, 3)):
+            rows.append(tuple(
+                F(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 3 / dim else F(0)
+                for _ in range(dim)
+            ))
+        rows.append(vec_add(rows[0], vec_scale(F(-2), rows[-1])))
+        yield rows
+
+
+@pytest.mark.parametrize("name", SUBSPACE_STRUCTURES)
+def test_subspace_functions_equal_the_dense_reference(name):
+    # rows and witnesses, in order: the span's echelon rows are the dense RREF
+    alg = _subspace_structure(name)
+    rng = random.Random(f"subspaces-{name}")
+    units = [alg.unit(k) for k in range(alg.dim)]
+    subspaces = [[u] for u in units[:6]] + [units[1::2]]
+    subspaces += _random_subspaces(rng, alg.dim, 3 if alg.dim > 12 else 6)
+    subspaces.append(generate_subalgebra(alg, [units[-1]]))
+    failing = 0
+    for rows in subspaces:
+        assert stabilizer(alg, rows) == dense_stabilizer(alg, rows)
+        assert localizer(alg, rows) == dense_localizer(alg, rows)
+        got = subspace_is_subalgebra(alg, rows)
+        assert got == dense_subspace_is_subalgebra(alg, rows)
+        failing += not got.passed
+    assert 0 < failing < len(subspaces)

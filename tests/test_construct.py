@@ -10,7 +10,8 @@ from vertexcalc import algebra, construct
 from vertexcalc.algebra import (
     AlgebraStructure,
     add_term,
-    d_operator,
+    apply_columns,
+    d_columns,
     find_locality_k,
     find_weak_assoc_l,
     product_sparse,
@@ -147,13 +148,13 @@ def test_tensor_products_validate():
 def test_tensor_translation_operator_is_additive():
     a3 = truncated_poly_3()
     out = tensor_product([a3, a3])
-    d = d_operator(out)
+    cols = d_columns(out)
     t_one = out.basis_index("t*one")
     one_t = out.basis_index("one*t")
     t2_one = out.basis_index("t2*one")
     one_t2 = out.basis_index("one*t2")
-    assert mat_vec(d, unit_vec(9, t_one)) == unit_vec(9, t2_one)
-    assert mat_vec(d, unit_vec(9, one_t)) == unit_vec(9, one_t2)
+    assert apply_columns(cols, unit_vec(9, t_one)) == unit_vec(9, t2_one)
+    assert apply_columns(cols, unit_vec(9, one_t)) == unit_vec(9, one_t2)
 
 
 # -- matrix algebras --------------------------------------------------------------

@@ -159,32 +159,57 @@ def _swap(**dims):
 
 
 MALFORMED_RMAPS = {
-    "swap-without-dims": (ParseError, lambda d: d.update(rmap={"kind": "tensor-swap"})),
-    "swap-dim-a-string": (ParseError, _swap(left_dim="x", right_dim=4)),
-    "swap-negative-dims": (ParseError, _swap(left_dim=-3, right_dim=-4)),
-    "swap-dim-a-boolean": (ParseError, _swap(left_dim=True, right_dim=12)),
-    "swap-dim-a-float": (ParseError, _swap(left_dim=3.5, right_dim=4)),
-    "swap-dims-do-not-multiply-up": (ValidationError, _swap(left_dim=3, right_dim=3)),
+    "swap-without-dims": ("m2a3", ParseError, lambda d: d.update(rmap={"kind": "tensor-swap"})),
+    "swap-dim-a-string": ("m2a3", ParseError, _swap(left_dim="x", right_dim=4)),
+    "swap-negative-dims": ("m2a3", ParseError, _swap(left_dim=-3, right_dim=-4)),
+    "swap-dim-a-boolean": ("m2a3", ParseError, _swap(left_dim=True, right_dim=12)),
+    "swap-dim-a-float": ("m2a3", ParseError, _swap(left_dim=3.5, right_dim=4)),
+    "swap-dims-do-not-multiply-up": ("m2a3", ValidationError, _swap(left_dim=3, right_dim=3)),
     "section-a-list-of-pairs": (
+        "m2a3",
         ParseError,
         lambda d: d.update(rmap=[["kind", "tensor-swap"], ["left_dim", 3], ["right_dim", 4]]),
     ),
-    "unknown-kind": (ValidationError, lambda d: d.update(rmap={"kind": "swap"})),
+    "unknown-kind": ("m2a3", ValidationError, lambda d: d.update(rmap={"kind": "swap"})),
+    "cross-abelian-without-group": ("cross_a2z2", ValidationError, lambda d: d.pop("group")),
+    "cross-abelian-without-base-basis": (
+        "cross_a2z2",
+        ValidationError,
+        lambda d: d["group"].pop("base_basis"),
+    ),
+    "commutator-without-cocycle": ("z22_twist", ValidationError, lambda d: d.pop("cocycle")),
+    "commutator-without-grading-or-cocycle": (
+        "z22_twist",
+        ValidationError,
+        lambda d: [d.pop("grading"), d.pop("cocycle")],
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_RMAPS))
 def test_malformed_rmap_sections_are_refused_at_parse(case, tmp_path):
     # these ended in a KeyError or ValueError traceback (exit code 1) in the
-    # jacobi-like suite, or were accepted and ran as a trivial or wrong swap
-    error, mutate = MALFORMED_RMAPS[case]
-    data = json.loads((FIXTURES / "m2a3.json").read_text())
+    # jacobi-like suite, or were accepted and ran as a trivial or wrong swap;
+    # an R-map missing the sections it reads passed every other suite
+    fixture, error, mutate = MALFORMED_RMAPS[case]
+    data = json.loads((FIXTURES / f"{fixture}.json").read_text())
     mutate(data)
     with pytest.raises(error):
         parse_algebra_data(data)
     path = tmp_path / f"{case}.json"
     path.write_text(json.dumps(data))
     assert main(["check", str(path), "--suite", "jacobi-like"]) == 2
+
+
+def test_rmap_without_its_section_fails_every_suite(tmp_path, capsys):
+    # the axioms suite never reads the R-map, and exited 0 on this file
+    data = json.loads((FIXTURES / "cross_a2z2.json").read_text())
+    del data["group"]
+    path = tmp_path / "cross_without_group.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path), "--suite", "axioms"]) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "group section" in err and "Traceback" not in err
 
 
 SHIPPED = {p.stem: json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))}

@@ -4,13 +4,18 @@ from functools import cache
 from pathlib import Path
 
 import pytest
-from reference_spans import dense_generate_subalgebra, dense_generate_submodule
+from reference_spans import (
+    SpanBasis,
+    dense_generate_subalgebra,
+    dense_generate_submodule,
+    dense_rank,
+)
 
 from vertexcalc.algebra import generate_subalgebra
 from vertexcalc.construct import matrix_algebra
 from vertexcalc.fileio import parse_algebra_file
 from vertexcalc.fixtures import truncated_poly_3
-from vertexcalc.linalg import SpanBasis, rank, unit_vec, vec_add
+from vertexcalc.linalg import unit_vec, vec_add
 from vertexcalc.modules import (
     adjoint_module,
     generate_submodule,
@@ -38,7 +43,7 @@ def structure(name):
 def _assert_same_span(rows, ref):
     # the spin's rows are independent and span exactly the oracle's subspace
     span, ref_span = SpanBasis(rows), SpanBasis(ref)
-    assert rank(rows) == len(rows) == span.dim == ref_span.dim
+    assert dense_rank(rows) == len(rows) == span.dim == ref_span.dim
     assert all(span.contains(v) for v in ref)
     assert all(ref_span.contains(v) for v in rows)
 

@@ -1,13 +1,18 @@
-"""Exact linear algebra: row reduction, spans, nullspaces, coordinates."""
+"""Exact linear algebra: row reduction, spans, nullspaces, coordinates.
 
+Row reduction, rank and nullspace are views of the sparse CoordSpan; the
+dense Gauss-Jordan loop of reference_spans is their independent oracle.
+"""
+
+import random
 from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
+from reference_spans import SpanBasis, dense_nullspace, dense_rank, dense_row_reduce
 
 from vertexcalc.linalg import (
     CoordSpan,
-    SpanBasis,
     identity_mat,
     mat_mul,
     mat_vec,
@@ -117,3 +122,56 @@ def test_coord_span_reconstructs_members(rows, order):
         for c, rep in zip(coords, reps):
             rebuilt = vec_add(rebuilt, vec_scale(c, rep))
         assert rebuilt == r
+
+
+def _random_rows(rng, nrows, ncols):
+    """Seeded rational rows with zero rows, dependent rows and zero columns mixed in."""
+    zero_cols = {c for c in range(ncols) if rng.random() < 0.2}
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append(zero_vec(ncols))
+        elif kind < 0.35 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            ca, cb = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            rows.append(vec_add(vec_scale(ca, a), vec_scale(cb, b)))
+        else:
+            rows.append(
+                vec(
+                    0 if c in zero_cols or rng.random() < 0.4
+                    else Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                    for c in range(ncols)
+                )
+            )
+    return rows
+
+
+def test_span_views_equal_the_dense_reference_exactly():
+    rng = random.Random(13)
+    shapes = set()
+    for _ in range(600):
+        nrows, ncols = rng.randint(0, 7), rng.randint(1, 7)
+        rows = _random_rows(rng, nrows, ncols)
+        got, ref = row_reduce(rows), dense_row_reduce(rows)
+        assert got == ref
+        assert rank(rows) == dense_rank(rows)
+        assert nullspace(rows, ncols) == dense_nullspace(rows, ncols)
+        shapes.add((nrows == 0, len(ref[0]) < nrows, len(ref[0]) == ncols))
+    # empty input, dropped rows, full rank and rank deficits all occur
+    assert {(True, False, False), (False, True, False), (False, False, True)} <= shapes
+
+
+def test_span_functions_return_fractions_on_int_input():
+    rows = [(2, 4, 0), (1, 3, 5), (3, 7, 5)]
+    reduced, _pivots = row_reduce(rows)
+    assert reduced == [(1, 0, -10), (0, 1, 5)]
+    kernel = nullspace([(2, 4, 0)], 3)
+    assert kernel == [(1, Fraction(-1, 2), 0), (0, 0, 1)]
+    cs = CoordSpan()
+    assert cs.insert({0: 2, 1: 4}) is None and cs.insert({1: 3, 2: 1}) is None
+    dependent = cs.insert({0: 4, 1: 11, 2: 1})
+    solved = cs.solve({0: 2, 1: 7, 2: 1})
+    assert dependent == (2, 1) and solved == (1, 1)
+    for entries in reduced + kernel + [dependent, solved]:
+        assert all(type(x) is Fraction for x in entries), entries

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from reference_spans import dense_rank
 
 from vertexcalc.errors import CapExceeded, MalformedStructure
 from vertexcalc.fixtures import (
@@ -13,7 +14,7 @@ from vertexcalc.fixtures import (
     upper_triangular_2,
 )
 from vertexcalc.construct import matrix_algebra
-from vertexcalc.linalg import CoordSpan, rank, unit_vec, zero_vec
+from vertexcalc.linalg import CoordSpan, unit_vec, zero_vec
 from vertexcalc.modules import (
     ModuleStructure,
     adjoint_module,
@@ -78,7 +79,7 @@ def _dense_is_faithful(alg, mod) -> bool:
             for n in exps:
                 row.extend(modes.get(n, zero_vec(mod.dim)))
         rows.append(tuple(row))
-    return rank(rows) == alg.dim
+    return dense_rank(rows) == alg.dim
 
 
 def test_trivial_module_is_unfaithful(a3):
