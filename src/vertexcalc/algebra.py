@@ -48,6 +48,7 @@ from .linalg import (
     Support,
     Vec,
     add_scaled,
+    binom,
     dense_span,
     densify,
     is_zero_vec,
@@ -57,7 +58,7 @@ from .linalg import (
     zero_vec,
 )
 from .report import FOUND, REFUTED, CheckReport, OrderSearch, Witness
-from .series import Distribution, Window, binom, from_terms
+from .series import Distribution, Window, from_terms
 from .series import mul  # noqa: F401  perfbench/test_perfbench.py traces this binding
 
 if TYPE_CHECKING:

@@ -78,6 +78,19 @@ def add_scaled(acc: SparseVec, c: Fraction, entries: Iterable[tuple[object, Frac
             del acc[k]
 
 
+def binom(n: int, i: int) -> int:
+    """Generalized binomial coefficient n over i for integers n and i (0 for i < 0)."""
+    if i < 0:
+        return 0
+    num = 1
+    for j in range(i):
+        num *= n - j
+    den = 1
+    for j in range(2, i + 1):
+        den *= j
+    return num // den
+
+
 def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -161,15 +174,15 @@ class CoordSpan:
     """
 
     def __init__(self, rows: Iterable[SparseVec] = ()):
-        self.reps: list[SparseVec] = []
-        # (pivot key, reduced row, the row's coordinates over the reps)
+        # (pivot key, reduced row, the row's coordinates over the reps in
+        # insertion order); there is one row per accepted vector
         self._rows: list[tuple[object, SparseVec, SparseVec]] = []
         for v in rows:
             self.insert(v)
 
     @property
     def dim(self) -> int:
-        return len(self.reps)
+        return len(self._rows)
 
     def _reduce(self, v: SparseVec) -> tuple[SparseVec, Vec]:
         """(v minus its span component, coordinates of that component over the reps)."""
@@ -179,7 +192,7 @@ class CoordSpan:
             if f := w.get(p):
                 add_scaled(w, -f, row.items())
                 add_scaled(combo, f, cmb.items())
-        return w, tuple(combo.get(k, ZERO) for k in range(len(self.reps)))
+        return w, tuple(combo.get(k, ZERO) for k in range(self.dim))
 
     def residue(self, v: SparseVec) -> SparseVec:
         """v minus its span component: empty exactly when v is a member."""
@@ -200,13 +213,12 @@ class CoordSpan:
         row = {k: inv * x for k, x in w.items()}
         # w = v - sum of coords[k] * rep k, and v becomes the last rep
         cmb = {k: -inv * c for k, c in enumerate(coords) if c}
-        cmb[len(self.reps)] = inv
+        cmb[self.dim] = inv
         for _p, r, rc in self._rows:
             if f := r.get(pivot):
                 add_scaled(r, -f, row.items())
                 add_scaled(rc, -f, cmb.items())
         self._rows.append((pivot, row, cmb))
-        self.reps.append(dict(v))
         return None
 
     def echelon(self) -> list[tuple[object, SparseVec]]:

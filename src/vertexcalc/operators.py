@@ -5,10 +5,11 @@ coefficients.  On finite-dimensional W every such operator lies in
 End(W)((x)), so every ordered sequence of operators on the same space is
 compatible at damping order zero.  That is a stated invariant, not a search:
 find_compat_order returns it after checking that the operands act on one
-space.  The interesting content is downstream: the reordering transform T,
-the residue-defined products, the associativity relation they satisfy, and
-the span generated from a compatible set, which carries a full
-vertex-structure with W as a faithful module.
+space.  What is computed here is the residue-defined products and the span
+generated from a compatible set, which carries a full vertex-structure with
+W as a faithful module.  The reordering transform T and the associativity
+relation the products satisfy live with the tests, as the oracle the closed
+forms are checked against.
 
 The product formulas are evaluated in closed form.  Writing a(x) with
 x-exponent coefficients A_p, b(x) with B_q, the n-th product collects
@@ -21,12 +22,12 @@ and the two indicator terms come from the residues of the two one-sided
 expansions.  For n >= 0 the indicators coincide and cancel, which is the
 truncation statement that products vanish at and above the compatibility
 order.  The commutator-style variant composes the matrices the other way in
-the second term; a windowed delta-kernel evaluation of the same residues is
-kept in the tests as an independent oracle.
+the second term.
 
-Mode matrices are mostly zero, so each operator stores its modes only as
-nonzero-only rows, {n: {r: {c: entry}}}, built once on construction; the
-dense ``modes`` are a view computed on demand.  The residue products
+Mode matrices are mostly zero, so each operator is stored as its nonzero
+rows, {n: {r: {c: entry}}}, from construction to export: the image of a
+basis vector is read straight off the structure's sparse mode index, and
+the dense ``modes`` are a view computed on demand.  The residue products
 multiply those rows row by row (Gustavson's sparse product, ACM TOMS 4,
 1978) into one sparse accumulator, drop the entries that cancel to zero,
 and build the result from it.  The closure span works on the same nonzero
@@ -40,30 +41,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import AlgebraStructure, Terms, add_term, term_differences
+from .algebra import AlgebraStructure
 from .errors import InvalidArgument, MalformedStructure, NotCompatible
-from .linalg import (
-    ZERO,
-    CoordSpan,
-    Mat,
-    Vec,
-    identity_mat,
-    mat_mul,
-    mat_scale,
-    mat_vec,
-    support,
-)
+from .linalg import ONE, ZERO, CoordSpan, Mat, Vec, binom, densify
 from .modules import ModuleStructure, check_module, is_faithful
 from .report import FOUND, INCONCLUSIVE, CheckReport, OrderSearch, Witness
-from .series import (
-    Distribution,
-    Window,
-    binom,
-    binom_expand,
-    from_terms,
-    mul,
-    power_expand,
-)
 
 STATUS_CLOSED = "closed"
 STATUS_CAP = "cap-exceeded"
@@ -75,11 +57,7 @@ Rows = dict[int, dict[int, Fraction]]
 
 
 def _dense(dim: int, rows: Rows) -> Mat:
-    zero_row = (ZERO,) * dim
-    return tuple(
-        tuple(row.get(c, ZERO) for c in range(dim)) if (row := rows.get(r)) else zero_row
-        for r in range(dim)
-    )
+    return tuple(densify(rows.get(r, {}), dim) for r in range(dim))
 
 
 class VertexOperator:
@@ -104,10 +82,10 @@ class VertexOperator:
                 self.rows[int(n)] = rows
 
     @classmethod
-    def _from_rows(cls, dim: int, rows: dict[int, Rows]) -> "VertexOperator":
-        """An unnamed operator from nonzero-only rows of Fraction entries."""
+    def _from_rows(cls, dim: int, rows: dict[int, Rows], name: str = "") -> "VertexOperator":
+        """An operator from nonzero-only rows of Fraction entries, taken as they are."""
         op = cls.__new__(cls)
-        op.dim, op.name, op.rows = dim, "", rows
+        op.dim, op.name, op.rows = dim, name, rows
         return op
 
     # -- coefficient access ----------------------------------------------------
@@ -119,15 +97,6 @@ class VertexOperator:
 
     def mode(self, n: int) -> Mat:
         return _dense(self.dim, self.rows.get(n, {}))
-
-    def exps(self, lo: int | None = None, hi: int | None = None) -> dict[int, Mat]:
-        """Nonzero coefficients by x-exponent, optionally windowed to [lo, hi]."""
-        out = {-n - 1: m for n, m in self.modes.items()}
-        if lo is not None:
-            out = {p: m for p, m in out.items() if p >= lo}
-        if hi is not None:
-            out = {p: m for p, m in out.items() if p <= hi}
-        return out
 
     def exp_bounds(self) -> tuple[int, int]:
         """(min exponent, max exponent), (0, 0) for the zero operator."""
@@ -141,34 +110,33 @@ class VertexOperator:
     def equal(self, other: "VertexOperator") -> bool:
         return self.dim == other.dim and self.rows == other.rows
 
-    def distribution(self, var: str, window: Window) -> Distribution:
-        """The operator as a matrix-valued distribution on a window."""
-        lo, hi = window.bounds[0]
-        return from_terms((var,), {(p,): m for p, m in self.exps(lo, hi).items()}, window)
-
-    def derivative(self) -> "VertexOperator":
-        out: dict[int, Mat] = {}
-        for p, m in self.exps().items():
-            if p != 0:
-                out[-(p - 1) - 1] = mat_scale(Fraction(p), m)
-        return VertexOperator(self.dim, out, name=f"d({self.name})" if self.name else "")
-
     def __repr__(self) -> str:
         return f"VertexOperator({self.name or 'poly'}, modes={sorted(self.rows)})"
 
 
 def identity_operator(dim: int, name: str = "1_W") -> VertexOperator:
-    return VertexOperator(dim, {-1: identity_mat(dim)}, name=name)
+    rows = {-1: {r: {r: ONE} for r in range(dim)}} if dim else {}
+    return VertexOperator._from_rows(dim, rows, name)
 
 
 def operator_from_structure(
     alg: AlgebraStructure, v_idx: int, mod: ModuleStructure | None = None
 ) -> VertexOperator:
-    """The image of a basis vector acting on a module (default: on itself)."""
-    act, table = (alg, alg.y_data) if mod is None else (mod, mod.action)
-    ns = sorted({n for (i, _j), m in table.items() if i == v_idx for n in m})
-    modes = {n: act.mode_matrix(alg.unit(v_idx), n) for n in ns}
-    return VertexOperator(act.dim, modes, name=alg.basis[v_idx])
+    """The image of a basis vector acting on a module (default: on itself).
+
+    Column j of mode n is the image (e_v)_n w_j, read as its nonzero
+    coordinates off the sparse mode index; modes and rows come in
+    increasing order and each row's columns in increasing order.
+    """
+    act = alg if mod is None else mod
+    modes: dict[int, Rows] = {}
+    for j in range(act.dim):
+        for n, img in act.mode_index.get((v_idx, j), {}).items():
+            m = modes.setdefault(n, {})
+            for r, c in img:
+                m.setdefault(r, {})[j] = c
+    rows = {n: {r: modes[n][r] for r in sorted(modes[n])} for n in sorted(modes)}
+    return VertexOperator._from_rows(act.dim, rows, alg.basis[v_idx])
 
 
 # ---------------------------------------------------------------------------
@@ -187,57 +155,11 @@ def find_compat_order(seq: list[VertexOperator]) -> OrderSearch:
     return OrderSearch(FOUND, order=0)
 
 
-def product_distribution(
-    a: VertexOperator,
-    b: VertexOperator,
-    vars: tuple[str, str],
-    window: Window,
-) -> Distribution:
-    """a(x_first) b(x_second) as a matrix-valued two-variable distribution."""
-    (alo, ahi), (blo, bhi) = window.bounds
-    terms: dict[tuple[int, int], Mat] = {}
-    for p, ma in a.exps(alo, ahi).items():
-        for q, mb in b.exps(blo, bhi).items():
-            terms[(p, q)] = mat_mul(ma, mb)
-    return from_terms(vars, terms, window)
-
-
-def truncated_t(
-    a: VertexOperator,
-    b: VertexOperator,
-    k: int | None = None,
-    window: Window | None = None,
-) -> Distribution:
-    """The reordered-region representative T(a(x1) b(x2)).
-
-    With the minimal admissible damping order (zero here) the transform is
-    the product itself, computed exactly.  An explicit k > 0 exercises the
-    definition literally: multiply by (x1-x2)^k, then by the opposite-region
-    expansion (-x2+x1)^(-k); the result is window-limited but must agree with
-    the exact transform wherever both are observable.
-    """
-    find_compat_order([a, b])
-    if window is None:
-        r = _radius(a) + _radius(b) + 4
-        window = Window.symmetric(2, r)
-    exact = product_distribution(a, b, ("x1", "x2"), window)
-    if not k:
-        return exact
-    damped = mul(binom_expand(k, "x1", "x2", -1, window), exact, window)
-    reorder = power_expand(-k, "x2", "x1", window, sign_a=-1, sign_b=1)
-    return mul(reorder, damped, window)
-
-
-def _radius(op: VertexOperator) -> int:
-    lo, hi = op.exp_bounds()
-    return max(abs(lo), abs(hi), 1)
-
-
 # ---------------------------------------------------------------------------
 # residue products
 
 
-def _add_product(acc: Rows, w: Fraction, x: Rows, y: Rows) -> None:
+def _add_product(acc: Rows, w: int, x: Rows, y: Rows) -> None:
     """acc += w x y, one row of x at a time against the rows of y it selects."""
     for r, xr in x.items():
         out = None
@@ -311,54 +233,6 @@ def certified_nonzero_range(a: VertexOperator, b: VertexOperator) -> tuple[int |
     if lo_a >= 0:
         return (-1 - hi_a, -1)
     return (None, -1)
-
-
-# ---------------------------------------------------------------------------
-# the associativity relation
-
-
-def check_prop_assoc(a: VertexOperator, b: VertexOperator, w: Vec) -> CheckReport:
-    """(x0+x2)^l a(x0+x2) b(x2) w against (x2+x0)^l (Y(a,x0)b)(x2) w.
-
-    The order is l = max(0, -min exponent of a), the least one at which
-    every power (x0+x2)^(p+l) is a polynomial, so the left side is a
-    Laurent polynomial in W[x0, x0^-1, x2, x2^-1]; it is compared with the
-    residue-product side term by term.  When a has nonnegative modes,
-    certified_nonzero_range gives no floor and Y(a,x0)b has unboundedly high
-    powers of x0: the residue sum is truncated at n >= -(hi_a + l + 1), where
-    hi_a is the largest exponent of a, and only x0-exponents up to hi_a + l,
-    which hold every term of the left side and only complete sums on the
-    right, are compared.  That report is flagged window-sound.
-    """
-    report = CheckReport("operator-associativity")
-    lo_a, hi_a = a.exp_bounds()
-    l = max(0, -lo_a)
-    lhs: Terms = {}
-    bw = {q: mat_vec(mb, w) for q, mb in b.exps().items()}
-    for p, ma in a.exps().items():
-        for i in range(0, p + l + 1):
-            for q, vecq in bw.items():
-                add_term(lhs, (p + l - i, i + q), binom(p + l, i), support(mat_vec(ma, vecq)))
-    # right side: (x2+x0)^l (Y(a,x0)b)(x2) w
-    rhs: Terms = {}
-    lo_cert, hi_cert = certified_nonzero_range(a, b)
-    top = None  # the highest compared x0-exponent when the residue sum is truncated
-    if lo_cert is None:
-        top = hi_a + l
-        lo_cert = -(top + 1)
-        report.exact = False
-        report.notes.append(f"compared on x0-exponents up to {top}")
-    for n in range(lo_cert, hi_cert + 1):
-        for s, ms in nth_product(a, b, n).exps().items():
-            for i in range(0, l + 1):
-                add_term(rhs, (-n - 1 + i, l - i + s), binom(l, i), support(mat_vec(ms, w)))
-    if top is not None:
-        rhs = {e: c for e, c in rhs.items() if e[0] <= top}
-    report.found_orders["l"] = l
-    diffs = term_differences(lhs, rhs, a.dim)
-    if diffs:
-        report.fail(Witness((a.name or "a", b.name or "b"), *diffs[0]))
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -548,11 +422,13 @@ def closure_module(result: ClosureResult) -> ModuleStructure:
     basis = tuple(f"w{j+1}" for j in range(dim_w))
     action: dict[tuple[int, int], dict[int, Vec]] = {}
     for i, op in enumerate(ops):
-        for nn, mat_c in op.modes.items():
-            for j in range(dim_w):
-                col = tuple(mat_c[r][j] for r in range(dim_w))
-                if any(x != 0 for x in col):
-                    action.setdefault((i, j), {})[nn] = col
+        for nn, rows in op.rows.items():
+            cols: dict[int, dict[int, Fraction]] = {}
+            for r, row in rows.items():
+                for j, x in row.items():
+                    cols.setdefault(j, {})[r] = x
+            for j in sorted(cols):
+                action.setdefault((i, j), {})[nn] = densify(cols[j], dim_w)
     return ModuleStructure(basis=basis, action=action, meta={"source": "closure"})
 
 

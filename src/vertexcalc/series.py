@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .errors import ExponentOutsideWindow, NonSummableProduct
-from .linalg import Mat, Vec, mat_mul, mat_scale, mat_vec, vec_scale
+from .linalg import Mat, Vec, binom, mat_mul, mat_scale, mat_vec, vec_scale
 
 Exponent = tuple[int, ...]
 Coeff = object  # Fraction | Vec | Mat
@@ -93,19 +93,6 @@ def c_mul(a: Coeff, b: Coeff) -> Coeff:
     if c_is_mat(a):
         return mat_vec(a, b)
     raise TypeError("cannot multiply vector coefficients together")
-
-
-def binom(n: int, i: int) -> Fraction:
-    """Generalized binomial coefficient n over i for integer n, i >= 0."""
-    if i < 0:
-        return Fraction(0)
-    num = 1
-    for j in range(i):
-        num *= n - j
-    den = 1
-    for j in range(2, i + 1):
-        den *= j
-    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -4,32 +4,44 @@ The closed-form residue products are cross-checked against an independent
 windowed oracle that literally multiplies by the two one-sided kernel
 expansions and extracts the residue through the distribution machinery.
 The sparse row products are also held against the same closed form
-evaluated with dense matrix products.
+evaluated with dense matrix products.  The reordering transform T, the
+associativity relation and the dense operator construction live in
+reference_operators, the test-side oracle of vertexcalc.operators.
 """
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from reference_operators import (
+    check_prop_assoc,
+    dense_closure_module,
+    dense_operator_from_structure,
+    derivative,
+    exps,
+    product_distribution,
+    truncated_t,
+)
 from vertexcalc.algebra import check_jacobi, generate_subalgebra, validate_structure
 from vertexcalc import operators
+from vertexcalc.construct import matrix_algebra
 from vertexcalc.errors import InvalidArgument, MalformedStructure, NotCompatible
+from vertexcalc.fileio import parse_algebra_file
 from vertexcalc.fixtures import matrix_over_a3, truncated_poly_3, upper_triangular_2
 from vertexcalc.linalg import is_zero_mat, mat_add, mat_mul, mat_scale, unit_vec
-from vertexcalc.modules import adjoint_module
+from vertexcalc.modules import adjoint_module, wn_module
 from vertexcalc.operators import (
     VertexOperator,
-    check_prop_assoc,
     certified_nonzero_range,
     closure,
+    closure_module,
     find_compat_order,
     identity_operator,
     nth_product,
     nth_product_local,
     operator_from_structure,
-    product_distribution,
-    truncated_t,
     verify_module_structure,
 )
 from vertexcalc.series import (
@@ -71,11 +83,68 @@ def oracle_nth_product(a, b, n, radius=9):
 
 
 def assert_matches_oracle(a, b, n):
-    exact = {p: m for p, m in nth_product(a, b, n).exps().items()}
+    exact = exps(nth_product(a, b, n))
     orc = oracle_nth_product(a, b, n)
     lo, hi = orc.window.bounds[0]
     got = {e[0]: m for e, m in orc.coeffs.items()}
     assert got == {p: m for p, m in exact.items() if lo <= p <= hi}
+
+
+# -- construction from structures ------------------------------------------------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _layout(op):
+    """The rows in their stored order: modes, then rows, then columns."""
+    return [(n, [(r, list(row.items())) for r, row in m.items()]) for n, m in op.rows.items()]
+
+
+def _fixture_structure(name):
+    bundle = parse_algebra_file(FIXTURES / f"{name}.json")
+    return bundle.alg, bundle.module or adjoint_module(bundle.alg)
+
+
+def _matrix_a3_3():
+    alg = matrix_algebra(truncated_poly_3(), 3)
+    return alg, adjoint_module(alg)
+
+
+def _wn_a3_2():
+    a3 = truncated_poly_3()
+    return wn_module(a3, adjoint_module(a3), 2)
+
+
+STRUCTURES = {
+    **{
+        p.stem: (lambda name=p.stem: _fixture_structure(name))
+        for p in sorted(FIXTURES.glob("*.json"))
+    },
+    "matrix_algebra(a3,3)": _matrix_a3_3,
+    "wn_module(a3,adjoint,2)": _wn_a3_2,
+}
+
+
+@pytest.mark.parametrize("label", sorted(STRUCTURES))
+def test_operator_from_structure_matches_dense_construction(label):
+    # the rows read off the sparse mode index equal, in value and in order,
+    # the rows of the dense mode matrices, on the algebra and on its module
+    alg, mod = STRUCTURES[label]()
+    for v_idx in range(alg.dim):
+        for target in (None, mod):
+            got = operator_from_structure(alg, v_idx, target)
+            ref = dense_operator_from_structure(alg, v_idx, target)
+            assert (got.dim, got.name) == (ref.dim, ref.name) == (
+                (target or alg).dim, alg.basis[v_idx]
+            )
+            assert _layout(got) == _layout(ref), (label, v_idx, target is not None)
+
+
+def test_identity_operator_rows():
+    for dim in (0, 1, 4):
+        one = identity_operator(dim)
+        ref = VertexOperator(dim, {-1: tuple(unit_vec(dim, i) for i in range(dim))}, "1_W")
+        assert (one.name, _layout(one)) == (ref.name, _layout(ref))
 
 
 # -- compatibility --------------------------------------------------------------
@@ -129,8 +198,8 @@ def test_t_of_commuting_pair_is_reversed_product(yt, yt2):
     w = Window.symmetric(2, 8)
     rev_terms = {
         (p, q): mat_mul(mb, ma)
-        for p, ma in yt.exps().items()
-        for q, mb in yt2.exps().items()
+        for p, ma in exps(yt).items()
+        for q, mb in exps(yt2).items()
     }
     rev = from_terms(("x1", "x2"), rev_terms, w)
     assert window_equal(truncated_t(yt, yt2, 0, w), rev).matched
@@ -149,7 +218,7 @@ def test_products_vanish_at_and_above_compat_order(yt):
 
 
 def test_product_minus_two_on_identity_is_derivative(yt):
-    assert nth_product(yt, identity_operator(3), -2).equal(yt.derivative())
+    assert nth_product(yt, identity_operator(3), -2).equal(derivative(yt))
 
 
 def test_identity_products(yt):
@@ -252,12 +321,12 @@ def dense_residue_sums(a, b, n, local, mul=mat_mul):
     caller can see which modes cancelled.
     """
     out = {}
-    for p, ma in a.exps().items():
+    for p, ma in exps(a).items():
         sign = -1 if (n + p + 1) % 2 else 1
         c1, c2 = sign * binom(n, n + p + 1), sign * binom(n, -1 - p)
         if not local:
             c1, c2 = c1 - c2, 0
-        for q, mb in b.exps().items():
+        for q, mb in exps(b).items():
             key = -(n + 1 + p + q) - 1
             terms = []
             if c1:
@@ -450,6 +519,46 @@ def test_closed_structure_is_ordinary(a3, yt):
     for i in range(3):
         for j in range(3):
             assert check_jacobi(st, i, j, F(1)).passed
+
+
+def _closures_with_structure():
+    a3, ut2, m = truncated_poly_3(), upper_triangular_2(), matrix_over_a3()
+    yt = operator_from_structure(a3, a3.basis_index("t"))
+    gens_sets = [
+        [yt],
+        [operator_from_structure(ut2, i) for i in (1, 2)],
+    ] + [
+        [operator_from_structure(m, m.basis_index(nm)) for nm in names]
+        for names in M2A3_GENERATOR_SETS
+    ]
+    for gens in gens_sets:
+        for local in (False, True):
+            yield closure(gens, local_products=local)
+    yield closure([], dim=3)
+
+
+def test_closure_module_matches_dense_read_off():
+    # the action columns read off the rows equal those of the dense modes,
+    # in value and in key order
+    count = 0
+    for res in _closures_with_structure():
+        assert res.status == "closed"
+        got, ref = closure_module(res), dense_closure_module(res)
+        assert got == ref
+        assert [(key, list(modes.items())) for key, modes in got.action.items()] == [
+            (key, list(modes.items())) for key, modes in ref.action.items()
+        ]
+        count += 1
+    assert count == 9
+
+
+def test_closure_module_needs_a_structure():
+    A = ((F(0), F(1)), (F(0), F(0)))
+    res = closure([VertexOperator(2, {0: A})], n_range=(-3, 0))
+    assert res.structure is None
+    for read_off in (closure_module, dense_closure_module):
+        with pytest.raises(MalformedStructure):
+            read_off(res)
 
 
 def test_closure_module_is_faithful(yt):

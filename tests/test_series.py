@@ -43,12 +43,14 @@ def brute_binomial(n: int, i: int) -> Fraction:
 @given(st.integers(-30, 30), st.integers(0, 20))
 def test_binom_matches_factorial_formula(n, i):
     assert binom(n, i) == brute_binomial(n, i)
+    assert type(binom(n, i)) is int
 
 
 def test_binom_negative_values():
     assert binom(-1, 3) == -1
     assert binom(-2, 2) == 3
     assert binom(3, 5) == 0
+    assert binom(4, -1) == 0 and type(binom(4, -1)) is int
 
 
 # -- coefficient access ------------------------------------------------------
