@@ -677,12 +677,11 @@ def weak_assoc_triple(alg: AlgebraStructure, u_idx: int, v_idx: int, w_idx: int)
 def find_weak_assoc_l(alg: AlgebraStructure, u_idx: int, w_idx: int) -> OrderSearch:
     """The uniform variant: order 0 for every middle argument v, or the first failing v."""
     pairs = _analysis(alg)
-    for v_idx in range(alg.dim):
-        diff = pairs.assoc_failure(u_idx, v_idx, w_idx)
-        if diff is not None:
-            names = (alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx])
-            return OrderSearch(REFUTED, witness=Witness(names, *diff))
-    return OrderSearch(FOUND, order=0)
+    v_idx = pairs.failing_middle(u_idx, w_idx)
+    if v_idx is None:
+        return OrderSearch(FOUND, order=0)
+    names = (alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx])
+    return OrderSearch(REFUTED, witness=Witness(names, *pairs.assoc_failure(u_idx, v_idx, w_idx)))
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,8 @@ class ModuleStructure:
     same table functions, with its sparse image index `mode_index` built
     once; only the acting basis is the algebra's.  A module does not know
     its algebra, so the acting indices are checked against it by
-    require_acting_range wherever the two meet.  `_pairs` holds the pair
+    require_acting_range wherever the two meet, against `acting`, the sorted
+    acting indices the action names, found once.  `_pairs` holds the pair
     analysis of the module under the algebra it was last checked with
     (pairs.pair_analysis), built on first use.
     """
@@ -72,6 +73,7 @@ class ModuleStructure:
     action: ModeTable  # (algebra idx, module idx) -> {n: vec}
     meta: dict = field(default_factory=dict)
     mode_index: ModeIndex = field(init=False, repr=False, compare=False)
+    acting: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _pairs: PairAnalysis | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -80,6 +82,7 @@ class ModuleStructure:
             raise MalformedStructure("empty module basis")
         self.action = clean_table(self.action, self.dim, None)
         self.mode_index = table_index(self.action)
+        self.acting = tuple(sorted({i for i, _j in self.action}))
 
     dim = AlgebraStructure.dim
     unit = AlgebraStructure.unit
@@ -99,8 +102,9 @@ class ModuleStructure:
 
 def require_acting_range(alg: AlgebraStructure, mod: ModuleStructure) -> None:
     """Raise MalformedStructure when the action names an index outside alg's basis."""
-    stray = sorted({i for i, _j in mod.action if not 0 <= i < alg.dim})
-    if stray:
+    acting = mod.acting
+    if acting and (acting[0] < 0 or acting[-1] >= alg.dim):
+        stray = [i for i in acting if not 0 <= i < alg.dim]
         raise MalformedStructure(
             f"module action names acting indices {stray} outside the algebra's "
             f"{alg.dim} basis vectors"
@@ -157,14 +161,12 @@ def check_module(alg: AlgebraStructure, mod: ModuleStructure) -> CheckReport:
     uniform = False
     for u_idx in range(alg.dim):
         for w_idx in range(dim_w):
-            for v_idx in range(alg.dim):
-                diff = pairs.assoc_failure(u_idx, v_idx, w_idx)
-                if diff is not None:
-                    names = (alg.basis[u_idx], alg.basis[v_idx], mod.basis[w_idx])
-                    report.fail(Witness(names, *diff))
-                    break
-            else:
+            v_idx = pairs.failing_middle(u_idx, w_idx)
+            if v_idx is None:
                 uniform = True
+                continue
+            names = (alg.basis[u_idx], alg.basis[v_idx], mod.basis[w_idx])
+            report.fail(Witness(names, *pairs.assoc_failure(u_idx, v_idx, w_idx)))
     if uniform:
         report.found_orders["max_assoc_order"] = 0
         report.notes.append(

@@ -221,18 +221,23 @@ def nth_product_local(a: VertexOperator, b: VertexOperator, n: int) -> VertexOpe
     return _residue_product(a, b, n, local=True)
 
 
-def certified_nonzero_range(a: VertexOperator, b: VertexOperator) -> tuple[int | None, int]:
-    """Mode interval outside which a_n b provably vanishes: (lo or None, hi).
+def certified_nonzero_range(
+    a: VertexOperator, b: VertexOperator, local: bool
+) -> tuple[int | None, int | None]:
+    """Mode interval outside which a_n b provably vanishes: (lo or None, hi or None).
 
-    Products vanish for n >= 0 identically.  When a has no nonnegative modes
-    (no negative exponents), the straight-kernel residues die below
-    -1 - max_exp(a); otherwise the reexpanded kernel contributes at every
-    depth and no finite floor is certified.
+    local selects nth_product_local.  At n >= 0 the two residue weights of
+    a mode of a agree, so the straight product vanishes there, while the
+    local one weighs the commutator of that mode with b, so it can be
+    nonzero at every n >= 0: no ceiling is certified.  When a has no
+    nonnegative modes (no negative exponents), both variants vanish for
+    n >= 0 and die below -1 - max_exp(a); otherwise the re-expanded kernel
+    contributes at every depth and no finite floor is certified.
     """
     lo_a, hi_a = a.exp_bounds()
     if lo_a >= 0:
         return (-1 - hi_a, -1)
-    return (None, -1)
+    return (None, None if local else -1)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +291,10 @@ def closure(
     row-reduce the sparse fingerprints of the products until a fixpoint or
     a cap.  After a fixpoint the span is verified closed pairwise; when some
     pair's nonzero mode range has no certified floor, the PROBE_MARGIN modes
-    just below n_range are probed, and a new element there downgrades the
-    status to index-range-exhausted.  The default n_range reaches two modes
+    just below n_range are probed, and likewise the PROBE_MARGIN modes above
+    it when a local product has no certified ceiling; a new element there
+    downgrades the status to index-range-exhausted.  No product above its
+    certified ceiling is formed.  The default n_range reaches two modes
     below the lowest generator mode and always holds -1, the mode that puts
     each generator itself in the span.  An empty n_range, or a cap below 1,
     is an InvalidArgument.
@@ -327,8 +334,10 @@ def closure(
         grew = False
         for g in generators:
             for beta in list(ops):
+                ceiling = certified_nonzero_range(g, beta, local_products)[1]
+                top = n_hi if ceiling is None else min(n_hi, ceiling)
                 # descending modes discover a, then its derivatives, in order
-                for n in range(n_hi, n_lo - 1, -1):
+                for n in range(top, n_lo - 1, -1):
                     cand = product(g, beta, n)
                     if cand.is_zero():
                         continue
@@ -356,12 +365,18 @@ def closure(
     y_data: dict[tuple[int, int], dict[int, Vec]] = {}
     for i, alpha in enumerate(ops):
         for j, beta in enumerate(ops):
-            lo_cert, hi_cert = certified_nonzero_range(alpha, beta)
+            lo_cert, hi_cert = certified_nonzero_range(alpha, beta, local_products)
             if lo_cert is None:
                 certified = False
                 lo_cert = n_lo - PROBE_MARGIN
                 notes.append(
                     f"pair ({i},{j}) has no certified mode floor; probed to {lo_cert}"
+                )
+            if hi_cert is None:
+                certified = False
+                hi_cert = max(n_hi, -1) + PROBE_MARGIN
+                notes.append(
+                    f"pair ({i},{j}) has no certified mode ceiling; probed to {hi_cert}"
                 )
             modes: dict[int, Vec] = {}
             for n in range(lo_cert, hi_cert + 1):

@@ -3,13 +3,14 @@
 Locality, skew-symmetry, weak associativity, the q-Jacobi identity, the
 associativity half of the Jacobi-like identity and the module checks all read
 the same two-variable products of basis vectors.  A structure's
-`PairAnalysis` (pair_analysis) builds each of them once, in one walk over the
-target basis, with the sparse term kernel of vertexcalc.algebra.  It records
-for which q each triple commutes (commutation_profile: every q, one rational,
-or none, so one analysis serves every q) and the first difference of each
-triple that is not weakly associative, and drops the products.  It is held by
-the structure it acts through, like the mode index, and lives as long as the
-structure.
+`PairAnalysis` (pair_analysis) builds each nonzero one once, in one walk over
+the target basis that scatters coordinates through sparse columns
+(scatter_products, scatter_iterates), so it costs the nonzero terms, not a
+lookup per pair.  It records for which q each triple commutes
+(commutation_profile: every q, one rational, or none, so one analysis serves
+every q) and the first difference of each triple that is not weakly
+associative, and drops the products.  It is held by the structure it acts
+through, like the mode index, and lives as long as the structure.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ from .algebra import (
     ModeIndex,
     SparseVec,
     Terms,
+    add_term,
     assoc_sides,
     d_columns,
     exp_sparse,
-    outer_iterate,
-    outer_product,
     scale,
     sparse_differences,
     sparse_modes,
@@ -96,31 +96,79 @@ def mode_pair(index: ModeIndex, u: int, v: int, w: int, e) -> SparseVec:
     return sparse_modes(index, ((u, ONE),), inner).get(-e[0] - 1, {})
 
 
-def pair_products(index: ModeIndex, w_idx: int, n: int):
-    """(u, v, Y(u,x1)Y(v,x2)w, Y(v,x1)Y(u,x2)w) for the unordered pairs {u, v} of acting basis vectors.
+def acting_columns(index: ModeIndex, n: int) -> dict[int, list]:
+    """The acting table by target coordinate: for each k, the (u, {n: image}) with u_n e_k nonzero.
 
-    index is the acting table's sparse image index; u and v range over the
-    first n acting basis indices and w is a basis vector of the target.
-    Each pair comes once, and only when one of its two products is nonzero.
-    Each inner image Y(v,x2)w is built once and shared by every u; each
-    outer product is the row-by-row sparse product of the mode table with
-    the inner image's nonzero coordinates (Gustavson, ACM TOMS 4, 1978).
+    u ranges over the first n acting basis indices.  This is the column
+    layout of the sparse product (Gustavson, ACM TOMS 4, 1978): a
+    coordinate c e_k of Y(v,x2)w is pushed through column k once, and lands
+    on every u whose modes read e_k.
     """
-    sw = ((w_idx, ONE),)
-    inners = {}
+    cols: dict[int, list] = {}
+    for (u, k), modes in index.items():
+        if 0 <= u < n:
+            cols.setdefault(k, []).append((u, modes))
+    return cols
+
+
+def iterate_sources(alg_index: ModeIndex) -> dict[int, list]:
+    """The algebra's products by coordinate: for each k, every (u, v, -n0-1, c) with c e_k in u_n0 v."""
+    sources: dict[int, list] = {}
+    for (u, v), modes in alg_index.items():
+        for n0, img in modes.items():
+            for k, c in img:
+                sources.setdefault(k, []).append((u, v, -n0 - 1, c))
+    return sources
+
+
+def _nonzero(acc: dict) -> dict:
+    """acc without the exponents whose entries all cancelled, and without the keys left empty."""
+    out = {}
+    for key, terms in acc.items():
+        kept = {e: x for e, x in terms.items() if x}
+        if kept:
+            out[key] = kept
+    return out
+
+
+def scatter_products(index: ModeIndex, cols: dict[int, list], w: int, n: int) -> dict:
+    """{(u, v): Y(u,x1)Y(v,x2)w} for every pair of acting basis vectors whose product is nonzero.
+
+    Each coordinate c e_k of each mode of Y(v,x2)w is pushed through its
+    column cols[k] (acting_columns), so the walk costs the nonzero terms of
+    the products, not a mode lookup per pair.
+    """
+    acc: dict = {}
     for v in range(n):
-        inner = sparse_modes(index, ((v, ONE),), sw)
-        if inner:
-            inners[v] = inner
-    for v, inner_v in inners.items():
-        for u in range(n):
-            inner_u = inners.get(u)
-            if inner_u is not None and u > v:
-                continue  # this pair comes with u and v exchanged
-            puv = outer_product(index, ((u, ONE),), inner_v)
-            pvu = outer_product(index, ((v, ONE),), inner_u) if inner_u else {}
-            if puv or pvu:
-                yield u, v, puv, pvu
+        inner = index.get((v, w))
+        if inner is None:
+            continue
+        for n2, img in inner.items():
+            e2 = -n2 - 1
+            for k, c in img:
+                for u, modes in cols.get(k, ()):
+                    terms = acc.setdefault((u, v), {})
+                    for n1, out in modes.items():
+                        add_term(terms, (-n1 - 1, e2), c, out)
+    return _nonzero(acc)
+
+
+def scatter_iterates(index: ModeIndex, sources: dict[int, list], w: int) -> dict:
+    """{(u, v): Y(Y(u,x0)v,x2)w} for every pair whose iterate is nonzero.
+
+    Each e_k with Y(e_k,x2)w nonzero is pushed through the products that
+    contain it (iterate_sources), keyed by (x0-exponent, x2-exponent).
+    """
+    acc: dict = {}
+    for k, containing in sources.items():
+        modes = index.get((k, w))
+        if modes is None:
+            continue
+        for u, v, e0, c in containing:
+            terms = acc.setdefault((u, v), {})
+            for n2, out in modes.items():
+                add_term(terms, (e0, -n2 - 1), c, out)
+    return _nonzero(acc)
 
 
 class PairAnalysis:
@@ -128,9 +176,10 @@ class PairAnalysis:
 
     u and v range over the basis of `alg`, which also gives the iterates
     Y(Y(u,x0)v,x2)w; w ranges over the basis of `act`, the acting table
-    (alg itself or a module).  On first use, one walk over w builds the
-    products of all pairs (pair_products) and the iterates, records two
-    things and drops the products:
+    (alg itself or a module).  On first use, one walk over w builds each
+    w's nonzero products and iterates, decides only the pairs with a
+    nonzero product, reversed product or iterate (every other pair holds
+    both relations on that w), records two things and drops the products:
     - commutation: for each ordered (u, v) and each w on which
       Y(u,x1)Y(v,x2)w = q Y(v,x2)Y(u,x1)w does not hold for every q, its
       commutation_profile.  A profile names the q it holds for, if any, so
@@ -141,7 +190,8 @@ class PairAnalysis:
     only a failing triple keeps sparse vectors, its first difference.  A
     commutation witness is rebuilt when a check asks for it, from the two
     coefficients at its exponent (mode_pair).  `exp_images` holds e^{xD} e_k
-    for every basis vector of alg.
+    for every basis vector of alg, and failing_middle reads the least
+    failing middle argument of each (u, w) off the failing triples.
 
     The analysis keeps the two tables' sparse indexes, not the structures,
     so a structure that holds its analysis is not part of a reference
@@ -161,33 +211,35 @@ class PairAnalysis:
 
     @cached_property
     def _records(self) -> tuple[dict, dict]:
-        alg_index, index = self.alg_index, self.index
+        index, n = self.index, self.n
+        columns, sources = acting_columns(index, n), iterate_sources(self.alg_index)
         commute: dict = {}
         assoc: dict = {}
         shared: dict = {}  # one object per distinct profile
-
-        def decide(u: int, v: int, w: int, prod: Terms, reverse: Terms) -> None:
-            profile = commutation_profile(prod, reverse)
-            if profile:
-                commute.setdefault((u, v), []).extend((w, shared.setdefault(profile, profile)))
-            uv = alg_index.get((u, v))
-            iterate = outer_iterate(index, uv, ((w, ONE),)) if uv else {}
-            if prod or iterate:
-                diff = next(sparse_differences(*assoc_sides(prod, iterate)), None)
-                if diff is not None:
-                    assoc.setdefault((u, v), {})[w] = diff
-
         for w in range(self.dim):
-            decided = set()
-            for u, v, puv, pvu in pair_products(index, w, self.n):
-                decide(u, v, w, puv, {(e1, e2): c for (e2, e1), c in pvu.items()})
-                if u != v:
-                    decide(v, u, w, pvu, {(e1, e2): c for (e2, e1), c in puv.items()})
-                decided.update(((u, v), (v, u)))
-            # both products vanish here, but Y(Y(u,x0)v,x2)w need not
-            for u, v in alg_index.keys() - decided:
-                decide(u, v, w, {}, {})
+            prods = scatter_products(index, columns, w, n)
+            iterates = scatter_iterates(index, sources, w)
+            # every other pair has a zero product, reversed product and iterate
+            for u, v in prods.keys() | iterates.keys() | {(v, u) for u, v in prods}:
+                prod = prods.get((u, v), {})
+                reverse = {(e1, e2): c for (e2, e1), c in prods.get((v, u), {}).items()}
+                profile = commutation_profile(prod, reverse)
+                if profile:
+                    commute.setdefault((u, v), []).extend((w, shared.setdefault(profile, profile)))
+                iterate = iterates.get((u, v), {})
+                if prod or iterate:
+                    diff = next(sparse_differences(*assoc_sides(prod, iterate)), None)
+                    if diff is not None:
+                        assoc.setdefault((u, v), {})[w] = diff
         return {key: tuple(flat) for key, flat in commute.items()}, assoc
+
+    @cached_property
+    def _first_failing_middle(self) -> dict:
+        first: dict = {}
+        for (u, v), failing in sorted(self._records[1].items()):
+            for w in failing:
+                first.setdefault((u, w), v)
+        return first
 
     def commutes(self, u: int, v: int, q: Fraction) -> bool:
         """Whether Y(u,x1)Y(v,x2)w = q Y(v,x2)Y(u,x1)w on every basis w."""
@@ -210,6 +262,10 @@ class PairAnalysis:
     def assoc_failing(self, u: int, v: int) -> dict:
         """{w: sparse first difference} of the triples (u, v, w) that are not weakly associative."""
         return self._records[1].get((u, v), {})
+
+    def failing_middle(self, u: int, w: int) -> int | None:
+        """The least v for which (u, v, w) is not weakly associative, or None when every v holds."""
+        return self._first_failing_middle.get((u, w))
 
     def assoc_failure(self, u: int, v: int, w: int) -> tuple | None:
         """The first difference (exponent, lhs, rhs) of weak associativity on (u, v, w), dense."""

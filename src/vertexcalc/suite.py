@@ -150,13 +150,15 @@ def _fixed_q(options: SuiteOptions) -> Fraction | None:
         ) from None
 
 
-def _resolve_q(bundle: AlgebraBundle, options: SuiteOptions, i: int, j: int) -> Fraction:
+def _pair_q(bundle: AlgebraBundle, options: SuiteOptions):
+    """The commutation scalar of each basis pair (i, j), with --q parsed once per suite."""
     q = _fixed_q(options)
     if q is not None:
-        return q
+        return lambda i, j: q
     if bundle.grading is None or bundle.cocycle is None:
         raise ValidationError("--q from-cocycle needs grading and cocycle sections")
-    return bundle.cocycle.commutator(bundle.grading.degrees[i], bundle.grading.degrees[j])
+    degrees, cocycle = bundle.grading.degrees, bundle.cocycle
+    return lambda i, j: cocycle.commutator(degrees[i], degrees[j])
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +218,11 @@ def _assoc_record(
 
 def _suite_locality(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteReport):
     alg = bundle.alg
+    pair_q = _pair_q(bundle, options)
     nonlocal_pairs = 0
     for i in range(alg.dim):
         for j in range(alg.dim):
-            q = _resolve_q(bundle, options, i, j)
+            q = pair_q(i, j)
             search = find_locality_k(alg, i, j, q)
             if search.found:
                 verdict = f"local(k={search.order})"
@@ -249,9 +252,10 @@ def _suite_locality(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteR
 
 def _suite_skew(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteReport):
     alg = bundle.alg
+    pair_q = _pair_q(bundle, options)
     for i in range(alg.dim):
         for j in range(alg.dim):
-            q = _resolve_q(bundle, options, i, j)
+            q = pair_q(i, j)
             skew = check_skew_symmetry(alg, i, j, q)
             # the skew report records locality_k exactly when the pair is local
             local = "locality_k" in skew.found_orders
@@ -281,9 +285,10 @@ def _suite_skew(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteRepor
 
 def _suite_jacobi(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteReport):
     alg = bundle.alg
+    pair_q = _pair_q(bundle, options)
     for i in range(alg.dim):
         for j in range(alg.dim):
-            q = _resolve_q(bundle, options, i, j)
+            q = pair_q(i, j)
             rep = check_jacobi(alg, i, j, q)
             report.add(
                 SuiteRecord(
@@ -327,6 +332,7 @@ def _suite_jacobi_like(bundle: AlgebraBundle, options: SuiteOptions, report: Sui
 
 def _suite_modules(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteReport):
     alg = bundle.alg
+    pair_q = _pair_q(bundle, options)
     mod = bundle.module or adjoint_module(alg)
     source = "file" if bundle.module is not None else "adjoint"
     rep = check_module(alg, mod)
@@ -344,7 +350,7 @@ def _suite_modules(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteRe
     transfer_fail = []
     for i in range(alg.dim):
         for j in range(alg.dim):
-            q = _resolve_q(bundle, options, i, j)
+            q = pair_q(i, j)
             t = check_locality_transfer(alg, mod, i, j, q, faithful=faithful)
             transfer_fail.extend(t.witnesses)
     report.add(

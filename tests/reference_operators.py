@@ -125,7 +125,7 @@ def check_prop_assoc(a, b, w):
                 add_term(lhs, (p + l - i, i + q), binom(p + l, i), support(mat_vec(ma, vecq)))
     # right side: (x2+x0)^l (Y(a,x0)b)(x2) w
     rhs: Terms = {}
-    lo_cert, hi_cert = certified_nonzero_range(a, b)
+    lo_cert, hi_cert = certified_nonzero_range(a, b, False)
     top = None  # the highest compared x0-exponent when the residue sum is truncated
     if lo_cert is None:
         top = hi_a + l

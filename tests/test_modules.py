@@ -121,6 +121,11 @@ def test_stray_acting_indices_are_malformed(a3, a3_adj):
         check_module(a3, mod)
     with pytest.raises(MalformedStructure, match=r"\[-1, 7\]"):
         is_faithful(a3, mod)
+    for i in range(3):
+        with pytest.raises(MalformedStructure, match=r"\[-1, 7\]"):
+            check_locality_transfer(a3, mod, i, 0, F(1), faithful=True)
+    # the acting indices are found once, when the module is built
+    assert mod.acting == (-1, 0, 1, 2, 7)
 
 
 def test_locality_transfer_a3(a3, a3_adj):

@@ -618,11 +618,45 @@ def test_unbounded_tail_is_reported_honestly():
     # no finite mode range closes the span
     A = ((F(0), F(1)), (F(0), F(0)))
     a_op = VertexOperator(2, {0: A})
-    assert certified_nonzero_range(a_op, identity_operator(2))[0] is None
+    assert certified_nonzero_range(a_op, identity_operator(2), False)[0] is None
     res = closure([a_op], n_range=(-3, 0))
     assert res.status == "index-range-exhausted"
     res_cap = closure([a_op], n_range=(-30, 0), dim_cap=8)
     assert res_cap.status == "cap-exceeded"
+
+
+def test_local_products_have_no_certified_ceiling():
+    # a = E12 at mode 0 does not commute with b = E22 at mode -1, so the local
+    # product is nonzero at every n >= 0, where the straight one vanishes
+    E12 = ((F(0), F(1)), (F(0), F(0)))
+    E22 = ((F(0), F(0)), (F(0), F(1)))
+    a, b = VertexOperator(2, {0: E12}), VertexOperator(2, {-1: E22})
+    for n in range(4):
+        assert nth_product_local(a, b, n).rows == {-1 - n: {0: {1: F((-1) ** n)}}}
+        assert nth_product(a, b, n).is_zero()
+    assert certified_nonzero_range(a, b, False) == (None, -1)
+    assert certified_nonzero_range(a, b, True) == (None, None)
+    # the pairwise verification probes above -1 for the local variant only
+    for local in (False, True):
+        res = closure([a, b], n_range=(-1, 0), local_products=local)
+        assert not res.certified
+        probed = [note for note in res.notes if "no certified mode ceiling" in note]
+        assert bool(probed) == local
+
+
+def test_straight_closure_stops_at_the_certified_ceiling(monkeypatch, yt):
+    # straight products vanish identically at n >= 0, so none is formed there
+    modes = []
+    residue = operators._residue_product
+
+    def recording(a, b, n, local):
+        modes.append(n)
+        return residue(a, b, n, local)
+
+    monkeypatch.setattr(operators, "_residue_product", recording)
+    res = closure([yt])
+    assert res.status == "closed" and res.certified
+    assert modes and max(modes) == -1
 
 
 def test_closure_from_nonlocal_generators():

@@ -6,7 +6,10 @@ skew-symmetry, weak associativity, the q-Jacobi identity and the module
 checks.  The oracles below are the loops those checks ran before it: one
 `commutation_sparse` per basis w, one `assoc_search` per triple, and the
 Jacobi verdict as commutation first, associativity second.  Verdicts and
-witness strings must agree on every pair and triple, for several q.
+witness strings must agree on every pair and triple, for several q.  The
+analysis's own records are held equal to those of the per-pair walk it
+replaced (`reference_pairs`), and its scattered products and iterates to
+that walk's nonzero ones.
 """
 
 import itertools
@@ -15,6 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from reference_pairs import pair_walk, reference_records
 
 import vertexcalc.algebra as algebra_module
 import vertexcalc.construct as construct_module
@@ -47,7 +51,14 @@ from vertexcalc.modules import (
     check_module,
     wn_module,
 )
-from vertexcalc.pairs import pair_analysis
+from vertexcalc.pairs import (
+    PairAnalysis,
+    acting_columns,
+    iterate_sources,
+    pair_analysis,
+    scatter_iterates,
+    scatter_products,
+)
 from vertexcalc.report import FOUND, REFUTED, OrderSearch, Witness
 from vertexcalc.suite import run_suite
 
@@ -231,6 +242,20 @@ def _cases():
     broken = _perturbed(ut2, (e11, e11), -1, Fraction(2))
     cases.append(("ut2-broken", broken, adjoint_module(broken), [lambda i, j: Fraction(1)]))
     cases.append(("ut2-broken-on-ut2", broken, adjoint_module(ut2), [lambda i, j: Fraction(1)]))
+    # e2_1 e0 = -e2_1 e1, so Y(e2,x1)Y(e2,x2)e0 cancels at mode 1 above a nonzero
+    # mode -2: a cancelled exponent left in would raise the associativity order
+    cancel = AlgebraStructure(
+        basis=("e0", "e1", "e2"),
+        vacuum=0,
+        y_data={
+            (0, 0): {1: (-1, 0, -1)},
+            (1, 2): {0: (0, 0, 1)},
+            (2, 0): {1: (-1, -1, 1)},
+            (2, 1): {1: (1, 1, -1)},
+            (2, 2): {-2: (-1, 0, -1)},
+        },
+    )
+    cases.append(("cancelling", cancel, adjoint_module(cancel), [lambda i, j, q=q: q for q in QS]))
     return cases + list(_random_cases())
 
 
@@ -280,6 +305,34 @@ def test_analysis_matches_the_per_call_loops(name, alg, mod, qfuns):
         assert ("jacobi", "associativity") in seen
 
 
+def _analyses(alg, mod):
+    return [PairAnalysis(alg, alg), PairAnalysis(alg, mod)]
+
+
+@pytest.mark.parametrize("name, alg, mod, qfuns", CASES, ids=[c[0] for c in CASES])
+def test_scatter_walk_records_equal_the_pair_walk(name, alg, mod, qfuns):
+    for analysis in _analyses(alg, mod):
+        commute, assoc = analysis._records
+        assert (commute, assoc) == reference_records(analysis), name
+        # equal profiles are one object
+        profiles = [p for flat in commute.values() for p in flat[1::2]]
+        assert len({id(p) for p in profiles}) == len(set(profiles))
+
+
+@pytest.mark.parametrize("name, alg, mod, qfuns", CASES, ids=[c[0] for c in CASES])
+def test_scatter_walk_builds_exactly_the_nonzero_products(name, alg, mod, qfuns):
+    # no cancelled exponent and no zero product or iterate is kept
+    for analysis in _analyses(alg, mod):
+        index, n = analysis.index, analysis.n
+        cols, sources = acting_columns(index, n), iterate_sources(analysis.alg_index)
+        for w in range(analysis.dim):
+            walk = pair_walk(analysis.alg_index, index, n, w)
+            prods = {key: p for key, (p, _r, _i) in walk.items() if p}
+            iterates = {key: i for key, (_p, _r, i) in walk.items() if i}
+            assert scatter_products(index, cols, w, n) == prods, (name, w)
+            assert scatter_iterates(index, sources, w) == iterates, (name, w)
+
+
 def test_one_analysis_serves_every_q():
     # the same analysis object answers q = 1 and q = -1 on the graded twist
     bundle = parse_algebra_file(FIXTURES / "z22_twist.json")
@@ -316,23 +369,22 @@ def build_counts(monkeypatch):
         key = (id(index), u, v, w)
         counts[key] = counts.get(key, 0) + 1
 
-    pair_products = pairs_module.pair_products
+    scatter = pairs_module.scatter_products
     single = algebra_module.product_sparse
 
-    def counting_pairs(index, w_idx, n):
+    def counting_scatter(index, cols, w_idx, n):
         calls.append((id(index), w_idx))
-        for u, v, puv, pvu in pair_products(index, w_idx, n):
+        prods = scatter(index, cols, w_idx, n)
+        for u, v in prods:
             count(index, u, v, w_idx)
-            if u != v:
-                count(index, v, u, w_idx)
-            yield u, v, puv, pvu
+        return prods
 
     def counting_single(act, su, sv, sw):
         if all(len(s) == 1 and s[0][1] == 1 for s in (su, sv, sw)):
             count(act.mode_index, su[0][0], sv[0][0], sw[0][0])
         return single(act, su, sv, sw)
 
-    monkeypatch.setattr(pairs_module, "pair_products", counting_pairs)
+    monkeypatch.setattr(pairs_module, "scatter_products", counting_scatter)
     monkeypatch.setattr(algebra_module, "product_sparse", counting_single)
     monkeypatch.setattr(construct_module, "product_sparse", counting_single)
     return counts, calls

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vertexcalc import cli
+from vertexcalc import suite as suite_module
 from vertexcalc.algebra import AlgebraStructure
 from vertexcalc.fileio import algebra_to_data, parse_algebra_file, write_algebra_file
 from vertexcalc.linalg import unit_vec
@@ -77,6 +79,32 @@ def test_from_cocycle_scalars():
     assert report.exit_code == 0
     hold = [r for r in report.records if r.id.startswith("jacobi/") and r.kind == "classification"]
     assert all(r.verdict == "holds" for r in hold)
+
+
+@pytest.mark.parametrize("suite", ["locality", "skew", "jacobi", "modules"])
+def test_from_cocycle_without_grading_is_an_error(suite):
+    run_cli("check", str(FIXTURES / "a3.json"), "--suite", suite, "--q", "from-cocycle", expect=2)
+
+
+def test_from_cocycle_is_not_read_by_the_axioms_suite():
+    run_cli("check", str(FIXTURES / "a3.json"), "--suite", "axioms", "--q", "from-cocycle")
+
+
+def test_q_is_resolved_once_per_suite(monkeypatch):
+    calls = []
+    fixed = suite_module._fixed_q
+
+    def counting(options):
+        calls.append(options.q)
+        return fixed(options)
+
+    monkeypatch.setattr(suite_module, "_fixed_q", counting)
+    report = run_suite(parse_algebra_file(FIXTURES / "m2a3.json"), "all", SuiteOptions(q="1/3"))
+    # once in run_suite, then once in each of locality, skew, jacobi and modules
+    assert calls == ["1/3"] * 5
+    golden = json.loads((FIXTURES.parent / "tests" / "golden_reports.json").read_text())
+    digest = hashlib.sha256(emit_report(report, "json")).hexdigest()
+    assert digest == golden["q"]["1/3"]["json"]["m2a3"]
 
 
 def test_jacobi_like_suite_uses_declared_rmap():
