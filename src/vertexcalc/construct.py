@@ -22,7 +22,6 @@ from .algebra import (
     ModeTable,
     Terms,
     add_term,
-    product_sparse,
     sparse_differences,
     table_index,
 )
@@ -634,54 +633,62 @@ def check_jacobi_like(
     and the triple must be weakly associative at order 0, which the pair
     analysis records.  These are also the identity's two standard
     consequences, so one verdict covers them.
+
+    triples=None checks every basis triple and an empty list checks none;
+    an index outside range(alg.dim) is refused.  Both sides of the
+    commutation are read off the pair analysis's scatter of one w at a time
+    (PairAnalysis.products), so a triple costs a lookup, and one whose
+    straight and reversed products all vanish costs no comparison.
     """
     report = CheckReport("jacobi-like")
-    if rmap.dim != alg.dim:
+    dim = alg.dim
+    if rmap.dim != dim:
         raise MalformedStructure("R-map dimension mismatch")
+    if triples is None:
+        triples = list(iproduct(range(dim), repeat=3))
+    elif any(len(t) != 3 or not all(i in range(dim) for i in t) for t in triples):
+        raise MalformedStructure(f"jacobi-like triples must be basis index triples in range({dim})")
     pairs = pair_analysis(alg)
-    all_triples = triples or [
-        (u, v, w)
-        for u in range(alg.dim)
-        for v in range(alg.dim)
-        for w in range(alg.dim)
-    ]
-    products: dict[tuple[int, int, int], Terms] = {}
+    scattered: dict[int, dict] = {}
 
-    def product(triple: tuple[int, int, int]) -> Terms:
-        """Y(a,x1)Y(b,x2)c for the basis triple (a, b, c), built once per w."""
-        if triple not in products:
-            products[triple] = product_sparse(alg, *(((i, ONE),) for i in triple))
-        return products[triple]
+    def product(a: int, b: int, c: int) -> Terms:
+        """Y(a,x1)Y(b,x2)c for basis vectors, read off the scatter of c, made on first use."""
+        if c not in scattered:
+            scattered[c] = pairs.products(c)
+        return scattered[c].get((a, b), {})
 
     def witness(u_idx: int, v_idx: int, w_idx: int) -> Witness | None:
         names = (alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx])
+        straight = product(u_idx, v_idx, w_idx)
         # (Y x Y)(x2, x1) applied to R(v ⊗ u ⊗ w): sum of Y(a,x2)Y(b,x1)c, which
         # is Y(a,x1)Y(b,x2)c with its two exponents swapped
         rterms: Terms = {}
-        for coeff, triple in rmap.image((v_idx, u_idx, w_idx)):
-            for (e2, e1), outer in product(triple).items():
+        for coeff, (a, b, c) in rmap.image((v_idx, u_idx, w_idx)):
+            for (e2, e1), outer in product(a, b, c).items():
                 add_term(rterms, (e1, e2), coeff, outer.items())
-        diff = next(sparse_differences(product((u_idx, v_idx, w_idx)), rterms), None)
-        if diff is not None:
-            e, lhs, rhs = diff
-            return Witness(("commutation",) + names, e, densify(lhs, alg.dim), densify(rhs, alg.dim))
+        if straight or rterms:
+            diff = next(sparse_differences(straight, rterms), None)
+            if diff is not None:
+                e, lhs, rhs = diff
+                return Witness(("commutation",) + names, e, densify(lhs, dim), densify(rhs, dim))
         if (assoc := pairs.assoc_failure(u_idx, v_idx, w_idx)) is not None:
             return Witness(("associativity",) + names, *assoc)
         return None
 
-    # every R-map built here keeps the third factor w, so a product is read
-    # only by triples with its own w: deciding one w at a time keeps only that
-    # w's products, and the witnesses are then reported in triple order
+    # every R-map built here keeps the third factor w, so deciding one w at a
+    # time holds one w's products (an image with another third factor
+    # scatters it on demand), and the witnesses are then reported in triple
+    # order
     by_w: dict[int, list[tuple[int, int, int]]] = {}
-    for t in all_triples:
+    for t in triples:
         by_w.setdefault(t[2], []).append(t)
     failures: dict[tuple[int, int, int], Witness] = {}
     for group in by_w.values():
-        products.clear()
+        scattered.clear()
         for t in group:
             if (found := witness(*t)) is not None:
                 failures[t] = found
-    for t in all_triples:
+    for t in triples:
         if t in failures:
             report.fail(failures[t])
     return report

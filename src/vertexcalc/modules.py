@@ -279,17 +279,14 @@ def check_locality_transfer(
     alg_loc = find_locality_k(alg, u_idx, v_idx, q)
     # module-side relation at order zero (Laurent data collapses every order),
     # read off the module's pair analysis: the algebra's own for the adjoint
-    witness = None
-    failure = next(pair_analysis(alg, mod).commutation_failures(u_idx, v_idx, q), None)
-    if failure is not None:
-        w_idx, *diff = failure
-        witness = Witness((alg.basis[u_idx], alg.basis[v_idx], mod.basis[w_idx]), *diff)
-    mod_holds = witness is None
+    mod_pairs = pair_analysis(alg, mod)
+    mod_holds = mod_pairs.commutes(u_idx, v_idx, q)
     report.found_orders["faithful"] = int(faithful)
     if alg_loc.found:
         report.found_orders["algebra_k"] = alg_loc.order
         if not mod_holds:
-            report.fail(witness)
+            w_idx, *diff = next(mod_pairs.commutation_failures(u_idx, v_idx, q))
+            report.fail(Witness((alg.basis[u_idx], alg.basis[v_idx], mod.basis[w_idx]), *diff))
     if faithful and mod_holds and not alg_loc.found:
         report.fail(
             Witness(

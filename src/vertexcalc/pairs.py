@@ -9,8 +9,11 @@ the target basis that scatters coordinates through sparse columns
 lookup per pair.  It records for which q each triple commutes
 (commutation_profile: every q, one rational, or none, so one analysis serves
 every q) and the first difference of each triple that is not weakly
-associative, and drops the products.  It is held by the structure it acts
-through, like the mode index, and lives as long as the structure.
+associative, and drops the products.  The commutation half of the Jacobi-like
+identity routes its reversed side through an R-map, so no profile decides it:
+it reads the same scatter again, one w at a time (PairAnalysis.products).  The
+analysis is held by the structure it acts through, like the mode index, and
+lives as long as the structure.
 """
 
 from __future__ import annotations
@@ -190,8 +193,9 @@ class PairAnalysis:
     only a failing triple keeps sparse vectors, its first difference.  A
     commutation witness is rebuilt when a check asks for it, from the two
     coefficients at its exponent (mode_pair).  `exp_images` holds e^{xD} e_k
-    for every basis vector of alg, and failing_middle reads the least
-    failing middle argument of each (u, w) off the failing triples.
+    for every basis vector of alg, failing_middle reads the least failing
+    middle argument of each (u, w) off the failing triples, and products(w)
+    scatters one w's products again for a relation no profile decides.
 
     The analysis keeps the two tables' sparse indexes, not the structures,
     so a structure that holds its analysis is not part of a reference
@@ -210,15 +214,27 @@ class PairAnalysis:
         return [exp_sparse(self.cols, ((k, ONE),)) for k in range(self.n)]
 
     @cached_property
+    def acting_columns(self) -> dict[int, list]:
+        """The acting table's column index (acting_columns), shared by every scatter."""
+        return acting_columns(self.index, self.n)
+
+    def products(self, w: int) -> dict:
+        """{(u, v): Y(u,x1)Y(v,x2)w} for every pair of basis vectors whose product is nonzero.
+
+        Scattered afresh on each call (scatter_products) and not kept, so a
+        caller that decides one w at a time holds one w's products at a time.
+        """
+        return scatter_products(self.index, self.acting_columns, w, self.n)
+
+    @cached_property
     def _records(self) -> tuple[dict, dict]:
-        index, n = self.index, self.n
-        columns, sources = acting_columns(index, n), iterate_sources(self.alg_index)
+        sources = iterate_sources(self.alg_index)
         commute: dict = {}
         assoc: dict = {}
         shared: dict = {}  # one object per distinct profile
         for w in range(self.dim):
-            prods = scatter_products(index, columns, w, n)
-            iterates = scatter_iterates(index, sources, w)
+            prods = self.products(w)
+            iterates = scatter_iterates(self.index, sources, w)
             # every other pair has a zero product, reversed product and iterate
             for u, v in prods.keys() | iterates.keys() | {(v, u) for u, v in prods}:
                 prod = prods.get((u, v), {})

@@ -3,10 +3,12 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from vertexcalc import algebra, construct
+from vertexcalc import algebra
+from vertexcalc import pairs as pairs_module
 from vertexcalc.algebra import (
     AlgebraStructure,
     add_term,
@@ -25,6 +27,7 @@ from vertexcalc.construct import (
     CocycleData,
     GradedTag,
     GroupActionData,
+    RMap,
     _MatrixBasis,
     check_jacobi_like,
     cocycle_twist,
@@ -48,6 +51,7 @@ from vertexcalc.errors import (
     NotADerivation,
     NotAnAutomorphism,
 )
+from vertexcalc.fileio import parse_algebra_file
 from vertexcalc.fixtures import (
     all_fixture_builders,
     cross_a2_z2,
@@ -65,6 +69,7 @@ from vertexcalc.pairs import pair_analysis
 from vertexcalc.report import CheckReport, Witness
 
 F = Fraction
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 # -- associative sources -------------------------------------------------------
@@ -368,12 +373,29 @@ def test_jacobi_like_fails_with_wrong_rmap():
     assert not rep.passed
 
 
-def _unshared_jacobi_like(alg, rmap):
+def test_jacobi_like_empty_triples_check_nothing():
+    # an empty list is a request for no triple, not for every triple
+    m = matrix_over_a3()
+    assert len(check_jacobi_like(m, rmap_identity(12)).witnesses) == 180
+    rep = check_jacobi_like(m, rmap_identity(12), triples=[])
+    assert rep.passed and rep.witnesses == []
+
+
+@pytest.mark.parametrize("triple", [(0, 0, 12), (-1, 0, 0), (0, 12, 0), (0, 0)])
+def test_jacobi_like_refuses_triples_outside_the_basis(triple):
+    m = matrix_over_a3()
+    with pytest.raises(MalformedStructure, match="basis index triples"):
+        check_jacobi_like(m, rmap_identity(12), triples=[(0, 0, 0), triple])
+
+
+def _unshared_jacobi_like(alg, rmap, triples=None):
     # check_jacobi_like's former loop: each triple builds its straight product
     # and every reversed product of its R-image afresh
     pairs = pair_analysis(alg)
     report = CheckReport("jacobi-like")
-    for u, v, w in itertools.product(range(alg.dim), repeat=3):
+    if triples is None:
+        triples = itertools.product(range(alg.dim), repeat=3)
+    for u, v, w in triples:
         names = (alg.basis[u], alg.basis[v], alg.basis[w])
         rterms = {}
         for coeff, (a, b, c) in rmap.image((v, u, w)):
@@ -394,26 +416,79 @@ def _e(i):
     return ((i, ONE),)
 
 
+def _shifted_third_factor(dim):
+    # keeps each triple and adds a third of the one whose third factor is the
+    # next basis vector: no built R-map changes the third factor
+    return RMap(
+        dim=dim,
+        entries={
+            t: [(ONE, t), (F(1, 3), (t[0], t[1], (t[2] + 1) % dim))]
+            for t in itertools.product(range(dim), repeat=3)
+        },
+    )
+
+
+def _fixture_case(name):
+    bundle = parse_algebra_file(FIXTURES / f"{name}.json")
+    return bundle.alg, bundle.resolve_rmap(), None
+
+
+def _m2a3_case(rmap, triples=None):
+    return matrix_over_a3(), rmap, triples
+
+
+JACOBI_LIKE_CASES = {
+    "a3": lambda: _fixture_case("a3"),
+    "cross_a2z2": lambda: _fixture_case("cross_a2z2"),
+    "m2a3": lambda: _fixture_case("m2a3"),
+    "z22_twist": lambda: _fixture_case("z22_twist"),
+    "m2a3-identity": lambda: _m2a3_case(rmap_identity(12)),
+    "m2a3-shifted-third-factor": lambda: _m2a3_case(_shifted_third_factor(12)),
+    "m2a3-identity-reversed-subset": lambda: _m2a3_case(
+        rmap_identity(12), list(itertools.product(range(12), repeat=3))[::-5]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JACOBI_LIKE_CASES))
+def test_jacobi_like_equals_the_unshared_loop(case):
+    alg, rmap, triples = JACOBI_LIKE_CASES[case]()
+    expected = _unshared_jacobi_like(alg, rmap, triples)
+    rep = check_jacobi_like(alg, rmap, triples)
+    assert (rep.verdict, rep.exact, rep.witnesses) == (
+        expected.verdict,
+        expected.exact,
+        expected.witnesses,
+    )
+
+
 @pytest.mark.parametrize(
     "rmap", [rmap_tensor_swap(3, 4), rmap_identity(12)], ids=["swap", "identity"]
 )
 def test_jacobi_like_builds_each_product_once(rmap, monkeypatch):
-    # one product per distinct basis triple, shared by the straight side and
-    # the reversed side of every R-image that names it
+    # one scatter per w, read by the straight side and by the reversed side of
+    # every R-image that names it: no product is built per triple
     m = matrix_over_a3()
     expected = _unshared_jacobi_like(m, rmap)
-    built = []
+    pair_analysis(m)._records  # the analysis's own walk is not counted here
+    built, scattered = [], []
+    single, scatter = algebra.product_sparse, pairs_module.scatter_products
 
     def counting(act, su, sv, sw):
         built.append((su, sv, sw))
-        return product_sparse(act, su, sv, sw)
+        return single(act, su, sv, sw)
 
-    # every path to a product: the name construct calls and, through
-    # reversed_sparse, the one algebra calls
-    monkeypatch.setattr(construct, "product_sparse", counting)
+    def counting_scatter(index, cols, w, n):
+        scattered.append(w)
+        return scatter(index, cols, w, n)
+
+    # every path to a product: product_sparse, which reversed_sparse calls
+    # too, and the scatter (construct names neither: test_import_boundaries)
     monkeypatch.setattr(algebra, "product_sparse", counting)
+    monkeypatch.setattr(pairs_module, "scatter_products", counting_scatter)
     rep = check_jacobi_like(m, rmap)
-    assert len(built) == len(set(built)) == m.dim**3 == 1728
+    assert built == []
+    assert sorted(scattered) == list(range(m.dim))
     assert (rep.verdict, rep.exact, rep.witnesses) == (
         expected.verdict,
         expected.exact,

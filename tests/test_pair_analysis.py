@@ -21,7 +21,6 @@ import pytest
 from reference_pairs import pair_walk, reference_records
 
 import vertexcalc.algebra as algebra_module
-import vertexcalc.construct as construct_module
 import vertexcalc.pairs as pairs_module
 from vertexcalc.algebra import (
     AlgebraStructure,
@@ -386,7 +385,6 @@ def build_counts(monkeypatch):
 
     monkeypatch.setattr(pairs_module, "scatter_products", counting_scatter)
     monkeypatch.setattr(algebra_module, "product_sparse", counting_single)
-    monkeypatch.setattr(construct_module, "product_sparse", counting_single)
     return counts, calls
 
 
