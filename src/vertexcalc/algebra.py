@@ -51,6 +51,7 @@ from .linalg import (
     binom,
     dense_span,
     densify,
+    integral,
     is_zero_vec,
     span_nullspace,
     support,
@@ -87,7 +88,7 @@ Terms = dict  # {exponent: {k: nonzero c}}, a sparse term dictionary
 def clean_table(table: ModeTable, dim: int, n_acting: int | None) -> ModeTable:
     """The table with Fraction vectors and without zero modes, after index checks.
 
-    Every zero coordinate is the shared ZERO, which support skips by identity.
+    Every zero coordinate is the shared ZERO, which table_index skips by identity.
 
     Target indices must lie in range(dim) and acting indices in
     range(n_acting); a module does not know its algebra and passes None.
@@ -100,7 +101,9 @@ def clean_table(table: ModeTable, dim: int, n_acting: int | None) -> ModeTable:
         for n, v in modes.items():
             if len(v) != dim:
                 raise MalformedStructure(f"vector length mismatch at ({i},{j},{n})")
-            v = tuple((x if type(x) is Fraction else Fraction(x)) or ZERO for x in v)
+            v = tuple(
+                x if x is ZERO else (x if type(x) is Fraction else Fraction(x)) or ZERO for x in v
+            )
             if not is_zero_vec(v):
                 entry[int(n)] = v
         if entry:
@@ -109,8 +112,17 @@ def clean_table(table: ModeTable, dim: int, n_acting: int | None) -> ModeTable:
 
 
 def table_index(table: ModeTable) -> ModeIndex:
-    """The sparse image index of a clean table: each image as its nonzero (k, c)."""
-    return {key: {n: support(v) for n, v in modes.items()} for key, modes in table.items()}
+    """The sparse image index of a clean table: each image as its nonzero (k, c), c int if integral.
+
+    Every zero of a clean (or densified) table is the shared ZERO.
+    """
+    return {
+        key: {
+            n: [(k, integral(c)) for k, c in enumerate(v) if c is not ZERO]
+            for n, v in modes.items()
+        }
+        for key, modes in table.items()
+    }
 
 
 def sparse_modes(index: ModeIndex, su: Support, sw: Support) -> dict[int, SparseVec]:
@@ -278,11 +290,11 @@ def exp_sparse(cols: list[Support], entries: Support, cap: int | None = None) ->
     cap = len(cols) + 1 if cap is None else cap
     out: Terms = {}
     cur = dict(entries)
-    fact = Fraction(1)
+    fact = 1
     for j in range(cap + 1):
         if not cur:
             return out
-        out[j] = scale(1 / fact, cur)
+        out[j] = {k: integral(Fraction(c, fact)) for k, c in cur.items()}
         cur = d_sparse(cols, cur.items())
         fact *= j + 1
     raise NonNilpotentD("matrix iterates did not vanish within the dimension cap")
@@ -562,8 +574,10 @@ def _analysis(alg: AlgebraStructure) -> PairAnalysis:
     """alg's pair analysis (vertexcalc.pairs.pair_analysis), built on first use.
 
     vertexcalc.pairs builds on the term kernel of this module, so it is
-    imported here rather than at the top.
+    imported here, on first use, rather than at the top.
     """
+    if alg._pairs is not None:
+        return alg._pairs
     from .pairs import pair_analysis
 
     return pair_analysis(alg)
@@ -587,7 +601,8 @@ def find_locality_k(
     refutation for every k (the constant witness of the nonlocal fixtures).
     The witness is the first differing exponent on the first failing basis w.
     """
-    failure = next(_analysis(alg).commutation_failures(u_idx, v_idx, Fraction(q)), None)
+    q = integral(q)
+    failure = next(_analysis(alg).commutation_failures(u_idx, v_idx, q), None)
     if failure is None:
         return OrderSearch(FOUND, order=0)
     w_idx, *diff = failure
@@ -632,7 +647,7 @@ def check_skew_symmetry(
     contract marks a failed skew comparison as not exact.
     """
     report = CheckReport(f"skew-symmetry[{alg.basis[u_idx]},{alg.basis[v_idx]}]")
-    q = Fraction(q)
+    q = integral(q)
     pairs = _analysis(alg)
     su, sv = ((u_idx, ONE),), ((v_idx, ONE),)
     lhs = {(-n - 1,): w for n, w in sparse_modes(alg.mode_index, su, sv).items()}
@@ -712,7 +727,7 @@ def check_jacobi(alg: AlgebraStructure, u_idx: int, v_idx: int, q: Fraction) -> 
     pairs = _analysis(alg)
     halves = {
         w: ("commutation", diff)
-        for w, *diff in pairs.commutation_failures(u_idx, v_idx, Fraction(q))
+        for w, *diff in pairs.commutation_failures(u_idx, v_idx, integral(q))
     }
     for w in pairs.assoc_failing(u_idx, v_idx):
         if w not in halves:
@@ -756,7 +771,7 @@ def generate_subalgebra(alg: AlgebraStructure, generators: list[Vec]) -> list[Ve
 
     The rows are the accepted vectors in spin order, vacuum first, not an RREF.
     """
-    rows = spin(alg.mode_index, [support(g) for g in generators], [{alg.vacuum: ONE}], alg.dim)
+    rows = spin(alg.mode_index, [support(g) for g in generators], [{alg.vacuum: 1}], alg.dim)
     return [densify(v, alg.dim) for v in rows]
 
 
@@ -792,7 +807,7 @@ def localizer(alg: AlgebraStructure, targets: list[Vec]) -> list[Vec]:
         for i in range(alg.dim):
             ei = ((i, ONE),)
             diff = {-n - 1: c for n, c in sparse_modes(index, ei, sw).items()}
-            for m, c in skew_terms(exp_images, sparse_modes(index, sw, ei), Fraction(-1)).items():
+            for m, c in skew_terms(exp_images, sparse_modes(index, sw, ei), -1).items():
                 add_term(diff, m, 1, c.items())
             for m, img in diff.items():
                 for r, c in img.items():

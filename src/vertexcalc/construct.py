@@ -131,10 +131,10 @@ def from_assoc_with_derivation(data: AssocAlgebraData) -> AlgebraStructure:
     for i in range(dim):
         powers: list[Vec] = []
         cur = unit_vec(dim, i)
-        fact = Fraction(1)
+        fact = 1
         m = 0
         while not is_zero_vec(cur):
-            powers.append(vec_scale(1 / fact, cur))
+            powers.append(vec_scale(Fraction(1, fact), cur))
             cur = mat_vec(data.derivation, cur)
             m += 1
             fact *= m
@@ -181,17 +181,17 @@ class _MatrixBasis:
     def dim(self) -> int:
         return len(self.names)
 
-    def entries(self, idx: int) -> dict[tuple[int, int], Fraction]:
+    def entries(self, idx: int) -> dict[tuple[int, int], int]:
         if idx == 0:
-            return {(i, i): Fraction(1) for i in range(self.n)}
+            return {(i, i): 1 for i in range(self.n)}
         i, j = self.units[idx - 1]
-        return {(i, j): Fraction(1)}
+        return {(i, j): 1}
 
-    def to_coords(self, entries: dict[tuple[int, int], Fraction]) -> Vec:
-        last = entries.get((self.n - 1, self.n - 1), Fraction(0))
+    def to_coords(self, entries: dict[tuple[int, int], int]) -> tuple[int, ...]:
+        last = entries.get((self.n - 1, self.n - 1), 0)
         coords = [last]
         for i, j in self.units:
-            val = entries.get((i, j), Fraction(0))
+            val = entries.get((i, j), 0)
             if i == j:
                 val -= last
             coords.append(val)
@@ -199,17 +199,17 @@ class _MatrixBasis:
 
     @staticmethod
     def mult(
-        e1: dict[tuple[int, int], Fraction], e2: dict[tuple[int, int], Fraction]
-    ) -> dict[tuple[int, int], Fraction]:
-        out: dict[tuple[int, int], Fraction] = {}
+        e1: dict[tuple[int, int], int], e2: dict[tuple[int, int], int]
+    ) -> dict[tuple[int, int], int]:
+        out: dict[tuple[int, int], int] = {}
         for (a, b), x in e1.items():
             for (c, d), y in e2.items():
                 if b == c:
-                    out[(a, d)] = out.get((a, d), Fraction(0)) + x * y
+                    out[(a, d)] = out.get((a, d), 0) + x * y
         return {k: v for k, v in out.items() if v != 0}
 
-    def product(self, i: int, j: int) -> Vec:
-        """Coordinates of the product of basis matrices i and j."""
+    def product(self, i: int, j: int) -> tuple[int, ...]:
+        """Integer coordinates of the product of basis matrices i and j."""
         return self.to_coords(self.mult(self.entries(i), self.entries(j)))
 
     def product_index(self) -> ModeIndex:
@@ -370,7 +370,7 @@ class CocycleData:
                         raise CocycleInvalid(f"cocycle identity fails at ({a},{b},{c})")
 
     def commutator(self, g: tuple[int, ...], h: tuple[int, ...]) -> Fraction:
-        return self.value(g, h) / self.value(h, g)
+        return Fraction(self.value(g, h)) / self.value(h, g)
 
 
 def validate_grading(alg: AlgebraStructure, grading: GradedTag) -> None:
@@ -507,7 +507,7 @@ def cross_product(alg: AlgebraStructure, act: GroupActionData) -> AlgebraStructu
             for i in range(dim)
             for j in range(dim)
         }
-        left = {(g, h): {-1: [(act.table[(g, h)], ONE)]} for h in range(ng)}
+        left = {(g, h): {-1: [(act.table[(g, h)], 1)]} for h in range(ng)}
         y_data.update(table_tensor(table_index(twisted), left, ng, dim, ng))
     return AlgebraStructure(
         basis=tuple(f"{v}|{g}" for v in alg.basis for g in act.elements),

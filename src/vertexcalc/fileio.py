@@ -28,7 +28,7 @@ from .construct import (
     rmap_tensor_swap,
 )
 from .errors import OutputError, ParseError, ValidationError
-from .linalg import Mat, Vec
+from .linalg import ZERO, Mat, Vec
 from .modules import ModuleStructure
 from .operators import VertexOperator
 
@@ -51,7 +51,7 @@ def format_rational(x: Fraction) -> str:
 
 
 def _vec_from_sparse(data: dict, names: tuple[str, ...], what: str) -> Vec:
-    out = [Fraction(0)] * len(names)
+    out = [ZERO] * len(names)
     for name, val in data.items():
         if name not in names:
             raise ValidationError(f"{what}: unknown basis name {name!r}")

@@ -3,13 +3,17 @@
 Vectors are tuples of Fraction, matrices are tuples of row tuples.  Everything
 is immutable and exact; there is no floating point anywhere in the package.
 There is one elimination, the sparse span CoordSpan: vectors are {key:
-nonzero Fraction} dicts, and each row is fully reduced with a unit pivot on
-its least key.  Row reduction, rank and nullspace are views of it: its rows
-in pivot order are the reduced row echelon form, which is unique, so reduced
-bases are reproducible across runs.  The structure checks compute on the same
-sparse form: `support` reads the nonzero entries of a dense vector once,
-`add_scaled` accumulates on them, and `densify` comes back only for a public
-return value or a witness.
+nonzero int or Fraction} dicts, and each row is fully reduced with a unit
+pivot on its least key.  Row reduction, rank and nullspace are views of it:
+its rows in pivot order are the reduced row echelon form, which is unique, so
+reduced bases are reproducible across runs.  The structure checks compute on
+the same sparse form: `support` reads the nonzero entries of a dense vector
+once, `add_scaled` accumulates on them, and `densify` comes back only for a
+public return value or a witness.
+
+Sparse coefficients are `int` where integral (`integral`, where they enter
+the kernel) and `Fraction` otherwise; the two compare and hash alike.  Dense
+vectors are `Fraction`: `densify` converts back, so witnesses print as before.
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
-SparseVec = dict[object, Fraction]  # nonzero entries only; absent keys are zero
-Support = Sequence[tuple[int, Fraction]]  # the nonzero (index, value) pairs of a Vec
+Scalar = int | Fraction
+SparseVec = dict[object, Scalar]  # nonzero int or Fraction entries only; absent keys are zero
+Support = Sequence[tuple[int, Scalar]]  # the nonzero (index, int or Fraction) pairs of a Vec
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -53,15 +58,22 @@ def support(v: Vec) -> Support:
     return [(k, c) for k, c in enumerate(v) if c is not ZERO and c]
 
 
-def densify(coords: dict[int, Fraction], n: int) -> Vec:
-    """The length-n vector with the given {index: value} entries and ZERO elsewhere."""
+def integral(x) -> Scalar:
+    """x (int, Fraction or anything Fraction accepts) as an int if integral, else a Fraction."""
+    if type(x) is not int and type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def densify(coords: SparseVec, n: int) -> Vec:
+    """The length-n Fraction vector with the given {index: value} entries and ZERO elsewhere."""
     out = [ZERO] * n
     for k, c in coords.items():
-        out[k] = c
+        out[k] = c if type(c) is Fraction else Fraction(c)
     return tuple(out)
 
 
-def add_scaled(acc: SparseVec, c: Fraction, entries: Iterable[tuple[object, Fraction]]) -> None:
+def add_scaled(acc: SparseVec, c: Scalar, entries: Iterable[tuple[object, Scalar]]) -> None:
     """acc += c * entries in place, dropping the entries that cancel to zero.
 
     c and every entry value are nonzero, so a key absent from acc never
@@ -164,7 +176,7 @@ def nilpotency_index(m: Mat, cap: int | None = None) -> int | None:
 class CoordSpan:
     """Sparse row space that expresses members as combinations of the inserted reps.
 
-    A vector is a {key: nonzero Fraction} dict over sortable, hashable keys;
+    A vector is a {key: nonzero int or Fraction} dict over sortable, hashable keys;
     absent keys are zero.  Rows stay fully reduced with a unit pivot on their
     least key, so no row holds another row's pivot, reduction is one pass, and
     the rows taken in pivot order are the reduced row echelon form of the
@@ -209,7 +221,7 @@ class CoordSpan:
         if not w:
             return coords
         pivot = min(w)
-        inv = ONE / w[pivot]
+        inv = integral(ONE / w[pivot])
         row = {k: inv * x for k, x in w.items()}
         # w = v - sum of coords[k] * rep k, and v becomes the last rep
         cmb = {k: -inv * c for k, c in enumerate(coords) if c}

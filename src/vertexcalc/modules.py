@@ -49,6 +49,7 @@ from .linalg import (
     Mat,
     Vec,
     densify,
+    integral,
     support,
 )
 from .pairs import PairAnalysis, pair_analysis
@@ -275,7 +276,7 @@ def check_locality_transfer(
     """
     require_acting_range(alg, mod)
     report = CheckReport(f"locality-transfer[{alg.basis[u_idx]},{alg.basis[v_idx]}]")
-    q = Fraction(q)
+    q = integral(q)
     alg_loc = find_locality_k(alg, u_idx, v_idx, q)
     # module-side relation at order zero (Laurent data collapses every order),
     # read off the module's pair analysis: the algebra's own for the adjoint
@@ -330,7 +331,7 @@ def generate_submodule(
     The rows are the accepted vectors in spin order, start first, not an RREF.
     """
     acting = [((i, ONE),) for i in range(alg.dim)]
-    rows = spin(mod.mode_index, acting, [dict(support(start))], mod.dim)
+    rows = spin(mod.mode_index, acting, [{k: integral(c) for k, c in support(start)}], mod.dim)
     return [densify(v, mod.dim) for v in rows]
 
 

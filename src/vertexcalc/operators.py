@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraStructure
 from .errors import InvalidArgument, MalformedStructure, NotCompatible
-from .linalg import ONE, ZERO, CoordSpan, Mat, Vec, binom, densify
+from .linalg import CoordSpan, Mat, Scalar, Vec, binom, densify
 from .modules import ModuleStructure, check_module, is_faithful
 from .report import FOUND, INCONCLUSIVE, CheckReport, OrderSearch, Witness
 
@@ -53,7 +53,7 @@ STATUS_RANGE = "index-range-exhausted"
 
 
 # nonzero-only rows of one matrix: row index -> {column index: nonzero entry}
-Rows = dict[int, dict[int, Fraction]]
+Rows = dict[int, dict[int, Scalar]]
 
 
 def _dense(dim: int, rows: Rows) -> Mat:
@@ -83,7 +83,7 @@ class VertexOperator:
 
     @classmethod
     def _from_rows(cls, dim: int, rows: dict[int, Rows], name: str = "") -> "VertexOperator":
-        """An operator from nonzero-only rows of Fraction entries, taken as they are."""
+        """An operator from nonzero-only rows of int or Fraction entries, taken as they are."""
         op = cls.__new__(cls)
         op.dim, op.name, op.rows = dim, name, rows
         return op
@@ -115,7 +115,7 @@ class VertexOperator:
 
 
 def identity_operator(dim: int, name: str = "1_W") -> VertexOperator:
-    rows = {-1: {r: {r: ONE} for r in range(dim)}} if dim else {}
+    rows = {-1: {r: {r: 1} for r in range(dim)}} if dim else {}
     return VertexOperator._from_rows(dim, rows, name)
 
 
@@ -171,7 +171,7 @@ def _add_product(acc: Rows, w: int, x: Rows, y: Rows) -> None:
                 out = acc.setdefault(r, {})
             f = w * xv
             for c, yv in yr.items():
-                out[c] = out.get(c, ZERO) + f * yv
+                out[c] = out.get(c, 0) + f * yv
 
 
 def _residue_product(
@@ -270,7 +270,7 @@ class ClosureResult:
 PROBE_MARGIN = 2
 
 
-def _fingerprint(op: VertexOperator) -> dict[tuple[int, int, int], Fraction]:
+def _fingerprint(op: VertexOperator) -> dict[tuple[int, int, int], Scalar]:
     """The operator's nonzero entries keyed by (mode, row, column)."""
     return {
         (n, r, c): x for n, rows in op.rows.items() for r, row in rows.items() for c, x in row.items()
@@ -438,7 +438,7 @@ def closure_module(result: ClosureResult) -> ModuleStructure:
     action: dict[tuple[int, int], dict[int, Vec]] = {}
     for i, op in enumerate(ops):
         for nn, rows in op.rows.items():
-            cols: dict[int, dict[int, Fraction]] = {}
+            cols: dict[int, dict[int, Scalar]] = {}
             for r, row in rows.items():
                 for j, x in row.items():
                     cols.setdefault(j, {})[r] = x

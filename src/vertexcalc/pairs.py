@@ -35,23 +35,25 @@ from .algebra import (
     sparse_differences,
     sparse_modes,
 )
-from .linalg import ONE, ZERO, densify
+from .linalg import ONE, densify, integral
 
 if TYPE_CHECKING:
     from .modules import ModuleStructure
 
 
-def solving_q(a: SparseVec, b: SparseVec) -> Fraction | None:
+def solving_q(a: SparseVec, b: SparseVec) -> int | Fraction | None:
     """The one q with a = q b for a nonzero b, or None when no q solves it (or b is zero)."""
     if not b:
         return None
     if not a:
-        return ZERO
+        return 0
     if a == b:
-        return ONE
+        return 1
     k, c = next(iter(b.items()))
-    q = a.get(k, ZERO) / c
-    return q if q and a == scale(q, b) else None
+    if k not in a:
+        return None
+    q = integral(Fraction(a[k], c))
+    return q if a == scale(q, b) else None
 
 
 def commutation_profile(lhs: Terms, rhs: Terms) -> tuple:

@@ -5,7 +5,8 @@ sparse rows; the windowed distribution kernel (vertexcalc.series) is kept
 for the tests and for the product and iterate series of vertexcalc.algebra.
 These checks read the sources with ast, so a window-kernel import that
 creeps back into a verdict path fails here, and so does a per-triple product
-in the Jacobi-like check.
+in the Jacobi-like check, and so does any way for a float to arise in the
+package.
 """
 
 import ast
@@ -74,3 +75,62 @@ def test_the_name_reader_finds_imports_calls_and_attributes():
     # the analysis's products attribute
     assert {"product_sparse", "reversed_sparse"} <= names_used("algebra")
     assert {"pair_analysis", "products"} <= names_used("construct")
+
+
+def _exact_dividend(node: ast.expr) -> bool:
+    """A Fraction(...) call or ONE: a true division by it is Fraction division."""
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id == "Fraction"
+    return isinstance(node, ast.Name) and node.id == "ONE"
+
+
+def float_sites(source: str) -> list[tuple[int, str]]:
+    """(line, what) of each way the source can make a float.
+
+    The name float, a float or imaginary literal, a /= and a true division
+    whose left operand is not a Fraction(...) call or ONE: once both
+    operands can be int, such a division returns a float.
+    """
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "float":
+            sites.append((node.lineno, "float"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            sites.append((node.lineno, "float literal"))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            if not _exact_dividend(node.left):
+                sites.append((node.lineno, "division"))
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+            sites.append((node.lineno, "division"))
+    return sites
+
+
+def test_no_float_can_arise_in_the_package():
+    found = {path.name: float_sites(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: sites for name, sites in found.items() if sites} == {}
+    assert "linalg.py" in found
+
+
+def test_the_float_reader_finds_each_way_to_a_float():
+    bad = {
+        "x = float(y)": "float",
+        "xs = map(float, ys)": "float",
+        "x = 0.5": "float literal",
+        "x = 1e3": "float literal",
+        "x = 2j": "float literal",
+        "q = a.get(k, ZERO) / c": "division",
+        "inv = 1 / fact": "division",
+        "x = Fraction(a) + b / c": "division",
+        "x /= 2": "division",
+    }
+    for source, what in bad.items():
+        assert float_sites(source) == [(1, what)], source
+    good = [
+        "x = Fraction(1, fact)",
+        "inv = ONE / w[pivot]",
+        "c = Fraction(g) / h",
+        "k = n // 2",
+        "s = '0.5 / 2'",
+    ]
+    for source in good:
+        assert float_sites(source) == [], source

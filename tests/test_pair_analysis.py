@@ -408,3 +408,23 @@ def test_parsing_and_building_make_no_analysis(build_counts):
     bundle = AlgebraBundle(alg=m2, name="m2")
     run_suite(bundle, "locality")
     assert m2._pairs is not None and a3._pairs is None
+
+
+def test_a_held_analysis_is_returned_without_entering_pair_analysis(monkeypatch):
+    # every locality check reads the structure's analysis; once it is held,
+    # algebra._analysis returns it as it is
+    entered = []
+    build = pairs_module.pair_analysis
+
+    def counting(alg, act=None):
+        entered.append(id(alg))
+        return build(alg, act)
+
+    monkeypatch.setattr(pairs_module, "pair_analysis", counting)
+    a3 = parse_algebra_file(FIXTURES / "a3.json").alg
+    m3 = matrix_algebra(a3, 3)
+    run_suite(AlgebraBundle(alg=m3, name="m3"), "locality")
+    assert entered == [id(m3)]
+    analysis = m3._pairs
+    run_suite(AlgebraBundle(alg=m3, name="m3"), "locality")
+    assert entered == [id(m3)] and m3._pairs is analysis
