@@ -58,7 +58,7 @@ from .linalg import (
     unit_vec,
     zero_vec,
 )
-from .report import FOUND, REFUTED, CheckReport, OrderSearch, Witness
+from .report import CheckReport, Witness
 from .series import Distribution, Window, from_terms
 from .series import mul  # noqa: F401  perfbench/test_perfbench.py traces this binding
 
@@ -444,39 +444,17 @@ def validate_structure(alg: AlgebraStructure) -> CheckReport:
     lo, hi = alg.mode_bounds()
     report.found_orders["n_min"] = lo
     report.found_orders["n_max"] = hi
-    # vacuum acts as the identity: (1)_(-1) v = v and nothing else
-    for j in range(dim):
-        modes = alg.y_data.get((vac, j), {})
-        for n, w in modes.items():
-            expect = alg.unit(j) if n == -1 else zero_vec(dim)
-            if w != expect:
-                report.fail(
-                    Witness((alg.basis[vac], alg.basis[j]), (n,), w, expect)
-                )
-        if modes.get(-1) != alg.unit(j):
-            report.fail(
-                Witness(
-                    (alg.basis[vac], alg.basis[j]),
-                    (-1,),
-                    modes.get(-1, zero_vec(dim)),
-                    alg.unit(j),
-                )
-            )
-    # creation: no nonnegative modes against the vacuum, and v_(-1) 1 = v
-    for i in range(dim):
-        modes = alg.y_data.get((i, vac), {})
-        for n, w in modes.items():
-            if n >= 0 and not is_zero_vec(w):
-                report.fail(Witness((alg.basis[i], alg.basis[vac]), (n,), w, zero_vec(dim)))
-        if modes.get(-1) != alg.unit(i):
-            report.fail(
-                Witness(
-                    (alg.basis[i], alg.basis[vac]),
-                    (-1,),
-                    modes.get(-1, zero_vec(dim)),
-                    alg.unit(i),
-                )
-            )
+    # vacuum: (1)_(-1) v = v and no other mode; creation: v_(-1) 1 = v and no
+    # nonnegative mode.  (1, 1) is read once, by the vacuum check, so each
+    # wrong mode is one witness.
+    keys = [(vac, j, j) for j in range(dim)] + [(i, vac, i) for i in range(dim) if i != vac]
+    for a, b, k in keys:
+        modes = alg.y_data.get((a, b), {})
+        for n in sorted({n for n in modes if a == vac or n >= 0} | {-1}):
+            expect = alg.unit(k) if n == -1 else zero_vec(dim)
+            got = modes.get(n, zero_vec(dim))
+            if got != expect:
+                report.fail(Witness((alg.basis[a], alg.basis[b]), (n,), got, expect))
     return report
 
 
@@ -556,18 +534,17 @@ def assoc_search(
     sv: Support,
     sw: Support,
     names: tuple,
-) -> OrderSearch:
+) -> Witness | None:
     """Weak associativity of u, v in alg acting through act on w, decided once.
 
-    The two sides are compared at the order of assoc_sides: FOUND at order 0,
-    or REFUTED with the first differing (x0, x2)-exponent as witness.  u, v
-    and w are given by their nonzero (k, c) pairs.
+    The two sides are compared at the order of assoc_sides: None when they
+    agree (the relation holds at order 0), else the witness at the first
+    differing (x0, x2)-exponent.  u, v and w are given by their nonzero
+    (k, c) pairs.
     """
     lhs, rhs = assoc_sides(product_sparse(act, su, sv, sw), iterate_sparse(alg, act, su, sv, sw))
     diffs = term_differences(lhs, rhs, act.dim)
-    if diffs:
-        return OrderSearch(REFUTED, witness=Witness(names, *diffs[0]))
-    return OrderSearch(FOUND, order=0)
+    return Witness(names, *diffs[0]) if diffs else None
 
 
 def _analysis(alg: AlgebraStructure) -> PairAnalysis:
@@ -592,22 +569,23 @@ def find_locality_k(
     u_idx: int,
     v_idx: int,
     q: Fraction,
-) -> OrderSearch:
-    """Least k with (x1-x2)^k Y(u,x1)Y(v,x2) = q (x1-x2)^k Y(v,x2)Y(u,x1).
+) -> Witness | None:
+    """q-locality of a pair: None when it holds, else the refuting witness.
 
-    Structure data is Laurent-polynomial, so multiplication by (x1-x2)^k is
-    injective on the two-variable products: the relation holds for some k
-    exactly when it holds at k = 0, and a nonzero difference is a certified
-    refutation for every k (the constant witness of the nonlocal fixtures).
-    The witness is the first differing exponent on the first failing basis w.
+    The relation reads (x1-x2)^k Y(u,x1)Y(v,x2) = q (x1-x2)^k Y(v,x2)Y(u,x1)
+    for some k >= 0.  Structure data is Laurent-polynomial, so multiplication
+    by (x1-x2)^k is injective on the two-variable products: the relation
+    holds for some k exactly when it holds at k = 0, the order of every local
+    pair, and a nonzero difference is a certified refutation for every k (the
+    constant witness of the nonlocal fixtures).  The witness is the first
+    differing exponent on the first failing basis w.
     """
     q = integral(q)
     failure = next(_analysis(alg).commutation_failures(u_idx, v_idx, q), None)
     if failure is None:
-        return OrderSearch(FOUND, order=0)
+        return None
     w_idx, *diff = failure
-    names = (alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx])
-    return OrderSearch(REFUTED, witness=Witness(names, *diff))
+    return Witness((alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx]), *diff)
 
 
 def truncation_order(alg: AlgebraStructure, u_idx: int, v_idx: int) -> int:
@@ -644,7 +622,10 @@ def check_skew_symmetry(
 
     Both sides are Laurent polynomials in x and are compared term by term.
     The report's `exact` flag is whether the two sides agree: the report
-    contract marks a failed skew comparison as not exact.
+    contract marks a failed skew comparison as not exact.  The truncation
+    condition asks x^k Y(u,x)v to be free of negative powers at the locality
+    order k, which is 0 for a local pair (find_locality_k); so a local pair
+    fails it exactly when truncation_order is positive.
     """
     report = CheckReport(f"skew-symmetry[{alg.basis[u_idx]},{alg.basis[v_idx]}]")
     q = integral(q)
@@ -657,22 +638,19 @@ def check_skew_symmetry(
     report.exact = not diffs
     if diffs:
         report.fail(Witness((alg.basis[u_idx], alg.basis[v_idx]), *diffs[0]))
-    # truncation at the locality order (0) when the pair is local
     k_min = truncation_order(alg, u_idx, v_idx)
-    local = pairs.commutes(u_idx, v_idx, q)
-    k_used = 0 if local else k_min
     report.found_orders["truncation_k"] = k_min
-    if local:
+    if pairs.commutes(u_idx, v_idx, q):
         report.found_orders["locality_k"] = 0
-    if k_used < k_min:
-        report.fail(
-            Witness(
-                (alg.basis[u_idx], alg.basis[v_idx]),
-                None,
-                f"x^{k_used} leaves negative powers",
-                f"needs k >= {k_min}",
+        if k_min > 0:
+            report.fail(
+                Witness(
+                    (alg.basis[u_idx], alg.basis[v_idx]),
+                    None,
+                    "x^0 leaves negative powers",
+                    f"needs k >= {k_min}",
+                )
             )
-        )
     return report
 
 
@@ -680,23 +658,25 @@ def check_skew_symmetry(
 # weak associativity
 
 
-def weak_assoc_triple(alg: AlgebraStructure, u_idx: int, v_idx: int, w_idx: int) -> OrderSearch:
-    """The three-argument associativity relation: FOUND at order 0, or REFUTED."""
+def weak_assoc_triple(alg: AlgebraStructure, u_idx: int, v_idx: int, w_idx: int) -> Witness | None:
+    """Three-argument weak associativity: None when it holds (at order 0), else its witness."""
     diff = _analysis(alg).assoc_failure(u_idx, v_idx, w_idx)
     if diff is None:
-        return OrderSearch(FOUND, order=0)
-    names = (alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx])
-    return OrderSearch(REFUTED, witness=Witness(names, *diff))
+        return None
+    return Witness((alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx]), *diff)
 
 
-def find_weak_assoc_l(alg: AlgebraStructure, u_idx: int, w_idx: int) -> OrderSearch:
-    """The uniform variant: order 0 for every middle argument v, or the first failing v."""
+def find_weak_assoc_l(alg: AlgebraStructure, u_idx: int, w_idx: int) -> Witness | None:
+    """Uniform weak associativity: None when it holds (at order 0) for every middle v.
+
+    Otherwise the witness of the first failing v.
+    """
     pairs = _analysis(alg)
     v_idx = pairs.failing_middle(u_idx, w_idx)
     if v_idx is None:
-        return OrderSearch(FOUND, order=0)
+        return None
     names = (alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx])
-    return OrderSearch(REFUTED, witness=Witness(names, *pairs.assoc_failure(u_idx, v_idx, w_idx)))
+    return Witness(names, *pairs.assoc_failure(u_idx, v_idx, w_idx))
 
 
 # ---------------------------------------------------------------------------
@@ -718,10 +698,9 @@ def check_jacobi(alg: AlgebraStructure, u_idx: int, v_idx: int, q: Fraction) -> 
     substituting x1 = x0 + x2 under that delta function leaves order-0 weak
     associativity.  So the identity holds on w exactly when commutation and
     weak associativity hold there; each failing w gets one witness, which
-    names the half that failed ("commutation" first).
-
-    lemma_equivalence records the stated invariant: the verdict is
-    (q-locality and weak associativity on every w) by construction.
+    names the half that failed ("commutation" first).  So the verdict is
+    (q-locality and weak associativity on every w) by construction, and the
+    report records no order.
     """
     report = CheckReport(f"jacobi[{alg.basis[u_idx]},{alg.basis[v_idx]};q={q}]")
     pairs = _analysis(alg)
@@ -735,7 +714,6 @@ def check_jacobi(alg: AlgebraStructure, u_idx: int, v_idx: int, q: Fraction) -> 
     for w in sorted(halves):
         half, diff = halves[w]
         report.fail(Witness((half, alg.basis[u_idx], alg.basis[v_idx], alg.basis[w]), *diff))
-    report.found_orders["lemma_equivalence"] = 1
     return report
 
 

@@ -443,7 +443,11 @@ class GroupActionData:
     action: dict[int, Mat]
     identity: int = 0
 
-    def validate_group(self) -> None:
+    def validate_group(self, dim: int) -> None:
+        """A complete group table with its identity, and a dim x dim matrix for every element.
+
+        dim is the dimension of the structure the group acts on.
+        """
         n = len(self.elements)
         for g in range(n):
             if self.table.get((self.identity, g)) != g or self.table.get(
@@ -454,6 +458,12 @@ class GroupActionData:
             for h in range(n):
                 if (g, h) not in self.table:
                     raise MalformedStructure("incomplete group table")
+        for g, name in enumerate(self.elements):
+            m = self.action.get(g)
+            if m is None:
+                raise MalformedStructure(f"group element {name} has no action matrix")
+            if len(m) != dim or any(len(row) != dim for row in m):
+                raise MalformedStructure(f"the action matrix of {name} is not {dim}x{dim}")
 
     def inverse(self, g: int) -> int:
         for h in range(len(self.elements)):
@@ -495,7 +505,7 @@ def cross_product(alg: AlgebraStructure, act: GroupActionData) -> AlgebraStructu
     Only the three-argument associativity variant is guaranteed here, so the
     output is tagged assoc_variant="weak".
     """
-    act.validate_group()
+    act.validate_group(alg.dim)
     act.validate_action(alg)
     ng = len(act.elements)
     dim = alg.dim
@@ -589,6 +599,7 @@ def rmap_cross_abelian(base_dim: int, act: GroupActionData) -> RMap:
 
     base_dim is the dimension of the structure the group acts on.
     """
+    act.validate_group(base_dim)
     if not act.is_abelian():
         raise MalformedStructure("the reduced R-map formula requires an abelian group")
     ng = len(act.elements)

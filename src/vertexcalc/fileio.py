@@ -139,8 +139,9 @@ def parse_algebra_data(data: dict, name: str = "") -> AlgebraBundle:
             result = entry["result"]
             if u not in index or v not in index:
                 raise ValidationError(f"entry references unknown basis name: {entry!r}")
-            vec = _vec_from_sparse(result, basis, f"entry ({u},{v},{n})")
-            y_data.setdefault((index[u], index[v]), {})[n] = vec
+            what = f"entry ({u},{v},{n})"
+            vec = _vec_from_sparse(result, basis, what)
+            _put_once(y_data.setdefault((index[u], index[v]), {}), n, vec, what)
 
         section = "variant"
         variant = data.get("variant", "strong")
@@ -215,8 +216,9 @@ def parse_algebra_data(data: dict, name: str = "") -> AlgebraBundle:
                 v, w, n = entry["v"], entry["w"], int(entry["n"])
                 if v not in index or w not in w_index:
                     raise ValidationError(f"module entry references unknown name: {entry!r}")
-                vec = _vec_from_sparse(entry["result"], w_basis, f"module ({v},{w},{n})")
-                action.setdefault((index[v], w_index[w]), {})[n] = vec
+                what = f"module entry ({v},{w},{n})"
+                vec = _vec_from_sparse(entry["result"], w_basis, what)
+                _put_once(action.setdefault((index[v], w_index[w]), {}), n, vec, what)
             bundle.module = ModuleStructure(basis=w_basis, action=action)
 
         if "operators" in data:
@@ -245,7 +247,17 @@ def parse_algebra_data(data: dict, name: str = "") -> AlgebraBundle:
             bundle.rmap_spec = _rmap_spec(data["rmap"], bundle)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed {section!r} section: {exc!r}") from None
+    if bundle.group is not None:
+        # the group acts on its base_basis, or else on the file's own basis
+        bundle.group.validate_group(len(bundle.group_base_basis or basis))
     return bundle
+
+
+def _put_once(modes: dict, n: int, vec: Vec, what: str) -> None:
+    """modes[n] = vec, refusing a second entry for the same key."""
+    if n in modes:
+        raise ValidationError(f"duplicate {what}")
+    modes[n] = vec
 
 
 def _rmap_spec(spec, bundle: AlgebraBundle) -> dict:

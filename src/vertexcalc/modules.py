@@ -4,14 +4,15 @@ A ModuleStructure carries the action modes v_n w for algebra basis vectors v
 and module basis vectors w.  The checkers verify the module axioms (identity
 action, truncation, and weak associativity, decided like the algebra's by one
 exact comparison), the derivative property of the translation operator,
-locality transfer between an algebra and a faithful module, and the
-compatibility of multi-operator products, which finite support makes an
-invariant (damping order zero).  Module weak associativity and the
-module side of locality transfer read the module's pair analysis
-(pairs.pair_analysis), which is the algebra's own for the adjoint.
-Faithfulness is a sparse rank test.  Generation is sparse spinning
-(algebra.spin): each accepted vector is multiplied once by every algebra
-basis vector, and each image outside the span so far joins a sparse
+and locality transfer between an algebra and a faithful module.  Finite
+support makes every multi-operator product of module actions a Laurent
+polynomial, so their compatibility holds at damping order zero: a stated
+invariant (check_product_compatibility), not a check.  Module weak
+associativity and the module side of locality transfer read the module's
+pair analysis (pairs.pair_analysis), which is the algebra's own for the
+adjoint.  Faithfulness is a sparse rank test.  Generation is sparse
+spinning (algebra.spin): each accepted vector is multiplied once by every
+algebra basis vector, and each image outside the span so far joins a sparse
 CoordSpan, so the generated rows come in spin order, not row-reduced.
 Column and tensor modules take their action tables from
 construct.table_tensor, the one tensor kernel.
@@ -53,7 +54,7 @@ from .linalg import (
     support,
 )
 from .pairs import PairAnalysis, pair_analysis
-from .report import FOUND, CheckReport, OrderSearch, Witness
+from .report import CheckReport, Witness
 
 
 @dataclass
@@ -277,18 +278,19 @@ def check_locality_transfer(
     require_acting_range(alg, mod)
     report = CheckReport(f"locality-transfer[{alg.basis[u_idx]},{alg.basis[v_idx]}]")
     q = integral(q)
-    alg_loc = find_locality_k(alg, u_idx, v_idx, q)
-    # module-side relation at order zero (Laurent data collapses every order),
-    # read off the module's pair analysis: the algebra's own for the adjoint
+    alg_holds = find_locality_k(alg, u_idx, v_idx, q) is None
+    # both relations hold at order zero or not at all (Laurent data collapses
+    # every order); the module side is read off the module's pair analysis,
+    # the algebra's own for the adjoint
     mod_pairs = pair_analysis(alg, mod)
     mod_holds = mod_pairs.commutes(u_idx, v_idx, q)
     report.found_orders["faithful"] = int(faithful)
-    if alg_loc.found:
-        report.found_orders["algebra_k"] = alg_loc.order
+    if alg_holds:
+        report.found_orders["algebra_k"] = 0
         if not mod_holds:
             w_idx, *diff = next(mod_pairs.commutation_failures(u_idx, v_idx, q))
             report.fail(Witness((alg.basis[u_idx], alg.basis[v_idx], mod.basis[w_idx]), *diff))
-    if faithful and mod_holds and not alg_loc.found:
+    if faithful and mod_holds and not alg_holds:
         report.fail(
             Witness(
                 (alg.basis[u_idx], alg.basis[v_idx]),
@@ -300,7 +302,7 @@ def check_locality_transfer(
     if mod_holds:
         report.found_orders["module_k"] = 0
     report.notes.append(
-        "agree" if (alg_loc.found == mod_holds or not faithful) else "disagree"
+        "agree" if (alg_holds == mod_holds or not faithful) else "disagree"
     )
     return report
 
@@ -309,14 +311,15 @@ def check_product_compatibility(
     alg: AlgebraStructure,
     mod: ModuleStructure,
     vs: list[int],
-) -> OrderSearch:
-    """Least k with the (x_i - x_j)^k-damped operator product lower-truncated.
+) -> None:
+    """Compatibility of the actions of vs: always None, as it holds at order 0.
 
     Finitely supported action data makes every multiple product Y_W(v_1, x_1)
-    ... Y_W(v_r, x_r) w a Laurent polynomial, so the answer is always k = 0:
-    this is the stated invariant, not a search.
+    ... Y_W(v_r, x_r) w a Laurent polynomial, so its (x_i - x_j)^k-damped
+    form is lower-truncated at k = 0 for every vs: a stated invariant, with
+    no witness to return.
     """
-    return OrderSearch(FOUND, order=0)
+    return None
 
 
 # ---------------------------------------------------------------------------

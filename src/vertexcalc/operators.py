@@ -4,12 +4,12 @@ A VertexOperator is an End(W)-valued Laurent polynomial: finitely many matrix
 coefficients.  On finite-dimensional W every such operator lies in
 End(W)((x)), so every ordered sequence of operators on the same space is
 compatible at damping order zero.  That is a stated invariant, not a search:
-find_compat_order returns it after checking that the operands act on one
-space.  What is computed here is the residue-defined products and the span
-generated from a compatible set, which carries a full vertex-structure with
-W as a faithful module.  The reordering transform T and the associativity
-relation the products satisfy live with the tests, as the oracle the closed
-forms are checked against.
+find_compat_order only checks that the operands act on one space.  What is
+computed here is the residue-defined products and the span generated from a
+compatible set, which carries a full vertex-structure with W as a faithful
+module.  The reordering transform T and the associativity relation the
+products satisfy live with the tests, as the oracle the closed forms are
+checked against.
 
 The product formulas are evaluated in closed form.  Writing a(x) with
 x-exponent coefficients A_p, b(x) with B_q, the n-th product collects
@@ -45,7 +45,7 @@ from .algebra import AlgebraStructure
 from .errors import InvalidArgument, MalformedStructure, NotCompatible
 from .linalg import CoordSpan, Mat, Scalar, Vec, binom, densify
 from .modules import ModuleStructure, check_module, is_faithful
-from .report import FOUND, INCONCLUSIVE, CheckReport, OrderSearch, Witness
+from .report import INCONCLUSIVE, CheckReport, Witness
 
 STATUS_CLOSED = "closed"
 STATUS_CAP = "cap-exceeded"
@@ -143,16 +143,15 @@ def operator_from_structure(
 # compatibility
 
 
-def find_compat_order(seq: list[VertexOperator]) -> OrderSearch:
-    """Least damping order certifying the ordered product is lower-truncated.
+def find_compat_order(seq: list[VertexOperator]) -> None:
+    """Refuse operators on different spaces: NotCompatible; otherwise None.
 
     Every operator is a Laurent polynomial and the variables of an ordered
-    product do not interact, so the order is zero for every sequence of
-    operators on one space: the invariant is returned, not searched for.
+    product do not interact, so every sequence of operators on one space is
+    compatible at damping order zero: a stated invariant, not a search.
     """
     if len({op.dim for op in seq}) > 1:
         raise NotCompatible("operators act on different spaces")
-    return OrderSearch(FOUND, order=0)
 
 
 # ---------------------------------------------------------------------------

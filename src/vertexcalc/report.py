@@ -5,6 +5,11 @@ which basis tuple, which exponent, and the two values that disagree.  The
 `exact` flag distinguishes exact-complete verdicts (support-certified, no
 window truncation in play) from window-sound ones (refutations are still
 conclusive; confirmations hold on the observed window only).
+
+A single relation (the locality or weak associativity of given basis
+vectors) is answered by its refuting Witness, or None when it holds.  Its
+order, the power of (x1-x2) or (x0+x2), is then 0: on finitely supported
+data that is a stated invariant, not a search result.
 """
 
 from __future__ import annotations
@@ -14,9 +19,6 @@ from dataclasses import dataclass, field
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
-
-FOUND = "found"
-REFUTED = "refuted"
 
 
 @dataclass(frozen=True)
@@ -63,28 +65,3 @@ class CheckReport:
     def __repr__(self) -> str:
         tag = "" if self.exact else " (window-sound)"
         return f"CheckReport({self.name}: {self.verdict}{tag})"
-
-
-@dataclass
-class OrderSearch:
-    """Outcome of a locality, associativity or compatibility order question.
-
-    At finite dimension each of these orders is a stated invariant, not the
-    result of a search: the relation holds at order 0 (FOUND) or at no order
-    (REFUTED, with a witness).
-    """
-
-    status: str  # FOUND | REFUTED
-    order: int | None = None
-    exact: bool = True
-    witness: Witness | None = None
-
-    @property
-    def found(self) -> bool:
-        return self.status == FOUND
-
-    def __repr__(self) -> str:
-        if self.found:
-            tag = "" if self.exact else ", window-sound"
-            return f"Found({self.order}{tag})"
-        return "Refuted()"

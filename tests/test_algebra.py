@@ -61,7 +61,7 @@ from vertexcalc.construct import (
     rmap_tensor_swap,
 )
 from vertexcalc.errors import MalformedStructure, NonNilpotentD
-from vertexcalc.fileio import parse_algebra_file
+from vertexcalc.fileio import AlgebraBundle, parse_algebra_file
 from vertexcalc.fixtures import (
     klein_twist,
     matrix_over_a3,
@@ -92,6 +92,7 @@ from vertexcalc.series import (
     subst_with_power,
     window_equal,
 )
+from vertexcalc.suite import run_suite
 
 F = Fraction
 ONE_Q = F(1)
@@ -139,6 +140,32 @@ def test_validate_rejects_vacuum_violation(a3):
     report = validate_structure(alg)
     assert not report.passed
     assert report.witnesses
+
+
+def test_validate_reports_each_defect_once(a3):
+    # a wrong (1)_(-1) t, a wrong (1)_(-1) 1 and t_0 1 = t are three defects;
+    # the vacuum and creation loops both read (1, 1) and (1, t) at mode -1,
+    # and each defect must take one of the suite's three witness slots
+    one, t, t2 = a3.vacuum, a3.basis_index("t"), a3.basis_index("t2")
+    bad = {k: dict(v) for k, v in a3.y_data.items()}
+    bad[(one, t)] = {-1: unit_vec(3, t2)}
+    bad[(one, one)] = {-1: unit_vec(3, t)}
+    bad[(t, one)] = {**bad[(t, one)], 0: unit_vec(3, t)}
+    alg = AlgebraStructure(basis=a3.basis, vacuum=one, y_data=bad)
+    report = validate_structure(alg)
+    assert [(w.where, w.exponent) for w in report.witnesses] == [
+        (("one", "one"), (-1,)),
+        (("one", "t"), (-1,)),
+        (("t", "one"), (0,)),
+    ]
+    assert [(w.lhs, w.rhs) for w in report.witnesses] == [
+        (unit_vec(3, t), unit_vec(3, one)),
+        (unit_vec(3, t2), unit_vec(3, t)),
+        (unit_vec(3, t), (F(0),) * 3),
+    ]
+    record = run_suite(AlgebraBundle(alg=alg), "axioms").records[0]
+    assert record.id == "axioms/structure"
+    assert record.witnesses == [w.describe() for w in report.witnesses]
 
 
 def test_validate_rejects_creation_violation(a3):
@@ -406,8 +433,8 @@ def test_term_kernel_matches_dense_formulas():
                 diffs = _ref_assoc(alg.y_data, table, u, v, w, zero)
                 names = ("u", "v", "w")
                 got = assoc_search(alg, act, support(u), support(v), support(w), names)
-                assert got.found == (not diffs)
-                assert got.witness == (Witness(names, *diffs[0]) if diffs else None)
+                assert (got is None) == (not diffs)
+                assert got == (Witness(names, *diffs[0]) if diffs else None)
                 seen.add(("assoc", act is alg, not diffs))
         # skew-symmetry terms and the exponential, against a random nilpotent D
         d, cols = _random_nilpotent(rng, dim)
@@ -532,16 +559,14 @@ def test_non_nilpotent_d_is_refused():
 def test_a3_weak_assoc_order_zero_everywhere(a3):
     for u in range(3):
         for w in range(3):
-            r = find_weak_assoc_l(a3, u, w)
-            assert r.found and r.order == 0 and r.exact
+            assert find_weak_assoc_l(a3, u, w) is None
 
 
 def test_ut2_weak_assoc_order_zero_everywhere(ut2):
     for u in range(3):
         for v in range(3):
             for w in range(3):
-                r = weak_assoc_triple(ut2, u, v, w)
-                assert r.found and r.order == 0
+                assert weak_assoc_triple(ut2, u, v, w) is None
 
 
 def test_nonassociative_table_is_refuted():
@@ -552,8 +577,8 @@ def test_nonassociative_table_is_refuted():
     bad[(1, 2)] = {-1: unit_vec(3, 1)}
     alg = AlgebraStructure(basis=ut2.basis, vacuum=0, y_data=bad)
     r = find_weak_assoc_l(alg, 1, 1)
-    assert r.status == "refuted"
-    assert r.witness is not None
+    assert r is not None
+    assert r.where == ("e11", "e12", "e11") and r.lhs != r.rhs
 
 
 def _two_dim_with_mode(n: int) -> AlgebraStructure:
@@ -576,7 +601,7 @@ def test_order_scan_passes_window_limited_levels_then_refutes():
     # both sides are, and their difference refutes every order
     alg = _two_dim_with_mode(0)
     r = weak_assoc_triple(alg, 1, 1, 1)
-    assert r.status == "refuted"
+    assert r is not None
 
 
 def test_deep_nonnegative_mode_is_refuted_exactly():
@@ -584,9 +609,9 @@ def test_deep_nonnegative_mode_is_refuted_exactly():
     # refutes the relation
     alg = _two_dim_with_mode(4)
     r = weak_assoc_triple(alg, 1, 1, 1)
-    assert r.status == "refuted" and r.exact
-    assert r.witness is not None and r.witness.exponent is not None
-    assert r.witness.lhs != r.witness.rhs
+    assert r is not None
+    assert r.exponent is not None
+    assert r.lhs != r.rhs
 
 
 def _series_assoc_reference(alg: AlgebraStructure, u: int, v: int, w: int):
@@ -641,13 +666,12 @@ def test_assoc_invariant_matches_series_reference():
         basis = range(alg.dim)
         for u, v, w in itertools.product(basis, basis, basis):
             r = weak_assoc_triple(alg, u, v, w)
-            assert r.status in ("found", "refuted")
-            assert r.exact and (r.order == 0) == r.found
+            assert r is None or isinstance(r, Witness)
             status, witness = _series_assoc_reference(alg, u, v, w)
-            assert r.status == status, (alg.y_data, u, v, w)
+            assert ("found" if r is None else "refuted") == status, (alg.y_data, u, v, w)
             if witness is not None:
-                assert (r.witness.exponent, r.witness.lhs, r.witness.rhs) == witness
-            seen.add(r.status)
+                assert (r.exponent, r.lhs, r.rhs) == witness
+            seen.add(status)
     assert seen == {"found", "refuted"}
 
 
@@ -686,7 +710,7 @@ def test_jacobi_invariant_matches_series_reference(q):
         basis = range(alg.dim)
         for u, v in itertools.product(basis, basis):
             rep = check_jacobi(alg, u, v, q)
-            assert rep.exact and rep.found_orders["lemma_equivalence"] == 1
+            assert rep.exact and rep.found_orders == {}
             halves.update(wit.where[0] for wit in rep.witnesses)
             failing = {wit.where[1:] for wit in rep.witnesses}
             assert len(failing) == len(rep.witnesses)
@@ -742,12 +766,12 @@ def test_jacobi_commutation_witness_is_the_locality_witness():
         nonlocal_pairs = 0
         for u, v in itertools.product(range(alg.dim), repeat=2):
             loc = find_locality_k(alg, u, v, ONE_Q)
-            if loc.found:
+            if loc is None:
                 continue
             nonlocal_pairs += 1
             first = check_jacobi(alg, u, v, ONE_Q).witnesses[0]
             assert first.where[0] == "commutation"
-            assert replace(first, where=first.where[1:]) == loc.witness
+            assert replace(first, where=first.where[1:]) == loc
         assert nonlocal_pairs > 0
 
 
@@ -757,18 +781,16 @@ def test_jacobi_commutation_witness_is_the_locality_witness():
 def test_a3_locality_found_zero(a3):
     for i in range(3):
         for j in range(3):
-            r = find_locality_k(a3, i, j, ONE_Q)
-            assert r.found and r.order == 0
+            assert find_locality_k(a3, i, j, ONE_Q) is None
 
 
 def test_ut2_nonlocal_pair_constant_witness(ut2):
     r = find_locality_k(ut2, ut2.basis_index("e11"), ut2.basis_index("e12"), ONE_Q)
-    assert not r.found
-    assert r.status == "refuted"
+    assert r is not None
     # the witness is the constant discrepancy e12 vs 0 on the vacuum
-    assert r.witness.exponent == (0, 0)
-    assert r.witness.lhs == unit_vec(3, 2)
-    assert r.witness.rhs == (F(0),) * 3
+    assert r.exponent == (0, 0)
+    assert r.lhs == unit_vec(3, 2)
+    assert r.rhs == (F(0),) * 3
 
 
 def test_twist_locality_with_commutator_scalar(twist):
@@ -776,8 +798,8 @@ def test_twist_locality_with_commutator_scalar(twist):
     i10, i01 = alg.basis_index("g10"), alg.basis_index("g01")
     q = cocycle.commutator(grading.degrees[i10], grading.degrees[i01])
     assert q == -1
-    assert find_locality_k(alg, i10, i01, q).found
-    assert not find_locality_k(alg, i10, i01, ONE_Q).found
+    assert find_locality_k(alg, i10, i01, q) is None
+    assert find_locality_k(alg, i10, i01, ONE_Q) is not None
 
 
 # -- skew-symmetry ---------------------------------------------------------------
@@ -795,7 +817,7 @@ def test_ut2_skew_matches_locality_on_all_pairs(ut2, q):
         for j in range(3):
             loc = find_locality_k(ut2, i, j, q)
             skew = check_skew_symmetry(ut2, i, j, q)
-            assert loc.found == skew.passed
+            assert (loc is None) == skew.passed
 
 
 @pytest.mark.parametrize("q", [Fraction(1), Fraction(-1)])
@@ -805,7 +827,7 @@ def test_twist_skew_matches_locality_on_all_pairs(twist, q):
         for j in range(4):
             loc = find_locality_k(alg, i, j, q)
             skew = check_skew_symmetry(alg, i, j, q)
-            assert loc.found == skew.passed
+            assert (loc is None) == skew.passed
 
 
 def test_ut2_skew_failure_values(ut2):
@@ -825,7 +847,7 @@ def test_a3_jacobi_all_pairs(a3):
         for j in range(3):
             rep = check_jacobi(a3, i, j, ONE_Q)
             assert rep.passed
-            assert rep.found_orders["lemma_equivalence"] == 1
+            assert rep.found_orders == {}
 
 
 def test_ut2_jacobi_tracks_locality(ut2):
@@ -833,8 +855,8 @@ def test_ut2_jacobi_tracks_locality(ut2):
         for j in range(3):
             rep = check_jacobi(ut2, i, j, ONE_Q)
             loc = find_locality_k(ut2, i, j, ONE_Q)
-            assert rep.passed == loc.found
-            assert rep.found_orders["lemma_equivalence"] == 1
+            assert rep.passed == (loc is None)
+            assert rep.found_orders == {}
 
 
 def test_twist_jacobi_with_cocycle_scalars(twist):
@@ -844,7 +866,7 @@ def test_twist_jacobi_with_cocycle_scalars(twist):
             q = cocycle.commutator(grading.degrees[i], grading.degrees[j])
             rep = check_jacobi(alg, i, j, q)
             assert rep.passed
-            assert rep.found_orders["lemma_equivalence"] == 1
+            assert rep.found_orders == {}
 
 
 # -- generated subalgebras, stabilizers, localizers --------------------------------

@@ -212,6 +212,30 @@ def test_rmap_without_its_section_fails_every_suite(tmp_path, capsys):
     assert "error: " in err and "group section" in err and "Traceback" not in err
 
 
+def _duplicate_entry(data):
+    # the same (u, v, n) with another result; the second silently replaced the first
+    data["entries"].append({**data["entries"][0], "result": {data["basis"][0]: "2"}})
+
+
+def _duplicate_module_entry(data):
+    alg = parse_algebra_data(data).alg
+    data["module"] = module_section(adjoint_module(alg), alg)
+    data["module"]["entries"].append(dict(data["module"]["entries"][-1]))
+
+
+@pytest.mark.parametrize("mutate", [_duplicate_entry, _duplicate_module_entry])
+@pytest.mark.parametrize("name", ["a3", "ut2"])
+def test_duplicate_entries_are_refused(name, mutate, tmp_path, capsys):
+    data = json.loads((FIXTURES / f"{name}.json").read_text())
+    mutate(data)
+    with pytest.raises(ValidationError, match="duplicate"):
+        parse_algebra_data(data)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path), "--suite", "all"]) == 2
+    assert capsys.readouterr().err.startswith("error: duplicate ")
+
+
 SHIPPED = {p.stem: json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))}
 DROP = object()
 JUNK = (None, 5, -1, "x", "1/0", [], {}, 1.5, True, 0)

@@ -6,7 +6,8 @@ for the tests and for the product and iterate series of vertexcalc.algebra.
 These checks read the sources with ast, so a window-kernel import that
 creeps back into a verdict path fails here, and so does a per-triple product
 in the Jacobi-like check, and so does any way for a float to arise in the
-package.
+package.  A relation check answers with its witness or None, so no module
+holds an order object, and the suite runs no loop over a stated invariant.
 """
 
 import ast
@@ -49,10 +50,17 @@ def test_the_reader_finds_series_imports():
 
 
 def names_used(module: str) -> set[str]:
-    """Every name a module imports, reads or reads as an attribute."""
+    """Every name a module defines, imports, reads or reads as an attribute."""
+    return names_in((SRC / f"{module}.py").read_text())
+
+
+def names_in(source: str) -> set[str]:
+    """Every name the source defines, imports, reads or reads as an attribute."""
     names = set()
-    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(alias.asname or alias.name for alias in node.names)
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Name):
@@ -75,6 +83,44 @@ def test_the_name_reader_finds_imports_calls_and_attributes():
     # the analysis's products attribute
     assert {"product_sparse", "reversed_sparse"} <= names_used("algebra")
     assert {"pair_analysis", "products"} <= names_used("construct")
+
+
+ORDER_OBJECTS = {"OrderSearch", "FOUND", "REFUTED"}
+
+
+def order_object_names(source: str) -> set[str]:
+    """The order-object names the source defines, imports, reads or spells as a string."""
+    strings = {n.value for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Constant)}
+    return (names_in(source) | strings) & ORDER_OBJECTS
+
+
+def test_no_module_holds_an_order_object():
+    # each relation check returns its refuting witness or None; an order
+    # object whose order is always 0, with its found/refuted status, is gone
+    found = {path.name: order_object_names(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
+    assert "report.py" in found
+
+
+def test_the_suite_runs_no_loop_over_the_compatibility_invariant():
+    # check_product_compatibility states an invariant and returns None; the
+    # modules suite records it as a literal instead of calling it d^2 times
+    assert "check_product_compatibility" not in names_used("suite")
+    assert "check_locality_transfer" in names_used("suite")
+
+
+def test_the_order_reader_finds_definitions_imports_reads_and_strings():
+    cases = {
+        "class OrderSearch:\n    pass": {"OrderSearch"},
+        "FOUND = 'found'": {"FOUND"},
+        "from .report import REFUTED, Witness": {"REFUTED"},
+        "x = report.OrderSearch(status)": {"OrderSearch"},
+        "__all__ = ['FOUND', 'Witness']": {"FOUND"},
+        "def REFUTED(): pass": {"REFUTED"},
+        "found = refuted = 'order_search'": set(),
+    }
+    for source, names in cases.items():
+        assert order_object_names(source) == names, source
 
 
 def _exact_dividend(node: ast.expr) -> bool:

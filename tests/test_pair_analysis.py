@@ -58,7 +58,7 @@ from vertexcalc.pairs import (
     scatter_iterates,
     scatter_products,
 )
-from vertexcalc.report import FOUND, REFUTED, OrderSearch, Witness
+from vertexcalc.report import Witness
 from vertexcalc.suite import run_suite
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -73,16 +73,16 @@ def _e(i):
 # -- the per-call loops the analysis replaced ----------------------------------
 
 
-def _locality_oracle(alg, u, v, q) -> OrderSearch:
+def _locality_oracle(alg, u, v, q) -> Witness | None:
     for w in range(alg.dim):
         diffs = commutation_sparse(alg, _e(u), _e(v), _e(w), q)
         if diffs:
             names = (alg.basis[u], alg.basis[v], alg.basis[w])
-            return OrderSearch(REFUTED, witness=Witness(names, *diffs[0]))
-    return OrderSearch(FOUND, order=0)
+            return Witness(names, *diffs[0])
+    return None
 
 
-def _assoc_oracle(alg, act, u, v, w) -> OrderSearch:
+def _assoc_oracle(alg, act, u, v, w) -> Witness | None:
     names = (alg.basis[u], alg.basis[v], act.basis[w])
     return assoc_search(alg, act, _e(u), _e(v), _e(w), names)
 
@@ -100,7 +100,7 @@ def _skew_oracle(alg, u, v, q) -> tuple:
     diffs = term_differences(lhs, rhs, alg.dim)
     witnesses = [Witness((alg.basis[u], alg.basis[v]), *diffs[0])] if diffs else []
     k_min = truncation_order(alg, u, v)
-    local = _locality_oracle(alg, u, v, q).found
+    local = _locality_oracle(alg, u, v, q) is None
     k_used = 0 if local else k_min
     if k_used < k_min:
         witnesses.append(
@@ -124,9 +124,8 @@ def _jacobi_oracle(alg, u, v, q) -> list[str]:
         if diffs:
             out.append(Witness(("commutation",) + names, *diffs[0]))
             continue
-        assoc = _assoc_oracle(alg, alg, u, v, w)
-        if not assoc.found:
-            wit = assoc.witness
+        wit = _assoc_oracle(alg, alg, u, v, w)
+        if wit is not None:
             out.append(Witness(("associativity",) + wit.where, wit.exponent, wit.lhs, wit.rhs))
     return [w.describe() for w in out]
 
@@ -136,9 +135,9 @@ def _module_assoc_oracle(alg, mod) -> tuple[list[str], bool]:
     for u in range(alg.dim):
         for w in range(mod.dim):
             for v in range(alg.dim):
-                search = _assoc_oracle(alg, mod, u, v, w)
-                if not search.found:
-                    failed.append(search.witness.describe())
+                wit = _assoc_oracle(alg, mod, u, v, w)
+                if wit is not None:
+                    failed.append(wit.describe())
                     break
             else:
                 uniform = True
@@ -146,7 +145,7 @@ def _module_assoc_oracle(alg, mod) -> tuple[list[str], bool]:
 
 
 def _transfer_oracle(alg, mod, u, v, q, faithful) -> tuple:
-    alg_loc = _locality_oracle(alg, u, v, q)
+    alg_local = _locality_oracle(alg, u, v, q) is None
     witness = None
     for w in range(mod.dim):
         diffs = commutation_sparse(mod, _e(u), _e(v), _e(w), q)
@@ -155,11 +154,11 @@ def _transfer_oracle(alg, mod, u, v, q, faithful) -> tuple:
             break
     mod_holds = witness is None
     witnesses, orders = [], {"faithful": int(faithful)}
-    if alg_loc.found:
+    if alg_local:
         orders["algebra_k"] = 0
         if not mod_holds:
             witnesses.append(witness.describe())
-    if faithful and mod_holds and not alg_loc.found:
+    if faithful and mod_holds and not alg_local:
         witnesses.append(
             Witness(
                 (alg.basis[u], alg.basis[v]),
@@ -170,7 +169,7 @@ def _transfer_oracle(alg, mod, u, v, q, faithful) -> tuple:
         )
     if mod_holds:
         orders["module_k"] = 0
-    note = "agree" if (alg_loc.found == mod_holds or not faithful) else "disagree"
+    note = "agree" if (alg_local == mod_holds or not faithful) else "disagree"
     return witnesses, orders, [note]
 
 
@@ -268,11 +267,10 @@ def test_analysis_matches_the_per_call_loops(name, alg, mod, qfuns):
     for u, v, w in itertools.product(basis, basis, basis):
         got, want = weak_assoc_triple(alg, u, v, w), _assoc_oracle(alg, alg, u, v, w)
         assert got == want, (name, u, v, w)
-        seen.add(("assoc", got.found))
+        seen.add(("assoc", got is None))
     for u, w in itertools.product(basis, basis):
         want = next(
-            (s for v in basis if not (s := _assoc_oracle(alg, alg, u, v, w)).found),
-            OrderSearch(FOUND, order=0),
+            (s for v in basis if (s := _assoc_oracle(alg, alg, u, v, w)) is not None), None
         )
         assert find_weak_assoc_l(alg, u, w) == want, (name, u, w)
     rep = check_module(alg, mod)
@@ -286,7 +284,7 @@ def test_analysis_matches_the_per_call_loops(name, alg, mod, qfuns):
             q = qfun(u, v)
             loc = find_locality_k(alg, u, v, q)
             assert loc == _locality_oracle(alg, u, v, q), (name, u, v, q)
-            seen.add(("locality", loc.found))
+            seen.add(("locality", loc is None))
             skew = check_skew_symmetry(alg, u, v, q)
             got = ([w.describe() for w in skew.witnesses], skew.found_orders, skew.exact)
             assert got == _skew_oracle(alg, u, v, q), (name, u, v, q)
