@@ -19,17 +19,20 @@ they are decided by the same comparisons and no window is involved.
 The checks compute on nonzero entries only, from the mode index to the
 witness.  `sparse_modes`, the one mode product, walks the nonzero (k, c) of
 its arguments (a basis vector is ((i, ONE),)) through each structure's
-sparse image index.  Products, iterates and the powers of D (applied through
-its sparse columns) are term dictionaries {exponent: {k: c}}; only a
-differing pair is densified.  The dense functions are wrappers over these.
+sparse image index.  One-variable products and the powers of D (applied
+through its sparse columns) are term dictionaries {exponent: {k: c}}; only
+a differing pair is densified.  The dense functions are wrappers over these.
 
 Locality, skew-symmetry, weak associativity, the q-Jacobi identity and the
-module checks all read the same two-variable products Y(u,x1)Y(v,x2)w of
-basis vectors.  Each structure holds one pair analysis (vertexcalc.pairs),
-built on first use with the kernel below, that builds every such product
-once, records for which q commutation holds and which triples are not weakly
-associative, and drops the products; the checks read their verdicts and
-witnesses from it.
+module checks all read the same two-variable products Y(u,x1)Y(v,x2)w and
+iterates Y(Y(u,x0)v,x2)w of basis vectors.  One walk builds them: the
+scatter of vertexcalc.pairs, which pushes each coordinate through the
+acting table's sparse columns.  Each structure holds one pair analysis,
+built on first use, that scatters every such product once, records for
+which q commutation holds and which triples are not weakly associative,
+and drops the products; the checks read their verdicts and witnesses from
+it.  product_terms and iterate_terms, and the product and iterate series
+over them, combine the same scattered basis products bilinearly.
 """
 
 from __future__ import annotations
@@ -282,16 +285,17 @@ def mode_derivative(modes: dict[int, SparseVec]) -> dict[int, SparseVec]:
     return {n + 1: scale(-n - 1, w) for n, w in modes.items() if n != -1}
 
 
-def exp_sparse(cols: list[Support], entries: Support, cap: int | None = None) -> Terms:
+def exp_sparse(cols: list[Support], entries: Support) -> Terms:
     """{j: D^j v / j!} until the iterate vanishes; errors if it never does.
 
     D is given by its sparse columns (d_columns), v by its nonzero entries.
+    A nilpotent D on a space of dimension d has D^d = 0, so the iterates
+    stop by j = d + 1 or never.
     """
-    cap = len(cols) + 1 if cap is None else cap
     out: Terms = {}
     cur = dict(entries)
     fact = 1
-    for j in range(cap + 1):
+    for j in range(len(cols) + 2):
         if not cur:
             return out
         out[j] = {k: integral(Fraction(c, fact)) for k, c in cur.items()}
@@ -313,11 +317,6 @@ def add_term(terms: Terms, e, c, entries: Support) -> None:
         add_scaled(terms.setdefault(e, {}), c, entries)
 
 
-def scale_terms(q, terms: Terms) -> Terms:
-    """q times a term dictionary; q = 0 leaves no term."""
-    return {e: scale(q, v) for e, v in terms.items()} if q else {}
-
-
 def sparse_differences(lhs: Terms, rhs: Terms):
     """(exponent, lhs, rhs) wherever two term dictionaries differ, in increasing order, sparse."""
     for e in sorted(set(lhs) | set(rhs)):
@@ -335,76 +334,52 @@ def term_differences(lhs: Terms, rhs: Terms, dim: int) -> list[tuple[object, Vec
     return [(e, densify(a, dim), densify(b, dim)) for e, a, b in sparse_differences(lhs, rhs)]
 
 
-def outer_product(index: ModeIndex, su: Support, inner: dict[int, SparseVec]) -> Terms:
-    """Y(u, x1) applied to every mode of inner = Y(v, x2)w, keyed by (x1, x2)-exponent."""
-    return {
-        (-n1 - 1, -n2 - 1): outer
-        for n2, img in inner.items()
-        for n1, outer in sparse_modes(index, su, img.items()).items()
-    }
+def _bilinear(scatter, u: Vec, v: Vec, w: Vec, dim: int) -> dict[tuple[int, int], Vec]:
+    """The sum of u_i v_j w_k scatter(k)[(i, j)] over the basis products, densified.
 
-
-def product_sparse(
-    act: AlgebraStructure | ModuleStructure, su: Support, sv: Support, sw: Support
-) -> Terms:
-    """Y(u, x1) Y(v, x2) w as {(x1-exponent, x2-exponent): {k: c}}, from nonzero (k, c) pairs.
-
-    `act` is the acting table: an algebra acting on itself, or a module.
+    scatter(k) is {(i, j): terms} for the basis vector e_k; exponents whose
+    terms cancel are dropped.
     """
-    return outer_product(act.mode_index, su, sparse_modes(act.mode_index, sv, sw))
-
-
-def reversed_sparse(
-    act: AlgebraStructure | ModuleStructure, su: Support, sv: Support, sw: Support
-) -> Terms:
-    """Y(v, x2) Y(u, x1) w on the (x1, x2) exponent grid of product_sparse(act, su, sv, sw)."""
-    return {(e1, e2): c for (e2, e1), c in product_sparse(act, sv, su, sw).items()}
-
-
-def commutation_sparse(
-    act: AlgebraStructure | ModuleStructure, su: Support, sv: Support, sw: Support, q: Fraction
-) -> list[tuple[tuple[int, int], Vec, Vec]]:
-    """term_differences of Y(u,x1)Y(v,x2)w against q Y(v,x2)Y(u,x1)w."""
-    rhs = scale_terms(q, reversed_sparse(act, su, sv, sw))
-    return term_differences(product_sparse(act, su, sv, sw), rhs, act.dim)
-
-
-def iterate_sparse(
-    alg: AlgebraStructure,
-    act: AlgebraStructure | ModuleStructure,
-    su: Support,
-    sv: Support,
-    sw: Support,
-) -> Terms:
-    """Y_act(Y(u, x0) v, x2) w as {(x0-exponent, x2-exponent): {k: c}}.
-
-    u_n v is taken in alg and acts on w through act.
-    """
-    uv = sparse_modes(alg.mode_index, su, sv)
-    return outer_iterate(act.mode_index, {n: v.items() for n, v in uv.items()}, sw)
-
-
-def outer_iterate(index: ModeIndex, uv: dict[int, Support], sw: Support) -> Terms:
-    """Y(u_n v, x2) w for every mode n of uv = Y(u, x0)v, keyed by (x0, x2)-exponent."""
-    return {
-        (-n0 - 1, -n2 - 1): out
-        for n0, entries in uv.items()
-        for n2, out in sparse_modes(index, entries, sw).items()
-    }
+    su, sv = dict(support(u)), dict(support(v))
+    terms: Terms = {}
+    for k, ck in support(w):
+        for (i, j), basis_terms in scatter(k).items():
+            if i in su and j in sv:
+                for e, vec in basis_terms.items():
+                    add_term(terms, e, su[i] * sv[j] * ck, vec.items())
+    return dense_terms({e: vec for e, vec in terms.items() if vec}, dim)
 
 
 def product_terms(
     act: AlgebraStructure | ModuleStructure, u: Vec, v: Vec, w: Vec
 ) -> dict[tuple[int, int], Vec]:
-    """product_sparse of dense vectors, densified."""
-    return dense_terms(product_sparse(act, support(u), support(v), support(w)), act.dim)
+    """Y(u, x1) Y(v, x2) w as {(x1-exponent, x2-exponent): vector}, read off the pair scatter.
+
+    `act` is the acting table: an algebra acting on itself, or a module.
+    Each basis vector of w's support is scattered once
+    (pairs.scatter_products), and the basis products are combined with the
+    coefficients of u, v and w.  vertexcalc.pairs builds on this module, so
+    it is imported here, on first use.
+    """
+    from .pairs import acting_columns, scatter_products
+
+    index, n = act.mode_index, len(u)
+    cols = acting_columns(index, n)
+    return _bilinear(lambda k: scatter_products(index, cols, k, n), u, v, w, act.dim)
 
 
 def iterate_terms(
     alg: AlgebraStructure, act: AlgebraStructure | ModuleStructure, u: Vec, v: Vec, w: Vec
 ) -> dict[tuple[int, int], Vec]:
-    """iterate_sparse of dense vectors, densified."""
-    return dense_terms(iterate_sparse(alg, act, support(u), support(v), support(w)), act.dim)
+    """Y_act(Y(u, x0) v, x2) w as {(x0-exponent, x2-exponent): vector}, read off the scatter.
+
+    u_n v is taken in alg and acts on w through act; each basis vector of
+    w's support is scattered once (pairs.scatter_iterates).
+    """
+    from .pairs import iterate_sources, scatter_iterates
+
+    sources = iterate_sources(alg.mode_index)
+    return _bilinear(lambda k: scatter_iterates(act.mode_index, sources, k), u, v, w, act.dim)
 
 
 def product_series(
@@ -525,26 +500,6 @@ def assoc_sides(prod: Terms, iterate: Terms) -> tuple[Terms, Terms]:
         for i in range(order + 1):
             add_term(rhs, (e0 + order - i, e2 + i), binom(order, i), c.items())
     return lhs, rhs
-
-
-def assoc_search(
-    alg: AlgebraStructure,
-    act: AlgebraStructure | ModuleStructure,
-    su: Support,
-    sv: Support,
-    sw: Support,
-    names: tuple,
-) -> Witness | None:
-    """Weak associativity of u, v in alg acting through act on w, decided once.
-
-    The two sides are compared at the order of assoc_sides: None when they
-    agree (the relation holds at order 0), else the witness at the first
-    differing (x0, x2)-exponent.  u, v and w are given by their nonzero
-    (k, c) pairs.
-    """
-    lhs, rhs = assoc_sides(product_sparse(act, su, sv, sw), iterate_sparse(alg, act, su, sv, sw))
-    diffs = term_differences(lhs, rhs, act.dim)
-    return Witness(names, *diffs[0]) if diffs else None
 
 
 def _analysis(alg: AlgebraStructure) -> PairAnalysis:

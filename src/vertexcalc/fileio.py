@@ -126,7 +126,7 @@ def parse_algebra_data(data: dict, name: str = "") -> AlgebraBundle:
         vacuum_name = data["vacuum"]
         if len(set(basis)) != len(basis):
             raise ParseError("duplicate basis names")
-        if "dim" in data and int(data["dim"]) != len(basis):
+        if "dim" in data and _json_int(data["dim"]) != len(basis):
             raise ParseError("declared dim disagrees with the basis length")
         if vacuum_name not in basis:
             raise ValidationError(f"vacuum {vacuum_name!r} is not a basis name")
@@ -135,7 +135,7 @@ def parse_algebra_data(data: dict, name: str = "") -> AlgebraBundle:
         section = "entries"
         y_data: dict[tuple[int, int], dict[int, Vec]] = {}
         for entry in data.get("entries", []):
-            u, v, n = entry["u"], entry["v"], int(entry["n"])
+            u, v, n = entry["u"], entry["v"], _json_int(entry["n"])
             result = entry["result"]
             if u not in index or v not in index:
                 raise ValidationError(f"entry references unknown basis name: {entry!r}")
@@ -155,9 +155,9 @@ def parse_algebra_data(data: dict, name: str = "") -> AlgebraBundle:
         if "grading" in data:
             section = "grading"
             g = data["grading"]
-            orders = tuple(int(x) for x in g["orders"])
+            orders = tuple(_json_int(x) for x in g["orders"])
             try:
-                degrees = tuple(tuple(int(x) for x in g["degrees"][nm]) for nm in basis)
+                degrees = tuple(tuple(_json_int(x) for x in g["degrees"][nm]) for nm in basis)
             except KeyError as exc:
                 raise ValidationError(f"grading misses a degree for {exc}") from None
             bundle.grading = GradedTag(orders=orders, degrees=degrees)
@@ -213,7 +213,7 @@ def parse_algebra_data(data: dict, name: str = "") -> AlgebraBundle:
             w_index = {nm: i for i, nm in enumerate(w_basis)}
             action: dict[tuple[int, int], dict[int, Vec]] = {}
             for entry in m.get("entries", []):
-                v, w, n = entry["v"], entry["w"], int(entry["n"])
+                v, w, n = entry["v"], entry["w"], _json_int(entry["n"])
                 if v not in index or w not in w_index:
                     raise ValidationError(f"module entry references unknown name: {entry!r}")
                 what = f"module entry ({v},{w},{n})"
@@ -251,6 +251,16 @@ def parse_algebra_data(data: dict, name: str = "") -> AlgebraBundle:
         # the group acts on its base_basis, or else on the file's own basis
         bundle.group.validate_group(len(bundle.group_base_basis or basis))
     return bundle
+
+
+def _json_int(x) -> int:
+    """x itself when it is a JSON integer; a float, a boolean or a string is a TypeError.
+
+    int() would truncate 3.9 to 3 and read true as 1, so it is not used here.
+    """
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
 
 
 def _put_once(modes: dict, n: int, vec: Vec, what: str) -> None:

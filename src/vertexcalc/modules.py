@@ -29,7 +29,6 @@ from .algebra import (
     ModeMap,
     ModeTable,
     clean_table,
-    commutation_sparse,
     d_columns,
     find_locality_k,
     mode_derivative,
@@ -53,7 +52,7 @@ from .linalg import (
     integral,
     support,
 )
-from .pairs import PairAnalysis, pair_analysis
+from .pairs import PairAnalysis, acting_columns, pair_analysis, scatter_products
 from .report import CheckReport, Witness
 
 
@@ -221,14 +220,22 @@ def check_embedded_actions_commute(
     alg_b: AlgebraStructure,
     mod: ModuleStructure,
 ) -> CheckReport:
-    """On a tensor module, u (x) 1 and 1 (x) v must commute exactly."""
+    """On a tensor module, u (x) 1 and 1 (x) v must commute exactly.
+
+    Both orders of each embedded pair are read off one scatter of each
+    basis w (pairs.scatter_products) over the dim_a * dim_b acting vectors.
+    """
     report = CheckReport("embedded-actions-commute")
+    n = alg_a.dim * alg_b.dim
+    cols = acting_columns(mod.mode_index, n)
+    prods = [scatter_products(mod.mode_index, cols, w_idx, n) for w_idx in range(mod.dim)]
     for i in range(alg_a.dim):
-        emb_a = ((i * alg_b.dim + alg_b.vacuum, ONE),)
+        a = i * alg_b.dim + alg_b.vacuum
         for j in range(alg_b.dim):
-            emb_b = ((alg_a.vacuum * alg_b.dim + j, ONE),)
-            for w_idx in range(mod.dim):
-                diffs = commutation_sparse(mod, emb_a, emb_b, ((w_idx, ONE),), 1)
+            b = alg_a.vacuum * alg_b.dim + j
+            for w_idx, on_w in enumerate(prods):
+                reverse = {(e1, e2): c for (e2, e1), c in on_w.get((b, a), {}).items()}
+                diffs = term_differences(on_w.get((a, b), {}), reverse, mod.dim)
                 # witnesses name the modes (n1, n2), in increasing order
                 for e, lhs, rhs in reversed(diffs):
                     report.fail(

@@ -292,8 +292,8 @@ def closure(
     pair's nonzero mode range has no certified floor, the PROBE_MARGIN modes
     just below n_range are probed, and likewise the PROBE_MARGIN modes above
     it when a local product has no certified ceiling; a new element there
-    downgrades the status to index-range-exhausted.  No product above its
-    certified ceiling is formed.  The default n_range reaches two modes
+    downgrades the status to index-range-exhausted.  No product outside its
+    certified range is formed.  The default n_range reaches two modes
     below the lowest generator mode and always holds -1, the mode that puts
     each generator itself in the span.  An empty n_range, or a cap below 1,
     is an InvalidArgument.
@@ -333,10 +333,11 @@ def closure(
         grew = False
         for g in generators:
             for beta in list(ops):
-                ceiling = certified_nonzero_range(g, beta, local_products)[1]
+                floor, ceiling = certified_nonzero_range(g, beta, local_products)
                 top = n_hi if ceiling is None else min(n_hi, ceiling)
+                bottom = n_lo if floor is None else max(n_lo, floor)
                 # descending modes discover a, then its derivatives, in order
-                for n in range(top, n_lo - 1, -1):
+                for n in range(top, bottom - 1, -1):
                     cand = product(g, beta, n)
                     if cand.is_zero():
                         continue

@@ -1,4 +1,12 @@
-"""The pair walk the scatter walk of vertexcalc.pairs replaced, kept as its oracle.
+"""The per-triple product kernel and the pair walk the scatter of vertexcalc.pairs replaced.
+
+The kernel builds one product Y(u,x1)Y(v,x2)w (`product_sparse`, over
+`outer_product`), its reversal (`reversed_sparse`), one commutation
+comparison (`commutation_sparse`), one iterate Y(Y(u,x0)v,x2)w
+(`iterate_sparse`, over `outer_iterate`) and one weak-associativity verdict
+(`assoc_search`) per call, row by row through the acting table.  The
+library built its two-variable products this way before every product came
+from the scatter; it is kept here, unchanged, as the scatter's oracle.
 
 `pair_products` builds, for each target basis vector w, the inner images
 Y(v,x2)w once and then every outer product Y(u,x1)Y(v,x2)w with one
@@ -8,15 +16,112 @@ triple from those products and one `outer_iterate` call, exactly as
 equal the analysis's, profiles and first differences included.
 """
 
+from __future__ import annotations
+
+from fractions import Fraction
+
 from vertexcalc.algebra import (
+    AlgebraStructure,
+    ModeIndex,
+    Terms,
     assoc_sides,
-    outer_iterate,
-    outer_product,
+    scale,
     sparse_differences,
     sparse_modes,
+    term_differences,
 )
-from vertexcalc.linalg import ONE
+from vertexcalc.linalg import ONE, SparseVec, Support, Vec
+from vertexcalc.modules import ModuleStructure
 from vertexcalc.pairs import commutation_profile
+from vertexcalc.report import Witness
+
+# -- the per-triple kernel ---------------------------------------------------------
+
+
+def scale_terms(q, terms: Terms) -> Terms:
+    """q times a term dictionary; q = 0 leaves no term."""
+    return {e: scale(q, v) for e, v in terms.items()} if q else {}
+
+
+def outer_product(index: ModeIndex, su: Support, inner: dict[int, SparseVec]) -> Terms:
+    """Y(u, x1) applied to every mode of inner = Y(v, x2)w, keyed by (x1, x2)-exponent."""
+    return {
+        (-n1 - 1, -n2 - 1): outer
+        for n2, img in inner.items()
+        for n1, outer in sparse_modes(index, su, img.items()).items()
+    }
+
+
+def product_sparse(
+    act: AlgebraStructure | ModuleStructure, su: Support, sv: Support, sw: Support
+) -> Terms:
+    """Y(u, x1) Y(v, x2) w as {(x1-exponent, x2-exponent): {k: c}}, from nonzero (k, c) pairs.
+
+    `act` is the acting table: an algebra acting on itself, or a module.
+    """
+    return outer_product(act.mode_index, su, sparse_modes(act.mode_index, sv, sw))
+
+
+def reversed_sparse(
+    act: AlgebraStructure | ModuleStructure, su: Support, sv: Support, sw: Support
+) -> Terms:
+    """Y(v, x2) Y(u, x1) w on the (x1, x2) exponent grid of product_sparse(act, su, sv, sw)."""
+    return {(e1, e2): c for (e2, e1), c in product_sparse(act, sv, su, sw).items()}
+
+
+def commutation_sparse(
+    act: AlgebraStructure | ModuleStructure, su: Support, sv: Support, sw: Support, q: Fraction
+) -> list[tuple[tuple[int, int], Vec, Vec]]:
+    """term_differences of Y(u,x1)Y(v,x2)w against q Y(v,x2)Y(u,x1)w."""
+    rhs = scale_terms(q, reversed_sparse(act, su, sv, sw))
+    return term_differences(product_sparse(act, su, sv, sw), rhs, act.dim)
+
+
+def iterate_sparse(
+    alg: AlgebraStructure,
+    act: AlgebraStructure | ModuleStructure,
+    su: Support,
+    sv: Support,
+    sw: Support,
+) -> Terms:
+    """Y_act(Y(u, x0) v, x2) w as {(x0-exponent, x2-exponent): {k: c}}.
+
+    u_n v is taken in alg and acts on w through act.
+    """
+    uv = sparse_modes(alg.mode_index, su, sv)
+    return outer_iterate(act.mode_index, {n: v.items() for n, v in uv.items()}, sw)
+
+
+def outer_iterate(index: ModeIndex, uv: dict[int, Support], sw: Support) -> Terms:
+    """Y(u_n v, x2) w for every mode n of uv = Y(u, x0)v, keyed by (x0, x2)-exponent."""
+    return {
+        (-n0 - 1, -n2 - 1): out
+        for n0, entries in uv.items()
+        for n2, out in sparse_modes(index, entries, sw).items()
+    }
+
+
+def assoc_search(
+    alg: AlgebraStructure,
+    act: AlgebraStructure | ModuleStructure,
+    su: Support,
+    sv: Support,
+    sw: Support,
+    names: tuple,
+) -> Witness | None:
+    """Weak associativity of u, v in alg acting through act on w, decided once.
+
+    The two sides are compared at the order of assoc_sides: None when they
+    agree (the relation holds at order 0), else the witness at the first
+    differing (x0, x2)-exponent.  u, v and w are given by their nonzero
+    (k, c) pairs.
+    """
+    lhs, rhs = assoc_sides(product_sparse(act, su, sv, sw), iterate_sparse(alg, act, su, sv, sw))
+    diffs = term_differences(lhs, rhs, act.dim)
+    return Witness(names, *diffs[0]) if diffs else None
+
+
+# -- the per-pair walk ------------------------------------------------------------
 
 
 def pair_products(index, w_idx: int, n: int):

@@ -13,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from reference_pairs import assoc_search, commutation_sparse, reversed_sparse
 from reference_spans import (
     SpanBasis,
     dense_localizer,
@@ -25,13 +26,11 @@ from vertexcalc.algebra import (
     AlgebraStructure,
     add_term,
     apply_columns,
-    assoc_search,
     check_creation_exponential,
     check_d_bracket,
     check_jacobi,
     check_skew_symmetry,
     clean_table,
-    commutation_sparse,
     d_columns,
     dense_terms,
     exp_sparse,
@@ -43,7 +42,6 @@ from vertexcalc.algebra import (
     localizer,
     product_series,
     product_terms,
-    reversed_sparse,
     skew_terms,
     sparse_modes,
     stabilizer,

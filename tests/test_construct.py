@@ -6,8 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from reference_pairs import product_sparse, reversed_sparse
 
-from vertexcalc import algebra
 from vertexcalc import pairs as pairs_module
 from vertexcalc.algebra import (
     AlgebraStructure,
@@ -16,8 +16,6 @@ from vertexcalc.algebra import (
     d_columns,
     find_locality_k,
     find_weak_assoc_l,
-    product_sparse,
-    reversed_sparse,
     sparse_differences,
     validate_structure,
     weak_assoc_triple,
@@ -471,23 +469,18 @@ def test_jacobi_like_builds_each_product_once(rmap, monkeypatch):
     m = matrix_over_a3()
     expected = _unshared_jacobi_like(m, rmap)
     pair_analysis(m)._records  # the analysis's own walk is not counted here
-    built, scattered = [], []
-    single, scatter = algebra.product_sparse, pairs_module.scatter_products
-
-    def counting(act, su, sv, sw):
-        built.append((su, sv, sw))
-        return single(act, su, sv, sw)
+    scattered = []
+    scatter = pairs_module.scatter_products
 
     def counting_scatter(index, cols, w, n):
         scattered.append(w)
         return scatter(index, cols, w, n)
 
-    # every path to a product: product_sparse, which reversed_sparse calls
-    # too, and the scatter (construct names neither: test_import_boundaries)
-    monkeypatch.setattr(algebra, "product_sparse", counting)
+    # the scatter is the library's one path to a two-variable product
+    # (product_terms reads it too; the per-triple kernel lives only in
+    # reference_pairs, and construct names no scatter: test_import_boundaries)
     monkeypatch.setattr(pairs_module, "scatter_products", counting_scatter)
     rep = check_jacobi_like(m, rmap)
-    assert built == []
     assert sorted(scattered) == list(range(m.dim))
     assert (rep.verdict, rep.exact, rep.witnesses) == (
         expected.verdict,

@@ -236,6 +236,41 @@ def test_duplicate_entries_are_refused(name, mutate, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: duplicate ")
 
 
+def _with_adjoint_module(data):
+    alg = parse_algebra_data(copy.deepcopy(data)).alg
+    data["module"] = module_section(adjoint_module(alg), alg)
+    return data["module"]
+
+
+NON_INTEGERS = {
+    "dim-3.9": ("ut2", lambda d: d.update(dim=3.9)),
+    "dim-3.0": ("ut2", lambda d: d.update(dim=3.0)),
+    "dim-string": ("ut2", lambda d: d.update(dim="3")),
+    "entry-n-float": ("ut2", lambda d: d["entries"][0].update(n=-1.5)),
+    "entry-n-true": ("ut2", lambda d: d["entries"][0].update(n=True)),
+    "entry-n-string": ("ut2", lambda d: d["entries"][0].update(n="-1")),
+    "module-entry-n-float": ("ut2", lambda d: _with_adjoint_module(d)["entries"][0].update(n=-1.5)),
+    "module-entry-n-true": ("ut2", lambda d: _with_adjoint_module(d)["entries"][0].update(n=True)),
+    "grading-order-float": ("z22_base", lambda d: d["grading"].update(orders=[2.0, 2])),
+    "grading-degree-true": ("z22_base", lambda d: d["grading"]["degrees"].update(g01=[0, True])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGERS))
+def test_integers_must_be_json_integers(case, tmp_path, capsys):
+    # int() used to truncate: "n": -1.5 was stored as mode -1, "n": true as
+    # mode 1, and "dim": 3.9 passed for a three-vector basis
+    fixture, mutate = NON_INTEGERS[case]
+    data = json.loads((FIXTURES / f"{fixture}.json").read_text())
+    mutate(data)
+    with pytest.raises(ParseError, match="expected an integer"):
+        parse_algebra_data(data)
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path), "--suite", "all"]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed ")
+
+
 SHIPPED = {p.stem: json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))}
 DROP = object()
 JUNK = (None, 5, -1, "x", "1/0", [], {}, 1.5, True, 0)

@@ -5,9 +5,10 @@ sparse rows; the windowed distribution kernel (vertexcalc.series) is kept
 for the tests and for the product and iterate series of vertexcalc.algebra.
 These checks read the sources with ast, so a window-kernel import that
 creeps back into a verdict path fails here, and so does a per-triple product
-in the Jacobi-like check, and so does any way for a float to arise in the
-package.  A relation check answers with its witness or None, so no module
-holds an order object, and the suite runs no loop over a stated invariant.
+in the Jacobi-like check, a per-triple product kernel anywhere in the
+package, and any way for a float to arise in the package.  A relation check
+answers with its witness or None, so no module holds an order object, and
+the suite runs no loop over a stated invariant.
 """
 
 import ast
@@ -70,18 +71,44 @@ def names_in(source: str) -> set[str]:
     return names
 
 
+# the per-triple product kernel, kept as the scatter's oracle in tests/reference_pairs.py
+PER_TRIPLE_KERNEL = {
+    "outer_product",
+    "product_sparse",
+    "reversed_sparse",
+    "commutation_sparse",
+    "scale_terms",
+    "iterate_sparse",
+    "outer_iterate",
+    "assoc_search",
+}
+
+
+def test_no_module_holds_the_per_triple_kernel():
+    # every two-variable product in the library comes from the scatter of
+    # vertexcalc.pairs; the row-wise kernel it replaced lives only in the oracle
+    found = {path.name: names_in(path.read_text()) & PER_TRIPLE_KERNEL 
+             for path in SRC.glob("*.py")}
+    assert {name: names for name, names in found.items() if names} == {}
+    assert "algebra.py" in found
+    oracle = ast.parse((Path(__file__).parent / "reference_pairs.py").read_text())
+    defined = {node.name for node in oracle.body if isinstance(node, ast.FunctionDef)}
+    assert PER_TRIPLE_KERNEL <= defined
+
+
 def test_jacobi_like_builds_no_product_per_triple():
     # check_jacobi_like reads both sides of each triple off the pair
     # analysis's scatter of one w (PairAnalysis.products); a per-triple
-    # product, or a scatter of its own, would bypass it
-    forbidden = {"product_sparse", "reversed_sparse", "scatter_products"}
+    # product, a per-call product_terms, or a scatter of its own, would bypass it
+    forbidden = PER_TRIPLE_KERNEL | {"product_terms", "iterate_terms", "scatter_products"}
     assert names_used("construct") & forbidden == set()
 
 
 def test_the_name_reader_finds_imports_calls_and_attributes():
-    # algebra calls both products; construct imports pair_analysis and reads
-    # the analysis's products attribute
-    assert {"product_sparse", "reversed_sparse"} <= names_used("algebra")
+    # algebra imports both scatters inside functions and calls the mode
+    # product; construct imports pair_analysis and reads the analysis's
+    # products attribute
+    assert {"scatter_products", "scatter_iterates", "sparse_modes"} <= names_used("algebra")
     assert {"pair_analysis", "products"} <= names_used("construct")
 
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from reference_pairs import commutation_sparse
 from reference_spans import dense_rank
 
 from vertexcalc.errors import CapExceeded, MalformedStructure
@@ -14,7 +15,7 @@ from vertexcalc.fixtures import (
     upper_triangular_2,
 )
 from vertexcalc.construct import matrix_algebra
-from vertexcalc.linalg import CoordSpan, unit_vec, zero_vec
+from vertexcalc.linalg import ONE, CoordSpan, unit_vec, zero_vec
 from vertexcalc.modules import (
     ModuleStructure,
     adjoint_module,
@@ -28,6 +29,7 @@ from vertexcalc.modules import (
     tensor_module,
     wn_module,
 )
+from vertexcalc.report import Witness
 
 F = Fraction
 
@@ -235,6 +237,37 @@ def test_tensor_module_unit_factor(a3, a3_adj):
 def test_embedded_actions_commute(a3, a3_adj):
     _, mod_t = tensor_module([a3, a3], [a3_adj, a3_adj])
     assert check_embedded_actions_commute(a3, a3, mod_t).passed
+
+
+def test_embedded_actions_that_do_not_commute_are_refuted(a3, a3_adj):
+    # (1 (x) t)_(-1) (one (x) one) picks up half of itself, so 1 (x) t stops
+    # commuting with t (x) 1 and t2 (x) 1 on one (x) one; the witnesses are
+    # the per-triple oracle's, in (u, v, w) order with the modes (n1, n2)
+    # increasing
+    _, mod_t = tensor_module([a3, a3], [a3_adj, a3_adj])
+    one_t, one_one = mod_t.basis.index("one*t"), mod_t.basis.index("one*one")
+    action = {key: dict(modes) for key, modes in mod_t.action.items()}
+    image = list(action[(one_t, one_one)][-1])
+    image[one_t] += F(1, 2)
+    action[(one_t, one_one)][-1] = tuple(image)
+    mod = ModuleStructure(basis=mod_t.basis, action=action)
+    rep = check_embedded_actions_commute(a3, a3, mod)
+    expected = []
+    for i in range(a3.dim):
+        for j in range(a3.dim):
+            u, v = ((i * a3.dim + a3.vacuum, ONE),), ((a3.vacuum * a3.dim + j, ONE),)
+            for w in range(mod.dim):
+                diffs = commutation_sparse(mod, u, v, ((w, ONE),), 1)
+                expected += [
+                    Witness((a3.basis[i], a3.basis[j], mod.basis[w]), (-e1 - 1, -e2 - 1), lhs, rhs)
+                    for (e1, e2), lhs, rhs in reversed(diffs)
+                ]
+    assert rep.witnesses == expected
+    assert [(wit.where, wit.exponent) for wit in rep.witnesses] == [
+        (("t", "t", "one*one"), (-2, -1)),
+        (("t", "t", "one*one"), (-1, -1)),
+        (("t2", "t", "one*one"), (-1, -1)),
+    ]
 
 
 # -- compatibility orders ----------------------------------------------------------

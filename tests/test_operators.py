@@ -422,6 +422,41 @@ def test_closure_on_m2a3_matches_dense_formula(monkeypatch, local):
         assert sparse.structure.y_data == ref.structure.y_data
 
 
+@pytest.mark.parametrize("local", [False, True], ids=["straight", "local"])
+def test_closure_forms_no_product_below_the_certified_floor(monkeypatch, local):
+    # a_n b vanishes below the floor of certified_nonzero_range, so generation
+    # skips those modes; each skipped product is zero, so every round inserts
+    # what the loop down to n_lo inserted, and the closure is unchanged
+    m = matrix_over_a3()
+    name = "nth_product_local" if local else "nth_product"
+    product = getattr(operators, name)
+    formed = []
+
+    def recording(a, b, n):
+        formed.append((a, b, n))
+        return product(a, b, n)
+
+    skipped = 0
+    for names, span_rank in zip(M2A3_GENERATOR_SETS, M2A3_SPAN_RANKS):
+        gens = [operator_from_structure(m, m.basis_index(nm)) for nm in names]
+        with monkeypatch.context() as patch:
+            patch.setattr(operators, name, recording)
+            res = closure(gens, local_products=local)
+        assert (res.status, res.span.rank, res.certified) == ("closed", span_rank, True)
+        floors = [certified_nonzero_range(a, b, local)[0] for a, b, _n in formed]
+        assert [n for (_a, _b, n), lo in zip(formed, floors) if lo is not None and n < lo] == []
+        # the default n_range starts two modes below the lowest generator mode
+        n_lo = min(min(min(g.rows) for g in gens) - 2, -1)
+        for g in gens:
+            for beta in res.span.operators:
+                lo = certified_nonzero_range(g, beta, local)[0]
+                if lo is not None:
+                    assert all(product(g, beta, n).is_zero() for n in range(n_lo, lo))
+                    skipped += max(0, lo - n_lo)
+        formed.clear()
+    assert skipped > 0
+
+
 # -- associativity relation ----------------------------------------------------------------
 
 

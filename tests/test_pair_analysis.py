@@ -3,9 +3,10 @@
 Each structure's pair analysis (`pairs.pair_analysis`) builds every
 product Y(u,x1)Y(v,x2)w of basis vectors once and serves locality,
 skew-symmetry, weak associativity, the q-Jacobi identity and the module
-checks.  The oracles below are the loops those checks ran before it: one
-`commutation_sparse` per basis w, one `assoc_search` per triple, and the
-Jacobi verdict as commutation first, associativity second.  Verdicts and
+checks.  The oracles below are the loops those checks ran before it, on
+the per-triple kernel of `reference_pairs`: one `commutation_sparse` per
+basis w, one `assoc_search` per triple, and the Jacobi verdict as
+commutation first, associativity second.  Verdicts and
 witness strings must agree on every pair and triple, for several q.  The
 analysis's own records are held equal to those of the per-pair walk it
 replaced (`reference_pairs`), and its scattered products and iterates to
@@ -18,23 +19,26 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from reference_pairs import pair_walk, reference_records
+from reference_pairs import (
+    assoc_search,
+    commutation_sparse,
+    pair_walk,
+    product_sparse,
+    reference_records,
+    reversed_sparse,
+    scale_terms,
+)
 
 import vertexcalc.algebra as algebra_module
 import vertexcalc.pairs as pairs_module
 from vertexcalc.algebra import (
     AlgebraStructure,
-    assoc_search,
     check_jacobi,
     check_skew_symmetry,
-    commutation_sparse,
     d_columns,
     exp_sparse,
     find_locality_k,
     find_weak_assoc_l,
-    product_sparse,
-    reversed_sparse,
-    scale_terms,
     sparse_modes,
     term_differences,
     truncation_order,
@@ -358,31 +362,20 @@ def test_adjoint_module_shares_the_algebra_analysis():
 
 @pytest.fixture
 def build_counts(monkeypatch):
-    """Counts of product builds per (acting table, u, v, w), through every builder."""
+    """Counts of product builds per (acting table, u, v, w), through the scatter."""
     counts: dict = {}
     calls = []
-
-    def count(index, u, v, w):
-        key = (id(index), u, v, w)
-        counts[key] = counts.get(key, 0) + 1
-
     scatter = pairs_module.scatter_products
-    single = algebra_module.product_sparse
 
     def counting_scatter(index, cols, w_idx, n):
         calls.append((id(index), w_idx))
         prods = scatter(index, cols, w_idx, n)
         for u, v in prods:
-            count(index, u, v, w_idx)
+            key = (id(index), u, v, w_idx)
+            counts[key] = counts.get(key, 0) + 1
         return prods
 
-    def counting_single(act, su, sv, sw):
-        if all(len(s) == 1 and s[0][1] == 1 for s in (su, sv, sw)):
-            count(act.mode_index, su[0][0], sv[0][0], sw[0][0])
-        return single(act, su, sv, sw)
-
     monkeypatch.setattr(pairs_module, "scatter_products", counting_scatter)
-    monkeypatch.setattr(algebra_module, "product_sparse", counting_single)
     return counts, calls
 
 
