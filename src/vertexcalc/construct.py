@@ -2,9 +2,13 @@
 
 Each builder validates its input invariants (Leibniz rule, cocycle identity,
 automorphism property, ...) before producing an AlgebraStructure, and each
-output is meant to pass validate_structure.  Tensor products, matrix
-structures, cross products, and column and tensor modules all take their
-tables from one kernel, table_tensor, of the formula
+output is meant to pass validate_structure.  The builders compute on the
+sparse kernel of vertexcalc.algebra: an associative product is a sparse
+index of constant vertex operators (constant_index) multiplied through
+sparse_modes, a derivation or a group element is read once into its sparse
+columns, and e^{xd} is exp_sparse on those columns.  Tensor products,
+matrix structures, cross products, and column and tensor modules all take
+their tables from one kernel, table_tensor, of the formula
 Y(u*u', x)(w*w') = Y(u, x)w * Y(u', x)w'.  The R-map checker at the bottom
 verifies the Jacobi-like identity whose reversed-product term is routed
 through a fixed linear map on the triple tensor space.
@@ -22,8 +26,10 @@ from .algebra import (
     ModeTable,
     Terms,
     add_term,
+    d_sparse,
+    exp_sparse,
     sparse_differences,
-    table_index,
+    sparse_modes,
 )
 from .errors import (
     CocycleInvalid,
@@ -36,20 +42,30 @@ from .errors import (
 from .linalg import (
     ONE,
     Mat,
+    SparseVec,
+    Support,
     Vec,
     add_scaled,
     densify,
-    is_zero_vec,
-    mat_vec,
+    integral,
     nilpotency_index,
+    sparse_columns,
     support,
     unit_vec,
-    vec_add,
     vec_scale,
-    zero_vec,
+    zero_mat,
 )
 from .pairs import pair_analysis
 from .report import CheckReport, Witness
+
+
+def constant_index(images: dict[tuple[int, int], Support]) -> ModeIndex:
+    """A bilinear product as the sparse index of constant vertex operators.
+
+    images holds the nonzero (k, c) of each product e_i e_j, which
+    Y(e_i, x)e_j carries at mode -1; zero products are left out.
+    """
+    return {key: {-1: img} for key, img in images.items() if img}
 
 
 # ---------------------------------------------------------------------------
@@ -58,12 +74,19 @@ from .report import CheckReport, Witness
 
 @dataclass
 class AssocAlgebraData:
-    """Multiplication table, identity index, and a nilpotent derivation."""
+    """Multiplication table, identity index, and a nilpotent derivation.
+
+    The dense table and derivation are read once: `index` is the product as
+    a constant_index and `columns` the derivation's sparse columns, and the
+    validation and the builder compute on them.
+    """
 
     basis: tuple[str, ...]
     table: dict[tuple[int, int], Vec]  # (i, j) -> e_i * e_j
     identity: int
     derivation: Mat
+    index: ModeIndex = field(init=False, repr=False, compare=False)
+    columns: list[Support] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.basis = tuple(self.basis)
@@ -75,44 +98,39 @@ class AssocAlgebraData:
             if not (0 <= i < dim and 0 <= j < dim) or len(v) != dim:
                 raise MalformedStructure(f"bad table entry at ({i},{j})")
         self.derivation = tuple(tuple(Fraction(x) for x in row) for row in self.derivation)
+        if len(self.derivation) != dim or any(len(row) != dim for row in self.derivation):
+            raise MalformedStructure(f"the derivation is not {dim}x{dim}")
+        self.index = constant_index(
+            {key: [(k, integral(c)) for k, c in support(v)] for key, v in self.table.items()}
+        )
+        self.columns = sparse_columns(self.derivation)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def mult_vec(self, a: Vec, b: Vec) -> Vec:
-        out = zero_vec(self.dim)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if cb == 0:
-                    continue
-                t = self.table.get((i, j))
-                if t is not None:
-                    out = vec_add(out, vec_scale(ca * cb, t))
-        return out
+    def product(self, a: Support, b: Support) -> SparseVec:
+        """The product ab of two vectors given by their nonzero (k, c)."""
+        return sparse_modes(self.index, a, b).get(-1, {})
 
     def validate(self) -> None:
         dim = self.dim
-        e = unit_vec(dim, self.identity)
+        e = ((self.identity, ONE),)
         for i in range(dim):
-            b = unit_vec(dim, i)
-            if self.mult_vec(e, b) != b or self.mult_vec(b, e) != b:
+            b = ((i, ONE),)
+            if self.product(e, b) != {i: 1} or self.product(b, e) != {i: 1}:
                 raise MalformedStructure(f"identity axiom fails on {self.basis[i]}")
         # Leibniz rule on every basis pair
         for i in range(dim):
             for j in range(dim):
-                a, b = unit_vec(dim, i), unit_vec(dim, j)
-                lhs = mat_vec(self.derivation, self.mult_vec(a, b))
-                rhs = vec_add(
-                    self.mult_vec(mat_vec(self.derivation, a), b),
-                    self.mult_vec(a, mat_vec(self.derivation, b)),
-                )
+                a, b = ((i, ONE),), ((j, ONE),)
+                lhs = d_sparse(self.columns, self.product(a, b).items())
+                rhs = self.product(self.columns[i], b)
+                add_scaled(rhs, ONE, self.product(a, self.columns[j]).items())
                 if lhs != rhs:
                     raise NotADerivation(
                         f"Leibniz fails on ({self.basis[i]}, {self.basis[j]}): "
-                        f"{lhs} != {rhs}"
+                        f"{densify(lhs, dim)} != {densify(rhs, dim)}"
                     )
         if nilpotency_index(self.derivation) is None:
             raise NonNilpotentD("derivation is not nilpotent")
@@ -127,33 +145,15 @@ def from_assoc_with_derivation(data: AssocAlgebraData) -> AlgebraStructure:
     """
     data.validate()
     dim = data.dim
-    y_data: dict[tuple[int, int], dict[int, Vec]] = {}
+    y_data: ModeTable = {}
     for i in range(dim):
-        powers: list[Vec] = []
-        cur = unit_vec(dim, i)
-        fact = 1
-        m = 0
-        while not is_zero_vec(cur):
-            powers.append(vec_scale(Fraction(1, fact), cur))
-            cur = mat_vec(data.derivation, cur)
-            m += 1
-            fact *= m
-            if m > dim + 1:
-                raise NonNilpotentD("derivation power series did not terminate")
+        powers = exp_sparse(data.columns, ((i, ONE),))  # {m: d^m e_i / m!}
         for j in range(dim):
-            modes: dict[int, Vec] = {}
-            for mm, dv in enumerate(powers):
-                w = data.mult_vec(dv, unit_vec(dim, j))
-                if not is_zero_vec(w):
-                    modes[-1 - mm] = w
-            if modes:
+            products = {-1 - m: data.product(dv.items(), ((j, ONE),)) for m, dv in powers.items()}
+            if modes := {n: densify(w, dim) for n, w in products.items() if w}:
                 y_data[(i, j)] = modes
-    return AlgebraStructure(
-        basis=data.basis,
-        vacuum=data.identity,
-        y_data=y_data,
-        meta={"source": "assoc-with-derivation"},
-    )
+    meta = {"source": "assoc-with-derivation"}
+    return AlgebraStructure(data.basis, data.identity, y_data, meta=meta)
 
 
 class _MatrixBasis:
@@ -214,31 +214,26 @@ class _MatrixBasis:
 
     def product_index(self) -> ModeIndex:
         """The matrix product as a sparse image index at mode -1."""
-        imgs = {
-            (i, j): support(self.product(i, j)) for i in range(self.dim) for j in range(self.dim)
-        }
-        return {key: {-1: img} for key, img in imgs.items() if img}
+        return constant_index(
+            {(i, j): support(self.product(i, j)) for i in range(self.dim) for j in range(self.dim)}
+        )
 
     def column_index(self) -> ModeIndex:
         """Basis matrix i acting on the column unit e_c, at mode -1."""
-        imgs = {
-            (i, c): [(r, x) for (r, cc), x in self.entries(i).items() if cc == c]
-            for i in range(self.dim)
-            for c in range(self.n)
-        }
-        return {key: {-1: img} for key, img in imgs.items() if img}
+        return constant_index(
+            {
+                (i, c): [(r, x) for (r, cc), x in self.entries(i).items() if cc == c]
+                for i in range(self.dim)
+                for c in range(self.n)
+            }
+        )
 
 
 def full_matrix_algebra(n: int) -> AlgebraStructure:
     """Rational n x n matrices as a structure with constant vertex operators."""
     mb = _MatrixBasis(n)
     table = {(i, j): mb.product(i, j) for i in range(mb.dim) for j in range(mb.dim)}
-    data = AssocAlgebraData(
-        basis=mb.names,
-        table=table,
-        identity=0,
-        derivation=tuple(tuple(Fraction(0) for _ in range(mb.dim)) for _ in range(mb.dim)),
-    )
+    data = AssocAlgebraData(basis=mb.names, table=table, identity=0, derivation=zero_mat(mb.dim))
     return from_assoc_with_derivation(data)
 
 
@@ -349,6 +344,12 @@ class CocycleData:
     grading: GradedTag
     table: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]
 
+    def __post_init__(self):
+        group = set(self.grading.elements())
+        for g, h in self.table:
+            if g not in group or h not in group:
+                raise CocycleInvalid(f"cocycle key ({g}, {h}) is not a pair of group elements")
+
     def value(self, g: tuple[int, ...], h: tuple[int, ...]) -> Fraction:
         v = self.table.get((g, h))
         if v is None or v == 0:
@@ -378,11 +379,11 @@ def validate_grading(alg: AlgebraStructure, grading: GradedTag) -> None:
         raise GradingInvalid("one degree per basis vector required")
     if grading.degrees[alg.vacuum] != grading.zero():
         raise GradingInvalid("vacuum must sit in degree zero")
-    for (i, j), modes in alg.y_data.items():
+    for (i, j), modes in alg.mode_index.items():
         target = grading.add(grading.degrees[i], grading.degrees[j])
-        for n, w in modes.items():
-            for r, c in enumerate(w):
-                if c != 0 and grading.degrees[r] != target:
+        for n, img in modes.items():
+            for r, _ in img:
+                if grading.degrees[r] != target:
                     raise GradingInvalid(
                         f"mode product ({alg.basis[i]})_{n}({alg.basis[j]}) leaves "
                         f"the graded piece {target}"
@@ -409,25 +410,22 @@ def cocycle_twist(
 
 def group_algebra(grading_orders: tuple[int, ...]) -> tuple[AlgebraStructure, GradedTag]:
     """The group algebra of a finite abelian group, graded by itself."""
-    tag_proto = GradedTag(orders=tuple(grading_orders), degrees=())
-    els = [tuple(e) for e in iproduct(*(range(o) for o in grading_orders))]
+    group = GradedTag(orders=tuple(grading_orders), degrees=())
+    els = group.elements()
     index = {g: k for k, g in enumerate(els)}
     dim = len(els)
-    basis = tuple("g" + "".join(str(x) for x in g) for g in els)
-    table = {}
-    for a, ga in enumerate(els):
-        for b, gb in enumerate(els):
-            s = tuple((x + y) % o for x, y, o in zip(ga, gb, grading_orders))
-            table[(a, b)] = unit_vec(dim, index[s])
+    table = {
+        (a, b): unit_vec(dim, index[group.add(ga, gb)])
+        for a, ga in enumerate(els)
+        for b, gb in enumerate(els)
+    }
     data = AssocAlgebraData(
-        basis=basis,
+        basis=tuple("g" + "".join(str(x) for x in g) for g in els),
         table=table,
-        identity=index[tuple(0 for _ in grading_orders)],
-        derivation=tuple(tuple(Fraction(0) for _ in range(dim)) for _ in range(dim)),
+        identity=index[group.zero()],
+        derivation=zero_mat(dim),
     )
-    alg = from_assoc_with_derivation(data)
-    grading = GradedTag(orders=tuple(grading_orders), degrees=tuple(els))
-    return alg, grading
+    return from_assoc_with_derivation(data), GradedTag(orders=group.orders, degrees=tuple(els))
 
 
 # ---------------------------------------------------------------------------
@@ -449,15 +447,11 @@ class GroupActionData:
         dim is the dimension of the structure the group acts on.
         """
         n = len(self.elements)
-        for g in range(n):
-            if self.table.get((self.identity, g)) != g or self.table.get(
-                (g, self.identity)
-            ) != g:
-                raise MalformedStructure("identity row/column of the group table is wrong")
-        for g in range(n):
-            for h in range(n):
-                if (g, h) not in self.table:
-                    raise MalformedStructure("incomplete group table")
+        e = self.identity
+        if any(self.table.get((e, g)) != g or self.table.get((g, e)) != g for g in range(n)):
+            raise MalformedStructure("identity row/column of the group table is wrong")
+        if any((g, h) not in self.table for g in range(n) for h in range(n)):
+            raise MalformedStructure("incomplete group table")
         for g, name in enumerate(self.elements):
             m = self.action.get(g)
             if m is None:
@@ -471,26 +465,29 @@ class GroupActionData:
                 return h
         raise MalformedStructure(f"element {self.elements[g]} has no inverse")
 
+    def columns(self) -> dict[int, list[Support]]:
+        """Each element's action matrix read once, as its sparse columns g(e_j)."""
+        return {g: sparse_columns(m) for g, m in self.action.items()}
+
     def validate_action(self, alg: AlgebraStructure) -> None:
-        for g, m in self.action.items():
-            if mat_vec(m, alg.vacuum_vec()) != alg.vacuum_vec():
+        """Each element fixes the vacuum and maps u_n v to g(u)_n g(v) on basis pairs.
+
+        It runs validate_group first; a failure names the least failing mode.
+        """
+        self.validate_group(alg.dim)
+        for g, cols in self.columns().items():
+            if dict(cols[alg.vacuum]) != {alg.vacuum: 1}:
                 raise NotAnAutomorphism(f"{self.elements[g]} moves the vacuum")
             for i in range(alg.dim):
                 for j in range(alg.dim):
-                    gi = mat_vec(m, alg.unit(i))
-                    gj = mat_vec(m, alg.unit(j))
-                    lhs = alg.mode_map(gi, gj)
-                    rhs = {
-                        n: mat_vec(m, w)
-                        for n, w in alg.mode_map(alg.unit(i), alg.unit(j)).items()
-                    }
-                    keys = set(lhs) | set(rhs)
-                    for n in keys:
-                        if lhs.get(n, zero_vec(alg.dim)) != rhs.get(n, zero_vec(alg.dim)):
-                            raise NotAnAutomorphism(
-                                f"{self.elements[g]} fails on "
-                                f"({alg.basis[i]})_{n}({alg.basis[j]})"
-                            )
+                    lhs = sparse_modes(alg.mode_index, cols[i], cols[j])
+                    images = alg.mode_index.get((i, j), {})
+                    rhs = {n: gw for n, img in images.items() if (gw := d_sparse(cols, img))}
+                    if (diff := next(sparse_differences(lhs, rhs), None)) is not None:
+                        raise NotAnAutomorphism(
+                            f"{self.elements[g]} fails on "
+                            f"({alg.basis[i]})_{diff[0]}({alg.basis[j]})"
+                        )
 
     def is_abelian(self) -> bool:
         n = len(self.elements)
@@ -505,20 +502,21 @@ def cross_product(alg: AlgebraStructure, act: GroupActionData) -> AlgebraStructu
     Only the three-argument associativity variant is guaranteed here, so the
     output is tagged assoc_variant="weak".
     """
-    act.validate_group(alg.dim)
     act.validate_action(alg)
     ng = len(act.elements)
     dim = alg.dim
-    # for each g: the table (u, v) -> Y(u, x)g(v) tensor left multiplication by g
+    cols = act.columns()
+    # for each g: the index (u, v) -> Y(u, x)g(v) tensor left multiplication by g
     y_data: ModeTable = {}
     for g in range(ng):
         twisted = {
-            (i, j): alg.mode_map(alg.unit(i), mat_vec(act.action[g], alg.unit(j)))
+            (i, j): {n: list(w.items()) for n, w in modes.items()}
             for i in range(dim)
             for j in range(dim)
+            if (modes := sparse_modes(alg.mode_index, ((i, ONE),), cols[g][j]))
         }
         left = {(g, h): {-1: [(act.table[(g, h)], 1)]} for h in range(ng)}
-        y_data.update(table_tensor(table_index(twisted), left, ng, dim, ng))
+        y_data.update(table_tensor(twisted, left, ng, dim, ng))
     return AlgebraStructure(
         basis=tuple(f"{v}|{g}" for v in alg.basis for g in act.elements),
         vacuum=alg.vacuum * ng + act.identity,
@@ -579,18 +577,11 @@ def rmap_tensor_swap(dim_v: int, dim_a: int) -> RMap:
     """R(ua ⊗ vb ⊗ wc) = ub ⊗ va ⊗ wc on a tensor structure V ⊗ A."""
     dim = dim_v * dim_a
     entries = {}
-    for u in range(dim_v):
-        for a in range(dim_a):
-            for v in range(dim_v):
-                for b in range(dim_a):
-                    src1 = u * dim_a + a
-                    src2 = v * dim_a + b
-                    dst1 = u * dim_a + b
-                    dst2 = v * dim_a + a
-                    if (src1, src2) == (dst1, dst2):
-                        continue
-                    for w in range(dim):
-                        entries[(src1, src2, w)] = [(ONE, (dst1, dst2, w))]
+    for u, a, v, b in iproduct(range(dim_v), range(dim_a), range(dim_v), range(dim_a)):
+        if a != b:  # a == b is the trivial swap
+            src1, src2, dst1, dst2 = u * dim_a + a, v * dim_a + b, u * dim_a + b, v * dim_a + a
+            for w in range(dim):
+                entries[(src1, src2, w)] = [(ONE, (dst1, dst2, w))]
     return RMap(dim=dim, entries=entries)
 
 
@@ -604,28 +595,16 @@ def rmap_cross_abelian(base_dim: int, act: GroupActionData) -> RMap:
         raise MalformedStructure("the reduced R-map formula requires an abelian group")
     ng = len(act.elements)
     dim = base_dim * ng
-
-    def unpack(k: int) -> tuple[int, int]:
-        return divmod(k, ng)
-
+    cols = act.columns()
     entries: dict[tuple[int, int, int], list[tuple[Fraction, tuple[int, int, int]]]] = {}
     for b1 in range(dim):  # holds v g2
-        v_idx, g2 = unpack(b1)
+        v_idx, g2 = divmod(b1, ng)
         for b2 in range(dim):  # holds u g1
-            u_idx, g1 = unpack(b2)
-            m1 = act.action[g1]
-            m2inv = act.action[act.inverse(g2)]
-            gv = mat_vec(m1, unit_vec(base_dim, v_idx))
-            gu = mat_vec(m2inv, unit_vec(base_dim, u_idx))
-            terms: list[tuple[Fraction, tuple[int, int]]] = []
-            for r1, c1 in enumerate(gv):
-                if c1 == 0:
-                    continue
-                for r2, c2 in enumerate(gu):
-                    if c2 != 0:
-                        terms.append((c1 * c2, (r1 * ng + g2, r2 * ng + g1)))
-            trivial = terms == [(Fraction(1), (b1, b2))]
-            if trivial:
+            u_idx, g1 = divmod(b2, ng)
+            gv = cols[g1][v_idx]
+            gu = cols[act.inverse(g2)][u_idx]
+            terms = [(c1 * c2, (r1 * ng + g2, r2 * ng + g1)) for r1, c1 in gv for r2, c2 in gu]
+            if terms == [(1, (b1, b2))]:
                 continue
             for b3 in range(dim):
                 entries[(b1, b2, b3)] = [(c, (p, q, b3)) for c, (p, q) in terms]

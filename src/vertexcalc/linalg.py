@@ -58,6 +58,11 @@ def support(v: Vec) -> Support:
     return [(k, c) for k, c in enumerate(v) if c is not ZERO and c]
 
 
+def sparse_columns(m: Mat) -> list[Support]:
+    """The nonzero coordinates (r, c) of each column m e_j of a square matrix, c int if integral."""
+    return [[(r, integral(row[j])) for r, row in enumerate(m) if row[j]] for j in range(len(m))]
+
+
 def integral(x) -> Scalar:
     """x (int, Fraction or anything Fraction accepts) as an int if integral, else a Fraction."""
     if type(x) is not int and type(x) is not Fraction:

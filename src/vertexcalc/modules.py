@@ -52,7 +52,7 @@ from .linalg import (
     integral,
     support,
 )
-from .pairs import PairAnalysis, acting_columns, pair_analysis, scatter_products
+from .pairs import PairAnalysis, pair_analysis
 from .report import CheckReport, Witness
 
 
@@ -213,40 +213,6 @@ def tensor_module(
             meta={"source": "tensor-module"},
         )
     return tensor_product(algs), mod_out
-
-
-def check_embedded_actions_commute(
-    alg_a: AlgebraStructure,
-    alg_b: AlgebraStructure,
-    mod: ModuleStructure,
-) -> CheckReport:
-    """On a tensor module, u (x) 1 and 1 (x) v must commute exactly.
-
-    Both orders of each embedded pair are read off one scatter of each
-    basis w (pairs.scatter_products) over the dim_a * dim_b acting vectors.
-    """
-    report = CheckReport("embedded-actions-commute")
-    n = alg_a.dim * alg_b.dim
-    cols = acting_columns(mod.mode_index, n)
-    prods = [scatter_products(mod.mode_index, cols, w_idx, n) for w_idx in range(mod.dim)]
-    for i in range(alg_a.dim):
-        a = i * alg_b.dim + alg_b.vacuum
-        for j in range(alg_b.dim):
-            b = alg_a.vacuum * alg_b.dim + j
-            for w_idx, on_w in enumerate(prods):
-                reverse = {(e1, e2): c for (e2, e1), c in on_w.get((b, a), {}).items()}
-                diffs = term_differences(on_w.get((a, b), {}), reverse, mod.dim)
-                # witnesses name the modes (n1, n2), in increasing order
-                for e, lhs, rhs in reversed(diffs):
-                    report.fail(
-                        Witness(
-                            (alg_a.basis[i], alg_b.basis[j], mod.basis[w_idx]),
-                            (-e[0] - 1, -e[1] - 1),
-                            lhs,
-                            rhs,
-                        )
-                    )
-    return report
 
 
 # ---------------------------------------------------------------------------

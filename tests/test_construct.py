@@ -2,10 +2,12 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import reference_builders as dense
 from reference_pairs import product_sparse, reversed_sparse
 
 from vertexcalc import pairs as pairs_module
@@ -48,6 +50,7 @@ from vertexcalc.errors import (
     NonNilpotentD,
     NotADerivation,
     NotAnAutomorphism,
+    VertexCalcError,
 )
 from vertexcalc.fileio import parse_algebra_file
 from vertexcalc.fixtures import (
@@ -126,6 +129,168 @@ def test_a3_richness_values():
     assert alg.product(t, -1, alg.vacuum) == unit_vec(3, t)
     assert alg.product(t, -2, alg.vacuum) == unit_vec(3, t2)
     assert alg.product(t, -1, t) == unit_vec(3, t2)
+
+
+@pytest.mark.parametrize(
+    "derivation",
+    [
+        ((F(0), F(0)), (F(0), F(0)), (F(1), F(0))),  # 3x2
+        ((F(0),) * 4, (F(0),) * 4, (F(0), F(1), F(0), F(0))),  # 3x4
+        ((F(0),) * 3, (F(0), F(1), F(0))),  # 2x3
+    ],
+)
+def test_a_derivation_that_is_not_dim_by_dim_is_malformed(derivation):
+    a3 = parse_algebra_file(FIXTURES / "a3.json").assoc
+    with pytest.raises(MalformedStructure, match="the derivation is not 3x3"):
+        AssocAlgebraData(a3.basis, a3.table, a3.identity, derivation)
+
+
+def test_the_leibniz_failure_names_the_pair_in_dense_vectors():
+    # d/dt on Q[t]/(t^2) fails Leibniz on (t, t): d(t^2) = 0 but 2t d(t) = 2t
+    table = {(0, 0): unit_vec(2, 0), (0, 1): unit_vec(2, 1), (1, 0): unit_vec(2, 1)}
+    data = AssocAlgebraData(("one", "t"), table, 0, ((F(0), F(1)), (F(0), F(0))))
+    with pytest.raises(NotADerivation) as exc:
+        from_assoc_with_derivation(data)
+    assert str(exc.value) == (
+        "Leibniz fails on (t, t): (Fraction(0, 1), Fraction(0, 1)) != "
+        "(Fraction(0, 1), Fraction(2, 1))"
+    )
+
+
+# -- the sparse builders against their dense oracle -------------------------------------
+
+_RATIONALS = (F(1), F(-1), F(2), F(1, 2), F(-3, 2))
+
+
+def _truncated(k: int, m: int, c: Fraction) -> AssocAlgebraData:
+    """Q[t]/(t^k) with c t^m d/dt: a derivation for m >= 1, nilpotent for m >= 2.
+
+    For m = 0 and k >= 2 it is no derivation: d(t^(k-1) t) = 0, but k t^(k-1) is not.
+    """
+    table = {
+        (i, j): unit_vec(k, i + j) if i + j < k else (F(0),) * k for i in range(k) for j in range(k)
+    }
+    d = tuple(tuple(c * a if r == a + m - 1 else F(0) for a in range(k)) for r in range(k))
+    return AssocAlgebraData(tuple(f"t{a}" for a in range(k)), table, 0, d)
+
+
+def _perturbed(data: AssocAlgebraData, rng, derivation: bool) -> AssocAlgebraData:
+    """The data with one random entry of its derivation, or of one product, replaced."""
+    d = [list(row) for row in data.derivation]
+    table = dict(data.table)
+    r, c = rng.randrange(data.dim), rng.randrange(data.dim)
+    if derivation:
+        d[r][c] = rng.choice(_RATIONALS)
+    else:
+        table[(r, c)] = tuple(rng.choice((F(0),) + _RATIONALS) for _ in range(data.dim))
+    return AssocAlgebraData(data.basis, table, data.identity, tuple(map(tuple, d)))
+
+
+def _assoc_cases(rng):
+    for k in range(1, 6):
+        for m in range(4):
+            data = _truncated(k, m, rng.choice(_RATIONALS))
+            yield data
+            yield _perturbed(data, rng, derivation=True)
+            yield _perturbed(data, rng, derivation=False)
+    ut2 = parse_algebra_file(FIXTURES / "ut2.json").assoc
+    # the inner derivation [E12, -]: e11 -> -e12
+    ad = ((F(0),) * 3, (F(0),) * 3, (F(0), rng.choice(_RATIONALS), F(0)))
+    yield AssocAlgebraData(ut2.basis, ut2.table, ut2.identity, ad)
+    for derivation in (True, True, False):
+        yield _perturbed(ut2, rng, derivation)
+    for orders in [(2,), (3,), (2, 2), (4,), (2, 3)]:
+        group = GradedTag(orders, ())
+        els = group.elements()
+        index = {g: n for n, g in enumerate(els)}
+        table = {
+            (a, b): unit_vec(len(els), index[group.add(ga, gb)])
+            for a, ga in enumerate(els)
+            for b, gb in enumerate(els)
+        }
+        zero = tuple((F(0),) * len(els) for _ in els)
+        data = AssocAlgebraData(tuple(map(str, els)), table, index[group.zero()], zero)
+        yield data
+        yield _perturbed(data, rng, derivation=True)
+
+
+def _outcome(build):
+    """What build() returns, or the class and message of the library error it raises."""
+    try:
+        return build()
+    except VertexCalcError as exc:
+        return type(exc), str(exc)
+
+
+def test_from_assoc_matches_the_dense_builder():
+    # equal structures, y_data included, or the same error with the same message
+    rng = random.Random(20)
+    seen = set()
+    for data in _assoc_cases(rng):
+        expected = _outcome(lambda: dense.from_assoc_with_derivation(data))
+        assert _outcome(lambda: from_assoc_with_derivation(data)) == expected
+        seen.add(expected[0] if isinstance(expected, tuple) else "built")
+    assert seen == {"built", MalformedStructure, NotADerivation, NonNilpotentD}
+
+
+def _actions(rng):
+    """(base, action): random Z2 and Z3 actions on the dual numbers and on a3."""
+    z2 = {(g, h): (g + h) % 2 for g in range(2) for h in range(2)}
+    z3 = {(g, h): (g + h) % 3 for g in range(3) for h in range(3)}
+    entries = (F(0), F(0)) + _RATIONALS
+    for base in (dual_numbers(), truncated_poly_3()):
+        dim = base.dim
+        ident = tuple(unit_vec(dim, r) for r in range(dim))
+
+        def matrix():
+            if rng.random() < 0.5:  # t -> b t, an automorphism of the dual numbers
+                b = rng.choice(_RATIONALS)
+                return tuple(vec_scale(b**r, unit_vec(dim, r)) for r in range(dim))
+            return tuple(tuple(rng.choice(entries) for _ in range(dim)) for _ in range(dim))
+
+        for _ in range(12):
+            yield base, GroupActionData(("e", "g"), z2, {0: ident, 1: matrix()})
+            yield base, GroupActionData(("e", "g", "g2"), z3, {0: ident, 1: matrix(), 2: matrix()})
+
+
+def test_group_actions_match_the_dense_builders():
+    # the same verdict class; on an automorphism the same cross product and R-map
+    rng = random.Random(20)
+    seen = set()
+    for base, act in _actions(rng):
+        expected = _outcome(lambda: dense.validate_action(act, base))
+        got = _outcome(lambda: act.validate_action(base))
+        assert (got if got is None else got[0]) == (expected if expected is None else expected[0])
+        seen.add(expected if expected is None else expected[0])
+        if expected is None:
+            assert cross_product(base, act) == dense.cross_product(base, act)
+            rmap = rmap_cross_abelian(base.dim, act)
+            assert rmap.entries == dense.rmap_cross_abelian(base.dim, act).entries
+    assert seen == {None, NotAnAutomorphism}
+
+
+def test_a_failing_action_names_the_least_failing_mode():
+    # t -> 2t on a3 keeps every mode -1 product but doubles (t)_-2(one) = t2
+    # into 2 t2, where g(t2) = 4 t2
+    a3 = truncated_poly_3()
+    double = GroupActionData(
+        ("e", "g"),
+        {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0},
+        {
+            0: tuple(unit_vec(3, r) for r in range(3)),
+            1: tuple(vec_scale(2**r, unit_vec(3, r)) for r in range(3)),
+        },
+    )
+    with pytest.raises(NotAnAutomorphism, match=r"^g fails on \(t\)_-2\(one\)$"):
+        double.validate_action(a3)
+
+
+def test_cocycle_keys_outside_the_group_are_refused():
+    grading = klein_group_algebra()[1]
+    table = klein_cocycle(grading).table
+    for key in [((0, 0, 0), (0, 0)), ((0, 2), (0, 0)), ((3, 0), (1, 1))]:
+        with pytest.raises(CocycleInvalid, match=re.escape(f"cocycle key {key} is not")):
+            CocycleData(grading, {**table, key: F(1)})
 
 
 # -- tensor products ------------------------------------------------------------
@@ -317,6 +482,19 @@ def test_non_automorphism_rejected():
     )
     with pytest.raises(NotAnAutomorphism):
         cross_product(base, bad)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [((F(1), F(0)), (F(0), F(1)), (F(0), F(0))), ((F(1), F(0), F(5)), (F(0), F(1), F(0)))],
+)
+def test_validate_action_refuses_a_matrix_that_is_not_dim_by_dim(matrix):
+    # called on its own, a 3x2 matrix was refused as moving the vacuum and a
+    # 2x3 one was accepted, its last column cut off
+    flip = sign_flip_action()
+    act = GroupActionData(("e", "g"), flip.table, {0: flip.action[0], 1: matrix})
+    with pytest.raises(MalformedStructure, match="the action matrix of g is not 2x2"):
+        act.validate_action(dual_numbers())
 
 
 def test_trivial_action_cross_equals_tensor_with_group_algebra():

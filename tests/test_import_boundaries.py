@@ -6,7 +6,8 @@ for the tests and for the product and iterate series of vertexcalc.algebra.
 These checks read the sources with ast, so a window-kernel import that
 creeps back into a verdict path fails here, and so does a per-triple product
 in the Jacobi-like check, a per-triple product kernel anywhere in the
-package, and any way for a float to arise in the package.  A relation check
+package, a dense product or action in the builders, and any way for a float
+to arise in the package.  A relation check
 answers with its witness or None, so no module holds an order object, and
 the suite runs no loop over a stated invariant.
 """
@@ -110,6 +111,35 @@ def test_the_name_reader_finds_imports_calls_and_attributes():
     # products attribute
     assert {"scatter_products", "scatter_iterates", "sparse_modes"} <= names_used("algebra")
     assert {"pair_analysis", "products"} <= names_used("construct")
+
+
+# the dense builder helpers, kept as the builders' oracle in tests/reference_builders.py
+DENSE_BUILDER_NAMES = {
+    "mult_vec",
+    "mat_vec",
+    "vec_add",
+    "is_zero_vec",
+    "zero_vec",
+    "mode_map",
+    "table_index",
+}
+
+
+def test_the_builders_compute_on_the_sparse_kernel():
+    # products go through sparse_modes on a constant index, derivations and
+    # group elements through their sparse columns, and e^{xd} through
+    # exp_sparse; the dense copies live only in the oracle
+    assert names_used("construct") & DENSE_BUILDER_NAMES == set()
+    assert {"sparse_modes", "exp_sparse", "sparse_columns", "constant_index"} <= names_used(
+        "construct"
+    )
+    oracle = names_in((Path(__file__).parent / "reference_builders.py").read_text())
+    assert {"mult_vec", "from_assoc_with_derivation", "validate_action"} <= oracle
+
+
+def test_modules_holds_no_check_without_a_caller():
+    # the embedded-actions check had no caller in the package; its tests hold it
+    assert "check_embedded_actions_commute" not in names_used("modules")
 
 
 ORDER_OBJECTS = {"OrderSearch", "FOUND", "REFUTED"}

@@ -6,6 +6,7 @@ import pytest
 from reference_pairs import commutation_sparse
 from reference_spans import dense_rank
 
+from vertexcalc.algebra import AlgebraStructure, term_differences
 from vertexcalc.errors import CapExceeded, MalformedStructure
 from vertexcalc.fixtures import (
     cross_a2_z2,
@@ -19,7 +20,6 @@ from vertexcalc.linalg import ONE, CoordSpan, unit_vec, zero_vec
 from vertexcalc.modules import (
     ModuleStructure,
     adjoint_module,
-    check_embedded_actions_commute,
     check_locality_transfer,
     check_module,
     check_product_compatibility,
@@ -29,7 +29,8 @@ from vertexcalc.modules import (
     tensor_module,
     wn_module,
 )
-from vertexcalc.report import Witness
+from vertexcalc.pairs import acting_columns, scatter_products
+from vertexcalc.report import CheckReport, Witness
 
 F = Fraction
 
@@ -232,6 +233,44 @@ def test_tensor_module_unit_factor(a3, a3_adj):
     assert set(mod_t.action) == set(a3_adj.action)
     for key in mod_t.action:
         assert mod_t.action[key] == a3_adj.action[key]
+
+
+# The check of the embedded actions has no caller in the package; it lives
+# here with its two tests.
+
+
+def check_embedded_actions_commute(
+    alg_a: AlgebraStructure,
+    alg_b: AlgebraStructure,
+    mod: ModuleStructure,
+) -> CheckReport:
+    """On a tensor module, u (x) 1 and 1 (x) v must commute exactly.
+
+    Both orders of each embedded pair are read off one scatter of each
+    basis w (pairs.scatter_products) over the dim_a * dim_b acting vectors.
+    """
+    report = CheckReport("embedded-actions-commute")
+    n = alg_a.dim * alg_b.dim
+    cols = acting_columns(mod.mode_index, n)
+    prods = [scatter_products(mod.mode_index, cols, w_idx, n) for w_idx in range(mod.dim)]
+    for i in range(alg_a.dim):
+        a = i * alg_b.dim + alg_b.vacuum
+        for j in range(alg_b.dim):
+            b = alg_a.vacuum * alg_b.dim + j
+            for w_idx, on_w in enumerate(prods):
+                reverse = {(e1, e2): c for (e2, e1), c in on_w.get((b, a), {}).items()}
+                diffs = term_differences(on_w.get((a, b), {}), reverse, mod.dim)
+                # witnesses name the modes (n1, n2), in increasing order
+                for e, lhs, rhs in reversed(diffs):
+                    report.fail(
+                        Witness(
+                            (alg_a.basis[i], alg_b.basis[j], mod.basis[w_idx]),
+                            (-e[0] - 1, -e[1] - 1),
+                            lhs,
+                            rhs,
+                        )
+                    )
+    return report
 
 
 def test_embedded_actions_commute(a3, a3_adj):

@@ -540,3 +540,61 @@ def test_readme_library_example_runs(monkeypatch):
     example = readme.split("## Library example", 1)[1].split("```python\n", 1)[1]
     monkeypatch.chdir(FIXTURES.parent)
     exec(compile(example.split("```", 1)[0], "README.md", "exec"), {})
+
+
+def _assoc_mutant(tmp_path, case: str, mutate) -> str:
+    doc = json.loads((FIXTURES / "a3.json").read_text())
+    mutate(doc["assoc"]["derivation"])
+    path = tmp_path / f"a3-{case}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+DERIVATION_MUTANTS = {
+    "3x2": lambda rows: [row.pop() for row in rows],
+    "3x4": lambda rows: [row.append("0") for row in rows],
+    "2x3": lambda rows: rows.pop(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DERIVATION_MUTANTS))
+def test_a_derivation_that_is_not_dim_by_dim_exits_2(case, tmp_path, capsys):
+    # 3x2 and 3x4 were accepted, as mat_vec's zip cut the matrix; 2x3 was
+    # refused with a Leibniz failure between vectors of different lengths.
+    # The refusal happens at parse time, so a check of the file refuses too.
+    path = _assoc_mutant(tmp_path, case, DERIVATION_MUTANTS[case])
+    built = tmp_path / "built.json"
+    assert cli.main(["construct", "from-assoc", path, "-o", str(built)]) == 2
+    assert capsys.readouterr().err == "error: the derivation is not 3x3\n"
+    assert not built.exists()
+    assert cli.main(["check", path, "--suite", "axioms"]) == 2
+    assert capsys.readouterr().err == "error: the derivation is not 3x3\n"
+
+
+def _cocycle_mutant(tmp_path, key: str) -> str:
+    doc = json.loads((FIXTURES / "z22_base.json").read_text())
+    doc["cocycle"]["table"][key] = "1"
+    path = tmp_path / "z22_base-mutant.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "key,named",
+    [
+        ("0,0,0|0,0", "(0, 0, 0), (0, 0)"),
+        ("0,2|0,0", "(0, 2), (0, 0)"),
+        ("3,0|1,1", "(3, 0), (1, 1)"),
+    ],
+)
+def test_cocycle_keys_outside_the_group_exit_2(key, named, tmp_path, capsys):
+    # each key was accepted, and construct twist wrote it into the output's
+    # cocycle section; now the parser refuses the file
+    path = _cocycle_mutant(tmp_path, key)
+    message = f"error: cocycle key ({named}) is not a pair of group elements\n"
+    built = tmp_path / "built.json"
+    assert cli.main(["construct", "twist", path, "-o", str(built)]) == 2
+    assert capsys.readouterr().err == message
+    assert not built.exists()
+    assert cli.main(["check", path, "--suite", "all", "--q", "from-cocycle"]) == 2
+    assert capsys.readouterr().err == message
