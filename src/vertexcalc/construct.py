@@ -11,7 +11,7 @@ matrix structures, cross products, and column and tensor modules all take
 their tables from one kernel, table_tensor, of the formula
 Y(u*u', x)(w*w') = Y(u, x)w * Y(u', x)w'.  The R-map checker at the bottom
 verifies the Jacobi-like identity whose reversed-product term is routed
-through a fixed linear map on the triple tensor space.
+through a fixed linear map on V ⊗ V that keeps the third argument.
 """
 
 from __future__ import annotations
@@ -312,7 +312,7 @@ def matrix_algebra(alg: AlgebraStructure, n: int) -> AlgebraStructure:
 
 @dataclass
 class GradedTag:
-    """Degrees in a finite abelian group, one tuple per basis vector."""
+    """Degrees in a finite abelian group, a tuple of components in range(order) per basis vector."""
 
     orders: tuple[int, ...]
     degrees: tuple[tuple[int, ...], ...]
@@ -323,9 +323,10 @@ class GradedTag:
             raise GradingInvalid(f"group orders must be positive, got {self.orders}")
         if any(len(d) != len(self.orders) for d in self.degrees):
             raise GradingInvalid(f"every degree needs {len(self.orders)} components")
-        self.degrees = tuple(
-            tuple(int(x) % o for x, o in zip(d, self.orders)) for d in self.degrees
-        )
+        self.degrees = tuple(tuple(int(x) for x in d) for d in self.degrees)
+        for d in self.degrees:
+            if not all(0 <= x < o for x, o in zip(d, self.orders)):
+                raise GradingInvalid(f"degree {d} is outside the group of orders {self.orders}")
 
     def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((x + y) % o for x, y, o in zip(a, b, self.orders))
@@ -537,21 +538,21 @@ def cross_product(alg: AlgebraStructure, act: GroupActionData) -> AlgebraStructu
 
 @dataclass
 class RMap:
-    """Sparse linear endomorphism of the triple tensor space.
+    """Sparse linear endomorphism of V ⊗ V.
 
-    entries maps a basis triple (a, b, c) to a list of (coefficient, triple)
-    terms; missing triples map to themselves.
+    entries maps a basis pair (b1, b2) to a list of (coefficient, pair)
+    terms; missing pairs map to themselves.  In the Jacobi-like identity R
+    acts on v ⊗ u and keeps the third argument w, as the braiding S(z) of
+    Etingof-Kazhdan and the braided locality of Bakalov-Kac do.
     """
 
     dim: int
-    entries: dict[tuple[int, int, int], list[tuple[Fraction, tuple[int, int, int]]]] = field(
+    entries: dict[tuple[int, int], list[tuple[Fraction, tuple[int, int]]]] = field(
         default_factory=dict
     )
 
-    def image(
-        self, triple: tuple[int, int, int]
-    ) -> list[tuple[Fraction, tuple[int, int, int]]]:
-        return self.entries.get(triple, [(ONE, triple)])
+    def image(self, pair: tuple[int, int]) -> list[tuple[Fraction, tuple[int, int]]]:
+        return self.entries.get(pair, [(ONE, pair)])
 
 
 def rmap_identity(dim: int) -> RMap:
@@ -561,32 +562,27 @@ def rmap_identity(dim: int) -> RMap:
 def rmap_from_commutator(
     alg: AlgebraStructure, grading: GradedTag, cocycle: CocycleData
 ) -> RMap:
-    """R(v ⊗ u ⊗ w) = c(deg u, deg v) (v ⊗ u ⊗ w) for a graded twist."""
-    entries = {}
-    for b1 in range(alg.dim):
-        for b2 in range(alg.dim):
-            c = cocycle.commutator(grading.degrees[b2], grading.degrees[b1])
-            if c == 1:
-                continue
-            for b3 in range(alg.dim):
-                entries[(b1, b2, b3)] = [(c, (b1, b2, b3))]
+    """R(v ⊗ u) = c(deg u, deg v) (v ⊗ u) for a graded twist."""
+    entries = {
+        (b1, b2): [(c, (b1, b2))]
+        for b1, b2 in iproduct(range(alg.dim), repeat=2)
+        if (c := cocycle.commutator(grading.degrees[b2], grading.degrees[b1])) != 1
+    }
     return RMap(dim=alg.dim, entries=entries)
 
 
 def rmap_tensor_swap(dim_v: int, dim_a: int) -> RMap:
-    """R(ua ⊗ vb ⊗ wc) = ub ⊗ va ⊗ wc on a tensor structure V ⊗ A."""
-    dim = dim_v * dim_a
-    entries = {}
-    for u, a, v, b in iproduct(range(dim_v), range(dim_a), range(dim_v), range(dim_a)):
-        if a != b:  # a == b is the trivial swap
-            src1, src2, dst1, dst2 = u * dim_a + a, v * dim_a + b, u * dim_a + b, v * dim_a + a
-            for w in range(dim):
-                entries[(src1, src2, w)] = [(ONE, (dst1, dst2, w))]
-    return RMap(dim=dim, entries=entries)
+    """R(ua ⊗ vb) = ub ⊗ va on a tensor structure V ⊗ A."""
+    entries = {
+        (u * dim_a + a, v * dim_a + b): [(ONE, (u * dim_a + b, v * dim_a + a))]
+        for u, a, v, b in iproduct(range(dim_v), range(dim_a), range(dim_v), range(dim_a))
+        if a != b  # a == b is the trivial swap
+    }
+    return RMap(dim=dim_v * dim_a, entries=entries)
 
 
 def rmap_cross_abelian(base_dim: int, act: GroupActionData) -> RMap:
-    """R(vg2 ⊗ ug1 ⊗ wg3) = g1(v)g2 ⊗ g2^{-1}(u)g1 ⊗ wg3 for abelian G.
+    """R(vg2 ⊗ ug1) = g1(v)g2 ⊗ g2^{-1}(u)g1 for abelian G.
 
     base_dim is the dimension of the structure the group acts on.
     """
@@ -596,7 +592,7 @@ def rmap_cross_abelian(base_dim: int, act: GroupActionData) -> RMap:
     ng = len(act.elements)
     dim = base_dim * ng
     cols = act.columns()
-    entries: dict[tuple[int, int, int], list[tuple[Fraction, tuple[int, int, int]]]] = {}
+    entries: dict[tuple[int, int], list[tuple[Fraction, tuple[int, int]]]] = {}
     for b1 in range(dim):  # holds v g2
         v_idx, g2 = divmod(b1, ng)
         for b2 in range(dim):  # holds u g1
@@ -604,81 +600,52 @@ def rmap_cross_abelian(base_dim: int, act: GroupActionData) -> RMap:
             gv = cols[g1][v_idx]
             gu = cols[act.inverse(g2)][u_idx]
             terms = [(c1 * c2, (r1 * ng + g2, r2 * ng + g1)) for r1, c1 in gv for r2, c2 in gu]
-            if terms == [(1, (b1, b2))]:
-                continue
-            for b3 in range(dim):
-                entries[(b1, b2, b3)] = [(c, (p, q, b3)) for c, (p, q) in terms]
+            if terms != [(1, (b1, b2))]:
+                entries[(b1, b2)] = terms
     return RMap(dim=dim, entries=entries)
 
 
-def check_jacobi_like(
-    alg: AlgebraStructure,
-    rmap: RMap,
-    triples: list[tuple[int, int, int]] | None = None,
-) -> CheckReport:
+def check_jacobi_like(alg: AlgebraStructure, rmap: RMap) -> CheckReport:
     """The Jacobi-like identity with the reversed product routed through R.
 
-    Decided exactly per triple as algebra.check_jacobi decides the q-Jacobi
-    identity: the straight product must equal the R-twisted reversed one,
-    and the triple must be weakly associative at order 0, which the pair
-    analysis records.  These are also the identity's two standard
-    consequences, so one verdict covers them.
+    Decided exactly per basis triple as algebra.check_jacobi decides the
+    q-Jacobi identity: the straight product must equal the R-twisted
+    reversed one, and the triple must be weakly associative at order 0,
+    which the pair analysis records.  These are also the identity's two
+    standard consequences, so one verdict covers them.
 
-    triples=None checks every basis triple and an empty list checks none;
-    an index outside range(alg.dim) is refused.  Both sides of the
-    commutation are read off the pair analysis's scatter of one w at a time
-    (PairAnalysis.products), so a triple costs a lookup, and one whose
-    straight and reversed products all vanish costs no comparison.
+    R keeps w, so both sides of every (u, v) on one w are read off the pair
+    analysis's scatter of that w (PairAnalysis.products): each w is
+    scattered once, a triple costs a lookup, and one whose straight and
+    reversed products all vanish costs no comparison.  Failures are
+    reported in (u, v, w) order.
     """
     report = CheckReport("jacobi-like")
     dim = alg.dim
     if rmap.dim != dim:
         raise MalformedStructure("R-map dimension mismatch")
-    if triples is None:
-        triples = list(iproduct(range(dim), repeat=3))
-    elif any(len(t) != 3 or not all(i in range(dim) for i in t) for t in triples):
-        raise MalformedStructure(f"jacobi-like triples must be basis index triples in range({dim})")
     pairs = pair_analysis(alg)
-    scattered: dict[int, dict] = {}
-
-    def product(a: int, b: int, c: int) -> Terms:
-        """Y(a,x1)Y(b,x2)c for basis vectors, read off the scatter of c, made on first use."""
-        if c not in scattered:
-            scattered[c] = pairs.products(c)
-        return scattered[c].get((a, b), {})
-
-    def witness(u_idx: int, v_idx: int, w_idx: int) -> Witness | None:
-        names = (alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx])
-        straight = product(u_idx, v_idx, w_idx)
-        # (Y x Y)(x2, x1) applied to R(v ⊗ u ⊗ w): sum of Y(a,x2)Y(b,x1)c, which
-        # is Y(a,x1)Y(b,x2)c with its two exponents swapped
-        rterms: Terms = {}
-        for coeff, (a, b, c) in rmap.image((v_idx, u_idx, w_idx)):
-            for (e2, e1), outer in product(a, b, c).items():
-                add_term(rterms, (e1, e2), coeff, outer.items())
-        if straight or rterms:
-            diff = next(sparse_differences(straight, rterms), None)
+    failures: dict[tuple[int, int, int], Witness] = {}
+    for w_idx in range(dim):
+        products = pairs.products(w_idx)
+        for u_idx, v_idx in iproduct(range(dim), repeat=2):
+            straight = products.get((u_idx, v_idx), {})
+            # (Y x Y)(x2, x1) applied to R(v ⊗ u) ⊗ w: sum of Y(a,x2)Y(b,x1)w,
+            # which is Y(a,x1)Y(b,x2)w with its two exponents swapped
+            rterms: Terms = {}
+            for coeff, pair in rmap.image((v_idx, u_idx)):
+                for (e2, e1), outer in products.get(pair, {}).items():
+                    add_term(rterms, (e1, e2), coeff, outer.items())
+            diff = next(sparse_differences(straight, rterms), None) if straight or rterms else None
             if diff is not None:
                 e, lhs, rhs = diff
-                return Witness(("commutation",) + names, e, densify(lhs, dim), densify(rhs, dim))
-        if (assoc := pairs.assoc_failure(u_idx, v_idx, w_idx)) is not None:
-            return Witness(("associativity",) + names, *assoc)
-        return None
-
-    # every R-map built here keeps the third factor w, so deciding one w at a
-    # time holds one w's products (an image with another third factor
-    # scatters it on demand), and the witnesses are then reported in triple
-    # order
-    by_w: dict[int, list[tuple[int, int, int]]] = {}
-    for t in triples:
-        by_w.setdefault(t[2], []).append(t)
-    failures: dict[tuple[int, int, int], Witness] = {}
-    for group in by_w.values():
-        scattered.clear()
-        for t in group:
-            if (found := witness(*t)) is not None:
-                failures[t] = found
-    for t in triples:
-        if t in failures:
-            report.fail(failures[t])
+                half, found = "commutation", (e, densify(lhs, dim), densify(rhs, dim))
+            elif (found := pairs.assoc_failure(u_idx, v_idx, w_idx)) is not None:
+                half = "associativity"
+            else:
+                continue
+            names = (alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx])
+            failures[(u_idx, v_idx, w_idx)] = Witness((half,) + names, *found)
+    for triple in sorted(failures):
+        report.fail(failures[triple])
     return report

@@ -201,15 +201,15 @@ class CoordSpan:
     def dim(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, v: SparseVec) -> tuple[SparseVec, Vec]:
-        """(v minus its span component, coordinates of that component over the reps)."""
+    def _reduce(self, v: SparseVec) -> tuple[SparseVec, SparseVec]:
+        """(v minus its span component, that component's sparse coordinates over the reps)."""
         w = {k: x for k, x in v.items() if x}
         combo: SparseVec = {}
         for p, row, cmb in self._rows:
             if f := w.get(p):
                 add_scaled(w, -f, row.items())
                 add_scaled(combo, f, cmb.items())
-        return w, tuple(combo.get(k, ZERO) for k in range(self.dim))
+        return w, combo
 
     def residue(self, v: SparseVec) -> SparseVec:
         """v minus its span component: empty exactly when v is a member."""
@@ -217,19 +217,19 @@ class CoordSpan:
 
     def solve(self, v: SparseVec) -> Vec | None:
         """Coordinates of v over the reps, or None if v is outside the span."""
-        w, coords = self._reduce(v)
-        return None if w else coords
+        w, combo = self._reduce(v)
+        return None if w else densify(combo, self.dim)
 
     def insert(self, v: SparseVec) -> Vec | None:
         """Add v as a new rep if independent; returns coords when dependent."""
-        w, coords = self._reduce(v)
+        w, combo = self._reduce(v)
         if not w:
-            return coords
+            return densify(combo, self.dim)
         pivot = min(w)
         inv = integral(ONE / w[pivot])
         row = {k: inv * x for k, x in w.items()}
-        # w = v - sum of coords[k] * rep k, and v becomes the last rep
-        cmb = {k: -inv * c for k, c in enumerate(coords) if c}
+        # w = v - sum of combo[k] * rep k, and v becomes the last rep
+        cmb = {k: -inv * c for k, c in combo.items()}
         cmb[self.dim] = inv
         for _p, r, rc in self._rows:
             if f := r.get(pivot):

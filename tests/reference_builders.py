@@ -9,7 +9,8 @@ sparse again with `table_index`, and `rmap_cross_abelian` applies each
 group element to unit vectors with `mat_vec`.  The library built its
 examples this way before the builders moved onto `sparse_modes`,
 `exp_sparse` and sparse columns; the code is kept here, unchanged, as their
-oracle.
+oracle, except that `rmap_cross_abelian` keys its images by basis pairs
+since the R-map became an endomorphism of V ⊗ V.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def rmap_cross_abelian(base_dim: int, act: GroupActionData) -> RMap:
     def unpack(k: int) -> tuple[int, int]:
         return divmod(k, ng)
 
-    entries: dict[tuple[int, int, int], list[tuple[Fraction, tuple[int, int, int]]]] = {}
+    entries: dict[tuple[int, int], list[tuple[Fraction, tuple[int, int]]]] = {}
     for b1 in range(dim):  # holds v g2
         v_idx, g2 = unpack(b1)
         for b2 in range(dim):  # holds u g1
@@ -182,6 +183,5 @@ def rmap_cross_abelian(base_dim: int, act: GroupActionData) -> RMap:
             trivial = terms == [(Fraction(1), (b1, b2))]
             if trivial:
                 continue
-            for b3 in range(dim):
-                entries[(b1, b2, b3)] = [(c, (p, q, b3)) for c, (p, q) in terms]
+            entries[(b1, b2)] = terms
     return RMap(dim=dim, entries=entries)

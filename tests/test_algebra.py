@@ -725,10 +725,10 @@ def test_jacobi_invariant_matches_series_reference(q):
 
 
 def _rmap_terms(alg: AlgebraStructure, rmap, u: int, v: int, w: int) -> dict:
-    # (Y x Y)(x2, x1) R(v ⊗ u ⊗ w) on the (x1, x2) grid
+    # (Y x Y)(x2, x1) R(v ⊗ u) ⊗ w on the (x1, x2) grid
     terms: dict = {}
-    for coeff, (a, b, c) in rmap.image((v, u, w)):
-        units = (alg.unit(a), alg.unit(b), alg.unit(c))
+    for coeff, (a, b) in rmap.image((v, u)):
+        units = (alg.unit(a), alg.unit(b), alg.unit(w))
         for (e2, e1), vec in product_terms(alg, *units).items():
             vec = vec_scale(coeff, vec)
             terms[(e1, e2)] = vec_add(terms[(e1, e2)], vec) if (e1, e2) in terms else vec

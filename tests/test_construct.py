@@ -1,6 +1,7 @@
 """Builders: associative sources, tensors, matrices, twists, cross products."""
 
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -15,6 +16,7 @@ from vertexcalc.algebra import (
     AlgebraStructure,
     add_term,
     apply_columns,
+    check_jacobi,
     d_columns,
     find_locality_k,
     find_weak_assoc_l,
@@ -27,7 +29,6 @@ from vertexcalc.construct import (
     CocycleData,
     GradedTag,
     GroupActionData,
-    RMap,
     _MatrixBasis,
     check_jacobi_like,
     cocycle_twist,
@@ -540,42 +541,90 @@ def test_jacobi_like_tensor_swap_on_matrix_structure():
     assert rep.passed
 
 
+def _q_jacobi_union(alg, q_of):
+    # the witnesses of check_jacobi(alg, u, v, q_of(u, v)) over every pair, in
+    # triple order: read off the commutation profiles, not off a scatter
+    return [
+        wit
+        for u, v in itertools.product(range(alg.dim), repeat=2)
+        for wit in check_jacobi(alg, u, v, q_of(u, v)).witnesses
+    ]
+
+
 def test_jacobi_like_fails_with_wrong_rmap():
-    # the untwisted identity R cannot absorb the noncommutativity of M(2, a3)
+    # the untwisted identity R cannot absorb the noncommutativity of M(2, a3):
+    # with it the Jacobi-like identity is the q = 1 Jacobi identity
     m = matrix_over_a3()
-    u = m.basis_index("one*E11")
-    v = m.basis_index("one*E12")
-    rep = check_jacobi_like(m, rmap_identity(12), triples=[(u, v, m.vacuum)])
-    assert not rep.passed
+    rep = check_jacobi_like(m, rmap_identity(12))
+    assert (rep.verdict, rep.exact, len(rep.witnesses)) == ("fail", True, 180)
+    assert rep.witnesses == _q_jacobi_union(m, lambda u, v: ONE)
+    names = ("one*E11", "one*E12", m.basis[m.vacuum])
+    assert any(wit.where == ("commutation",) + names for wit in rep.witnesses)
 
 
-def test_jacobi_like_empty_triples_check_nothing():
-    # an empty list is a request for no triple, not for every triple
-    m = matrix_over_a3()
-    assert len(check_jacobi_like(m, rmap_identity(12)).witnesses) == 180
-    rep = check_jacobi_like(m, rmap_identity(12), triples=[])
-    assert rep.passed and rep.witnesses == []
+def _klein_cocycles(grading, rng):
+    # bicharacters of Z2 x Z2 times coboundaries f(g)f(h)/f(g+h) of seeded
+    # rational f with f(0) = 1: every one a normalized 2-cocycle
+    for _ in range(6):
+        signs = [[rng.choice((1, -1)) for _ in range(2)] for _ in range(2)]
+        f = {g: rng.choice(_RATIONALS) for g in grading.elements()}
+        f[grading.zero()] = F(1)
+        table = {}
+        for g in grading.elements():
+            for h in grading.elements():
+                bichar = math.prod(signs[i][j] ** (g[i] * h[j]) for i in range(2) for j in range(2))
+                table[(g, h)] = bichar * f[g] * f[h] / f[grading.add(g, h)]
+        yield CocycleData(grading=grading, table=table)
 
 
-@pytest.mark.parametrize("triple", [(0, 0, 12), (-1, 0, 0), (0, 12, 0), (0, 0)])
-def test_jacobi_like_refuses_triples_outside_the_basis(triple):
-    m = matrix_over_a3()
-    with pytest.raises(MalformedStructure, match="basis index triples"):
-        check_jacobi_like(m, rmap_identity(12), triples=[(0, 0, 0), triple])
+def _commutator_cases():
+    for name in ("z22_twist", "z22_base"):
+        bundle = parse_algebra_file(FIXTURES / f"{name}.json")
+        yield name, bundle.alg, bundle.grading, bundle.cocycle
+    base, grading = klein_group_algebra()
+    for k, cocycle in enumerate(_klein_cocycles(grading, random.Random(21))):
+        cocycle.validate()
+        yield f"twist{k}", cocycle_twist(base, grading, cocycle), grading, cocycle
+        yield f"base{k}", base, grading, cocycle
 
 
-def _unshared_jacobi_like(alg, rmap, triples=None):
+def test_jacobi_like_commutator_rmap_is_the_union_of_q_jacobi():
+    # R(v ⊗ u) = c(deg u, deg v) v ⊗ u makes the Jacobi-like identity on
+    # (u, v, w) the q-Jacobi identity with q = c(deg u, deg v): a twist by the
+    # cocycle passes, the untwisted base fails where c is not 1
+    counts = {}
+    for name, alg, grading, cocycle in _commutator_cases():
+        rep = check_jacobi_like(alg, rmap_from_commutator(alg, grading, cocycle))
+
+        def q_of(u, v):
+            return cocycle.commutator(grading.degrees[u], grading.degrees[v])
+
+        assert rep.witnesses == _q_jacobi_union(alg, q_of), name
+        counts[name] = len(rep.witnesses)
+    assert (counts["z22_twist"], counts["z22_base"]) == (0, 24)
+    assert all(n == 0 for name, n in counts.items() if name.startswith("twist"))
+    assert any(n > 0 for name, n in counts.items() if name.startswith("base"))
+
+
+def test_rmap_tensor_swap_keys_basis_pairs():
+    # R acts on V ⊗ V and keeps w: one image for each of the 75^2 pairs of
+    # V ⊗ A with dim V = 3, dim A = 25, less the 3 * 3 * 25 trivial swaps
+    rmap = rmap_tensor_swap(3, 25)
+    assert len(rmap.entries) == 5400
+    assert rmap.image((0 * 25 + 1, 2 * 25 + 7)) == [(ONE, (0 * 25 + 7, 2 * 25 + 1))]
+    assert rmap.image((4, 29)) == [(ONE, (4, 29))]
+
+
+def _unshared_jacobi_like(alg, rmap):
     # check_jacobi_like's former loop: each triple builds its straight product
     # and every reversed product of its R-image afresh
     pairs = pair_analysis(alg)
     report = CheckReport("jacobi-like")
-    if triples is None:
-        triples = itertools.product(range(alg.dim), repeat=3)
-    for u, v, w in triples:
+    for u, v, w in itertools.product(range(alg.dim), repeat=3):
         names = (alg.basis[u], alg.basis[v], alg.basis[w])
         rterms = {}
-        for coeff, (a, b, c) in rmap.image((v, u, w)):
-            for e, outer in reversed_sparse(alg, _e(b), _e(a), _e(c)).items():
+        for coeff, (a, b) in rmap.image((v, u)):
+            for e, outer in reversed_sparse(alg, _e(b), _e(a), _e(w)).items():
                 add_term(rterms, e, coeff, outer.items())
         diff = next(sparse_differences(product_sparse(alg, _e(u), _e(v), _e(w)), rterms), None)
         if diff is not None:
@@ -592,25 +641,9 @@ def _e(i):
     return ((i, ONE),)
 
 
-def _shifted_third_factor(dim):
-    # keeps each triple and adds a third of the one whose third factor is the
-    # next basis vector: no built R-map changes the third factor
-    return RMap(
-        dim=dim,
-        entries={
-            t: [(ONE, t), (F(1, 3), (t[0], t[1], (t[2] + 1) % dim))]
-            for t in itertools.product(range(dim), repeat=3)
-        },
-    )
-
-
 def _fixture_case(name):
     bundle = parse_algebra_file(FIXTURES / f"{name}.json")
-    return bundle.alg, bundle.resolve_rmap(), None
-
-
-def _m2a3_case(rmap, triples=None):
-    return matrix_over_a3(), rmap, triples
+    return bundle.alg, bundle.resolve_rmap()
 
 
 JACOBI_LIKE_CASES = {
@@ -618,19 +651,15 @@ JACOBI_LIKE_CASES = {
     "cross_a2z2": lambda: _fixture_case("cross_a2z2"),
     "m2a3": lambda: _fixture_case("m2a3"),
     "z22_twist": lambda: _fixture_case("z22_twist"),
-    "m2a3-identity": lambda: _m2a3_case(rmap_identity(12)),
-    "m2a3-shifted-third-factor": lambda: _m2a3_case(_shifted_third_factor(12)),
-    "m2a3-identity-reversed-subset": lambda: _m2a3_case(
-        rmap_identity(12), list(itertools.product(range(12), repeat=3))[::-5]
-    ),
+    "m2a3-identity": lambda: (matrix_over_a3(), rmap_identity(12)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(JACOBI_LIKE_CASES))
 def test_jacobi_like_equals_the_unshared_loop(case):
-    alg, rmap, triples = JACOBI_LIKE_CASES[case]()
-    expected = _unshared_jacobi_like(alg, rmap, triples)
-    rep = check_jacobi_like(alg, rmap, triples)
+    alg, rmap = JACOBI_LIKE_CASES[case]()
+    expected = _unshared_jacobi_like(alg, rmap)
+    rep = check_jacobi_like(alg, rmap)
     assert (rep.verdict, rep.exact, rep.witnesses) == (
         expected.verdict,
         expected.exact,
@@ -643,7 +672,7 @@ def test_jacobi_like_equals_the_unshared_loop(case):
 )
 def test_jacobi_like_builds_each_product_once(rmap, monkeypatch):
     # one scatter per w, read by the straight side and by the reversed side of
-    # every R-image that names it: no product is built per triple
+    # every R-image: no product is built per triple
     m = matrix_over_a3()
     expected = _unshared_jacobi_like(m, rmap)
     pair_analysis(m)._records  # the analysis's own walk is not counted here
@@ -668,14 +697,13 @@ def test_jacobi_like_builds_each_product_once(rmap, monkeypatch):
     assert rep.passed == (rmap.entries != {})
 
 
-def test_jacobi_like_reports_witnesses_in_the_order_of_the_triples():
-    # the triples are decided grouped by w, but reported in the order given
+def test_jacobi_like_reports_witnesses_in_triple_order():
+    # the triples are decided one w at a time, but reported in (u, v, w) order
     m = matrix_over_a3()
-    full = check_jacobi_like(m, rmap_identity(12))
-    failing = [tuple(m.basis_index(nm) for nm in wit.where[1:]) for wit in full.witnesses]
+    rep = check_jacobi_like(m, rmap_identity(12))
+    failing = [tuple(m.basis_index(nm) for nm in wit.where[1:]) for wit in rep.witnesses]
     assert len({t[2] for t in failing}) > 1
-    rev = check_jacobi_like(m, rmap_identity(12), triples=failing[::-1])
-    assert rev.witnesses == full.witnesses[::-1]
+    assert failing == sorted(failing)
 
 
 # -- the tensor kernel against the dense formulas -------------------------------------

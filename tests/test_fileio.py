@@ -137,13 +137,16 @@ MALFORMED_GRADINGS = {
     "order-zero": ("z22_base", lambda d: d["grading"].update(orders=[0, 2])),
     "no-orders": ("z22_base", lambda d: d["grading"].update(orders=[])),
     "short-degree": ("z22_twist", lambda d: d["grading"]["degrees"].update(g00=[1])),
+    "degree-beyond-order": ("z22_base", lambda d: d["grading"]["degrees"].update(g01=[0, 3])),
+    "negative-degree": ("z22_base", lambda d: d["grading"]["degrees"].update(g01=[-1, 0])),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_GRADINGS))
 def test_malformed_gradings_are_invalid(case, tmp_path):
-    # a group order below 1 used to divide by zero, and zip silently
-    # truncated degree tuples of the wrong length
+    # a group order below 1 used to divide by zero, zip silently truncated
+    # degree tuples of the wrong length, and a degree outside range(order)
+    # was reduced modulo the order
     fixture, mutate = MALFORMED_GRADINGS[case]
     data = json.loads((FIXTURES / f"{fixture}.json").read_text())
     mutate(data)
@@ -334,9 +337,9 @@ def test_twist_bundle_resolves_rmap():
     assert rmap is not None
     tw, grading, cocycle = klein_twist()
     i10, i01 = tw.basis_index("g10"), tw.basis_index("g01")
-    # the scalar on (g01 tensor g10 tensor anything) is c(deg g10, deg g01) = -1
-    terms = rmap.image((i01, i10, 0))
-    assert terms == [(parse_rational("-1"), (i01, i10, 0))]
+    # the scalar on g01 tensor g10 is c(deg g10, deg g01) = -1
+    terms = rmap.image((i01, i10))
+    assert terms == [(parse_rational("-1"), (i01, i10))]
 
 
 def test_cross_bundle_resolves_rmap():
@@ -344,11 +347,11 @@ def test_cross_bundle_resolves_rmap():
     rmap = bundle.resolve_rmap()
     assert rmap is not None
     cross, base, act = cross_a2_z2()
-    # R(t|g tensor t|e tensor w) = g(t)|g tensor t|e tensor w = -(t|g) tensor ...
+    # R(t|g tensor t|e) = g(t)|g tensor t|e = -(t|g tensor t|e)
     tg = cross.basis_index("t|g")
     te = cross.basis_index("t|e")
-    terms = rmap.image((tg, te, 0))
-    assert terms == [(parse_rational("-1"), (tg, te, 0))]
+    terms = rmap.image((tg, te))
+    assert terms == [(parse_rational("-1"), (tg, te))]
 
 
 def test_module_section_round_trip(tmp_path):

@@ -173,5 +173,11 @@ def test_span_functions_return_fractions_on_int_input():
     dependent = cs.insert({0: 4, 1: 11, 2: 1})
     solved = cs.solve({0: 2, 1: 7, 2: 1})
     assert dependent == (2, 1) and solved == (1, 1)
-    for entries in reduced + kernel + [dependent, solved]:
+    # over unit pivots the coordinates are ints until solve and a dependent
+    # insert densify them
+    units = CoordSpan([{0: 1}, {1: 1}])
+    over_units = [units.insert({0: 2, 1: -1}), units.solve({1: 5})]
+    assert over_units == [(2, -1), (0, 5)]
+    for entries in reduced + kernel + [dependent, solved] + over_units:
         assert all(type(x) is Fraction for x in entries), entries
+

@@ -571,6 +571,23 @@ def test_a_derivation_that_is_not_dim_by_dim_exits_2(case, tmp_path, capsys):
     assert capsys.readouterr().err == "error: the derivation is not 3x3\n"
 
 
+@pytest.mark.parametrize("degree", [[0, 3], [-1, 0]])
+def test_grading_degrees_outside_the_group_exit_2(degree, tmp_path, capsys):
+    # a degree used to be reduced modulo the order, so g01 at (0, 3) sat at
+    # (0, 1) and the file passed check --q from-cocycle
+    doc = json.loads((FIXTURES / "z22_base.json").read_text())
+    doc["grading"]["degrees"]["g01"] = degree
+    path = tmp_path / "z22_base-mutant.json"
+    path.write_text(json.dumps(doc))
+    message = f"error: degree {tuple(degree)} is outside the group of orders (2, 2)\n"
+    built = tmp_path / "built.json"
+    assert cli.main(["construct", "twist", str(path), "-o", str(built)]) == 2
+    assert capsys.readouterr().err == message
+    assert not built.exists()
+    assert cli.main(["check", str(path), "--suite", "all", "--q", "from-cocycle"]) == 2
+    assert capsys.readouterr().err == message
+
+
 def _cocycle_mutant(tmp_path, key: str) -> str:
     doc = json.loads((FIXTURES / "z22_base.json").read_text())
     doc["cocycle"]["table"][key] = "1"
