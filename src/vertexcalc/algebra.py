@@ -17,11 +17,13 @@ when commutation and order-0 weak associativity hold (`check_jacobi`), so
 they are decided by the same comparisons and no window is involved.
 
 The checks compute on nonzero entries only, from the mode index to the
-witness.  `sparse_modes`, the one mode product, walks the nonzero (k, c) of
-its arguments (a basis vector is ((i, ONE),)) through each structure's
-sparse image index.  One-variable products and the powers of D (applied
-through its sparse columns) are term dictionaries {exponent: {k: c}}; only
-a differing pair is densified.  The dense functions are wrappers over these.
+witness.  A structure stores its mode products as one sparse image index,
+which every builder and the parser hand to it directly.  `sparse_modes`, the
+one mode product, walks the nonzero (k, c) of its arguments (a basis vector
+is ((i, ONE),)) through that index.  One-variable products and the powers of
+D (applied through its sparse columns) are term dictionaries {exponent: {k:
+c}}; only a differing pair is densified.  The dense views are wrappers over
+these.
 
 Locality, skew-symmetry, weak associativity, the q-Jacobi identity and the
 module checks all read the same two-variable products Y(u,x1)Y(v,x2)w and
@@ -44,7 +46,6 @@ from typing import TYPE_CHECKING
 from .errors import CapExceeded, MalformedStructure, NonNilpotentD
 from .linalg import (
     ONE,
-    ZERO,
     CoordSpan,
     Mat,
     SparseVec,
@@ -55,7 +56,6 @@ from .linalg import (
     dense_span,
     densify,
     integral,
-    is_zero_vec,
     span_nullspace,
     support,
     unit_vec,
@@ -70,7 +70,6 @@ if TYPE_CHECKING:
     from .pairs import PairAnalysis
 
 ModeMap = dict[int, Vec]
-ModeTable = dict[tuple[int, int], ModeMap]
 ModeIndex = dict[tuple[int, int], dict[int, Support]]
 Terms = dict  # {exponent: {k: nonzero c}}, a sparse term dictionary
 
@@ -81,51 +80,41 @@ Terms = dict  # {exponent: {k: nonzero c}}, a sparse term dictionary
 # An algebra and a module store the same object: a finite table mapping
 # (acting basis index i, target basis index j) to the modes {n: (e_i)_n w_j}.
 # An algebra is its own adjoint module, so both read their table through the
-# functions below.  The dense table is the public data.  The products read a
-# sparse image index built from it once, {(i, j): {n: [(k, c), ...]}} with
-# only the nonzero coordinates c of each image, and walk only the nonzero
+# functions below.  The table is held as one sparse image index,
+# {(i, j): {n: [(k, c), ...]}} with only the nonzero coordinates c of each
+# image, which the builders and the parser hand in directly and
+# normal_index puts in one form.  The products walk only the nonzero
 # coordinates of their arguments: a product costs its nonzero terms, not a
 # test against zero for each of dim^2 coordinate pairs.
 
 
-def clean_table(table: ModeTable, dim: int, n_acting: int | None) -> ModeTable:
-    """The table with Fraction vectors and without zero modes, after index checks.
+def normal_index(index, dim: int, n_acting: int | None) -> ModeIndex:
+    """The mode index in its one stored form, after range checks.
 
-    Every zero coordinate is the shared ZERO, which table_index skips by identity.
-
-    Target indices must lie in range(dim) and acting indices in
-    range(n_acting); a module does not know its algebra and passes None.
+    index maps (i, j) to {n: (k, c) pairs}; the pairs may come in any order
+    and any iterable.  Each c goes through `integral`, zero coefficients and
+    empty modes are dropped, k comes ascending and n in input order.  Target
+    indices j and coordinates k must lie in range(dim) and acting indices i
+    in range(n_acting), each k at most once per image; a module does not
+    know its algebra and passes None.
     """
-    clean: ModeTable = {}
-    for (i, j), modes in table.items():
+    out: ModeIndex = {}
+    for (i, j), modes in index.items():
         if not (0 <= j < dim and (n_acting is None or 0 <= i < n_acting)):
             raise MalformedStructure(f"mode table indices ({i},{j}) out of range")
-        entry: ModeMap = {}
-        for n, v in modes.items():
-            if len(v) != dim:
-                raise MalformedStructure(f"vector length mismatch at ({i},{j},{n})")
-            v = tuple(
-                x if x is ZERO else (x if type(x) is Fraction else Fraction(x)) or ZERO for x in v
-            )
-            if not is_zero_vec(v):
-                entry[int(n)] = v
+        entry = {}
+        for n, img in modes.items():
+            img = sorted((k, integral(c)) for k, c in img)
+            ks = [k for k, _c in img]
+            if ks and (ks[0] < 0 or ks[-1] >= dim or len(set(ks)) < len(ks)):
+                raise MalformedStructure(
+                    f"image coordinates {ks} at ({i},{j},{n}) are not distinct in range({dim})"
+                )
+            if img := [(k, c) for k, c in img if c]:
+                entry[int(n)] = img
         if entry:
-            clean[(i, j)] = entry
-    return clean
-
-
-def table_index(table: ModeTable) -> ModeIndex:
-    """The sparse image index of a clean table: each image as its nonzero (k, c), c int if integral.
-
-    Every zero of a clean (or densified) table is the shared ZERO.
-    """
-    return {
-        key: {
-            n: [(k, integral(c)) for k, c in enumerate(v) if c is not ZERO]
-            for n, v in modes.items()
-        }
-        for key, modes in table.items()
-    }
+            out[(i, j)] = entry
+    return out
 
 
 def sparse_modes(index: ModeIndex, su: Support, sw: Support) -> dict[int, SparseVec]:
@@ -149,51 +138,25 @@ def dense_terms(terms: Terms, dim: int) -> dict:
     return {e: densify(v, dim) for e, v in terms.items()}
 
 
-def table_apply(index: ModeIndex, u: Vec, n: int, w: Vec) -> Vec:
-    """The single mode u_n w."""
-    return densify(sparse_modes(index, support(u), support(w)).get(n, {}), len(w))
-
-
-def table_mode_map(index: ModeIndex, u: Vec, w: Vec) -> ModeMap:
-    """All modes of Y(u, x)w as a finite {n: vector} dictionary, in (i, j, n) order."""
-    return dense_terms(sparse_modes(index, support(u), support(w)), len(w))
-
-
-def table_exp_radius(table: ModeTable) -> int:
-    """Largest |x-exponent| appearing in the table, and at least 1."""
-    r = 1
-    for modes in table.values():
-        for n in modes:
-            r = max(r, abs(-n - 1))
-    return r
-
-
-def table_matrix(index: ModeIndex, dim: int, u: Vec, n: int) -> Mat:
-    """Matrix of w -> u_n w in the target basis."""
-    cols = [table_apply(index, u, n, unit_vec(dim, j)) for j in range(dim)]
-    return tuple(tuple(col[r] for col in cols) for r in range(dim))
-
-
 @dataclass
 class AlgebraStructure:
     """Finite basis, vacuum index, and mode products (e_i)_n e_j.
 
-    y_data maps (i, j) to a finite {n: vector} dictionary; missing entries
-    are zero.  `assoc_variant` records which associativity flavor the source
-    construction guarantees ("strong": the order depends only on the outer
-    pair; "weak": it may depend on all three arguments).  `mode_index` is
-    the sparse image index of y_data, built once; the products read it, and
-    nothing changes y_data after construction.  `_pairs` holds the pair
-    analysis (vertexcalc.pairs), built on first use and kept for the
-    structure's lifetime.
+    mode_index maps (i, j) to the modes {n: nonzero (k, c) of (e_i)_n e_j},
+    missing entries are zero; the constructor puts it in normal form
+    (normal_index), the products read it, and nothing changes it after
+    construction.  `assoc_variant` records which associativity flavor the
+    source construction guarantees ("strong": the order depends only on the
+    outer pair; "weak": it may depend on all three arguments).  `_pairs`
+    holds the pair analysis (vertexcalc.pairs), built on first use and kept
+    for the structure's lifetime.
     """
 
     basis: tuple[str, ...]
     vacuum: int
-    y_data: ModeTable
+    mode_index: ModeIndex
     assoc_variant: str = "strong"
     meta: dict = field(default_factory=dict)
-    mode_index: ModeIndex = field(init=False, repr=False, compare=False)
     _pairs: PairAnalysis | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -202,8 +165,7 @@ class AlgebraStructure:
             raise MalformedStructure("empty basis")
         if not (0 <= self.vacuum < len(self.basis)):
             raise MalformedStructure("vacuum index out of range")
-        self.y_data = clean_table(self.y_data, self.dim, self.dim)
-        self.mode_index = table_index(self.y_data)
+        self.mode_index = normal_index(self.mode_index, self.dim, self.dim)
 
     # -- basic access ---------------------------------------------------------
 
@@ -223,34 +185,31 @@ class AlgebraStructure:
     def unit(self, i: int) -> Vec:
         return unit_vec(self.dim, i)
 
-    def product(self, i: int, n: int, j: int) -> Vec:
-        return self.y_data.get((i, j), {}).get(n, zero_vec(self.dim))
-
     def mode_bounds(self) -> tuple[int, int]:
         """Global [n_min, n_max] over all stored mode products."""
         lo, hi = -1, -1
-        for modes in self.y_data.values():
+        for modes in self.mode_index.values():
             for n in modes:
                 lo = min(lo, n)
                 hi = max(hi, n)
         return lo, hi
 
-    # -- the mode table ---------------------------------------------------------
-
-    def apply_mode(self, u: Vec, n: int, v: Vec) -> Vec:
-        return table_apply(self.mode_index, u, n, v)
+    # -- dense views ------------------------------------------------------------
 
     def mode_map(self, u: Vec, v: Vec) -> ModeMap:
-        """All modes of Y(u, x)v as a finite {n: vector} dictionary."""
-        return table_mode_map(self.mode_index, u, v)
+        """All modes of Y(u, x)v as a finite {n: vector} dictionary, in (i, j, n) order."""
+        return dense_terms(sparse_modes(self.mode_index, support(u), support(v)), len(v))
 
     def exp_radius(self) -> int:
-        """Largest |x-exponent| appearing in any basis mode product."""
-        return table_exp_radius(self.y_data)
+        """Largest |x-exponent| appearing in any basis mode product, and at least 1."""
+        lo, hi = self.mode_bounds()
+        return max(1, -lo - 1, hi + 1)
 
     def mode_matrix(self, u: Vec, n: int) -> Mat:
         """Matrix of w -> u_n w in the algebra basis."""
-        return table_matrix(self.mode_index, self.dim, u, n)
+        su = support(u)
+        cols = [sparse_modes(self.mode_index, su, ((j, ONE),)).get(n, {}) for j in range(self.dim)]
+        return tuple(zip(*(densify(col, self.dim) for col in cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +383,12 @@ def validate_structure(alg: AlgebraStructure) -> CheckReport:
     # wrong mode is one witness.
     keys = [(vac, j, j) for j in range(dim)] + [(i, vac, i) for i in range(dim) if i != vac]
     for a, b, k in keys:
-        modes = alg.y_data.get((a, b), {})
+        modes = alg.mode_index.get((a, b), {})
         for n in sorted({n for n in modes if a == vac or n >= 0} | {-1}):
-            expect = alg.unit(k) if n == -1 else zero_vec(dim)
-            got = modes.get(n, zero_vec(dim))
-            if got != expect:
-                report.fail(Witness((alg.basis[a], alg.basis[b]), (n,), got, expect))
+            got = dict(modes.get(n, ()))
+            if got != ({k: 1} if n == -1 else {}):
+                expect = alg.unit(k) if n == -1 else zero_vec(dim)
+                report.fail(Witness((alg.basis[a], alg.basis[b]), (n,), densify(got, dim), expect))
     return report
 
 
@@ -545,7 +504,7 @@ def find_locality_k(
 
 def truncation_order(alg: AlgebraStructure, u_idx: int, v_idx: int) -> int:
     """Least k >= 0 with x^k Y(u,x)v free of negative powers."""
-    modes = alg.y_data.get((u_idx, v_idx), {})
+    modes = alg.mode_index.get((u_idx, v_idx), {})
     if not modes:
         return 0
     return max(0, max(modes) + 1)
@@ -746,18 +705,3 @@ def localizer(alg: AlgebraStructure, targets: list[Vec]) -> list[Vec]:
                 for r, c in img.items():
                     conditions.setdefault((t, m, r), {})[i] = c
     return span_nullspace(CoordSpan(conditions.values()), alg.dim)
-
-
-def subspace_is_subalgebra(alg: AlgebraStructure, rows: list[Vec]) -> CheckReport:
-    """Verify a subspace contains the vacuum and is closed under all modes."""
-    report = CheckReport("subalgebra-closure")
-    span = dense_span(rows)
-    if span.residue({alg.vacuum: ONE}):
-        report.fail(Witness(("vacuum",), None, "missing", "vacuum in span"))
-    echelon = [row.items() for _p, row in span.echelon()]
-    for a in echelon:
-        for b in echelon:
-            for n, w in sparse_modes(alg.mode_index, a, b).items():
-                if span.residue(w):
-                    report.fail(Witness(("closure",), (n,), densify(w, alg.dim), "inside span"))
-    return report

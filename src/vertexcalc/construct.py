@@ -23,7 +23,6 @@ from itertools import product as iproduct
 from .algebra import (
     AlgebraStructure,
     ModeIndex,
-    ModeTable,
     Terms,
     add_term,
     d_sparse,
@@ -52,7 +51,6 @@ from .linalg import (
     sparse_columns,
     support,
     unit_vec,
-    vec_scale,
     zero_mat,
 )
 from .pairs import pair_analysis
@@ -144,16 +142,15 @@ def from_assoc_with_derivation(data: AssocAlgebraData) -> AlgebraStructure:
     automorphism.
     """
     data.validate()
-    dim = data.dim
-    y_data: ModeTable = {}
-    for i in range(dim):
+    index: ModeIndex = {}
+    for i in range(data.dim):
         powers = exp_sparse(data.columns, ((i, ONE),))  # {m: d^m e_i / m!}
-        for j in range(dim):
+        for j in range(data.dim):
             products = {-1 - m: data.product(dv.items(), ((j, ONE),)) for m, dv in powers.items()}
-            if modes := {n: densify(w, dim) for n, w in products.items() if w}:
-                y_data[(i, j)] = modes
+            if modes := {n: w.items() for n, w in products.items() if w}:
+                index[(i, j)] = modes
     meta = {"source": "assoc-with-derivation"}
-    return AlgebraStructure(data.basis, data.identity, y_data, meta=meta)
+    return AlgebraStructure(data.basis, data.identity, index, meta=meta)
 
 
 class _MatrixBasis:
@@ -243,18 +240,18 @@ def full_matrix_algebra(n: int) -> AlgebraStructure:
 
 def table_tensor(
     index_a: ModeIndex, index_b: ModeIndex, acting_b: int, dim_a: int, dim_b: int
-) -> ModeTable:
-    """The mode table of the tensor formula, read off two sparse image indices.
+) -> ModeIndex:
+    """The mode index of the tensor formula, read off two sparse image indices.
 
     The targets have dimensions dim_a and dim_b; acting_b is the size of the
     second acting basis.  The x-exponents add, (-na-1) + (-nb-1) = -n-1, so
     modes na and nb meet at n = na + nb + 1; image coordinates ra and rb
     multiply into slot ra*dim_b + rb, and the key ((i, j), (k, l)) packs as
     (i*acting_b + k, j*dim_b + l).  Each mode is accumulated on its nonzero
-    coordinates, modes that cancel are dropped, and the rest are densified once.
+    coordinates and modes that cancel are dropped; the structure constructor
+    puts the accumulators in normal form (algebra.normal_index).
     """
-    dim = dim_a * dim_b
-    table: ModeTable = {}
+    table: ModeIndex = {}
     for (i, j), modes_a in index_a.items():
         for (k, l), modes_b in index_b.items():
             acc: dict[int, dict[int, Fraction]] = {}
@@ -263,7 +260,7 @@ def table_tensor(
                     coords = acc.setdefault(na + nb + 1, {})
                     for ra, ca in img_a:
                         add_scaled(coords, ca, [(ra * dim_b + rb, cb) for rb, cb in img_b])
-            modes = {n: densify(coords, dim) for n, coords in acc.items() if coords}
+            modes = {n: coords.items() for n, coords in acc.items() if coords}
             if modes:
                 table[(i * acting_b + k, j * dim_b + l)] = modes
     return table
@@ -278,7 +275,7 @@ def tensor_product(factors: list[AlgebraStructure]) -> AlgebraStructure:
         out = AlgebraStructure(
             basis=tuple(f"{x}*{y}" for x in out.basis for y in b.basis),
             vacuum=out.vacuum * b.dim + b.vacuum,
-            y_data=table_tensor(out.mode_index, b.mode_index, b.dim, out.dim, b.dim),
+            mode_index=table_tensor(out.mode_index, b.mode_index, b.dim, out.dim, b.dim),
             meta={"source": "tensor", "factor_dims": (out.dim, b.dim)},
         )
     return out
@@ -297,7 +294,7 @@ def matrix_algebra(alg: AlgebraStructure, n: int) -> AlgebraStructure:
     return AlgebraStructure(
         basis=tuple(f"{v}*{m}" for v in alg.basis for m in mb.names),
         vacuum=alg.vacuum * mb.dim,
-        y_data=table_tensor(alg.mode_index, mb.product_index(), mb.dim, alg.dim, mb.dim),
+        mode_index=table_tensor(alg.mode_index, mb.product_index(), mb.dim, alg.dim, mb.dim),
         meta={
             "source": "matrix-over",
             "matrix_size": n,
@@ -397,14 +394,14 @@ def cocycle_twist(
     """Rescale every mode product by the cocycle value of the degrees."""
     validate_grading(alg, grading)
     cocycle.validate()
-    y_data: dict[tuple[int, int], dict[int, Vec]] = {}
-    for (i, j), modes in alg.y_data.items():
+    index: ModeIndex = {}
+    for (i, j), modes in alg.mode_index.items():
         eps = cocycle.value(grading.degrees[i], grading.degrees[j])
-        y_data[(i, j)] = {n: vec_scale(eps, w) for n, w in modes.items()}
+        index[(i, j)] = {n: [(k, eps * c) for k, c in img] for n, img in modes.items()}
     return AlgebraStructure(
         basis=alg.basis,
         vacuum=alg.vacuum,
-        y_data=y_data,
+        mode_index=index,
         meta={"source": "cocycle-twist", "base": alg.meta.get("source")},
     )
 
@@ -508,7 +505,7 @@ def cross_product(alg: AlgebraStructure, act: GroupActionData) -> AlgebraStructu
     dim = alg.dim
     cols = act.columns()
     # for each g: the index (u, v) -> Y(u, x)g(v) tensor left multiplication by g
-    y_data: ModeTable = {}
+    index: ModeIndex = {}
     for g in range(ng):
         twisted = {
             (i, j): {n: list(w.items()) for n, w in modes.items()}
@@ -517,11 +514,11 @@ def cross_product(alg: AlgebraStructure, act: GroupActionData) -> AlgebraStructu
             if (modes := sparse_modes(alg.mode_index, ((i, ONE),), cols[g][j]))
         }
         left = {(g, h): {-1: [(act.table[(g, h)], 1)]} for h in range(ng)}
-        y_data.update(table_tensor(twisted, left, ng, dim, ng))
+        index.update(table_tensor(twisted, left, ng, dim, ng))
     return AlgebraStructure(
         basis=tuple(f"{v}|{g}" for v in alg.basis for g in act.elements),
         vacuum=alg.vacuum * ng + act.identity,
-        y_data=y_data,
+        mode_index=index,
         assoc_variant="weak",
         meta={
             "source": "cross-product",

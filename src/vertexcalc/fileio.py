@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import AlgebraStructure
+from .algebra import AlgebraStructure, ModeIndex
 from .construct import (
     AssocAlgebraData,
     CocycleData,
@@ -28,7 +28,7 @@ from .construct import (
     rmap_tensor_swap,
 )
 from .errors import OutputError, ParseError, ValidationError
-from .linalg import ZERO, Mat, Vec
+from .linalg import Mat, Support, Vec, densify
 from .modules import ModuleStructure
 from .operators import VertexOperator
 
@@ -50,17 +50,23 @@ def format_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _vec_from_sparse(data: dict, names: tuple[str, ...], what: str) -> Vec:
-    out = [ZERO] * len(names)
+def _coords(data: dict, index: dict[str, int], what: str) -> Support:
+    """The (k, c) pairs of a sparse {basis name: rational} object, in file order."""
+    out = []
     for name, val in data.items():
-        if name not in names:
+        if name not in index:
             raise ValidationError(f"{what}: unknown basis name {name!r}")
-        out[names.index(name)] = parse_rational(val)
-    return tuple(out)
+        out.append((index[name], parse_rational(val)))
+    return out
 
 
-def _sparse_from_vec(v: Vec, names: tuple[str, ...]) -> dict:
-    return {names[i]: format_rational(c) for i, c in enumerate(v) if c != 0}
+def _vec_from_sparse(data: dict, index: dict[str, int], what: str) -> Vec:
+    """A sparse {basis name: rational} object as a dense vector, as AssocAlgebraData reads it."""
+    return densify(dict(_coords(data, index, what)), len(index))
+
+
+def _sparse_from_coords(img: Support, names: tuple[str, ...]) -> dict:
+    return {names[k]: format_rational(c) for k, c in img}
 
 
 def _mat_from_rows(rows) -> Mat:
@@ -124,31 +130,29 @@ def parse_algebra_data(data: dict, name: str = "") -> AlgebraBundle:
             raise ParseError("basis must be a list of names")
         basis = tuple(str(x) for x in data["basis"])
         vacuum_name = data["vacuum"]
-        if len(set(basis)) != len(basis):
-            raise ParseError("duplicate basis names")
+        index = _name_index(basis, "basis")
         if "dim" in data and _json_int(data["dim"]) != len(basis):
             raise ParseError("declared dim disagrees with the basis length")
         if vacuum_name not in basis:
             raise ValidationError(f"vacuum {vacuum_name!r} is not a basis name")
-        index = {nm: i for i, nm in enumerate(basis)}
 
         section = "entries"
-        y_data: dict[tuple[int, int], dict[int, Vec]] = {}
+        mode_index: ModeIndex = {}
         for entry in data.get("entries", []):
             u, v, n = entry["u"], entry["v"], _json_int(entry["n"])
             result = entry["result"]
             if u not in index or v not in index:
                 raise ValidationError(f"entry references unknown basis name: {entry!r}")
             what = f"entry ({u},{v},{n})"
-            vec = _vec_from_sparse(result, basis, what)
-            _put_once(y_data.setdefault((index[u], index[v]), {}), n, vec, what)
+            img = _coords(result, index, what)
+            _put_once(mode_index.setdefault((index[u], index[v]), {}), n, img, what)
 
         section = "variant"
         variant = data.get("variant", "strong")
         if variant not in ("strong", "weak"):
             raise ParseError(f"unknown associativity variant {variant!r}")
         alg = AlgebraStructure(
-            basis=basis, vacuum=index[vacuum_name], y_data=y_data, assoc_variant=variant
+            basis=basis, vacuum=index[vacuum_name], mode_index=mode_index, assoc_variant=variant
         )
         bundle = AlgebraBundle(alg=alg, name=name or data.get("name", ""))
 
@@ -195,10 +199,11 @@ def parse_algebra_data(data: dict, name: str = "") -> AlgebraBundle:
             section = "assoc"
             a = data["assoc"]
             a_basis = tuple(str(x) for x in a["basis"])
+            a_index = _name_index(a_basis, "assoc basis")
             table = {}
             for i, row in enumerate(a["table"]):
                 for j, cell in enumerate(row):
-                    table[(i, j)] = _vec_from_sparse(cell, a_basis, f"assoc ({i},{j})")
+                    table[(i, j)] = _vec_from_sparse(cell, a_index, f"assoc ({i},{j})")
             bundle.assoc = AssocAlgebraData(
                 basis=a_basis,
                 table=table,
@@ -210,16 +215,16 @@ def parse_algebra_data(data: dict, name: str = "") -> AlgebraBundle:
             section = "module"
             m = data["module"]
             w_basis = tuple(str(x) for x in m["basis"])
-            w_index = {nm: i for i, nm in enumerate(w_basis)}
-            action: dict[tuple[int, int], dict[int, Vec]] = {}
+            w_index = _name_index(w_basis, "module basis")
+            action: ModeIndex = {}
             for entry in m.get("entries", []):
                 v, w, n = entry["v"], entry["w"], _json_int(entry["n"])
                 if v not in index or w not in w_index:
                     raise ValidationError(f"module entry references unknown name: {entry!r}")
                 what = f"module entry ({v},{w},{n})"
-                vec = _vec_from_sparse(entry["result"], w_basis, what)
-                _put_once(action.setdefault((index[v], w_index[w]), {}), n, vec, what)
-            bundle.module = ModuleStructure(basis=w_basis, action=action)
+                img = _coords(entry["result"], w_index, what)
+                _put_once(action.setdefault((index[v], w_index[w]), {}), n, img, what)
+            bundle.module = ModuleStructure(basis=w_basis, mode_index=action)
 
         if "operators" in data:
             section = "operators"
@@ -263,11 +268,19 @@ def _json_int(x) -> int:
     return x
 
 
-def _put_once(modes: dict, n: int, vec: Vec, what: str) -> None:
-    """modes[n] = vec, refusing a second entry for the same key."""
+def _name_index(names: tuple[str, ...], what: str) -> dict[str, int]:
+    """{name: position}, refusing a name that occurs twice."""
+    index = {nm: i for i, nm in enumerate(names)}
+    if len(index) != len(names):
+        raise ParseError(f"duplicate {what} names")
+    return index
+
+
+def _put_once(modes: dict, n: int, img: Support, what: str) -> None:
+    """modes[n] = img, refusing a second entry for the same key."""
     if n in modes:
         raise ValidationError(f"duplicate {what}")
-    modes[n] = vec
+    modes[n] = img
 
 
 def _rmap_spec(spec, bundle: AlgebraBundle) -> dict:
@@ -319,14 +332,14 @@ def parse_algebra_file(path: str | Path) -> AlgebraBundle:
 
 def algebra_to_data(alg: AlgebraStructure, sections: dict | None = None) -> dict:
     entries = []
-    for (i, j), modes in sorted(alg.y_data.items()):
-        for n, vec in sorted(modes.items()):
+    for (i, j), modes in sorted(alg.mode_index.items()):
+        for n, img in sorted(modes.items()):
             entries.append(
                 {
                     "u": alg.basis[i],
                     "v": alg.basis[j],
                     "n": n,
-                    "result": _sparse_from_vec(vec, alg.basis),
+                    "result": _sparse_from_coords(img, alg.basis),
                 }
             )
     data = {
@@ -368,14 +381,14 @@ def group_section(act: GroupActionData, base_basis: tuple[str, ...]) -> dict:
 
 def module_section(mod: ModuleStructure, alg: AlgebraStructure) -> dict:
     entries = []
-    for (i, j), modes in sorted(mod.action.items()):
-        for n, vec in sorted(modes.items()):
+    for (i, j), modes in sorted(mod.mode_index.items()):
+        for n, img in sorted(modes.items()):
             entries.append(
                 {
                     "v": alg.basis[i],
                     "w": mod.basis[j],
                     "n": n,
-                    "result": _sparse_from_vec(vec, mod.basis),
+                    "result": _sparse_from_coords(img, mod.basis),
                 }
             )
     return {"basis": list(mod.basis), "entries": entries}

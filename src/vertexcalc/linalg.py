@@ -118,10 +118,6 @@ def vec_scale(c, v: Vec) -> Vec:
     return tuple(c * x for x in v)
 
 
-def mat(rows: Iterable[Iterable]) -> Mat:
-    return tuple(vec(r) for r in rows)
-
-
 def zero_mat(nrows: int, ncols: int | None = None) -> Mat:
     ncols = nrows if ncols is None else ncols
     return tuple(zero_vec(ncols) for _ in range(nrows))
@@ -133,10 +129,6 @@ def identity_mat(n: int) -> Mat:
 
 def is_zero_mat(m: Mat) -> bool:
     return all(is_zero_vec(r) for r in m)
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(vec_add(x, y) for x, y in zip(a, b))
 
 
 def mat_scale(c, m: Mat) -> Mat:
@@ -201,7 +193,7 @@ class CoordSpan:
     def dim(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, v: SparseVec) -> tuple[SparseVec, SparseVec]:
+    def reduce(self, v: SparseVec) -> tuple[SparseVec, SparseVec]:
         """(v minus its span component, that component's sparse coordinates over the reps)."""
         w = {k: x for k, x in v.items() if x}
         combo: SparseVec = {}
@@ -213,16 +205,16 @@ class CoordSpan:
 
     def residue(self, v: SparseVec) -> SparseVec:
         """v minus its span component: empty exactly when v is a member."""
-        return self._reduce(v)[0]
+        return self.reduce(v)[0]
 
     def solve(self, v: SparseVec) -> Vec | None:
         """Coordinates of v over the reps, or None if v is outside the span."""
-        w, combo = self._reduce(v)
+        w, combo = self.reduce(v)
         return None if w else densify(combo, self.dim)
 
     def insert(self, v: SparseVec) -> Vec | None:
         """Add v as a new rep if independent; returns coords when dependent."""
-        w, combo = self._reduce(v)
+        w, combo = self.reduce(v)
         if not w:
             return densify(combo, self.dim)
         pivot = min(w)

@@ -26,32 +26,17 @@ from fractions import Fraction
 from .algebra import (
     AlgebraStructure,
     ModeIndex,
-    ModeMap,
-    ModeTable,
-    clean_table,
     d_columns,
     find_locality_k,
     mode_derivative,
+    normal_index,
     sparse_modes,
     spin,
-    table_apply,
-    table_exp_radius,
-    table_index,
-    table_matrix,
-    table_mode_map,
     term_differences,
 )
 from .construct import _MatrixBasis, matrix_algebra, table_tensor, tensor_product
 from .errors import MalformedStructure
-from .linalg import (
-    ONE,
-    CoordSpan,
-    Mat,
-    Vec,
-    densify,
-    integral,
-    support,
-)
+from .linalg import ONE, CoordSpan, Vec, densify, integral, support
 from .pairs import PairAnalysis, pair_analysis
 from .report import CheckReport, Witness
 
@@ -60,20 +45,19 @@ from .report import CheckReport, Witness
 class ModuleStructure:
     """Finite module basis and action modes (e_i)_n w_j, finitely supported.
 
-    The action is a mode table like an algebra's y_data, read through the
-    same table functions, with its sparse image index `mode_index` built
-    once; only the acting basis is the algebra's.  A module does not know
-    its algebra, so the acting indices are checked against it by
-    require_acting_range wherever the two meet, against `acting`, the sorted
-    acting indices the action names, found once.  `_pairs` holds the pair
-    analysis of the module under the algebra it was last checked with
-    (pairs.pair_analysis), built on first use.
+    The action is a sparse image index like an algebra's mode_index,
+    {(algebra idx, module idx): {n: nonzero (k, c)}}, put in the same normal
+    form and read through the same functions; only the acting basis is the
+    algebra's.  A module does not know its algebra, so the acting indices
+    are checked against it by require_acting_range wherever the two meet,
+    against `acting`, the sorted acting indices the action names, found
+    once.  `_pairs` holds the pair analysis of the module under the algebra
+    it was last checked with (pairs.pair_analysis), built on first use.
     """
 
     basis: tuple[str, ...]
-    action: ModeTable  # (algebra idx, module idx) -> {n: vec}
+    mode_index: ModeIndex
     meta: dict = field(default_factory=dict)
-    mode_index: ModeIndex = field(init=False, repr=False, compare=False)
     acting: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _pairs: PairAnalysis | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -81,24 +65,11 @@ class ModuleStructure:
         self.basis = tuple(self.basis)
         if not self.basis:
             raise MalformedStructure("empty module basis")
-        self.action = clean_table(self.action, self.dim, None)
-        self.mode_index = table_index(self.action)
-        self.acting = tuple(sorted({i for i, _j in self.action}))
+        self.mode_index = normal_index(self.mode_index, self.dim, None)
+        self.acting = tuple(sorted({i for i, _j in self.mode_index}))
 
     dim = AlgebraStructure.dim
     unit = AlgebraStructure.unit
-
-    def apply_mode(self, u: Vec, n: int, w: Vec) -> Vec:
-        return table_apply(self.mode_index, u, n, w)
-
-    def mode_map(self, u: Vec, w: Vec) -> ModeMap:
-        return table_mode_map(self.mode_index, u, w)
-
-    def exp_radius(self) -> int:
-        return table_exp_radius(self.action)
-
-    def mode_matrix(self, u: Vec, n: int) -> Mat:
-        return table_matrix(self.mode_index, self.dim, u, n)
 
 
 def require_acting_range(alg: AlgebraStructure, mod: ModuleStructure) -> None:
@@ -114,10 +85,7 @@ def require_acting_range(alg: AlgebraStructure, mod: ModuleStructure) -> None:
 
 def adjoint_module(alg: AlgebraStructure) -> ModuleStructure:
     """The algebra acting on itself by its own mode products."""
-    action = {key: dict(modes) for key, modes in alg.y_data.items()}
-    return ModuleStructure(
-        basis=alg.basis, action=action, meta={"source": "adjoint"}
-    )
+    return ModuleStructure(basis=alg.basis, mode_index=alg.mode_index, meta={"source": "adjoint"})
 
 
 # ---------------------------------------------------------------------------
@@ -138,17 +106,10 @@ def check_module(alg: AlgebraStructure, mod: ModuleStructure) -> CheckReport:
     dim_w = mod.dim
     # identity action
     for j in range(dim_w):
-        modes = mod.action.get((alg.vacuum, j), {})
-        expect = {n: v for n, v in modes.items()}
-        if expect.get(-1) != mod.unit(j) or any(n != -1 for n in expect):
-            report.fail(
-                Witness(
-                    ("vacuum-action", mod.basis[j]),
-                    None,
-                    expect,
-                    {-1: mod.unit(j)},
-                )
-            )
+        modes = mod.mode_index.get((alg.vacuum, j), {})
+        if modes != {-1: [(j, 1)]}:
+            got = {n: densify(dict(img), dim_w) for n, img in modes.items()}
+            report.fail(Witness(("vacuum-action", mod.basis[j]), None, got, {-1: mod.unit(j)}))
     # derivative property: Y_W(Dv, x) = d/dx Y_W(v, x)
     for i, dv in enumerate(d_columns(alg)):
         for j in range(dim_w):
@@ -192,7 +153,7 @@ def wn_module(
     mb = _MatrixBasis(n)
     return mat_alg, ModuleStructure(
         basis=tuple(f"{w}#c{c+1}" for w in mod.basis for c in range(n)),
-        action=table_tensor(mod.mode_index, mb.column_index(), mb.dim, mod.dim, n),
+        mode_index=table_tensor(mod.mode_index, mb.column_index(), mb.dim, mod.dim, n),
         meta={"source": "column-module", "n": n},
     )
 
@@ -209,7 +170,9 @@ def tensor_module(
     for alg, mod in zip(algs[1:], mods[1:]):
         mod_out = ModuleStructure(
             basis=tuple(f"{x}*{y}" for x in mod_out.basis for y in mod.basis),
-            action=table_tensor(mod_out.mode_index, mod.mode_index, alg.dim, mod_out.dim, mod.dim),
+            mode_index=table_tensor(
+                mod_out.mode_index, mod.mode_index, alg.dim, mod_out.dim, mod.dim
+            ),
             meta={"source": "tensor-module"},
         )
     return tensor_product(algs), mod_out

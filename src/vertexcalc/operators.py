@@ -41,9 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import AlgebraStructure
+from .algebra import AlgebraStructure, ModeIndex
 from .errors import InvalidArgument, MalformedStructure, NotCompatible
-from .linalg import CoordSpan, Mat, Scalar, Vec, binom, densify
+from .linalg import CoordSpan, Mat, Scalar, binom, densify
 from .modules import ModuleStructure, check_module, is_faithful
 from .report import INCONCLUSIVE, CheckReport, Witness
 
@@ -362,7 +362,7 @@ def closure(
 
     # pairwise closure verification over certified or probed mode ranges
     certified = True
-    y_data: dict[tuple[int, int], dict[int, Vec]] = {}
+    index: ModeIndex = {}
     for i, alpha in enumerate(ops):
         for j, beta in enumerate(ops):
             lo_cert, hi_cert = certified_nonzero_range(alpha, beta, local_products)
@@ -378,13 +378,13 @@ def closure(
                 notes.append(
                     f"pair ({i},{j}) has no certified mode ceiling; probed to {hi_cert}"
                 )
-            modes: dict[int, Vec] = {}
+            modes = {}
             for n in range(lo_cert, hi_cert + 1):
                 prod = product(alpha, beta, n)
                 if prod.is_zero():
                     continue
-                sol = coords.solve(_fingerprint(prod))
-                if sol is None:
+                escape, sol = coords.reduce(_fingerprint(prod))
+                if escape:
                     return ClosureResult(
                         OperatorSpan(ops, coords),
                         None,
@@ -397,9 +397,9 @@ def closure(
                             "escapes the span"
                         ],
                     )
-                modes[n] = sol
+                modes[n] = sol.items()
             if modes:
-                y_data[(i, j)] = modes
+                index[(i, j)] = modes
     raw_names = [
         "1_W" if k == 0 else (op.name or f"op{k}") for k, op in enumerate(ops)
     ]
@@ -415,7 +415,7 @@ def closure(
     structure = AlgebraStructure(
         basis=tuple(named),
         vacuum=0,
-        y_data=y_data,
+        mode_index=index,
         meta={"source": "operator-closure"},
     )
     return ClosureResult(
@@ -435,7 +435,7 @@ def closure_module(result: ClosureResult) -> ModuleStructure:
     ops = result.span.operators
     dim_w = ops[0].dim
     basis = tuple(f"w{j+1}" for j in range(dim_w))
-    action: dict[tuple[int, int], dict[int, Vec]] = {}
+    action: ModeIndex = {}
     for i, op in enumerate(ops):
         for nn, rows in op.rows.items():
             cols: dict[int, dict[int, Scalar]] = {}
@@ -443,8 +443,8 @@ def closure_module(result: ClosureResult) -> ModuleStructure:
                 for j, x in row.items():
                     cols.setdefault(j, {})[r] = x
             for j in sorted(cols):
-                action.setdefault((i, j), {})[nn] = densify(cols[j], dim_w)
-    return ModuleStructure(basis=basis, action=action, meta={"source": "closure"})
+                action.setdefault((i, j), {})[nn] = cols[j].items()
+    return ModuleStructure(basis=basis, mode_index=action, meta={"source": "closure"})
 
 
 def verify_module_structure(result: ClosureResult) -> CheckReport:

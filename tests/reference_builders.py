@@ -5,19 +5,22 @@ Leibniz and nilpotency checks on it, and `from_assoc_with_derivation` the
 factorial loop that built e^{xd} e_i by dense matrix-vector products.
 `validate_action` is the dense automorphism check through `mode_map`,
 `cross_product` builds the twisted table Y(u,x)g(v) densely and turns it
-sparse again with `table_index`, and `rmap_cross_abelian` applies each
-group element to unit vectors with `mat_vec`.  The library built its
-examples this way before the builders moved onto `sparse_modes`,
-`exp_sparse` and sparse columns; the code is kept here, unchanged, as their
-oracle, except that `rmap_cross_abelian` keys its images by basis pairs
-since the R-map became an endomorphism of V ⊗ V.
+sparse again, and `rmap_cross_abelian` applies each group element to unit
+vectors with `mat_vec`.  The library built its examples this way before the
+builders moved onto `sparse_modes`, `exp_sparse` and sparse columns; the
+code is kept here, unchanged, as their oracle, except that
+`rmap_cross_abelian` keys its images by basis pairs since the R-map became
+an endomorphism of V ⊗ V, and that the dense tables reach the structures
+through `index_from_dense` since they store only their sparse index.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from vertexcalc.algebra import AlgebraStructure, ModeTable, table_index
+from reference_tables import index_from_dense
+
+from vertexcalc.algebra import AlgebraStructure
 from vertexcalc.construct import AssocAlgebraData, GroupActionData, RMap, table_tensor
 from vertexcalc.errors import MalformedStructure, NonNilpotentD, NotADerivation, NotAnAutomorphism
 from vertexcalc.linalg import (
@@ -98,7 +101,7 @@ def from_assoc_with_derivation(data: AssocAlgebraData) -> AlgebraStructure:
     return AlgebraStructure(
         basis=data.basis,
         vacuum=data.identity,
-        y_data=y_data,
+        mode_index=index_from_dense(y_data, dim),
         meta={"source": "assoc-with-derivation"},
     )
 
@@ -131,7 +134,7 @@ def cross_product(alg: AlgebraStructure, act: GroupActionData) -> AlgebraStructu
     ng = len(act.elements)
     dim = alg.dim
     # for each g: the table (u, v) -> Y(u, x)g(v) tensor left multiplication by g
-    y_data: ModeTable = {}
+    index = {}
     for g in range(ng):
         twisted = {
             (i, j): alg.mode_map(alg.unit(i), mat_vec(act.action[g], alg.unit(j)))
@@ -139,11 +142,11 @@ def cross_product(alg: AlgebraStructure, act: GroupActionData) -> AlgebraStructu
             for j in range(dim)
         }
         left = {(g, h): {-1: [(act.table[(g, h)], 1)]} for h in range(ng)}
-        y_data.update(table_tensor(table_index(twisted), left, ng, dim, ng))
+        index.update(table_tensor(index_from_dense(twisted, dim), left, ng, dim, ng))
     return AlgebraStructure(
         basis=tuple(f"{v}|{g}" for v in alg.basis for g in act.elements),
         vacuum=alg.vacuum * ng + act.identity,
-        y_data=y_data,
+        mode_index=index,
         assoc_variant="weak",
         meta={
             "source": "cross-product",

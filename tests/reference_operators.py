@@ -18,6 +18,8 @@ distributions:
 
 from fractions import Fraction
 
+from reference_tables import index_from_dense, mode_matrix, table_of
+
 from vertexcalc.algebra import Terms, add_term, term_differences
 from vertexcalc.errors import MalformedStructure
 from vertexcalc.linalg import binom, mat_mul, mat_scale, mat_vec, support
@@ -150,9 +152,10 @@ def check_prop_assoc(a, b, w):
 
 def dense_operator_from_structure(alg, v_idx, mod=None):
     """The image of a basis vector, built from dense mode matrices."""
-    act, table = (alg, alg.y_data) if mod is None else (mod, mod.action)
+    act = alg if mod is None else mod
+    table = table_of(act)
     ns = sorted({n for (i, _j), m in table.items() if i == v_idx for n in m})
-    modes = {n: act.mode_matrix(alg.unit(v_idx), n) for n in ns}
+    modes = {n: mode_matrix(act, alg.unit(v_idx), n) for n in ns}
     return VertexOperator(act.dim, modes, name=alg.basis[v_idx])
 
 
@@ -170,4 +173,6 @@ def dense_closure_module(result):
                 col = tuple(mat_c[r][j] for r in range(dim_w))
                 if any(x != 0 for x in col):
                     action.setdefault((i, j), {})[nn] = col
-    return ModuleStructure(basis=basis, action=action, meta={"source": "closure"})
+    return ModuleStructure(
+        basis=basis, mode_index=index_from_dense(action, dim_w), meta={"source": "closure"}
+    )

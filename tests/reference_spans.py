@@ -10,11 +10,14 @@ keeps the dense formulas it replaced, sharing no code with it:
 - the saturation loops for generated submodules and subalgebras: every
   round applies every mode to every row of a dense span;
 - `dense_stabilizer`, `dense_localizer` and `dense_subspace_is_subalgebra`,
-  which collect dense condition rows, with modes applied through the public
-  apply_mode and mode_map and e^{xD} by dense matrix iteration.
+  which collect dense condition rows, with modes applied through the dense
+  views apply_mode and mode_map and e^{xD} by dense matrix iteration.
 """
 
 from fractions import Fraction
+from functools import partial
+
+from reference_tables import apply_mode, product, table_of
 
 from vertexcalc.errors import CapExceeded
 from vertexcalc.linalg import ZERO, is_zero_vec, mat_vec, zero_vec
@@ -133,9 +136,9 @@ def _saturate(span, dim, acting, apply_mode):
 
 def dense_generate_submodule(alg, mod, start):
     """Row-reduced basis of the submodule generated by start."""
-    modes = sorted({n for mm in mod.action.values() for n in mm})
+    modes = sorted({n for mm in table_of(mod).values() for n in mm})
     acting = [(alg.unit(i), modes) for i in range(alg.dim)]
-    return _saturate(SpanBasis([start]), mod.dim, acting, mod.apply_mode)
+    return _saturate(SpanBasis([start]), mod.dim, acting, partial(apply_mode, mod))
 
 
 def dense_generate_subalgebra(alg, generators):
@@ -145,15 +148,15 @@ def dense_generate_subalgebra(alg, generators):
         modes = set()
         for i, c in enumerate(g):
             if c != 0:
-                for (a, _b), mm in alg.y_data.items():
+                for (a, _b), mm in table_of(alg).items():
                     if a == i:
                         modes.update(mm)
         acting.append((g, sorted(modes)))
-    return _saturate(SpanBasis([alg.vacuum_vec()]), alg.dim, acting, alg.apply_mode)
+    return _saturate(SpanBasis([alg.vacuum_vec()]), alg.dim, acting, partial(apply_mode, alg))
 
 
 def _all_modes(alg):
-    return sorted({n for mm in alg.y_data.values() for n in mm})
+    return sorted({n for mm in table_of(alg).values() for n in mm})
 
 
 def dense_stabilizer(alg, subspace):
@@ -162,7 +165,7 @@ def dense_stabilizer(alg, subspace):
     rows = []
     for u in span.rows:
         for n in _all_modes(alg):
-            images = [span.reduce(alg.apply_mode(alg.unit(i), n, u)) for i in range(alg.dim)]
+            images = [span.reduce(apply_mode(alg, alg.unit(i), n, u)) for i in range(alg.dim)]
             for r in range(alg.dim):
                 row = tuple(images[i][r] for i in range(alg.dim))
                 if not is_zero_vec(row):
@@ -172,7 +175,7 @@ def dense_stabilizer(alg, subspace):
 
 def _dense_exp(alg, v):
     """{j: D^j v / j!} with D the dense matrix of v -> v_(-2) vacuum."""
-    cols = [alg.product(j, -2, alg.vacuum) for j in range(alg.dim)]
+    cols = [product(alg, j, -2, alg.vacuum) for j in range(alg.dim)]
     d = tuple(tuple(col[r] for col in cols) for r in range(alg.dim))
     out, cur, fact = {}, v, Fraction(1)
     while not is_zero_vec(cur):

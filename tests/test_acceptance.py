@@ -24,6 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from reference_tables import mode_map, table_of
 
 from vertexcalc.algebra import (
     check_creation_exponential,
@@ -214,11 +215,12 @@ def test_criterion_5_cocycle_twist():
 def test_criterion_6_matrix_tensor_identification():
     m2a3 = matrix_over_a3()
     tens = tensor_product([truncated_poly_3(), full_matrix_algebra(2)])
+    m2a3_table, tens_table = table_of(m2a3), table_of(tens)
     tables_ok = (
         m2a3.basis == tens.basis
         and m2a3.vacuum == tens.vacuum
-        and set(m2a3.y_data) == set(tens.y_data)
-        and all(m2a3.y_data[k] == tens.y_data[k] for k in m2a3.y_data)
+        and set(m2a3_table) == set(tens_table)
+        and all(m2a3_table[k] == tens_table[k] for k in m2a3_table)
     )
     assoc_ok = True
     for u in range(m2a3.dim):
@@ -250,8 +252,9 @@ def test_criterion_7_cross_product():
     )
     cross_triv = cross_product(dual_numbers(), trivial)
     tens = tensor_product([dual_numbers(), group_algebra((2,))[0]])
-    triv_ok = set(cross_triv.y_data) == set(tens.y_data) and all(
-        cross_triv.y_data[k] == tens.y_data[k] for k in cross_triv.y_data
+    triv_table, tens_table = table_of(cross_triv), table_of(tens)
+    triv_ok = set(triv_table) == set(tens_table) and all(
+        triv_table[k] == tens_table[k] for k in triv_table
     )
     conclude(
         "7",
@@ -268,16 +271,18 @@ def test_criterion_8_closure():
     result = closure([yt])
     closed_ok = result.status == "closed" and result.span.rank == 3 and result.certified
     st = result.structure
-    constants_ok = set(st.y_data) == set(a3.y_data) and all(
-        st.y_data[k] == a3.y_data[k] for k in st.y_data
+    st_table, a3_table = table_of(st), table_of(a3)
+    constants_ok = set(st_table) == set(a3_table) and all(
+        st_table[k] == a3_table[k] for k in st_table
     )
     yt2 = operator_from_structure(a3, a3.basis_index("t2"))
     product_ok = nth_product(yt, yt, -1).equal(yt2)
     truncation_ok = all(nth_product(yt, yt, n).is_zero() for n in range(0, 6))
     local_result = closure([yt], local_products=True)
+    local_table = table_of(local_result.structure)
     variants_ok = local_result.status == "closed" and all(
-        local_result.structure.y_data[k] == st.y_data[k] for k in st.y_data
-    ) and set(local_result.structure.y_data) == set(st.y_data)
+        local_table[k] == st_table[k] for k in st_table
+    ) and set(local_table) == set(st_table)
     jacobi_ok = all(
         check_jacobi(st, i, j, F(1)).passed for i in range(3) for j in range(3)
     )
@@ -338,7 +343,7 @@ def test_criterion_9c_column_module_generation():
         return [
             img
             for i in range(mat_alg.dim)
-            for img in wn.mode_map(mat_alg.unit(i), w).values()
+            for img in mode_map(wn, mat_alg.unit(i), w).values()
         ]
 
     # certificate for the False entries, without generate_submodule: the

@@ -21,6 +21,15 @@ from reference_spans import (
     dense_stabilizer,
     dense_subspace_is_subalgebra,
 )
+from reference_tables import (
+    apply_mode,
+    index_from_dense,
+    mode_map,
+    mode_matrix,
+    product,
+    subspace_is_subalgebra,
+    table_of,
+)
 
 from vertexcalc.algebra import (
     AlgebraStructure,
@@ -30,7 +39,6 @@ from vertexcalc.algebra import (
     check_d_bracket,
     check_jacobi,
     check_skew_symmetry,
-    clean_table,
     d_columns,
     dense_terms,
     exp_sparse,
@@ -45,7 +53,6 @@ from vertexcalc.algebra import (
     skew_terms,
     sparse_modes,
     stabilizer,
-    subspace_is_subalgebra,
     term_differences,
     validate_structure,
     weak_assoc_triple,
@@ -118,12 +125,12 @@ def test_a3_mode_products(a3):
     # frozen from (e^{xd} a) b in Q[t]/(t^3) with d = t^2 d/dt
     t, t2 = a3.basis_index("t"), a3.basis_index("t2")
     one = a3.vacuum
-    assert a3.product(t, -1, one) == unit_vec(3, t)
-    assert a3.product(t, -2, one) == unit_vec(3, t2)
-    assert a3.product(t, -1, t) == unit_vec(3, t2)
-    assert a3.product(t, -1, t2) == (F(0),) * 3
-    assert a3.product(t2, -1, one) == unit_vec(3, t2)
-    assert a3.product(t2, -1, t) == (F(0),) * 3
+    assert product(a3, t, -1, one) == unit_vec(3, t)
+    assert product(a3, t, -2, one) == unit_vec(3, t2)
+    assert product(a3, t, -1, t) == unit_vec(3, t2)
+    assert product(a3, t, -1, t2) == (F(0),) * 3
+    assert product(a3, t2, -1, one) == unit_vec(3, t2)
+    assert product(a3, t2, -1, t) == (F(0),) * 3
 
 
 def test_validate_passes_on_fixtures(a3, ut2):
@@ -132,9 +139,9 @@ def test_validate_passes_on_fixtures(a3, ut2):
 
 
 def test_validate_rejects_vacuum_violation(a3):
-    bad = {k: dict(v) for k, v in a3.y_data.items()}
+    bad = table_of(a3)
     bad[(a3.vacuum, 1)] = {0: unit_vec(3, 1)}  # (1)_0 t = t breaks Y(1,x) = id
-    alg = AlgebraStructure(basis=a3.basis, vacuum=a3.vacuum, y_data=bad)
+    alg = AlgebraStructure(basis=a3.basis, vacuum=a3.vacuum, mode_index=index_from_dense(bad, 3))
     report = validate_structure(alg)
     assert not report.passed
     assert report.witnesses
@@ -145,11 +152,11 @@ def test_validate_reports_each_defect_once(a3):
     # the vacuum and creation loops both read (1, 1) and (1, t) at mode -1,
     # and each defect must take one of the suite's three witness slots
     one, t, t2 = a3.vacuum, a3.basis_index("t"), a3.basis_index("t2")
-    bad = {k: dict(v) for k, v in a3.y_data.items()}
+    bad = table_of(a3)
     bad[(one, t)] = {-1: unit_vec(3, t2)}
     bad[(one, one)] = {-1: unit_vec(3, t)}
     bad[(t, one)] = {**bad[(t, one)], 0: unit_vec(3, t)}
-    alg = AlgebraStructure(basis=a3.basis, vacuum=one, y_data=bad)
+    alg = AlgebraStructure(basis=a3.basis, vacuum=one, mode_index=index_from_dense(bad, 3))
     report = validate_structure(alg)
     assert [(w.where, w.exponent) for w in report.witnesses] == [
         (("one", "one"), (-1,)),
@@ -167,43 +174,81 @@ def test_validate_reports_each_defect_once(a3):
 
 
 def test_validate_rejects_creation_violation(a3):
-    bad = {k: dict(v) for k, v in a3.y_data.items()}
+    bad = table_of(a3)
     bad[(1, a3.vacuum)] = dict(bad.get((1, a3.vacuum), {}))
     bad[(1, a3.vacuum)][0] = unit_vec(3, 1)  # t_0 1 = t violates creation
-    alg = AlgebraStructure(basis=a3.basis, vacuum=a3.vacuum, y_data=bad)
+    alg = AlgebraStructure(basis=a3.basis, vacuum=a3.vacuum, mode_index=index_from_dense(bad, 3))
     assert not validate_structure(alg).passed
 
 
 def test_malformed_indices_rejected(a3):
     with pytest.raises(MalformedStructure):
-        AlgebraStructure(
-            basis=a3.basis, vacuum=0, y_data={(0, 7): {-1: unit_vec(3, 0)}}
-        )
+        table = {(0, 7): {-1: unit_vec(3, 0)}}
+        AlgebraStructure(basis=a3.basis, vacuum=0, mode_index=index_from_dense(table, 3))
 
 
 def test_empty_basis_rejected():
     with pytest.raises(MalformedStructure):
-        AlgebraStructure(basis=(), vacuum=0, y_data={})
+        AlgebraStructure(basis=(), vacuum=0, mode_index={})
+    with pytest.raises(MalformedStructure, match="empty module basis"):
+        ModuleStructure(basis=(), mode_index={})
+
+
+# (index on a three-vector basis, the refusal), each one defect away from a valid index
+_BAD_INDICES = {
+    "acting-index-3": ({(3, 0): {-1: [(0, 1)]}}, r"indices \(3,0\) out of range"),
+    "acting-index-negative": ({(-1, 0): {-1: [(0, 1)]}}, r"indices \(-1,0\) out of range"),
+    "target-index-3": ({(0, 3): {-1: [(0, 1)]}}, r"indices \(0,3\) out of range"),
+    "target-index-negative": ({(0, -1): {-1: [(0, 1)]}}, r"indices \(0,-1\) out of range"),
+    "coordinate-3": ({(0, 1): {-1: [(1, 1), (3, 2)]}}, r"coordinates \[1, 3\] at \(0,1,-1\)"),
+    "coordinate-negative": ({(0, 1): {-2: [(-1, 1)]}}, r"coordinates \[-1\] at \(0,1,-2\)"),
+    "coordinate-3-zero": ({(0, 1): {-1: [(3, 0)]}}, r"coordinates \[3\] at \(0,1,-1\)"),
+    "coordinate-repeated": (
+        {(1, 1): {0: [(2, 1), (2, -1)]}},
+        r"coordinates \[2, 2\] at \(1,1,0\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INDICES))
+def test_sparse_index_out_of_range_is_malformed(case):
+    # a coordinate outside range(dim) is the sparse form of a vector of the wrong
+    # length; a module does not know its algebra, so only its acting index passes
+    index, message = _BAD_INDICES[case]
+    with pytest.raises(MalformedStructure, match=message):
+        AlgebraStructure(basis=("one", "a", "b"), vacuum=0, mode_index=index)
+    if case.startswith("acting"):
+        mod = ModuleStructure(basis=("w0", "w1", "w2"), mode_index=index)
+        assert mod.acting == (next(iter(index))[0],)
+    else:
+        with pytest.raises(MalformedStructure, match=message):
+            ModuleStructure(basis=("w0", "w1", "w2"), mode_index=index)
 
 
 class _SubFraction(Fraction):
     pass
 
 
-def test_clean_table_keeps_clean_fractions_and_shares_zero():
-    kept, fresh_zero = F(-3, 4), F(0)
-    table = {
-        (0, 0): {-1: (F(1), fresh_zero), -2: (0, "1/2")},
-        (0, 1): {-1: (kept, ZERO), -3: (_SubFraction(2), True)},
-        (1, 1): {-1: (F(0), 0)},
+def test_normal_index_reads_every_coefficient_through_integral():
+    kept = F(-3, 4)
+    index = {
+        (0, 0): {-1: [(0, F(1)), (1, F(0))], -2: [(1, "1/2"), (0, 0)]},
+        (0, 1): {-1: [(0, kept)], -3: [(1, True), (0, _SubFraction(2))]},
+        (1, 1): {-1: [(0, F(0)), (1, 0)]},
     }
-    clean = clean_table(table, 2, 2)
-    assert clean[(0, 0)][-1][1] is ZERO  # a fresh Fraction(0) becomes the shared ZERO
-    assert clean[(0, 1)][-1][0] is kept  # a clean Fraction is not converted again
-    assert clean[(0, 0)][-2] == (ZERO, F(1, 2)) and clean[(0, 0)][-2][0] is ZERO
-    assert clean[(0, 1)][-3] == (F(2), F(1))
-    assert {type(x) for modes in clean.values() for v in modes.values() for x in v} == {Fraction}
+    clean = AlgebraStructure(("a", "b"), 0, index).mode_index
+    assert clean == {
+        (0, 0): {-1: [(0, 1)], -2: [(1, F(1, 2))]},
+        (0, 1): {-1: [(0, kept)], -3: [(0, 2), (1, 1)]},
+    }
+    assert clean[(0, 1)][-1][0][1] is kept  # a clean Fraction is not converted again
+    assert list(clean[(0, 0)]) == [-1, -2]  # modes keep their input order, k comes ascending
+    types = {type(c) for modes in clean.values() for img in modes.values() for _k, c in img}
+    assert types == {int, Fraction}  # int where integral, and no Fraction subclass
     assert (1, 1) not in clean  # a mode that is all zeros is dropped
+    # a module shares the normal form; its acting indices are checked against the algebra later
+    mod = ModuleStructure(("w",), {(5, 0): {0: [(0, "2/4")], 1: [(0, 0)]}})
+    assert mod.mode_index == {(5, 0): {0: [(0, F(1, 2))]}} and mod.acting == (5,)
 
 
 # -- the sparse mode table ------------------------------------------------------
@@ -261,18 +306,26 @@ def _probe_vectors(rng, dim, r):
     return out
 
 
+def _views(act):
+    """(mode_map, mode_matrix): an algebra's own dense views, the test-side ones of a module."""
+    if isinstance(act, AlgebraStructure):
+        return act.mode_map, act.mode_matrix
+    return functools.partial(mode_map, act), functools.partial(mode_matrix, act)
+
+
 def _assert_sparse_matches_dense(act, table, acting, targets):
+    act_mode_map, act_mode_matrix = _views(act)
     for u in acting:
         for w in targets:
-            got, ref = act.mode_map(u, w), _dense_mode_map(table, u, w)
+            got, ref = act_mode_map(u, w), _dense_mode_map(table, u, w)
             assert got == ref and list(got) == list(ref), (u, w)
             assert all(any(x != 0 for x in v) for v in got.values())
             for n in range(-5, 4):
-                assert act.apply_mode(u, n, w) == ref.get(n, tuple(F(0) for _ in w))
+                assert apply_mode(act, u, n, w) == ref.get(n, tuple(F(0) for _ in w))
         for n in range(-5, 4):
             cols = [_dense_mode_map(table, u, e).get(n, (F(0),) * act.dim)
                     for e in (unit_vec(act.dim, j) for j in range(act.dim))]
-            assert act.mode_matrix(u, n) == tuple(zip(*cols))
+            assert act_mode_matrix(u, n) == tuple(zip(*cols))
 
 
 def test_sparse_mode_table_matches_dense_formula():
@@ -282,24 +335,27 @@ def test_sparse_mode_table_matches_dense_formula():
     for dim in range(1, 7):
         for _ in range(3):
             table, r = _random_mode_table(rng, dim, dim)
-            alg = AlgebraStructure(basis=tuple(f"e{k}" for k in range(dim)), vacuum=0, y_data=table)
+            basis = tuple(f"e{k}" for k in range(dim))
+            alg = AlgebraStructure(basis=basis, vacuum=0, mode_index=index_from_dense(table, dim))
             probes = _probe_vectors(rng, dim, r)
-            _assert_sparse_matches_dense(alg, alg.y_data, probes, probes)
+            _assert_sparse_matches_dense(alg, table_of(alg), probes, probes)
             n_acting = rng.randint(2, 6)
             action, r = _random_mode_table(rng, n_acting, dim)
-            mod = ModuleStructure(basis=tuple(f"w{k}" for k in range(dim)), action=action)
+            basis = tuple(f"w{k}" for k in range(dim))
+            mod = ModuleStructure(basis=basis, mode_index=index_from_dense(action, dim))
             acting = _probe_vectors(rng, n_acting, r)
-            _assert_sparse_matches_dense(mod, mod.action, acting, _probe_vectors(rng, dim, r))
+            _assert_sparse_matches_dense(mod, table_of(mod), acting, _probe_vectors(rng, dim, r))
             # the cancelling combination leaves no mode at all, not a zero mode
             for j in range(dim):
-                assert mod.mode_map(acting[-1], unit_vec(dim, j)) == {}
+                assert mode_map(mod, acting[-1], unit_vec(dim, j)) == {}
             # mode_map hands out fresh dicts, never the stored modes
-            for act, table, n in ((alg, alg.y_data, dim), (mod, mod.action, n_acting)):
+            for act, table, n in ((alg, table_of(alg), dim), (mod, table_of(mod), n_acting)):
+                act_mode_map = _views(act)[0]
                 for (i, j), stored in table.items():
-                    modes = act.mode_map(unit_vec(n, i), unit_vec(dim, j))
+                    modes = act_mode_map(unit_vec(n, i), unit_vec(dim, j))
                     assert modes == stored
                     modes[99] = unit_vec(dim, 0)
-                    assert 99 not in act.mode_map(unit_vec(n, i), unit_vec(dim, j))
+                    assert 99 not in act_mode_map(unit_vec(n, i), unit_vec(dim, j))
 
 
 # -- the sparse term kernel against the dense formulas ----------------------------
@@ -394,9 +450,12 @@ def _kernel_cases(rng):
         for dim_m in (dim % 5 + 1, dim):
             table, r = _random_mode_table(rng, dim, dim)
             basis = tuple(f"e{k}" for k in range(dim))
-            alg = AlgebraStructure(basis=basis, vacuum=0, y_data=table)
+            alg = AlgebraStructure(basis=basis, vacuum=0, mode_index=index_from_dense(table, dim))
             action, r_m = _random_mode_table(rng, dim, dim_m)
-            mod = ModuleStructure(basis=tuple(f"w{k}" for k in range(dim_m)), action=action)
+            mod = ModuleStructure(
+                basis=tuple(f"w{k}" for k in range(dim_m)),
+                mode_index=index_from_dense(action, dim_m),
+            )
             yield alg, mod, _probe_vectors(rng, dim, r), _probe_vectors(rng, dim_m, r_m)
     poly = _truncated_poly(5)
     probes = _probe_vectors(rng, 5, F(1))
@@ -411,7 +470,8 @@ def test_term_kernel_matches_dense_formulas():
     seen = set()
     for alg, mod, acting, module_probes in _kernel_cases(rng):
         dim = alg.dim
-        for act, table, targets in ((alg, alg.y_data, acting), (mod, mod.action, module_probes)):
+        cases = ((alg, table_of(alg), acting), (mod, table_of(mod), module_probes))
+        for act, table, targets in cases:
             zero = (ZERO,) * act.dim
             for _ in range(30):
                 u, v, w = rng.choice(acting), rng.choice(acting), rng.choice(targets)
@@ -421,14 +481,14 @@ def test_term_kernel_matches_dense_formulas():
                 assert dense_terms(reversed_sparse(act, su, sv, sw), act.dim) == {
                     (e1, e2): c for (e2, e1), c in rev.items()
                 }
-                iterated = _ref_iterate(alg.y_data, table, u, v, w)
+                iterated = _ref_iterate(table_of(alg), table, u, v, w)
                 assert iterate_terms(alg, act, u, v, w) == iterated
                 for q in _QS:
                     rhs = {(e1, e2): vec_scale(q, c) for (e2, e1), c in rev.items()}
                     diffs = _ref_differences(prod, rhs, zero)
                     assert commutation_sparse(act, su, sv, sw, q) == diffs
                     seen.add(("commute", q, not diffs))
-                diffs = _ref_assoc(alg.y_data, table, u, v, w, zero)
+                diffs = _ref_assoc(table_of(alg), table, u, v, w, zero)
                 names = ("u", "v", "w")
                 got = assoc_search(alg, act, support(u), support(v), support(w), names)
                 assert (got is None) == (not diffs)
@@ -442,15 +502,15 @@ def test_term_kernel_matches_dense_formulas():
             straight = sparse_modes(alg.mode_index, support(u), support(v))
             lhs = {(-n - 1,): c for n, c in straight.items()}
             modes = sparse_modes(alg.mode_index, support(v), support(u))
-            assert dense_terms(modes, dim) == _dense_mode_map(alg.y_data, v, u)
+            assert dense_terms(modes, dim) == _dense_mode_map(table_of(alg), v, u)
             assert dense_terms(exp_sparse(cols, support(u)), dim) == _dense_exp(d, u)
             assert apply_columns(cols, u) == mat_vec(d, u)
             for q in _QS:
                 got = skew_terms(images, modes, q)
-                ref = _ref_skew(d, _dense_mode_map(alg.y_data, v, u), q)
+                ref = _ref_skew(d, _dense_mode_map(table_of(alg), v, u), q)
                 assert _nonzero_terms(dense_terms(got, dim)) == _nonzero_terms(ref)
                 rhs = {(m,): c for m, c in got.items()}
-                ref_lhs = {(-n - 1,): c for n, c in _dense_mode_map(alg.y_data, u, v).items()}
+                ref_lhs = {(-n - 1,): c for n, c in _dense_mode_map(table_of(alg), u, v).items()}
                 ref_rhs = {(m,): c for m, c in ref.items()}
                 diffs = _ref_differences(ref_lhs, ref_rhs, (ZERO,) * dim)
                 assert term_differences(lhs, rhs, dim) == diffs
@@ -498,11 +558,11 @@ def test_d_bracket_fixtures(a3, ut2):
 
 
 def test_d_bracket_detects_corruption(a3):
-    bad = {k: dict(v) for k, v in a3.y_data.items()}
+    bad = table_of(a3)
     # inject a spurious x-coefficient into Y(t,x)t: the derivative now reads t
     # while Y(D(t),x)t = Y(t2,x)t stays zero
     bad[(1, 1)] = {-1: unit_vec(3, 2), -2: unit_vec(3, 1)}
-    alg = AlgebraStructure(basis=a3.basis, vacuum=a3.vacuum, y_data=bad)
+    alg = AlgebraStructure(basis=a3.basis, vacuum=a3.vacuum, mode_index=index_from_dense(bad, 3))
     assert not check_d_bracket(alg).passed
 
 
@@ -527,7 +587,7 @@ def _dense_exp(m, v):
 
 def _d_matrix(alg):
     """Matrix of v -> v_(-2) vacuum from the dense products (column j is D e_j)."""
-    cols = [alg.product(j, -2, alg.vacuum) for j in range(alg.dim)]
+    cols = [product(alg, j, -2, alg.vacuum) for j in range(alg.dim)]
     return tuple(tuple(col[r] for col in cols) for r in range(alg.dim))
 
 
@@ -545,8 +605,8 @@ def test_sparse_d_matches_dense_matrix():
 
 def test_non_nilpotent_d_is_refused():
     # D a = a: e^{xD} a never terminates
-    y_data = {(0, 0): {-1: (1, 0)}, (0, 1): {-1: (0, 1)}, (1, 0): {-1: (0, 1), -2: (0, 1)}}
-    alg = AlgebraStructure(basis=("one", "a"), vacuum=0, y_data=y_data)
+    table = {(0, 0): {-1: (1, 0)}, (0, 1): {-1: (0, 1)}, (1, 0): {-1: (0, 1), -2: (0, 1)}}
+    alg = AlgebraStructure(basis=("one", "a"), vacuum=0, mode_index=index_from_dense(table, 2))
     with pytest.raises(NonNilpotentD):
         check_creation_exponential(alg)
 
@@ -571,9 +631,9 @@ def test_nonassociative_table_is_refuted():
     # corrupt e11 * e12 to e11: then (e11 e12) e11 = e11 while e11 (e12 e11)
     # vanishes, a constant discrepancy no power of (x0+x2) can remove
     ut2 = upper_triangular_2()
-    bad = {k: dict(v) for k, v in ut2.y_data.items()}
+    bad = table_of(ut2)
     bad[(1, 2)] = {-1: unit_vec(3, 1)}
-    alg = AlgebraStructure(basis=ut2.basis, vacuum=0, y_data=bad)
+    alg = AlgebraStructure(basis=ut2.basis, vacuum=0, mode_index=index_from_dense(bad, 3))
     r = find_weak_assoc_l(alg, 1, 1)
     assert r is not None
     assert r.where == ("e11", "e12", "e11") and r.lhs != r.rhs
@@ -585,12 +645,15 @@ def _two_dim_with_mode(n: int) -> AlgebraStructure:
     return AlgebraStructure(
         basis=("one", "a"),
         vacuum=0,
-        y_data={
-            (0, 0): {-1: unit_vec(2, 0)},
-            (0, 1): {-1: unit_vec(2, 1)},
-            (1, 0): {-1: unit_vec(2, 1)},
-            (1, 1): {n: unit_vec(2, 1)},
-        },
+        mode_index=index_from_dense(
+            {
+                (0, 0): {-1: unit_vec(2, 0)},
+                (0, 1): {-1: unit_vec(2, 1)},
+                (1, 0): {-1: unit_vec(2, 1)},
+                (1, 1): {n: unit_vec(2, 1)},
+            },
+            2,
+        ),
     )
 
 
@@ -638,14 +701,16 @@ def _series_assoc_reference(alg: AlgebraStructure, u: int, v: int, w: int):
 def _random_table(rng: random.Random) -> AlgebraStructure:
     # dim 3 with a clean vacuum row and column; the two other basis vectors
     # get sparse products with modes in [-4, 2], nonnegative ones included
-    y_data = {(0, j): {-1: unit_vec(3, j)} for j in range(3)}
-    y_data.update({(i, 0): {-1: unit_vec(3, i)} for i in (1, 2)})
+    table = {(0, j): {-1: unit_vec(3, j)} for j in range(3)}
+    table.update({(i, 0): {-1: unit_vec(3, i)} for i in (1, 2)})
     for i in (1, 2):
         for j in (1, 2):
             if rng.random() < 0.6:
                 vec = (0, rng.choice((-1, 0, 1)), rng.choice((-1, 0, 1)))
-                y_data[(i, j)] = {rng.randint(-4, 2): vec}
-    return AlgebraStructure(basis=("one", "a", "b"), vacuum=0, y_data=y_data)
+                table[(i, j)] = {rng.randint(-4, 2): vec}
+    return AlgebraStructure(
+        basis=("one", "a", "b"), vacuum=0, mode_index=index_from_dense(table, 3)
+    )
 
 
 def _reference_algebras() -> list[AlgebraStructure]:
@@ -666,7 +731,7 @@ def test_assoc_invariant_matches_series_reference():
             r = weak_assoc_triple(alg, u, v, w)
             assert r is None or isinstance(r, Witness)
             status, witness = _series_assoc_reference(alg, u, v, w)
-            assert ("found" if r is None else "refuted") == status, (alg.y_data, u, v, w)
+            assert ("found" if r is None else "refuted") == status, (table_of(alg), u, v, w)
             if witness is not None:
                 assert (r.exponent, r.lhs, r.rhs) == witness
             seen.add(status)
@@ -718,7 +783,7 @@ def test_jacobi_invariant_matches_series_reference(q):
                 rterms = {e: vec_scale(q, c) for e, c in reversed_terms.items()}
                 holds = _series_jacobi_reference(alg, u, v, w, rterms)
                 names = (alg.basis[u], alg.basis[v], alg.basis[w])
-                assert holds == (names not in failing), (alg.y_data, u, v, w, q)
+                assert holds == (names not in failing), (table_of(alg), u, v, w, q)
                 seen.add(holds)
     assert seen == {True, False}
     assert halves == set(_HALVES)

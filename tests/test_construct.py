@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 import reference_builders as dense
 from reference_pairs import product_sparse, reversed_sparse
+from reference_tables import dense_table, index_from_dense, product, table_of
 
 from vertexcalc import pairs as pairs_module
 from vertexcalc.algebra import (
@@ -53,7 +54,12 @@ from vertexcalc.errors import (
     NotAnAutomorphism,
     VertexCalcError,
 )
-from vertexcalc.fileio import parse_algebra_file
+from vertexcalc.fileio import (
+    algebra_to_data,
+    module_section,
+    parse_algebra_file,
+    write_algebra_file,
+)
 from vertexcalc.fixtures import (
     all_fixture_builders,
     cross_a2_z2,
@@ -67,6 +73,7 @@ from vertexcalc.fixtures import (
 )
 from vertexcalc.linalg import ONE, densify, mat_vec, unit_vec, vec_add, vec_scale
 from vertexcalc.modules import ModuleStructure, adjoint_module, tensor_module, wn_module
+from vertexcalc.operators import closure, closure_module, operator_from_structure
 from vertexcalc.pairs import pair_analysis
 from vertexcalc.report import CheckReport, Witness
 
@@ -118,7 +125,7 @@ def test_non_nilpotent_derivation_rejected():
 
 def test_zero_derivation_gives_constant_operators():
     alg = dual_numbers()
-    for (i, j), modes in alg.y_data.items():
+    for (i, j), modes in table_of(alg).items():
         assert set(modes) == {-1}
 
 
@@ -127,9 +134,9 @@ def test_a3_richness_values():
     t = alg.basis_index("t")
     t2 = alg.basis_index("t2")
     # Y(t,x)one = t + x t^2 and Y(t,x)t = t^2
-    assert alg.product(t, -1, alg.vacuum) == unit_vec(3, t)
-    assert alg.product(t, -2, alg.vacuum) == unit_vec(3, t2)
-    assert alg.product(t, -1, t) == unit_vec(3, t2)
+    assert product(alg, t, -1, alg.vacuum) == unit_vec(3, t)
+    assert product(alg, t, -2, alg.vacuum) == unit_vec(3, t2)
+    assert product(alg, t, -1, t) == unit_vec(3, t2)
 
 
 @pytest.mark.parametrize(
@@ -224,7 +231,7 @@ def _outcome(build):
 
 
 def test_from_assoc_matches_the_dense_builder():
-    # equal structures, y_data included, or the same error with the same message
+    # equal structures, mode tables included, or the same error with the same message
     rng = random.Random(20)
     seen = set()
     for data in _assoc_cases(rng):
@@ -302,9 +309,10 @@ def test_tensor_with_unit_factor_is_identity():
     unit = full_matrix_algebra(1)
     out = tensor_product([a3, unit])
     assert validate_structure(out).passed
-    assert set(out.y_data) == set(a3.y_data)
-    for key in out.y_data:
-        assert out.y_data[key] == a3.y_data[key]
+    got, ref = table_of(out), table_of(a3)
+    assert set(got) == set(ref)
+    for key in got:
+        assert got[key] == ref[key]
 
 
 def test_tensor_products_validate():
@@ -332,9 +340,10 @@ def test_tensor_translation_operator_is_additive():
 def test_matrix_algebra_size_one_is_isomorphic():
     a3 = truncated_poly_3()
     out = matrix_algebra(a3, 1)
-    assert set(out.y_data) == set(a3.y_data)
-    for key in out.y_data:
-        assert out.y_data[key] == a3.y_data[key]
+    got, ref = table_of(out), table_of(a3)
+    assert set(got) == set(ref)
+    for key in got:
+        assert got[key] == ref[key]
 
 
 def test_matrix_algebra_equals_tensor_with_matrix_factor():
@@ -343,9 +352,10 @@ def test_matrix_algebra_equals_tensor_with_matrix_factor():
     via_tensor = tensor_product([a3, full_matrix_algebra(2)])
     assert direct.basis == via_tensor.basis
     assert direct.vacuum == via_tensor.vacuum
-    assert set(direct.y_data) == set(via_tensor.y_data)
-    for key in direct.y_data:
-        assert direct.y_data[key] == via_tensor.y_data[key]
+    got, ref = table_of(direct), table_of(via_tensor)
+    assert set(got) == set(ref)
+    for key in got:
+        assert got[key] == ref[key]
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -363,8 +373,8 @@ def test_matrix_algebra_mode_value():
     u = m.basis_index("t*E11")
     v = m.basis_index("t*E12")
     out = m.basis_index("t2*E12")
-    assert m.product(u, -1, v) == unit_vec(12, out)
-    assert m.y_data.get((u, v), {}).keys() == {-1}
+    assert product(m, u, -1, v) == unit_vec(12, out)
+    assert table_of(m).get((u, v), {}).keys() == {-1}
 
 
 def test_matrix_algebra_is_nonlocal():
@@ -413,16 +423,17 @@ def test_trivial_cocycle_preserves_structure():
         table={(g, h): F(1) for g in grading.elements() for h in grading.elements()},
     )
     out = cocycle_twist(alg, grading, trivial)
-    assert set(out.y_data) == set(alg.y_data)
-    for key in out.y_data:
-        assert out.y_data[key] == alg.y_data[key]
+    got, ref = table_of(out), table_of(alg)
+    assert set(got) == set(ref)
+    for key in got:
+        assert got[key] == ref[key]
 
 
 def test_twist_sign_table():
     tw, grading, cocycle = klein_twist()
     i01, i10, i11 = (tw.basis_index(n) for n in ("g01", "g10", "g11"))
     # eps((0,1),(1,0)) = -1 flips the product to -g11
-    assert tw.product(i01, -1, i10) == tuple(
+    assert product(tw, i01, -1, i10) == tuple(
         F(-1) if k == i11 else F(0) for k in range(4)
     )
     # the commutator scalar is bilinear and equals -1 on the crossed pair
@@ -457,9 +468,9 @@ def test_cross_product_values():
     te = cross.basis_index("t|e")
     oe = cross.basis_index("one|e")
     # Y(t g, x)(t e) = t g(t) (g e) = -t^2 g = 0
-    assert (tg, te) not in cross.y_data
+    assert (tg, te) not in table_of(cross)
     # Y(t g, x)(one e) = t g
-    assert cross.product(tg, -1, oe) == unit_vec(4, tg)
+    assert product(cross, tg, -1, oe) == unit_vec(4, tg)
 
 
 def test_cross_product_is_weak_variant():
@@ -509,9 +520,10 @@ def test_trivial_action_cross_equals_tensor_with_group_algebra():
     cross = cross_product(base, trivial)
     ga, _ = group_algebra((2,))
     tens = tensor_product([base, ga])
-    assert set(cross.y_data) == set(tens.y_data)
-    for key in cross.y_data:
-        assert cross.y_data[key] == tens.y_data[key]
+    got, ref = table_of(cross), table_of(tens)
+    assert set(got) == set(ref)
+    for key in got:
+        assert got[key] == ref[key]
 
 
 # -- the Jacobi-like identity with an R-map --------------------------------------------
@@ -742,7 +754,7 @@ def _dense_matrix(alg, n):
     prods = {(mi, mj): mb.to_coords(mb.mult(mb.entries(mi), mb.entries(mj)))
              for mi in range(mb.dim) for mj in range(mb.dim)}
     out = {}
-    for (a, b), modes in alg.y_data.items():
+    for (a, b), modes in table_of(alg).items():
         for (mi, mj), prod in prods.items():
             out_modes = {}
             for nn, w in modes.items():
@@ -764,7 +776,7 @@ def _dense_columns(mod, n):
     """v*M acting on w in column c: Y(v, x)w placed in the rows r with M[r][c] != 0."""
     mb = _MatrixBasis(n)
     out = {}
-    for (i, j), modes in mod.action.items():
+    for (i, j), modes in table_of(mod).items():
         for mi in range(mb.dim):
             for c in range(n):
                 out_modes = {}
@@ -799,7 +811,7 @@ def _dense_cross(alg, act):
     return out
 
 
-_RATIONALS = (F(1, 2), F(-3, 4), F(5, 3), F(-7, 6), F(2), F(-1))
+_SEEDED_RATIONALS = (F(1, 2), F(-3, 4), F(5, 3), F(-7, 6), F(2), F(-1))
 
 
 def _random_table(rng, n_acting, dim, sign):
@@ -810,7 +822,7 @@ def _random_table(rng, n_acting, dim, sign):
     p + q + 2 and cancel exactly.
     """
     def image(k0):
-        return tuple(rng.choice(_RATIONALS) if k == k0 or rng.random() < 0.4 else F(0)
+        return tuple(rng.choice(_SEEDED_RATIONALS) if k == k0 or rng.random() < 0.4 else F(0)
                      for k in range(dim))
 
     table = {
@@ -826,23 +838,26 @@ def _random_table(rng, n_acting, dim, sign):
 
 def _assert_tensor_module(algs, mods):
     alg_t, mod_t = tensor_module(algs, mods)
-    assert alg_t.y_data == tensor_product(algs).y_data
-    ref, names = mods[0].action, mods[0].basis
+    ref_t = tensor_product(algs)
+    assert table_of(alg_t) == table_of(ref_t)
+    ref, names = dense_table(mods[0].mode_index, mods[0].dim), mods[0].basis
     for alg, mod in zip(algs[1:], mods[1:]):
-        ref = _dense_tensor(ref, mod.action, alg.dim, len(names), mod.dim)
+        ref = _dense_tensor(ref, table_of(mod), alg.dim, len(names), mod.dim)
         names = tuple(f"{x}*{y}" for x in names for y in mod.basis)
-    assert mod_t.action == ref and mod_t.basis == names
+    assert table_of(mod_t) == ref and mod_t.basis == names
 
 
 def _assert_matrix_and_columns(alg, mod, n):
     mat = matrix_algebra(alg, n)
     mb = _MatrixBasis(n)
-    assert mat.y_data == _dense_matrix(alg, n)
+    assert table_of(mat) == _dense_matrix(alg, n)
     assert mat.basis == tuple(f"{v}*{m}" for v in alg.basis for m in mb.names)
     assert (mat.vacuum, mat.meta) == (alg.vacuum * mb.dim, {
         "source": "matrix-over", "matrix_size": n, "factor_dims": (alg.dim, mb.dim)})
     mat_w, wn = wn_module(alg, mod, n)
-    assert mat_w.y_data == mat.y_data and wn.action == _dense_columns(mod, n)
+    mat_table = table_of(mat)
+    assert table_of(mat_w) == mat_table
+    assert table_of(wn) == _dense_columns(mod, n)
     assert wn.basis == tuple(f"{w}#c{c+1}" for w in mod.basis for c in range(n))
     assert wn.meta == {"source": "column-module", "n": n}
 
@@ -852,19 +867,24 @@ def test_tensor_kernel_matches_dense_formulas():
     for _ in range(16):
         da, db, dc = (rng.randint(1, 4) for _ in range(3))
         (ta, p), (tb, q) = _random_table(rng, da, da, 1), _random_table(rng, db, db, -1)
-        a = AlgebraStructure(tuple(f"a{k}" for k in range(da)), rng.randrange(da), ta)
-        b = AlgebraStructure(tuple(f"b{k}" for k in range(db)), rng.randrange(db), tb)
-        got = table_tensor(a.mode_index, b.mode_index, b.dim, a.dim, b.dim)
-        assert got == _dense_tensor(a.y_data, b.y_data, db, da, db)
+        a = AlgebraStructure(
+            tuple(f"a{k}" for k in range(da)), rng.randrange(da), index_from_dense(ta, da)
+        )
+        b = AlgebraStructure(
+            tuple(f"b{k}" for k in range(db)), rng.randrange(db), index_from_dense(tb, db)
+        )
+        got = dense_table(table_tensor(a.mode_index, b.mode_index, b.dim, a.dim, b.dim), da * db)
+        assert got == _dense_tensor(table_of(a), table_of(b), db, da, db)
         assert p + q + 2 not in got[(da * db - 1, da * db - 1)]
         ab = tensor_product([a, b])
-        assert ab.y_data == got and ab.basis == tuple(f"{x}*{y}" for x in a.basis for y in b.basis)
+        assert table_of(ab) == got
+        assert ab.basis == tuple(f"{x}*{y}" for x in a.basis for y in b.basis)
         assert (ab.vacuum, ab.meta) == (a.vacuum * db + b.vacuum, {"source": "tensor", "factor_dims": (da, db)})
         (tm, p), (tw, q) = _random_table(rng, da, dc, 1), _random_table(rng, db, dc, -1)
-        ma = ModuleStructure(tuple(f"w{k}" for k in range(dc)), tm)
-        mw = ModuleStructure(tuple(f"x{k}" for k in range(dc)), tw)
-        got = table_tensor(ma.mode_index, mw.mode_index, db, dc, dc)
-        assert got == _dense_tensor(ma.action, mw.action, db, dc, dc)
+        ma = ModuleStructure(tuple(f"w{k}" for k in range(dc)), index_from_dense(tm, dc))
+        mw = ModuleStructure(tuple(f"x{k}" for k in range(dc)), index_from_dense(tw, dc))
+        got = dense_table(table_tensor(ma.mode_index, mw.mode_index, db, dc, dc), dc * dc)
+        assert got == _dense_tensor(table_of(ma), table_of(mw), db, dc, dc)
         assert p + q + 2 not in got[(da * db - 1, dc * dc - 1)]
         _assert_tensor_module([a, b], [ma, mw])
         _assert_tensor_module([a, b, a], [ma, mw, ma])
@@ -878,14 +898,68 @@ def test_tensor_builders_match_dense_formulas_on_fixtures():
             _assert_matrix_and_columns(alg, adjoint_module(alg), n)
         for other in algs.values():
             if alg.dim * other.dim <= 40:
-                assert tensor_product([alg, other]).y_data == _dense_tensor(
-                    alg.y_data, other.y_data, other.dim, alg.dim, other.dim)
+                both = tensor_product([alg, other])
+                assert table_of(both) == _dense_tensor(
+                    table_of(alg),
+                    table_of(other),
+                    other.dim,
+                    alg.dim,
+                    other.dim,
+                )
                 _assert_tensor_module([alg, other], [adjoint_module(alg), adjoint_module(other)])
     a3, unit = algs["a3"], full_matrix_algebra(2)
     _assert_matrix_and_columns(a3, adjoint_module(a3), 3)
     _assert_tensor_module([a3, unit, a3], [adjoint_module(x) for x in (a3, unit, a3)])
     cross, base, act = cross_a2_z2()
-    assert cross.y_data == _dense_cross(base, act)
+    assert table_of(cross) == _dense_cross(base, act)
     ident = ((F(1), F(0)), (F(0), F(1)))
     trivial = GroupActionData(elements=("e", "g"), table=act.table, action={0: ident, 1: ident})
-    assert cross_product(base, trivial).y_data == _dense_cross(base, trivial)
+    cross_trivial = cross_product(base, trivial)
+    assert table_of(cross_trivial) == _dense_cross(base, trivial)
+
+
+# -- every builder hands over a normalised index ----------------------------------
+
+
+def _assert_normalised(act):
+    """act.mode_index is in normal form: the index of its own dense table, ints where integral."""
+    index = act.mode_index
+    reference = index_from_dense(table_of(act), act.dim)
+    assert [(key, list(modes.items())) for key, modes in index.items()] == [
+        (key, list(modes.items())) for key, modes in reference.items()
+    ]
+    for modes in index.values():
+        for img in modes.values():
+            assert all(type(c) is (int if c.denominator == 1 else Fraction) for _k, c in img)
+
+
+def test_every_builder_and_the_parser_hand_over_a_normalised_index(tmp_path):
+    # k ascending, no zero coefficient, no empty mode or entry, int when integral
+    parsed = {p.stem: parse_algebra_file(p).alg for p in sorted(FIXTURES.glob("*.json"))}
+    assert len(parsed) == 7
+    built = {name: build() for name, build in sorted(all_fixture_builders().items())}
+    a3, ut2 = built["a3"], built["ut2"]
+    twisted, _grading, _cocycle = klein_twist()
+    cross, _base, _act = cross_a2_z2()
+    result = closure([operator_from_structure(a3, a3.basis_index("t"))])
+    structures = [
+        *parsed.values(),
+        *built.values(),
+        matrix_algebra(a3, 3),
+        tensor_product([a3, ut2]),
+        cross,
+        twisted,
+        result.structure,
+        closure_module(result),
+        adjoint_module(a3),
+        *wn_module(a3, adjoint_module(a3), 2),
+        *tensor_module([a3, ut2], [adjoint_module(a3), adjoint_module(ut2)]),
+    ]
+    # the parser's module section, written and read back
+    path = tmp_path / "with_module.json"
+    m2a3 = built["m2a3"]
+    sections = {"module": module_section(adjoint_module(m2a3), m2a3)}
+    write_algebra_file(path, algebra_to_data(m2a3, sections))
+    structures.append(parse_algebra_file(path).module)
+    for act in structures:
+        _assert_normalised(act)

@@ -8,9 +8,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_tables import table_of
 
 from vertexcalc.cli import main
-from vertexcalc.errors import GradingInvalid, ParseError, ValidationError, VertexCalcError
+from vertexcalc.errors import (
+    GradingInvalid,
+    MalformedStructure,
+    ParseError,
+    ValidationError,
+    VertexCalcError,
+)
 from vertexcalc.fileio import (
     algebra_to_data,
     canonical_json,
@@ -59,7 +66,7 @@ def test_shipped_fixtures_parse_and_match_builders():
         alg = build()
         assert bundle.alg.basis == alg.basis
         assert bundle.alg.vacuum == alg.vacuum
-        assert bundle.alg.y_data == alg.y_data
+        assert table_of(bundle.alg) == table_of(alg)
 
 
 def test_a3_file_has_dim_and_vacuum():
@@ -107,6 +114,17 @@ def _unknown_group_element(data):
     data["group"]["table"][0][1] = "h"
 
 
+def _with_module(mutate):
+    """Give a3 its adjoint module section, then apply mutate to that section."""
+
+    def apply(data):
+        a3 = truncated_poly_3()
+        data["module"] = module_section(adjoint_module(a3), a3)
+        mutate(data["module"])
+
+    return apply
+
+
 MALFORMED = {
     "entries-not-a-list": ("a3", lambda d: d.update(entries=5)),
     "grading-without-orders": ("z22_base", lambda d: d["grading"].pop("orders")),
@@ -118,6 +136,11 @@ MALFORMED = {
     ),
     "dim-not-an-integer": ("a3", lambda d: d.update(dim="x")),
     "basis-a-string": ("a3", lambda d: d.update(basis="abc", vacuum="a", entries=[])),
+    "basis-duplicate": ("a3", lambda d: d.update(basis=["one", "t", "t"], entries=[])),
+    # a repeated name read its coordinates from one position and its target
+    # from another, and a repeated assoc name wrote past the end of its vector
+    "module-basis-duplicate": ("a3", _with_module(lambda m: m.update(basis=["one", "t", "t"]))),
+    "assoc-basis-duplicate": ("a3", lambda d: d["assoc"].update(basis=["one", "t", "t"])),
 }
 
 
@@ -131,6 +154,33 @@ def test_malformed_sections_are_parse_errors(case, tmp_path):
     path = tmp_path / f"{case}.json"
     path.write_text(json.dumps(data))
     assert main(["check", str(path), "--suite", "axioms"]) == 2
+
+
+# the file forms of the structure constructor's refusals: an acting or target
+# index, or an image coordinate, that names no basis vector, and an empty basis
+# (the algebra's fails first on its vacuum, which must be a basis name)
+MALFORMED_STRUCTURES = {
+    "entry-acting-name-unknown": lambda d: d["entries"][0].update(u="x"),
+    "entry-target-name-unknown": lambda d: d["entries"][0].update(v="x"),
+    "entry-coordinate-unknown": lambda d: d["entries"][0]["result"].update(x="1"),
+    "empty-basis": lambda d: [d.update(basis=[], entries=[]), d.pop("dim")],
+    "module-acting-name-unknown": _with_module(lambda m: m["entries"][0].update(v="x")),
+    "module-target-name-unknown": _with_module(lambda m: m["entries"][0].update(w="x")),
+    "module-coordinate-unknown": _with_module(lambda m: m["entries"][0]["result"].update(x="1")),
+    "module-empty-basis": _with_module(lambda m: m.update(basis=[], entries=[])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_STRUCTURES))
+def test_structure_defects_in_a_file_exit_2(case, tmp_path, capsys):
+    data = json.loads((FIXTURES / "a3.json").read_text())
+    MALFORMED_STRUCTURES[case](data)
+    with pytest.raises((ValidationError, MalformedStructure)):
+        parse_algebra_data(data)
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path), "--suite", "axioms"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 MALFORMED_GRADINGS = {
@@ -323,7 +373,7 @@ def test_emit_parse_round_trip(tmp_path):
     write_algebra_file(path, algebra_to_data(alg))
     back = parse_algebra_file(path)
     assert back.alg.basis == alg.basis
-    assert back.alg.y_data == alg.y_data
+    assert table_of(back.alg) == table_of(alg)
 
 
 def test_canonical_json_is_stable():
@@ -366,7 +416,7 @@ def test_module_section_round_trip(tmp_path):
     back = parse_algebra_file(path)
     assert back.module is not None
     assert back.module.basis == mod.basis
-    assert back.module.action == mod.action
+    assert table_of(back.module) == table_of(mod)
 
 
 def test_operator_section_round_trip(tmp_path):

@@ -6,8 +6,9 @@ for the tests and for the product and iterate series of vertexcalc.algebra.
 These checks read the sources with ast, so a window-kernel import that
 creeps back into a verdict path fails here, and so does a per-triple product
 in the Jacobi-like check, a per-triple product kernel anywhere in the
-package, a dense product or action in the builders, and any way for a float
-to arise in the package.  A relation check
+package, a dense product or action in the builders, a dense mode table in
+any module or a densified table in a builder, and any way for a float to
+arise in the package.  A relation check
 answers with its witness or None, so no module holds an order object, and
 the suite runs no loop over a stated invariant.
 """
@@ -135,6 +136,53 @@ def test_the_builders_compute_on_the_sparse_kernel():
     )
     oracle = names_in((Path(__file__).parent / "reference_builders.py").read_text())
     assert {"mult_vec", "from_assoc_with_derivation", "validate_action"} <= oracle
+
+
+# the dense table a structure stored beside its sparse index, and its converters
+DENSE_TABLE_NAMES = {"y_data", "clean_table", "table_index"}
+
+# the functions that build a mode table, by module: each hands its sparse
+# accumulator to the structure constructor, which normalises it once
+TABLE_BUILDERS = {
+    "construct": ("from_assoc_with_derivation", "table_tensor", "cocycle_twist", "cross_product"),
+    "operators": ("closure", "closure_module"),
+    "fileio": ("parse_algebra_data",),
+}
+
+
+def function_names(module: str, function: str) -> set[str]:
+    """Every name one top-level function of a module defines, imports, reads or reads as an attribute.
+
+    The names are read from that function's source alone.
+    """
+    source = (SRC / f"{module}.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            return names_in(ast.get_source_segment(source, node))
+    raise AssertionError(f"{module}.{function} not found")
+
+
+def test_no_module_stores_a_dense_mode_table():
+    # a structure stores only its sparse image index, normalised by
+    # algebra.normal_index; the dense table and its converters live in
+    # tests/reference_tables.py
+    found = {
+        path.name: names_in(path.read_text()) & DENSE_TABLE_NAMES for path in SRC.glob("*.py")
+    }
+    assert {name: names for name, names in found.items() if names} == {}
+    assert "normal_index" in names_used("algebra")
+    for module, functions in TABLE_BUILDERS.items():
+        for function in functions:
+            assert "densify" not in function_names(module, function), (module, function)
+    oracle = names_in((Path(__file__).parent / "reference_tables.py").read_text())
+    assert {"dense_table", "index_from_dense"} <= oracle
+
+
+def test_the_function_reader_sees_only_its_function():
+    # operators.py densifies for VertexOperator.modes, outside the closure
+    assert "densify" in names_used("operators")
+    assert "densify" not in function_names("operators", "closure")
+    assert {"normal_index", "MalformedStructure"} <= function_names("algebra", "normal_index")
 
 
 def test_modules_holds_no_check_without_a_caller():

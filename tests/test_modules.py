@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from reference_pairs import commutation_sparse
 from reference_spans import dense_rank
+from reference_tables import apply_mode, index_from_dense, table_of
 
 from vertexcalc.algebra import AlgebraStructure, term_differences
 from vertexcalc.errors import CapExceeded, MalformedStructure
@@ -61,9 +62,10 @@ def test_adjoint_modules_pass_on_all_fixtures():
 
 
 def test_corrupted_action_fails(a3, a3_adj):
-    action = {k: dict(v) for k, v in a3_adj.action.items()}
+    action = table_of(a3_adj)
     del action[(a3.basis_index("t"), a3.vacuum)]
-    assert not check_module(a3, ModuleStructure(basis=a3_adj.basis, action=action)).passed
+    mod = ModuleStructure(basis=a3_adj.basis, mode_index=index_from_dense(action, 3))
+    assert not check_module(a3, mod).passed
 
 
 def test_adjoint_is_faithful(a3, a3_adj):
@@ -73,12 +75,13 @@ def test_adjoint_is_faithful(a3, a3_adj):
 
 def _dense_is_faithful(alg, mod) -> bool:
     """Rank of the dense rows (every mode of e_i on every w_j), length dim x dim x modes."""
-    exps = sorted({n for modes in mod.action.values() for n in modes})
+    table = table_of(mod)
+    exps = sorted({n for modes in table.values() for n in modes})
     rows = []
     for i in range(alg.dim):
         row = []
         for j in range(mod.dim):
-            modes = mod.action.get((i, j), {})
+            modes = table.get((i, j), {})
             for n in exps:
                 row.extend(modes.get(n, zero_vec(mod.dim)))
         rows.append(tuple(row))
@@ -87,17 +90,18 @@ def _dense_is_faithful(alg, mod) -> bool:
 
 def test_trivial_module_is_unfaithful(a3):
     # the vacuum acts as the identity on one vector and t, t^2 act as zero
-    trivial = ModuleStructure(basis=("w",), action={(a3.vacuum, 0): {-1: (1,)}})
+    trivial = ModuleStructure(basis=("w",), mode_index={(a3.vacuum, 0): {-1: [(0, 1)]}})
     assert check_module(a3, trivial).passed
     assert not is_faithful(a3, trivial)
     assert not _dense_is_faithful(a3, trivial)
     # a module that forgets t^2 only: t acts, t^2 does not
     t, t2 = a3.basis_index("t"), a3.basis_index("t2")
-    action = {k: dict(v) for k, v in adjoint_module(a3).action.items() if k[0] != t2}
-    forgetful = ModuleStructure(basis=a3.basis, action=action)
+    action = {k: v for k, v in table_of(adjoint_module(a3)).items() if k[0] != t2}
+    forgetful = ModuleStructure(basis=a3.basis, mode_index=index_from_dense(action, 3))
     assert is_faithful(a3, forgetful) is _dense_is_faithful(a3, forgetful) is False
     action.pop((t, a3.vacuum))
-    assert is_faithful(a3, ModuleStructure(basis=a3.basis, action=action)) is False
+    mod = ModuleStructure(basis=a3.basis, mode_index=index_from_dense(action, 3))
+    assert is_faithful(a3, mod) is False
 
 
 def test_sparse_faithfulness_matches_the_dense_rank():
@@ -116,10 +120,10 @@ def test_sparse_faithfulness_matches_the_dense_rank():
 def test_stray_acting_indices_are_malformed(a3, a3_adj):
     # entries acting through indices 7 and -1, outside a3's three basis
     # vectors, must be rejected rather than silently ignored
-    action = {k: dict(v) for k, v in a3_adj.action.items()}
+    action = table_of(a3_adj)
     action[(7, 0)] = {-1: unit_vec(3, 1)}
     action[(-1, 2)] = {0: unit_vec(3, 0)}
-    mod = ModuleStructure(basis=a3_adj.basis, action=action)
+    mod = ModuleStructure(basis=a3_adj.basis, mode_index=index_from_dense(action, 3))
     with pytest.raises(MalformedStructure, match=r"\[-1, 7\]"):
         check_module(a3, mod)
     with pytest.raises(MalformedStructure, match=r"\[-1, 7\]"):
@@ -164,9 +168,9 @@ def test_locality_transfer_scalar_pair():
 def test_stray_acting_index_is_not_packed_into_a_tensor(a3, a3_adj):
     # acting index 3 lies outside a3's basis; packed as the second tensor
     # factor it would silently alias the acting index of t*one
-    action = {k: dict(v) for k, v in a3_adj.action.items()}
+    action = table_of(a3_adj)
     action[(3, 0)] = {-1: unit_vec(3, 1)}
-    stray = ModuleStructure(basis=a3_adj.basis, action=action)
+    stray = ModuleStructure(basis=a3_adj.basis, mode_index=index_from_dense(action, 3))
     with pytest.raises(MalformedStructure, match=r"\[3\]"):
         tensor_module([a3, a3], [a3_adj, stray])
     with pytest.raises(MalformedStructure, match=r"\[3\]"):
@@ -188,23 +192,25 @@ def test_wn_module_action_value(a3, a3_adj):
     mat_alg, wn = wn_module(a3, a3_adj, 2)
     u = mat_alg.basis_index("t*E12")
     w = wn.basis.index("one#c2")
-    modes = wn.action[(u, w)]
+    modes = table_of(wn)[(u, w)]
     assert modes[-1] == unit_vec(6, wn.basis.index("t#c1"))
     assert modes[-2] == unit_vec(6, wn.basis.index("t2#c1"))
 
 
 def test_wn_module_identity_action(a3, a3_adj):
     mat_alg, wn = wn_module(a3, a3_adj, 2)
+    table = table_of(wn)
     for j in range(wn.dim):
-        assert wn.action[(mat_alg.vacuum, j)] == {-1: wn.unit(j)}
+        assert table[(mat_alg.vacuum, j)] == {-1: wn.unit(j)}
 
 
 def test_w1_module_unchanged(a3, a3_adj):
     mat_alg, wn = wn_module(a3, a3_adj, 1)
     assert wn.dim == a3_adj.dim
-    assert set(wn.action) == set(a3_adj.action)
-    for key in wn.action:
-        assert wn.action[key] == a3_adj.action[key]
+    got, ref = table_of(wn), table_of(a3_adj)
+    assert set(got) == set(ref)
+    for key in got:
+        assert got[key] == ref[key]
 
 
 # -- tensor modules --------------------------------------------------------------
@@ -219,7 +225,7 @@ def test_tensor_module_convolution_value(a3, a3_adj):
     alg_t, mod_t = tensor_module([a3, a3], [a3_adj, a3_adj])
     u = alg_t.basis_index("t*one")
     w = mod_t.basis.index("t*t")
-    img = mod_t.apply_mode(unit_vec(9, u), -1, unit_vec(9, w))
+    img = apply_mode(mod_t, unit_vec(9, u), -1, unit_vec(9, w))
     assert img == unit_vec(9, mod_t.basis.index("t2*t"))
 
 
@@ -230,9 +236,10 @@ def test_tensor_module_unit_factor(a3, a3_adj):
     unit_mod = adjoint_module(unit_alg)
     alg_t, mod_t = tensor_module([a3, unit_alg], [a3_adj, unit_mod])
     assert mod_t.dim == 3
-    assert set(mod_t.action) == set(a3_adj.action)
-    for key in mod_t.action:
-        assert mod_t.action[key] == a3_adj.action[key]
+    got, ref = table_of(mod_t), table_of(a3_adj)
+    assert set(got) == set(ref)
+    for key in got:
+        assert got[key] == ref[key]
 
 
 # The check of the embedded actions has no caller in the package; it lives
@@ -285,11 +292,11 @@ def test_embedded_actions_that_do_not_commute_are_refuted(a3, a3_adj):
     # increasing
     _, mod_t = tensor_module([a3, a3], [a3_adj, a3_adj])
     one_t, one_one = mod_t.basis.index("one*t"), mod_t.basis.index("one*one")
-    action = {key: dict(modes) for key, modes in mod_t.action.items()}
+    action = table_of(mod_t)
     image = list(action[(one_t, one_one)][-1])
     image[one_t] += F(1, 2)
     action[(one_t, one_one)][-1] = tuple(image)
-    mod = ModuleStructure(basis=mod_t.basis, action=action)
+    mod = ModuleStructure(basis=mod_t.basis, mode_index=index_from_dense(action, mod_t.dim))
     rep = check_embedded_actions_commute(a3, a3, mod)
     expected = []
     for i in range(a3.dim):

@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from reference_tables import index_from_dense
 
 import vertexcalc.algebra as algebra_module
 import vertexcalc.linalg as linalg_module
@@ -34,16 +35,19 @@ def _chain(shift: Fraction) -> AlgebraStructure:
     return AlgebraStructure(
         basis=["one"] + [f"e{j}" for j in range(1, 10)],
         vacuum=0,
-        y_data={
-            **{(0, j): {-1: unit_vec(10, j)} for j in range(10)},
-            **{
-                (j, 0): {
-                    -1: unit_vec(10, j),
-                    **({-2: vec_scale(shift, unit_vec(10, j + 1))} if j < 9 else {}),
-                }
-                for j in range(1, 10)
+        mode_index=index_from_dense(
+            {
+                **{(0, j): {-1: unit_vec(10, j)} for j in range(10)},
+                **{
+                    (j, 0): {
+                        -1: unit_vec(10, j),
+                        **({-2: vec_scale(shift, unit_vec(10, j + 1))} if j < 9 else {}),
+                    }
+                    for j in range(1, 10)
+                },
             },
-        },
+            10,
+        ),
     )
 
 

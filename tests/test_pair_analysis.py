@@ -28,6 +28,7 @@ from reference_pairs import (
     reversed_sparse,
     scale_terms,
 )
+from reference_tables import index_from_dense, table_of
 
 import vertexcalc.algebra as algebra_module
 import vertexcalc.pairs as pairs_module
@@ -182,9 +183,11 @@ def _transfer_oracle(alg, mod, u, v, q, faithful) -> tuple:
 
 def _perturbed(alg: AlgebraStructure, key, n, factor) -> AlgebraStructure:
     """alg with one mode product scaled, which breaks weak associativity."""
-    y_data = {k: dict(modes) for k, modes in alg.y_data.items()}
-    y_data[key][n] = tuple(factor * x for x in y_data[key][n])
-    return AlgebraStructure(basis=alg.basis, vacuum=alg.vacuum, y_data=y_data)
+    table = table_of(alg)
+    table[key][n] = tuple(factor * x for x in table[key][n])
+    return AlgebraStructure(
+        basis=alg.basis, vacuum=alg.vacuum, mode_index=index_from_dense(table, alg.dim)
+    )
 
 
 def _random_table(rng, n_acting: int, dim: int) -> dict:
@@ -209,13 +212,15 @@ def _random_cases():
     """
     rng = random.Random(11)
     for k, dim in enumerate((2, 3, 3, 4)):
-        y_data = _random_table(rng, dim, dim)
+        table = _random_table(rng, dim, dim)
         for j in range(dim):  # D = 0, so every e^{xD} terminates
-            y_data.get((j, 0), {}).pop(-2, None)
-        alg = AlgebraStructure(basis=tuple(f"e{i}" for i in range(dim)), vacuum=0, y_data=y_data)
+            table.get((j, 0), {}).pop(-2, None)
+        basis = tuple(f"e{i}" for i in range(dim))
+        alg = AlgebraStructure(basis=basis, vacuum=0, mode_index=index_from_dense(table, dim))
         dim_m = dim % 3 + 1
         mod = ModuleStructure(
-            basis=tuple(f"w{i}" for i in range(dim_m)), action=_random_table(rng, dim, dim_m)
+            basis=tuple(f"w{i}" for i in range(dim_m)),
+            mode_index=index_from_dense(_random_table(rng, dim, dim_m), dim_m),
         )
         yield f"random-{k}", alg, mod, [lambda i, j, q=q: q for q in QS]
 
@@ -249,13 +254,16 @@ def _cases():
     cancel = AlgebraStructure(
         basis=("e0", "e1", "e2"),
         vacuum=0,
-        y_data={
-            (0, 0): {1: (-1, 0, -1)},
-            (1, 2): {0: (0, 0, 1)},
-            (2, 0): {1: (-1, -1, 1)},
-            (2, 1): {1: (1, 1, -1)},
-            (2, 2): {-2: (-1, 0, -1)},
-        },
+        mode_index=index_from_dense(
+            {
+                (0, 0): {1: (-1, 0, -1)},
+                (1, 2): {0: (0, 0, 1)},
+                (2, 0): {1: (-1, -1, 1)},
+                (2, 1): {1: (1, 1, -1)},
+                (2, 2): {-2: (-1, 0, -1)},
+            },
+            3,
+        ),
     )
     cases.append(("cancelling", cancel, adjoint_module(cancel), [lambda i, j, q=q: q for q in QS]))
     return cases + list(_random_cases())

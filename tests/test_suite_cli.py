@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_fileio import JUNK as WRONG_TYPES
+from reference_tables import index_from_dense, table_of
 from test_fileio import _paths
 
 from vertexcalc import cli
@@ -170,13 +171,16 @@ def _shift_chain_table(path: Path) -> Path:
     alg = AlgebraStructure(
         basis=basis,
         vacuum=0,
-        y_data={
-            **{(0, j): {-1: unit_vec(10, j)} for j in range(10)},
-            **{
-                (j, 0): {-1: unit_vec(10, j), **({-2: unit_vec(10, j + 1)} if j < 9 else {})}
-                for j in range(1, 10)
+        mode_index=index_from_dense(
+            {
+                **{(0, j): {-1: unit_vec(10, j)} for j in range(10)},
+                **{
+                    (j, 0): {-1: unit_vec(10, j), **({-2: unit_vec(10, j + 1)} if j < 9 else {})}
+                    for j in range(1, 10)
+                },
             },
-        },
+            10,
+        ),
     )
     write_algebra_file(path, algebra_to_data(alg))
     return path
@@ -240,7 +244,7 @@ def test_cli_construct_twist_matches_shipped(tmp_path):
     run_cli("construct", "twist", str(FIXTURES / "z22_base.json"), "-o", str(out))
     built = parse_algebra_file(out)
     shipped = parse_algebra_file(FIXTURES / "z22_twist.json")
-    assert built.alg.y_data == shipped.alg.y_data
+    assert table_of(built.alg) == table_of(shipped.alg)
 
 
 def test_cli_construct_matrix_matches_shipped(tmp_path):
@@ -248,7 +252,7 @@ def test_cli_construct_matrix_matches_shipped(tmp_path):
     run_cli("construct", "matrix", str(FIXTURES / "a3.json"), "-n", "2", "-o", str(out))
     built = parse_algebra_file(out)
     shipped = parse_algebra_file(FIXTURES / "m2a3.json")
-    assert built.alg.y_data == shipped.alg.y_data
+    assert table_of(built.alg) == table_of(shipped.alg)
 
 
 def test_cli_construct_cross_matches_shipped(tmp_path):
@@ -256,7 +260,7 @@ def test_cli_construct_cross_matches_shipped(tmp_path):
     run_cli("construct", "cross", str(FIXTURES / "a2_base.json"), "-o", str(out))
     built = parse_algebra_file(out)
     shipped = parse_algebra_file(FIXTURES / "cross_a2z2.json")
-    assert built.alg.y_data == shipped.alg.y_data
+    assert table_of(built.alg) == table_of(shipped.alg)
 
 
 def test_cli_construct_tensor(tmp_path):
