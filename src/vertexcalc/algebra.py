@@ -22,8 +22,8 @@ which every builder and the parser hand to it directly.  `sparse_modes`, the
 one mode product, walks the nonzero (k, c) of its arguments (a basis vector
 is ((i, ONE),)) through that index.  One-variable products and the powers of
 D (applied through its sparse columns) are term dictionaries {exponent: {k:
-c}}; only a differing pair is densified.  The dense views are wrappers over
-these.
+c}}, and a witness holds the first differing pair as it is, with the basis
+that names its coordinates.  The dense views are wrappers over these.
 
 Locality, skew-symmetry, weak associativity, the q-Jacobi identity and the
 module checks all read the same two-variable products Y(u,x1)Y(v,x2)w and
@@ -59,7 +59,6 @@ from .linalg import (
     span_nullspace,
     support,
     unit_vec,
-    zero_vec,
 )
 from .report import CheckReport, Witness
 from .series import Distribution, Window, from_terms
@@ -179,9 +178,6 @@ class AlgebraStructure:
         except ValueError:
             raise MalformedStructure(f"unknown basis name {name!r}") from None
 
-    def vacuum_vec(self) -> Vec:
-        return unit_vec(self.dim, self.vacuum)
-
     def unit(self, i: int) -> Vec:
         return unit_vec(self.dim, i)
 
@@ -219,11 +215,6 @@ class AlgebraStructure:
 def d_columns(alg: AlgebraStructure) -> list[Support]:
     """The nonzero coordinates of each image D e_j, read off the sparse index."""
     return [alg.mode_index.get((j, alg.vacuum), {}).get(-2, ()) for j in range(alg.dim)]
-
-
-def apply_columns(cols: list[Support], v: Vec) -> Vec:
-    """D v for D given by its sparse columns, as a dense vector."""
-    return densify(d_sparse(cols, support(v)), len(v))
 
 
 def d_sparse(cols: list[Support], entries: Support) -> SparseVec:
@@ -282,15 +273,6 @@ def sparse_differences(lhs: Terms, rhs: Terms):
         a, b = lhs.get(e, {}), rhs.get(e, {})
         if a != b:
             yield e, a, b
-
-
-def term_differences(lhs: Terms, rhs: Terms, dim: int) -> list[tuple[object, Vec, Vec]]:
-    """(exponent, lhs, rhs) wherever two term dictionaries differ, in increasing order.
-
-    The list is empty when the two sides are the same Laurent polynomial;
-    only the differing pairs are densified, to length dim.
-    """
-    return [(e, densify(a, dim), densify(b, dim)) for e, a, b in sparse_differences(lhs, rhs)]
 
 
 def _bilinear(scatter, u: Vec, v: Vec, w: Vec, dim: int) -> dict[tuple[int, int], Vec]:
@@ -372,8 +354,7 @@ def iterate_series(
 def validate_structure(alg: AlgebraStructure) -> CheckReport:
     """Truncation, vacuum, and creation axioms on every basis pair."""
     report = CheckReport("structure-axioms")
-    dim = alg.dim
-    vac = alg.vacuum
+    dim, vac = alg.dim, alg.vacuum
     # truncation is intrinsic to the finite representation; record the bounds
     lo, hi = alg.mode_bounds()
     report.found_orders["n_min"] = lo
@@ -385,10 +366,9 @@ def validate_structure(alg: AlgebraStructure) -> CheckReport:
     for a, b, k in keys:
         modes = alg.mode_index.get((a, b), {})
         for n in sorted({n for n in modes if a == vac or n >= 0} | {-1}):
-            got = dict(modes.get(n, ()))
-            if got != ({k: 1} if n == -1 else {}):
-                expect = alg.unit(k) if n == -1 else zero_vec(dim)
-                report.fail(Witness((alg.basis[a], alg.basis[b]), (n,), densify(got, dim), expect))
+            got, expect = dict(modes.get(n, ())), {k: 1} if n == -1 else {}
+            if got != expect:
+                report.fail(Witness((alg.basis[a], alg.basis[b]), (n,), got, expect, alg.basis))
     return report
 
 
@@ -397,9 +377,8 @@ def check_d_bracket(alg: AlgebraStructure) -> CheckReport:
     report = CheckReport("translation-bracket")
     cols = d_columns(alg)
     index = alg.mode_index
-    if cols[alg.vacuum]:
-        d_vac = apply_columns(cols, alg.vacuum_vec())
-        report.fail(Witness((alg.basis[alg.vacuum],), None, d_vac, zero_vec(alg.dim)))
+    if d_vac := d_sparse(cols, ((alg.vacuum, ONE),)):
+        report.fail(Witness((alg.basis[alg.vacuum],), None, d_vac, {}, alg.basis))
     for i in range(alg.dim):
         for j in range(alg.dim):
             ui, uj = ((i, ONE),), ((j, ONE),)
@@ -413,8 +392,8 @@ def check_d_bracket(alg: AlgebraStructure) -> CheckReport:
                 ("commutator-vs-middle", commutator, middle),
                 ("middle-vs-derivative", middle, mode_derivative(base)),
             ):
-                for n, a, b in term_differences(lhs, rhs, alg.dim):
-                    report.fail(Witness((name, alg.basis[i], alg.basis[j]), (n,), a, b))
+                for n, a, b in sparse_differences(lhs, rhs):
+                    report.fail(Witness((name, alg.basis[i], alg.basis[j]), (n,), a, b, alg.basis))
     return report
 
 
@@ -426,9 +405,8 @@ def check_creation_exponential(alg: AlgebraStructure) -> CheckReport:
         modes = sparse_modes(alg.mode_index, ((i, ONE),), ((alg.vacuum, ONE),))
         lhs = {(-n - 1,): w for n, w in modes.items()}
         rhs = {(j,): w for j, w in images[i].items()}
-        diffs = term_differences(lhs, rhs, alg.dim)
-        if diffs:
-            report.fail(Witness((alg.basis[i],), *diffs[0]))
+        if (diff := next(sparse_differences(lhs, rhs), None)) is not None:
+            report.fail(Witness((alg.basis[i],), *diff, alg.basis))
     return report
 
 
@@ -499,7 +477,7 @@ def find_locality_k(
     if failure is None:
         return None
     w_idx, *diff = failure
-    return Witness((alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx]), *diff)
+    return Witness((alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx]), *diff, alg.basis)
 
 
 def truncation_order(alg: AlgebraStructure, u_idx: int, v_idx: int) -> int:
@@ -548,10 +526,10 @@ def check_skew_symmetry(
     lhs = {(-n - 1,): w for n, w in sparse_modes(alg.mode_index, su, sv).items()}
     modes = sparse_modes(alg.mode_index, sv, su)
     rhs = {(m,): c for m, c in skew_terms(pairs.exp_images, modes, q).items()}
-    diffs = term_differences(lhs, rhs, alg.dim)
-    report.exact = not diffs
-    if diffs:
-        report.fail(Witness((alg.basis[u_idx], alg.basis[v_idx]), *diffs[0]))
+    diff = next(sparse_differences(lhs, rhs), None)
+    report.exact = diff is None
+    if diff is not None:
+        report.fail(Witness((alg.basis[u_idx], alg.basis[v_idx]), *diff, alg.basis))
     k_min = truncation_order(alg, u_idx, v_idx)
     report.found_orders["truncation_k"] = k_min
     if pairs.commutes(u_idx, v_idx, q):
@@ -577,7 +555,7 @@ def weak_assoc_triple(alg: AlgebraStructure, u_idx: int, v_idx: int, w_idx: int)
     diff = _analysis(alg).assoc_failure(u_idx, v_idx, w_idx)
     if diff is None:
         return None
-    return Witness((alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx]), *diff)
+    return Witness((alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx]), *diff, alg.basis)
 
 
 def find_weak_assoc_l(alg: AlgebraStructure, u_idx: int, w_idx: int) -> Witness | None:
@@ -590,7 +568,7 @@ def find_weak_assoc_l(alg: AlgebraStructure, u_idx: int, w_idx: int) -> Witness 
     if v_idx is None:
         return None
     names = (alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx])
-    return Witness(names, *pairs.assoc_failure(u_idx, v_idx, w_idx))
+    return Witness(names, *pairs.assoc_failure(u_idx, v_idx, w_idx), alg.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +605,8 @@ def check_jacobi(alg: AlgebraStructure, u_idx: int, v_idx: int, q: Fraction) -> 
             halves[w] = ("associativity", pairs.assoc_failure(u_idx, v_idx, w))
     for w in sorted(halves):
         half, diff = halves[w]
-        report.fail(Witness((half, alg.basis[u_idx], alg.basis[v_idx], alg.basis[w]), *diff))
+        names = (half, alg.basis[u_idx], alg.basis[v_idx], alg.basis[w])
+        report.fail(Witness(names, *diff, alg.basis))
     return report
 
 

@@ -43,18 +43,15 @@ from .linalg import (
     Mat,
     SparseVec,
     Support,
-    Vec,
     add_scaled,
-    densify,
     integral,
     nilpotency_index,
     sparse_columns,
     support,
-    unit_vec,
     zero_mat,
 )
 from .pairs import pair_analysis
-from .report import CheckReport, Witness
+from .report import CheckReport, Witness, combination
 
 
 def constant_index(images: dict[tuple[int, int], Support]) -> ModeIndex:
@@ -74,13 +71,14 @@ def constant_index(images: dict[tuple[int, int], Support]) -> ModeIndex:
 class AssocAlgebraData:
     """Multiplication table, identity index, and a nilpotent derivation.
 
-    The dense table and derivation are read once: `index` is the product as
-    a constant_index and `columns` the derivation's sparse columns, and the
-    validation and the builder compute on them.
+    The table holds each product e_i e_j as its sparse coordinates {k: c};
+    a missing cell is zero.  Table and derivation are read once: `index` is
+    the product as a constant_index and `columns` the derivation's sparse
+    columns, and the validation and the builder compute on them.
     """
 
     basis: tuple[str, ...]
-    table: dict[tuple[int, int], Vec]  # (i, j) -> e_i * e_j
+    table: dict[tuple[int, int], SparseVec]  # (i, j) -> e_i * e_j
     identity: int
     derivation: Mat
     index: ModeIndex = field(init=False, repr=False, compare=False)
@@ -90,17 +88,16 @@ class AssocAlgebraData:
         self.basis = tuple(self.basis)
         dim = len(self.basis)
         self.table = {
-            (i, j): tuple(Fraction(x) for x in v) for (i, j), v in self.table.items()
+            key: {k: integral(c) for k, c in sorted(cell.items()) if c}
+            for key, cell in self.table.items()
         }
-        for (i, j), v in self.table.items():
-            if not (0 <= i < dim and 0 <= j < dim) or len(v) != dim:
+        for (i, j), cell in self.table.items():
+            if not (0 <= i < dim and 0 <= j < dim) or any(not 0 <= k < dim for k in cell):
                 raise MalformedStructure(f"bad table entry at ({i},{j})")
         self.derivation = tuple(tuple(Fraction(x) for x in row) for row in self.derivation)
         if len(self.derivation) != dim or any(len(row) != dim for row in self.derivation):
             raise MalformedStructure(f"the derivation is not {dim}x{dim}")
-        self.index = constant_index(
-            {key: [(k, integral(c)) for k, c in support(v)] for key, v in self.table.items()}
-        )
+        self.index = constant_index({key: list(cell.items()) for key, cell in self.table.items()})
         self.columns = sparse_columns(self.derivation)
 
     @property
@@ -128,7 +125,7 @@ class AssocAlgebraData:
                 if lhs != rhs:
                     raise NotADerivation(
                         f"Leibniz fails on ({self.basis[i]}, {self.basis[j]}): "
-                        f"{densify(lhs, dim)} != {densify(rhs, dim)}"
+                        f"{combination(lhs, self.basis)} != {combination(rhs, self.basis)}"
                     )
         if nilpotency_index(self.derivation) is None:
             raise NonNilpotentD("derivation is not nilpotent")
@@ -229,7 +226,7 @@ class _MatrixBasis:
 def full_matrix_algebra(n: int) -> AlgebraStructure:
     """Rational n x n matrices as a structure with constant vertex operators."""
     mb = _MatrixBasis(n)
-    table = {(i, j): mb.product(i, j) for i in range(mb.dim) for j in range(mb.dim)}
+    table = {(i, j): dict(support(mb.product(i, j))) for i in range(mb.dim) for j in range(mb.dim)}
     data = AssocAlgebraData(basis=mb.names, table=table, identity=0, derivation=zero_mat(mb.dim))
     return from_assoc_with_derivation(data)
 
@@ -413,7 +410,7 @@ def group_algebra(grading_orders: tuple[int, ...]) -> tuple[AlgebraStructure, Gr
     index = {g: k for k, g in enumerate(els)}
     dim = len(els)
     table = {
-        (a, b): unit_vec(dim, index[group.add(ga, gb)])
+        (a, b): {index[group.add(ga, gb)]: 1}
         for a, ga in enumerate(els)
         for b, gb in enumerate(els)
     }
@@ -635,14 +632,13 @@ def check_jacobi_like(alg: AlgebraStructure, rmap: RMap) -> CheckReport:
                     add_term(rterms, (e1, e2), coeff, outer.items())
             diff = next(sparse_differences(straight, rterms), None) if straight or rterms else None
             if diff is not None:
-                e, lhs, rhs = diff
-                half, found = "commutation", (e, densify(lhs, dim), densify(rhs, dim))
+                half, found = "commutation", diff
             elif (found := pairs.assoc_failure(u_idx, v_idx, w_idx)) is not None:
                 half = "associativity"
             else:
                 continue
             names = (alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx])
-            failures[(u_idx, v_idx, w_idx)] = Witness((half,) + names, *found)
+            failures[(u_idx, v_idx, w_idx)] = Witness((half,) + names, *found, alg.basis)
     for triple in sorted(failures):
         report.fail(failures[triple])
     return report

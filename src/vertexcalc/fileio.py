@@ -28,7 +28,7 @@ from .construct import (
     rmap_tensor_swap,
 )
 from .errors import OutputError, ParseError, ValidationError
-from .linalg import Mat, Support, Vec, densify
+from .linalg import Mat, Support, format_rational
 from .modules import ModuleStructure
 from .operators import VertexOperator
 
@@ -45,11 +45,6 @@ def parse_rational(s) -> Fraction:
         raise ParseError(f"bad rational {s!r}: {exc}") from None
 
 
-def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _coords(data: dict, index: dict[str, int], what: str) -> Support:
     """The (k, c) pairs of a sparse {basis name: rational} object, in file order."""
     out = []
@@ -58,11 +53,6 @@ def _coords(data: dict, index: dict[str, int], what: str) -> Support:
             raise ValidationError(f"{what}: unknown basis name {name!r}")
         out.append((index[name], parse_rational(val)))
     return out
-
-
-def _vec_from_sparse(data: dict, index: dict[str, int], what: str) -> Vec:
-    """A sparse {basis name: rational} object as a dense vector, as AssocAlgebraData reads it."""
-    return densify(dict(_coords(data, index, what)), len(index))
 
 
 def _sparse_from_coords(img: Support, names: tuple[str, ...]) -> dict:
@@ -203,7 +193,7 @@ def parse_algebra_data(data: dict, name: str = "") -> AlgebraBundle:
             table = {}
             for i, row in enumerate(a["table"]):
                 for j, cell in enumerate(row):
-                    table[(i, j)] = _vec_from_sparse(cell, a_index, f"assoc ({i},{j})")
+                    table[(i, j)] = dict(_coords(cell, a_index, f"assoc ({i},{j})"))
             bundle.assoc = AssocAlgebraData(
                 basis=a_basis,
                 table=table,

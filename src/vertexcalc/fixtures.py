@@ -30,24 +30,20 @@ from .construct import (
     group_algebra,
     matrix_algebra,
 )
-from .linalg import unit_vec
-
 F = Fraction
 
 
 def truncated_poly_3() -> AlgebraStructure:
     """Q[t]/(t^3) with the nilpotent derivation t^2 d/dt (fixture "a3")."""
     basis = ("one", "t", "t2")
+    # sparse products e_i e_j; t t2, t2 t and t2 t2 are zero
     table = {
-        (0, 0): unit_vec(3, 0),
-        (0, 1): unit_vec(3, 1),
-        (0, 2): unit_vec(3, 2),
-        (1, 0): unit_vec(3, 1),
-        (1, 1): unit_vec(3, 2),
-        (1, 2): (F(0), F(0), F(0)),
-        (2, 0): unit_vec(3, 2),
-        (2, 1): (F(0), F(0), F(0)),
-        (2, 2): (F(0), F(0), F(0)),
+        (0, 0): {0: 1},
+        (0, 1): {1: 1},
+        (0, 2): {2: 1},
+        (1, 0): {1: 1},
+        (1, 1): {2: 1},
+        (2, 0): {2: 1},
     }
     derivation = (
         (F(0), F(0), F(0)),
@@ -68,17 +64,15 @@ def upper_triangular_2() -> AlgebraStructure:
     by the constant E12 on the vacuum, which no power of (x1-x2) removes.
     """
     basis = ("one", "e11", "e12")
-    z = (F(0), F(0), F(0))
+    # sparse products e_i e_j; E12 E11 and E12 E12 are zero
     table = {
-        (0, 0): unit_vec(3, 0),
-        (0, 1): unit_vec(3, 1),
-        (0, 2): unit_vec(3, 2),
-        (1, 0): unit_vec(3, 1),
-        (1, 1): unit_vec(3, 1),
-        (1, 2): unit_vec(3, 2),
-        (2, 0): unit_vec(3, 2),
-        (2, 1): z,
-        (2, 2): z,
+        (0, 0): {0: 1},
+        (0, 1): {1: 1},
+        (0, 2): {2: 1},
+        (1, 0): {1: 1},
+        (1, 1): {1: 1},
+        (1, 2): {2: 1},
+        (2, 0): {2: 1},
     }
     zero_mat = tuple(tuple(F(0) for _ in range(3)) for _ in range(3))
     data = AssocAlgebraData(basis=basis, table=table, identity=0, derivation=zero_mat)
@@ -122,12 +116,7 @@ def matrix_over_a3() -> AlgebraStructure:
 def dual_numbers() -> AlgebraStructure:
     """Q[t]/(t^2) with zero derivation, the base of the cross-product fixture."""
     basis = ("one", "t")
-    table = {
-        (0, 0): unit_vec(2, 0),
-        (0, 1): unit_vec(2, 1),
-        (1, 0): unit_vec(2, 1),
-        (1, 1): (F(0), F(0)),
-    }
+    table = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}  # t t is zero
     zero_mat = ((F(0), F(0)), (F(0), F(0)))
     data = AssocAlgebraData(basis=basis, table=table, identity=0, derivation=zero_mat)
     return from_assoc_with_derivation(data)

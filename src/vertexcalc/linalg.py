@@ -9,11 +9,12 @@ its rows in pivot order are the reduced row echelon form, which is unique, so
 reduced bases are reproducible across runs.  The structure checks compute on
 the same sparse form: `support` reads the nonzero entries of a dense vector
 once, `add_scaled` accumulates on them, and `densify` comes back only for a
-public return value or a witness.
+public return value; a witness keeps its sparse vectors.
 
 Sparse coefficients are `int` where integral (`integral`, where they enter
 the kernel) and `Fraction` otherwise; the two compare and hash alike.  Dense
-vectors are `Fraction`: `densify` converts back, so witnesses print as before.
+vectors are `Fraction`.  `format_rational` is the one text form of a
+rational, "p" or "p/q", shared by the file format and the report.
 """
 
 from __future__ import annotations
@@ -68,6 +69,12 @@ def integral(x) -> Scalar:
     if type(x) is not int and type(x) is not Fraction:
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
+
+
+def format_rational(x) -> str:
+    """x as "p" when integral, else "p/q" in lowest terms."""
+    x = integral(x)
+    return str(x) if type(x) is int else f"{x.numerator}/{x.denominator}"
 
 
 def densify(coords: SparseVec, n: int) -> Vec:

@@ -30,9 +30,9 @@ from .algebra import (
     find_locality_k,
     mode_derivative,
     normal_index,
+    sparse_differences,
     sparse_modes,
     spin,
-    term_differences,
 )
 from .construct import _MatrixBasis, matrix_algebra, table_tensor, tensor_product
 from .errors import MalformedStructure
@@ -104,20 +104,20 @@ def check_module(alg: AlgebraStructure, mod: ModuleStructure) -> CheckReport:
     require_acting_range(alg, mod)
     report = CheckReport("module-axioms")
     dim_w = mod.dim
-    # identity action
+    # identity action: (1)_(-1) w = w and no other mode, one witness per wrong mode
     for j in range(dim_w):
-        modes = mod.mode_index.get((alg.vacuum, j), {})
-        if modes != {-1: [(j, 1)]}:
-            got = {n: densify(dict(img), dim_w) for n, img in modes.items()}
-            report.fail(Witness(("vacuum-action", mod.basis[j]), None, got, {-1: mod.unit(j)}))
+        modes = {n: dict(img) for n, img in mod.mode_index.get((alg.vacuum, j), {}).items()}
+        for n, a, b in sparse_differences(modes, {-1: {j: 1}}):
+            report.fail(Witness(("vacuum-action", mod.basis[j]), (n,), a, b, mod.basis))
     # derivative property: Y_W(Dv, x) = d/dx Y_W(v, x)
     for i, dv in enumerate(d_columns(alg)):
         for j in range(dim_w):
             uj = ((j, ONE),)
             lhs = sparse_modes(mod.mode_index, dv, uj)
             rhs = mode_derivative(sparse_modes(mod.mode_index, ((i, ONE),), uj))
-            for n, a, b in term_differences(lhs, rhs, dim_w):
-                report.fail(Witness(("d-derivative", alg.basis[i], mod.basis[j]), (n,), a, b))
+            for n, a, b in sparse_differences(lhs, rhs):
+                names = ("d-derivative", alg.basis[i], mod.basis[j])
+                report.fail(Witness(names, (n,), a, b, mod.basis))
     # weak associativity, per triple; a (u, w) that holds for every v is uniform
     pairs = pair_analysis(alg, mod)
     uniform = False
@@ -128,7 +128,7 @@ def check_module(alg: AlgebraStructure, mod: ModuleStructure) -> CheckReport:
                 uniform = True
                 continue
             names = (alg.basis[u_idx], alg.basis[v_idx], mod.basis[w_idx])
-            report.fail(Witness(names, *pairs.assoc_failure(u_idx, v_idx, w_idx)))
+            report.fail(Witness(names, *pairs.assoc_failure(u_idx, v_idx, w_idx), mod.basis))
     if uniform:
         report.found_orders["max_assoc_order"] = 0
         report.notes.append(
@@ -225,7 +225,8 @@ def check_locality_transfer(
         report.found_orders["algebra_k"] = 0
         if not mod_holds:
             w_idx, *diff = next(mod_pairs.commutation_failures(u_idx, v_idx, q))
-            report.fail(Witness((alg.basis[u_idx], alg.basis[v_idx], mod.basis[w_idx]), *diff))
+            names = (alg.basis[u_idx], alg.basis[v_idx], mod.basis[w_idx])
+            report.fail(Witness(names, *diff, mod.basis))
     if faithful and mod_holds and not alg_holds:
         report.fail(
             Witness(
@@ -275,8 +276,6 @@ def generate_submodule(
 
 
 def generating_basis_vectors(alg: AlgebraStructure, mod: ModuleStructure) -> list[bool]:
-    """Whether each module basis vector generates the whole module."""
-    return [
-        len(generate_submodule(alg, mod, mod.unit(j))) == mod.dim
-        for j in range(mod.dim)
-    ]
+    """Whether each module basis vector generates the whole module: a count of spun vectors."""
+    acting = [((i, ONE),) for i in range(alg.dim)]
+    return [len(spin(mod.mode_index, acting, [{j: 1}], mod.dim)) == mod.dim for j in range(mod.dim)]

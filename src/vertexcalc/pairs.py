@@ -35,7 +35,7 @@ from .algebra import (
     sparse_differences,
     sparse_modes,
 )
-from .linalg import ONE, densify, integral
+from .linalg import ONE, integral
 
 if TYPE_CHECKING:
     from .modules import ModuleStructure
@@ -267,15 +267,15 @@ class PairAnalysis:
     def commutation_failures(self, u: int, v: int, q: Fraction):
         """(w, exponent, lhs, rhs) on each basis w where commutation fails, in increasing w.
 
-        The exponent is the least differing one, and lhs and rhs are dense.
+        The exponent is the least differing one, and lhs and rhs are sparse.
         """
-        index, dim = self.index, self.dim
+        index = self.index
         flat = self._records[0].get((u, v), ())
         for w, profile in zip(flat[::2], flat[1::2]):
             e = profile_exponent(profile, q)
             if e is not None:
                 rhs = scale(q, mode_pair(index, v, u, w, e[::-1])) if q else {}
-                yield w, e, densify(mode_pair(index, u, v, w, e), dim), densify(rhs, dim)
+                yield w, e, mode_pair(index, u, v, w, e), rhs
 
     def assoc_failing(self, u: int, v: int) -> dict:
         """{w: sparse first difference} of the triples (u, v, w) that are not weakly associative."""
@@ -286,12 +286,8 @@ class PairAnalysis:
         return self._first_failing_middle.get((u, w))
 
     def assoc_failure(self, u: int, v: int, w: int) -> tuple | None:
-        """The first difference (exponent, lhs, rhs) of weak associativity on (u, v, w), dense."""
-        diff = self._records[1].get((u, v), {}).get(w)
-        if diff is None:
-            return None
-        e, a, b = diff
-        return e, densify(a, self.dim), densify(b, self.dim)
+        """The first difference (exponent, lhs, rhs) of weak associativity on (u, v, w), sparse."""
+        return self._records[1].get((u, v), {}).get(w)
 
 
 def pair_analysis(

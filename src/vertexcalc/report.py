@@ -2,6 +2,9 @@
 
 Every failed check carries at least one witness that reproduces the failure:
 which basis tuple, which exponent, and the two values that disagree.  The
+values are the kernel's sparse vectors {k: c}, or a plain string where the
+failure is not a vector equation; `basis` names the coordinates k, and
+`describe` is the one place that turns them into text.  The
 `exact` flag distinguishes exact-complete verdicts (support-certified, no
 window truncation in play) from window-sound ones (refutations are still
 conclusive; confirmations hold on the observed window only).
@@ -16,23 +19,36 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .linalg import SparseVec, format_rational
+
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
 
+def combination(v: SparseVec | str, basis: tuple[str, ...]) -> str:
+    """A witness side as text: a string as it is, a vector as its "c name" terms or "0".
+
+    The terms come in increasing k, joined by " + ", with c in the rational
+    format of the file format (format_rational).
+    """
+    if isinstance(v, str):
+        return v
+    return " + ".join(f"{format_rational(v[k])} {basis[k]}" for k in sorted(v)) or "0"
+
+
 @dataclass(frozen=True)
 class Witness:
     where: tuple
-    exponent: tuple | None = None
-    lhs: object | None = None
-    rhs: object | None = None
+    exponent: tuple | None
+    lhs: SparseVec | str
+    rhs: SparseVec | str
+    basis: tuple[str, ...] = ()  # the names of the coordinates k of a vector side
 
     def describe(self) -> str:
         loc = ",".join(str(x) for x in self.where)
-        if self.exponent is None:
-            return f"at ({loc}): {self.lhs} != {self.rhs}"
-        return f"at ({loc}) exponent {self.exponent}: {self.lhs} != {self.rhs}"
+        at = f"at ({loc})" if self.exponent is None else f"at ({loc}) exponent {self.exponent}"
+        return f"{at}: {combination(self.lhs, self.basis)} != {combination(self.rhs, self.basis)}"
 
 
 @dataclass

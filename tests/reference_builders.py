@@ -10,8 +10,11 @@ vectors with `mat_vec`.  The library built its examples this way before the
 builders moved onto `sparse_modes`, `exp_sparse` and sparse columns; the
 code is kept here, unchanged, as their oracle, except that
 `rmap_cross_abelian` keys its images by basis pairs since the R-map became
-an endomorphism of V ⊗ V, and that the dense tables reach the structures
-through `index_from_dense` since they store only their sparse index.
+an endomorphism of V ⊗ V, that the dense tables reach the structures
+through `index_from_dense` since they store only their sparse index, that
+`mult_vec` densifies the sparse table cells of AssocAlgebraData, and that
+the Leibniz message prints its two sides as the library does.  `assoc_data`
+builds AssocAlgebraData from a dense table for the tests that write one.
 """
 
 from __future__ import annotations
@@ -25,14 +28,23 @@ from vertexcalc.construct import AssocAlgebraData, GroupActionData, RMap, table_
 from vertexcalc.errors import MalformedStructure, NonNilpotentD, NotADerivation, NotAnAutomorphism
 from vertexcalc.linalg import (
     Vec,
+    densify,
     is_zero_vec,
     mat_vec,
     nilpotency_index,
+    support,
     unit_vec,
     vec_add,
     vec_scale,
     zero_vec,
 )
+from vertexcalc.report import combination
+
+
+def assoc_data(basis, table, identity, derivation) -> AssocAlgebraData:
+    """AssocAlgebraData from a dense table {(i, j): vector}, each cell read through support."""
+    cells = {key: dict(support(v)) for key, v in table.items()}
+    return AssocAlgebraData(basis, cells, identity, derivation)
 
 
 def mult_vec(data: AssocAlgebraData, a: Vec, b: Vec) -> Vec:
@@ -45,7 +57,7 @@ def mult_vec(data: AssocAlgebraData, a: Vec, b: Vec) -> Vec:
                 continue
             t = data.table.get((i, j))
             if t is not None:
-                out = vec_add(out, vec_scale(ca * cb, t))
+                out = vec_add(out, vec_scale(ca * cb, densify(t, data.dim)))
     return out
 
 
@@ -66,9 +78,9 @@ def validate(data: AssocAlgebraData) -> None:
                 mult_vec(data, a, mat_vec(data.derivation, b)),
             )
             if lhs != rhs:
+                sides = (combination(dict(support(v)), data.basis) for v in (lhs, rhs))
                 raise NotADerivation(
-                    f"Leibniz fails on ({data.basis[i]}, {data.basis[j]}): "
-                    f"{lhs} != {rhs}"
+                    f"Leibniz fails on ({data.basis[i]}, {data.basis[j]}): " + " != ".join(sides)
                 )
     if nilpotency_index(data.derivation) is None:
         raise NonNilpotentD("derivation is not nilpotent")
@@ -108,7 +120,7 @@ def from_assoc_with_derivation(data: AssocAlgebraData) -> AlgebraStructure:
 
 def validate_action(act: GroupActionData, alg: AlgebraStructure) -> None:
     for g, m in act.action.items():
-        if mat_vec(m, alg.vacuum_vec()) != alg.vacuum_vec():
+        if mat_vec(m, alg.unit(alg.vacuum)) != alg.unit(alg.vacuum):
             raise NotAnAutomorphism(f"{act.elements[g]} moves the vacuum")
         for i in range(alg.dim):
             for j in range(alg.dim):

@@ -18,9 +18,9 @@ distributions:
 
 from fractions import Fraction
 
-from reference_tables import index_from_dense, mode_matrix, table_of
+from reference_tables import index_from_dense, mode_matrix, table_of, term_differences
 
-from vertexcalc.algebra import Terms, add_term, term_differences
+from vertexcalc.algebra import Terms, add_term
 from vertexcalc.errors import MalformedStructure
 from vertexcalc.linalg import binom, mat_mul, mat_scale, mat_vec, support
 from vertexcalc.modules import ModuleStructure

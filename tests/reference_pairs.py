@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from reference_tables import dense_witness, term_differences
+
 from vertexcalc.algebra import (
     AlgebraStructure,
     ModeIndex,
@@ -28,7 +30,6 @@ from vertexcalc.algebra import (
     scale,
     sparse_differences,
     sparse_modes,
-    term_differences,
 )
 from vertexcalc.linalg import ONE, SparseVec, Support, Vec
 from vertexcalc.modules import ModuleStructure
@@ -113,12 +114,12 @@ def assoc_search(
 
     The two sides are compared at the order of assoc_sides: None when they
     agree (the relation holds at order 0), else the witness at the first
-    differing (x0, x2)-exponent.  u, v and w are given by their nonzero
-    (k, c) pairs.
+    differing (x0, x2)-exponent, its dense sides read through support.  u, v
+    and w are given by their nonzero (k, c) pairs.
     """
     lhs, rhs = assoc_sides(product_sparse(act, su, sv, sw), iterate_sparse(alg, act, su, sv, sw))
     diffs = term_differences(lhs, rhs, act.dim)
-    return Witness(names, *diffs[0]) if diffs else None
+    return dense_witness(names, diffs[0], act.basis) if diffs else None
 
 
 # -- the per-pair walk ------------------------------------------------------------

@@ -20,7 +20,7 @@ from functools import partial
 from reference_tables import apply_mode, product, table_of
 
 from vertexcalc.errors import CapExceeded
-from vertexcalc.linalg import ZERO, is_zero_vec, mat_vec, zero_vec
+from vertexcalc.linalg import ZERO, is_zero_vec, mat_vec, support, zero_vec
 from vertexcalc.report import CheckReport, Witness
 
 
@@ -152,7 +152,7 @@ def dense_generate_subalgebra(alg, generators):
                     if a == i:
                         modes.update(mm)
         acting.append((g, sorted(modes)))
-    return _saturate(SpanBasis([alg.vacuum_vec()]), alg.dim, acting, partial(apply_mode, alg))
+    return _saturate(SpanBasis([alg.unit(alg.vacuum)]), alg.dim, acting, partial(apply_mode, alg))
 
 
 def _all_modes(alg):
@@ -213,11 +213,12 @@ def dense_subspace_is_subalgebra(alg, rows):
     """The vacuum and every mode product of two reduced rows must lie in the span."""
     report = CheckReport("subalgebra-closure")
     span = SpanBasis(rows)
-    if not span.contains(alg.vacuum_vec()):
+    if not span.contains(alg.unit(alg.vacuum)):
         report.fail(Witness(("vacuum",), None, "missing", "vacuum in span"))
     for a in span.rows:
         for b in span.rows:
             for n, w in alg.mode_map(a, b).items():
                 if not span.contains(w):
-                    report.fail(Witness(("closure",), (n,), w, "inside span"))
+                    where, lhs = ("closure",), dict(support(w))
+                    report.fail(Witness(where, (n,), lhs, "inside span", alg.basis))
     return report

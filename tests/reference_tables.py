@@ -13,10 +13,14 @@ tests that compare against them:
 - `mode_map` and `mode_matrix` on a module (an AlgebraStructure keeps its
   own);
 - `subspace_is_subalgebra`, the closure check of a subspace;
-- `mat_add`, the sum of two dense matrices.
+- `mat_add`, the sum of two dense matrices;
+- `apply_columns` and `term_differences`, D v and the differing terms of
+  two term dictionaries as dense vectors, which the checks read sparse;
+- `dense_witness`, the Witness of a dense first difference, its two sides
+  read back through `support`, as the checks build it from sparse ones.
 """
 
-from vertexcalc.algebra import dense_terms, sparse_modes
+from vertexcalc.algebra import d_sparse, dense_terms, sparse_differences, sparse_modes
 from vertexcalc.linalg import ONE, dense_span, densify, integral, support, unit_vec
 from vertexcalc.report import CheckReport, Witness
 
@@ -85,9 +89,25 @@ def subspace_is_subalgebra(alg, rows):
         for b in echelon:
             for n, w in sparse_modes(alg.mode_index, a, b).items():
                 if span.residue(w):
-                    report.fail(Witness(("closure",), (n,), densify(w, alg.dim), "inside span"))
+                    report.fail(Witness(("closure",), (n,), w, "inside span", alg.basis))
     return report
 
 
 def mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
+
+
+def apply_columns(cols, v):
+    """D v for D given by its sparse columns, as a dense vector."""
+    return densify(d_sparse(cols, support(v)), len(v))
+
+
+def term_differences(lhs, rhs, dim):
+    """(exponent, lhs, rhs) wherever two term dictionaries differ, in increasing order, dense."""
+    return [(e, densify(a, dim), densify(b, dim)) for e, a, b in sparse_differences(lhs, rhs)]
+
+
+def dense_witness(where, diff, basis):
+    """The Witness of a dense difference (exponent, lhs, rhs), its sides read through support."""
+    e, a, b = diff
+    return Witness(where, e, dict(support(a)), dict(support(b)), basis)

@@ -21,7 +21,6 @@ from vertexcalc.errors import (
 from vertexcalc.fileio import (
     algebra_to_data,
     canonical_json,
-    format_rational,
     module_section,
     parse_algebra_data,
     parse_algebra_file,
@@ -34,6 +33,7 @@ from vertexcalc.fixtures import (
     klein_twist,
     truncated_poly_3,
 )
+from vertexcalc.linalg import format_rational
 from vertexcalc.modules import adjoint_module
 from vertexcalc.suite import run_suite
 
@@ -168,6 +168,10 @@ MALFORMED_STRUCTURES = {
     "module-target-name-unknown": _with_module(lambda m: m["entries"][0].update(w="x")),
     "module-coordinate-unknown": _with_module(lambda m: m["entries"][0]["result"].update(x="1")),
     "module-empty-basis": _with_module(lambda m: m.update(basis=[], entries=[])),
+    # an assoc table cell is sparse: a row or a column past the basis has no product
+    "assoc-row-beyond-basis": lambda d: d["assoc"]["table"].append([{}, {}, {}]),
+    "assoc-column-beyond-basis": lambda d: d["assoc"]["table"][0].append({"t": "1"}),
+    "assoc-coordinate-unknown": lambda d: d["assoc"]["table"][0][0].update(x="1"),
 }
 
 

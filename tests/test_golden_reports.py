@@ -33,6 +33,22 @@ jacobi and modules reports on the dim-27 structure built in process, as the
 benchmark's scale workload builds it, are pinned for q = 1 and 1/3, one report
 per suite.  They were pinned before the sparse kernel moved to integer
 coefficients.
+
+Under "verdicts" one more digest is pinned for every report above: the
+sha256 of its JSON report with each record's `witnesses` replaced by their
+number, so it covers every other field (ids, identities, kinds, verdicts,
+`exact` flags, orders, notes, summary, options and embedded data).  They
+were pinned before witnesses became sparse, and that change left them
+unmoved.
+
+The byte digests were re-pinned when witnesses became sparse vectors
+printed by basis name ("1 e12 != 0" in place of the tuples of
+`Fraction(...)` reprs).  The earlier reports were saved first, and a
+script checked the new ones against them: in all 40 pinned reports (both
+formats) every record is unchanged outside its witnesses, the text reports
+are unchanged outside their witness lines, and each of the 3,821 witnesses
+has the same basis tuple and exponent as before, with each side parsing to
+the nonzero entries of the earlier dense tuple, named by basis.
 """
 
 import functools
@@ -43,7 +59,7 @@ from pathlib import Path
 import pytest
 
 from vertexcalc.construct import matrix_algebra
-from vertexcalc.fileio import AlgebraBundle, parse_algebra_file
+from vertexcalc.fileio import AlgebraBundle, canonical_json, parse_algebra_file
 from vertexcalc.suite import SuiteOptions, emit_report, run_suite
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -114,10 +130,58 @@ def test_the_built_structure_is_pinned_for_each_suite():
     assert all(sorted(by_suite) == suites for by_suite in BUILT.values())
 
 
+@functools.cache
+def _built_report(q: str, suite: str):
+    return run_suite(AlgebraBundle(alg=_m3a3(), name="m3a3"), suite, SuiteOptions(q=q))
+
+
 @pytest.mark.parametrize(
     "q,suite", [(q, suite) for q, by_suite in sorted(BUILT.items()) for suite in sorted(by_suite)]
 )
 def test_built_structure_reports_are_byte_identical(q, suite):
-    report = run_suite(AlgebraBundle(alg=_m3a3(), name="m3a3"), suite, SuiteOptions(q=q))
+    report = _built_report(q, suite)
     for format, digest in BUILT[q][suite].items():
         assert hashlib.sha256(emit_report(report, format)).hexdigest() == digest, format
+
+
+VERDICTS = GOLDEN["verdicts"]
+
+
+def _verdict_digest(report) -> str:
+    """sha256 of the JSON report with each record's witnesses replaced by their count."""
+    data = json.loads(emit_report(report, "json"))
+    for record in data["records"]:
+        record["witnesses"] = len(record["witnesses"])
+    return hashlib.sha256(canonical_json(data)).hexdigest()
+
+
+def test_every_pinned_report_has_a_verdict_digest():
+    fixtures = VERDICTS["fixtures"]
+    assert sorted(fixtures) == sorted(["1", *GOLDEN["q"]])
+    assert sorted(fixtures["1"]) == sorted(GOLDEN["json"])
+    for q, formats in GOLDEN["q"].items():
+        assert sorted(fixtures[q]) == sorted(formats["json"])
+    built = VERDICTS["matrix_algebra(a3,3)"]
+    assert {q: sorted(by_suite) for q, by_suite in built.items()} == {
+        q: sorted(by_suite) for q, by_suite in BUILT.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "q,name",
+    [(q, name) for q, digests in sorted(VERDICTS["fixtures"].items()) for name in sorted(digests)],
+)
+def test_fixture_report_verdicts_are_unchanged(q, name):
+    assert _verdict_digest(_report(name, q)) == VERDICTS["fixtures"][q][name]
+
+
+@pytest.mark.parametrize(
+    "q,suite",
+    [
+        (q, suite)
+        for q, digests in sorted(VERDICTS["matrix_algebra(a3,3)"].items())
+        for suite in sorted(digests)
+    ],
+)
+def test_built_structure_verdicts_are_unchanged(q, suite):
+    assert _verdict_digest(_built_report(q, suite)) == VERDICTS["matrix_algebra(a3,3)"][q][suite]

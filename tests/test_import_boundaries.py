@@ -7,8 +7,9 @@ These checks read the sources with ast, so a window-kernel import that
 creeps back into a verdict path fails here, and so does a per-triple product
 in the Jacobi-like check, a per-triple product kernel anywhere in the
 package, a dense product or action in the builders, a dense mode table in
-any module or a densified table in a builder, and any way for a float to
-arise in the package.  A relation check
+any module or a densified table in a builder, a densified vector in a
+check that builds a witness, and any way for a float to arise in the
+package.  A relation check
 answers with its witness or None, so no module holds an order object, and
 the suite runs no loop over a stated invariant.
 """
@@ -176,6 +177,40 @@ def test_no_module_stores_a_dense_mode_table():
             assert "densify" not in function_names(module, function), (module, function)
     oracle = names_in((Path(__file__).parent / "reference_tables.py").read_text())
     assert {"dense_table", "index_from_dense"} <= oracle
+
+
+def verdict_functions(module: str) -> set[str]:
+    """The top-level functions of a module that build a CheckReport or a Witness."""
+    source = (SRC / f"{module}.py").read_text()
+    return {
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef)
+        and {"CheckReport", "Witness"} & names_in(ast.get_source_segment(source, node))
+    }
+
+
+def test_no_verdict_path_densifies_a_witness():
+    # a witness holds the kernel's sparse vectors, printed by basis name in
+    # report.Witness.describe; the dense differences, D v and the vacuum
+    # vector live only in tests/reference_tables.py or nowhere
+    assert "densify" not in names_used("pairs")
+    for module in ("algebra", "construct", "modules"):
+        for function in verdict_functions(module):
+            assert "densify" not in function_names(module, function), (module, function)
+    gone = {"term_differences", "apply_columns", "vacuum_vec", "_vec_from_sparse"}
+    found = {path.name: names_in(path.read_text()) & gone for path in SRC.glob("*.py")}
+    assert {name: names for name, names in found.items() if names} == {}
+    oracle = names_in((Path(__file__).parent / "reference_tables.py").read_text())
+    assert {"term_differences", "apply_columns", "dense_witness"} <= oracle
+
+
+def test_the_verdict_reader_finds_the_checks():
+    assert {"validate_structure", "check_d_bracket", "check_skew_symmetry", "check_jacobi",
+            "find_locality_k", "weak_assoc_triple"} <= verdict_functions("algebra")
+    assert "check_jacobi_like" in verdict_functions("construct")
+    assert {"check_module", "check_locality_transfer"} <= verdict_functions("modules")
+    assert "generate_subalgebra" not in verdict_functions("algebra")
 
 
 def test_the_function_reader_sees_only_its_function():

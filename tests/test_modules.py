@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from reference_pairs import commutation_sparse
 from reference_spans import dense_rank
-from reference_tables import apply_mode, index_from_dense, table_of
+from reference_tables import apply_mode, index_from_dense, table_of, term_differences
 
-from vertexcalc.algebra import AlgebraStructure, term_differences
+from vertexcalc.algebra import AlgebraStructure
 from vertexcalc.errors import CapExceeded, MalformedStructure
 from vertexcalc.fixtures import (
     cross_a2_z2,
@@ -59,6 +59,20 @@ def test_adjoint_modules_pass_on_all_fixtures():
         cross_a2_z2()[0],
     ):
         assert check_module(alg, adjoint_module(alg)).passed
+
+
+def test_a_wrong_vacuum_action_has_one_witness_per_wrong_mode(a3, a3_adj):
+    # (1)_(-1) t = t2 and (1)_0 t = t: each wrong mode of Y(1, x)t is one
+    # witness at its exponent, both sides sparse over the module basis
+    t, t2 = a3.basis_index("t"), a3.basis_index("t2")
+    action = table_of(a3_adj)
+    action[(a3.vacuum, t)] = {-1: unit_vec(3, t2), 0: unit_vec(3, t)}
+    mod = ModuleStructure(basis=a3_adj.basis, mode_index=index_from_dense(action, 3))
+    rep = check_module(a3, mod)
+    assert [w.describe() for w in rep.witnesses if w.where[0] == "vacuum-action"] == [
+        "at (vacuum-action,t) exponent (-1,): 1 t2 != 1 t",
+        "at (vacuum-action,t) exponent (0,): 1 t != 0",
+    ]
 
 
 def test_corrupted_action_fails(a3, a3_adj):

@@ -28,7 +28,7 @@ from reference_pairs import (
     reversed_sparse,
     scale_terms,
 )
-from reference_tables import index_from_dense, table_of
+from reference_tables import dense_witness, index_from_dense, table_of, term_differences
 
 import vertexcalc.algebra as algebra_module
 import vertexcalc.pairs as pairs_module
@@ -41,7 +41,6 @@ from vertexcalc.algebra import (
     find_locality_k,
     find_weak_assoc_l,
     sparse_modes,
-    term_differences,
     truncation_order,
     weak_assoc_triple,
 )
@@ -83,7 +82,7 @@ def _locality_oracle(alg, u, v, q) -> Witness | None:
         diffs = commutation_sparse(alg, _e(u), _e(v), _e(w), q)
         if diffs:
             names = (alg.basis[u], alg.basis[v], alg.basis[w])
-            return Witness(names, *diffs[0])
+            return dense_witness(names, diffs[0], alg.basis)
     return None
 
 
@@ -103,7 +102,7 @@ def _skew_oracle(alg, u, v, q) -> tuple:
         for j, dv in exp_sparse(cols, c.items()).items():
             algebra_module.add_term(rhs, (m + j,), sgn, dv.items())
     diffs = term_differences(lhs, rhs, alg.dim)
-    witnesses = [Witness((alg.basis[u], alg.basis[v]), *diffs[0])] if diffs else []
+    witnesses = [dense_witness((alg.basis[u], alg.basis[v]), diffs[0], alg.basis)] if diffs else []
     k_min = truncation_order(alg, u, v)
     local = _locality_oracle(alg, u, v, q) is None
     k_used = 0 if local else k_min
@@ -127,11 +126,12 @@ def _jacobi_oracle(alg, u, v, q) -> list[str]:
         rterms = scale_terms(q, reversed_sparse(alg, _e(u), _e(v), _e(w)))
         diffs = term_differences(product_sparse(alg, _e(u), _e(v), _e(w)), rterms, alg.dim)
         if diffs:
-            out.append(Witness(("commutation",) + names, *diffs[0]))
+            out.append(dense_witness(("commutation",) + names, diffs[0], alg.basis))
             continue
         wit = _assoc_oracle(alg, alg, u, v, w)
         if wit is not None:
-            out.append(Witness(("associativity",) + wit.where, wit.exponent, wit.lhs, wit.rhs))
+            where = ("associativity",) + wit.where
+            out.append(Witness(where, wit.exponent, wit.lhs, wit.rhs, wit.basis))
     return [w.describe() for w in out]
 
 
@@ -155,7 +155,7 @@ def _transfer_oracle(alg, mod, u, v, q, faithful) -> tuple:
     for w in range(mod.dim):
         diffs = commutation_sparse(mod, _e(u), _e(v), _e(w), q)
         if diffs:
-            witness = Witness((alg.basis[u], alg.basis[v], mod.basis[w]), *diffs[0])
+            witness = dense_witness((alg.basis[u], alg.basis[v], mod.basis[w]), diffs[0], mod.basis)
             break
     mod_holds = witness is None
     witnesses, orders = [], {"faithful": int(faithful)}

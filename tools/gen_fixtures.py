@@ -6,7 +6,6 @@ from pathlib import Path
 from vertexcalc.fileio import (
     algebra_to_data,
     cocycle_section,
-    format_rational,
     grading_section,
     group_section,
     write_algebra_file,
@@ -23,27 +22,20 @@ from vertexcalc.fixtures import (
     upper_triangular_2,
 )
 from vertexcalc.construct import AssocAlgebraData
+from vertexcalc.linalg import format_rational
 
 OUT = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def assoc_section(data: AssocAlgebraData) -> dict:
     dim = data.dim
-    table = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            cell = data.table.get((i, j))
-            row.append(
-                {}
-                if cell is None
-                else {
-                    data.basis[k]: format_rational(c)
-                    for k, c in enumerate(cell)
-                    if c != 0
-                }
-            )
-        table.append(row)
+    table = [
+        [
+            {data.basis[k]: format_rational(c) for k, c in data.table.get((i, j), {}).items()}
+            for j in range(dim)
+        ]
+        for i in range(dim)
+    ]
     return {
         "basis": list(data.basis),
         "identity": data.basis[data.identity],
@@ -55,18 +47,14 @@ def assoc_section(data: AssocAlgebraData) -> dict:
 def a3_assoc_data() -> AssocAlgebraData:
     from fractions import Fraction as F
 
-    from vertexcalc.linalg import unit_vec
-
+    # sparse products; the missing cells are zero
     table = {
-        (0, 0): unit_vec(3, 0),
-        (0, 1): unit_vec(3, 1),
-        (0, 2): unit_vec(3, 2),
-        (1, 0): unit_vec(3, 1),
-        (1, 1): unit_vec(3, 2),
-        (1, 2): (F(0),) * 3,
-        (2, 0): unit_vec(3, 2),
-        (2, 1): (F(0),) * 3,
-        (2, 2): (F(0),) * 3,
+        (0, 0): {0: 1},
+        (0, 1): {1: 1},
+        (0, 2): {2: 1},
+        (1, 0): {1: 1},
+        (1, 1): {2: 1},
+        (2, 0): {2: 1},
     }
     derivation = ((F(0),) * 3, (F(0),) * 3, (F(0), F(1), F(0)))
     return AssocAlgebraData(
@@ -77,19 +65,14 @@ def a3_assoc_data() -> AssocAlgebraData:
 def ut2_assoc_data() -> AssocAlgebraData:
     from fractions import Fraction as F
 
-    from vertexcalc.linalg import unit_vec
-
-    z = (F(0),) * 3
     table = {
-        (0, 0): unit_vec(3, 0),
-        (0, 1): unit_vec(3, 1),
-        (0, 2): unit_vec(3, 2),
-        (1, 0): unit_vec(3, 1),
-        (1, 1): unit_vec(3, 1),
-        (1, 2): unit_vec(3, 2),
-        (2, 0): unit_vec(3, 2),
-        (2, 1): z,
-        (2, 2): z,
+        (0, 0): {0: 1},
+        (0, 1): {1: 1},
+        (0, 2): {2: 1},
+        (1, 0): {1: 1},
+        (1, 1): {1: 1},
+        (1, 2): {2: 1},
+        (2, 0): {2: 1},
     }
     zero = tuple((F(0),) * 3 for _ in range(3))
     return AssocAlgebraData(basis=("one", "e11", "e12"), table=table, identity=0, derivation=zero)
@@ -98,14 +81,7 @@ def ut2_assoc_data() -> AssocAlgebraData:
 def a2_assoc_data() -> AssocAlgebraData:
     from fractions import Fraction as F
 
-    from vertexcalc.linalg import unit_vec
-
-    table = {
-        (0, 0): unit_vec(2, 0),
-        (0, 1): unit_vec(2, 1),
-        (1, 0): unit_vec(2, 1),
-        (1, 1): (F(0), F(0)),
-    }
+    table = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}
     zero = ((F(0), F(0)), (F(0), F(0)))
     return AssocAlgebraData(basis=("one", "t"), table=table, identity=0, derivation=zero)
 
