@@ -414,7 +414,7 @@ def check_creation_exponential(alg: AlgebraStructure) -> CheckReport:
 # weak associativity of one triple, and the pair analysis
 
 
-def assoc_sides(prod: Terms, iterate: Terms) -> tuple[Terms, Terms]:
+def assoc_sides(prod: Terms, iterate: Terms, sign: int = 1) -> tuple[Terms, Terms]:
     """Both sides of weak associativity at the order where both are Laurent polynomials.
 
     prod is Y(u,x1)Y(v,x2)w and iterate is Y(Y(u,x0)v,x2)w.  The relation
@@ -425,18 +425,25 @@ def assoc_sides(prod: Terms, iterate: Terms) -> tuple[Terms, Terms]:
     at every l, and the least order is 0.  The sides are taken at
     L = max(0, 1 + the largest outer mode n1 of prod), where every
     (x0+x2)^(-n1-1+L) is a polynomial, so one comparison of their
-    (x0, x2)-terms decides the relation exactly.
+    (x0, x2)-terms decides the relation exactly.  With sign = -1 the right
+    side is subtracted from the left in one dictionary, returned twice
+    (assoc_holds).
     """
     order = max([0] + [-e1 for e1, _e2 in prod])
     lhs: Terms = {}
     for (e1, e2), c in prod.items():
         for i in range(e1 + order + 1):
             add_term(lhs, (e1 + order - i, e2 + i), binom(e1 + order, i), c.items())
-    rhs: Terms = {}
+    rhs: Terms = {} if sign == 1 else lhs
     for (e0, e2), c in iterate.items():
         for i in range(order + 1):
-            add_term(rhs, (e0 + order - i, e2 + i), binom(order, i), c.items())
+            add_term(rhs, (e0 + order - i, e2 + i), sign * binom(order, i), c.items())
     return lhs, rhs
+
+
+def assoc_holds(prod: Terms, iterate: Terms) -> bool:
+    """Whether the two sides of assoc_sides agree, read off one accumulator of their difference."""
+    return not any(assoc_sides(prod, iterate, -1)[0].values())
 
 
 def _analysis(alg: AlgebraStructure) -> PairAnalysis:
@@ -614,15 +621,23 @@ def check_jacobi(alg: AlgebraStructure, u_idx: int, v_idx: int, q: Fraction) -> 
 # subspaces: generated subalgebra, stabilizer, localizer
 
 
-def spin(index: ModeIndex, acting: list[Support], start: list[SparseVec], dim: int) -> list:
+def spin(
+    index: ModeIndex,
+    acting: list[Support],
+    start: list[SparseVec],
+    dim: int,
+    span: CoordSpan | None = None,
+) -> list:
     """The span of start under every mode of the acting vectors, in spin order.
 
     MeatAxe spinning (Parker 1984): each accepted vector is multiplied once
     by each acting vector (all modes in one sparse_modes call), and each
     nonzero image outside the span so far is accepted and queued.  More
-    accepted vectors than dim would be a dependent set: CapExceeded.
+    accepted vectors than dim would be a dependent set: CapExceeded.  The
+    accepted vectors go into `span`, a fresh coordinate-free CoordSpan
+    unless the caller passes an empty one to keep.
     """
-    span = CoordSpan()
+    span = CoordSpan() if span is None else span
     accepted: list[SparseVec] = []
     for v in start:
         if v and span.insert(v) is None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from functools import cache
 from pathlib import Path
 
 from .construct import cocycle_twist, cross_product, from_assoc_with_derivation, matrix_algebra, tensor_product
@@ -35,7 +36,9 @@ def _parse_n_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError("expected n-range as LO:HI") from None
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call (not at import) and shared after it."""
     parser = argparse.ArgumentParser(
         prog="vertexcalc",
         description="Exact checkers and builders for nonlocal vertex structures.",

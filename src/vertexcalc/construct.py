@@ -610,8 +610,13 @@ def check_jacobi_like(alg: AlgebraStructure, rmap: RMap) -> CheckReport:
 
     R keeps w, so both sides of every (u, v) on one w are read off the pair
     analysis's scatter of that w (PairAnalysis.products): each w is
-    scattered once, a triple costs a lookup, and one whose straight and
-    reversed products all vanish costs no comparison.  Failures are
+    scattered once and a triple costs a lookup.  Only the pairs a verdict
+    can read are visited: on w, a pair whose straight product vanishes,
+    whose R-image of (v, u) names only pairs with vanishing products and
+    whose triple is weakly associative holds both halves.  So each w
+    visits the pairs with a nonzero product, the pairs R reaches them from
+    (R read backwards once per call) and the pairs whose triple is not
+    weakly associative (PairAnalysis.assoc_failing_pairs).  Failures are
     reported in (u, v, w) order.
     """
     report = CheckReport("jacobi-like")
@@ -619,10 +624,21 @@ def check_jacobi_like(alg: AlgebraStructure, rmap: RMap) -> CheckReport:
     if rmap.dim != dim:
         raise MalformedStructure("R-map dimension mismatch")
     pairs = pair_analysis(alg)
+    # reaching[(a, b)]: every (u, v) whose R-image of (v, u) names (a, b);
+    # a pair R does not list is its own image
+    reaching: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for (v_idx, u_idx), image in rmap.entries.items():
+        for _coeff, pair in image:
+            reaching.setdefault(pair, []).append((u_idx, v_idx))
     failures: dict[tuple[int, int, int], Witness] = {}
     for w_idx in range(dim):
         products = pairs.products(w_idx)
-        for u_idx, v_idx in iproduct(range(dim), repeat=2):
+        visit = set(products).union(pairs.assoc_failing_pairs(w_idx))
+        for a, b in products:
+            visit.update(reaching.get((a, b), ()))
+            if (a, b) not in rmap.entries:
+                visit.add((b, a))
+        for u_idx, v_idx in visit:
             straight = products.get((u_idx, v_idx), {})
             # (Y x Y)(x2, x1) applied to R(v ⊗ u) ⊗ w: sum of Y(a,x2)Y(b,x1)w,
             # which is Y(a,x1)Y(b,x2)w with its two exponents swapped

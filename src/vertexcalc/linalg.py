@@ -178,21 +178,24 @@ def nilpotency_index(m: Mat, cap: int | None = None) -> int | None:
 
 
 class CoordSpan:
-    """Sparse row space that expresses members as combinations of the inserted reps.
+    """Sparse row space; made with coords=True, it also expresses members over the inserted reps.
 
     A vector is a {key: nonzero int or Fraction} dict over sortable, hashable keys;
     absent keys are zero.  Rows stay fully reduced with a unit pivot on their
     least key, so no row holds another row's pivot, reduction is one pass, and
     the rows taken in pivot order are the reduced row echelon form of the
-    span.  Dependence answers come with exact coordinates over the
-    representative vectors in insertion order, which is what the closure
-    engine needs to read off structure constants.
+    span.  Only the closure engine reads coordinates over the representative
+    vectors in insertion order, to read off structure constants, so only a
+    span made with coords=True keeps them, one more sparse row per row.
+    Spinning, the rank test and the nullspaces ask only for membership and
+    the echelon rows, and their spans keep none.
     """
 
-    def __init__(self, rows: Iterable[SparseVec] = ()):
+    def __init__(self, rows: Iterable[SparseVec] = (), coords: bool = False):
         # (pivot key, reduced row, the row's coordinates over the reps in
-        # insertion order); there is one row per accepted vector
-        self._rows: list[tuple[object, SparseVec, SparseVec]] = []
+        # insertion order or None); there is one row per accepted vector
+        self._rows: list[tuple[object, SparseVec, SparseVec | None]] = []
+        self.coords = coords
         for v in rows:
             self.insert(v)
 
@@ -201,13 +204,17 @@ class CoordSpan:
         return len(self._rows)
 
     def reduce(self, v: SparseVec) -> tuple[SparseVec, SparseVec]:
-        """(v minus its span component, that component's sparse coordinates over the reps)."""
+        """(v minus its span component, that component's sparse coordinates over the reps).
+
+        The coordinates are empty when the span keeps none.
+        """
         w = {k: x for k, x in v.items() if x}
         combo: SparseVec = {}
         for p, row, cmb in self._rows:
             if f := w.get(p):
                 add_scaled(w, -f, row.items())
-                add_scaled(combo, f, cmb.items())
+                if cmb:
+                    add_scaled(combo, f, cmb.items())
         return w, combo
 
     def residue(self, v: SparseVec) -> SparseVec:
@@ -215,25 +222,30 @@ class CoordSpan:
         return self.reduce(v)[0]
 
     def solve(self, v: SparseVec) -> Vec | None:
-        """Coordinates of v over the reps, or None if v is outside the span."""
+        """Coordinates of v over the reps, or None if v is outside the span; needs coords=True."""
+        if not self.coords:
+            raise ValueError("this span keeps no coordinates over its reps")
         w, combo = self.reduce(v)
         return None if w else densify(combo, self.dim)
 
-    def insert(self, v: SparseVec) -> Vec | None:
-        """Add v as a new rep if independent; returns coords when dependent."""
+    def insert(self, v: SparseVec) -> SparseVec | None:
+        """Add v as a new rep if independent: None then, else v's sparse coordinates (reduce)."""
         w, combo = self.reduce(v)
         if not w:
-            return densify(combo, self.dim)
+            return combo
         pivot = min(w)
         inv = integral(ONE / w[pivot])
         row = {k: inv * x for k, x in w.items()}
-        # w = v - sum of combo[k] * rep k, and v becomes the last rep
-        cmb = {k: -inv * c for k, c in combo.items()}
-        cmb[self.dim] = inv
+        cmb = None
+        if self.coords:
+            # w = v - sum of combo[k] * rep k, and v becomes the last rep
+            cmb = {k: -inv * c for k, c in combo.items()}
+            cmb[self.dim] = inv
         for _p, r, rc in self._rows:
             if f := r.get(pivot):
                 add_scaled(r, -f, row.items())
-                add_scaled(rc, -f, cmb.items())
+                if rc:
+                    add_scaled(rc, -f, cmb.items())
         self._rows.append((pivot, row, cmb))
         return None
 

@@ -14,6 +14,9 @@ adjoint.  Faithfulness is a sparse rank test.  Generation is sparse
 spinning (algebra.spin): each accepted vector is multiplied once by every
 algebra basis vector, and each image outside the span so far joins a sparse
 CoordSpan, so the generated rows come in spin order, not row-reduced.
+Whether each basis vector generates the module is read off the submodules
+spun so far: a basis vector inside a proper one does not, and is not spun.
+None of these spans keeps coordinates over its vectors.
 Column and tensor modules take their action tables from
 construct.table_tensor, the one tensor kernel.
 """
@@ -276,6 +279,24 @@ def generate_submodule(
 
 
 def generating_basis_vectors(alg: AlgebraStructure, mod: ModuleStructure) -> list[bool]:
-    """Whether each module basis vector generates the whole module: a count of spun vectors."""
+    """Whether each module basis vector generates the whole module, spinning only where needed.
+
+    The lattice invariant (the submodule reasoning of the MeatAxe; Holt and
+    Rees 1994): when the spin from e_j closes on a proper submodule S, every
+    basis vector inside S generates a submodule of S, so it does not
+    generate the module and needs no spin of its own.  A vector is inside S
+    when its residue modulo S's span is empty.
+    """
     acting = [((i, ONE),) for i in range(alg.dim)]
-    return [len(spin(mod.mode_index, acting, [{j: 1}], mod.dim)) == mod.dim for j in range(mod.dim)]
+    proper: list[CoordSpan] = []
+    out = []
+    for j in range(mod.dim):
+        if any(not sub.residue({j: 1}) for sub in proper):
+            out.append(False)
+            continue
+        sub = CoordSpan()
+        spin(mod.mode_index, acting, [{j: 1}], mod.dim, sub)
+        out.append(sub.dim == mod.dim)
+        if sub.dim < mod.dim:
+            proper.append(sub)
+    return out

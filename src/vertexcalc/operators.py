@@ -320,7 +320,7 @@ def closure(
 
     ops: list[VertexOperator] = [one]
     notes: list[str] = []
-    coords = CoordSpan()
+    coords = CoordSpan(coords=True)
     coords.insert(_fingerprint(one))
     rounds = 0
     status = STATUS_CLOSED

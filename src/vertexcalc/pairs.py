@@ -28,6 +28,7 @@ from .algebra import (
     SparseVec,
     Terms,
     add_term,
+    assoc_holds,
     assoc_sides,
     d_columns,
     exp_sparse,
@@ -190,13 +191,16 @@ class PairAnalysis:
       commutation_profile.  A profile names the q it holds for, if any, so
       one analysis serves every q;
     - weak associativity: for each triple that fails assoc_sides, its
-      first difference (exponent, lhs, rhs).
+      first difference (exponent, lhs, rhs).  One accumulator of the two
+      sides' difference decides each triple (assoc_holds); the sides are
+      built only for a failing one.
     It keeps no product: a profile is at most two (q, exponent) pairs, and
     only a failing triple keeps sparse vectors, its first difference.  A
     commutation witness is rebuilt when a check asks for it, from the two
     coefficients at its exponent (mode_pair).  `exp_images` holds e^{xD} e_k
     for every basis vector of alg, failing_middle reads the least failing
-    middle argument of each (u, w) off the failing triples, and products(w)
+    middle argument of each (u, w) off the failing triples,
+    assoc_failing_pairs the failing (u, v) of each w, and products(w)
     scatters one w's products again for a relation no profile decides.
 
     The analysis keeps the two tables' sparse indexes, not the structures,
@@ -245,10 +249,10 @@ class PairAnalysis:
                 if profile:
                     commute.setdefault((u, v), []).extend((w, shared.setdefault(profile, profile)))
                 iterate = iterates.get((u, v), {})
-                if prod or iterate:
-                    diff = next(sparse_differences(*assoc_sides(prod, iterate)), None)
-                    if diff is not None:
-                        assoc.setdefault((u, v), {})[w] = diff
+                # one accumulator decides the triple; only a failing one builds both sides
+                if (prod or iterate) and not assoc_holds(prod, iterate):
+                    diff = next(sparse_differences(*assoc_sides(prod, iterate)))
+                    assoc.setdefault((u, v), {})[w] = diff
         return {key: tuple(flat) for key, flat in commute.items()}, assoc
 
     @cached_property
@@ -280,6 +284,18 @@ class PairAnalysis:
     def assoc_failing(self, u: int, v: int) -> dict:
         """{w: sparse first difference} of the triples (u, v, w) that are not weakly associative."""
         return self._records[1].get((u, v), {})
+
+    def assoc_failing_pairs(self, w: int) -> list:
+        """The (u, v) for which (u, v, w) is not weakly associative."""
+        return self._failing_pairs.get(w, [])
+
+    @cached_property
+    def _failing_pairs(self) -> dict:
+        by_w: dict = {}
+        for pair, failing in self._records[1].items():
+            for w in failing:
+                by_w.setdefault(w, []).append(pair)
+        return by_w
 
     def failing_middle(self, u: int, w: int) -> int | None:
         """The least v for which (u, v, w) is not weakly associative, or None when every v holds."""

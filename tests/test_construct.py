@@ -26,6 +26,7 @@ from vertexcalc.algebra import (
 )
 from vertexcalc.construct import (
     AssocAlgebraData,
+    RMap,
     CocycleData,
     GradedTag,
     GroupActionData,
@@ -684,12 +685,42 @@ def _fixture_case(name):
     return bundle.alg, bundle.resolve_rmap()
 
 
+def _hand_made_rmap_case():
+    # on a3 (one, t, t2): multi-term images, images whose terms cancel, a
+    # term on (t2, t2), whose product vanishes on every w, and R(t2 ⊗ t2) =
+    # t ⊗ t, which R reaches only backwards: the straight product of
+    # (t2, t2) vanishes and its R-side does not
+    half = F(1, 2)
+    return truncated_poly_3(), RMap(
+        3,
+        {
+            (0, 1): [(ONE, (0, 1)), (ONE, (1, 0))],
+            (1, 0): [(ONE, (1, 0)), (ONE, (2, 2))],
+            (0, 2): [(ONE, (0, 2)), (half, (1, 1)), (-half, (1, 1))],
+            (1, 2): [(2, (2, 1)), (-1, (2, 1))],
+            (2, 2): [(ONE, (1, 1))],
+        },
+    )
+
+
+def _assoc_only_case():
+    # a3 with t2_(-1) t = t: the iterate of (t, t, t) is nonzero while its
+    # straight and reversed products vanish, so only the failing-triple
+    # accessor brings that pair to the check
+    a3 = truncated_poly_3()
+    index = {key: dict(modes) for key, modes in a3.mode_index.items()}
+    index[(2, 1)] = {**index.get((2, 1), {}), -1: [(1, 1)]}
+    return AlgebraStructure(a3.basis, a3.vacuum, index), rmap_identity(3)
+
+
 JACOBI_LIKE_CASES = {
     "a3": lambda: _fixture_case("a3"),
     "cross_a2z2": lambda: _fixture_case("cross_a2z2"),
     "m2a3": lambda: _fixture_case("m2a3"),
     "z22_twist": lambda: _fixture_case("z22_twist"),
     "m2a3-identity": lambda: (matrix_over_a3(), rmap_identity(12)),
+    "a3-hand-made-rmap": _hand_made_rmap_case,
+    "a3-assoc-only": _assoc_only_case,
 }
 
 
@@ -733,6 +764,21 @@ def test_jacobi_like_builds_each_product_once(rmap, monkeypatch):
         expected.witnesses,
     )
     assert rep.passed == (rmap.entries != {})
+
+
+def test_jacobi_like_visits_the_pairs_only_r_or_associativity_reaches():
+    alg, rmap = _hand_made_rmap_case()
+    t2 = alg.basis_index("t2")
+    assert (t2, t2) not in pair_analysis(alg).products(alg.vacuum)
+    where = [wit.where for wit in check_jacobi_like(alg, rmap).witnesses]
+    assert ("commutation", "t2", "t2", "one") in where
+    assert ("commutation", "t", "one", "one") in where
+    alg, rmap = _assoc_only_case()
+    t = alg.basis_index("t")
+    pairs = pair_analysis(alg)
+    assert (t, t) not in pairs.products(t) and (t, t) in pairs.assoc_failing_pairs(t)
+    where = [wit.where for wit in check_jacobi_like(alg, rmap).witnesses]
+    assert ("associativity", "t", "t", "t") in where
 
 
 def test_jacobi_like_reports_witnesses_in_triple_order():

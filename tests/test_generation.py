@@ -11,6 +11,7 @@ from reference_spans import (
     dense_rank,
 )
 
+import vertexcalc.modules as modules_module
 from vertexcalc.algebra import generate_subalgebra
 from vertexcalc.construct import matrix_algebra
 from vertexcalc.fileio import parse_algebra_file
@@ -25,17 +26,25 @@ from vertexcalc.modules import (
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 NAMES = sorted(p.stem for p in FIXTURES.glob("*.json")) + ["matrix-a3-3", "wn-a3-adjoint-2"]
+# larger builds for the generation oracle only, where many basis vectors lie
+# in proper submodules found before them
+LARGER = ["matrix-a3-4", "matrix-m2a3-2", "wn-a3-adjoint-3"]
 
 
 @cache
 def structure(name):
     """(algebra, module): a shipped fixture with its module section or adjoint, or a build."""
-    if name == "matrix-a3-3":
-        alg = matrix_algebra(truncated_poly_3(), 3)
+    if name.startswith("matrix-"):
+        _kind, base, n = name.split("-")
+        if base == "a3":
+            base = truncated_poly_3()
+        else:
+            base = parse_algebra_file(FIXTURES / f"{base}.json").alg
+        alg = matrix_algebra(base, int(n))
         return alg, adjoint_module(alg)
-    if name == "wn-a3-adjoint-2":
+    if name.startswith("wn-a3-adjoint-"):
         a3 = truncated_poly_3()
-        return wn_module(a3, adjoint_module(a3), 2)
+        return wn_module(a3, adjoint_module(a3), int(name[-1]))
     bundle = parse_algebra_file(FIXTURES / f"{name}.json")
     return bundle.alg, bundle.module or adjoint_module(bundle.alg)
 
@@ -52,7 +61,7 @@ def test_every_shipped_fixture_is_covered():
     assert len(NAMES) == 9
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", NAMES + LARGER)
 def test_generated_submodules_match_the_dense_oracle(name):
     alg, mod = structure(name)
     generates = []
@@ -63,6 +72,24 @@ def test_generated_submodules_match_the_dense_oracle(name):
         _assert_same_span(rows, dense_generate_submodule(alg, mod, start))
         generates.append(len(rows) == mod.dim)
     assert generating_basis_vectors(alg, mod) == generates
+
+
+def test_generation_spins_only_outside_the_proper_submodules_found(monkeypatch):
+    # matrix_algebra(a3, 3): once a spin closes on a proper submodule, the
+    # basis vectors inside it are decided without a spin of their own
+    alg, mod = structure("matrix-a3-3")
+    expected = [len(generate_submodule(alg, mod, mod.unit(j))) == mod.dim for j in range(mod.dim)]
+    starts = []
+    spin = modules_module.spin
+
+    def counting_spin(index, acting, start, dim, *span):
+        starts.append(start)
+        return spin(index, acting, start, dim, *span)
+
+    monkeypatch.setattr(modules_module, "spin", counting_spin)
+    assert generating_basis_vectors(alg, mod) == expected
+    assert 0 < len(starts) < mod.dim
+    assert any(expected) and not all(expected)
 
 
 @pytest.mark.parametrize("name", NAMES)

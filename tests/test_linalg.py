@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
+import pytest
 from reference_spans import SpanBasis, dense_nullspace, dense_rank, dense_row_reduce
 
 from vertexcalc.linalg import (
@@ -94,22 +95,36 @@ def _sparse(v, order):
 
 
 def test_coord_span_coordinates_are_exact():
-    cs = CoordSpan()
+    cs = CoordSpan(coords=True)
     r1 = vec([1, 2, 0])
     r2 = vec([0, 1, 1])
     assert cs.insert(_sparse(r1, (1, 0, 2))) is None
     assert cs.insert(_sparse(r2, (2, 1, 0))) is None
     combo = vec_add(vec_scale(Fraction(3), r1), vec_scale(Fraction(-2), r2))
+    # a dependent insert returns its coordinates sparse, as reduce has them
     coords = cs.insert(_sparse(combo, (2, 0, 1)))
-    assert coords == (Fraction(3), Fraction(-2))
+    assert coords == {0: 3, 1: -2}
     assert cs.solve(_sparse(combo, (0, 1, 2))) == (Fraction(3), Fraction(-2))
     assert cs.solve({2: Fraction(5)}) is None
     assert cs.dim == 2
 
 
+def test_a_span_without_coordinates_keeps_the_same_rows():
+    # membership and the echelon rows do not depend on the coordinates; a
+    # span made without them keeps none and cannot solve
+    rows = [{0: 1, 1: 2}, {1: 1, 2: 1}, {0: 3, 1: 4, 2: -2}, {2: Fraction(1, 2)}]
+    free, kept = CoordSpan(rows), CoordSpan(rows, coords=True)
+    assert free.echelon() == kept.echelon() and free.dim == kept.dim == 3
+    assert all(cmb is None for _p, _row, cmb in free._rows)
+    assert free.insert({0: 1}) == {} and free.reduce({0: 1}) == ({}, {})
+    assert kept.insert({0: 1}) == {0: 1, 1: -2, 2: 4}  # r0 - 2 r1 + 4 r3
+    with pytest.raises(ValueError):
+        free.solve({0: 1})
+
+
 @given(st.lists(small_vec, min_size=1, max_size=6), st.permutations(range(4)))
 def test_coord_span_reconstructs_members(rows, order):
-    cs = CoordSpan()
+    cs = CoordSpan(coords=True)
     reps = []
     for r in rows:
         if cs.insert(_sparse(r, order)) is None:
@@ -168,16 +183,17 @@ def test_span_functions_return_fractions_on_int_input():
     assert reduced == [(1, 0, -10), (0, 1, 5)]
     kernel = nullspace([(2, 4, 0)], 3)
     assert kernel == [(1, Fraction(-1, 2), 0), (0, 0, 1)]
-    cs = CoordSpan()
+    cs = CoordSpan(coords=True)
     assert cs.insert({0: 2, 1: 4}) is None and cs.insert({1: 3, 2: 1}) is None
     dependent = cs.insert({0: 4, 1: 11, 2: 1})
     solved = cs.solve({0: 2, 1: 7, 2: 1})
-    assert dependent == (2, 1) and solved == (1, 1)
-    # over unit pivots the coordinates are ints until solve and a dependent
-    # insert densify them
-    units = CoordSpan([{0: 1}, {1: 1}])
+    assert dependent == {0: 2, 1: 1} and solved == (1, 1)
+    # over unit pivots the coordinates are ints until solve densifies them;
+    # a dependent insert returns them sparse, as they are
+    units = CoordSpan([{0: 1}, {1: 1}], coords=True)
     over_units = [units.insert({0: 2, 1: -1}), units.solve({1: 5})]
-    assert over_units == [(2, -1), (0, 5)]
-    for entries in reduced + kernel + [dependent, solved] + over_units:
+    assert over_units == [{0: 2, 1: -1}, (0, 5)]
+    assert all(type(x) is int for x in over_units[0].values())
+    for entries in reduced + kernel + [solved, over_units[1]]:
         assert all(type(x) is Fraction for x in entries), entries
 

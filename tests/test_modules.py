@@ -366,10 +366,13 @@ def test_ideal_vectors_do_not_generate(a3, a3_adj):
 def test_generation_that_never_stabilizes_is_refused(a3, a3_adj, monkeypatch):
     # a span that accepts every image as independent never closes: the spin
     # must raise once it holds more vectors than the dimension, instead of
-    # running on or returning a partial span
-    monkeypatch.setattr(CoordSpan, "insert", lambda self, v: None)
+    # running on or returning a partial span; the spy is the span spin
+    # inserts into, and it is reached once per accepted vector
+    inserted = []
+    monkeypatch.setattr(CoordSpan, "insert", lambda self, v: inserted.append(v))
     with pytest.raises(CapExceeded):
         generate_submodule(a3, a3_adj, a3_adj.unit(a3.vacuum))
+    assert len(inserted) == a3.dim + 1
 
 
 def test_generation_transfers_to_column_modules(a3, a3_adj):

@@ -7,7 +7,8 @@ always have.  The test runs every suite on the shipped fixtures, on the
 dim-27 matrix_algebra(a3, 3), and on translation chains whose e^{xD} images
 carry 1/j!, under several q, and walks what the suites computed: the sparse
 mode indexes, the pair analyses' records and e^{xD} images, the output of
-every spin, and every vector densify returned.
+every spin, and every vector densify returned, which the suites no longer
+call, so a generated submodule densifies its rows after them.
 """
 
 import sys
@@ -127,6 +128,10 @@ def test_coefficients_are_int_or_fraction_and_dense_values_fraction(name, spun_a
     bundle = _bundle(name)
     for q in QS:
         run_suite(bundle, "all", SuiteOptions(q=q))
+    # the suites' spans keep no coordinates and densify nothing; the dense
+    # boundary is still walked through a generated submodule's rows
+    module = bundle.module or modules_module.adjoint_module(bundle.alg)
+    modules_module.generate_submodule(bundle.alg, module, module.unit(0))
     assert spun and dense
     acting = [bundle.alg] + ([bundle.module] if bundle.module is not None else [])
     for structure in acting:

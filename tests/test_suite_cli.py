@@ -315,6 +315,23 @@ def test_cli_window_flag_is_rejected():
     run_cli("check", str(FIXTURES / "a3.json"), "--suite", "jacobi", "--window", "5", expect=2)
 
 
+def test_in_process_main_reuses_one_parser(capsys):
+    # the parser is built on the first call and shared: repeated in-process
+    # calls print the same bytes, and a usage error after a success exits 2
+    argv = ["check", str(FIXTURES / "a3.json"), "--suite", "all", "--format", "json"]
+    outputs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and json.loads(outputs[0])["summary"]["failures"] == 0
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", str(FIXTURES / "a3.json"), "--window", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --window" in capsys.readouterr().err
+    assert cli.main(argv) == 0 and capsys.readouterr().out == outputs[0]
+
+
 def test_cli_error_exit_code(tmp_path):
     missing = tmp_path / "missing.json"
     run_cli("check", str(missing), expect=2)
