@@ -5,10 +5,12 @@ automorphism property, ...) before producing an AlgebraStructure, and each
 output is meant to pass validate_structure.  The builders compute on the
 sparse kernel of vertexcalc.algebra: an associative product is a sparse
 index of constant vertex operators (constant_index) multiplied through
-sparse_modes, a derivation or a group element is read once into its sparse
-columns, and e^{xd} is exp_sparse on those columns.  Tensor products,
-matrix structures, cross products, and column and tensor modules all take
-their tables from one kernel, table_tensor, of the formula
+sparse_modes, a derivation or a group element is given as its sparse
+columns, the one form the builders store and read, and e^{xd} is
+exp_sparse on those columns; the file format's dense matrices are read and
+written in vertexcalc.fileio only.  Tensor products, matrix structures,
+cross products, and column and tensor modules all take their tables from
+one kernel, table_tensor, of the formula
 Y(u*u', x)(w*w') = Y(u, x)w * Y(u', x)w'.  The R-map checker at the bottom
 verifies the Jacobi-like identity whose reversed-product term is routed
 through a fixed linear map on V ⊗ V that keeps the third argument.
@@ -34,22 +36,10 @@ from .errors import (
     CocycleInvalid,
     GradingInvalid,
     MalformedStructure,
-    NonNilpotentD,
     NotADerivation,
     NotAnAutomorphism,
 )
-from .linalg import (
-    ONE,
-    Mat,
-    SparseVec,
-    Support,
-    add_scaled,
-    integral,
-    nilpotency_index,
-    sparse_columns,
-    support,
-    zero_mat,
-)
+from .linalg import ONE, SparseVec, Support, add_scaled, integral, support
 from .pairs import pair_analysis
 from .report import CheckReport, Witness, combination
 
@@ -63,6 +53,17 @@ def constant_index(images: dict[tuple[int, int], Support]) -> ModeIndex:
     return {key: {-1: img} for key, img in images.items() if img}
 
 
+def _columns(cols: list[Support]) -> list[Support]:
+    """Sparse columns with zero entries dropped, rows in increasing order, c int if integral."""
+    return [[(r, integral(c)) for r, c in sorted(col) if c] for col in cols]
+
+
+def _check_square(cols: list[Support], dim: int, what: str) -> None:
+    """Refuse sparse columns with a column count or a row index off range(dim)."""
+    if len(cols) != dim or any(not 0 <= r < dim for col in cols for r, _c in col):
+        raise MalformedStructure(f"{what} is not {dim}x{dim}")
+
+
 # ---------------------------------------------------------------------------
 # associative algebras with a derivation
 
@@ -72,17 +73,17 @@ class AssocAlgebraData:
     """Multiplication table, identity index, and a nilpotent derivation.
 
     The table holds each product e_i e_j as its sparse coordinates {k: c};
-    a missing cell is zero.  Table and derivation are read once: `index` is
-    the product as a constant_index and `columns` the derivation's sparse
-    columns, and the validation and the builder compute on them.
+    a missing cell is zero.  The derivation is its sparse columns, the
+    nonzero (r, c) of each d(e_j), one column per basis vector.  The table
+    is read once into `index`, the product as a constant_index, and the
+    validation and the builder compute on it and on the columns.
     """
 
     basis: tuple[str, ...]
     table: dict[tuple[int, int], SparseVec]  # (i, j) -> e_i * e_j
     identity: int
-    derivation: Mat
+    derivation: list[Support]  # column j: the nonzero (r, c) of d(e_j)
     index: ModeIndex = field(init=False, repr=False, compare=False)
-    columns: list[Support] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.basis = tuple(self.basis)
@@ -94,11 +95,9 @@ class AssocAlgebraData:
         for (i, j), cell in self.table.items():
             if not (0 <= i < dim and 0 <= j < dim) or any(not 0 <= k < dim for k in cell):
                 raise MalformedStructure(f"bad table entry at ({i},{j})")
-        self.derivation = tuple(tuple(Fraction(x) for x in row) for row in self.derivation)
-        if len(self.derivation) != dim or any(len(row) != dim for row in self.derivation):
-            raise MalformedStructure(f"the derivation is not {dim}x{dim}")
+        self.derivation = _columns(self.derivation)
+        _check_square(self.derivation, dim, "the derivation")
         self.index = constant_index({key: list(cell.items()) for key, cell in self.table.items()})
-        self.columns = sparse_columns(self.derivation)
 
     @property
     def dim(self) -> int:
@@ -119,16 +118,14 @@ class AssocAlgebraData:
         for i in range(dim):
             for j in range(dim):
                 a, b = ((i, ONE),), ((j, ONE),)
-                lhs = d_sparse(self.columns, self.product(a, b).items())
-                rhs = self.product(self.columns[i], b)
-                add_scaled(rhs, ONE, self.product(a, self.columns[j]).items())
+                lhs = d_sparse(self.derivation, self.product(a, b).items())
+                rhs = self.product(self.derivation[i], b)
+                add_scaled(rhs, ONE, self.product(a, self.derivation[j]).items())
                 if lhs != rhs:
                     raise NotADerivation(
                         f"Leibniz fails on ({self.basis[i]}, {self.basis[j]}): "
                         f"{combination(lhs, self.basis)} != {combination(rhs, self.basis)}"
                     )
-        if nilpotency_index(self.derivation) is None:
-            raise NonNilpotentD("derivation is not nilpotent")
 
 
 def from_assoc_with_derivation(data: AssocAlgebraData) -> AlgebraStructure:
@@ -136,12 +133,13 @@ def from_assoc_with_derivation(data: AssocAlgebraData) -> AlgebraStructure:
 
     The mode products are (e_i)_(-1-m) e_j = (d^m e_i) e_j / m!; weak
     associativity holds with order 0 because e^{xd} is an algebra
-    automorphism.
+    automorphism.  exp_sparse on each basis vector is the one decision that
+    d is nilpotent: an iterate that outlives the dimension is NonNilpotentD.
     """
     data.validate()
     index: ModeIndex = {}
     for i in range(data.dim):
-        powers = exp_sparse(data.columns, ((i, ONE),))  # {m: d^m e_i / m!}
+        powers = exp_sparse(data.derivation, ((i, ONE),))  # {m: d^m e_i / m!}
         for j in range(data.dim):
             products = {-1 - m: data.product(dv.items(), ((j, ONE),)) for m, dv in powers.items()}
             if modes := {n: w.items() for n, w in products.items() if w}:
@@ -227,7 +225,7 @@ def full_matrix_algebra(n: int) -> AlgebraStructure:
     """Rational n x n matrices as a structure with constant vertex operators."""
     mb = _MatrixBasis(n)
     table = {(i, j): dict(support(mb.product(i, j))) for i in range(mb.dim) for j in range(mb.dim)}
-    data = AssocAlgebraData(basis=mb.names, table=table, identity=0, derivation=zero_mat(mb.dim))
+    data = AssocAlgebraData(mb.names, table, 0, derivation=[[] for _ in range(mb.dim)])
     return from_assoc_with_derivation(data)
 
 
@@ -418,7 +416,7 @@ def group_algebra(grading_orders: tuple[int, ...]) -> tuple[AlgebraStructure, Gr
         basis=tuple("g" + "".join(str(x) for x in g) for g in els),
         table=table,
         identity=index[group.zero()],
-        derivation=zero_mat(dim),
+        derivation=[[] for _ in range(dim)],
     )
     return from_assoc_with_derivation(data), GradedTag(orders=group.orders, degrees=tuple(els))
 
@@ -429,30 +427,51 @@ def group_algebra(grading_orders: tuple[int, ...]) -> tuple[AlgebraStructure, Gr
 
 @dataclass
 class GroupActionData:
-    """A finite group with one action matrix per element."""
+    """A finite group with one action matrix per element, as its sparse columns.
+
+    action[g][j] holds the nonzero (r, c) of g(e_j), integral c as an int.
+    """
 
     elements: tuple[str, ...]
     table: dict[tuple[int, int], int]  # (g, h) -> g*h as element indices
-    action: dict[int, Mat]
+    action: dict[int, list[Support]]
     identity: int = 0
 
-    def validate_group(self, dim: int) -> None:
-        """A complete group table with its identity, and a dim x dim matrix for every element.
+    def __post_init__(self):
+        self.action = {g: _columns(cols) for g, cols in self.action.items()}
 
-        dim is the dimension of the structure the group acts on.
+    def validate_group(self, dim: int) -> None:
+        """A complete, associative group table with inverses, acting by dim x dim matrices.
+
+        dim is the dimension of the structure the group acts on.  The
+        identity must act as 1, and g(h(e_j)) = (gh)(e_j) on every e_j.
         """
-        n = len(self.elements)
-        e = self.identity
-        if any(self.table.get((e, g)) != g or self.table.get((g, e)) != g for g in range(n)):
+        n, e = len(self.elements), self.identity
+        if e not in range(n) or any(
+            self.table.get((e, g)) != g or self.table.get((g, e)) != g for g in range(n)
+        ):
             raise MalformedStructure("identity row/column of the group table is wrong")
-        if any((g, h) not in self.table for g in range(n) for h in range(n)):
-            raise MalformedStructure("incomplete group table")
+        cells = set(iproduct(range(n), repeat=2))
+        if set(self.table) != cells or set(self.table.values()) - set(range(n)):
+            raise MalformedStructure(f"the group table is not {n}x{n} over its elements")
+        for g, h, k in iproduct(range(n), repeat=3):
+            if self.table[(self.table[(g, h)], k)] != self.table[(g, self.table[(h, k)])]:
+                names = ",".join(self.elements[x] for x in (g, h, k))
+                raise MalformedStructure(f"the group table is not associative at ({names})")
+        for g in range(n):
+            if all(self.table[(g, h)] != e for h in range(n)):
+                raise MalformedStructure(f"element {self.elements[g]} has no inverse")
         for g, name in enumerate(self.elements):
-            m = self.action.get(g)
-            if m is None:
+            if g not in self.action:
                 raise MalformedStructure(f"group element {name} has no action matrix")
-            if len(m) != dim or any(len(row) != dim for row in m):
-                raise MalformedStructure(f"the action matrix of {name} is not {dim}x{dim}")
+            _check_square(self.action[g], dim, f"the action matrix of {name}")
+        if any(col != [(j, 1)] for j, col in enumerate(self.action[e])):
+            raise MalformedStructure(f"the identity {self.elements[e]} does not act as 1")
+        for (g, h), gh in sorted(self.table.items()):
+            outer, inner = self.action[g], self.action[h]
+            if any(d_sparse(outer, col) != dict(self.action[gh][j]) for j, col in enumerate(inner)):
+                names = (self.elements[x] for x in (g, h, gh))
+                raise MalformedStructure("{} after {} does not act as {}".format(*names))
 
     def inverse(self, g: int) -> int:
         for h in range(len(self.elements)):
@@ -460,17 +479,13 @@ class GroupActionData:
                 return h
         raise MalformedStructure(f"element {self.elements[g]} has no inverse")
 
-    def columns(self) -> dict[int, list[Support]]:
-        """Each element's action matrix read once, as its sparse columns g(e_j)."""
-        return {g: sparse_columns(m) for g, m in self.action.items()}
-
     def validate_action(self, alg: AlgebraStructure) -> None:
         """Each element fixes the vacuum and maps u_n v to g(u)_n g(v) on basis pairs.
 
         It runs validate_group first; a failure names the least failing mode.
         """
         self.validate_group(alg.dim)
-        for g, cols in self.columns().items():
+        for g, cols in self.action.items():
             if dict(cols[alg.vacuum]) != {alg.vacuum: 1}:
                 raise NotAnAutomorphism(f"{self.elements[g]} moves the vacuum")
             for i in range(alg.dim):
@@ -500,7 +515,7 @@ def cross_product(alg: AlgebraStructure, act: GroupActionData) -> AlgebraStructu
     act.validate_action(alg)
     ng = len(act.elements)
     dim = alg.dim
-    cols = act.columns()
+    cols = act.action
     # for each g: the index (u, v) -> Y(u, x)g(v) tensor left multiplication by g
     index: ModeIndex = {}
     for g in range(ng):
@@ -585,7 +600,7 @@ def rmap_cross_abelian(base_dim: int, act: GroupActionData) -> RMap:
         raise MalformedStructure("the reduced R-map formula requires an abelian group")
     ng = len(act.elements)
     dim = base_dim * ng
-    cols = act.columns()
+    cols = act.action
     entries: dict[tuple[int, int], list[tuple[Fraction, tuple[int, int]]]] = {}
     for b1 in range(dim):  # holds v g2
         v_idx, g2 = divmod(b1, ng)

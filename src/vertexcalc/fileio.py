@@ -28,9 +28,9 @@ from .construct import (
     rmap_tensor_swap,
 )
 from .errors import OutputError, ParseError, ValidationError
-from .linalg import Mat, Support, format_rational
+from .linalg import Support, format_rational, integral
 from .modules import ModuleStructure
-from .operators import VertexOperator
+from .operators import Rows, VertexOperator
 
 FORMAT_VERSION = 1
 RMAP_KINDS = ("identity", "cocycle-commutator", "tensor-swap", "cross-abelian")
@@ -59,12 +59,46 @@ def _sparse_from_coords(img: Support, names: tuple[str, ...]) -> dict:
     return {names[k]: format_rational(c) for k, c in img}
 
 
-def _mat_from_rows(rows) -> Mat:
-    return tuple(tuple(parse_rational(x) for x in row) for row in rows)
+def _sparse_rows(rows, dim: int, refusal: str) -> Rows:
+    """The nonzero-only rows of a file's dense dim x dim matrix; another shape is refused.
+
+    The refusal is a ValidationError with the given message.  The nonzero
+    entries alone would not show a matrix padded with a zero row or column.
+    """
+    if not isinstance(rows, list) or len(rows) != dim:
+        raise ValidationError(refusal)
+    if any(not isinstance(row, list) or len(row) != dim for row in rows):
+        raise ValidationError(refusal)
+    out: Rows = {}
+    for r, row in enumerate(rows):
+        if nz := {c: x for c, s in enumerate(row) if (x := integral(parse_rational(s)))}:
+            out[r] = nz
+    return out
 
 
-def _rows_from_mat(m: Mat) -> list[list[str]]:
-    return [[format_rational(x) for x in row] for row in m]
+def _sparse_columns(rows, dim: int, refusal: str) -> list[Support]:
+    """The dense matrix read by _sparse_rows, as the nonzero (r, c) of each column."""
+    cols: list[Support] = [[] for _ in range(dim)]
+    for r, row in _sparse_rows(rows, dim, refusal).items():
+        for c, x in row.items():
+            cols[c].append((r, x))
+    return cols
+
+
+def _dense_rows(dim: int, entries) -> list[list[str]]:
+    """The dim x dim matrix of the given nonzero (r, c, x) entries, as rows of rational strings."""
+    rows = [["0"] * dim for _ in range(dim)]
+    for r, c, x in entries:
+        rows[r][c] = format_rational(x)
+    return rows
+
+
+def _key_int(key: str) -> int:
+    """The integer a key spells canonically; int() would read "1_0" as 10 and "-01" as -1."""
+    n = int(key)
+    if str(n) != key:
+        raise ValueError(f"non-canonical integer key {key!r}")
+    return n
 
 
 @dataclass
@@ -163,8 +197,8 @@ def parse_algebra_data(data: dict, name: str = "") -> AlgebraBundle:
             table = {}
             for key, val in data["cocycle"]["table"].items():
                 left, right = key.split("|")
-                gtup = tuple(int(x) for x in left.split(","))
-                htup = tuple(int(x) for x in right.split(","))
+                gtup = tuple(_key_int(x) for x in left.split(","))
+                htup = tuple(_key_int(x) for x in right.split(","))
                 table[(gtup, htup)] = parse_rational(val)
             bundle.cocycle = CocycleData(grading=bundle.grading, table=table)
 
@@ -178,12 +212,17 @@ def parse_algebra_data(data: dict, name: str = "") -> AlgebraBundle:
             for i, row in enumerate(rows):
                 for j, val in enumerate(row):
                     table[(i, j)] = el_index[val]
-            action = {
-                el_index[nm]: _mat_from_rows(mat_rows) for nm, mat_rows in g["action"].items()
-            }
-            bundle.group = GroupActionData(elements=elements, table=table, action=action)
             if "base_basis" in g:
                 bundle.group_base_basis = tuple(str(x) for x in g["base_basis"])
+            # the group acts on its base_basis, or else on the file's own basis
+            base_dim = len(bundle.group_base_basis or basis)
+            action = {
+                el_index[nm]: _sparse_columns(
+                    m, base_dim, f"the action matrix of {nm} is not {base_dim}x{base_dim}"
+                )
+                for nm, m in g["action"].items()
+            }
+            bundle.group = GroupActionData(elements=elements, table=table, action=action)
 
         if "assoc" in data:
             section = "assoc"
@@ -194,11 +233,14 @@ def parse_algebra_data(data: dict, name: str = "") -> AlgebraBundle:
             for i, row in enumerate(a["table"]):
                 for j, cell in enumerate(row):
                     table[(i, j)] = dict(_coords(cell, a_index, f"assoc ({i},{j})"))
+            dim = len(a_basis)
             bundle.assoc = AssocAlgebraData(
                 basis=a_basis,
                 table=table,
                 identity=a_basis.index(a["identity"]),
-                derivation=_mat_from_rows(a["derivation"]),
+                derivation=_sparse_columns(
+                    a["derivation"], dim, f"the derivation is not {dim}x{dim}"
+                ),
             )
 
         if "module" in data:
@@ -225,16 +267,15 @@ def parse_algebra_data(data: dict, name: str = "") -> AlgebraBundle:
                     if nm not in index:
                         raise ValidationError(f"operators.from_basis names unknown {nm!r}")
             else:
-                space = tuple(str(x) for x in o["space"])
+                dim = len(o["space"])
                 ops = []
                 for spec in o["ops"]:
-                    modes = {int(n): _mat_from_rows(rows) for n, rows in spec["modes"].items()}
-                    for m_ in modes.values():
-                        if len(m_) != len(space) or any(len(r) != len(space) for r in m_):
-                            raise ValidationError("operator matrix shape mismatch")
-                    ops.append(
-                        VertexOperator(len(space), modes, name=str(spec.get("name", "")))
-                    )
+                    modes = {}
+                    for key, rows in spec["modes"].items():
+                        n = _key_int(key)
+                        if m := _sparse_rows(rows, dim, "operator matrix shape mismatch"):
+                            modes[n] = m
+                    ops.append(VertexOperator(dim, modes, str(spec.get("name", ""))))
                 bundle.operators = ops
 
         if "rmap" in data:
@@ -243,7 +284,6 @@ def parse_algebra_data(data: dict, name: str = "") -> AlgebraBundle:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed {section!r} section: {exc!r}") from None
     if bundle.group is not None:
-        # the group acts on its base_basis, or else on the file's own basis
         bundle.group.validate_group(len(bundle.group_base_basis or basis))
     return bundle
 
@@ -364,7 +404,12 @@ def group_section(act: GroupActionData, base_basis: tuple[str, ...]) -> dict:
     return {
         "elements": list(act.elements),
         "table": [[act.elements[act.table[(i, j)]] for j in range(n)] for i in range(n)],
-        "action": {act.elements[g]: _rows_from_mat(m) for g, m in sorted(act.action.items())},
+        "action": {
+            act.elements[g]: _dense_rows(
+                len(cols), ((r, c, x) for c, col in enumerate(cols) for r, x in col)
+            )
+            for g, cols in sorted(act.action.items())
+        },
         "base_basis": list(base_basis),
     }
 
@@ -387,12 +432,11 @@ def module_section(mod: ModuleStructure, alg: AlgebraStructure) -> dict:
 def operators_section(ops: list[VertexOperator], space: tuple[str, ...]) -> dict:
     out = []
     for op in ops:
-        out.append(
-            {
-                "name": op.name,
-                "modes": {str(n): _rows_from_mat(m) for n, m in sorted(op.modes.items())},
-            }
-        )
+        modes = {}
+        for n, m in sorted(op.rows.items()):
+            entries = ((r, c, x) for r, row in m.items() for c, x in row.items())
+            modes[str(n)] = _dense_rows(op.dim, entries)
+        out.append({"name": op.name, "modes": modes})
     return {"space": list(space), "ops": out}
 
 

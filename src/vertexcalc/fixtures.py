@@ -45,11 +45,7 @@ def truncated_poly_3() -> AlgebraStructure:
         (1, 1): {2: 1},
         (2, 0): {2: 1},
     }
-    derivation = (
-        (F(0), F(0), F(0)),
-        (F(0), F(0), F(0)),
-        (F(0), F(1), F(0)),  # t -> t^2, everything else -> 0
-    )
+    derivation = [[], [(2, 1)], []]  # sparse columns: t -> t^2, everything else -> 0
     data = AssocAlgebraData(basis=basis, table=table, identity=0, derivation=derivation)
     alg = from_assoc_with_derivation(data)
     alg.meta["fixture"] = "a3"
@@ -74,8 +70,7 @@ def upper_triangular_2() -> AlgebraStructure:
         (1, 2): {2: 1},
         (2, 0): {2: 1},
     }
-    zero_mat = tuple(tuple(F(0) for _ in range(3)) for _ in range(3))
-    data = AssocAlgebraData(basis=basis, table=table, identity=0, derivation=zero_mat)
+    data = AssocAlgebraData(basis=basis, table=table, identity=0, derivation=[[], [], []])
     alg = from_assoc_with_derivation(data)
     alg.meta["fixture"] = "ut2"
     return alg
@@ -117,15 +112,14 @@ def dual_numbers() -> AlgebraStructure:
     """Q[t]/(t^2) with zero derivation, the base of the cross-product fixture."""
     basis = ("one", "t")
     table = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}  # t t is zero
-    zero_mat = ((F(0), F(0)), (F(0), F(0)))
-    data = AssocAlgebraData(basis=basis, table=table, identity=0, derivation=zero_mat)
+    data = AssocAlgebraData(basis=basis, table=table, identity=0, derivation=[[], []])
     return from_assoc_with_derivation(data)
 
 
 def sign_flip_action() -> GroupActionData:
-    """Z2 acting on the dual numbers by t -> -t."""
-    identity = ((F(1), F(0)), (F(0), F(1)))
-    flip = ((F(1), F(0)), (F(0), F(-1)))
+    """Z2 acting on the dual numbers by t -> -t, each matrix as its sparse columns."""
+    identity = [[(0, 1)], [(1, 1)]]
+    flip = [[(0, 1)], [(1, -1)]]
     return GroupActionData(
         elements=("e", "g"),
         table={(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0},

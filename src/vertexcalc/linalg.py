@@ -59,11 +59,6 @@ def support(v: Vec) -> Support:
     return [(k, c) for k, c in enumerate(v) if c is not ZERO and c]
 
 
-def sparse_columns(m: Mat) -> list[Support]:
-    """The nonzero coordinates (r, c) of each column m e_j of a square matrix, c int if integral."""
-    return [[(r, integral(row[j])) for r, row in enumerate(m) if row[j]] for j in range(len(m))]
-
-
 def integral(x) -> Scalar:
     """x (int, Fraction or anything Fraction accepts) as an int if integral, else a Fraction."""
     if type(x) is not int and type(x) is not Fraction:
@@ -125,17 +120,8 @@ def vec_scale(c, v: Vec) -> Vec:
     return tuple(c * x for x in v)
 
 
-def zero_mat(nrows: int, ncols: int | None = None) -> Mat:
-    ncols = nrows if ncols is None else ncols
-    return tuple(zero_vec(ncols) for _ in range(nrows))
-
-
 def identity_mat(n: int) -> Mat:
     return tuple(unit_vec(n, i) for i in range(n))
-
-
-def is_zero_mat(m: Mat) -> bool:
-    return all(is_zero_vec(r) for r in m)
 
 
 def mat_scale(c, m: Mat) -> Mat:
@@ -161,20 +147,6 @@ def mat_pow(m: Mat, k: int) -> Mat:
     for _ in range(k):
         out = mat_mul(out, m)
     return out
-
-
-def nilpotency_index(m: Mat, cap: int | None = None) -> int | None:
-    """Least k with m^k = 0, or None if no such k <= cap (default: dim)."""
-    n = len(m)
-    cap = n if cap is None else cap
-    power = identity_mat(n)
-    for k in range(cap + 1):
-        if is_zero_mat(power):
-            return k
-        power = mat_mul(power, m)
-    if is_zero_mat(power):
-        return cap + 1
-    return None
 
 
 class CoordSpan:

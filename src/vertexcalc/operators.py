@@ -25,12 +25,13 @@ order.  The commutator-style variant composes the matrices the other way in
 the second term.
 
 Mode matrices are mostly zero, so each operator is stored as its nonzero
-rows, {n: {r: {c: entry}}}, from construction to export: the image of a
-basis vector is read straight off the structure's sparse mode index, and
-the dense ``modes`` are a view computed on demand.  The residue products
-multiply those rows row by row (Gustavson's sparse product, ACM TOMS 4,
-1978) into one sparse accumulator, drop the entries that cancel to zero,
-and build the result from it.  The closure span works on the same nonzero
+rows, {n: {r: {c: entry}}}, from construction to export, and that is the
+one form its constructor takes: the image of a basis vector is read
+straight off the structure's sparse mode index, and the file format's
+dense matrices are read and written in vertexcalc.fileio only.  The
+residue products multiply those rows row by row (Gustavson's sparse
+product, ACM TOMS 4, 1978) into one sparse accumulator, drop the entries
+that cancel to zero, and build the result from it.  The closure span works on the same nonzero
 entries: an operator's fingerprint is its rows flattened to
 {(n, r, c): entry}, row-reduced in a sparse CoordSpan, so no exponent
 window is fixed in advance and none has to grow.
@@ -39,11 +40,10 @@ window is fixed in advance and none has to grow.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .algebra import AlgebraStructure, ModeIndex
 from .errors import InvalidArgument, MalformedStructure, NotCompatible
-from .linalg import CoordSpan, Mat, Scalar, binom, densify
+from .linalg import CoordSpan, Scalar, binom
 from .modules import ModuleStructure, check_module, is_faithful
 from .report import INCONCLUSIVE, CheckReport, Witness
 
@@ -56,47 +56,20 @@ STATUS_RANGE = "index-range-exhausted"
 Rows = dict[int, dict[int, Scalar]]
 
 
-def _dense(dim: int, rows: Rows) -> Mat:
-    return tuple(densify(rows.get(r, {}), dim) for r in range(dim))
-
-
 class VertexOperator:
     """An End(W)-valued Laurent polynomial: every nonzero mode stored outright.
 
-    ``rows`` holds each nonzero mode as nonzero-only rows and is the one
-    stored form; ``modes`` is the same modes as dense matrices, built on read.
+    ``rows`` holds each nonzero mode n as its nonzero-only rows {r: {c:
+    entry}}, entries int or Fraction, and is the one stored form; the
+    constructor takes it as it is.
     """
 
     __slots__ = ("dim", "name", "rows")
 
-    def __init__(self, dim: int, modes: dict[int, Mat] | None = None, name: str = ""):
-        self.dim = dim
-        self.name = name
-        self.rows: dict[int, Rows] = {}
-        for n, m in (modes or {}).items():
-            m = tuple(tuple(Fraction(x) for x in row) for row in m)
-            rows = {
-                r: nz for r, row in enumerate(m) if (nz := {c: x for c, x in enumerate(row) if x})
-            }
-            if rows:
-                self.rows[int(n)] = rows
-
-    @classmethod
-    def _from_rows(cls, dim: int, rows: dict[int, Rows], name: str = "") -> "VertexOperator":
-        """An operator from nonzero-only rows of int or Fraction entries, taken as they are."""
-        op = cls.__new__(cls)
-        op.dim, op.name, op.rows = dim, name, rows
-        return op
+    def __init__(self, dim: int, rows: dict[int, Rows], name: str = ""):
+        self.dim, self.name, self.rows = dim, name, rows
 
     # -- coefficient access ----------------------------------------------------
-
-    @property
-    def modes(self) -> dict[int, Mat]:
-        """Each nonzero mode as a dense matrix."""
-        return {n: _dense(self.dim, m) for n, m in self.rows.items()}
-
-    def mode(self, n: int) -> Mat:
-        return _dense(self.dim, self.rows.get(n, {}))
 
     def exp_bounds(self) -> tuple[int, int]:
         """(min exponent, max exponent), (0, 0) for the zero operator."""
@@ -116,7 +89,7 @@ class VertexOperator:
 
 def identity_operator(dim: int, name: str = "1_W") -> VertexOperator:
     rows = {-1: {r: {r: 1} for r in range(dim)}} if dim else {}
-    return VertexOperator._from_rows(dim, rows, name)
+    return VertexOperator(dim, rows, name)
 
 
 def operator_from_structure(
@@ -136,7 +109,7 @@ def operator_from_structure(
             for r, c in img:
                 m.setdefault(r, {})[j] = c
     rows = {n: {r: modes[n][r] for r in sorted(modes[n])} for n in sorted(modes)}
-    return VertexOperator._from_rows(act.dim, rows, alg.basis[v_idx])
+    return VertexOperator(act.dim, rows, alg.basis[v_idx])
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +172,7 @@ def _residue_product(
         kept = {r: nz for r, row in mrows.items() if (nz := {c: x for c, x in row.items() if x})}
         if kept:
             rows[key] = kept
-    return VertexOperator._from_rows(a.dim, rows)
+    return VertexOperator(a.dim, rows)
 
 
 def nth_product(a: VertexOperator, b: VertexOperator, n: int) -> VertexOperator:

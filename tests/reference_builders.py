@@ -6,22 +6,28 @@ factorial loop that built e^{xd} e_i by dense matrix-vector products.
 `validate_action` is the dense automorphism check through `mode_map`,
 `cross_product` builds the twisted table Y(u,x)g(v) densely and turns it
 sparse again, and `rmap_cross_abelian` applies each group element to unit
-vectors with `mat_vec`.  The library built its examples this way before the
+vectors with `mat_vec`; `is_group_action` decides the action axioms by
+dense matrix products.  The library built its examples this way before the
 builders moved onto `sparse_modes`, `exp_sparse` and sparse columns; the
 code is kept here, unchanged, as their oracle, except that
 `rmap_cross_abelian` keys its images by basis pairs since the R-map became
 an endomorphism of V ⊗ V, that the dense tables reach the structures
 through `index_from_dense` since they store only their sparse index, that
-`mult_vec` densifies the sparse table cells of AssocAlgebraData, and that
-the Leibniz message prints its two sides as the library does.  `assoc_data`
-builds AssocAlgebraData from a dense table for the tests that write one.
+`mult_vec` densifies the sparse table cells of AssocAlgebraData, that the
+Leibniz message prints its two sides as the library does, that the
+NonNilpotentD message is the one the library's exp_sparse raises, and that
+the derivation and the group elements, which the data classes store as
+sparse columns, are read back through `dense_matrix`.  `nilpotency_index`
+is the dense nilpotency search the library dropped, as its builder decides
+nilpotency with exp_sparse.  `assoc_data` builds AssocAlgebraData from a
+dense table and a dense derivation for the tests that write them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from reference_tables import index_from_dense
+from reference_tables import dense_matrix, index_from_dense, sparse_columns
 
 from vertexcalc.algebra import AlgebraStructure
 from vertexcalc.construct import AssocAlgebraData, GroupActionData, RMap, table_tensor
@@ -29,9 +35,10 @@ from vertexcalc.errors import MalformedStructure, NonNilpotentD, NotADerivation,
 from vertexcalc.linalg import (
     Vec,
     densify,
+    identity_mat,
     is_zero_vec,
+    mat_mul,
     mat_vec,
-    nilpotency_index,
     support,
     unit_vec,
     vec_add,
@@ -42,9 +49,23 @@ from vertexcalc.report import combination
 
 
 def assoc_data(basis, table, identity, derivation) -> AssocAlgebraData:
-    """AssocAlgebraData from a dense table {(i, j): vector}, each cell read through support."""
+    """AssocAlgebraData from a dense table {(i, j): vector} and a dense derivation."""
     cells = {key: dict(support(v)) for key, v in table.items()}
-    return AssocAlgebraData(basis, cells, identity, derivation)
+    return AssocAlgebraData(basis, cells, identity, sparse_columns(derivation))
+
+
+def nilpotency_index(m, cap=None):
+    """Least k with m^k = 0, or None if no such k <= cap (default: dim)."""
+    n = len(m)
+    cap = n if cap is None else cap
+    power = identity_mat(n)
+    for k in range(cap + 1):
+        if all(is_zero_vec(row) for row in power):
+            return k
+        power = mat_mul(power, m)
+    if all(is_zero_vec(row) for row in power):
+        return cap + 1
+    return None
 
 
 def mult_vec(data: AssocAlgebraData, a: Vec, b: Vec) -> Vec:
@@ -63,6 +84,7 @@ def mult_vec(data: AssocAlgebraData, a: Vec, b: Vec) -> Vec:
 
 def validate(data: AssocAlgebraData) -> None:
     dim = data.dim
+    derivation = dense_matrix(data.derivation)
     e = unit_vec(dim, data.identity)
     for i in range(dim):
         b = unit_vec(dim, i)
@@ -72,23 +94,24 @@ def validate(data: AssocAlgebraData) -> None:
     for i in range(dim):
         for j in range(dim):
             a, b = unit_vec(dim, i), unit_vec(dim, j)
-            lhs = mat_vec(data.derivation, mult_vec(data, a, b))
+            lhs = mat_vec(derivation, mult_vec(data, a, b))
             rhs = vec_add(
-                mult_vec(data, mat_vec(data.derivation, a), b),
-                mult_vec(data, a, mat_vec(data.derivation, b)),
+                mult_vec(data, mat_vec(derivation, a), b),
+                mult_vec(data, a, mat_vec(derivation, b)),
             )
             if lhs != rhs:
                 sides = (combination(dict(support(v)), data.basis) for v in (lhs, rhs))
                 raise NotADerivation(
                     f"Leibniz fails on ({data.basis[i]}, {data.basis[j]}): " + " != ".join(sides)
                 )
-    if nilpotency_index(data.derivation) is None:
-        raise NonNilpotentD("derivation is not nilpotent")
+    if nilpotency_index(derivation) is None:
+        raise NonNilpotentD("matrix iterates did not vanish within the dimension cap")
 
 
 def from_assoc_with_derivation(data: AssocAlgebraData) -> AlgebraStructure:
     validate(data)
     dim = data.dim
+    derivation = dense_matrix(data.derivation)
     y_data: dict[tuple[int, int], dict[int, Vec]] = {}
     for i in range(dim):
         powers: list[Vec] = []
@@ -97,7 +120,7 @@ def from_assoc_with_derivation(data: AssocAlgebraData) -> AlgebraStructure:
         m = 0
         while not is_zero_vec(cur):
             powers.append(vec_scale(Fraction(1, fact), cur))
-            cur = mat_vec(data.derivation, cur)
+            cur = mat_vec(derivation, cur)
             m += 1
             fact *= m
             if m > dim + 1:
@@ -118,8 +141,17 @@ def from_assoc_with_derivation(data: AssocAlgebraData) -> AlgebraStructure:
     )
 
 
+def is_group_action(act: GroupActionData) -> bool:
+    """Whether the identity acts as 1 and the matrices of g and h multiply to that of gh."""
+    mats = {g: dense_matrix(cols) for g, cols in act.action.items()}
+    if mats[act.identity] != identity_mat(len(mats[act.identity])):
+        return False
+    return all(mat_mul(mats[g], mats[h]) == mats[gh] for (g, h), gh in act.table.items())
+
+
 def validate_action(act: GroupActionData, alg: AlgebraStructure) -> None:
-    for g, m in act.action.items():
+    for g, cols in act.action.items():
+        m = dense_matrix(cols)
         if mat_vec(m, alg.unit(alg.vacuum)) != alg.unit(alg.vacuum):
             raise NotAnAutomorphism(f"{act.elements[g]} moves the vacuum")
         for i in range(alg.dim):
@@ -149,7 +181,7 @@ def cross_product(alg: AlgebraStructure, act: GroupActionData) -> AlgebraStructu
     index = {}
     for g in range(ng):
         twisted = {
-            (i, j): alg.mode_map(alg.unit(i), mat_vec(act.action[g], alg.unit(j)))
+            (i, j): alg.mode_map(alg.unit(i), mat_vec(dense_matrix(act.action[g]), alg.unit(j)))
             for i in range(dim)
             for j in range(dim)
         }
@@ -184,8 +216,8 @@ def rmap_cross_abelian(base_dim: int, act: GroupActionData) -> RMap:
         v_idx, g2 = unpack(b1)
         for b2 in range(dim):  # holds u g1
             u_idx, g1 = unpack(b2)
-            m1 = act.action[g1]
-            m2inv = act.action[act.inverse(g2)]
+            m1 = dense_matrix(act.action[g1])
+            m2inv = dense_matrix(act.action[act.inverse(g2)])
             gv = mat_vec(m1, unit_vec(base_dim, v_idx))
             gu = mat_vec(m2inv, unit_vec(base_dim, u_idx))
             terms: list[tuple[Fraction, tuple[int, int]]] = []

@@ -13,7 +13,10 @@ distributions:
 - `check_prop_assoc`, the associativity relation of the residue products,
   with a window-sound branch where the residue sum has no certified floor;
 - `dense_operator_from_structure` and `dense_closure_module`, which build an
-  operator from dense mode matrices and read a closure's action off them.
+  operator from dense mode matrices and read a closure's action off them;
+- `dense_operator` and `dense_modes`, an operator from dense mode matrices
+  and its nonzero modes as dense matrices, the dense constructor and view
+  the package had before an operator took only its sparse rows.
 """
 
 from fractions import Fraction
@@ -22,7 +25,7 @@ from reference_tables import index_from_dense, mode_matrix, table_of, term_diffe
 
 from vertexcalc.algebra import Terms, add_term
 from vertexcalc.errors import MalformedStructure
-from vertexcalc.linalg import binom, mat_mul, mat_scale, mat_vec, support
+from vertexcalc.linalg import binom, densify, integral, mat_mul, mat_scale, mat_vec, support
 from vertexcalc.modules import ModuleStructure
 from vertexcalc.operators import (
     VertexOperator,
@@ -34,12 +37,31 @@ from vertexcalc.report import CheckReport, Witness
 from vertexcalc.series import Window, binom_expand, from_terms, mul, power_expand
 
 
+# -- dense modes ------------------------------------------------------------------
+
+
+def dense_operator(dim, modes, name=""):
+    """The operator whose mode n is the dense matrix modes[n]; zero rows and modes are dropped."""
+    rows = {}
+    for n, m in modes.items():
+        nz = {r: {c: integral(x) for c, x in enumerate(row) if x} for r, row in enumerate(m)}
+        if nz := {r: row for r, row in nz.items() if row}:
+            rows[n] = nz
+    return VertexOperator(dim, rows, name)
+
+
+def dense_modes(op):
+    """Each nonzero mode of op as a dense matrix of Fractions."""
+    dim = op.dim
+    return {n: tuple(densify(rows.get(r, {}), dim) for r in range(dim)) for n, rows in op.rows.items()}
+
+
 # -- the operator as a series ----------------------------------------------------
 
 
 def exps(op, lo=None, hi=None):
     """Nonzero coefficients by x-exponent, optionally windowed to [lo, hi]."""
-    out = {-n - 1: m for n, m in op.modes.items()}
+    out = {-n - 1: m for n, m in dense_modes(op).items()}
     if lo is not None:
         out = {p: m for p, m in out.items() if p >= lo}
     if hi is not None:
@@ -58,7 +80,7 @@ def derivative(op):
     for p, m in exps(op).items():
         if p != 0:
             out[-(p - 1) - 1] = mat_scale(Fraction(p), m)
-    return VertexOperator(op.dim, out, name=f"d({op.name})" if op.name else "")
+    return dense_operator(op.dim, out, name=f"d({op.name})" if op.name else "")
 
 
 # -- the reordering transform ----------------------------------------------------
@@ -156,7 +178,7 @@ def dense_operator_from_structure(alg, v_idx, mod=None):
     table = table_of(act)
     ns = sorted({n for (i, _j), m in table.items() if i == v_idx for n in m})
     modes = {n: mode_matrix(act, alg.unit(v_idx), n) for n in ns}
-    return VertexOperator(act.dim, modes, name=alg.basis[v_idx])
+    return dense_operator(act.dim, modes, name=alg.basis[v_idx])
 
 
 def dense_closure_module(result):
@@ -168,7 +190,7 @@ def dense_closure_module(result):
     basis = tuple(f"w{j+1}" for j in range(dim_w))
     action = {}
     for i, op in enumerate(ops):
-        for nn, mat_c in op.modes.items():
+        for nn, mat_c in dense_modes(op).items():
             for j in range(dim_w):
                 col = tuple(mat_c[r][j] for r in range(dim_w))
                 if any(x != 0 for x in col):

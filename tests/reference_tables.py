@@ -17,7 +17,9 @@ tests that compare against them:
 - `apply_columns` and `term_differences`, D v and the differing terms of
   two term dictionaries as dense vectors, which the checks read sparse;
 - `dense_witness`, the Witness of a dense first difference, its two sides
-  read back through `support`, as the checks build it from sparse ones.
+  read back through `support`, as the checks build it from sparse ones;
+- `sparse_columns` and `dense_matrix`, a square dense matrix as the sparse
+  columns a derivation or a group element is given by, and back.
 """
 
 from vertexcalc.algebra import d_sparse, dense_terms, sparse_differences, sparse_modes
@@ -111,3 +113,17 @@ def dense_witness(where, diff, basis):
     """The Witness of a dense difference (exponent, lhs, rhs), its sides read through support."""
     e, a, b = diff
     return Witness(where, e, dict(support(a)), dict(support(b)), basis)
+
+
+def sparse_columns(m):
+    """The nonzero (r, c) of each column m e_j of a square dense matrix, c int if integral."""
+    return [[(r, integral(row[j])) for r, row in enumerate(m) if row[j]] for j in range(len(m))]
+
+
+def dense_matrix(cols):
+    """The dense Fraction matrix, as rows, whose sparse columns are cols."""
+    rows = [{} for _ in cols]
+    for j, col in enumerate(cols):
+        for r, c in col:
+            rows[r][j] = c
+    return tuple(densify(row, len(cols)) for row in rows)

@@ -434,7 +434,7 @@ def _random_nilpotent(rng, dim):
 def _truncated_poly(n):
     """Q[t]/(t^n) with the derivation t^2 d/dt: associative, with x-powers up to n - 2."""
     table = {(i, j): {i + j: 1} for i in range(n) for j in range(n) if i + j < n}
-    d = tuple(tuple(F(c) if r == c + 1 else F(0) for c in range(n)) for r in range(n))
+    d = [[(c + 1, c)] if 0 < c < n - 1 else [] for c in range(n)]  # sparse columns: t^c -> c t^(c+1)
     basis = tuple(f"t{k}" for k in range(n))
     return from_assoc_with_derivation(AssocAlgebraData(basis, table, 0, d))
 

@@ -10,7 +10,15 @@ from pathlib import Path
 import pytest
 import reference_builders as dense
 from reference_pairs import product_sparse, reversed_sparse
-from reference_tables import apply_columns, dense_table, index_from_dense, product, table_of
+from reference_tables import (
+    apply_columns,
+    dense_matrix,
+    dense_table,
+    index_from_dense,
+    product,
+    sparse_columns,
+    table_of,
+)
 
 from vertexcalc import pairs as pairs_module
 from vertexcalc.algebra import (
@@ -142,9 +150,9 @@ def test_a3_richness_values():
 @pytest.mark.parametrize(
     "derivation",
     [
-        ((F(0), F(0)), (F(0), F(0)), (F(1), F(0))),  # 3x2
-        ((F(0),) * 4, (F(0),) * 4, (F(0), F(1), F(0), F(0))),  # 3x4
-        ((F(0),) * 3, (F(0), F(1), F(0))),  # 2x3
+        [[(2, 1)], []],  # two columns
+        [[], [(2, 1)], [], []],  # four columns
+        [[], [(3, 1)], []],  # a fourth row
     ],
 )
 def test_a_derivation_that_is_not_dim_by_dim_is_malformed(derivation):
@@ -180,15 +188,22 @@ def test_the_table_cells_are_sparse():
         (2, 2): {},
     }
     table = {(0, 0): {0: F(1)}, (0, 1): {1: F(2, 2), 0: 0}}
-    data = AssocAlgebraData(("one", "t"), table, 0, ((F(0), F(0)), (F(0), F(0))))
+    data = AssocAlgebraData(("one", "t"), table, 0, [[], []])
     assert data.table == {(0, 0): {0: 1}, (0, 1): {1: 1}}
     assert type(data.table[(0, 0)][0]) is int
+
+
+def test_the_derivation_is_sparse_columns():
+    # the parser hands the dense derivation in as its columns' nonzero (r, c)
+    assert parse_algebra_file(FIXTURES / "a3.json").assoc.derivation == [[], [(2, 1)], []]
+    data = AssocAlgebraData(("one", "t"), {(0, 0): {0: 1}}, 0, [[(1, F(0))], [(0, F(4, 2))]])
+    assert data.derivation == [[], [(0, 2)]] and type(data.derivation[1][0][1]) is int
 
 
 def test_the_leibniz_failure_names_the_pair_and_its_sparse_sides():
     # d/dt on Q[t]/(t^2) fails Leibniz on (t, t): d(t^2) = 0 but 2t d(t) = 2t
     table = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}
-    data = AssocAlgebraData(("one", "t"), table, 0, ((F(0), F(1)), (F(0), F(0))))
+    data = AssocAlgebraData(("one", "t"), table, 0, [[], [(0, 1)]])
     with pytest.raises(NotADerivation) as exc:
         from_assoc_with_derivation(data)
     assert str(exc.value) == "Leibniz fails on (t, t): 0 != 2 t"
@@ -213,7 +228,7 @@ def _truncated(k: int, m: int, c: Fraction) -> AssocAlgebraData:
 
 def _perturbed(data: AssocAlgebraData, rng, derivation: bool) -> AssocAlgebraData:
     """The data with one random entry of its derivation, or of one product, replaced."""
-    d = [list(row) for row in data.derivation]
+    d = [list(row) for row in dense_matrix(data.derivation)]
     table = dict(data.table)
     r, c = rng.randrange(data.dim), rng.randrange(data.dim)
     if derivation:
@@ -221,7 +236,7 @@ def _perturbed(data: AssocAlgebraData, rng, derivation: bool) -> AssocAlgebraDat
     else:
         cell = tuple(rng.choice((F(0),) + _RATIONALS) for _ in range(data.dim))
         table[(r, c)] = dict(support(cell))
-    return AssocAlgebraData(data.basis, table, data.identity, tuple(map(tuple, d)))
+    return AssocAlgebraData(data.basis, table, data.identity, sparse_columns(d))
 
 
 def _assoc_cases(rng):
@@ -234,7 +249,7 @@ def _assoc_cases(rng):
     ut2 = parse_algebra_file(FIXTURES / "ut2.json").assoc
     # the inner derivation [E12, -]: e11 -> -e12
     ad = ((F(0),) * 3, (F(0),) * 3, (F(0), rng.choice(_RATIONALS), F(0)))
-    yield AssocAlgebraData(ut2.basis, ut2.table, ut2.identity, ad)
+    yield AssocAlgebraData(ut2.basis, ut2.table, ut2.identity, sparse_columns(ad))
     for derivation in (True, True, False):
         yield _perturbed(ut2, rng, derivation)
     for orders in [(2,), (3,), (2, 2), (4,), (2, 3)]:
@@ -272,19 +287,29 @@ def test_from_assoc_matches_the_dense_builder():
 
 
 def _actions(rng):
-    """(base, action): random Z2 and Z3 actions on the dual numbers and on a3."""
+    """(base, action): random Z2 and Z3 matrix tables on the dual numbers and on a3.
+
+    Each matrix is drawn dense and handed over as its sparse columns: a
+    scaling t^r -> b^r t^r, a sign change of the basis vectors other than
+    the vacuum, or random entries.  Many draws are no group action.
+    """
     z2 = {(g, h): (g + h) % 2 for g in range(2) for h in range(2)}
     z3 = {(g, h): (g + h) % 3 for g in range(3) for h in range(3)}
     entries = (F(0), F(0)) + _RATIONALS
     for base in (dual_numbers(), truncated_poly_3()):
         dim = base.dim
-        ident = tuple(unit_vec(dim, r) for r in range(dim))
+        ident = sparse_columns(tuple(unit_vec(dim, r) for r in range(dim)))
 
         def matrix():
-            if rng.random() < 0.5:  # t -> b t, an automorphism of the dual numbers
+            kind = rng.random()
+            if kind < 0.4:  # t -> b t, an automorphism of the dual numbers
                 b = rng.choice(_RATIONALS)
-                return tuple(vec_scale(b**r, unit_vec(dim, r)) for r in range(dim))
-            return tuple(tuple(rng.choice(entries) for _ in range(dim)) for _ in range(dim))
+                m = tuple(vec_scale(b**r, unit_vec(dim, r)) for r in range(dim))
+            elif kind < 0.7:  # an involution, an automorphism of a3 only if it is 1
+                m = tuple(vec_scale(rng.choice((1, -1)) if r else 1, unit_vec(dim, r)) for r in range(dim))
+            else:
+                m = tuple(tuple(rng.choice(entries) for _ in range(dim)) for _ in range(dim))
+            return sparse_columns(m)
 
         for _ in range(12):
             yield base, GroupActionData(("e", "g"), z2, {0: ident, 1: matrix()})
@@ -292,35 +317,37 @@ def _actions(rng):
 
 
 def test_group_actions_match_the_dense_builders():
-    # the same verdict class; on an automorphism the same cross product and R-map
+    # the same verdict class; on an automorphism the same cross product and
+    # R-map.  Matrices that are no group action are refused before the
+    # automorphism check, as dense matrix products decide
     rng = random.Random(20)
     seen = set()
     for base, act in _actions(rng):
-        expected = _outcome(lambda: dense.validate_action(act, base))
+        expected = MalformedStructure
+        if dense.is_group_action(act):
+            expected = _outcome(lambda: dense.validate_action(act, base))
+            expected = expected if expected is None else expected[0]
         got = _outcome(lambda: act.validate_action(base))
-        assert (got if got is None else got[0]) == (expected if expected is None else expected[0])
-        seen.add(expected if expected is None else expected[0])
+        assert (got if got is None else got[0]) == expected
+        seen.add(expected)
         if expected is None:
             assert cross_product(base, act) == dense.cross_product(base, act)
             rmap = rmap_cross_abelian(base.dim, act)
             assert rmap.entries == dense.rmap_cross_abelian(base.dim, act).entries
-    assert seen == {None, NotAnAutomorphism}
+    assert seen == {None, NotAnAutomorphism, MalformedStructure}
 
 
 def test_a_failing_action_names_the_least_failing_mode():
-    # t -> 2t on a3 keeps every mode -1 product but doubles (t)_-2(one) = t2
-    # into 2 t2, where g(t2) = 4 t2
+    # the involution t -> -t on a3 keeps every mode -1 product but sends
+    # (t)_-2(one) = t2 to -t2, where g(t2) = t2
     a3 = truncated_poly_3()
-    double = GroupActionData(
+    flip = GroupActionData(
         ("e", "g"),
         {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0},
-        {
-            0: tuple(unit_vec(3, r) for r in range(3)),
-            1: tuple(vec_scale(2**r, unit_vec(3, r)) for r in range(3)),
-        },
+        {0: [[(0, 1)], [(1, 1)], [(2, 1)]], 1: [[(0, 1)], [(1, -1)], [(2, 1)]]},
     )
     with pytest.raises(NotAnAutomorphism, match=r"^g fails on \(t\)_-2\(one\)$"):
-        double.validate_action(a3)
+        flip.validate_action(a3)
 
 
 def test_cocycle_keys_outside_the_group_are_refused():
@@ -518,8 +545,8 @@ def test_non_automorphism_rejected():
         elements=("e", "g"),
         table={(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0},
         action={
-            0: ((F(1), F(0)), (F(0), F(1))),
-            1: ((F(1), F(0)), (F(1), F(1))),  # sends one to one + t
+            0: [[(0, 1)], [(1, 1)]],
+            1: [[(0, 1), (1, 1)], [(1, -1)]],  # an involution that sends one to one + t
         },
     )
     with pytest.raises(NotAnAutomorphism):
@@ -527,21 +554,70 @@ def test_non_automorphism_rejected():
 
 
 @pytest.mark.parametrize(
-    "matrix",
-    [((F(1), F(0)), (F(0), F(1)), (F(0), F(0))), ((F(1), F(0), F(5)), (F(0), F(1), F(0)))],
+    "matrix", [[[(0, 1)], [(1, 1), (2, 5)]], [[(0, 1)], [(1, 1)], [(0, 5)]]]
 )
 def test_validate_action_refuses_a_matrix_that_is_not_dim_by_dim(matrix):
-    # called on its own, a 3x2 matrix was refused as moving the vacuum and a
-    # 2x3 one was accepted, its last column cut off
+    # a third row or a third column on the 2-dim base; called on its own, a
+    # dense 3x2 matrix was refused as moving the vacuum and a 2x3 one was
+    # accepted, its last column cut off
     flip = sign_flip_action()
     act = GroupActionData(("e", "g"), flip.table, {0: flip.action[0], 1: matrix})
     with pytest.raises(MalformedStructure, match="the action matrix of g is not 2x2"):
         act.validate_action(dual_numbers())
 
 
+_Z2 = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
+_ONE2, _FLIP2 = [[(0, 1)], [(1, 1)]], [[(0, 1)], [(1, -1)]]
+
+# tables of matrices on the dual numbers that are no group action, with the refusal
+NO_GROUP_ACTIONS = {
+    "no-elements": ((), {}, {}, "identity row/column of the group table is wrong"),
+    "extra-table-entry": (
+        ("e", "g"), {**_Z2, (0, 2): 0}, {0: _ONE2, 1: _FLIP2},
+        "the group table is not 2x2 over its elements",
+    ),
+    "not-associative": (
+        ("e", "a", "b"),
+        {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 1, (1, 1): 0, (1, 2): 0,
+         (2, 0): 2, (2, 1): 0, (2, 2): 1},
+        {0: _ONE2, 1: _ONE2, 2: _ONE2},
+        "the group table is not associative at (a,a,b)",
+    ),
+    "no-inverse": (
+        ("e", "g"), {**_Z2, (1, 1): 1}, {0: _ONE2, 1: _ONE2}, "element g has no inverse",
+    ),
+    "identity-not-one": (
+        ("e", "g"), _Z2, {0: _FLIP2, 1: _FLIP2}, "the identity e does not act as 1",
+    ),
+    "not-a-homomorphism": (
+        ("e", "g"), _Z2, {0: _ONE2, 1: [[(0, 1)], [(1, 2)]]}, "g after g does not act as e",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_GROUP_ACTIONS))
+def test_validate_group_refuses_what_is_no_group_action(case):
+    # each was accepted: the cross product was built, and failed its axioms
+    elements, table, action, message = NO_GROUP_ACTIONS[case]
+    act = GroupActionData(elements, table, action)
+    with pytest.raises(MalformedStructure, match=f"^{re.escape(message)}$"):
+        act.validate_group(2)
+    with pytest.raises(MalformedStructure, match=f"^{re.escape(message)}$"):
+        cross_product(dual_numbers(), act)
+
+
+def test_the_action_matrices_are_sparse_columns():
+    # the parser hands each dense matrix in as its columns' nonzero (r, c);
+    # the constructor drops zero entries and makes integral values ints
+    act = parse_algebra_file(FIXTURES / "a2_base.json").group
+    assert act.action == {0: [[(0, 1)], [(1, 1)]], 1: [[(0, 1)], [(1, -1)]]}
+    act = GroupActionData(("e",), {(0, 0): 0}, {0: [[(1, F(0)), (0, F(2, 2))], [(1, 1)]]})
+    assert act.action == {0: [[(0, 1)], [(1, 1)]]} and type(act.action[0][0][0][1]) is int
+
+
 def test_trivial_action_cross_equals_tensor_with_group_algebra():
     base = dual_numbers()
-    ident = ((F(1), F(0)), (F(0), F(1)))
+    ident = [[(0, 1)], [(1, 1)]]
     trivial = GroupActionData(
         elements=("e", "g"),
         table={(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0},
@@ -870,7 +946,7 @@ def _dense_cross(alg, act):
     ng = len(act.elements)
     out = {}
     for i, g, j, h in itertools.product(range(alg.dim), range(ng), range(alg.dim), range(ng)):
-        gv = mat_vec(act.action[g], unit_vec(alg.dim, j))
+        gv = mat_vec(dense_matrix(act.action[g]), unit_vec(alg.dim, j))
         modes = {}
         for n, w in alg.mode_map(unit_vec(alg.dim, i), gv).items():
             v = [F(0)] * (alg.dim * ng)
@@ -984,7 +1060,7 @@ def test_tensor_builders_match_dense_formulas_on_fixtures():
     _assert_tensor_module([a3, unit, a3], [adjoint_module(x) for x in (a3, unit, a3)])
     cross, base, act = cross_a2_z2()
     assert table_of(cross) == _dense_cross(base, act)
-    ident = ((F(1), F(0)), (F(0), F(1)))
+    ident = [[(0, 1)], [(1, 1)]]
     trivial = GroupActionData(elements=("e", "g"), table=act.table, action={0: ident, 1: ident})
     cross_trivial = cross_product(base, trivial)
     assert table_of(cross_trivial) == _dense_cross(base, trivial)

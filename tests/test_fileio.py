@@ -125,6 +125,18 @@ def _with_module(mutate):
     return apply
 
 
+def _explicit_modes(modes):
+    """Give a3 an operators section of one operator on a 2-dim space with the given modes."""
+    return lambda d: d.update(operators={"space": ["w1", "w2"], "ops": [{"name": "a", "modes": modes}]})
+
+
+def _respell_cocycle_key(data):
+    table = data["cocycle"]["table"]
+    table["+0,0|0,0"] = table.pop("0,0|0,0")
+
+
+_E12 = [["0", "1"], ["0", "0"]]
+
 MALFORMED = {
     "entries-not-a-list": ("a3", lambda d: d.update(entries=5)),
     "grading-without-orders": ("z22_base", lambda d: d["grading"].pop("orders")),
@@ -141,6 +153,11 @@ MALFORMED = {
     # from another, and a repeated assoc name wrote past the end of its vector
     "module-basis-duplicate": ("a3", _with_module(lambda m: m.update(basis=["one", "t", "t"]))),
     "assoc-basis-duplicate": ("a3", lambda d: d["assoc"].update(basis=["one", "t", "t"])),
+    # int() reads "1_0" as 10, and "-1" and "-01" as one mode, whose last
+    # matrix silently won; a key must spell its integer canonically
+    "operator-mode-key-with-underscore": ("a3", _explicit_modes({"1_0": _E12})),
+    "operator-mode-key-twice": ("a3", _explicit_modes({"-1": _E12, "-01": _E12})),
+    "cocycle-key-with-plus-sign": ("z22_base", _respell_cocycle_key),
 }
 
 
@@ -434,7 +451,7 @@ def test_operator_section_round_trip(tmp_path):
     write_algebra_file(path, data)
     back = parse_algebra_file(path)
     assert back.operators is not None
-    assert back.operators[0].modes == ops[0].modes
+    assert back.operators[0].rows == ops[0].rows
 
 
 def test_fixture_generator_reproduces_shipped_fixtures(tmp_path, monkeypatch):

@@ -129,10 +129,10 @@ DENSE_BUILDER_NAMES = {
 
 def test_the_builders_compute_on_the_sparse_kernel():
     # products go through sparse_modes on a constant index, derivations and
-    # group elements through their sparse columns, and e^{xd} through
-    # exp_sparse; the dense copies live only in the oracle
+    # group elements are their sparse columns, applied by d_sparse, and
+    # e^{xd} goes through exp_sparse; the dense copies live only in the oracle
     assert names_used("construct") & DENSE_BUILDER_NAMES == set()
-    assert {"sparse_modes", "exp_sparse", "sparse_columns", "constant_index"} <= names_used(
+    assert {"sparse_modes", "exp_sparse", "d_sparse", "constant_index"} <= names_used(
         "construct"
     )
     oracle = names_in((Path(__file__).parent / "reference_builders.py").read_text())
@@ -214,10 +214,36 @@ def test_the_verdict_reader_finds_the_checks():
 
 
 def test_the_function_reader_sees_only_its_function():
-    # operators.py densifies for VertexOperator.modes, outside the closure
-    assert "densify" in names_used("operators")
-    assert "densify" not in function_names("operators", "closure")
+    # linalg.py densifies in row_reduce, not in rank
+    assert "densify" in names_used("linalg")
+    assert "densify" not in function_names("linalg", "rank")
     assert {"normal_index", "MalformedStructure"} <= function_names("algebra", "normal_index")
+
+
+# the dense copies of the derivation, the group elements and the operator
+# modes, and the dense nilpotency search beside exp_sparse
+DENSE_MAP_NAMES = {"nilpotency_index", "_mat_from_rows", "_dense"}
+
+
+def imported_names(module: str) -> set[str]:
+    """The names a module imports, as its source spells them before any alias."""
+    names = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_each_linear_map_is_stored_once_in_sparse_form():
+    # a derivation or a group element is its sparse columns and an operator
+    # its sparse rows from the parse boundary on; the dense matrices of the
+    # file format are read and written in fileio's own helpers
+    found = {path.name: names_in(path.read_text()) & DENSE_MAP_NAMES for path in SRC.glob("*.py")}
+    assert {name: names for name, names in found.items() if names} == {}
+    for module in ("construct", "operators", "fileio"):
+        assert "Mat" not in imported_names(module), module
+    assert "Mat" in imported_names("algebra")
+    assert "nilpotency_index" in names_in((Path(__file__).parent / "reference_builders.py").read_text())
 
 
 def test_modules_holds_no_check_without_a_caller():

@@ -18,6 +18,8 @@ import pytest
 from reference_operators import (
     check_prop_assoc,
     dense_closure_module,
+    dense_modes,
+    dense_operator,
     dense_operator_from_structure,
     derivative,
     exps,
@@ -31,7 +33,7 @@ from vertexcalc.construct import matrix_algebra
 from vertexcalc.errors import InvalidArgument, MalformedStructure, NotCompatible
 from vertexcalc.fileio import parse_algebra_file
 from vertexcalc.fixtures import matrix_over_a3, truncated_poly_3, upper_triangular_2
-from vertexcalc.linalg import is_zero_mat, mat_mul, mat_scale, unit_vec
+from vertexcalc.linalg import mat_mul, mat_scale, unit_vec
 from vertexcalc.modules import adjoint_module, wn_module
 from vertexcalc.operators import (
     VertexOperator,
@@ -144,7 +146,7 @@ def test_operator_from_structure_matches_dense_construction(label):
 def test_identity_operator_rows():
     for dim in (0, 1, 4):
         one = identity_operator(dim)
-        ref = VertexOperator(dim, {-1: tuple(unit_vec(dim, i) for i in range(dim))}, "1_W")
+        ref = dense_operator(dim, {-1: tuple(unit_vec(dim, i) for i in range(dim))}, "1_W")
         assert (one.name, _layout(one)) == (ref.name, _layout(ref))
 
 
@@ -244,14 +246,14 @@ def test_bridging_identity_on_adjoint_image(fixture):
                 for k, c in enumerate(uv):
                     if c == 0:
                         continue
-                    for nn, m in operator_from_structure(alg, k).modes.items():
+                    for nn, m in dense_modes(operator_from_structure(alg, k)).items():
                         contrib = mat_scale(c, m)
                         rhs_modes[nn] = (
                             mat_add(rhs_modes[nn], contrib)
                             if nn in rhs_modes
                             else contrib
                         )
-                assert lhs.equal(VertexOperator(alg.dim, rhs_modes))
+                assert lhs.equal(dense_operator(alg.dim, rhs_modes))
 
 
 @pytest.mark.parametrize("n", [-3, -2, -1, 0, 1])
@@ -297,20 +299,24 @@ def test_noncommuting_nonnegative_modes_separate_definitions():
     # noncommuting constant distinguishes the straight and reversed residues
     A = ((F(0), F(1)), (F(0), F(0)))
     B = ((F(0), F(0)), (F(0), F(1)))
-    a = VertexOperator(2, {0: A})
-    b = VertexOperator(2, {-1: B})
+    a = dense_operator(2, {0: A})
+    b = dense_operator(2, {-1: B})
     n = -1
     straight = nth_product(a, b, n)
     two_sided = nth_product_local(a, b, n)
     assert not straight.equal(two_sided)
     # the straight product keeps only A B; the two-sided one subtracts B A
-    assert straight.modes[0] == tuple(
+    assert dense_modes(straight)[0] == tuple(
         tuple(sum(A[r][k] * B[k][c] for k in range(2)) for c in range(2))
         for r in range(2)
     )
 
 
 # -- sparse products against the dense formula ---------------------------------------------
+
+
+def _is_zero(m):
+    return all(x == 0 for row in m for x in row)
 
 
 def dense_residue_sums(a, b, n, local, mul=mat_mul):
@@ -334,13 +340,13 @@ def dense_residue_sums(a, b, n, local, mul=mat_mul):
             if c2:
                 terms.append(mat_scale(-c2, mul(mb, ma)))
             for term in terms:
-                if not is_zero_mat(term):
+                if not _is_zero(term):
                     out[key] = mat_add(out[key], term) if key in out else term
     return out
 
 
 def dense_residue_product(a, b, n, local, mul=mat_mul):
-    return VertexOperator(a.dim, dense_residue_sums(a, b, n, local, mul))
+    return dense_operator(a.dim, dense_residue_sums(a, b, n, local, mul))
 
 
 def _random_operator(rng, dim, commuting_with=None):
@@ -361,7 +367,7 @@ def _random_operator(rng, dim, commuting_with=None):
         else:
             m = commuting_with
             modes[n] = mat_add(mat_scale(entry(), m), mat_scale(entry(), mat_mul(m, m)))
-    return VertexOperator(dim, modes)
+    return dense_operator(dim, modes)
 
 
 def test_sparse_residue_product_matches_dense_formula():
@@ -370,7 +376,7 @@ def test_sparse_residue_product_matches_dense_formula():
     for trial in range(160):
         dim = rng.randint(1, 5)
         if trial % 2:
-            m = _random_operator(rng, dim).mode(0)
+            m = dense_modes(_random_operator(rng, dim)).get(0, ((F(0),) * dim,) * dim)
             a, b = _random_operator(rng, dim, m), _random_operator(rng, dim, m)
         else:
             a, b = _random_operator(rng, dim), _random_operator(rng, dim)
@@ -378,10 +384,9 @@ def test_sparse_residue_product_matches_dense_formula():
             for local in (False, True):
                 got = (nth_product_local if local else nth_product)(a, b, n)
                 sums = dense_residue_sums(a, b, n, local)
-                assert got.modes == VertexOperator(dim, sums).modes, (a.modes, b.modes, n, local)
-                assert not any(is_zero_mat(m) for m in got.modes.values())
-                assert set(got.rows) == set(got.modes)
-                cancelled += sum(1 for s in sums.values() if is_zero_mat(s))
+                assert got.rows == dense_operator(dim, sums).rows, (a.rows, b.rows, n, local)
+                assert not any(_is_zero(m) for m in dense_modes(got).values())
+                cancelled += sum(1 for s in sums.values() if _is_zero(s))
     # some modes sum to zero from nonzero terms: exact cancellation is exercised
     assert cancelled > 0
 
@@ -417,8 +422,8 @@ def test_closure_on_m2a3_matches_dense_formula(monkeypatch, local):
             ref = closure(gens, local_products=local)
         assert sparse.status == ref.status == "closed"
         assert (sparse.rounds, sparse.notes) == (ref.rounds, ref.notes)
-        assert [op.modes for op in sparse.span.operators] == [
-            op.modes for op in ref.span.operators
+        assert [op.rows for op in sparse.span.operators] == [
+            op.rows for op in ref.span.operators
         ]
         assert table_of(sparse.structure) == table_of(ref.structure)
 
@@ -475,7 +480,7 @@ def test_prop_assoc_with_nonnegative_mode_holds_at_first_polynomial_order():
     # a(x) = I x^-1 has the nonnegative mode 0, so Y(a,x0)b has no certified
     # floor; the relation holds at l = 1 on the x0-exponents that hold every
     # term of the left side, and the report says it is window-sound
-    a = VertexOperator(2, {0: ((1, 0), (0, 1))})
+    a = dense_operator(2, {0: ((1, 0), (0, 1))})
     rep = check_prop_assoc(a, identity_operator(2), unit_vec(2, 0))
     assert rep.passed and rep.found_orders["l"] == 1
     assert not rep.exact
@@ -493,11 +498,11 @@ def test_prop_assoc_holds_for_random_operator_pairs():
             return tuple(tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(dim))
 
         a, b = (
-            VertexOperator(dim, {rng.randint(-3, 2): random_mat() for _ in range(3)})
+            dense_operator(dim, {rng.randint(-3, 2): random_mat() for _ in range(3)})
             for _ in "ab"
         )
         rep = check_prop_assoc(a, b, unit_vec(dim, rng.randrange(dim)))
-        assert rep.passed, (a.modes, b.modes, rep.witnesses)
+        assert rep.passed, (a.rows, b.rows, rep.witnesses)
 
 
 def test_prop_assoc_holds_where_locality_fails():
@@ -591,7 +596,7 @@ def test_closure_module_matches_dense_read_off():
 
 def test_closure_module_needs_a_structure():
     A = ((F(0), F(1)), (F(0), F(0)))
-    res = closure([VertexOperator(2, {0: A})], n_range=(-3, 0))
+    res = closure([dense_operator(2, {0: A})], n_range=(-3, 0))
     assert res.structure is None
     for read_off in (closure_module, dense_closure_module):
         with pytest.raises(MalformedStructure):
@@ -611,7 +616,7 @@ def test_corrupted_span_fails_module_verification(yt):
     victim = res.span.operators[2]
     broken = VertexOperator(
         victim.dim,
-        {n: m for n, m in victim.modes.items() if n != min(victim.modes)},
+        {n: m for n, m in victim.rows.items() if n != min(victim.rows)},
         name=victim.name,
     )
     res.span.operators[2] = broken
@@ -644,7 +649,7 @@ def test_closure_rejects_empty_range_and_caps_below_one(yt, kwargs):
 def test_default_mode_range_reaches_the_generator():
     # a generator whose lowest mode is 3 (x^-4): the default range must still
     # hold mode -1, which puts the generator itself in the span
-    a_op = VertexOperator(2, {3: ((F(1), F(0)), (F(0), F(0)))})
+    a_op = dense_operator(2, {3: ((F(1), F(0)), (F(0), F(0)))})
     res = closure([a_op])
     assert res.span.rank >= 2
     assert any(op.equal(a_op) for op in res.span.operators)
@@ -654,7 +659,7 @@ def test_unbounded_tail_is_reported_honestly():
     # a nilpotent constant at exponent -1 keeps producing new derivatives, so
     # no finite mode range closes the span
     A = ((F(0), F(1)), (F(0), F(0)))
-    a_op = VertexOperator(2, {0: A})
+    a_op = dense_operator(2, {0: A})
     assert certified_nonzero_range(a_op, identity_operator(2), False)[0] is None
     res = closure([a_op], n_range=(-3, 0))
     assert res.status == "index-range-exhausted"
@@ -667,7 +672,7 @@ def test_local_products_have_no_certified_ceiling():
     # product is nonzero at every n >= 0, where the straight one vanishes
     E12 = ((F(0), F(1)), (F(0), F(0)))
     E22 = ((F(0), F(0)), (F(0), F(1)))
-    a, b = VertexOperator(2, {0: E12}), VertexOperator(2, {-1: E22})
+    a, b = dense_operator(2, {0: E12}), dense_operator(2, {-1: E22})
     for n in range(4):
         assert nth_product_local(a, b, n).rows == {-1 - n: {0: {1: F((-1) ** n)}}}
         assert nth_product(a, b, n).is_zero()

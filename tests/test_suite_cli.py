@@ -21,8 +21,14 @@ from test_fileio import _paths
 from vertexcalc import cli
 from vertexcalc import suite as suite_module
 from vertexcalc.algebra import AlgebraStructure
-from vertexcalc.fileio import algebra_to_data, parse_algebra_file, write_algebra_file
+from vertexcalc.fileio import (
+    algebra_to_data,
+    operators_section,
+    parse_algebra_file,
+    write_algebra_file,
+)
 from vertexcalc.linalg import unit_vec
+from vertexcalc.operators import operator_from_structure
 from vertexcalc.suite import SuiteOptions, emit_report, run_suite
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -514,29 +520,45 @@ def test_file_content_fuzz_never_tracebacks(tmp_path):
 
 def _group_mutant(tmp_path, name: str, mutate) -> str:
     doc = json.loads((FIXTURES / f"{name}.json").read_text())
-    mutate(doc["group"]["action"])
+    mutate(doc["group"])
     path = tmp_path / f"{name}-mutant.json"
     path.write_text(json.dumps(doc))
     return str(path)
 
 
-def _add_column(action):
-    for row in action["g"]:
+def _add_column(group):
+    for row in group["action"]["g"]:
         row.append("0")
 
 
+_ONE, _FLIP = [["1", "0"], ["0", "1"]], [["1", "0"], ["0", "-1"]]
+
 GROUP_MUTANTS = {
-    "element-without-action": lambda action: action.pop("g"),
+    "element-without-action": lambda group: group["action"].pop("g"),
     "2x3-matrix": _add_column,
-    "1x2-matrix": lambda action: action["g"].pop(),
+    "1x2-matrix": lambda group: group["action"]["g"].pop(),
+    # the cases below are no group action; construct cross accepted each of them
+    "g-scales-t-by-2": lambda group: group["action"].update(g=[["1", "0"], ["0", "2"]]),
+    "identity-acts-by-the-flip": lambda group: group["action"].update(e=_FLIP, g=_FLIP),
+    "table-row-with-an-extra-entry": lambda group: group["table"][0].append("e"),
+    "table-not-associative": lambda group: group.update(
+        elements=["e", "a", "b"],
+        table=[["e", "a", "b"], ["a", "e", "e"], ["b", "e", "a"]],
+        action={"e": _ONE, "a": _ONE, "b": _ONE},
+    ),
+    "g-without-an-inverse": lambda group: group.update(
+        table=[["e", "g"], ["g", "g"]], action={"e": _ONE, "g": _ONE}
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(GROUP_MUTANTS))
 def test_malformed_group_actions_exit_2(case, tmp_path):
     # a missing action ended in a KeyError traceback; a 2x3 matrix on the
-    # 2-dim base was accepted, as mat_vec's zip cut it to 2x2; the parser
-    # refuses both, so a suite that never reads the group refuses them too
+    # 2-dim base was accepted, as mat_vec's zip cut it to 2x2; a table of
+    # matrices that is no group action went into the cross product, which
+    # then failed its own axioms.  The parser refuses them all, so a suite
+    # that never reads the group refuses them too
     base = _group_mutant(tmp_path, "a2_base", GROUP_MUTANTS[case])
     run_cli("construct", "cross", base, "-o", str(tmp_path / "built.json"), expect=2)
     assert not (tmp_path / "built.json").exists()
@@ -552,6 +574,78 @@ def test_cross_of_a_cross_product_names_the_matrix_shape(tmp_path, capsys):
     built = tmp_path / "built.json"
     assert cli.main(["construct", "cross", str(FIXTURES / "cross_a2z2.json"), "-o", str(built)]) == 2
     assert capsys.readouterr().err == "error: the action matrix of e is not 4x4\n"
+    assert not built.exists()
+
+
+def _pad(rows):
+    """Append a zero column and a zero row to a dense matrix of rational strings."""
+    for row in rows:
+        row.append("0")
+    rows.append(["0"] * len(rows[0]))
+
+
+def _padded_mode(doc):
+    a3 = parse_algebra_file(FIXTURES / "a3.json").alg
+    doc["operators"] = operators_section([operator_from_structure(a3, 1)], a3.basis)
+    _pad(doc["operators"]["ops"][0]["modes"]["-1"])
+
+
+# a matrix padded with a zero row and a zero column has every nonzero entry
+# inside the basis, so only the shape of its dense rows refuses it (the
+# padded derivation is a DERIVATION_MUTANTS case)
+PADDED = {
+    "group-action": (
+        "a2_base",
+        lambda doc: _pad(doc["group"]["action"]["e"]),
+        "the action matrix of e is not 2x2",
+    ),
+    "operator-mode": ("a3", _padded_mode, "operator matrix shape mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PADDED))
+def test_a_padded_matrix_is_refused_by_its_shape(case, tmp_path, capsys):
+    name, mutate, message = PADDED[case]
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
+    mutate(doc)
+    path = tmp_path / f"{name}-padded.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", str(path), "--suite", "axioms"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("name", ["a3", "ut2", "z22_twist"])
+def test_an_explicit_operator_section_closes_as_its_basis_names(name, tmp_path, capsys):
+    # every shipped fixture names its generators by operators.from_basis; the
+    # same operators written out as an operators.ops section of dense modes
+    # must give the same closure report, all but the target
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
+    alg = parse_algebra_file(FIXTURES / f"{name}.json").alg
+    ops = [operator_from_structure(alg, alg.basis_index(nm)) for nm in doc["operators"]["from_basis"]]
+    doc["operators"] = operators_section(ops, alg.basis)
+    path = tmp_path / f"{name}-ops.json"
+    path.write_text(json.dumps(doc))
+    reports = []
+    for target in (FIXTURES / f"{name}.json", path):
+        assert cli.main(["closure", str(target), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report.pop("target") == target.stem
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["records"][0]["verdict"] == "closed"
+
+
+def test_a_non_nilpotent_derivation_is_refused_by_the_builder(tmp_path, capsys):
+    # the Euler derivation t d/dt on the dual numbers satisfies Leibniz, but
+    # e^{xd} t never terminates; exp_sparse in the builder decides it
+    doc = json.loads((FIXTURES / "a2_base.json").read_text())
+    doc["assoc"]["derivation"] = [["0", "0"], ["0", "1"]]
+    path = tmp_path / "euler.json"
+    path.write_text(json.dumps(doc))
+    built = tmp_path / "built.json"
+    assert cli.main(["construct", "from-assoc", str(path), "-o", str(built)]) == 2
+    message = "error: matrix iterates did not vanish within the dimension cap\n"
+    assert capsys.readouterr().err == message
     assert not built.exists()
 
 
@@ -572,6 +666,7 @@ def _assoc_mutant(tmp_path, case: str, mutate) -> str:
 
 
 DERIVATION_MUTANTS = {
+    "4x4-padded": _pad,
     "3x2": lambda rows: [row.pop() for row in rows],
     "3x4": lambda rows: [row.append("0") for row in rows],
     "2x3": lambda rows: rows.pop(),

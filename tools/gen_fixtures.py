@@ -36,17 +36,18 @@ def assoc_section(data: AssocAlgebraData) -> dict:
         ]
         for i in range(dim)
     ]
+    # the derivation is stored as its sparse columns; the file holds its dense rows
+    columns = [dict(col) for col in data.derivation]
+    derivation = [[format_rational(col.get(r, 0)) for col in columns] for r in range(dim)]
     return {
         "basis": list(data.basis),
         "identity": data.basis[data.identity],
         "table": table,
-        "derivation": [[format_rational(x) for x in row] for row in data.derivation],
+        "derivation": derivation,
     }
 
 
 def a3_assoc_data() -> AssocAlgebraData:
-    from fractions import Fraction as F
-
     # sparse products; the missing cells are zero
     table = {
         (0, 0): {0: 1},
@@ -56,15 +57,13 @@ def a3_assoc_data() -> AssocAlgebraData:
         (1, 1): {2: 1},
         (2, 0): {2: 1},
     }
-    derivation = ((F(0),) * 3, (F(0),) * 3, (F(0), F(1), F(0)))
+    derivation = [[], [(2, 1)], []]  # sparse columns: t -> t^2
     return AssocAlgebraData(
         basis=("one", "t", "t2"), table=table, identity=0, derivation=derivation
     )
 
 
 def ut2_assoc_data() -> AssocAlgebraData:
-    from fractions import Fraction as F
-
     table = {
         (0, 0): {0: 1},
         (0, 1): {1: 1},
@@ -74,15 +73,13 @@ def ut2_assoc_data() -> AssocAlgebraData:
         (1, 2): {2: 1},
         (2, 0): {2: 1},
     }
-    zero = tuple((F(0),) * 3 for _ in range(3))
+    zero = [[], [], []]
     return AssocAlgebraData(basis=("one", "e11", "e12"), table=table, identity=0, derivation=zero)
 
 
 def a2_assoc_data() -> AssocAlgebraData:
-    from fractions import Fraction as F
-
     table = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}
-    zero = ((F(0), F(0)), (F(0), F(0)))
+    zero = [[], []]
     return AssocAlgebraData(basis=("one", "t"), table=table, identity=0, derivation=zero)
 
 
