@@ -44,6 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact checkers and builders for nonlocal vertex structures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    n_range_help = "cut closure generation to modes LO..HI (default: each pair's exact range)"
 
     check = sub.add_parser("check", help="run a verification suite on an algebra file")
     check.add_argument("target", nargs="+", help="algebra file(s) to check")
@@ -51,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--q", default="1", help="commutation scalar, or 'from-cocycle'")
     check.add_argument("--dim-cap", type=int, default=64)
     check.add_argument("--depth-cap", type=int, default=8)
-    check.add_argument("--n-range", type=_parse_n_range, default=None, metavar="LO:HI")
+    check.add_argument("--n-range", type=_parse_n_range, default=None, metavar="LO:HI",
+                       help=n_range_help)
     check.add_argument("--local-products", action="store_true",
                        help="use the commutator-style product in closures")
     check.add_argument("--format", choices=("text", "json"), default="text")
@@ -67,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     clos = sub.add_parser("closure", help="generate a span from a declared operator set")
     clos.add_argument("target", help="algebra file with an operators section")
-    clos.add_argument("--n-range", type=_parse_n_range, default=None, metavar="LO:HI")
+    clos.add_argument("--n-range", type=_parse_n_range, default=None, metavar="LO:HI",
+                      help=n_range_help)
     clos.add_argument("--dim-cap", type=int, default=64)
     clos.add_argument("--depth-cap", type=int, default=8)
     clos.add_argument("--local-products", action="store_true")

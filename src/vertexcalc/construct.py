@@ -36,6 +36,7 @@ from .errors import (
     CocycleInvalid,
     GradingInvalid,
     MalformedStructure,
+    NonNilpotentD,
     NotADerivation,
     NotAnAutomorphism,
 )
@@ -139,7 +140,11 @@ def from_assoc_with_derivation(data: AssocAlgebraData) -> AlgebraStructure:
     data.validate()
     index: ModeIndex = {}
     for i in range(data.dim):
-        powers = exp_sparse(data.derivation, ((i, ONE),))  # {m: d^m e_i / m!}
+        try:
+            powers = exp_sparse(data.derivation, ((i, ONE),))  # {m: d^m e_i / m!}
+        except NonNilpotentD:
+            msg = f"the derivation is not nilpotent: its iterates on {data.basis[i]} never vanish"
+            raise NonNilpotentD(msg) from None
         for j in range(data.dim):
             products = {-1 - m: data.product(dv.items(), ((j, ONE),)) for m, dv in powers.items()}
             if modes := {n: w.items() for n, w in products.items() if w}:

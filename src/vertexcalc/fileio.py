@@ -267,7 +267,7 @@ def parse_algebra_data(data: dict, name: str = "") -> AlgebraBundle:
                     if nm not in index:
                         raise ValidationError(f"operators.from_basis names unknown {nm!r}")
             else:
-                dim = len(o["space"])
+                dim = len(_name_index(tuple(str(x) for x in o["space"]), "operators space"))
                 ops = []
                 for spec in o["ops"]:
                     modes = {}

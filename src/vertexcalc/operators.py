@@ -22,7 +22,9 @@ and the two indicator terms come from the residues of the two one-sided
 expansions.  For n >= 0 the indicators coincide and cancel, which is the
 truncation statement that products vanish at and above the compatibility
 order.  The commutator-style variant composes the matrices the other way in
-the second term.
+the second term.  Whether the modes of a product reach down, or up, without
+end is decided by one invariant, endless_modes, so the closure reads each
+pair at exactly the modes where its product can be nonzero.
 
 Mode matrices are mostly zero, so each operator is stored as its nonzero
 rows, {n: {r: {c: entry}}}, from construction to export, and that is the
@@ -48,6 +50,7 @@ from .modules import ModuleStructure, check_module, is_faithful
 from .report import INCONCLUSIVE, CheckReport, Witness
 
 STATUS_CLOSED = "closed"
+STATUS_INFINITE = "infinite-dimensional"
 STATUS_CAP = "cap-exceeded"
 STATUS_RANGE = "index-range-exhausted"
 
@@ -193,23 +196,36 @@ def nth_product_local(a: VertexOperator, b: VertexOperator, n: int) -> VertexOpe
     return _residue_product(a, b, n, local=True)
 
 
-def certified_nonzero_range(
-    a: VertexOperator, b: VertexOperator, local: bool
-) -> tuple[int | None, int | None]:
-    """Mode interval outside which a_n b provably vanishes: (lo or None, hi or None).
+def _composes_to_nonzero(x: Rows, y: Rows) -> bool:
+    """Whether the matrix product x y has a nonzero entry."""
+    acc: Rows = {}
+    _add_product(acc, 1, x, y)
+    return any(v for row in acc.values() for v in row.values())
 
-    local selects nth_product_local.  At n >= 0 the two residue weights of
-    a mode of a agree, so the straight product vanishes there, while the
-    local one weighs the commutator of that mode with b, so it can be
-    nonzero at every n >= 0: no ceiling is certified.  When a has no
-    nonnegative modes (no negative exponents), both variants vanish for
-    n >= 0 and die below -1 - max_exp(a); otherwise the re-expanded kernel
-    contributes at every depth and no finite floor is certified.
+
+def endless_modes(
+    a: VertexOperator, b: VertexOperator, local: bool
+) -> tuple[int, int] | None:
+    """Modes (n_a, n_b), n_a >= 0, whose coefficients A, B compose to nonzero; else None.
+
+    local selects nth_product_local, for which B A counts as well as A B.
+    This decides the mode tail of a_n b exactly.  Below the least mode of
+    a, a_n b at mode s - n is (-1)^n times the sum over n_a + n_b = s,
+    n_a >= 0, of -(-1)^n_a C(n, n_a) A B (B A when local); at n >= 0 the
+    straight product vanishes and the local one is (-1)^n times the sum of
+    (-1)^n_a C(n, n_a) [A, B].  The weights C(n, n_a) are independent
+    polynomials in n, and products with n far apart have disjoint mode
+    supports, so a_n b is nonzero at infinitely many n, and the closure is
+    infinite-dimensional, exactly when modes are returned.  Otherwise a_n b
+    vanishes outside [least mode of a, -1] (H. Li, Selecta Math. 11, 2005;
+    Bakalov-Kac, math.QA/0204282).
     """
-    lo_a, hi_a = a.exp_bounds()
-    if lo_a >= 0:
-        return (-1 - hi_a, -1)
-    return (None, None if local else -1)
+    for na, ra in a.rows.items():
+        if na >= 0:
+            for nb, rb in b.rows.items():
+                if _composes_to_nonzero(ra, rb) or (local and _composes_to_nonzero(rb, ra)):
+                    return (na, nb)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +246,8 @@ class OperatorSpan:
 
 @dataclass
 class ClosureResult:
+    """certified: the status is exact, closed or infinite-dimensional."""
+
     span: OperatorSpan
     structure: AlgebraStructure | None
     status: str
@@ -238,15 +256,15 @@ class ClosureResult:
     notes: list[str] = field(default_factory=list)
 
 
-# how many modes below n_range a pair with no certified mode floor is probed
-PROBE_MARGIN = 2
-
-
 def _fingerprint(op: VertexOperator) -> dict[tuple[int, int, int], Scalar]:
     """The operator's nonzero entries keyed by (mode, row, column)."""
     return {
         (n, r, c): x for n, rows in op.rows.items() for r, row in rows.items() for c, x in row.items()
     }
+
+
+def _span_name(op: VertexOperator, k: int) -> str:
+    return "1_W" if k == 0 else (op.name or f"op{k}")
 
 
 def closure(
@@ -259,17 +277,17 @@ def closure(
 ) -> ClosureResult:
     """Span of all residue-product words of the generators applied to 1_W.
 
-    Rounds apply every generator mode in n_range to the current span and
-    row-reduce the sparse fingerprints of the products until a fixpoint or
-    a cap.  After a fixpoint the span is verified closed pairwise; when some
-    pair's nonzero mode range has no certified floor, the PROBE_MARGIN modes
-    just below n_range are probed, and likewise the PROBE_MARGIN modes above
-    it when a local product has no certified ceiling; a new element there
-    downgrades the status to index-range-exhausted.  No product outside its
-    certified range is formed.  The default n_range reaches two modes
-    below the lowest generator mode and always holds -1, the mode that puts
-    each generator itself in the span.  An empty n_range, or a cap below 1,
-    is an InvalidArgument.
+    Rounds apply every generator mode to the current span and row-reduce
+    the sparse fingerprints of the products until a fixpoint or a cap.
+    After a fixpoint the span is verified closed pairwise.  Each pair's
+    modes are decided by endless_modes: a pair whose products are nonzero
+    at infinitely many n ends the closure at once as infinite-dimensional,
+    an exact verdict; any other pair a, b is read at the modes from the
+    least mode of a to -1, outside which a_n b vanishes.  A given n_range
+    cuts the generation rounds only, so a closed verdict stays exact; a
+    product outside it that escapes the span ends the closure as
+    index-range-exhausted.  An empty n_range, or a cap below 1, is an
+    InvalidArgument.
     """
     if n_range is not None and n_range[0] > n_range[1]:
         raise InvalidArgument(f"empty mode range {n_range[0]}:{n_range[1]}")
@@ -286,29 +304,38 @@ def closure(
         raise MalformedStructure("an empty generating set needs the space dimension")
     product = nth_product_local if local_products else nth_product
     one = identity_operator(dim)
-    if n_range is None:
-        lo = min((min(op.rows) for op in generators if op.rows), default=-1)
-        n_range = (min(lo - 2, -1), 0)
-    n_lo, n_hi = n_range
 
     ops: list[VertexOperator] = [one]
-    notes: list[str] = []
     coords = CoordSpan(coords=True)
     coords.insert(_fingerprint(one))
     rounds = 0
-    status = STATUS_CLOSED
+
+    def ended(status: str, note: str) -> ClosureResult:
+        exact = status == STATUS_INFINITE
+        return ClosureResult(OperatorSpan(ops, coords), None, status, exact, rounds, [note])
+
+    def endless(a: VertexOperator, a_name: str, b: VertexOperator, b_name: str):
+        modes = endless_modes(a, b, local_products)
+        if modes is None:
+            return None
+        return ended(
+            STATUS_INFINITE,
+            f"modes {modes} of ({a_name}, {b_name}) compose to nonzero: "
+            "their n-th products are nonzero at infinitely many n",
+        )
+
     while True:
         rounds += 1
         if rounds > depth_cap:
-            status = STATUS_CAP
-            notes.append(f"depth cap {depth_cap} reached before a fixpoint")
-            break
+            return ended(STATUS_CAP, f"depth cap {depth_cap} reached before a fixpoint")
         grew = False
-        for g in generators:
-            for beta in list(ops):
-                floor, ceiling = certified_nonzero_range(g, beta, local_products)
-                top = n_hi if ceiling is None else min(n_hi, ceiling)
-                bottom = n_lo if floor is None else max(n_lo, floor)
+        for k, g in enumerate(generators):
+            for j, beta in enumerate(list(ops)):
+                if stop := endless(g, g.name or f"generator {k}", beta, _span_name(beta, j)):
+                    return stop
+                top, bottom = -1, min(g.rows, default=0)
+                if n_range is not None:
+                    top, bottom = min(top, n_range[1]), max(bottom, n_range[0])
                 # descending modes discover a, then its derivatives, in order
                 for n in range(top, bottom - 1, -1):
                     cand = product(g, beta, n)
@@ -318,67 +345,34 @@ def closure(
                         ops.append(cand)
                         grew = True
                         if len(ops) > dim_cap:
-                            return ClosureResult(
-                                OperatorSpan(ops, coords),
-                                None,
-                                STATUS_CAP,
-                                False,
-                                rounds,
-                                notes + [f"span exceeded the cap of {dim_cap}"],
-                            )
+                            return ended(STATUS_CAP, f"span exceeded the cap of {dim_cap}")
         if not grew:
             break
-    if status != STATUS_CLOSED:
-        return ClosureResult(
-            OperatorSpan(ops, coords), None, status, False, rounds, notes
-        )
 
-    # pairwise closure verification over certified or probed mode ranges
-    certified = True
+    # pairwise closure verification over each pair's exact mode range
+    names = [_span_name(op, k) for k, op in enumerate(ops)]
     index: ModeIndex = {}
     for i, alpha in enumerate(ops):
         for j, beta in enumerate(ops):
-            lo_cert, hi_cert = certified_nonzero_range(alpha, beta, local_products)
-            if lo_cert is None:
-                certified = False
-                lo_cert = n_lo - PROBE_MARGIN
-                notes.append(
-                    f"pair ({i},{j}) has no certified mode floor; probed to {lo_cert}"
-                )
-            if hi_cert is None:
-                certified = False
-                hi_cert = max(n_hi, -1) + PROBE_MARGIN
-                notes.append(
-                    f"pair ({i},{j}) has no certified mode ceiling; probed to {hi_cert}"
-                )
+            if stop := endless(alpha, names[i], beta, names[j]):
+                return stop
             modes = {}
-            for n in range(lo_cert, hi_cert + 1):
+            for n in range(min(alpha.rows, default=0), 0):
                 prod = product(alpha, beta, n)
                 if prod.is_zero():
                     continue
                 escape, sol = coords.reduce(_fingerprint(prod))
                 if escape:
-                    return ClosureResult(
-                        OperatorSpan(ops, coords),
-                        None,
+                    return ended(
                         STATUS_RANGE,
-                        False,
-                        rounds,
-                        notes
-                        + [
-                            f"product of span elements ({i},{j}) at mode {n} "
-                            "escapes the span"
-                        ],
+                        f"product of span elements ({i},{j}) at mode {n} escapes the span",
                     )
                 modes[n] = sol.items()
             if modes:
                 index[(i, j)] = modes
-    raw_names = [
-        "1_W" if k == 0 else (op.name or f"op{k}") for k, op in enumerate(ops)
-    ]
     seen: dict[str, int] = {}
     named = []
-    for name in raw_names:
+    for name in names:
         if name in seen:
             seen[name] += 1
             named.append(f"{name}.{seen[name]}")
@@ -391,14 +385,7 @@ def closure(
         mode_index=index,
         meta={"source": "operator-closure"},
     )
-    return ClosureResult(
-        OperatorSpan(ops, coords),
-        structure,
-        STATUS_CLOSED,
-        certified,
-        rounds,
-        notes,
-    )
+    return ClosureResult(OperatorSpan(ops, coords), structure, STATUS_CLOSED, True, rounds)
 
 
 def closure_module(result: ClosureResult) -> ModuleStructure:

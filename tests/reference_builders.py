@@ -15,7 +15,7 @@ an endomorphism of V ⊗ V, that the dense tables reach the structures
 through `index_from_dense` since they store only their sparse index, that
 `mult_vec` densifies the sparse table cells of AssocAlgebraData, that the
 Leibniz message prints its two sides as the library does, that the
-NonNilpotentD message is the one the library's exp_sparse raises, and that
+NonNilpotentD message is the one the library's builder raises, and that
 the derivation and the group elements, which the data classes store as
 sparse columns, are read back through `dense_matrix`.  `nilpotency_index`
 is the dense nilpotency search the library dropped, as its builder decides
@@ -105,7 +105,14 @@ def validate(data: AssocAlgebraData) -> None:
                     f"Leibniz fails on ({data.basis[i]}, {data.basis[j]}): " + " != ".join(sides)
                 )
     if nilpotency_index(derivation) is None:
-        raise NonNilpotentD("matrix iterates did not vanish within the dimension cap")
+        # column i of d^dim is d^dim e_i, nonzero exactly when the iterates of e_i never vanish
+        power = identity_mat(dim)
+        for _ in range(dim):
+            power = mat_mul(power, derivation)
+        i = next(i for i in range(dim) if any(row[i] for row in power))
+        raise NonNilpotentD(
+            f"the derivation is not nilpotent: its iterates on {data.basis[i]} never vanish"
+        )
 
 
 def from_assoc_with_derivation(data: AssocAlgebraData) -> AlgebraStructure:

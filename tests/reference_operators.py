@@ -11,7 +11,7 @@ distributions:
   the reordering transform T of Bakalov and Kac (math.QA/0204282), literally
   damped by (x1-x2)^k and re-expanded in the opposite region;
 - `check_prop_assoc`, the associativity relation of the residue products,
-  with a window-sound branch where the residue sum has no certified floor;
+  with a window-sound branch where the residue sum reaches down without end;
 - `dense_operator_from_structure` and `dense_closure_module`, which build an
   operator from dense mode matrices and read a closure's action off them;
 - `dense_operator` and `dense_modes`, an operator from dense mode matrices
@@ -29,7 +29,7 @@ from vertexcalc.linalg import binom, densify, integral, mat_mul, mat_scale, mat_
 from vertexcalc.modules import ModuleStructure
 from vertexcalc.operators import (
     VertexOperator,
-    certified_nonzero_range,
+    endless_modes,
     find_compat_order,
     nth_product,
 )
@@ -131,12 +131,13 @@ def check_prop_assoc(a, b, w):
     The order is l = max(0, -min exponent of a), the least one at which
     every power (x0+x2)^(p+l) is a polynomial, so the left side is a
     Laurent polynomial in W[x0, x0^-1, x2, x2^-1]; it is compared with the
-    residue-product side term by term.  When a has nonnegative modes,
-    certified_nonzero_range gives no floor and Y(a,x0)b has unboundedly high
-    powers of x0: the residue sum is truncated at n >= -(hi_a + l + 1), where
-    hi_a is the largest exponent of a, and only x0-exponents up to hi_a + l,
-    which hold every term of the left side and only complete sums on the
-    right, are compared.  That report is flagged window-sound.
+    residue-product side term by term.  When endless_modes finds a
+    nonnegative mode of a that composes to nonzero with b, Y(a,x0)b has
+    unboundedly high powers of x0: the residue sum is truncated at
+    n >= -(hi_a + l + 1), where hi_a is the largest exponent of a, and only
+    x0-exponents up to hi_a + l, which hold every term of the left side and
+    only complete sums on the right, are compared.  That report is flagged
+    window-sound.
     """
     report = CheckReport("operator-associativity")
     lo_a, hi_a = a.exp_bounds()
@@ -149,7 +150,8 @@ def check_prop_assoc(a, b, w):
                 add_term(lhs, (p + l - i, i + q), binom(p + l, i), support(mat_vec(ma, vecq)))
     # right side: (x2+x0)^l (Y(a,x0)b)(x2) w
     rhs: Terms = {}
-    lo_cert, hi_cert = certified_nonzero_range(a, b, False)
+    # otherwise a_n b vanishes outside [least mode of a, -1]
+    lo_cert, hi_cert = (None if endless_modes(a, b, False) else min(a.rows, default=0)), -1
     top = None  # the highest compared x0-exponent when the residue sum is truncated
     if lo_cert is None:
         top = hi_a + l

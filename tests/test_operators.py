@@ -10,6 +10,7 @@ reference_operators, the test-side oracle of vertexcalc.operators.
 """
 
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,12 +35,12 @@ from vertexcalc.errors import InvalidArgument, MalformedStructure, NotCompatible
 from vertexcalc.fileio import parse_algebra_file
 from vertexcalc.fixtures import matrix_over_a3, truncated_poly_3, upper_triangular_2
 from vertexcalc.linalg import mat_mul, mat_scale, unit_vec
-from vertexcalc.modules import adjoint_module, wn_module
+from vertexcalc.modules import adjoint_module, check_module, wn_module
 from vertexcalc.operators import (
     VertexOperator,
-    certified_nonzero_range,
     closure,
     closure_module,
+    endless_modes,
     find_compat_order,
     identity_operator,
     nth_product,
@@ -428,11 +429,16 @@ def test_closure_on_m2a3_matches_dense_formula(monkeypatch, local):
         assert table_of(sparse.structure) == table_of(ref.structure)
 
 
+def _floor(a, b, local):
+    """The least mode at which a_n b can be nonzero; None when its tail is endless."""
+    return None if endless_modes(a, b, local) else min(a.rows)
+
+
 @pytest.mark.parametrize("local", [False, True], ids=["straight", "local"])
 def test_closure_forms_no_product_below_the_certified_floor(monkeypatch, local):
-    # a_n b vanishes below the floor of certified_nonzero_range, so generation
-    # skips those modes; each skipped product is zero, so every round inserts
-    # what the loop down to n_lo inserted, and the closure is unchanged
+    # a_n b vanishes below the least mode of a unless endless_modes finds a
+    # tail, so generation skips those modes; each skipped product is zero, so
+    # every round inserts what a loop down to n_lo would insert
     m = matrix_over_a3()
     name = "nth_product_local" if local else "nth_product"
     product = getattr(operators, name)
@@ -449,13 +455,13 @@ def test_closure_forms_no_product_below_the_certified_floor(monkeypatch, local):
             patch.setattr(operators, name, recording)
             res = closure(gens, local_products=local)
         assert (res.status, res.span.rank, res.certified) == ("closed", span_rank, True)
-        floors = [certified_nonzero_range(a, b, local)[0] for a, b, _n in formed]
+        floors = [_floor(a, b, local) for a, b, _n in formed]
         assert [n for (_a, _b, n), lo in zip(formed, floors) if lo is not None and n < lo] == []
-        # the default n_range starts two modes below the lowest generator mode
+        # look two modes below the lowest generator mode
         n_lo = min(min(min(g.rows) for g in gens) - 2, -1)
         for g in gens:
             for beta in res.span.operators:
-                lo = certified_nonzero_range(g, beta, local)[0]
+                lo = _floor(g, beta, local)
                 if lo is not None:
                     assert all(product(g, beta, n).is_zero() for n in range(n_lo, lo))
                     skipped += max(0, lo - n_lo)
@@ -646,44 +652,67 @@ def test_closure_rejects_empty_range_and_caps_below_one(yt, kwargs):
         closure([yt], **kwargs)
 
 
-def test_default_mode_range_reaches_the_generator():
-    # a generator whose lowest mode is 3 (x^-4): the default range must still
-    # hold mode -1, which puts the generator itself in the span
+def test_a_generator_above_mode_minus_one_is_infinite_dimensional():
+    # a generator whose lowest mode is 3 (x^-4): its mode 3 composes with the
+    # identity at mode -1 to itself, so a_n 1_W is nonzero at every n below 3
+    # and the closure ends at its first pair, with no mode window to choose
     a_op = dense_operator(2, {3: ((F(1), F(0)), (F(0), F(0)))})
     res = closure([a_op])
-    assert res.span.rank >= 2
-    assert any(op.equal(a_op) for op in res.span.operators)
+    assert (res.status, res.certified, res.structure) == ("infinite-dimensional", True, None)
+    assert (res.rounds, res.span.rank) == (1, 1)
+    assert res.notes == [
+        "modes (3, -1) of (generator 0, 1_W) compose to nonzero: "
+        "their n-th products are nonzero at infinitely many n"
+    ]
 
 
-def test_unbounded_tail_is_reported_honestly():
-    # a nilpotent constant at exponent -1 keeps producing new derivatives, so
-    # no finite mode range closes the span
+def _endless_witness(note):
+    """The modes (n_a, n_b) an infinite-dimensional note names."""
+    return tuple(int(m) for m in re.match(r"modes \((-?\d+), (-?\d+)\) of", note).groups())
+
+
+def test_a_nilpotent_constant_generates_an_infinite_dimensional_span():
+    # a(x) = A x^-1 with A nilpotent: A 1 = A is nonzero, so a_n 1_W is nonzero
+    # at every n < 0 and no finite span is closed under the products; the
+    # closure says so at once, whatever the mode window or the caps
     A = ((F(0), F(1)), (F(0), F(0)))
-    a_op = dense_operator(2, {0: A})
-    assert certified_nonzero_range(a_op, identity_operator(2), False)[0] is None
-    res = closure([a_op], n_range=(-3, 0))
-    assert res.status == "index-range-exhausted"
-    res_cap = closure([a_op], n_range=(-30, 0), dim_cap=8)
-    assert res_cap.status == "cap-exceeded"
+    a_op, one = dense_operator(2, {0: A}, name="a"), identity_operator(2)
+    for kwargs in ({}, {"n_range": (-3, 0)}, {"n_range": (-30, 0), "dim_cap": 8}):
+        res = closure([a_op], **kwargs)
+        assert (res.status, res.certified, res.structure) == ("infinite-dimensional", True, None)
+        assert res.notes == [
+            "modes (0, -1) of (a, 1_W) compose to nonzero: "
+            "their n-th products are nonzero at infinitely many n"
+        ]
+    # the witness re-derived: the two named mode matrices compose to nonzero,
+    # and the product is nonzero at ten far modes
+    n_a, n_b = _endless_witness(res.notes[0])
+    assert any(any(row) for row in mat_mul(dense_modes(a_op)[n_a], dense_modes(one)[n_b]))
+    assert not any(nth_product(a_op, one, n).is_zero() for n in range(-40, -30))
 
 
-def test_local_products_have_no_certified_ceiling():
-    # a = E12 at mode 0 does not commute with b = E22 at mode -1, so the local
-    # product is nonzero at every n >= 0, where the straight one vanishes
+def test_a_noncommuting_nonnegative_mode_is_infinite_dimensional_in_both_products():
+    # a = E12 at mode 0 and b = E22 at mode -1: E12 E22 = E12 is nonzero and
+    # E22 E12 is zero, so the straight product is nonzero at every n < 0 and
+    # the local one, a commutator at n >= 0, at every n >= 0
     E12 = ((F(0), F(1)), (F(0), F(0)))
     E22 = ((F(0), F(0)), (F(0), F(1)))
-    a, b = dense_operator(2, {0: E12}), dense_operator(2, {-1: E22})
+    a, b = dense_operator(2, {0: E12}, name="a"), dense_operator(2, {-1: E22}, name="b")
     for n in range(4):
         assert nth_product_local(a, b, n).rows == {-1 - n: {0: {1: F((-1) ** n)}}}
         assert nth_product(a, b, n).is_zero()
-    assert certified_nonzero_range(a, b, False) == (None, -1)
-    assert certified_nonzero_range(a, b, True) == (None, None)
-    # the pairwise verification probes above -1 for the local variant only
+    for n in range(-40, -30):
+        assert not nth_product(a, b, n).is_zero()
+        assert nth_product_local(a, b, n).is_zero()
+    assert endless_modes(a, b, False) == endless_modes(a, b, True) == (0, -1)
+    # a meets the identity first, and A 1 = A is nonzero
     for local in (False, True):
         res = closure([a, b], n_range=(-1, 0), local_products=local)
-        assert not res.certified
-        probed = [note for note in res.notes if "no certified mode ceiling" in note]
-        assert bool(probed) == local
+        assert (res.status, res.certified) == ("infinite-dimensional", True)
+        assert res.notes == [
+            "modes (0, -1) of (a, 1_W) compose to nonzero: "
+            "their n-th products are nonzero at infinitely many n"
+        ]
 
 
 def test_straight_closure_stops_at_the_certified_ceiling(monkeypatch, yt):
@@ -710,3 +739,49 @@ def test_closure_from_nonlocal_generators():
     assert res.status == "closed"
     assert res.span.rank == 3
     assert validate_structure(res.structure).passed
+
+
+def _sign_operator(rng, dim, modes):
+    """An operator with sparse random entries 0, 1 and -1 at the given modes."""
+
+    def entry():
+        return rng.choice((-1, 1)) if rng.random() < 0.3 else 0
+
+    return dense_operator(
+        dim, {n: tuple(tuple(entry() for _ in range(dim)) for _ in range(dim)) for n in modes}
+    )
+
+
+def test_endless_modes_decides_the_far_products_and_the_closure():
+    rng = random.Random(5)
+    low, high = range(-40, -30), range(30, 40)
+    tails = {False: 0, True: 0}
+    for _ in range(400):
+        dim = rng.choice((1, 2, 3))
+        a, b = (_sign_operator(rng, dim, rng.sample(range(-3, 3), 2)) for _ in "ab")
+        # straight: nonzero at every far n < 0 exactly on an endless tail, zero at n >= 0
+        endless = endless_modes(a, b, False) is not None
+        assert [not nth_product(a, b, n).is_zero() for n in low] == [endless] * 10
+        assert all(nth_product(a, b, n).is_zero() for n in high)
+        # local: some far product is nonzero exactly on an endless tail
+        endless = endless_modes(a, b, True) is not None
+        far = [not nth_product_local(a, b, n).is_zero() for n in (*low, *high)]
+        assert any(far) == endless, (a.rows, b.rows)
+        tails[endless] += 1
+    assert min(tails.values()) > 50, tails
+    statuses = {}
+    for _ in range(200):
+        dim = rng.choice((2, 3))
+        gens = [
+            _sign_operator(rng, dim, rng.sample(range(-3, 1), rng.choice((1, 2))))
+            for _ in range(rng.choice((1, 2)))
+        ]
+        local = rng.random() < 0.5
+        res = closure(gens, dim_cap=12, depth_cap=4, local_products=local)
+        statuses[res.status] = statuses.get(res.status, 0) + 1
+        assert res.status != "index-range-exhausted", [g.rows for g in gens]
+        assert res.certified == (res.status in ("closed", "infinite-dimensional"))
+        if res.status == "closed":
+            assert validate_structure(res.structure).passed
+            assert check_module(res.structure, closure_module(res)).passed
+    assert statuses.get("closed", 0) > 20 and statuses.get("infinite-dimensional", 0) > 20, statuses

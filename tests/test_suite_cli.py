@@ -28,7 +28,7 @@ from vertexcalc.fileio import (
     write_algebra_file,
 )
 from vertexcalc.linalg import unit_vec
-from vertexcalc.operators import operator_from_structure
+from vertexcalc.operators import VertexOperator, operator_from_structure
 from vertexcalc.suite import SuiteOptions, emit_report, run_suite
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -635,16 +635,52 @@ def test_an_explicit_operator_section_closes_as_its_basis_names(name, tmp_path, 
     assert reports[0]["records"][0]["verdict"] == "closed"
 
 
+def _operators_file(tmp_path, ops, space) -> Path:
+    """a3 with its operators section replaced by ops on the named space."""
+    doc = json.loads((FIXTURES / "a3.json").read_text())
+    doc["operators"] = operators_section(ops, space)
+    path = tmp_path / "a3-ops.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_a_repeated_operator_space_name_exits_2(tmp_path, capsys):
+    a3 = parse_algebra_file(FIXTURES / "a3.json").alg
+    path = _operators_file(tmp_path, [operator_from_structure(a3, 1)], ("w", "w", "u"))
+    assert cli.main(["closure", str(path)]) == 2
+    assert capsys.readouterr().err == "error: duplicate operators space names\n"
+
+
+def test_a_closure_with_an_endless_tail_is_exactly_infinite_dimensional(tmp_path, capsys):
+    # an operator with the nonnegative mode 0, whose coefficient composes with
+    # the identity to nonzero: the closure is infinite-dimensional, an exact
+    # classification, so the exit code is 0 and no record is window-sound
+    jsonschema = pytest.importorskip("jsonschema")
+    op = VertexOperator(3, {0: {0: {1: 1}}}, "a")
+    path = _operators_file(tmp_path, [op], ("w1", "w2", "w3"))
+    assert cli.main(["closure", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert " infinite-dimensional " in text and "[window-sound]" not in text
+    assert "note: modes (0, -1) of (a, 1_W) compose to nonzero" in text
+    assert cli.main(["closure", str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    schema = json.loads((FIXTURES.parent / "docs" / "report_schema.json").read_text())
+    jsonschema.validate(report, schema)
+    (record,) = report["records"]
+    assert (record["verdict"], record["exact"]) == ("infinite-dimensional", True)
+
+
 def test_a_non_nilpotent_derivation_is_refused_by_the_builder(tmp_path, capsys):
     # the Euler derivation t d/dt on the dual numbers satisfies Leibniz, but
-    # e^{xd} t never terminates; exp_sparse in the builder decides it
+    # e^{xd} t never terminates; exp_sparse in the builder decides it, and
+    # the refusal names the basis vector whose iterates survive
     doc = json.loads((FIXTURES / "a2_base.json").read_text())
     doc["assoc"]["derivation"] = [["0", "0"], ["0", "1"]]
     path = tmp_path / "euler.json"
     path.write_text(json.dumps(doc))
     built = tmp_path / "built.json"
     assert cli.main(["construct", "from-assoc", str(path), "-o", str(built)]) == 2
-    message = "error: matrix iterates did not vanish within the dimension cap\n"
+    message = "error: the derivation is not nilpotent: its iterates on t never vanish\n"
     assert capsys.readouterr().err == message
     assert not built.exists()
 
