@@ -28,14 +28,6 @@ from .fileio import (
 from .suite import SuiteOptions, SuiteReport, SuiteRecord, SUITES, emit_report, run_suite
 
 
-def _parse_n_range(text: str) -> tuple[int, int]:
-    try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected n-range as LO:HI") from None
-
-
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call (not at import) and shared after it."""
@@ -44,16 +36,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact checkers and builders for nonlocal vertex structures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    n_range_help = "cut closure generation to modes LO..HI (default: each pair's exact range)"
 
     check = sub.add_parser("check", help="run a verification suite on an algebra file")
     check.add_argument("target", nargs="+", help="algebra file(s) to check")
     check.add_argument("--suite", choices=SUITES, default="all")
     check.add_argument("--q", default="1", help="commutation scalar, or 'from-cocycle'")
     check.add_argument("--dim-cap", type=int, default=64)
-    check.add_argument("--depth-cap", type=int, default=8)
-    check.add_argument("--n-range", type=_parse_n_range, default=None, metavar="LO:HI",
-                       help=n_range_help)
     check.add_argument("--local-products", action="store_true",
                        help="use the commutator-style product in closures")
     check.add_argument("--format", choices=("text", "json"), default="text")
@@ -69,19 +57,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     clos = sub.add_parser("closure", help="generate a span from a declared operator set")
     clos.add_argument("target", help="algebra file with an operators section")
-    clos.add_argument("--n-range", type=_parse_n_range, default=None, metavar="LO:HI",
-                      help=n_range_help)
     clos.add_argument("--dim-cap", type=int, default=64)
-    clos.add_argument("--depth-cap", type=int, default=8)
     clos.add_argument("--local-products", action="store_true")
     clos.add_argument("--format", choices=("text", "json"), default="text")
     clos.add_argument("--out", type=Path, default=None)
     clos.add_argument("--emit-algebra", type=Path, default=None,
                       help="write the closed structure as an algebra file")
     # argparse takes a token after a flag for an option unless it looks like a
-    # negative number; "-3:0", "-5:-2" and "-1/2" are values of --n-range and
-    # --q (also under an abbreviated flag), and no option here starts "-<digit>".
-    check._negative_number_matcher = clos._negative_number_matcher = re.compile(r"^-\.?\d")
+    # negative number; "-1/2" is a value of --q (also under an abbreviated
+    # flag), and no option of check starts "-<digit>".
+    check._negative_number_matcher = re.compile(r"^-\.?\d")
 
     rep = sub.add_parser("report", help="re-render a stored JSON report")
     rep.add_argument("report", type=Path)
@@ -100,8 +85,6 @@ def _cmd_check(args) -> int:
     options = SuiteOptions(
         q=args.q,
         dim_cap=args.dim_cap,
-        depth_cap=args.depth_cap,
-        n_range=args.n_range,
         local_products=args.local_products,
     )
     worst = 0
@@ -154,16 +137,16 @@ def _cmd_construct(args) -> int:
 
 def _cmd_closure(args) -> int:
     bundle = parse_algebra_file(args.target)
-    options = SuiteOptions(
-        n_range=args.n_range,
-        dim_cap=args.dim_cap,
-        depth_cap=args.depth_cap,
-        local_products=args.local_products,
-    )
+    options = SuiteOptions(dim_cap=args.dim_cap, local_products=args.local_products)
     report = run_suite(bundle, "closure", options)
     _deliver(emit_report(report, args.format), args.out)
-    if args.emit_algebra is not None and "closure_algebra" in report.embedded:
-        write_algebra_file(args.emit_algebra, report.embedded["closure_algebra"])
+    if args.emit_algebra is not None:
+        if "closure_algebra" in report.embedded:
+            write_algebra_file(args.emit_algebra, report.embedded["closure_algebra"])
+        else:  # the first record is the closure status, or why none was computed
+            status = report.records[0].verdict
+            print(f"closure status {status!r}: no algebra file written to {args.emit_algebra}",
+                  file=sys.stderr)
     return report.exit_code
 
 

@@ -414,6 +414,21 @@ def group_section(act: GroupActionData, base_basis: tuple[str, ...]) -> dict:
     }
 
 
+def assoc_section(data: AssocAlgebraData) -> dict:
+    dim, names = data.dim, data.basis
+    return {
+        "basis": list(names),
+        "identity": names[data.identity],
+        "table": [
+            [_sparse_from_coords(data.table.get((i, j), {}).items(), names) for j in range(dim)]
+            for i in range(dim)
+        ],
+        "derivation": _dense_rows(
+            dim, ((r, c, x) for c, col in enumerate(data.derivation) for r, x in col)
+        ),
+    }
+
+
 def module_section(mod: ModuleStructure, alg: AlgebraStructure) -> dict:
     entries = []
     for (i, j), modes in sorted(mod.mode_index.items()):

@@ -33,9 +33,8 @@ from .construct import (
 F = Fraction
 
 
-def truncated_poly_3() -> AlgebraStructure:
-    """Q[t]/(t^3) with the nilpotent derivation t^2 d/dt (fixture "a3")."""
-    basis = ("one", "t", "t2")
+def a3_assoc_data() -> AssocAlgebraData:
+    """Q[t]/(t^3) with the derivation t^2 d/dt, the source of fixture "a3"."""
     # sparse products e_i e_j; t t2, t2 t and t2 t2 are zero
     table = {
         (0, 0): {0: 1},
@@ -46,20 +45,20 @@ def truncated_poly_3() -> AlgebraStructure:
         (2, 0): {2: 1},
     }
     derivation = [[], [(2, 1)], []]  # sparse columns: t -> t^2, everything else -> 0
-    data = AssocAlgebraData(basis=basis, table=table, identity=0, derivation=derivation)
-    alg = from_assoc_with_derivation(data)
+    return AssocAlgebraData(
+        basis=("one", "t", "t2"), table=table, identity=0, derivation=derivation
+    )
+
+
+def truncated_poly_3() -> AlgebraStructure:
+    """Q[t]/(t^3) with the nilpotent derivation t^2 d/dt (fixture "a3")."""
+    alg = from_assoc_with_derivation(a3_assoc_data())
     alg.meta["fixture"] = "a3"
     return alg
 
 
-def upper_triangular_2() -> AlgebraStructure:
-    """Upper-triangular 2x2 matrices on the basis (one, E11, E12), d = 0.
-
-    The pair (E11, E12) multiplies one way but not the other, giving the
-    standard nonlocal example: the operators Y(E11,x1) and Y(E12,x2) differ
-    by the constant E12 on the vacuum, which no power of (x1-x2) removes.
-    """
-    basis = ("one", "e11", "e12")
+def ut2_assoc_data() -> AssocAlgebraData:
+    """Upper-triangular 2x2 matrices on (one, E11, E12), d = 0: the source of fixture "ut2"."""
     # sparse products e_i e_j; E12 E11 and E12 E12 are zero
     table = {
         (0, 0): {0: 1},
@@ -70,8 +69,19 @@ def upper_triangular_2() -> AlgebraStructure:
         (1, 2): {2: 1},
         (2, 0): {2: 1},
     }
-    data = AssocAlgebraData(basis=basis, table=table, identity=0, derivation=[[], [], []])
-    alg = from_assoc_with_derivation(data)
+    return AssocAlgebraData(
+        basis=("one", "e11", "e12"), table=table, identity=0, derivation=[[], [], []]
+    )
+
+
+def upper_triangular_2() -> AlgebraStructure:
+    """Upper-triangular 2x2 matrices on the basis (one, E11, E12), d = 0.
+
+    The pair (E11, E12) multiplies one way but not the other, giving the
+    standard nonlocal example: the operators Y(E11,x1) and Y(E12,x2) differ
+    by the constant E12 on the vacuum, which no power of (x1-x2) removes.
+    """
+    alg = from_assoc_with_derivation(ut2_assoc_data())
     alg.meta["fixture"] = "ut2"
     return alg
 
@@ -108,12 +118,15 @@ def matrix_over_a3() -> AlgebraStructure:
     return alg
 
 
+def a2_assoc_data() -> AssocAlgebraData:
+    """Q[t]/(t^2) with zero derivation, the source of fixture "a2_base"."""
+    table = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}  # t t is zero
+    return AssocAlgebraData(basis=("one", "t"), table=table, identity=0, derivation=[[], []])
+
+
 def dual_numbers() -> AlgebraStructure:
     """Q[t]/(t^2) with zero derivation, the base of the cross-product fixture."""
-    basis = ("one", "t")
-    table = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}  # t t is zero
-    data = AssocAlgebraData(basis=basis, table=table, identity=0, derivation=[[], []])
-    return from_assoc_with_derivation(data)
+    return from_assoc_with_derivation(a2_assoc_data())
 
 
 def sign_flip_action() -> GroupActionData:

@@ -52,7 +52,6 @@ from .report import INCONCLUSIVE, CheckReport, Witness
 STATUS_CLOSED = "closed"
 STATUS_INFINITE = "infinite-dimensional"
 STATUS_CAP = "cap-exceeded"
-STATUS_RANGE = "index-range-exhausted"
 
 
 # nonzero-only rows of one matrix: row index -> {column index: nonzero entry}
@@ -269,32 +268,28 @@ def _span_name(op: VertexOperator, k: int) -> str:
 
 def closure(
     generators: list[VertexOperator],
-    n_range: tuple[int, int] | None = None,
     dim_cap: int = 64,
-    depth_cap: int = 8,
     local_products: bool = False,
     dim: int | None = None,
 ) -> ClosureResult:
     """Span of all residue-product words of the generators applied to 1_W.
 
-    Rounds apply every generator mode to the current span and row-reduce
-    the sparse fingerprints of the products until a fixpoint or a cap.
+    Rounds apply every generator mode to the span elements added since the
+    generator last ran and row-reduce the sparse fingerprints of the
+    products until a fixpoint, or until the span holds more than dim_cap
+    operators: the one cap, which also bounds the rounds to dim_cap + 1,
+    as every round that goes on adds one.
     After a fixpoint the span is verified closed pairwise.  Each pair's
     modes are decided by endless_modes: a pair whose products are nonzero
     at infinitely many n ends the closure at once as infinite-dimensional,
     an exact verdict; any other pair a, b is read at the modes from the
-    least mode of a to -1, outside which a_n b vanishes.  A given n_range
-    cuts the generation rounds only, so a closed verdict stays exact; a
-    product outside it that escapes the span ends the closure as
-    index-range-exhausted.  An empty n_range, or a cap below 1, is an
-    InvalidArgument.
+    least mode of a to -1, outside which a_n b vanishes.  Those words span
+    the closure, so a verified product that escapes the span breaks that
+    theorem and raises MalformedStructure, naming the pair and the mode.
+    A cap below 1 is an InvalidArgument.
     """
-    if n_range is not None and n_range[0] > n_range[1]:
-        raise InvalidArgument(f"empty mode range {n_range[0]}:{n_range[1]}")
-    if dim_cap < 1 or depth_cap < 1:
-        raise InvalidArgument(
-            f"caps must be at least 1 (dim cap {dim_cap}, depth cap {depth_cap})"
-        )
+    if dim_cap < 1:
+        raise InvalidArgument(f"the dim cap must be at least 1, not {dim_cap}")
     if generators:
         dims = {op.dim for op in generators}
         if len(dims) != 1:
@@ -324,20 +319,20 @@ def closure(
             "their n-th products are nonzero at infinitely many n",
         )
 
+    # the span elements each generator has met: its products with them are
+    # already in the span, so a round applies it only to the ones added since
+    done = [0] * len(generators)
     while True:
         rounds += 1
-        if rounds > depth_cap:
-            return ended(STATUS_CAP, f"depth cap {depth_cap} reached before a fixpoint")
         grew = False
         for k, g in enumerate(generators):
-            for j, beta in enumerate(list(ops)):
+            start, done[k] = done[k], len(ops)
+            for j in range(start, done[k]):
+                beta = ops[j]
                 if stop := endless(g, g.name or f"generator {k}", beta, _span_name(beta, j)):
                     return stop
-                top, bottom = -1, min(g.rows, default=0)
-                if n_range is not None:
-                    top, bottom = min(top, n_range[1]), max(bottom, n_range[0])
                 # descending modes discover a, then its derivatives, in order
-                for n in range(top, bottom - 1, -1):
+                for n in range(-1, min(g.rows, default=0) - 1, -1):
                     cand = product(g, beta, n)
                     if cand.is_zero():
                         continue
@@ -363,9 +358,8 @@ def closure(
                     continue
                 escape, sol = coords.reduce(_fingerprint(prod))
                 if escape:
-                    return ended(
-                        STATUS_RANGE,
-                        f"product of span elements ({i},{j}) at mode {n} escapes the span",
+                    raise MalformedStructure(
+                        f"product ({names[i]}, {names[j]}) at mode {n} escapes the generated span"
                     )
                 modes[n] = sol.items()
             if modes:

@@ -49,16 +49,12 @@ MAX_WITNESSES = 3
 class SuiteOptions:
     q: str = "1"
     dim_cap: int = 64
-    depth_cap: int = 8
-    n_range: tuple[int, int] | None = None
     local_products: bool = False
 
     def as_dict(self) -> dict:
         return {
             "q": self.q,
             "dim_cap": self.dim_cap,
-            "depth_cap": self.depth_cap,
-            "n_range": list(self.n_range) if self.n_range else None,
             "local_products": self.local_products,
         }
 
@@ -409,9 +405,7 @@ def _suite_closure(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteRe
         return
     result = closure(
         gens,
-        n_range=options.n_range,
         dim_cap=options.dim_cap,
-        depth_cap=options.depth_cap,
         local_products=options.local_products,
         dim=gens[0].dim if gens else (bundle.module.dim if bundle.module else alg.dim),
     )

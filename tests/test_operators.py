@@ -602,7 +602,7 @@ def test_closure_module_matches_dense_read_off():
 
 def test_closure_module_needs_a_structure():
     A = ((F(0), F(1)), (F(0), F(0)))
-    res = closure([dense_operator(2, {0: A})], n_range=(-3, 0))
+    res = closure([dense_operator(2, {0: A})])
     assert res.structure is None
     for read_off in (closure_module, dense_closure_module):
         with pytest.raises(MalformedStructure):
@@ -642,14 +642,25 @@ def test_empty_generating_set_needs_dimension():
         closure([])
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [{"n_range": (5, 1)}, {"dim_cap": 0}, {"dim_cap": -1}, {"depth_cap": 0}],
-    ids=["empty-range", "dim-cap-0", "dim-cap-negative", "depth-cap-0"],
-)
-def test_closure_rejects_empty_range_and_caps_below_one(yt, kwargs):
+@pytest.mark.parametrize("dim_cap", [0, -1], ids=["dim-cap-0", "dim-cap-negative"])
+def test_closure_rejects_empty_range_and_caps_below_one(yt, dim_cap):
     with pytest.raises(InvalidArgument):
-        closure([yt], **kwargs)
+        closure([yt], dim_cap=dim_cap)
+
+
+def test_a_product_escaping_the_generated_span_is_an_error(monkeypatch, yt):
+    # the words of generator modes on 1_W span the closure, so no verified
+    # product can escape; one made to escape raises, naming the pair and mode
+    residue = operators._residue_product
+
+    def leaking(a, b, n, local):
+        if a.name == "1_W":  # generation applies only generator modes
+            return VertexOperator(a.dim, {99: {0: {0: 1}}})
+        return residue(a, b, n, local)
+
+    monkeypatch.setattr(operators, "_residue_product", leaking)
+    with pytest.raises(MalformedStructure, match=r"product \(1_W, 1_W\) at mode -1 escapes"):
+        closure([yt])
 
 
 def test_a_generator_above_mode_minus_one_is_infinite_dimensional():
@@ -674,11 +685,11 @@ def _endless_witness(note):
 def test_a_nilpotent_constant_generates_an_infinite_dimensional_span():
     # a(x) = A x^-1 with A nilpotent: A 1 = A is nonzero, so a_n 1_W is nonzero
     # at every n < 0 and no finite span is closed under the products; the
-    # closure says so at once, whatever the mode window or the caps
+    # closure says so at once, whatever the cap
     A = ((F(0), F(1)), (F(0), F(0)))
     a_op, one = dense_operator(2, {0: A}, name="a"), identity_operator(2)
-    for kwargs in ({}, {"n_range": (-3, 0)}, {"n_range": (-30, 0), "dim_cap": 8}):
-        res = closure([a_op], **kwargs)
+    for dim_cap in (64, 8, 1):
+        res = closure([a_op], dim_cap=dim_cap)
         assert (res.status, res.certified, res.structure) == ("infinite-dimensional", True, None)
         assert res.notes == [
             "modes (0, -1) of (a, 1_W) compose to nonzero: "
@@ -707,7 +718,7 @@ def test_a_noncommuting_nonnegative_mode_is_infinite_dimensional_in_both_product
     assert endless_modes(a, b, False) == endless_modes(a, b, True) == (0, -1)
     # a meets the identity first, and A 1 = A is nonzero
     for local in (False, True):
-        res = closure([a, b], n_range=(-1, 0), local_products=local)
+        res = closure([a, b], local_products=local)
         assert (res.status, res.certified) == ("infinite-dimensional", True)
         assert res.notes == [
             "modes (0, -1) of (a, 1_W) compose to nonzero: "
@@ -777,9 +788,10 @@ def test_endless_modes_decides_the_far_products_and_the_closure():
             for _ in range(rng.choice((1, 2)))
         ]
         local = rng.random() < 0.5
-        res = closure(gens, dim_cap=12, depth_cap=4, local_products=local)
+        res = closure(gens, dim_cap=12, local_products=local)
         statuses[res.status] = statuses.get(res.status, 0) + 1
-        assert res.status != "index-range-exhausted", [g.rows for g in gens]
+        # each round that does not end the closure adds a span element
+        assert res.rounds <= 12 + 1, [g.rows for g in gens]
         assert res.certified == (res.status in ("closed", "infinite-dimensional"))
         if res.status == "closed":
             assert validate_structure(res.structure).passed

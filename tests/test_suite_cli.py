@@ -349,10 +349,9 @@ def test_cli_error_exit_code(tmp_path):
     not_a_report.write_text("[1, 2]\n")
     run_cli("report", str(not_a_report), expect=2)
     a3 = str(FIXTURES / "a3.json")
-    # an empty mode range and caps below 1, in the closure suite and subcommand
-    for bad in (("--n-range", "5:1"), ("--dim-cap", "-1"), ("--depth-cap", "0")):
-        run_cli("check", a3, "--suite", "closure", *bad, expect=2)
-        run_cli("closure", a3, *bad, expect=2)
+    # a dim cap below 1, in the closure suite and subcommand
+    run_cli("check", a3, "--suite", "closure", "--dim-cap", "-1", expect=2)
+    run_cli("closure", a3, "--dim-cap", "-1", expect=2)
     # a malformed --q is rejected whichever suite runs
     for q in ("1/0", "abc"):
         run_cli("check", a3, "--q", q, expect=2)
@@ -367,22 +366,27 @@ def test_cli_error_exit_code(tmp_path):
 
 
 def test_cli_negative_values_parse_with_a_space():
-    # argparse reads "-3:0" or "-1/2" after a flag as a flag of its own
+    # argparse reads "-1/2" after a flag as a flag of its own
     a3 = str(FIXTURES / "a3.json")
-    spaced = run_cli("closure", a3, "--n-range", "-3:0", "--format", "json")
-    assert spaced == run_cli("closure", a3, "--n-range=-3:0", "--format", "json")
-    assert json.loads(spaced)["options"]["n_range"] == [-3, 0]
-    out = run_cli("check", a3, "--suite", "closure", "--n-range", "-3:0", "--format", "json")
-    assert json.loads(out)["options"]["n_range"] == [-3, 0]
     out = run_cli("check", a3, "--suite", "axioms", "--q", "-1/2", "--format", "json")
     assert json.loads(out)["options"]["q"] == "-1/2"
-    # argparse resolves an unambiguous prefix to its flag, so these are --n-range too
-    assert run_cli("closure", a3, "--n-ra", "-3:0", "--format", "json") == spaced
-    out = run_cli("check", a3, "--suite", "closure", "--n", "-3:0", "--format", "json")
-    assert json.loads(out)["options"]["n_range"] == [-3, 0]
-    parser = cli.build_parser()
-    assert parser.parse_args(["closure", a3, "--n-range", "-5:-2"]).n_range == (-5, -2)
-    assert parser.parse_args(["check", a3, "--q", "-.5"]).q == "-.5"
+    assert cli.build_parser().parse_args(["check", a3, "--q", "-.5"]).q == "-.5"
+
+
+def test_cli_closure_says_why_it_emits_no_algebra(tmp_path, capsys):
+    # E11 at mode 0 composes with 1_W to nonzero: no finite span closes, so
+    # there is no algebra to write, and stderr says so
+    doc = json.loads((FIXTURES / "a3.json").read_text())
+    e11 = VertexOperator(3, {0: {0: {0: 1}}}, name="e11")
+    doc["operators"] = operators_section([e11], ("w1", "w2", "w3"))
+    source, emitted = tmp_path / "a3-e11.json", tmp_path / "closed.json"
+    source.write_text(json.dumps(doc))
+    argv = ["closure", str(source), "--emit-algebra", str(emitted), "--format", "json"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["records"][0]["verdict"] == "infinite-dimensional"
+    assert err == f"closure status 'infinite-dimensional': no algebra file written to {emitted}\n"
+    assert not emitted.exists()
 
 
 def _parser_flags() -> dict[str, list[str]]:
@@ -397,6 +401,17 @@ def _parser_flags() -> dict[str, list[str]]:
 
 
 PARSER_FLAGS = _parser_flags()
+# flags the README names that belong to other programs: pip's, in the install line
+FOREIGN_FLAGS = {"--no-build-isolation"}
+
+
+def test_every_flag_the_readme_names_exists():
+    readme = (FIXTURES.parent / "README.md").read_text()
+    named = set(re.findall(r"--[a-z][a-z-]*", readme)) - FOREIGN_FLAGS
+    known = {flag for flags in PARSER_FLAGS.values() for flag in flags}
+    assert named and named <= known, sorted(named - known)
+
+
 # small fixtures only: a drawn construct matrix -n is at most 4, dim 48 on a3
 FUZZ_TARGETS = (str(FIXTURES / "a3.json"), str(FIXTURES / "ut2.json"))
 JUNK = ("abc", "1/0", "", "5:1", "-3:0", "3:-3", "missing.json", "no-dir/x.json") + tuple(

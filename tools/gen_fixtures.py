@@ -5,12 +5,15 @@ from pathlib import Path
 
 from vertexcalc.fileio import (
     algebra_to_data,
+    assoc_section,
     cocycle_section,
     grading_section,
     group_section,
     write_algebra_file,
 )
 from vertexcalc.fixtures import (
+    a2_assoc_data,
+    a3_assoc_data,
     cross_a2_z2,
     dual_numbers,
     klein_cocycle,
@@ -20,67 +23,10 @@ from vertexcalc.fixtures import (
     sign_flip_action,
     truncated_poly_3,
     upper_triangular_2,
+    ut2_assoc_data,
 )
-from vertexcalc.construct import AssocAlgebraData
-from vertexcalc.linalg import format_rational
 
 OUT = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-def assoc_section(data: AssocAlgebraData) -> dict:
-    dim = data.dim
-    table = [
-        [
-            {data.basis[k]: format_rational(c) for k, c in data.table.get((i, j), {}).items()}
-            for j in range(dim)
-        ]
-        for i in range(dim)
-    ]
-    # the derivation is stored as its sparse columns; the file holds its dense rows
-    columns = [dict(col) for col in data.derivation]
-    derivation = [[format_rational(col.get(r, 0)) for col in columns] for r in range(dim)]
-    return {
-        "basis": list(data.basis),
-        "identity": data.basis[data.identity],
-        "table": table,
-        "derivation": derivation,
-    }
-
-
-def a3_assoc_data() -> AssocAlgebraData:
-    # sparse products; the missing cells are zero
-    table = {
-        (0, 0): {0: 1},
-        (0, 1): {1: 1},
-        (0, 2): {2: 1},
-        (1, 0): {1: 1},
-        (1, 1): {2: 1},
-        (2, 0): {2: 1},
-    }
-    derivation = [[], [(2, 1)], []]  # sparse columns: t -> t^2
-    return AssocAlgebraData(
-        basis=("one", "t", "t2"), table=table, identity=0, derivation=derivation
-    )
-
-
-def ut2_assoc_data() -> AssocAlgebraData:
-    table = {
-        (0, 0): {0: 1},
-        (0, 1): {1: 1},
-        (0, 2): {2: 1},
-        (1, 0): {1: 1},
-        (1, 1): {1: 1},
-        (1, 2): {2: 1},
-        (2, 0): {2: 1},
-    }
-    zero = [[], [], []]
-    return AssocAlgebraData(basis=("one", "e11", "e12"), table=table, identity=0, derivation=zero)
-
-
-def a2_assoc_data() -> AssocAlgebraData:
-    table = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}
-    zero = [[], []]
-    return AssocAlgebraData(basis=("one", "t"), table=table, identity=0, derivation=zero)
 
 
 def main() -> None:
