@@ -132,6 +132,11 @@ def sparse_modes(index: ModeIndex, su: Support, sw: Support) -> dict[int, Sparse
     return {n: v for n, v in acc.items() if v}
 
 
+def basis_modes(index: ModeIndex, i: int, j: int) -> dict[int, SparseVec]:
+    """sparse_modes on the basis vectors e_i and e_j, read straight off the index."""
+    return {n: dict(img) for n, img in index.get((i, j), {}).items()}
+
+
 def dense_terms(terms: Terms, dim: int) -> dict:
     """A sparse term dictionary with every value densified to length dim."""
     return {e: densify(v, dim) for e, v in terms.items()}
@@ -268,7 +273,12 @@ def add_term(terms: Terms, e, c, entries: Support) -> None:
 
 
 def sparse_differences(lhs: Terms, rhs: Terms):
-    """(exponent, lhs, rhs) wherever two term dictionaries differ, in increasing order, sparse."""
+    """(exponent, lhs, rhs), sparse, wherever two term dictionaries differ, in increasing order.
+
+    Equal dictionaries yield nothing, without the walk over their exponents.
+    """
+    if lhs == rhs:
+        return
     for e in sorted(set(lhs) | set(rhs)):
         a, b = lhs.get(e, {}), rhs.get(e, {})
         if a != b:
@@ -381,13 +391,12 @@ def check_d_bracket(alg: AlgebraStructure) -> CheckReport:
         report.fail(Witness((alg.basis[alg.vacuum],), None, d_vac, {}, alg.basis))
     for i in range(alg.dim):
         for j in range(alg.dim):
-            ui, uj = ((i, ONE),), ((j, ONE),)
-            base = sparse_modes(index, ui, uj)
+            base = basis_modes(index, i, j)
             # commutator [D, Y(e_i, x)] e_j, mode by mode
             commutator = {n: d_sparse(cols, w.items()) for n, w in base.items()}
-            for n, w in sparse_modes(index, ui, cols[j]).items():
+            for n, w in sparse_modes(index, ((i, ONE),), cols[j]).items():
                 add_term(commutator, n, -1, w.items())
-            middle = sparse_modes(index, cols[i], uj)
+            middle = sparse_modes(index, cols[i], ((j, ONE),))
             for name, lhs, rhs in (
                 ("commutator-vs-middle", commutator, middle),
                 ("middle-vs-derivative", middle, mode_derivative(base)),
@@ -402,7 +411,7 @@ def check_creation_exponential(alg: AlgebraStructure) -> CheckReport:
     report = CheckReport("creation-exponential")
     images = _analysis(alg).exp_images
     for i in range(alg.dim):
-        modes = sparse_modes(alg.mode_index, ((i, ONE),), ((alg.vacuum, ONE),))
+        modes = basis_modes(alg.mode_index, i, alg.vacuum)
         lhs = {(-n - 1,): w for n, w in modes.items()}
         rhs = {(j,): w for j, w in images[i].items()}
         if (diff := next(sparse_differences(lhs, rhs), None)) is not None:
@@ -442,7 +451,12 @@ def assoc_sides(prod: Terms, iterate: Terms, sign: int = 1) -> tuple[Terms, Term
 
 
 def assoc_holds(prod: Terms, iterate: Terms) -> bool:
-    """Whether the two sides of assoc_sides agree, read off one accumulator of their difference."""
+    """Whether the two sides of assoc_sides agree, read off one accumulator of their difference.
+
+    If every outer exponent e1 of prod is 0, the order is 0: the sides are prod and iterate.
+    """
+    if all(e1 == 0 for e1, _e2 in prod):
+        return prod == iterate
     return not any(assoc_sides(prod, iterate, -1)[0].values())
 
 
@@ -529,9 +543,8 @@ def check_skew_symmetry(
     report = CheckReport(f"skew-symmetry[{alg.basis[u_idx]},{alg.basis[v_idx]}]")
     q = integral(q)
     pairs = _analysis(alg)
-    su, sv = ((u_idx, ONE),), ((v_idx, ONE),)
-    lhs = {(-n - 1,): w for n, w in sparse_modes(alg.mode_index, su, sv).items()}
-    modes = sparse_modes(alg.mode_index, sv, su)
+    lhs = {(-n - 1,): w for n, w in basis_modes(alg.mode_index, u_idx, v_idx).items()}
+    modes = basis_modes(alg.mode_index, v_idx, u_idx)
     rhs = {(m,): c for m, c in skew_terms(pairs.exp_images, modes, q).items()}
     diff = next(sparse_differences(lhs, rhs), None)
     report.exact = diff is None

@@ -153,10 +153,12 @@ def _cmd_closure(args) -> int:
 def _cmd_report(args) -> int:
     data = read_json(args.report)
     try:
+        if (options := data.get("options", {})).keys() != SuiteOptions().as_dict().keys():
+            raise ValueError(f"options {options!r} are not q, dim_cap and local_products")
         report = SuiteReport(
             target=data.get("target", ""),
             suite=data.get("suite", ""),
-            options=data.get("options", {}),
+            options=options,
             records=[
                 SuiteRecord(
                     id=r["id"],
@@ -172,6 +174,11 @@ def _cmd_report(args) -> int:
             ],
             embedded=data.get("embedded", {}),
         )
+        for r in report.records:
+            lines = (r.witnesses, r.notes)
+            if not (isinstance(r.exact, bool) and isinstance(r.orders, dict) and all(
+                    isinstance(x, list) and all(isinstance(s, str) for s in x) for x in lines)):
+                raise ValueError(f"record {r.id!r} has a field of the wrong type")
         payload = emit_report(report, args.format)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{args.report}: not a vertexcalc report ({exc!r})") from None

@@ -29,6 +29,7 @@ from fractions import Fraction
 from .algebra import (
     AlgebraStructure,
     ModeIndex,
+    basis_modes,
     d_columns,
     find_locality_k,
     mode_derivative,
@@ -109,15 +110,13 @@ def check_module(alg: AlgebraStructure, mod: ModuleStructure) -> CheckReport:
     dim_w = mod.dim
     # identity action: (1)_(-1) w = w and no other mode, one witness per wrong mode
     for j in range(dim_w):
-        modes = {n: dict(img) for n, img in mod.mode_index.get((alg.vacuum, j), {}).items()}
-        for n, a, b in sparse_differences(modes, {-1: {j: 1}}):
+        for n, a, b in sparse_differences(basis_modes(mod.mode_index, alg.vacuum, j), {-1: {j: 1}}):
             report.fail(Witness(("vacuum-action", mod.basis[j]), (n,), a, b, mod.basis))
     # derivative property: Y_W(Dv, x) = d/dx Y_W(v, x)
     for i, dv in enumerate(d_columns(alg)):
         for j in range(dim_w):
-            uj = ((j, ONE),)
-            lhs = sparse_modes(mod.mode_index, dv, uj)
-            rhs = mode_derivative(sparse_modes(mod.mode_index, ((i, ONE),), uj))
+            lhs = sparse_modes(mod.mode_index, dv, ((j, ONE),))
+            rhs = mode_derivative(basis_modes(mod.mode_index, i, j))
             for n, a, b in sparse_differences(lhs, rhs):
                 names = ("d-derivative", alg.basis[i], mod.basis[j])
                 report.fail(Witness(names, (n,), a, b, mod.basis))

@@ -9,7 +9,9 @@ the target basis that scatters coordinates through sparse columns
 lookup per pair.  It records for which q each triple commutes
 (commutation_profile: every q, one rational, or none, so one analysis serves
 every q) and the first difference of each triple that is not weakly
-associative, and drops the products.  The commutation half of the Jacobi-like
+associative, and drops the products; empty or equal sides give a profile in
+closed form, and a triple whose product has only outer exponent 0 is decided
+by one equality (assoc_holds).  The commutation half of the Jacobi-like
 identity routes its reversed side through an R-map, so no profile decides it:
 it reads the same scatter again, one w at a time (PairAnalysis.products).  The
 analysis is held by the structure it acts through, like the mode index, and
@@ -67,8 +69,21 @@ def commutation_profile(lhs: Terms, rhs: Terms) -> tuple:
     when the profile is empty, for exactly q_1 when it is (q_1, e_1) with
     q_1 not None, and for no q otherwise; and for each q it fails for, its
     least differing exponent is the first e_i whose q_i is not q
-    (profile_exponent).
+    (profile_exponent).  With no empty vector in either side, as the scatter
+    leaves them, empty or equal sides are closed forms and only two
+    different nonzero sides are walked (profile_walk).
     """
+    if not rhs:
+        return (None, min(lhs)) if lhs else ()
+    if not lhs:
+        return (0, min(rhs))
+    if lhs == rhs:
+        return (1, min(lhs))
+    return profile_walk(lhs, rhs)
+
+
+def profile_walk(lhs: Terms, rhs: Terms) -> tuple:
+    """The commutation_profile of two dictionaries, exponent by exponent in increasing order."""
     out: tuple = ()
     for e in sorted(set(lhs) | set(rhs)):
         a, b = lhs.get(e, {}), rhs.get(e, {})
@@ -189,11 +204,11 @@ class PairAnalysis:
     - commutation: for each ordered (u, v) and each w on which
       Y(u,x1)Y(v,x2)w = q Y(v,x2)Y(u,x1)w does not hold for every q, its
       commutation_profile.  A profile names the q it holds for, if any, so
-      one analysis serves every q;
+      one analysis serves every q; empty or equal sides are closed forms;
     - weak associativity: for each triple that fails assoc_sides, its
-      first difference (exponent, lhs, rhs).  One accumulator of the two
-      sides' difference decides each triple (assoc_holds); the sides are
-      built only for a failing one.
+      first difference (exponent, lhs, rhs).  assoc_holds decides each
+      triple at order 0 by one equality, else by one accumulator of the
+      sides' difference; the sides are built only for a failing one.
     It keeps no product: a profile is at most two (q, exponent) pairs, and
     only a failing triple keeps sparse vectors, its first difference.  A
     commutation witness is rebuilt when a check asks for it, from the two

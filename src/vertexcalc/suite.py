@@ -453,7 +453,9 @@ def run_suite(
     if suite not in SUITES:
         raise ValidationError(f"unknown suite {suite!r}; choose from {SUITES}")
     options = options or SuiteOptions()
-    _fixed_q(options)  # a malformed --q is an error before any check runs
+    _fixed_q(options)  # a malformed --q or dim cap is an error before any check runs
+    if options.dim_cap < 1:
+        raise InvalidArgument(f"the dim cap must be at least 1, not {options.dim_cap}")
     report = SuiteReport(target=bundle.name, suite=suite, options=options.as_dict())
     names = (
         ["axioms", "locality", "skew", "jacobi", "jacobi-like", "modules", "closure"]

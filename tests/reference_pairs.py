@@ -13,7 +13,10 @@ Y(v,x2)w once and then every outer product Y(u,x1)Y(v,x2)w with one
 `outer_product` call per pair; `reference_records` decides each ordered
 triple from those products and one `outer_iterate` call, exactly as
 `PairAnalysis._records` did before the walk was scattered.  Its records must
-equal the analysis's, profiles and first differences included.
+equal the analysis's, profiles and first differences included.  Each profile
+comes from `reference_profile`, the exponent-by-exponent loop the library ran
+on every pair before it decided empty and equal sides in closed form, kept
+here unchanged with its `solving_q`.
 """
 
 from __future__ import annotations
@@ -31,9 +34,8 @@ from vertexcalc.algebra import (
     sparse_differences,
     sparse_modes,
 )
-from vertexcalc.linalg import ONE, SparseVec, Support, Vec
+from vertexcalc.linalg import ONE, SparseVec, Support, Vec, integral
 from vertexcalc.modules import ModuleStructure
-from vertexcalc.pairs import commutation_profile
 from vertexcalc.report import Witness
 
 # -- the per-triple kernel ---------------------------------------------------------
@@ -122,6 +124,42 @@ def assoc_search(
     return dense_witness(names, diffs[0], act.basis) if diffs else None
 
 
+def solving_q(a: SparseVec, b: SparseVec) -> int | Fraction | None:
+    """The one q with a = q b for a nonzero b, or None when no q solves it (or b is zero)."""
+    if not b:
+        return None
+    if not a:
+        return 0
+    if a == b:
+        return 1
+    k, c = next(iter(b.items()))
+    if k not in a:
+        return None
+    q = integral(Fraction(a[k], c))
+    return q if a == scale(q, b) else None
+
+
+def reference_profile(lhs: Terms, rhs: Terms) -> tuple:
+    """The commutation profile of lhs = q rhs, walked exponent by exponent in increasing order.
+
+    Each exponent e is solved by every q (both sides vanish there), by one
+    q_e, or by none (q_e is None).  The profile is (q_1, e_1) for the least
+    exponent e_1, followed by (q_2, e_2) for the least exponent that q_1
+    leaves unsolved when q_1 is not None.
+    """
+    out: tuple = ()
+    for e in sorted(set(lhs) | set(rhs)):
+        a, b = lhs.get(e, {}), rhs.get(e, {})
+        if not (a or b):
+            continue
+        qe = solving_q(a, b)
+        if not out or qe != out[0]:
+            out += (qe, e)
+            if qe is None or len(out) == 4:
+                break
+    return out
+
+
 # -- the per-pair walk ------------------------------------------------------------
 
 
@@ -176,7 +214,7 @@ def reference_records(analysis) -> tuple[dict, dict]:
         for (u, v), (prod, reverse, iterate) in pair_walk(
             analysis.alg_index, analysis.index, analysis.n, w
         ).items():
-            profile = commutation_profile(prod, reverse)
+            profile = reference_profile(prod, reverse)
             if profile:
                 commute.setdefault((u, v), []).extend((w, profile))
             if prod or iterate:

@@ -15,14 +15,16 @@ tests that compare against them:
 - `subspace_is_subalgebra`, the closure check of a subspace;
 - `mat_add`, the sum of two dense matrices;
 - `apply_columns` and `term_differences`, D v and the differing terms of
-  two term dictionaries as dense vectors, which the checks read sparse;
+  two term dictionaries as dense vectors, which the checks read sparse
+  (`term_differences` walks every exponent, with no shortcut for equal
+  dictionaries, as `algebra.sparse_differences` once did);
 - `dense_witness`, the Witness of a dense first difference, its two sides
   read back through `support`, as the checks build it from sparse ones;
 - `sparse_columns` and `dense_matrix`, a square dense matrix as the sparse
   columns a derivation or a group element is given by, and back.
 """
 
-from vertexcalc.algebra import d_sparse, dense_terms, sparse_differences, sparse_modes
+from vertexcalc.algebra import d_sparse, dense_terms, sparse_modes
 from vertexcalc.linalg import ONE, dense_span, densify, integral, support, unit_vec
 from vertexcalc.report import CheckReport, Witness
 
@@ -105,8 +107,16 @@ def apply_columns(cols, v):
 
 
 def term_differences(lhs, rhs, dim):
-    """(exponent, lhs, rhs) wherever two term dictionaries differ, in increasing order, dense."""
-    return [(e, densify(a, dim), densify(b, dim)) for e, a, b in sparse_differences(lhs, rhs)]
+    """(exponent, lhs, rhs) wherever two term dictionaries differ, in increasing order, dense.
+
+    Every exponent of either side is compared, equal dictionaries included.
+    """
+    out = []
+    for e in sorted(set(lhs) | set(rhs)):
+        a, b = lhs.get(e, {}), rhs.get(e, {})
+        if a != b:
+            out.append((e, densify(a, dim), densify(b, dim)))
+    return out
 
 
 def dense_witness(where, diff, basis):

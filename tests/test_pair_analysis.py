@@ -10,9 +10,12 @@ commutation first, associativity second.  Verdicts and
 witness strings must agree on every pair and triple, for several q.  The
 analysis's own records are held equal to those of the per-pair walk it
 replaced (`reference_pairs`), and its scattered products and iterates to
-that walk's nonzero ones.
+that walk's nonzero ones.  The closed forms the analysis decides most
+profiles and triples by are held equal to the loops on random term
+dictionaries, and their share of the work is counted.
 """
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -24,6 +27,7 @@ from reference_pairs import (
     commutation_sparse,
     pair_walk,
     product_sparse,
+    reference_profile,
     reference_records,
     reversed_sparse,
     scale_terms,
@@ -34,19 +38,23 @@ import vertexcalc.algebra as algebra_module
 import vertexcalc.pairs as pairs_module
 from vertexcalc.algebra import (
     AlgebraStructure,
+    assoc_holds,
+    assoc_sides,
     check_jacobi,
     check_skew_symmetry,
     d_columns,
     exp_sparse,
     find_locality_k,
     find_weak_assoc_l,
+    scale,
+    sparse_differences,
     sparse_modes,
     truncation_order,
     weak_assoc_triple,
 )
 from vertexcalc.construct import matrix_algebra
 from vertexcalc.fileio import AlgebraBundle, parse_algebra_file
-from vertexcalc.linalg import ONE
+from vertexcalc.linalg import ONE, densify
 from vertexcalc.modules import (
     ModuleStructure,
     adjoint_module,
@@ -57,6 +65,7 @@ from vertexcalc.modules import (
 from vertexcalc.pairs import (
     PairAnalysis,
     acting_columns,
+    commutation_profile,
     iterate_sources,
     pair_analysis,
     scatter_iterates,
@@ -427,3 +436,123 @@ def test_a_held_analysis_is_returned_without_entering_pair_analysis(monkeypatch)
     analysis = m3._pairs
     run_suite(AlgebraBundle(alg=m3, name="m3"), "locality")
     assert entered == [id(m3)] and m3._pairs is analysis
+
+
+# -- closed forms against the loops -----------------------------------------------------
+
+COEFFS = (1, -1, 2, Fraction(1, 2), Fraction(-3, 2))
+
+
+def _random_vec(rng):
+    return {k: rng.choice(COEFFS) for k in rng.sample(range(3), rng.randint(1, 3))}
+
+
+def _random_terms(rng, outer=range(-2, 3)):
+    """A term dictionary {(e1, e2): nonzero sparse vector} with 0 to 4 exponents."""
+    size = rng.randint(0, 4)
+    return {(rng.choice(outer), rng.randint(-3, 1)): _random_vec(rng) for _ in range(size)}
+
+
+def _copy(terms):
+    return {e: dict(v) for e, v in terms.items()}
+
+
+def _profile_sides(rng):
+    """Two term dictionaries: empty, equal, proportional, proportional up to a change, or random."""
+    lhs = _random_terms(rng)
+    kind = rng.choice(("empty-lhs", "empty-rhs", "equal", "proportional", "changed", "random"))
+    if kind == "empty-lhs":
+        return {}, lhs
+    if kind == "empty-rhs":
+        return lhs, {}
+    if kind == "equal":
+        return lhs, _copy(lhs)
+    rhs = {e: scale(rng.choice((-1, 2, Fraction(1, 3))), v) for e, v in lhs.items()}
+    if kind == "changed":
+        rhs[(rng.randint(-2, 2), rng.randint(-3, 1))] = _random_vec(rng)
+    elif kind == "random":
+        rhs = _random_terms(rng)
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_closed_form_profile_equals_the_loop(seed):
+    # the sides hold no empty vector, as the scatter leaves them
+    rng = random.Random(seed)
+    shapes = set()
+    for _ in range(400):
+        lhs, rhs = _profile_sides(rng)
+        got, ref = commutation_profile(lhs, rhs), reference_profile(lhs, rhs)
+        assert (got, [type(x) for x in got]) == (ref, [type(x) for x in ref]), (lhs, rhs)
+        shapes.add(ref[0] if ref else "every q")
+    # lhs = q rhs for every q, for none, and for q = 0, 1 and the inverse ratios -1, 1/2, 3
+    assert shapes >= {"every q", None, 0, 1, -1, Fraction(1, 2), 3}
+
+
+def _assoc_sides_of(rng):
+    """(prod, iterate): order-0 or not, holding or failing, with empty sides and positive e1."""
+    outer = rng.choice((range(0, 1), range(0, 3), range(-2, 3)))
+    prod = _random_terms(rng, outer)
+    kind = rng.choice(("expanded", "expanded", "random", "empty"))
+    if kind == "empty":
+        return prod, {}
+    if kind == "random":
+        return prod, _random_terms(rng)
+    # with every e1 >= 0 the order is 0 and the expansion of prod is an iterate that holds
+    iterate = assoc_sides(prod, {})[0] if all(e1 >= 0 for e1, _e2 in prod) else _random_terms(rng)
+    if iterate and rng.random() < 0.3:
+        iterate[min(iterate)] = _random_vec(rng)
+    return prod, iterate
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_assoc_holds_equals_the_first_difference_of_its_sides(seed):
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(400):
+        prod, iterate = _assoc_sides_of(rng)
+        holds = assoc_holds(prod, iterate)
+        lhs, rhs = assoc_sides(prod, iterate)
+        assert holds == (next(sparse_differences(lhs, rhs), None) is None), (prod, iterate)
+        assert holds == (term_differences(lhs, rhs, 3) == [])
+        order0 = all(e1 == 0 for e1, _e2 in prod)
+        seen.add((order0, bool(prod), holds))
+    assert seen >= {(o, True, h) for o in (True, False) for h in (True, False)}
+    assert (True, False, True) in seen and (True, False, False) in seen
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_differences_equals_the_full_walk(seed):
+    rng = random.Random(seed)
+    for _ in range(300):
+        lhs, rhs = _profile_sides(rng)
+        if rng.random() < 0.2:
+            rhs[(0, 0)] = {}  # an empty vector reads as zero
+        for a, b in ((lhs, rhs), (lhs, _copy(lhs)), (rhs, rhs)):
+            got = [(e, densify(x, 3), densify(y, 3)) for e, x, y in sparse_differences(a, b)]
+            assert got == term_differences(a, b, 3)
+
+
+def test_closed_forms_leave_few_pairs_to_walk(monkeypatch):
+    # matrix_algebra(a3, 3): most profiles have an empty or an equal side, and
+    # most triples have every outer exponent 0
+    calls = collections.Counter()
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting(pairs_module, "commutation_profile")
+    counting(pairs_module, "profile_walk")
+    counting(pairs_module, "assoc_holds")
+    counting(pairs_module, "assoc_sides")
+    counting(algebra_module, "assoc_sides")
+    a3 = parse_algebra_file(FIXTURES / "a3.json").alg
+    pair_analysis(matrix_algebra(a3, 3))._records
+    assert calls["commutation_profile"] == 2190 and calls["profile_walk"] <= 60
+    assert calls["assoc_holds"] == 1510 and calls["assoc_sides"] <= 151

@@ -21,6 +21,7 @@ from test_fileio import _paths
 from vertexcalc import cli
 from vertexcalc import suite as suite_module
 from vertexcalc.algebra import AlgebraStructure
+from vertexcalc.errors import InvalidArgument
 from vertexcalc.fileio import (
     algebra_to_data,
     operators_section,
@@ -363,6 +364,62 @@ def test_cli_error_exit_code(tmp_path):
     report = str(tmp_path / "rep.txt")
     run_cli("closure", a3, "--out", report, "--emit-algebra", unwritable, expect=2)
     run_cli("construct", "matrix", a3, "-o", unwritable, expect=2)
+
+
+@pytest.mark.parametrize("suite", ["locality", "all", "closure"])
+@pytest.mark.parametrize("cap", ["-5", "0"])
+def test_a_dim_cap_below_one_is_refused_before_any_check(suite, cap, capsys):
+    # m2a3 declares no operators, so no closure ever reads the cap
+    argv = ["check", str(FIXTURES / "m2a3.json"), "--suite", suite, "--dim-cap", cap]
+    assert cli.main(argv + ["--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: the dim cap must be at least 1, not {cap}\n"
+    with pytest.raises(InvalidArgument):
+        run_suite(parse_algebra_file(FIXTURES / "m2a3.json"), suite, SuiteOptions(dim_cap=int(cap)))
+
+
+def _stored_axioms_report(capsys) -> dict:
+    assert cli.main(["check", str(FIXTURES / "a3.json"), "--suite", "axioms", "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _break_witnesses(doc):
+    doc["records"][0]["witnesses"] = "at (1,) : 1 != 0"
+
+
+def _break_notes(doc):
+    doc["records"][0]["notes"] = ["ok", 3]
+
+
+def _break_exact(doc):
+    doc["records"][0]["exact"] = "yes"
+
+
+def _break_orders(doc):
+    doc["records"][0]["orders"] = [["n_min", -2]]
+
+
+def _stale_options(doc):
+    doc["options"]["depth_cap"] = 8
+
+
+def _missing_option(doc):
+    del doc["options"]["local_products"]
+
+
+@pytest.mark.parametrize("damage", [_break_witnesses, _break_notes, _break_exact, _break_orders,
+                                    _stale_options, _missing_option])
+def test_cli_report_refuses_a_malformed_stored_report(damage, tmp_path, capsys):
+    doc = _stored_axioms_report(capsys)
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["report", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == doc
+    damage(doc)
+    path.write_text(json.dumps(doc))
+    assert cli.main(["report", str(path), "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {path}: not a vertexcalc report")
 
 
 def test_cli_negative_values_parse_with_a_space():
