@@ -25,7 +25,7 @@ from .fileio import (
     write_algebra_file,
     write_bytes,
 )
-from .suite import SuiteOptions, SuiteReport, SuiteRecord, SUITES, emit_report, run_suite
+from .suite import CHECK, CLASSIFICATION, SUITES, SuiteOptions, SuiteRecord, SuiteReport, emit_report, run_suite
 
 
 @cache
@@ -174,10 +174,13 @@ def _cmd_report(args) -> int:
             ],
             embedded=data.get("embedded", {}),
         )
+        if report.suite not in SUITES or not isinstance(report.target, str):
+            raise ValueError(f"suite {report.suite!r} or target {report.target!r} is not valid")
         for r in report.records:
-            lines = (r.witnesses, r.notes)
-            if not (isinstance(r.exact, bool) and isinstance(r.orders, dict) and all(
-                    isinstance(x, list) and all(isinstance(s, str) for s in x) for x in lines)):
+            texts = (r.id, r.identity, r.verdict, *r.witnesses, *r.notes)
+            if not (r.kind in (CHECK, CLASSIFICATION) and isinstance(r.exact, bool)
+                    and isinstance(r.orders, dict) and isinstance(r.witnesses, list)
+                    and isinstance(r.notes, list) and all(isinstance(s, str) for s in texts)):
                 raise ValueError(f"record {r.id!r} has a field of the wrong type")
         payload = emit_report(report, args.format)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -226,7 +226,7 @@ def check_locality_transfer(
     if alg_holds:
         report.found_orders["algebra_k"] = 0
         if not mod_holds:
-            w_idx, *diff = next(mod_pairs.commutation_failures(u_idx, v_idx, q))
+            w_idx, *diff = mod_pairs.first_commutation_failure(u_idx, v_idx, q)
             names = (alg.basis[u_idx], alg.basis[v_idx], mod.basis[w_idx])
             report.fail(Witness(names, *diff, mod.basis))
     if faithful and mod_holds and not alg_holds:

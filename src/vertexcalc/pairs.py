@@ -6,12 +6,15 @@ the same two-variable products of basis vectors.  A structure's
 `PairAnalysis` (pair_analysis) builds each nonzero one once, in one walk over
 the target basis that scatters coordinates through sparse columns
 (scatter_products, scatter_iterates), so it costs the nonzero terms, not a
-lookup per pair.  It records for which q each triple commutes
+lookup per pair; the columns hold each mode in exponent form, so the walk
+reads each exponent once.  It records for which q each triple commutes
 (commutation_profile: every q, one rational, or none, so one analysis serves
 every q) and the first difference of each triple that is not weakly
 associative, and drops the products; empty or equal sides give a profile in
 closed form, and a triple whose product has only outer exponent 0 is decided
-by one equality (assoc_holds).  The commutation half of the Jacobi-like
+by one equality (assoc_holds).  The first failing (w, exponent) of each
+(u, v, q) a check asks about is memoized, so locality, skew-symmetry and the
+locality transfer walk its profiles once.  The commutation half of the Jacobi-like
 identity routes its reversed side through an R-map, so no profile decides it:
 it reads the same scatter again, one w at a time (PairAnalysis.products).  The
 analysis is held by the structure it acts through, like the mode index, and
@@ -29,16 +32,14 @@ from .algebra import (
     ModeIndex,
     SparseVec,
     Terms,
-    add_term,
     assoc_holds,
     assoc_sides,
     d_columns,
     exp_sparse,
     scale,
     sparse_differences,
-    sparse_modes,
 )
-from .linalg import ONE, integral
+from .linalg import ONE, add_scaled, integral
 
 if TYPE_CHECKING:
     from .modules import ModuleStructure
@@ -108,19 +109,24 @@ def profile_exponent(profile: tuple, q: Fraction):
 def mode_pair(index: ModeIndex, u: int, v: int, w: int, e) -> SparseVec:
     """The (x1, x2)-exponent e coefficient u_n1 v_n2 w of Y(u,x1)Y(v,x2)w, for basis vectors.
 
-    Two lookups in the table's sparse image index, not the whole product:
-    this rebuilds one side of a witness whose exponent is already known.
+    Lookups of the one mode n2 of v on w and the one mode n1 of u in the
+    table's sparse image index: this rebuilds one side of a witness whose
+    exponent is already known.
     """
-    inner = index.get((v, w), {}).get(-e[1] - 1)
-    if inner is None:
-        return {}
-    return sparse_modes(index, ((u, ONE),), inner).get(-e[0] - 1, {})
+    acc: SparseVec = {}
+    n1 = -e[0] - 1
+    for k, c in index.get((v, w), {}).get(-e[1] - 1, ()):
+        out = index.get((u, k), {}).get(n1)
+        if out is not None:
+            add_scaled(acc, c, out)
+    return acc
 
 
 def acting_columns(index: ModeIndex, n: int) -> dict[int, list]:
-    """The acting table by target coordinate: for each k, the (u, {n: image}) with u_n e_k nonzero.
+    """The acting table by target coordinate: for each k, the (u, [(e1, u_n e_k), ...]), e1 = -n-1.
 
-    u ranges over the first n acting basis indices.  This is the column
+    u ranges over the first n acting basis indices, and each nonzero mode
+    is stored once, in exponent form, in index order.  This is the column
     layout of the sparse product (Gustavson, ACM TOMS 4, 1978): a
     coordinate c e_k of Y(v,x2)w is pushed through column k once, and lands
     on every u whose modes read e_k.
@@ -128,7 +134,7 @@ def acting_columns(index: ModeIndex, n: int) -> dict[int, list]:
     cols: dict[int, list] = {}
     for (u, k), modes in index.items():
         if 0 <= u < n:
-            cols.setdefault(k, []).append((u, modes))
+            cols.setdefault(k, []).append((u, [(-n1 - 1, img) for n1, img in modes.items()]))
     return cols
 
 
@@ -143,11 +149,12 @@ def iterate_sources(alg_index: ModeIndex) -> dict[int, list]:
 
 
 def _nonzero(acc: dict) -> dict:
-    """acc without the exponents whose entries all cancelled, and without the keys left empty."""
+    """acc without cancelled exponents or emptied keys; a key where none cancelled is kept as is."""
     out = {}
     for key, terms in acc.items():
-        kept = {e: x for e, x in terms.items() if x}
-        if kept:
+        if all(terms.values()):
+            out[key] = terms
+        elif kept := {e: x for e, x in terms.items() if x}:
             out[key] = kept
     return out
 
@@ -168,27 +175,35 @@ def scatter_products(index: ModeIndex, cols: dict[int, list], w: int, n: int) ->
             e2 = -n2 - 1
             for k, c in img:
                 for u, modes in cols.get(k, ()):
-                    terms = acc.setdefault((u, v), {})
-                    for n1, out in modes.items():
-                        add_term(terms, (-n1 - 1, e2), c, out)
+                    if (terms := acc.get((u, v))) is None:
+                        terms = acc[(u, v)] = {}
+                    for e1, out in modes:
+                        if (vec := terms.get((e1, e2))) is None:
+                            vec = terms[(e1, e2)] = {}
+                        add_scaled(vec, c, out)
     return _nonzero(acc)
 
 
-def scatter_iterates(index: ModeIndex, sources: dict[int, list], w: int) -> dict:
+def scatter_iterates(cols: dict[int, list], sources: dict[int, list], w: int) -> dict:
     """{(u, v): Y(Y(u,x0)v,x2)w} for every pair whose iterate is nonzero.
 
-    Each e_k with Y(e_k,x2)w nonzero is pushed through the products that
-    contain it (iterate_sources), keyed by (x0-exponent, x2-exponent).
+    Each e_k with Y(e_k,x2)w nonzero, read off column w of the acting table
+    (acting_columns), is pushed through the products that contain it
+    (iterate_sources), keyed by (x0-exponent, x2-exponent).
     """
     acc: dict = {}
+    column = dict(cols.get(w, ()))
     for k, containing in sources.items():
-        modes = index.get((k, w))
+        modes = column.get(k)
         if modes is None:
             continue
         for u, v, e0, c in containing:
-            terms = acc.setdefault((u, v), {})
-            for n2, out in modes.items():
-                add_term(terms, (e0, -n2 - 1), c, out)
+            if (terms := acc.get((u, v))) is None:
+                terms = acc[(u, v)] = {}
+            for e2, out in modes:
+                if (vec := terms.get((e0, e2))) is None:
+                    vec = terms[(e0, e2)] = {}
+                add_scaled(vec, c, out)
     return _nonzero(acc)
 
 
@@ -198,9 +213,11 @@ class PairAnalysis:
     u and v range over the basis of `alg`, which also gives the iterates
     Y(Y(u,x0)v,x2)w; w ranges over the basis of `act`, the acting table
     (alg itself or a module).  On first use, one walk over w builds each
-    w's nonzero products and iterates, decides only the pairs with a
-    nonzero product, reversed product or iterate (every other pair holds
-    both relations on that w), records two things and drops the products:
+    w's nonzero products and iterates, flips each product once, decides
+    commutation only on the pairs with a nonzero product or reversed
+    product and associativity only on those with a nonzero product or
+    iterate (every other pair holds the relation on that w), records two
+    things and drops the products:
     - commutation: for each ordered (u, v) and each w on which
       Y(u,x1)Y(v,x2)w = q Y(v,x2)Y(u,x1)w does not hold for every q, its
       commutation_profile.  A profile names the q it holds for, if any, so
@@ -209,14 +226,16 @@ class PairAnalysis:
       first difference (exponent, lhs, rhs).  assoc_holds decides each
       triple at order 0 by one equality, else by one accumulator of the
       sides' difference; the sides are built only for a failing one.
-    It keeps no product: a profile is at most two (q, exponent) pairs, and
-    only a failing triple keeps sparse vectors, its first difference.  A
-    commutation witness is rebuilt when a check asks for it, from the two
-    coefficients at its exponent (mode_pair).  `exp_images` holds e^{xD} e_k
-    for every basis vector of alg, failing_middle reads the least failing
-    middle argument of each (u, w) off the failing triples,
-    assoc_failing_pairs the failing (u, v) of each w, and products(w)
-    scatters one w's products again for a relation no profile decides.
+    It keeps no product: a profile is at most two (q, exponent) pairs, only
+    a failing triple keeps sparse vectors, its first difference, and the
+    verdict of each (u, v, q) asked about is memoized as its first failing
+    (w, exponent), or None (commutes).  A commutation witness is rebuilt
+    when a check asks for it, from the two coefficients at its exponent
+    (mode_pair).  `exp_images` holds e^{xD} e_k for every basis vector of
+    alg, failing_middle reads the least failing middle argument of each
+    (u, w) off the failing triples, assoc_failing_pairs the failing (u, v)
+    of each w, and products(w) scatters one w's products again for a
+    relation no profile decides.
 
     The analysis keeps the two tables' sparse indexes, not the structures,
     so a structure that holds its analysis is not part of a reference
@@ -229,6 +248,7 @@ class PairAnalysis:
         self.n = alg.dim
         self.dim = act.dim
         self.cols = d_columns(alg)
+        self._first: dict = {}  # (u, v, q): (w, exponent) of the first failure, or None
 
     @cached_property
     def exp_images(self) -> list[Terms]:
@@ -255,19 +275,21 @@ class PairAnalysis:
         shared: dict = {}  # one object per distinct profile
         for w in range(self.dim):
             prods = self.products(w)
-            iterates = scatter_iterates(self.index, sources, w)
-            # every other pair has a zero product, reversed product and iterate
-            for u, v in prods.keys() | iterates.keys() | {(v, u) for u, v in prods}:
-                prod = prods.get((u, v), {})
-                reverse = {(e1, e2): c for (e2, e1), c in prods.get((v, u), {}).items()}
-                profile = commutation_profile(prod, reverse)
+            iterates = scatter_iterates(self.acting_columns, sources, w)
+            # Y(v,x2)Y(u,x1)w on the (x1, x2) grid, keyed by (u, v)
+            flipped = {(v, u): {(b, a): c for (a, b), c in p.items()} for (u, v), p in prods.items()}
+            # every other pair has a zero product and reversed product
+            for key in prods.keys() | flipped.keys():
+                profile = commutation_profile(prods.get(key, {}), flipped.get(key, {}))
                 if profile:
-                    commute.setdefault((u, v), []).extend((w, shared.setdefault(profile, profile)))
-                iterate = iterates.get((u, v), {})
+                    commute.setdefault(key, []).extend((w, shared.setdefault(profile, profile)))
+            # every other pair has a zero product and iterate
+            for key in prods.keys() | iterates.keys():
+                prod, iterate = prods.get(key, {}), iterates.get(key, {})
                 # one accumulator decides the triple; only a failing one builds both sides
-                if (prod or iterate) and not assoc_holds(prod, iterate):
+                if not assoc_holds(prod, iterate):
                     diff = next(sparse_differences(*assoc_sides(prod, iterate)))
-                    assoc.setdefault((u, v), {})[w] = diff
+                    assoc.setdefault(key, {})[w] = diff
         return {key: tuple(flat) for key, flat in commute.items()}, assoc
 
     @cached_property
@@ -278,23 +300,33 @@ class PairAnalysis:
                 first.setdefault((u, w), v)
         return first
 
+    def _failures(self, u: int, v: int, q: Fraction):
+        """(w, exponent) on each basis w where commutation fails, in increasing w."""
+        flat = self._records[0].get((u, v), ())
+        for w, profile in zip(flat[::2], flat[1::2]):
+            if (e := profile_exponent(profile, q)) is not None:
+                yield w, e
+
     def commutes(self, u: int, v: int, q: Fraction) -> bool:
-        """Whether Y(u,x1)Y(v,x2)w = q Y(v,x2)Y(u,x1)w on every basis w."""
-        profiles = self._records[0].get((u, v), ())[1::2]
-        return all(profile_exponent(profile, q) is None for profile in profiles)
+        """Whether Y(u,x1)Y(v,x2)w = q Y(v,x2)Y(u,x1)w on every basis w; memoized per (u, v, q)."""
+        if (u, v, q) not in self._first:
+            self._first[(u, v, q)] = next(self._failures(u, v, q), None)
+        return self._first[(u, v, q)] is None
+
+    def first_commutation_failure(self, u: int, v: int, q: Fraction) -> tuple | None:
+        """The first item of commutation_failures, or None, from the memoized verdict."""
+        return None if self.commutes(u, v, q) else self._sides(u, v, q, *self._first[(u, v, q)])
 
     def commutation_failures(self, u: int, v: int, q: Fraction):
         """(w, exponent, lhs, rhs) on each basis w where commutation fails, in increasing w.
 
         The exponent is the least differing one, and lhs and rhs are sparse.
         """
-        index = self.index
-        flat = self._records[0].get((u, v), ())
-        for w, profile in zip(flat[::2], flat[1::2]):
-            e = profile_exponent(profile, q)
-            if e is not None:
-                rhs = scale(q, mode_pair(index, v, u, w, e[::-1])) if q else {}
-                yield w, e, mode_pair(index, u, v, w, e), rhs
+        return (self._sides(u, v, q, *found) for found in self._failures(u, v, q))
+
+    def _sides(self, u: int, v: int, q: Fraction, w: int, e) -> tuple:
+        rhs = scale(q, mode_pair(self.index, v, u, w, e[::-1])) if q else {}
+        return w, e, mode_pair(self.index, u, v, w, e), rhs
 
     def assoc_failing(self, u: int, v: int) -> dict:
         """{w: sparse first difference} of the triples (u, v, w) that are not weakly associative."""

@@ -21,11 +21,29 @@ tests that compare against them:
 - `dense_witness`, the Witness of a dense first difference, its two sides
   read back through `support`, as the checks build it from sparse ones;
 - `sparse_columns` and `dense_matrix`, a square dense matrix as the sparse
-  columns a derivation or a group element is given by, and back.
+  columns a derivation or a group element is given by, and back;
+- `reference_d_bracket` and `reference_skew_symmetry`, the translation
+  bracket and skew-symmetry checks as they compared both sides on every
+  basis pair, before the pairs the mode index names no entry for were
+  decided in closed form; the skew copy reads locality off the analysis's
+  walk of every profile (`commutation_failures`), not off its memoized
+  verdict.
 """
 
-from vertexcalc.algebra import d_sparse, dense_terms, sparse_modes
+from vertexcalc.algebra import (
+    add_term,
+    basis_modes,
+    d_columns,
+    d_sparse,
+    dense_terms,
+    mode_derivative,
+    skew_terms,
+    sparse_differences,
+    sparse_modes,
+    truncation_order,
+)
 from vertexcalc.linalg import ONE, dense_span, densify, integral, support, unit_vec
+from vertexcalc.pairs import pair_analysis
 from vertexcalc.report import CheckReport, Witness
 
 
@@ -137,3 +155,54 @@ def dense_matrix(cols):
         for r, c in col:
             rows[r][j] = c
     return tuple(densify(row, len(cols)) for row in rows)
+
+
+def reference_d_bracket(alg):
+    """Both translation identities, compared on every basis pair (i, j)."""
+    report = CheckReport("translation-bracket")
+    cols = d_columns(alg)
+    index = alg.mode_index
+    if d_vac := d_sparse(cols, ((alg.vacuum, ONE),)):
+        report.fail(Witness((alg.basis[alg.vacuum],), None, d_vac, {}, alg.basis))
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            base = basis_modes(index, i, j)
+            commutator = {n: d_sparse(cols, w.items()) for n, w in base.items()}
+            for n, w in sparse_modes(index, ((i, ONE),), cols[j]).items():
+                add_term(commutator, n, -1, w.items())
+            middle = sparse_modes(index, cols[i], ((j, ONE),))
+            for name, lhs, rhs in (
+                ("commutator-vs-middle", commutator, middle),
+                ("middle-vs-derivative", middle, mode_derivative(base)),
+            ):
+                for n, a, b in sparse_differences(lhs, rhs):
+                    report.fail(Witness((name, alg.basis[i], alg.basis[j]), (n,), a, b, alg.basis))
+    return report
+
+
+def reference_skew_symmetry(alg, u_idx, v_idx, q):
+    """Skew-symmetry with truncation, both sides built whatever the index holds for the pair."""
+    report = CheckReport(f"skew-symmetry[{alg.basis[u_idx]},{alg.basis[v_idx]}]")
+    q = integral(q)
+    pairs = pair_analysis(alg)
+    lhs = {(-n - 1,): w for n, w in basis_modes(alg.mode_index, u_idx, v_idx).items()}
+    modes = basis_modes(alg.mode_index, v_idx, u_idx)
+    rhs = {(m,): c for m, c in skew_terms(pairs.exp_images, modes, q).items()}
+    diff = next(sparse_differences(lhs, rhs), None)
+    report.exact = diff is None
+    if diff is not None:
+        report.fail(Witness((alg.basis[u_idx], alg.basis[v_idx]), *diff, alg.basis))
+    k_min = truncation_order(alg, u_idx, v_idx)
+    report.found_orders["truncation_k"] = k_min
+    if next(pairs.commutation_failures(u_idx, v_idx, q), None) is None:
+        report.found_orders["locality_k"] = 0
+        if k_min > 0:
+            report.fail(
+                Witness(
+                    (alg.basis[u_idx], alg.basis[v_idx]),
+                    None,
+                    "x^0 leaves negative powers",
+                    f"needs k >= {k_min}",
+                )
+            )
+    return report

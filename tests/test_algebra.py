@@ -29,11 +29,14 @@ from reference_tables import (
     mode_map,
     mode_matrix,
     product,
+    reference_d_bracket,
+    reference_skew_symmetry,
     subspace_is_subalgebra,
     table_of,
     term_differences,
 )
 
+import vertexcalc.algebra as algebra_module
 from vertexcalc.algebra import (
     AlgebraStructure,
     add_term,
@@ -899,6 +902,88 @@ def test_ut2_skew_failure_values(ut2):
     w = rep.witnesses[0]
     assert w.lhs == {2: 1}
     assert w.rhs == {}
+
+
+# -- pair-level closed forms against the all-pairs loops ------------------------------
+
+
+def _sparse_table_with_d(rng, dim):
+    """A sparse random table on e0..e{dim-1}, vacuum e0, with a nilpotent D.
+
+    About a quarter of the pairs carry one or two modes in [-3, 1].  D e_j,
+    the mode -2 of (j, vacuum), has coordinates only above j, so e^{xD}
+    terminates; D e_0 may be nonzero, which the bracket check reports.
+    """
+    index = {}
+    for i in range(dim):
+        for j in range(dim):
+            if rng.random() < 0.25:
+                index[(i, j)] = {
+                    n: [(k, rng.choice(_RATIONALS)) for k in rng.sample(range(dim), rng.randint(1, 2))]
+                    for n in rng.sample(range(-3, 2), rng.randint(1, 2))
+                }
+    for j in range(dim):
+        modes = index.setdefault((j, 0), {})
+        modes[-2] = [(k, rng.choice(_RATIONALS)) for k in range(j + 1, dim) if rng.random() < 0.4]
+    basis = tuple(f"e{k}" for k in range(dim))
+    return AlgebraStructure(basis=basis, vacuum=0, mode_index=index)
+
+
+def _reached_through_d(alg, i, j):
+    """Whether (i, j) has no index entry but (i, k) has one for e_k in D e_j, or (k, j) for e_k in D e_i."""
+    index, cols = alg.mode_index, d_columns(alg)
+    return (i, j) not in index and (
+        any((i, k) in index for k, _c in cols[j]) or any((k, j) in index for k, _c in cols[i])
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pair_closed_forms_equal_the_all_pairs_loops(seed):
+    rng = random.Random(2900 + seed)
+    seen = set()
+    for _ in range(25):
+        alg = _sparse_table_with_d(rng, rng.randint(3, 6))
+        got = check_d_bracket(alg)
+        assert got == reference_d_bracket(alg)
+        seen.add(("bracket", got.passed))  # random tables fail it; the fixtures pass it
+        pairs = list(itertools.product(range(alg.dim), repeat=2))
+        reached = [p for p in pairs if _reached_through_d(alg, *p)]
+        if reached:
+            seen.add("reached through D")
+            names = [w.where[1:] for w in got.witnesses if len(w.where) == 3]
+            if any((alg.basis[i], alg.basis[j]) in names for i, j in reached):
+                seen.add("witness reached through D")
+        for q in (F(1), F(-1), F(1, 3), F(0)):
+            for u, v in pairs:
+                rep = check_skew_symmetry(alg, u, v, q)
+                assert rep == reference_skew_symmetry(alg, u, v, q), (u, v, q)
+                closed = (u, v) not in alg.mode_index and (v, u) not in alg.mode_index
+                seen.add(("skew", closed, rep.passed))
+    assert {("bracket", False), "reached through D"} <= seen
+    assert "witness reached through D" in seen
+    assert {("skew", True, True), ("skew", False, True), ("skew", False, False)} <= seen
+
+
+def test_bracket_and_skew_visit_only_the_pairs_the_index_names(monkeypatch):
+    # matrix_algebra(a3, 3): 234 index entries among 729 ordered pairs; D
+    # reaches no pair outside them, and 318 pairs have (u, v) or (v, u) in it
+    visits = []
+    read = algebra_module.basis_modes
+
+    def counting(index, i, j):
+        visits.append((i, j))
+        return read(index, i, j)
+
+    monkeypatch.setattr(algebra_module, "basis_modes", counting)
+    m3 = matrix_algebra(parse_algebra_file(FIXTURES / "a3.json").alg, 3)
+    assert check_d_bracket(m3).passed
+    assert len(visits) == len(set(visits)) == len(m3.mode_index) == 234
+    assert set(visits) == set(m3.mode_index)
+    visits.clear()
+    for u, v in itertools.product(range(m3.dim), repeat=2):
+        check_skew_symmetry(m3, u, v, ONE_Q)
+    both = {(u, v) for u, v in m3.mode_index} | {(v, u) for u, v in m3.mode_index}
+    assert len(visits) == 2 * len(both) == 2 * 318
 
 
 # -- the q-Jacobi identity --------------------------------------------------------

@@ -12,11 +12,16 @@ analysis's own records are held equal to those of the per-pair walk it
 replaced (`reference_pairs`), and its scattered products and iterates to
 that walk's nonzero ones.  The closed forms the analysis decides most
 profiles and triples by are held equal to the loops on random term
-dictionaries, and their share of the work is counted.
+dictionaries, and their share of the work is counted.  The memoized
+commutation verdict of each (u, v, q) is held equal to the first failure of
+the walk over its profiles, and counted to walk them once; the binomial rows
+of weak associativity are held equal to `linalg.binom`, and counted to call
+it never.
 """
 
 import collections
 import itertools
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -35,6 +40,7 @@ from reference_pairs import (
 from reference_tables import dense_witness, index_from_dense, table_of, term_differences
 
 import vertexcalc.algebra as algebra_module
+import vertexcalc.linalg as linalg_module
 import vertexcalc.pairs as pairs_module
 from vertexcalc.algebra import (
     AlgebraStructure,
@@ -54,7 +60,7 @@ from vertexcalc.algebra import (
 )
 from vertexcalc.construct import matrix_algebra
 from vertexcalc.fileio import AlgebraBundle, parse_algebra_file
-from vertexcalc.linalg import ONE, densify
+from vertexcalc.linalg import ONE, binom, binom_row, densify
 from vertexcalc.modules import (
     ModuleStructure,
     adjoint_module,
@@ -348,7 +354,7 @@ def test_scatter_walk_builds_exactly_the_nonzero_products(name, alg, mod, qfuns)
             prods = {key: p for key, (p, _r, _i) in walk.items() if p}
             iterates = {key: i for key, (_p, _r, i) in walk.items() if i}
             assert scatter_products(index, cols, w, n) == prods, (name, w)
-            assert scatter_iterates(index, sources, w) == iterates, (name, w)
+            assert scatter_iterates(cols, sources, w) == iterates, (name, w)
 
 
 def test_one_analysis_serves_every_q():
@@ -556,3 +562,92 @@ def test_closed_forms_leave_few_pairs_to_walk(monkeypatch):
     pair_analysis(matrix_algebra(a3, 3))._records
     assert calls["commutation_profile"] == 2190 and calls["profile_walk"] <= 60
     assert calls["assoc_holds"] == 1510 and calls["assoc_sides"] <= 151
+
+
+# -- one commutation verdict per (u, v, q) -----------------------------------------------
+
+
+def _fixture_qfuns():
+    """(name, alg, per-pair q functions) on the seven fixtures, from-cocycle where it is defined."""
+    for name, alg, _mod, qfuns in CASES:
+        if name in NAMES:
+            yield name, alg, qfuns
+
+
+@pytest.mark.parametrize("name, alg, qfuns", list(_fixture_qfuns()), ids=NAMES)
+def test_the_memoized_first_failure_is_the_first_commutation_failure(name, alg, qfuns):
+    analysis = PairAnalysis(alg, alg)
+    basis = range(alg.dim)
+    failing = 0
+    for qfun in qfuns:
+        for u, v in itertools.product(basis, basis):
+            q = qfun(u, v)
+            want = next(analysis.commutation_failures(u, v, q), None)
+            for _ in range(2):  # the second read is the memo's
+                assert analysis.first_commutation_failure(u, v, q) == want, (name, u, v, q)
+                assert analysis.commutes(u, v, q) == (want is None)
+            failing += want is not None
+    assert len(qfuns) == (5 if name in ("z22_base", "z22_twist") else 4)
+    assert failing > 0
+
+
+def test_repeated_locality_calls_return_equal_witnesses():
+    for name in NAMES:
+        alg = parse_algebra_file(FIXTURES / f"{name}.json").alg
+        for u, v in itertools.product(range(alg.dim), repeat=2):
+            for q in QS:
+                first = find_locality_k(alg, u, v, q)
+                assert find_locality_k(alg, u, v, q) == first, (name, u, v, q)
+
+
+def test_locality_and_skew_walk_each_profile_list_once(monkeypatch):
+    walks = collections.Counter()
+    walk = PairAnalysis._failures
+
+    def counting(self, u, v, q):
+        walks[(u, v, q)] += 1
+        return walk(self, u, v, q)
+
+    monkeypatch.setattr(PairAnalysis, "_failures", counting)
+    a3 = parse_algebra_file(FIXTURES / "a3.json").alg
+    bundle = AlgebraBundle(alg=matrix_algebra(a3, 3), name="m3")
+    run_suite(bundle, "locality")
+    assert len(walks) == 729 and set(walks.values()) == {1}
+    run_suite(bundle, "skew")
+    assert len(walks) == 729 and set(walks.values()) == {1}
+
+
+# -- binomial rows ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_binomial_rows_equal_binom(seed):
+    rng = random.Random(seed)
+    for m in [0, 1, 2] + [rng.randint(3, 400) for _ in range(20)]:
+        assert binom_row(m) == [binom(m, i) for i in range(m + 1)], m
+        assert all(type(c) is int for c in binom_row(m))
+
+
+def test_assoc_sides_calls_no_binom(monkeypatch, tmp_path):
+    # a mode n = -1600 makes an outer exponent 1599: one row of 1600 coefficients
+    calls = []
+
+    def counting(n, i):
+        calls.append((n, i))
+        return binom(n, i)
+
+    monkeypatch.setattr(linalg_module, "binom", counting)
+    monkeypatch.setattr(algebra_module, "binom", counting, raising=False)
+    prod = {(1599, -1): {0: 1}, (-2, 0): {1: Fraction(1, 2)}}
+    iterate = {(3, -2): {2: -1}}
+    lhs, rhs = assoc_sides(prod, iterate)
+    assert calls == []
+    assert lhs[(1599 + 2 - 5, 4)] == {0: binom(1601, 5)}
+    assert rhs == {(3 + 2 - i, -2 + i): {2: -binom(2, i)} for i in range(3)}
+    # a3 with Y(t,x)one's mode -2 moved to -1600: every row is built, none by binom
+    doc = json.loads((FIXTURES / "a3.json").read_text())
+    (entry,) = [e for e in doc["entries"] if (e["u"], e["v"], e["n"]) == ("t", "one", -2)]
+    entry["n"] = -1600
+    (tmp_path / "a3.json").write_text(json.dumps(doc))
+    report = run_suite(parse_algebra_file(tmp_path / "a3.json"), "axioms")
+    assert calls == [] and len(report.records) == 4

@@ -407,8 +407,34 @@ def _missing_option(doc):
     del doc["options"]["local_products"]
 
 
+def _bogus_suite(doc):
+    doc["suite"] = "bogus"
+
+
+def _target_not_a_string(doc):
+    doc["target"] = 3
+
+
+def _id_not_a_string(doc):
+    doc["records"][0]["id"] = ["axioms", "structure"]
+
+
+def _identity_not_a_string(doc):
+    doc["records"][0]["identity"] = None
+
+
+def _verdict_not_a_string(doc):
+    doc["records"][0]["verdict"] = ["x"]
+
+
+def _unknown_kind(doc):
+    doc["records"][0]["kind"] = "nonsense"
+
+
 @pytest.mark.parametrize("damage", [_break_witnesses, _break_notes, _break_exact, _break_orders,
-                                    _stale_options, _missing_option])
+                                    _stale_options, _missing_option, _bogus_suite,
+                                    _target_not_a_string, _id_not_a_string, _identity_not_a_string,
+                                    _verdict_not_a_string, _unknown_kind])
 def test_cli_report_refuses_a_malformed_stored_report(damage, tmp_path, capsys):
     doc = _stored_axioms_report(capsys)
     path = tmp_path / "rep.json"
