@@ -262,8 +262,15 @@ def _fingerprint(op: VertexOperator) -> dict[tuple[int, int, int], Scalar]:
     }
 
 
-def _span_name(op: VertexOperator, k: int) -> str:
-    return "1_W" if k == 0 else (op.name or f"op{k}")
+def _span_name(k: int) -> str:
+    return "1_W" if k == 0 else f"op{k}"
+
+
+def _support(op: VertexOperator) -> tuple[frozenset[int], frozenset[int]]:
+    """(columns, rows) of op over all its modes: where its matrices read and write."""
+    rows = frozenset(r for mrows in op.rows.values() for r in mrows)
+    cols = frozenset(c for mrows in op.rows.values() for row in mrows.values() for c in row)
+    return cols, rows
 
 
 def closure(
@@ -286,24 +293,39 @@ def closure(
     least mode of a to -1, outside which a_n b vanishes.  Those words span
     the closure, so a verified product that escapes the span breaks that
     theorem and raises MalformedStructure, naming the pair and the mode.
-    A cap below 1 is an InvalidArgument.
+    The verification forms only the products generation has not, by three
+    invariants.  A pair whose supports do not meet, no column of a a row of
+    b (nor, for the local product, a column of b a row of a), has every
+    product zero and no endless tail, so neither generation nor the
+    verification forms one.  The vacuum axiom 1_{-1} b = b, with 1_W
+    carrying mode -1 alone, gives row 0 as (1_W)_{-1} e_j = e_j.  At the
+    fixpoint each generator g has met every span element at every mode
+    from its least to -1, and g_{-1} 1_W = g, so the row of the span
+    element equal to g reads the coordinates generation reduced its
+    products to, which are unique over the independent reps.
+    A cap below 1 is an InvalidArgument; a dim the generators do not act
+    on is NotCompatible.
     """
     if dim_cap < 1:
         raise InvalidArgument(f"the dim cap must be at least 1, not {dim_cap}")
-    if generators:
-        dims = {op.dim for op in generators}
-        if len(dims) != 1:
-            raise NotCompatible("generators act on different spaces")
-        dim = dims.pop()
-    elif dim is None:
-        raise MalformedStructure("an empty generating set needs the space dimension")
+    if dim is None:
+        if not generators:
+            raise MalformedStructure("an empty generating set needs the space dimension")
+        dim = generators[0].dim
+    if any(op.dim != dim for op in generators):
+        raise NotCompatible(f"generators act on different spaces, not all of dimension {dim}")
     product = nth_product_local if local_products else nth_product
     one = identity_operator(dim)
 
     ops: list[VertexOperator] = [one]
+    supports = [_support(one)]
     coords = CoordSpan(coords=True)
     coords.insert(_fingerprint(one))
     rounds = 0
+
+    def meet(a: tuple, b: tuple) -> bool:
+        """Whether a_n b can be nonzero for some n, from the supports of a and b."""
+        return not a[0].isdisjoint(b[1]) or (local_products and not b[0].isdisjoint(a[1]))
 
     def ended(status: str, note: str) -> ClosureResult:
         exact = status == STATUS_INFINITE
@@ -322,33 +344,62 @@ def closure(
     # the span elements each generator has met: its products with them are
     # already in the span, so a round applies it only to the ones added since
     done = [0] * len(generators)
+    gen_supports = [_support(g) for g in generators]
+    # made[k][j]: the nonzero modes n of g_k's products with span element j,
+    # descending, each as its coordinates over the reps; absent when the
+    # supports do not meet
+    made: list[dict[int, dict[int, dict[int, Scalar]]]] = [{} for _ in generators]
     while True:
         rounds += 1
         grew = False
         for k, g in enumerate(generators):
             start, done[k] = done[k], len(ops)
             for j in range(start, done[k]):
+                if not meet(gen_supports[k], supports[j]):
+                    continue
                 beta = ops[j]
-                if stop := endless(g, g.name or f"generator {k}", beta, _span_name(beta, j)):
+                if stop := endless(g, g.name or f"generator {k}", beta, _span_name(j)):
                     return stop
+                modes = made[k][j] = {}
                 # descending modes discover a, then its derivatives, in order
                 for n in range(-1, min(g.rows, default=0) - 1, -1):
                     cand = product(g, beta, n)
                     if cand.is_zero():
                         continue
-                    if coords.insert(_fingerprint(cand)) is None:
+                    sol = coords.insert(_fingerprint(cand))
+                    if sol is None:  # the product is the new rep len(ops)
+                        sol = {len(ops): 1}
                         ops.append(cand)
+                        supports.append(_support(cand))
                         grew = True
                         if len(ops) > dim_cap:
                             return ended(STATUS_CAP, f"span exceeded the cap of {dim_cap}")
+                    modes[n] = sol
         if not grew:
             break
 
-    # pairwise closure verification over each pair's exact mode range
-    names = [_span_name(op, k) for k, op in enumerate(ops)]
-    index: ModeIndex = {}
-    for i, alpha in enumerate(ops):
+    # the span element equal to each generator: g_{-1} 1_W, when it is one rep
+    generator_rows: dict[int, int] = {}
+    for k, g in enumerate(generators):
+        for i, c in made[k].get(0, {}).get(-1, {}).items():
+            if c == 1 and ops[i].equal(g):
+                generator_rows.setdefault(i, k)
+
+    # pairwise closure verification over each pair's exact mode range; row 0
+    # is the vacuum axiom
+    names = [_span_name(k) for k in range(len(ops))]
+    index: ModeIndex = {
+        (0, j): {-1: ((j, 1),)} for j in range(len(ops)) if meet(supports[0], supports[j])
+    }
+    for i in range(1, len(ops)):
+        alpha, k = ops[i], generator_rows.get(i)
         for j, beta in enumerate(ops):
+            if not meet(supports[i], supports[j]):
+                continue
+            if k is not None:  # generation formed and reduced this row
+                if modes := made[k].get(j):
+                    index[(i, j)] = {n: sol.items() for n, sol in reversed(modes.items())}
+                continue
             if stop := endless(alpha, names[i], beta, names[j]):
                 return stop
             modes = {}
@@ -364,17 +415,8 @@ def closure(
                 modes[n] = sol.items()
             if modes:
                 index[(i, j)] = modes
-    seen: dict[str, int] = {}
-    named = []
-    for name in names:
-        if name in seen:
-            seen[name] += 1
-            named.append(f"{name}.{seen[name]}")
-        else:
-            seen[name] = 0
-            named.append(name)
     structure = AlgebraStructure(
-        basis=tuple(named),
+        basis=tuple(names),
         vacuum=0,
         mode_index=index,
         meta={"source": "operator-closure"},

@@ -16,22 +16,43 @@ distributions:
   operator from dense mode matrices and read a closure's action off them;
 - `dense_operator` and `dense_modes`, an operator from dense mode matrices
   and its nonzero modes as dense matrices, the dense constructor and view
-  the package had before an operator took only its sparse rows.
+  the package had before an operator took only its sparse rows;
+- `reference_closure`, the closure that forms every product of every
+  generator with every span element and then verifies every ordered pair
+  of span elements at every mode of its range, with no pair skipped and no
+  row read off generation.
 """
 
 from fractions import Fraction
 
 from reference_tables import index_from_dense, mode_matrix, table_of, term_differences
 
-from vertexcalc.algebra import Terms, add_term
-from vertexcalc.errors import MalformedStructure
-from vertexcalc.linalg import binom, densify, integral, mat_mul, mat_scale, mat_vec, support
+from vertexcalc.algebra import AlgebraStructure, Terms, add_term
+from vertexcalc.errors import MalformedStructure, NotCompatible
+from vertexcalc.linalg import (
+    CoordSpan,
+    binom,
+    densify,
+    integral,
+    mat_mul,
+    mat_scale,
+    mat_vec,
+    support,
+)
 from vertexcalc.modules import ModuleStructure
 from vertexcalc.operators import (
+    STATUS_CAP,
+    STATUS_CLOSED,
+    STATUS_INFINITE,
+    ClosureResult,
+    OperatorSpan,
     VertexOperator,
+    _fingerprint,
     endless_modes,
     find_compat_order,
+    identity_operator,
     nth_product,
+    nth_product_local,
 )
 from vertexcalc.report import CheckReport, Witness
 from vertexcalc.series import Window, binom_expand, from_terms, mul, power_expand
@@ -200,3 +221,80 @@ def dense_closure_module(result):
     return ModuleStructure(
         basis=basis, mode_index=index_from_dense(action, dim_w), meta={"source": "closure"}
     )
+
+
+# -- the all-pairs closure -------------------------------------------------------
+
+
+def reference_closure(generators, dim_cap=64, local_products=False, dim=None):
+    """The closure forming every product: every generator against every span
+    element in generation, then every ordered pair of span elements at every
+    mode from the least mode of the first to -1 in the verification."""
+    if generators:
+        dims = {op.dim for op in generators}
+        if len(dims) != 1:
+            raise NotCompatible("generators act on different spaces")
+        dim = dims.pop()
+    product = nth_product_local if local_products else nth_product
+    one = identity_operator(dim)
+    ops = [one]
+    coords = CoordSpan(coords=True)
+    coords.insert(_fingerprint(one))
+    rounds = 0
+
+    def names(k):
+        return "1_W" if k == 0 else f"op{k}"
+
+    def ended(status, note):
+        exact = status == STATUS_INFINITE
+        return ClosureResult(OperatorSpan(ops, coords), None, status, exact, rounds, [note])
+
+    def endless(a, a_name, b, b_name):
+        modes = endless_modes(a, b, local_products)
+        if modes is None:
+            return None
+        return ended(
+            STATUS_INFINITE,
+            f"modes {modes} of ({a_name}, {b_name}) compose to nonzero: "
+            "their n-th products are nonzero at infinitely many n",
+        )
+
+    done = [0] * len(generators)
+    while True:
+        rounds += 1
+        grew = False
+        for k, g in enumerate(generators):
+            start, done[k] = done[k], len(ops)
+            for j in range(start, done[k]):
+                if stop := endless(g, g.name or f"generator {k}", ops[j], names(j)):
+                    return stop
+                for n in range(-1, min(g.rows, default=0) - 1, -1):
+                    cand = product(g, ops[j], n)
+                    if not cand.is_zero() and coords.insert(_fingerprint(cand)) is None:
+                        ops.append(cand)
+                        grew = True
+                        if len(ops) > dim_cap:
+                            return ended(STATUS_CAP, f"span exceeded the cap of {dim_cap}")
+        if not grew:
+            break
+    index = {}
+    for i, alpha in enumerate(ops):
+        for j, beta in enumerate(ops):
+            if stop := endless(alpha, names(i), beta, names(j)):
+                return stop
+            modes = {}
+            for n in range(min(alpha.rows, default=0), 0):
+                prod = product(alpha, beta, n)
+                if prod.is_zero():
+                    continue
+                escape, sol = coords.reduce(_fingerprint(prod))
+                if escape:
+                    raise MalformedStructure(
+                        f"product ({names(i)}, {names(j)}) at mode {n} escapes the generated span"
+                    )
+                modes[n] = sol.items()
+            if modes:
+                index[(i, j)] = modes
+    basis = tuple(names(k) for k in range(len(ops)))
+    structure = AlgebraStructure(basis, 0, index, meta={"source": "operator-closure"})
+    return ClosureResult(OperatorSpan(ops, coords), structure, STATUS_CLOSED, True, rounds)

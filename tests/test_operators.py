@@ -25,6 +25,7 @@ from reference_operators import (
     derivative,
     exps,
     product_distribution,
+    reference_closure,
     truncated_t,
 )
 from reference_tables import apply_mode, mat_add, table_of
@@ -32,7 +33,7 @@ from vertexcalc.algebra import check_jacobi, generate_subalgebra, validate_struc
 from vertexcalc import operators
 from vertexcalc.construct import matrix_algebra
 from vertexcalc.errors import InvalidArgument, MalformedStructure, NotCompatible
-from vertexcalc.fileio import parse_algebra_file
+from vertexcalc.fileio import algebra_to_data, canonical_json, parse_algebra_file
 from vertexcalc.fixtures import matrix_over_a3, truncated_poly_3, upper_triangular_2
 from vertexcalc.linalg import mat_mul, mat_scale, unit_vec
 from vertexcalc.modules import adjoint_module, check_module, wn_module
@@ -648,18 +649,28 @@ def test_closure_rejects_empty_range_and_caps_below_one(yt, dim_cap):
         closure([yt], dim_cap=dim_cap)
 
 
+def test_closure_refuses_a_dim_its_generators_do_not_act_on(yt):
+    with pytest.raises(NotCompatible):
+        closure([yt], dim=4)
+    assert closure([yt], dim=3).span.rank == 3
+
+
 def test_a_product_escaping_the_generated_span_is_an_error(monkeypatch, yt):
     # the words of generator modes on 1_W span the closure, so no verified
-    # product can escape; one made to escape raises, naming the pair and mode
+    # product can escape; one made to escape raises, naming the pair and mode.
+    # The rows of 1_W and of op1 = yt are read off, not formed, so the leak
+    # sits in the row of op2, which generation never applies
+    victim = closure([yt]).span.operators[2]
+    assert not victim.equal(yt)
     residue = operators._residue_product
 
     def leaking(a, b, n, local):
-        if a.name == "1_W":  # generation applies only generator modes
+        if a.equal(victim):
             return VertexOperator(a.dim, {99: {0: {0: 1}}})
         return residue(a, b, n, local)
 
     monkeypatch.setattr(operators, "_residue_product", leaking)
-    with pytest.raises(MalformedStructure, match=r"product \(1_W, 1_W\) at mode -1 escapes"):
+    with pytest.raises(MalformedStructure, match=r"product \(op2, 1_W\) at mode -1 escapes"):
         closure([yt])
 
 
@@ -797,3 +808,143 @@ def test_endless_modes_decides_the_far_products_and_the_closure():
             assert validate_structure(res.structure).passed
             assert check_module(res.structure, closure_module(res)).passed
     assert statuses.get("closed", 0) > 20 and statuses.get("infinite-dimensional", 0) > 20, statuses
+
+
+def _assert_same_closure(got, ref):
+    assert (got.status, got.certified, got.rounds, got.notes) == (
+        ref.status,
+        ref.certified,
+        ref.rounds,
+        ref.notes,
+    )
+    assert got.span.rank == ref.span.rank
+    assert [op.rows for op in got.span.operators] == [op.rows for op in ref.span.operators]
+    if ref.structure is None:
+        assert got.structure is None
+        return
+    assert got.structure.basis == ref.structure.basis
+    assert table_of(got.structure) == table_of(ref.structure)
+    # the stored index, in key and mode order
+    assert [(key, list(m.items())) for key, m in got.structure.mode_index.items()] == [
+        (key, list(m.items())) for key, m in ref.structure.mode_index.items()
+    ]
+    data = [canonical_json(algebra_to_data(res.structure)) for res in (got, ref)]
+    assert data[0] == data[1]
+
+
+def _nilpotent_operator(rng, dim, modes):
+    """An operator with strictly upper triangular random modes: its words of
+    length dim vanish, so below mode 0 its closure is finite."""
+
+    def entry(r, c):
+        return rng.choice((-1, 1, 2)) if c > r and rng.random() < 0.6 else 0
+
+    return dense_operator(
+        dim, {n: tuple(tuple(entry(r, c) for c in range(dim)) for r in range(dim)) for n in modes}
+    )
+
+
+def test_closure_equals_the_all_pairs_reference(yt, yt2):
+    # the verification skips pairs whose supports do not meet and reads the
+    # vacuum row and the generator rows off invariants; the all-pairs loop,
+    # which forms every product, is the oracle
+    m, ut2 = matrix_over_a3(), upper_triangular_2()
+    sets = [
+        [operator_from_structure(m, m.basis_index(nm)) for nm in names]
+        for names in M2A3_GENERATOR_SETS
+    ]
+    # repeated generators, one inside the span of another, and 1_W itself
+    sets += [[yt, yt], [yt2, yt], [identity_operator(3), yt]]
+    sets.append([operator_from_structure(ut2, i) for i in (1, 2)])
+    for gens in sets:
+        for local in (False, True):
+            res = closure(gens, local_products=local)
+            _assert_same_closure(res, reference_closure(gens, local_products=local))
+    _assert_same_closure(closure([], dim=0), reference_closure([], dim=0))
+    rng = random.Random(30)
+    statuses = {}
+    for case in range(200):
+        dim = rng.choice((2, 3))
+        if case % 2:  # below mode 0 only, or with endless tails
+            modes = range(-3, rng.choice((0, 1)))
+            make, caps = _sign_operator, (16, 64) if case % 16 == 1 else (16,)
+        else:
+            modes, make, caps = range(-3, 0), _nilpotent_operator, (16, 64)
+        gens = [
+            make(rng, dim, rng.sample(modes, rng.choice((1, 2))))
+            for _ in range(rng.choice((1, 2)))
+        ]
+        for local in (False, True):
+            for dim_cap in caps:
+                res = closure(gens, dim_cap=dim_cap, local_products=local)
+                _assert_same_closure(
+                    res, reference_closure(gens, dim_cap=dim_cap, local_products=local)
+                )
+                statuses[res.status] = statuses.get(res.status, 0) + 1
+    assert sum(statuses.values()) >= 300
+    assert min(statuses.values()) >= 30 and len(statuses) == 3, statuses
+
+
+def test_verification_forms_only_the_products_generation_has_not(monkeypatch):
+    # on the benchmark's generator sets the all-pairs loop forms 331 products
+    # per pass; the closure forms none in the vacuum row or a generator row
+    m = matrix_over_a3()
+    residue = operators._residue_product
+    formed = []
+
+    def counting(a, b, n, local):
+        formed.append(a)
+        return residue(a, b, n, local)
+
+    monkeypatch.setattr(operators, "_residue_product", counting)
+    counts = {reference_closure: 0, closure: 0}
+    for names in M2A3_GENERATOR_SETS:
+        gens = [operator_from_structure(m, m.basis_index(nm)) for nm in names]
+        for close in counts:
+            formed.clear()
+            res = close(gens)
+            counts[close] += len(formed)
+        ops = res.span.operators
+        read_off = [ops[0]] + [op for op in ops if any(op.equal(g) for g in gens)]
+        assert len(read_off) == 1 + len(gens)
+        assert not [a for a in formed if any(a is op for op in read_off)]
+    assert counts[reference_closure] == 331
+    assert counts[closure] <= 150, counts
+
+
+def _masked_operator(rng, dim, rows, cols):
+    """An operator at two random modes, each with a nonzero entry, that writes
+    only the given rows and reads only the given columns."""
+    modes = {}
+    for n in rng.sample(range(-3, 3), 2):
+        keep = (rng.choice(sorted(rows)), rng.choice(sorted(cols)))
+
+        def entry(r, c):
+            if (r, c) == keep or (r in rows and c in cols and rng.random() < 0.5):
+                return rng.choice((-1, 1))
+            return 0
+
+        modes[n] = tuple(tuple(entry(r, c) for c in range(dim)) for r in range(dim))
+    return dense_operator(dim, modes)
+
+
+def test_vacuum_creation_and_disjoint_supports_in_closed_form():
+    # 1_{-1} b = b and b_{-1} 1_W = b for both products; and a pair where no
+    # column of a is a row of b, nor a column of b a row of a, has every
+    # product zero and no endless tail, in both products
+    rng = random.Random(31)
+    for _ in range(200):
+        dim = rng.choice((2, 3, 4))
+        rows_a, cols_a = (set(rng.sample(range(dim), rng.randint(1, dim - 1))) for _ in "rc")
+        rows_b, cols_b = (
+            set(rng.sample(pool, rng.randint(1, len(pool))))
+            for pool in (sorted(set(range(dim)) - cols_a), sorted(set(range(dim)) - rows_a))
+        )
+        a = _masked_operator(rng, dim, rows_a, cols_a)
+        b = _masked_operator(rng, dim, rows_b, cols_b)
+        one = identity_operator(dim)
+        for local, product in ((False, nth_product), (True, nth_product_local)):
+            assert product(one, b, -1).equal(b)
+            assert product(a, one, -1).equal(a)
+            assert endless_modes(a, b, local) is None
+            assert all(product(a, b, n).is_zero() for n in range(-8, 4))
