@@ -632,10 +632,9 @@ def check_jacobi(alg: AlgebraStructure, u_idx: int, v_idx: int, q: Fraction) -> 
     """
     report = CheckReport(f"jacobi[{alg.basis[u_idx]},{alg.basis[v_idx]};q={q}]")
     pairs = _analysis(alg)
-    halves = {
-        w: ("commutation", diff)
-        for w, *diff in pairs.commutation_failures(u_idx, v_idx, integral(q))
-    }
+    q = integral(q)
+    failing = () if pairs.commutes(u_idx, v_idx, q) else pairs.commutation_failures(u_idx, v_idx, q)
+    halves = {w: ("commutation", diff) for w, *diff in failing}
     for w in pairs.assoc_failing(u_idx, v_idx):
         if w not in halves:
             halves[w] = ("associativity", pairs.assoc_failure(u_idx, v_idx, w))

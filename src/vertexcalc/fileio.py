@@ -36,9 +36,14 @@ FORMAT_VERSION = 1
 RMAP_KINDS = ("identity", "cocycle-commutator", "tensor-swap", "cross-abelian")
 
 
-def parse_rational(s) -> Fraction:
+def parse_rational(s) -> int | Fraction:
+    """s as an int when int() reads it, else as Fraction(str(s)); any other value is a ParseError."""
     if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise ParseError(f"rational values must be strings or integers, got {s!r}")
+    try:
+        return int(s)  # Fraction reads every integer string int() does, with the same value
+    except ValueError:
+        pass
     try:
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
@@ -340,16 +345,18 @@ def _rmap_spec(spec, bundle: AlgebraBundle) -> dict:
 
 
 def read_json(path: str | Path):
-    """Decoded JSON from a file; an unreadable or invalid file is a ParseError."""
+    """Decoded JSON from a file; a file that cannot be read, decoded or parsed is a ParseError."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
 
 
 def parse_algebra_file(path: str | Path) -> AlgebraBundle:

@@ -10,15 +10,17 @@ lookup per pair; the columns hold each mode in exponent form, so the walk
 reads each exponent once.  It records for which q each triple commutes
 (commutation_profile: every q, one rational, or none, so one analysis serves
 every q) and the first difference of each triple that is not weakly
-associative, and drops the products; empty or equal sides give a profile in
-closed form, and a triple whose product has only outer exponent 0 is decided
-by one equality (assoc_holds).  The first failing (w, exponent) of each
-(u, v, q) a check asks about is memoized, so locality, skew-symmetry and the
-locality transfer walk its profiles once.  The commutation half of the Jacobi-like
-identity routes its reversed side through an R-map, so no profile decides it:
-it reads the same scatter again, one w at a time (PairAnalysis.products).  The
-analysis is held by the structure it acts through, like the mode index, and
-lives as long as the structure.
+associative, and drops the products.  The (v, u) relation is the (u, v) one
+with x1 and x2 exchanged and q inverted, so each unordered pair is decided
+once per w (pair_profiles), in closed form when a side is empty or both are
+equal; a triple whose product has only outer exponent 0 is decided by one
+equality (assoc_holds).  A pair's profiles reduce to the one q it commutes
+for, if any, so commutes is a dict read and only a failing (u, v, q) walks
+its profiles, once.  The commutation half of the Jacobi-like identity routes
+its reversed side through an R-map, so no profile decides it: it reads the
+same scatter again, one w at a time (PairAnalysis.products).  The analysis
+is held by the structure it acts through, like the mode index, and lives as
+long as the structure.
 """
 
 from __future__ import annotations
@@ -69,10 +71,10 @@ def commutation_profile(lhs: Terms, rhs: Terms) -> tuple:
     leaves unsolved when q_1 is not None.  So the relation holds for every q
     when the profile is empty, for exactly q_1 when it is (q_1, e_1) with
     q_1 not None, and for no q otherwise; and for each q it fails for, its
-    least differing exponent is the first e_i whose q_i is not q
-    (profile_exponent).  With no empty vector in either side, as the scatter
-    leaves them, empty or equal sides are closed forms and only two
-    different nonzero sides are walked (profile_walk).
+    least differing exponent is the first e_i whose q_i is not q.  With no
+    empty vector in either side, as the scatter leaves them, empty or equal
+    sides are closed forms and only two different nonzero sides are walked
+    (profile_walk).
     """
     if not rhs:
         return (None, min(lhs)) if lhs else ()
@@ -98,12 +100,29 @@ def profile_walk(lhs: Terms, rhs: Terms) -> tuple:
     return out
 
 
-def profile_exponent(profile: tuple, q: Fraction):
-    """The least exponent at which lhs = q rhs fails, from its commutation_profile; None if it holds."""
-    for qe, e in zip(profile[::2], profile[1::2]):
-        if qe != q:
-            return e
-    return None
+def swapped(terms: Terms) -> Terms:
+    """terms with its two exponents exchanged: Y(v,x1)Y(u,x2)w read as Y(v,x2)Y(u,x1)w."""
+    return {(e2, e1): x for (e1, e2), x in terms.items()}
+
+
+def pair_profiles(puv: Terms, pvu: Terms) -> tuple[tuple, tuple]:
+    """Both commutation_profiles of a pair u != v, from puv = Y(u,x1)Y(v,x2)w and pvu.
+
+    The (v, u) relation is the (u, v) one with x1 and x2 exchanged and q
+    inverted, so one comparison of puv (nonzero) with pvu read swapped
+    decides both: (None, e) and (0, e') when pvu is zero, (1, e) twice when
+    they are equal, each e least in its own (x1, x2) order.  Only two
+    different nonzero sides are swapped and walked, once in each direction.
+    """
+    if not pvu:
+        return (None, min(puv)), (0, min([(e2, e1) for e1, e2 in puv]))
+    if len(puv) == len(pvu):
+        for (e1, e2), x in puv.items():
+            if pvu.get((e2, e1)) != x:
+                break
+        else:
+            return (1, min(puv)), (1, min(pvu))
+    return profile_walk(puv, swapped(pvu)), profile_walk(pvu, swapped(puv))
 
 
 def mode_pair(index: ModeIndex, u: int, v: int, w: int, e) -> SparseVec:
@@ -213,11 +232,11 @@ class PairAnalysis:
     u and v range over the basis of `alg`, which also gives the iterates
     Y(Y(u,x0)v,x2)w; w ranges over the basis of `act`, the acting table
     (alg itself or a module).  On first use, one walk over w builds each
-    w's nonzero products and iterates, flips each product once, decides
-    commutation only on the pairs with a nonzero product or reversed
-    product and associativity only on those with a nonzero product or
-    iterate (every other pair holds the relation on that w), records two
-    things and drops the products:
+    w's nonzero products and iterates, decides commutation once per
+    unordered pair with a nonzero product or reversed product
+    (pair_profiles) and associativity only on the pairs with a nonzero
+    product or iterate (every other pair holds the relation on that w),
+    records two things and drops the products:
     - commutation: for each ordered (u, v) and each w on which
       Y(u,x1)Y(v,x2)w = q Y(v,x2)Y(u,x1)w does not hold for every q, its
       commutation_profile.  A profile names the q it holds for, if any, so
@@ -226,10 +245,12 @@ class PairAnalysis:
       first difference (exponent, lhs, rhs).  assoc_holds decides each
       triple at order 0 by one equality, else by one accumulator of the
       sides' difference; the sides are built only for a failing one.
-    It keeps no product: a profile is at most two (q, exponent) pairs, only
-    a failing triple keeps sparse vectors, its first difference, and the
-    verdict of each (u, v, q) asked about is memoized as its first failing
-    (w, exponent), or None (commutes).  A commutation witness is rebuilt
+    It keeps no product: a profile is at most two (q, exponent) pairs, and
+    only a failing triple keeps sparse vectors, its first difference.  Each
+    recorded pair's profiles reduce to the one q it commutes for on every w,
+    or to none (_pair_q), so commutes is a dict read; only a failing
+    (u, v, q) walks its profiles, and its first failing (w, exponent) is
+    memoized when a check asks for it.  A commutation witness is rebuilt
     when a check asks for it, from the two coefficients at its exponent
     (mode_pair).  `exp_images` holds e^{xD} e_k for every basis vector of
     alg, failing_middle reads the least failing middle argument of each
@@ -248,7 +269,7 @@ class PairAnalysis:
         self.n = alg.dim
         self.dim = act.dim
         self.cols = d_columns(alg)
-        self._first: dict = {}  # (u, v, q): (w, exponent) of the first failure, or None
+        self._first: dict = {}  # (u, v, q): (w, exponent) of the first failure
 
     @cached_property
     def exp_images(self) -> list[Terms]:
@@ -276,13 +297,16 @@ class PairAnalysis:
         for w in range(self.dim):
             prods = self.products(w)
             iterates = scatter_iterates(self.acting_columns, sources, w)
-            # Y(v,x2)Y(u,x1)w on the (x1, x2) grid, keyed by (u, v)
-            flipped = {(v, u): {(b, a): c for (a, b), c in p.items()} for (u, v), p in prods.items()}
             # every other pair has a zero product and reversed product
-            for key in prods.keys() | flipped.keys():
-                profile = commutation_profile(prods.get(key, {}), flipped.get(key, {}))
-                if profile:
-                    commute.setdefault(key, []).extend((w, shared.setdefault(profile, profile)))
+            for (u, v), puv in prods.items():
+                pvu = prods.get((v, u), {})
+                if u == v:
+                    p = commutation_profile(puv, swapped(puv))
+                    commute.setdefault((u, u), []).extend((w, shared.setdefault(p, p)))
+                elif u < v or not pvu:  # else decided with (v, u)
+                    p, r = pair_profiles(puv, pvu)
+                    commute.setdefault((u, v), []).extend((w, shared.setdefault(p, p)))
+                    commute.setdefault((v, u), []).extend((w, shared.setdefault(r, r)))
             # every other pair has a zero product and iterate
             for key in prods.keys() | iterates.keys():
                 prod, iterate = prods.get(key, {}), iterates.get(key, {})
@@ -300,22 +324,36 @@ class PairAnalysis:
                 first.setdefault((u, w), v)
         return first
 
+    @cached_property
+    def _pair_q(self) -> dict:
+        """{(u, v): the one q the pair commutes for on every w, or None}, for each recorded pair."""
+        closed = {}
+        for key, flat in self._records[0].items():
+            qs = {profile[0] if len(profile) == 2 else None for profile in flat[1::2]}
+            closed[key] = qs.pop() if len(qs) == 1 else None
+        return closed
+
     def _failures(self, u: int, v: int, q: Fraction):
         """(w, exponent) on each basis w where commutation fails, in increasing w."""
         flat = self._records[0].get((u, v), ())
         for w, profile in zip(flat[::2], flat[1::2]):
-            if (e := profile_exponent(profile, q)) is not None:
-                yield w, e
+            # the least differing exponent is the first e_i whose q_i is not q
+            for qe, e in zip(profile[::2], profile[1::2]):
+                if qe != q:
+                    yield w, e
+                    break
 
     def commutes(self, u: int, v: int, q: Fraction) -> bool:
-        """Whether Y(u,x1)Y(v,x2)w = q Y(v,x2)Y(u,x1)w on every basis w; memoized per (u, v, q)."""
-        if (u, v, q) not in self._first:
-            self._first[(u, v, q)] = next(self._failures(u, v, q), None)
-        return self._first[(u, v, q)] is None
+        """Whether Y(u,x1)Y(v,x2)w = q Y(v,x2)Y(u,x1)w on every basis w; a dict read (_pair_q)."""
+        return self._pair_q.get((u, v), q) == q
 
     def first_commutation_failure(self, u: int, v: int, q: Fraction) -> tuple | None:
-        """The first item of commutation_failures, or None, from the memoized verdict."""
-        return None if self.commutes(u, v, q) else self._sides(u, v, q, *self._first[(u, v, q)])
+        """The first item of commutation_failures, or None; a failure's (w, exponent) is memoized."""
+        if self.commutes(u, v, q):
+            return None
+        if (u, v, q) not in self._first:
+            self._first[(u, v, q)] = next(self._failures(u, v, q))
+        return self._sides(u, v, q, *self._first[(u, v, q)])
 
     def commutation_failures(self, u: int, v: int, q: Fraction):
         """(w, exponent, lhs, rhs) on each basis w where commutation fails, in increasing w.

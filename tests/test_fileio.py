@@ -50,6 +50,35 @@ def test_parse_rational_values():
     assert format_rational(Fraction(4)) == "4"
 
 
+# integer strings int() reads (with Arabic-Indic 3 and fullwidth 12), other
+# rationals, and strings both refuse (superscript 2 among them)
+RATIONAL_EDGES = (
+    "0", "-0", "7", " 1", "+1", "-3 ", "\t7\n", "1_0", "\u0663", "\uff11\uff12", "0007", 10**40,
+    -2,
+    "3/4", "-6/4", "3/1", " 2/3 ", "1.5", "1e3", "\u0663/\u0664", "1_0/3",
+    "", " ", "1/0", "- 1", "NaN", "inf", "\u00b2", "1__0", "_1", "1_", "0x10", "1/", "/2", "1 / 2",
+)
+
+
+def test_parse_rational_agrees_with_fraction():
+    from fractions import Fraction
+
+    for s in RATIONAL_EDGES:
+        try:
+            want = Fraction(str(s))
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ParseError):
+                parse_rational(s)
+            continue
+        try:
+            int(s)
+            kind = int
+        except ValueError:
+            kind = Fraction
+        got = parse_rational(s)
+        assert (got, type(got)) == (want, kind), s
+
+
 def test_zero_denominator_is_a_parse_error():
     with pytest.raises(ParseError):
         parse_rational("1/0")

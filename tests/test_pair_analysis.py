@@ -12,9 +12,11 @@ analysis's own records are held equal to those of the per-pair walk it
 replaced (`reference_pairs`), and its scattered products and iterates to
 that walk's nonzero ones.  The closed forms the analysis decides most
 profiles and triples by are held equal to the loops on random term
-dictionaries, and their share of the work is counted.  The memoized
-commutation verdict of each (u, v, q) is held equal to the first failure of
-the walk over its profiles, and counted to walk them once; the binomial rows
+dictionaries, and their share of the work is counted.  The closed-form
+commutation verdict of each (u, v, q) is held equal to "every profile of the
+per-pair walk admits q", its memoized first failure to the first failure of
+the walk over its profiles, and only failing ones are counted to walk them,
+once; the binomial rows
 of weak associativity are held equal to `linalg.binom`, and counted to call
 it never.
 """
@@ -540,8 +542,9 @@ def test_sparse_differences_equals_the_full_walk(seed):
 
 
 def test_closed_forms_leave_few_pairs_to_walk(monkeypatch):
-    # matrix_algebra(a3, 3): most profiles have an empty or an equal side, and
-    # most triples have every outer exponent 0
+    # matrix_algebra(a3, 3): each unordered pair is decided once per w, and
+    # most have an empty or an equal side; most triples have every outer
+    # exponent 0
     calls = collections.Counter()
 
     def counting(module, name):
@@ -553,6 +556,7 @@ def test_closed_forms_leave_few_pairs_to_walk(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapped)
 
+    counting(pairs_module, "pair_profiles")
     counting(pairs_module, "commutation_profile")
     counting(pairs_module, "profile_walk")
     counting(pairs_module, "assoc_holds")
@@ -560,7 +564,9 @@ def test_closed_forms_leave_few_pairs_to_walk(monkeypatch):
     counting(algebra_module, "assoc_sides")
     a3 = parse_algebra_file(FIXTURES / "a3.json").alg
     pair_analysis(matrix_algebra(a3, 3))._records
-    assert calls["commutation_profile"] == 2190 and calls["profile_walk"] <= 60
+    # 1,061 pairs u != v and 68 pairs u = v, for 2,190 ordered profiles
+    assert calls["pair_profiles"] == 1061 and calls["commutation_profile"] == 68
+    assert calls["profile_walk"] <= 60
     assert calls["assoc_holds"] == 1510 and calls["assoc_sides"] <= 151
 
 
@@ -591,6 +597,23 @@ def test_the_memoized_first_failure_is_the_first_commutation_failure(name, alg, 
     assert failing > 0
 
 
+@pytest.mark.parametrize("name, alg, mod, qfuns", CASES, ids=[c[0] for c in CASES])
+def test_commutes_is_the_closed_form_of_the_reference_profiles(name, alg, mod, qfuns):
+    # (u, v) commutes for q exactly when every profile the per-pair walk
+    # records for it admits q: there is none, or each is (q, e)
+    seen = set()
+    for analysis in _analyses(alg, mod):
+        commute = reference_records(analysis)[0]
+        for u, v in itertools.product(range(alg.dim), repeat=2):
+            profiles = commute.get((u, v), ())[1::2]
+            named = {p[0] for p in profiles if p[0] is not None}
+            for q in {qfun(u, v) for qfun in qfuns} | named:
+                want = all(profile[::2] == (q,) for profile in profiles)
+                assert analysis.commutes(u, v, q) == want, (name, u, v, q)
+                seen.add(want)
+    assert seen == {True, False}
+
+
 def test_repeated_locality_calls_return_equal_witnesses():
     for name in NAMES:
         alg = parse_algebra_file(FIXTURES / f"{name}.json").alg
@@ -612,9 +635,16 @@ def test_locality_and_skew_walk_each_profile_list_once(monkeypatch):
     a3 = parse_algebra_file(FIXTURES / "a3.json").alg
     bundle = AlgebraBundle(alg=matrix_algebra(a3, 3), name="m3")
     run_suite(bundle, "locality")
-    assert len(walks) == 729 and set(walks.values()) == {1}
+    # a commuting (u, v, q) is a dict read; only the failing ones are walked
+    assert len(walks) == 204 and set(walks.values()) == {1}
+    pairs, basis = bundle.alg._pairs, range(bundle.alg.dim)
+    assert set(walks) == {(u, v, 1) for u in basis for v in basis if not pairs.commutes(u, v, 1)}
     run_suite(bundle, "skew")
-    assert len(walks) == 729 and set(walks.values()) == {1}
+    assert len(walks) == 204 and set(walks.values()) == {1}
+    # a repeated question, as the locality transfer asks, reads the memo
+    for u, v, q in list(walks):
+        assert find_locality_k(bundle.alg, u, v, q) is not None
+    assert len(walks) == 204 and set(walks.values()) == {1}
 
 
 # -- binomial rows ------------------------------------------------------------------------

@@ -366,6 +366,17 @@ def test_cli_error_exit_code(tmp_path):
     run_cli("construct", "matrix", a3, "-o", unwritable, expect=2)
 
 
+@pytest.mark.parametrize("command", ["check", "report"])
+def test_cli_refuses_a_file_it_cannot_decode(command, tmp_path):
+    # bytes that are not UTF-8, and an array nested past the decoder's recursion limit
+    not_utf8 = tmp_path / "bytes.json"
+    not_utf8.write_bytes(b"\xff\xfe")
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000 + "]" * 200_000)
+    run_cli(command, str(not_utf8), expect=2)
+    run_cli(command, str(nested), expect=2)
+
+
 @pytest.mark.parametrize("suite", ["locality", "all", "closure"])
 @pytest.mark.parametrize("cap", ["-5", "0"])
 def test_a_dim_cap_below_one_is_refused_before_any_check(suite, cap, capsys):
