@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import CapExceeded, MalformedStructure, NonNilpotentD
+from .errors import CapExceeded, InvalidArgument, MalformedStructure, NonNilpotentD
 from .linalg import (
     ONE,
     CoordSpan,
@@ -611,7 +611,9 @@ def find_weak_assoc_l(alg: AlgebraStructure, u_idx: int, w_idx: int) -> Witness 
 # the q-Jacobi identity
 
 
-def check_jacobi(alg: AlgebraStructure, u_idx: int, v_idx: int, q: Fraction) -> CheckReport:
+def check_jacobi(
+    alg: AlgebraStructure, u_idx: int, v_idx: int, q: Fraction, limit: int | None = None
+) -> CheckReport:
     """The q-Jacobi identity on every basis w, decided exactly as commutation plus associativity.
 
     The identity reads
@@ -625,21 +627,25 @@ def check_jacobi(alg: AlgebraStructure, u_idx: int, v_idx: int, q: Fraction) -> 
     Then the left side is the product times x2^-1 d((x1-x0)/x2), and
     substituting x1 = x0 + x2 under that delta function leaves order-0 weak
     associativity.  So the identity holds on w exactly when commutation and
-    weak associativity hold there; each failing w gets one witness, which
+    weak associativity hold there; each failing w has one witness, which
     names the half that failed ("commutation" first).  So the verdict is
     (q-locality and weak associativity on every w) by construction, and the
-    report records no order.
+    report records no order.  The report holds the witnesses of the first
+    `limit` failing w, or of every one when limit is None; only those are
+    built, and a positive limit keeps one on every failing report.
     """
+    if limit is not None and limit < 1:
+        raise InvalidArgument(f"the witness limit must be positive or None, not {limit}")
     report = CheckReport(f"jacobi[{alg.basis[u_idx]},{alg.basis[v_idx]};q={q}]")
     pairs = _analysis(alg)
     q = integral(q)
-    failing = () if pairs.commutes(u_idx, v_idx, q) else pairs.commutation_failures(u_idx, v_idx, q)
-    halves = {w: ("commutation", diff) for w, *diff in failing}
-    for w in pairs.assoc_failing(u_idx, v_idx):
-        if w not in halves:
-            halves[w] = ("associativity", pairs.assoc_failure(u_idx, v_idx, w))
-    for w in sorted(halves):
-        half, diff = halves[w]
+    failing = pairs.commutation_exponents(u_idx, v_idx, q)
+    assoc = pairs.assoc_failing(u_idx, v_idx)
+    for w in sorted(failing.keys() | assoc.keys())[:limit]:
+        if w in failing:
+            half, diff = "commutation", pairs.commutation_sides(u_idx, v_idx, q, w, failing[w])[1:]
+        else:
+            half, diff = "associativity", assoc[w]
         names = (half, alg.basis[u_idx], alg.basis[v_idx], alg.basis[w])
         report.fail(Witness(names, *diff, alg.basis))
     return report
@@ -660,9 +666,10 @@ def spin(
 
     MeatAxe spinning (Parker 1984): each accepted vector is multiplied once
     by each acting vector (all modes in one sparse_modes call), and each
-    nonzero image outside the span so far is accepted and queued.  More
-    accepted vectors than dim would be a dependent set: CapExceeded.  The
-    accepted vectors go into `span`, a fresh coordinate-free CoordSpan
+    nonzero image outside the span so far is accepted and queued.  Once the
+    span has rank dim no image can be accepted, so the spin stops there.
+    More accepted vectors than dim would be a dependent set: CapExceeded.
+    The accepted vectors go into `span`, a fresh coordinate-free CoordSpan
     unless the caller passes an empty one to keep.
     """
     span = CoordSpan() if span is None else span
@@ -672,6 +679,8 @@ def spin(
             accepted.append(v)
     for v in accepted:  # the queue: appended to while it is read
         for su in acting:
+            if span.dim == dim:  # full rank: the rest of the queue adds nothing
+                return accepted
             for img in sparse_modes(index, su, v.items()).values():
                 if span.insert(img) is None:
                     accepted.append(img)

@@ -11,6 +11,8 @@ the declared basis.  Emission is canonical: keys sorted, entries ordered by
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -34,20 +36,31 @@ from .operators import Rows, VertexOperator
 
 FORMAT_VERSION = 1
 RMAP_KINDS = ("identity", "cocycle-commutator", "tensor-swap", "cross-abelian")
+# the exponent of a decimal rational string, as Fraction reads it (and a few strings it refuses)
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 
 
 def parse_rational(s) -> int | Fraction:
-    """s as an int when int() reads it, else as Fraction(str(s)); any other value is a ParseError."""
+    """s as an int when int() reads it, else as Fraction(str(s)); any other value is a ParseError.
+
+    So is a numerator or denominator with more digits than sys.get_int_max_str_digits(): an
+    exponent past it by more than len(s) is refused before Fraction builds its power of ten.
+    """
     if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise ParseError(f"rational values must be strings or integers, got {s!r}")
     try:
         return int(s)  # Fraction reads every integer string int() does, with the same value
     except ValueError:
         pass
+    text, limit = str(s), sys.get_int_max_str_digits()
     try:
-        return Fraction(str(s))
+        if limit and (exp := _EXPONENT.search(text)) and abs(int(exp[1])) > limit + len(text):
+            raise ValueError(f"more than {limit} digits")
+        value = Fraction(text)
+        str(value)  # a numerator or denominator past the limit is refused here, not when printed
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {s!r}: {exc}") from None
+    return value
 
 
 def _coords(data: dict, index: dict[str, int], what: str) -> Support:
@@ -463,7 +476,9 @@ def operators_section(ops: list[VertexOperator], space: tuple[str, ...]) -> dict
 
 
 def canonical_json(data) -> bytes:
-    return (json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    """data as sorted-key compact JSON; data is a tree built for emission, so no cycle check."""
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"), check_circular=False)
+    return (text + "\n").encode()
 
 
 def write_bytes(path: str | Path, payload: bytes) -> None:

@@ -444,15 +444,13 @@ def closure_module(result: ClosureResult) -> ModuleStructure:
 
 
 def verify_module_structure(result: ClosureResult) -> CheckReport:
-    """The closed span must act on W as a faithful module of itself."""
-    report = CheckReport("closure-module")
+    """The closed span must act on W as a faithful module of itself: check_module, then faithful."""
     if result.status != STATUS_CLOSED or result.structure is None:
-        report.verdict = INCONCLUSIVE
-        report.notes.append("closure did not reach a certified span")
-        return report
+        note = "closure did not reach a certified span"
+        return CheckReport("closure-module", INCONCLUSIVE, notes=[note])
     mod = closure_module(result)
-    inner = check_module(result.structure, mod)
-    report.merge(inner)
+    report = check_module(result.structure, mod)
+    report.name = "closure-module"
     faithful = is_faithful(result.structure, mod)
     report.found_orders["faithful"] = int(faithful)
     if not faithful:

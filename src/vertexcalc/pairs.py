@@ -249,10 +249,10 @@ class PairAnalysis:
     only a failing triple keeps sparse vectors, its first difference.  Each
     recorded pair's profiles reduce to the one q it commutes for on every w,
     or to none (_pair_q), so commutes is a dict read; only a failing
-    (u, v, q) walks its profiles, and its first failing (w, exponent) is
-    memoized when a check asks for it.  A commutation witness is rebuilt
-    when a check asks for it, from the two coefficients at its exponent
-    (mode_pair).  `exp_images` holds e^{xD} e_k for every basis vector of
+    (u, v, q) walks its profiles.  A commutation witness is built when a
+    check asks for it, from the two coefficients at its exponent
+    (mode_pair); the first failure of each (u, v, q) is built once and
+    memoized.  `exp_images` holds e^{xD} e_k for every basis vector of
     alg, failing_middle reads the least failing middle argument of each
     (u, w) off the failing triples, assoc_failing_pairs the failing (u, v)
     of each w, and products(w) scatters one w's products again for a
@@ -269,7 +269,7 @@ class PairAnalysis:
         self.n = alg.dim
         self.dim = act.dim
         self.cols = d_columns(alg)
-        self._first: dict = {}  # (u, v, q): (w, exponent) of the first failure
+        self._first: dict = {}  # (u, v, q): (w, exponent, lhs, rhs) of the first failure
 
     @cached_property
     def exp_images(self) -> list[Terms]:
@@ -348,21 +348,26 @@ class PairAnalysis:
         return self._pair_q.get((u, v), q) == q
 
     def first_commutation_failure(self, u: int, v: int, q: Fraction) -> tuple | None:
-        """The first item of commutation_failures, or None; a failure's (w, exponent) is memoized."""
+        """The first item of commutation_failures, or None; built once per (u, v, q), read-only."""
         if self.commutes(u, v, q):
             return None
         if (u, v, q) not in self._first:
-            self._first[(u, v, q)] = next(self._failures(u, v, q))
-        return self._sides(u, v, q, *self._first[(u, v, q)])
+            found = next(self._failures(u, v, q))
+            self._first[(u, v, q)] = self.commutation_sides(u, v, q, *found)
+        return self._first[(u, v, q)]
+
+    def commutation_exponents(self, u: int, v: int, q: Fraction) -> dict:
+        """{w: least differing exponent} on each basis w where commutation fails, with no sides."""
+        return {} if self.commutes(u, v, q) else dict(self._failures(u, v, q))
 
     def commutation_failures(self, u: int, v: int, q: Fraction):
-        """(w, exponent, lhs, rhs) on each basis w where commutation fails, in increasing w.
+        """(w, exponent, lhs, rhs) on each w where commutation fails, in increasing w; sparse."""
+        return (self.commutation_sides(u, v, q, *f) for f in self._failures(u, v, q))
 
-        The exponent is the least differing one, and lhs and rhs are sparse.
-        """
-        return (self._sides(u, v, q, *found) for found in self._failures(u, v, q))
-
-    def _sides(self, u: int, v: int, q: Fraction, w: int, e) -> tuple:
+    def commutation_sides(self, u: int, v: int, q: Fraction, w: int, e) -> tuple:
+        """(w, e, lhs, rhs) of the failure at (w, e) (mode_pair); a memoized one is not rebuilt."""
+        if (first := self._first.get((u, v, q))) is not None and first[0] == w:
+            return first
         rhs = scale(q, mode_pair(self.index, v, u, w, e[::-1])) if q else {}
         return w, e, mode_pair(self.index, u, v, w, e), rhs
 

@@ -68,16 +68,6 @@ class CheckReport:
         self.verdict = FAIL
         self.witnesses.append(witness)
 
-    def merge(self, other: "CheckReport") -> None:
-        if other.verdict == FAIL:
-            self.verdict = FAIL
-        elif other.verdict == INCONCLUSIVE and self.verdict == PASS:
-            self.verdict = INCONCLUSIVE
-        self.exact = self.exact and other.exact
-        self.witnesses.extend(other.witnesses)
-        self.found_orders.update(other.found_orders)
-        self.notes.extend(other.notes)
-
     def __repr__(self) -> str:
         tag = "" if self.exact else " (window-sound)"
         return f"CheckReport({self.name}: {self.verdict}{tag})"

@@ -52,11 +52,7 @@ class SuiteOptions:
     local_products: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "dim_cap": self.dim_cap,
-            "local_products": self.local_products,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -71,16 +67,8 @@ class SuiteRecord:
     notes: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "identity": self.identity,
-            "kind": self.kind,
-            "verdict": self.verdict,
-            "exact": self.exact,
-            "orders": {k: v for k, v in sorted(self.orders.items())},
-            "witnesses": list(self.witnesses),
-            "notes": list(self.notes),
-        }
+        """The record's own fields, not a copy, for emission; canonical_json orders the keys."""
+        return vars(self)
 
 
 @dataclass
@@ -123,14 +111,9 @@ class SuiteReport:
         return 1 if self.summary["failures"] else 0
 
     def as_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "suite": self.suite,
-            "options": self.options,
-            "records": [r.as_dict() for r in self.records],
-            "summary": self.summary,
-            "embedded": self.embedded,
-        }
+        """A fresh top level over the fields as they are, records as their as_dict."""
+        records = [r.as_dict() for r in self.records]
+        return {**vars(self), "records": records, "summary": self.summary}
 
 
 def _fixed_q(options: SuiteOptions) -> Fraction | None:
@@ -284,7 +267,7 @@ def _suite_jacobi(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteRep
     for i in range(alg.dim):
         for j in range(alg.dim):
             q = pair_q(i, j)
-            rep = check_jacobi(alg, i, j, q)
+            rep = check_jacobi(alg, i, j, q, limit=MAX_WITNESSES)
             report.add(
                 SuiteRecord(
                     id=f"jacobi/{alg.basis[i]},{alg.basis[j]}",
@@ -294,7 +277,7 @@ def _suite_jacobi(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteRep
                     # decided exactly; perfbench/pinned_records.json pins false
                     exact=False,
                     orders={"q": str(q)},
-                    witnesses=[w.describe() for w in rep.witnesses[:MAX_WITNESSES]],
+                    witnesses=[w.describe() for w in rep.witnesses],
                 )
             )
             # the equivalence is the invariant check_jacobi is decided by, so

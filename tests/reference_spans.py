@@ -12,6 +12,10 @@ keeps the dense formulas it replaced, sharing no code with it:
 - `dense_stabilizer`, `dense_localizer` and `dense_subspace_is_subalgebra`,
   which collect dense condition rows, with modes applied through the dense
   views apply_mode and mode_map and e^{xD} by dense matrix iteration.
+
+`reference_spin` is the exception: the package's sparse spin loop as it was
+before it stopped at full rank, on the package's own CoordSpan and
+sparse_modes, so that the two can be compared row for row and call for call.
 """
 
 from fractions import Fraction
@@ -19,8 +23,9 @@ from functools import partial
 
 from reference_tables import apply_mode, product, table_of
 
+import vertexcalc.algebra as algebra_module
 from vertexcalc.errors import CapExceeded
-from vertexcalc.linalg import ZERO, is_zero_vec, mat_vec, support, zero_vec
+from vertexcalc.linalg import ZERO, CoordSpan, is_zero_vec, mat_vec, support, zero_vec
 from vertexcalc.report import CheckReport, Witness
 
 
@@ -132,6 +137,27 @@ def _saturate(span, dim, acting, apply_mode):
                     if not is_zero_vec(w) and span.add(w):
                         changed = True
     return list(span.rows)
+
+
+def reference_spin(index, acting, start, dim, span=None):
+    """algebra.spin with no full-rank stop: every accepted vector times every acting vector.
+
+    sparse_modes is read off the algebra module on each call, so a counter
+    patched in there counts these calls too.
+    """
+    span = CoordSpan() if span is None else span
+    accepted = []
+    for v in start:
+        if v and span.insert(v) is None:
+            accepted.append(v)
+    for v in accepted:
+        for su in acting:
+            for img in algebra_module.sparse_modes(index, su, v.items()).values():
+                if span.insert(img) is None:
+                    accepted.append(img)
+                    if len(accepted) > dim:
+                        raise CapExceeded("spin accepted more vectors than the dimension")
+    return accepted
 
 
 def dense_generate_submodule(alg, mod, start):

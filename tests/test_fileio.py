@@ -3,6 +3,7 @@
 import copy
 import importlib.util
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,15 @@ def test_parse_rational_agrees_with_fraction():
             kind = Fraction
         got = parse_rational(s)
         assert (got, type(got)) == (want, kind), s
+
+
+def test_a_rational_past_the_int_digit_limit_is_a_parse_error():
+    # 4300 digits is Python's default limit: 10^4299 and 10^-4299 have 4300
+    for s in ("1e4299", "1e-4299", "0.1e4300", "10e-4300", "0.5e-4299", "1.5e4298"):
+        assert parse_rational(s) == Fraction(s), s
+    for s in ("1e4300", "1e-4300", "1.5e4300", "0.5e-4300", "1e5000", "-1e-5000", "1e100000000"):
+        with pytest.raises(ParseError):
+            parse_rational(s)
 
 
 def test_zero_denominator_is_a_parse_error():

@@ -1,5 +1,12 @@
-"""Generated submodules and subalgebras against the dense saturation oracle."""
+"""Generated submodules and subalgebras against the dense saturation oracle.
 
+The spin also stops once its span is the whole space; its rows are held
+equal, in order, to those of the loop without that stop (reference_spin),
+which it must undercut in sparse_modes calls.
+"""
+
+import random
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -9,8 +16,10 @@ from reference_spans import (
     dense_generate_subalgebra,
     dense_generate_submodule,
     dense_rank,
+    reference_spin,
 )
 
+import vertexcalc.algebra as algebra_module
 import vertexcalc.modules as modules_module
 from vertexcalc.algebra import generate_subalgebra
 from vertexcalc.construct import matrix_algebra
@@ -103,3 +112,61 @@ def test_generated_subalgebras_match_the_dense_oracle(name):
         rows = generate_subalgebra(alg, gens)
         assert rows[0] == alg.unit(alg.vacuum)  # spin order: vacuum first
         _assert_same_span(rows, dense_generate_subalgebra(alg, gens))
+
+
+def _spins_against_reference(monkeypatch, run):
+    """run() with the library spin and with reference_spin: both results and sparse_modes counts."""
+    calls = [0]
+    sparse_modes = algebra_module.sparse_modes
+
+    def counting(*args):
+        calls[0] += 1
+        return sparse_modes(*args)
+
+    monkeypatch.setattr(algebra_module, "sparse_modes", counting)
+    got, got_calls = run(), calls[0]
+    with monkeypatch.context() as m:
+        m.setattr(algebra_module, "spin", reference_spin)
+        m.setattr(modules_module, "spin", reference_spin)
+        calls[0] = 0
+        want, want_calls = run(), calls[0]
+    return got, got_calls, want, want_calls
+
+
+def _random_vec(rng, dim):
+    return [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.4 else 0
+            for _ in range(dim)]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_the_spin_stops_at_full_rank_with_the_same_rows(name, monkeypatch):
+    alg, mod = structure(name)
+    rng = random.Random(name)
+    starts = [mod.unit(j) for j in range(mod.dim)] + [_random_vec(rng, mod.dim) for _ in range(4)]
+    gen_sets = [[alg.unit(i)] for i in range(alg.dim)]
+    gen_sets += [[_random_vec(rng, alg.dim) for _ in range(rng.randint(1, 2))] for _ in range(4)]
+
+    def run():
+        return (
+            [generate_submodule(alg, mod, s) for s in starts],
+            [generate_subalgebra(alg, gens) for gens in gen_sets],
+            generating_basis_vectors(alg, mod),
+        )
+
+    got, got_calls, want, want_calls = _spins_against_reference(monkeypatch, run)
+    assert got == want
+    # a spin that reaches the whole space skips the rest of its queue; any other runs it out
+    full = any(len(rows) == mod.dim for rows in got[0]) or any(
+        len(rows) == alg.dim for rows in got[1]
+    )
+    assert got_calls < want_calls if full else got_calls == want_calls
+
+
+def test_generating_basis_vectors_on_the_m2a3_adjoint_stops_spinning_at_full_rank(monkeypatch):
+    alg = parse_algebra_file(FIXTURES / "m2a3.json").alg
+    mod = adjoint_module(alg)
+    got, got_calls, want, want_calls = _spins_against_reference(
+        monkeypatch, lambda: generating_basis_vectors(alg, mod)
+    )
+    assert got == want and any(got)
+    assert got_calls < want_calls

@@ -44,6 +44,7 @@ from reference_tables import dense_witness, index_from_dense, table_of, term_dif
 import vertexcalc.algebra as algebra_module
 import vertexcalc.linalg as linalg_module
 import vertexcalc.pairs as pairs_module
+import vertexcalc.suite as suite_module
 from vertexcalc.algebra import (
     AlgebraStructure,
     assoc_holds,
@@ -79,8 +80,9 @@ from vertexcalc.pairs import (
     scatter_iterates,
     scatter_products,
 )
+from vertexcalc.errors import InvalidArgument
 from vertexcalc.report import Witness
-from vertexcalc.suite import run_suite
+from vertexcalc.suite import MAX_WITNESSES, SuiteOptions, run_suite
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 NAMES = ("a2_base", "a3", "cross_a2z2", "m2a3", "ut2", "z22_base", "z22_twist")
@@ -645,6 +647,74 @@ def test_locality_and_skew_walk_each_profile_list_once(monkeypatch):
     for u, v, q in list(walks):
         assert find_locality_k(bundle.alg, u, v, q) is not None
     assert len(walks) == 204 and set(walks.values()) == {1}
+
+
+# -- witnesses built on demand --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, alg, qfuns",
+    [(name, alg, qfuns) for name, alg, _mod, qfuns in CASES if name in NAMES + ("m3a3",)],
+    ids=NAMES + ("m3a3",),
+)
+def test_check_jacobi_limit_keeps_the_verdict_and_the_first_witnesses(name, alg, qfuns):
+    cut = 0
+    for qfun in qfuns:
+        for u, v in itertools.product(range(alg.dim), repeat=2):
+            q = qfun(u, v)
+            full = check_jacobi(alg, u, v, q)
+            for k in range(1, 5):
+                rep = check_jacobi(alg, u, v, q, limit=k)
+                assert rep.verdict == full.verdict, (name, u, v, q, k)
+                assert rep.witnesses == full.witnesses[:k], (name, u, v, q, k)
+                cut += len(full.witnesses) > k
+    assert cut > 0  # some full list is longer than a limit
+    for limit in (0, -1):
+        with pytest.raises(InvalidArgument):
+            check_jacobi(alg, 0, 0, Fraction(1), limit=limit)
+
+
+@pytest.mark.parametrize("q", ["1", "0", "1/3"])
+def test_each_failing_pair_builds_its_first_witness_once(q, monkeypatch):
+    built = []
+    mode_pair = pairs_module.mode_pair
+
+    def counting(*args):
+        built.append(args[1:])
+        return mode_pair(*args)
+
+    monkeypatch.setattr(pairs_module, "mode_pair", counting)
+    bundle, options, qf = parse_algebra_file(FIXTURES / "m2a3.json"), SuiteOptions(q=q), Fraction(q)
+    alg, basis = bundle.alg, range(bundle.alg.dim)
+    report = run_suite(bundle, "locality", options)
+    failing = [(u, v) for u in basis for v in basis if not alg._pairs.commutes(u, v, qf)]
+    sides = 1 if qf == 0 else 2  # q = 0 drops the reversed side
+    assert failing and len(built) == sides * len(failing)
+    # skew reads the verdicts, and the locality transfer the memoized first failures
+    run_suite(bundle, "skew", options)
+    run_suite(bundle, "modules", options)
+    assert len(built) == sides * len(failing)
+    # a jacobi record builds sides only for the witnesses it prints
+    per_record = []
+    check_jacobi = suite_module.check_jacobi
+
+    def counting_jacobi(*args, **kwargs):
+        before = len(built)
+        rep = check_jacobi(*args, **kwargs)
+        per_record.append(len(built) - before)
+        return rep
+
+    monkeypatch.setattr(suite_module, "check_jacobi", counting_jacobi)
+    run_suite(bundle, "jacobi", options)
+    assert len(per_record) == alg.dim**2 and max(per_record) <= 2 * MAX_WITNESSES
+    # a repeated question reads the memo: an equal witness, no new build
+    built.clear()
+    witnesses = {r.id: r.witnesses for r in report.records}
+    for u, v in failing:
+        again = find_locality_k(alg, u, v, qf)
+        assert [again.describe()] == witnesses[f"locality/{alg.basis[u]},{alg.basis[v]}"]
+        assert find_locality_k(alg, u, v, qf) == again
+    assert built == []
 
 
 # -- binomial rows ------------------------------------------------------------------------

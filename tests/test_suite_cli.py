@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -375,6 +376,22 @@ def test_cli_refuses_a_file_it_cannot_decode(command, tmp_path):
     nested.write_text("[" * 200_000 + "]" * 200_000)
     run_cli(command, str(not_utf8), expect=2)
     run_cli(command, str(nested), expect=2)
+
+
+@pytest.mark.parametrize("value", ["1e5000", "1e-5000", "1e100000000"])
+def test_cli_refuses_a_coefficient_past_the_int_digit_limit(value, tmp_path, capsys):
+    # 10^5000 cannot be printed in a report, and 10^(10^8) would take minutes
+    # to build: both are refused from the exponent, before Fraction builds them
+    doc = json.loads((FIXTURES / "a3.json").read_text())
+    entry = doc["entries"][0]
+    entry["result"] = {name: value for name in entry["result"]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    run_cli("check", str(path), expect=2)
+    start = time.perf_counter()
+    assert cli.main(["check", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith(f"error: bad rational {value!r}")
 
 
 @pytest.mark.parametrize("suite", ["locality", "all", "closure"])
