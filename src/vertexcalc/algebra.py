@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from .errors import CapExceeded, InvalidArgument, MalformedStructure, NonNilpotentD
@@ -421,7 +422,7 @@ def check_d_bracket(alg: AlgebraStructure) -> CheckReport:
 def check_creation_exponential(alg: AlgebraStructure) -> CheckReport:
     """Y(v, x) vacuum = e^{xD} v for every basis vector, compared term by term."""
     report = CheckReport("creation-exponential")
-    images = _analysis(alg).exp_images
+    images = analysis_of(alg).exp_images
     for i in range(alg.dim):
         modes = basis_modes(alg.mode_index, i, alg.vacuum)
         lhs = {(-n - 1,): w for n, w in modes.items()}
@@ -473,7 +474,7 @@ def assoc_holds(prod: Terms, iterate: Terms) -> bool:
     return not any(assoc_sides(prod, iterate, -1)[0].values())
 
 
-def _analysis(alg: AlgebraStructure) -> PairAnalysis:
+def analysis_of(alg: AlgebraStructure) -> PairAnalysis:
     """alg's pair analysis (vertexcalc.pairs.pair_analysis), built on first use.
 
     vertexcalc.pairs builds on the term kernel of this module, so it is
@@ -507,7 +508,7 @@ def find_locality_k(
     differing exponent on the first failing basis w.
     """
     q = integral(q)
-    failure = _analysis(alg).first_commutation_failure(u_idx, v_idx, q)
+    failure = analysis_of(alg).first_commutation_failure(u_idx, v_idx, q)
     if failure is None:
         return None
     w_idx, *diff = failure
@@ -538,47 +539,70 @@ def skew_terms(images: list[Terms], modes: dict[int, SparseVec], q: Fraction) ->
     return terms
 
 
+def skew_difference(alg: AlgebraStructure, u_idx: int, v_idx: int, q: Fraction):
+    """The first difference (exponent, lhs, rhs) of Y(u,x)v and q e^{xD} Y(v,-x)u, or None.
+
+    Both sides are Laurent polynomials in x and are compared term by term.
+    With neither (u, v) nor (v, u) in the mode index both sides are 0, a
+    closed form.  For q != 0 the comparison of (u, v, q) agrees exactly when
+    that of (v, u, 1/q) does: substituting x -> -x and applying e^{xD},
+    which is invertible because D is nilpotent, turns one relation into the
+    other (Lepowsky-Li, Introduction to Vertex Operator Algebras, 2004).
+    """
+    index = alg.mode_index
+    if (u_idx, v_idx) not in index and (v_idx, u_idx) not in index:
+        return None
+    lhs = {(-n - 1,): w for n, w in basis_modes(index, u_idx, v_idx).items()}
+    modes = basis_modes(index, v_idx, u_idx)
+    rhs = {(m,): c for m, c in skew_terms(analysis_of(alg).exp_images, modes, q).items()}
+    return next(sparse_differences(lhs, rhs), None)
+
+
+def skew_truncation(alg: AlgebraStructure, u_idx: int, v_idx: int, local: bool) -> tuple:
+    """The orders a skew-symmetry report records, and whether the truncation condition holds.
+
+    The condition asks x^k Y(u,x)v to be free of negative powers at the
+    locality order k, which is 0 for a local pair (find_locality_k); so a
+    local pair fails it exactly when truncation_order is positive, and a
+    nonlocal pair has no order to test it at.
+    """
+    k_min = truncation_order(alg, u_idx, v_idx)
+    if not local:
+        return {"truncation_k": k_min}, True
+    return {"truncation_k": k_min, "locality_k": 0}, k_min == 0
+
+
 def check_skew_symmetry(
     alg: AlgebraStructure,
     u_idx: int,
     v_idx: int,
     q: Fraction,
 ) -> CheckReport:
-    """Y(u,x)v = q e^{xD} Y(v,-x)u plus the truncation condition.
+    """Y(u,x)v = q e^{xD} Y(v,-x)u (skew_difference) plus the truncation condition.
 
-    Both sides are Laurent polynomials in x and are compared term by term.
     The report's `exact` flag is whether the two sides agree: the report
-    contract marks a failed skew comparison as not exact.  The truncation
-    condition asks x^k Y(u,x)v to be free of negative powers at the locality
-    order k, which is 0 for a local pair (find_locality_k); so a local pair
-    fails it exactly when truncation_order is positive.  With neither (u, v)
-    nor (v, u) in the mode index, both sides and the truncation order are
-    0: only the memoized locality verdict is read.
+    contract marks a failed skew comparison as not exact.  Its orders and
+    the truncation verdict are skew_truncation's, on the memoized locality
+    verdict.
     """
     report = CheckReport(f"skew-symmetry[{alg.basis[u_idx]},{alg.basis[v_idx]}]")
     q = integral(q)
-    pairs = _analysis(alg)
-    if (u_idx, v_idx) in alg.mode_index or (v_idx, u_idx) in alg.mode_index:
-        lhs = {(-n - 1,): w for n, w in basis_modes(alg.mode_index, u_idx, v_idx).items()}
-        modes = basis_modes(alg.mode_index, v_idx, u_idx)
-        rhs = {(m,): c for m, c in skew_terms(pairs.exp_images, modes, q).items()}
-        diff = next(sparse_differences(lhs, rhs), None)
-        report.exact = diff is None
-        if diff is not None:
-            report.fail(Witness((alg.basis[u_idx], alg.basis[v_idx]), *diff, alg.basis))
-    k_min = truncation_order(alg, u_idx, v_idx)
-    report.found_orders["truncation_k"] = k_min
-    if pairs.commutes(u_idx, v_idx, q):
-        report.found_orders["locality_k"] = 0
-        if k_min > 0:
-            report.fail(
-                Witness(
-                    (alg.basis[u_idx], alg.basis[v_idx]),
-                    None,
-                    "x^0 leaves negative powers",
-                    f"needs k >= {k_min}",
-                )
+    diff = skew_difference(alg, u_idx, v_idx, q)
+    report.exact = diff is None
+    if diff is not None:
+        report.fail(Witness((alg.basis[u_idx], alg.basis[v_idx]), *diff, alg.basis))
+    local = analysis_of(alg).commutes(u_idx, v_idx, q)
+    orders, truncated = skew_truncation(alg, u_idx, v_idx, local)
+    report.found_orders.update(orders)
+    if not truncated:
+        report.fail(
+            Witness(
+                (alg.basis[u_idx], alg.basis[v_idx]),
+                None,
+                "x^0 leaves negative powers",
+                f"needs k >= {orders['truncation_k']}",
             )
+        )
     return report
 
 
@@ -588,7 +612,7 @@ def check_skew_symmetry(
 
 def weak_assoc_triple(alg: AlgebraStructure, u_idx: int, v_idx: int, w_idx: int) -> Witness | None:
     """Three-argument weak associativity: None when it holds (at order 0), else its witness."""
-    diff = _analysis(alg).assoc_failure(u_idx, v_idx, w_idx)
+    diff = analysis_of(alg).assoc_failure(u_idx, v_idx, w_idx)
     if diff is None:
         return None
     return Witness((alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx]), *diff, alg.basis)
@@ -599,7 +623,7 @@ def find_weak_assoc_l(alg: AlgebraStructure, u_idx: int, w_idx: int) -> Witness 
 
     Otherwise the witness of the first failing v.
     """
-    pairs = _analysis(alg)
+    pairs = analysis_of(alg)
     v_idx = pairs.failing_middle(u_idx, w_idx)
     if v_idx is None:
         return None
@@ -631,21 +655,22 @@ def check_jacobi(
     names the half that failed ("commutation" first).  So the verdict is
     (q-locality and weak associativity on every w) by construction, and the
     report records no order.  The report holds the witnesses of the first
-    `limit` failing w, or of every one when limit is None; only those are
-    built, and a positive limit keeps one on every failing report.
+    `limit` failing w, or of every one when limit is None, and a positive
+    limit keeps one on every failing report.  Only the first `limit`
+    commutation failures (in increasing w, PairAnalysis.commutation_failures)
+    are read and their sides built: a w among the first `limit` failing w
+    has fewer than `limit` commutation failures before it.
     """
     if limit is not None and limit < 1:
         raise InvalidArgument(f"the witness limit must be positive or None, not {limit}")
     report = CheckReport(f"jacobi[{alg.basis[u_idx]},{alg.basis[v_idx]};q={q}]")
-    pairs = _analysis(alg)
+    pairs = analysis_of(alg)
     q = integral(q)
-    failing = pairs.commutation_exponents(u_idx, v_idx, q)
+    commutation = islice(pairs.commutation_failures(u_idx, v_idx, q), limit)
+    failing = {w: diff for w, *diff in commutation}
     assoc = pairs.assoc_failing(u_idx, v_idx)
     for w in sorted(failing.keys() | assoc.keys())[:limit]:
-        if w in failing:
-            half, diff = "commutation", pairs.commutation_sides(u_idx, v_idx, q, w, failing[w])[1:]
-        else:
-            half, diff = "associativity", assoc[w]
+        half, diff = ("commutation", failing[w]) if w in failing else ("associativity", assoc[w])
         names = (half, alg.basis[u_idx], alg.basis[v_idx], alg.basis[w])
         report.fail(Witness(names, *diff, alg.basis))
     return report
@@ -721,7 +746,7 @@ def localizer(alg: AlgebraStructure, targets: list[Vec]) -> list[Vec]:
     the exact nullspace of one linear condition per (target, exponent,
     coordinate).
     """
-    exp_images = _analysis(alg).exp_images
+    exp_images = analysis_of(alg).exp_images
     index = alg.mode_index
     conditions: dict[tuple, SparseVec] = {}
     for t, w in enumerate(targets):

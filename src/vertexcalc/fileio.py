@@ -38,6 +38,25 @@ FORMAT_VERSION = 1
 RMAP_KINDS = ("identity", "cocycle-commutator", "tensor-swap", "cross-abelian")
 # the exponent of a decimal rational string, as Fraction reads it (and a few strings it refuses)
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+_DIGITS = re.compile(r"[\d_]+")
+
+
+def _quoted(text: str) -> str:
+    """text as its repr, or its first 40 characters and its length when it is longer."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
+def _past_limit(text: str, limit: int) -> bool:
+    """Whether text has a run of over limit digits, or an exponent past limit by over len(text).
+
+    int() refuses the first, and the second builds a power of ten past the limit.
+    """
+    if any(len(run.replace("_", "")) > limit for run in _DIGITS.findall(text)):
+        return True
+    exp = _EXPONENT.search(text)
+    return exp is not None and abs(int(exp[1])) > limit + len(text)
 
 
 def parse_rational(s) -> int | Fraction:
@@ -45,21 +64,28 @@ def parse_rational(s) -> int | Fraction:
 
     So is a numerator or denominator with more digits than sys.get_int_max_str_digits(): an
     exponent past it by more than len(s) is refused before Fraction builds its power of ten.
+    The error quotes at most 40 characters of s, with its length, and names the type of a
+    value that is not a string or an integer.
     """
     if isinstance(s, bool) or not isinstance(s, (str, int)):
-        raise ParseError(f"rational values must be strings or integers, got {s!r}")
+        raise ParseError(f"rational values must be strings or integers, got {type(s).__name__}")
     try:
         return int(s)  # Fraction reads every integer string int() does, with the same value
     except ValueError:
         pass
     text, limit = str(s), sys.get_int_max_str_digits()
     try:
-        if limit and (exp := _EXPONENT.search(text)) and abs(int(exp[1])) > limit + len(text):
-            raise ValueError(f"more than {limit} digits")
-        value = Fraction(text)
+        value = None if limit and _past_limit(text, limit) else Fraction(text)
+    except ValueError:
+        raise ParseError(f"bad rational {_quoted(text)}: not a rational number") from None
+    except ZeroDivisionError:
+        raise ParseError(f"bad rational {_quoted(text)}: zero denominator") from None
+    try:
         str(value)  # a numerator or denominator past the limit is refused here, not when printed
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {s!r}: {exc}") from None
+    except ValueError:
+        value = None
+    if value is None:
+        raise ParseError(f"bad rational {_quoted(text)}: more than {limit} digits")
     return value
 
 

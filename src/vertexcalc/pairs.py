@@ -18,7 +18,11 @@ equality (assoc_holds).  A pair's profiles reduce to the one q it commutes
 for, if any, so commutes is a dict read and only a failing (u, v, q) walks
 its profiles, once.  The commutation half of the Jacobi-like identity routes
 its reversed side through an R-map, so no profile decides it: it reads the
-same scatter again, one w at a time (PairAnalysis.products).  The analysis
+same scatter again, one w at a time (PairAnalysis.products).  The suites
+read the analysis directly: the locality and skew suites read commutes for
+each pair, and the weak-associativity records the sorted failures
+(weak_assoc_failures); skew-symmetry itself compares one-variable modes
+(algebra.skew_difference) and needs no profile.  The analysis
 is held by the structure it acts through, like the mode index, and lives as
 long as the structure.
 """
@@ -254,9 +258,10 @@ class PairAnalysis:
     (mode_pair); the first failure of each (u, v, q) is built once and
     memoized.  `exp_images` holds e^{xD} e_k for every basis vector of
     alg, failing_middle reads the least failing middle argument of each
-    (u, w) off the failing triples, assoc_failing_pairs the failing (u, v)
-    of each w, and products(w) scatters one w's products again for a
-    relation no profile decides.
+    (u, w) off the failing triples, weak_assoc_failures lists the failing
+    (u, w) or triples in sorted order, assoc_failing_pairs the failing
+    (u, v) of each w, and products(w) scatters one w's products again for
+    a relation no profile decides.
 
     The analysis keeps the two tables' sparse indexes, not the structures,
     so a structure that holds its analysis is not part of a reference
@@ -356,12 +361,14 @@ class PairAnalysis:
             self._first[(u, v, q)] = self.commutation_sides(u, v, q, *found)
         return self._first[(u, v, q)]
 
-    def commutation_exponents(self, u: int, v: int, q: Fraction) -> dict:
-        """{w: least differing exponent} on each basis w where commutation fails, with no sides."""
-        return {} if self.commutes(u, v, q) else dict(self._failures(u, v, q))
-
     def commutation_failures(self, u: int, v: int, q: Fraction):
-        """(w, exponent, lhs, rhs) on each w where commutation fails, in increasing w; sparse."""
+        """(w, exponent, lhs, rhs) on each w where commutation fails, in increasing w; sparse.
+
+        Lazy: each failure's sides are built when it is read, and a
+        commuting (u, v, q) is not walked at all.
+        """
+        if self.commutes(u, v, q):
+            return iter(())
         return (self.commutation_sides(u, v, q, *f) for f in self._failures(u, v, q))
 
     def commutation_sides(self, u: int, v: int, q: Fraction, w: int, e) -> tuple:
@@ -386,6 +393,15 @@ class PairAnalysis:
             for w in failing:
                 by_w.setdefault(w, []).append(pair)
         return by_w
+
+    def weak_assoc_failures(self, uniform: bool) -> list[tuple]:
+        """The failing (u, w) of uniform weak associativity, or the failing (u, v, w); sorted.
+
+        (u, w) fails uniformly when some middle v fails (failing_middle).
+        """
+        if uniform:
+            return sorted(self._first_failing_middle)
+        return sorted((u, v, w) for (u, v), failing in self._records[1].items() for w in failing)
 
     def failing_middle(self, u: int, w: int) -> int | None:
         """The least v for which (u, v, w) is not weakly associative, or None when every v holds."""

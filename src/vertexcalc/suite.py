@@ -5,6 +5,16 @@ classifications report a computed fact (local vs nonlocal, which vectors
 generate, closure status) and never affect the exit code.  The JSON emission
 is canonical and timing-free, so identical inputs and options give identical
 bytes; the text emission is a readable table of the same records.
+
+The pair suites read the structure's pair analysis (vertexcalc.pairs) and
+build a witness only for a record that prints one.  The locality suite reads
+each pair's commutation verdict and asks find_locality_k for the witness of a
+nonlocal pair only.  The skew suite reads each pair's comparison
+(skew_difference), truncation order and commutation verdict and builds no
+report: the comparison of (u, v, q) agrees exactly when that of (v, u, 1/q)
+does, so it is decided once per unordered pair when q(u,v) q(v,u) = 1 and
+q != 0.  The weak-associativity records read the failing (u, w) or
+(u, v, w) off the analysis and build the first MAX_WITNESSES witnesses.
 """
 
 from __future__ import annotations
@@ -14,18 +24,21 @@ from fractions import Fraction
 
 from .algebra import (
     AlgebraStructure,
+    analysis_of,
     check_creation_exponential,
     check_d_bracket,
     check_jacobi,
-    check_skew_symmetry,
     find_locality_k,
     find_weak_assoc_l,
+    skew_difference,
+    skew_truncation,
     validate_structure,
     weak_assoc_triple,
 )
 from .construct import check_jacobi_like
 from .errors import InvalidArgument, ValidationError
 from .fileio import AlgebraBundle, algebra_to_data, canonical_json
+from .linalg import integral
 from .modules import (
     adjoint_module,
     check_locality_transfer,
@@ -132,6 +145,7 @@ def _pair_q(bundle: AlgebraBundle, options: SuiteOptions):
     """The commutation scalar of each basis pair (i, j), with --q parsed once per suite."""
     q = _fixed_q(options)
     if q is not None:
+        q = integral(q)  # an integral q multiplies as an int
         return lambda i, j: q
     if bundle.grading is None or bundle.cocycle is None:
         raise ValidationError("--q from-cocycle needs grading and cocycle sections")
@@ -174,47 +188,49 @@ def _assoc_record(
 ) -> SuiteRecord:
     """One weak-associativity check over every (u, w) pair or every triple.
 
+    The failing (u, w) or (u, v, w) are read off the pair analysis in
+    sorted order, and a witness is built only for the first MAX_WITNESSES.
     Each relation holds at order 0 or at none, so max_l is the literal 0,
     kept as the record's order.
     """
-    basis = range(alg.dim)
-    if uniform:
-        answers = [find_weak_assoc_l(alg, u, w) for u in basis for w in basis]
-    else:
-        answers = [weak_assoc_triple(alg, u, v, w) for u in basis for v in basis for w in basis]
-    failed = [w for w in answers if w is not None]
+    failed = analysis_of(alg).weak_assoc_failures(uniform)
+    witness = find_weak_assoc_l if uniform else weak_assoc_triple
     return SuiteRecord(
         id=rid,
         identity=identity,
         kind=CHECK,
         verdict=FAIL if failed else PASS,
         orders={"max_l": 0},
-        witnesses=[w.describe() for w in failed[:MAX_WITNESSES]],
+        witnesses=[witness(alg, *key).describe() for key in failed[:MAX_WITNESSES]],
         notes=notes,
     )
 
 
 def _suite_locality(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteReport):
+    """Each pair's memoized commutation verdict; only a nonlocal pair builds a witness."""
     alg = bundle.alg
     pair_q = _pair_q(bundle, options)
+    pairs = analysis_of(alg)
+    texts: dict = {}  # str(q), formatted once per distinct q
     nonlocal_pairs = 0
     for i in range(alg.dim):
         for j in range(alg.dim):
             q = pair_q(i, j)
-            witness = find_locality_k(alg, i, j, q)
-            if witness is None:
-                verdict = "local(k=0)"  # a local pair commutes at order 0
+            if pairs.commutes(i, j, q):
+                verdict, witnesses = "local(k=0)", []  # a local pair commutes at order 0
             else:
-                verdict = "nonlocal"
+                verdict, witnesses = "nonlocal", [find_locality_k(alg, i, j, q).describe()]
                 nonlocal_pairs += 1
+            if (text := texts.get(q)) is None:
+                text = texts[q] = str(q)
             report.add(
                 SuiteRecord(
                     id=f"locality/{alg.basis[i]},{alg.basis[j]}",
                     identity="damped commutation of operator pairs",
                     kind=CLASSIFICATION,
                     verdict=verdict,
-                    orders={"q": str(q)},
-                    witnesses=[witness.describe()] if witness else [],
+                    orders={"q": text},
+                    witnesses=witnesses,
                 )
             )
     report.add(
@@ -229,34 +245,44 @@ def _suite_locality(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteR
 
 
 def _suite_skew(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteReport):
+    """Each pair's skew comparison, truncation order and commutation verdict; no witness.
+
+    The comparison of (u, v, q) agrees exactly when that of (v, u, 1/q) does
+    (skew_difference), so when q(u,v) q(v,u) = 1 and q != 0 it is decided
+    once per unordered pair; every other q compares both directions.
+    """
     alg = bundle.alg
     pair_q = _pair_q(bundle, options)
+    pairs = analysis_of(alg)
+    decided: dict = {}  # {(v, u): the comparison of (u, v), which decides (v, u) as well}
     for i in range(alg.dim):
         for j in range(alg.dim):
             q = pair_q(i, j)
-            skew = check_skew_symmetry(alg, i, j, q)
-            # the skew report records locality_k exactly when the pair is local
-            local = "locality_k" in skew.found_orders
+            agree = decided.pop((i, j), None)
+            if agree is None:
+                agree = skew_difference(alg, i, j, q) is None
+                if i < j and q and q * pair_q(j, i) == 1:
+                    decided[(j, i)] = agree
+            local = pairs.commutes(i, j, q)
+            orders, truncated = skew_truncation(alg, i, j, local)
+            holds = agree and truncated
             report.add(
                 SuiteRecord(
                     id=f"skew/{alg.basis[i]},{alg.basis[j]}",
                     identity="skew-symmetry with truncation",
                     kind=CLASSIFICATION,
-                    verdict="holds" if skew.passed else "fails",
-                    exact=skew.exact,
-                    orders=dict(skew.found_orders),
+                    verdict="holds" if holds else "fails",
+                    exact=agree,  # the report contract marks a failed comparison as not exact
+                    orders=orders,
                 )
             )
-            agree = skew.passed == local
             report.add(
                 SuiteRecord(
                     id=f"skew/equivalence/{alg.basis[i]},{alg.basis[j]}",
                     identity="locality equivalent to skew-symmetry with truncation",
                     kind=CHECK,
-                    verdict=PASS if agree else FAIL,
-                    witnesses=[]
-                    if agree
-                    else [f"skew={skew.passed} locality={local}"],
+                    verdict=PASS if holds == local else FAIL,
+                    witnesses=[] if holds == local else [f"skew={holds} locality={local}"],
                 )
             )
 

@@ -56,6 +56,7 @@ from vertexcalc.algebra import (
     find_locality_k,
     find_weak_assoc_l,
     scale,
+    skew_difference,
     sparse_differences,
     sparse_modes,
     truncation_order,
@@ -674,6 +675,34 @@ def test_check_jacobi_limit_keeps_the_verdict_and_the_first_witnesses(name, alg,
             check_jacobi(alg, 0, 0, Fraction(1), limit=limit)
 
 
+def test_check_jacobi_reads_no_failure_past_its_limit(monkeypatch):
+    # a w among the first `limit` failing w has fewer than `limit` commutation
+    # failures before it, so only the first `limit` are read
+    consumed = []
+    walk = PairAnalysis._failures
+
+    def counting(self, u, v, q):
+        for item in walk(self, u, v, q):
+            consumed.append((u, v, q))
+            yield item
+
+    monkeypatch.setattr(PairAnalysis, "_failures", counting)
+    a3 = parse_algebra_file(FIXTURES / "a3.json").alg
+    m2a3 = parse_algebra_file(FIXTURES / "m2a3.json")
+    for bundle, everything, kept in (
+        (AlgebraBundle(alg=matrix_algebra(a3, 3), name="m3"), 1420, 612),
+        (m2a3, 180, 102),
+    ):
+        consumed.clear()
+        run_suite(bundle, "jacobi")
+        assert len(consumed) == kept
+        consumed.clear()
+        basis = range(bundle.alg.dim)
+        for u, v in itertools.product(basis, basis):
+            check_jacobi(bundle.alg, u, v, Fraction(1))
+        assert len(consumed) == everything
+
+
 @pytest.mark.parametrize("q", ["1", "0", "1/3"])
 def test_each_failing_pair_builds_its_first_witness_once(q, monkeypatch):
     built = []
@@ -751,3 +780,49 @@ def test_assoc_sides_calls_no_binom(monkeypatch, tmp_path):
     (tmp_path / "a3.json").write_text(json.dumps(doc))
     report = run_suite(parse_algebra_file(tmp_path / "a3.json"), "axioms")
     assert calls == [] and len(report.records) == 4
+
+
+# -- the pair suites read the analysis ----------------------------------------------------
+
+
+@pytest.mark.parametrize("name, alg, mod, qfuns", CASES, ids=[c[0] for c in CASES])
+def test_the_skew_comparison_of_a_pair_is_that_of_the_reversed_pair_under_1_over_q(
+    name, alg, mod, qfuns
+):
+    # Y(u,x)v = q e^{xD}Y(v,-x)u exactly when Y(v,x)u = q^-1 e^{xD}Y(u,-x)v:
+    # substitute x -> -x and apply e^{xD}
+    for q in QS:
+        if q == 0:
+            continue
+        for u, v in itertools.product(range(alg.dim), repeat=2):
+            agree = skew_difference(alg, u, v, q) is None
+            assert agree == (skew_difference(alg, v, u, 1 / q) is None), (name, u, v, q)
+
+
+def test_the_pair_suites_on_m3a3_build_only_what_they_print(monkeypatch):
+    calls = collections.Counter()
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(algebra_module, "basis_modes")
+    counting(suite_module, "find_locality_k")
+    counting(suite_module, "find_weak_assoc_l")
+    a3 = parse_algebra_file(FIXTURES / "a3.json").alg
+    bundle = AlgebraBundle(alg=matrix_algebra(a3, 3), name="m3")
+    # 162 unordered pairs the index names, 6 of them diagonal: one comparison
+    # each under q = 1, which reads Y(u,x)v and Y(v,x)u
+    run_suite(bundle, "skew")
+    assert calls["basis_modes"] == 324
+    # one witness per nonlocal pair
+    run_suite(bundle, "locality")
+    assert calls["find_locality_k"] == 204
+    # weak associativity holds on m3a3: no witness to build
+    report = run_suite(bundle, "axioms")
+    assert report.records[-1].verdict == "pass" and calls["find_weak_assoc_l"] == 0

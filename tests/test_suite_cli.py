@@ -394,6 +394,26 @@ def test_cli_refuses_a_coefficient_past_the_int_digit_limit(value, tmp_path, cap
     assert capsys.readouterr().err.startswith(f"error: bad rational {value!r}")
 
 
+@pytest.mark.parametrize("value", ["1e" + "7" * 5000, "1e4300", list(range(3000))])
+def test_cli_refuses_a_long_or_huge_coefficient_in_one_short_line(value, tmp_path):
+    # the error quotes at most 40 characters of the value, with its length, and
+    # says the limit in the program's own words, not Python's advice
+    doc = json.loads((FIXTURES / "a3.json").read_text())
+    (entry,) = [e for e in doc["entries"] if (e["u"], e["v"], e["n"]) == ("one", "one", -1)]
+    entry["result"]["one"] = value
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vertexcalc.cli", "check", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and len(line) < 200, line
+    assert "Traceback" not in proc.stderr and "set_int_max_str_digits" not in line
+
+
 @pytest.mark.parametrize("suite", ["locality", "all", "closure"])
 @pytest.mark.parametrize("cap", ["-5", "0"])
 def test_a_dim_cap_below_one_is_refused_before_any_check(suite, cap, capsys):
