@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 from typing import TYPE_CHECKING
 
 from .errors import CapExceeded, InvalidArgument, MalformedStructure, NonNilpotentD
@@ -507,12 +506,7 @@ def find_locality_k(
     constant witness of the nonlocal fixtures).  The witness is the first
     differing exponent on the first failing basis w.
     """
-    q = integral(q)
-    failure = analysis_of(alg).first_commutation_failure(u_idx, v_idx, q)
-    if failure is None:
-        return None
-    w_idx, *diff = failure
-    return Witness((alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx]), *diff, alg.basis)
+    return analysis_of(alg).commutation_witness(u_idx, v_idx, integral(q))
 
 
 def truncation_order(alg: AlgebraStructure, u_idx: int, v_idx: int) -> int:
@@ -612,10 +606,7 @@ def check_skew_symmetry(
 
 def weak_assoc_triple(alg: AlgebraStructure, u_idx: int, v_idx: int, w_idx: int) -> Witness | None:
     """Three-argument weak associativity: None when it holds (at order 0), else its witness."""
-    diff = analysis_of(alg).assoc_failure(u_idx, v_idx, w_idx)
-    if diff is None:
-        return None
-    return Witness((alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx]), *diff, alg.basis)
+    return analysis_of(alg).assoc_witness(u_idx, w_idx, v_idx)
 
 
 def find_weak_assoc_l(alg: AlgebraStructure, u_idx: int, w_idx: int) -> Witness | None:
@@ -623,12 +614,7 @@ def find_weak_assoc_l(alg: AlgebraStructure, u_idx: int, w_idx: int) -> Witness 
 
     Otherwise the witness of the first failing v.
     """
-    pairs = analysis_of(alg)
-    v_idx = pairs.failing_middle(u_idx, w_idx)
-    if v_idx is None:
-        return None
-    names = (alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx])
-    return Witness(names, *pairs.assoc_failure(u_idx, v_idx, w_idx), alg.basis)
+    return analysis_of(alg).assoc_witness(u_idx, w_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -652,27 +638,18 @@ def check_jacobi(
     substituting x1 = x0 + x2 under that delta function leaves order-0 weak
     associativity.  So the identity holds on w exactly when commutation and
     weak associativity hold there; each failing w has one witness, which
-    names the half that failed ("commutation" first).  So the verdict is
-    (q-locality and weak associativity on every w) by construction, and the
-    report records no order.  The report holds the witnesses of the first
-    `limit` failing w, or of every one when limit is None, and a positive
-    limit keeps one on every failing report.  Only the first `limit`
-    commutation failures (in increasing w, PairAnalysis.commutation_failures)
-    are read and their sides built: a w among the first `limit` failing w
-    has fewer than `limit` commutation failures before it.
+    names the half that failed (PairAnalysis.jacobi_witness).  So the
+    verdict is (q-locality and weak associativity on every w) by
+    construction, and the report records no order.  The report holds the
+    witnesses of the first `limit` failing w, or of every one when limit is
+    None (PairAnalysis.jacobi_witnesses), and a positive limit keeps one on
+    every failing report.
     """
     if limit is not None and limit < 1:
         raise InvalidArgument(f"the witness limit must be positive or None, not {limit}")
     report = CheckReport(f"jacobi[{alg.basis[u_idx]},{alg.basis[v_idx]};q={q}]")
-    pairs = analysis_of(alg)
-    q = integral(q)
-    commutation = islice(pairs.commutation_failures(u_idx, v_idx, q), limit)
-    failing = {w: diff for w, *diff in commutation}
-    assoc = pairs.assoc_failing(u_idx, v_idx)
-    for w in sorted(failing.keys() | assoc.keys())[:limit]:
-        half, diff = ("commutation", failing[w]) if w in failing else ("associativity", assoc[w])
-        names = (half, alg.basis[u_idx], alg.basis[v_idx], alg.basis[w])
-        report.fail(Witness(names, *diff, alg.basis))
+    for witness in analysis_of(alg).jacobi_witnesses(u_idx, v_idx, integral(q), limit):
+        report.fail(witness)
     return report
 
 

@@ -636,8 +636,8 @@ def check_jacobi_like(alg: AlgebraStructure, rmap: RMap) -> CheckReport:
     whose triple is weakly associative holds both halves.  So each w
     visits the pairs with a nonzero product, the pairs R reaches them from
     (R read backwards once per call) and the pairs whose triple is not
-    weakly associative (PairAnalysis.assoc_failing_pairs).  Failures are
-    reported in (u, v, w) order.
+    weakly associative (PairAnalysis.assoc_failing_pairs).  Each failure's
+    witness is PairAnalysis.jacobi_witness's, reported in (u, v, w) order.
     """
     report = CheckReport("jacobi-like")
     dim = alg.dim
@@ -667,14 +667,8 @@ def check_jacobi_like(alg: AlgebraStructure, rmap: RMap) -> CheckReport:
                 for (e2, e1), outer in products.get(pair, {}).items():
                     add_term(rterms, (e1, e2), coeff, outer.items())
             diff = next(sparse_differences(straight, rterms), None) if straight or rterms else None
-            if diff is not None:
-                half, found = "commutation", diff
-            elif (found := pairs.assoc_failure(u_idx, v_idx, w_idx)) is not None:
-                half = "associativity"
-            else:
-                continue
-            names = (alg.basis[u_idx], alg.basis[v_idx], alg.basis[w_idx])
-            failures[(u_idx, v_idx, w_idx)] = Witness((half,) + names, *found, alg.basis)
+            if (witness := pairs.jacobi_witness(u_idx, v_idx, w_idx, diff)) is not None:
+                failures[(u_idx, v_idx, w_idx)] = witness
     for triple in sorted(failures):
         report.fail(failures[triple])
     return report

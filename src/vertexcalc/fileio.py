@@ -205,15 +205,7 @@ def parse_algebra_data(data: dict, name: str = "") -> AlgebraBundle:
             raise ValidationError(f"vacuum {vacuum_name!r} is not a basis name")
 
         section = "entries"
-        mode_index: ModeIndex = {}
-        for entry in data.get("entries", []):
-            u, v, n = entry["u"], entry["v"], _json_int(entry["n"])
-            result = entry["result"]
-            if u not in index or v not in index:
-                raise ValidationError(f"entry references unknown basis name: {entry!r}")
-            what = f"entry ({u},{v},{n})"
-            img = _coords(result, index, what)
-            _put_once(mode_index.setdefault((index[u], index[v]), {}), n, img, what)
+        mode_index = _read_table(data.get("entries", []), ("u", "v"), index, index, "entry")
 
         section = "variant"
         variant = data.get("variant", "strong")
@@ -292,14 +284,7 @@ def parse_algebra_data(data: dict, name: str = "") -> AlgebraBundle:
             m = data["module"]
             w_basis = tuple(str(x) for x in m["basis"])
             w_index = _name_index(w_basis, "module basis")
-            action: ModeIndex = {}
-            for entry in m.get("entries", []):
-                v, w, n = entry["v"], entry["w"], _json_int(entry["n"])
-                if v not in index or w not in w_index:
-                    raise ValidationError(f"module entry references unknown name: {entry!r}")
-                what = f"module entry ({v},{w},{n})"
-                img = _coords(entry["result"], w_index, what)
-                _put_once(action.setdefault((index[v], w_index[w]), {}), n, img, what)
+            action = _read_table(m.get("entries", []), ("v", "w"), index, w_index, "module entry")
             bundle.module = ModuleStructure(basis=w_basis, mode_index=action)
 
         if "operators" in data:
@@ -350,11 +335,25 @@ def _name_index(names: tuple[str, ...], what: str) -> dict[str, int]:
     return index
 
 
-def _put_once(modes: dict, n: int, img: Support, what: str) -> None:
-    """modes[n] = img, refusing a second entry for the same key."""
-    if n in modes:
-        raise ValidationError(f"duplicate {what}")
-    modes[n] = img
+def _read_table(entries, keys: tuple[str, str], acting: dict, target: dict, what: str) -> ModeIndex:
+    """The mode index of a file's mode-table entries {keys[0], keys[1], "n", "result"}.
+
+    keys name the acting and the target basis vector; an unknown name or a
+    second entry for the same (acting, target, n) is a ValidationError.
+    """
+    a, b = keys
+    table: ModeIndex = {}
+    for entry in entries:
+        x, y, n, result = entry[a], entry[b], _json_int(entry["n"]), entry["result"]
+        if x not in acting or y not in target:
+            raise ValidationError(f"{what} references unknown basis name: {entry!r}")
+        where = f"{what} ({x},{y},{n})"
+        img = _coords(result, target, where)
+        modes = table.setdefault((acting[x], target[y]), {})
+        if n in modes:
+            raise ValidationError(f"duplicate {where}")
+        modes[n] = img
+    return table
 
 
 def _rmap_spec(spec, bundle: AlgebraBundle) -> dict:
@@ -394,6 +393,9 @@ def read_json(path: str | Path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except ValueError:  # json.loads converts an integer literal past the digit limit with int()
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"{path}: an integer literal has more than {limit} digits") from None
     except RecursionError:
         raise ParseError(f"{path}: JSON nested too deeply") from None
 
@@ -406,25 +408,24 @@ def parse_algebra_file(path: str | Path) -> AlgebraBundle:
 # emission
 
 
+def _table_entries(index: ModeIndex, keys: tuple[str, str], acting: tuple, target: tuple) -> list:
+    """The file entries of a mode index in (acting, target, n) order, as _read_table reads them."""
+    a, b = keys
+    return [
+        {a: acting[i], b: target[j], "n": n, "result": _sparse_from_coords(img, target)}
+        for (i, j), modes in sorted(index.items())
+        for n, img in sorted(modes.items())
+    ]
+
+
 def algebra_to_data(alg: AlgebraStructure, sections: dict | None = None) -> dict:
-    entries = []
-    for (i, j), modes in sorted(alg.mode_index.items()):
-        for n, img in sorted(modes.items()):
-            entries.append(
-                {
-                    "u": alg.basis[i],
-                    "v": alg.basis[j],
-                    "n": n,
-                    "result": _sparse_from_coords(img, alg.basis),
-                }
-            )
     data = {
         "format_version": FORMAT_VERSION,
         "basis": list(alg.basis),
         "dim": alg.dim,
         "vacuum": alg.basis[alg.vacuum],
         "variant": alg.assoc_variant,
-        "entries": entries,
+        "entries": _table_entries(alg.mode_index, ("u", "v"), alg.basis, alg.basis),
     }
     data.update(sections or {})
     return data
@@ -476,17 +477,7 @@ def assoc_section(data: AssocAlgebraData) -> dict:
 
 
 def module_section(mod: ModuleStructure, alg: AlgebraStructure) -> dict:
-    entries = []
-    for (i, j), modes in sorted(mod.mode_index.items()):
-        for n, img in sorted(modes.items()):
-            entries.append(
-                {
-                    "v": alg.basis[i],
-                    "w": mod.basis[j],
-                    "n": n,
-                    "result": _sparse_from_coords(img, mod.basis),
-                }
-            )
+    entries = _table_entries(mod.mode_index, ("v", "w"), alg.basis, mod.basis)
     return {"basis": list(mod.basis), "entries": entries}
 
 

@@ -122,16 +122,10 @@ def check_module(alg: AlgebraStructure, mod: ModuleStructure) -> CheckReport:
                 report.fail(Witness(names, (n,), a, b, mod.basis))
     # weak associativity, per triple; a (u, w) that holds for every v is uniform
     pairs = pair_analysis(alg, mod)
-    uniform = False
-    for u_idx in range(alg.dim):
-        for w_idx in range(dim_w):
-            v_idx = pairs.failing_middle(u_idx, w_idx)
-            if v_idx is None:
-                uniform = True
-                continue
-            names = (alg.basis[u_idx], alg.basis[v_idx], mod.basis[w_idx])
-            report.fail(Witness(names, *pairs.assoc_failure(u_idx, v_idx, w_idx), mod.basis))
-    if uniform:
+    failed = pairs.weak_assoc_failures(True)
+    for u_idx, w_idx in failed:
+        report.fail(pairs.assoc_witness(u_idx, w_idx))
+    if len(failed) < alg.dim * dim_w:
         report.found_orders["max_assoc_order"] = 0
         report.notes.append(
             "uniform variant orders recorded per (u, w): max over middle arguments"
@@ -226,9 +220,7 @@ def check_locality_transfer(
     if alg_holds:
         report.found_orders["algebra_k"] = 0
         if not mod_holds:
-            w_idx, *diff = mod_pairs.first_commutation_failure(u_idx, v_idx, q)
-            names = (alg.basis[u_idx], alg.basis[v_idx], mod.basis[w_idx])
-            report.fail(Witness(names, *diff, mod.basis))
+            report.fail(mod_pairs.commutation_witness(u_idx, v_idx, q))
     if faithful and mod_holds and not alg_holds:
         report.fail(
             Witness(

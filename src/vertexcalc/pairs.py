@@ -1,36 +1,31 @@
-"""The pair analysis: every product Y(u,x1)Y(v,x2)w of basis vectors, built once per structure.
+"""The pair analysis: every product Y(u,x1)Y(v,x2)w of basis vectors, and each failure's witness.
 
-Locality, skew-symmetry, weak associativity, the q-Jacobi identity, the
-associativity half of the Jacobi-like identity and the module checks all read
-the same two-variable products of basis vectors.  A structure's
-`PairAnalysis` (pair_analysis) builds each nonzero one once, in one walk over
-the target basis that scatters coordinates through sparse columns
-(scatter_products, scatter_iterates), so it costs the nonzero terms, not a
-lookup per pair; the columns hold each mode in exponent form, so the walk
-reads each exponent once.  It records for which q each triple commutes
-(commutation_profile: every q, one rational, or none, so one analysis serves
-every q) and the first difference of each triple that is not weakly
-associative, and drops the products.  The (v, u) relation is the (u, v) one
-with x1 and x2 exchanged and q inverted, so each unordered pair is decided
-once per w (pair_profiles), in closed form when a side is empty or both are
-equal; a triple whose product has only outer exponent 0 is decided by one
-equality (assoc_holds).  A pair's profiles reduce to the one q it commutes
-for, if any, so commutes is a dict read and only a failing (u, v, q) walks
-its profiles, once.  The commutation half of the Jacobi-like identity routes
-its reversed side through an R-map, so no profile decides it: it reads the
-same scatter again, one w at a time (PairAnalysis.products).  The suites
-read the analysis directly: the locality and skew suites read commutes for
-each pair, and the weak-associativity records the sorted failures
-(weak_assoc_failures); skew-symmetry itself compares one-variable modes
-(algebra.skew_difference) and needs no profile.  The analysis
-is held by the structure it acts through, like the mode index, and lives as
-long as the structure.
+Locality, skew-symmetry, weak associativity, the Jacobi-type identities and
+the module checks all read the same two-variable products of basis vectors.
+A structure's `PairAnalysis` (pair_analysis) builds each nonzero one once,
+in one walk over the target basis that scatters coordinates through sparse
+columns (scatter_products, scatter_iterates).  It records for which q each
+triple commutes (commutation_profile, decided once per unordered pair and w
+by pair_profiles), so one analysis serves every q, and the first difference
+of each triple that is not weakly associative (assoc_holds); then it drops
+the products.
+
+The analysis owns the refutations: every witness of a commutation, weak
+associativity or Jacobi failure is built here from its records
+(commutation_witness, assoc_witness, jacobi_witness, jacobi_witnesses), and
+the checks in algebra, modules and construct read it.  jacobi_witness is
+the one rule that names the failing half, commutation first.  The
+Jacobi-like identity routes its reversed side through an R-map, which no
+profile decides: it compares the sides on one w's scatter at a time
+(PairAnalysis.products) and hands its difference to jacobi_witness.  The
+analysis is held by the structure it acts through, like the mode index.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from .algebra import (
@@ -46,6 +41,7 @@ from .algebra import (
     sparse_differences,
 )
 from .linalg import ONE, add_scaled, integral
+from .report import Witness
 
 if TYPE_CHECKING:
     from .modules import ModuleStructure
@@ -231,46 +227,33 @@ def scatter_iterates(cols: dict[int, list], sources: dict[int, list], w: int) ->
 
 
 class PairAnalysis:
-    """Every product Y(u,x1)Y(v,x2)w of basis vectors, built once and read by every check.
+    """Every product Y(u,x1)Y(v,x2)w of basis vectors, decided once, and each failure's witness.
 
     u and v range over the basis of `alg`, which also gives the iterates
     Y(Y(u,x0)v,x2)w; w ranges over the basis of `act`, the acting table
-    (alg itself or a module).  On first use, one walk over w builds each
-    w's nonzero products and iterates, decides commutation once per
-    unordered pair with a nonzero product or reversed product
-    (pair_profiles) and associativity only on the pairs with a nonzero
-    product or iterate (every other pair holds the relation on that w),
-    records two things and drops the products:
+    (alg itself or a module).  On first use one walk over w records two
+    things and drops the products:
     - commutation: for each ordered (u, v) and each w on which
       Y(u,x1)Y(v,x2)w = q Y(v,x2)Y(u,x1)w does not hold for every q, its
-      commutation_profile.  A profile names the q it holds for, if any, so
-      one analysis serves every q; empty or equal sides are closed forms;
-    - weak associativity: for each triple that fails assoc_sides, its
-      first difference (exponent, lhs, rhs).  assoc_holds decides each
-      triple at order 0 by one equality, else by one accumulator of the
-      sides' difference; the sides are built only for a failing one.
-    It keeps no product: a profile is at most two (q, exponent) pairs, and
-    only a failing triple keeps sparse vectors, its first difference.  Each
-    recorded pair's profiles reduce to the one q it commutes for on every w,
-    or to none (_pair_q), so commutes is a dict read; only a failing
-    (u, v, q) walks its profiles.  A commutation witness is built when a
-    check asks for it, from the two coefficients at its exponent
-    (mode_pair); the first failure of each (u, v, q) is built once and
-    memoized.  `exp_images` holds e^{xD} e_k for every basis vector of
-    alg, failing_middle reads the least failing middle argument of each
-    (u, w) off the failing triples, weak_assoc_failures lists the failing
-    (u, w) or triples in sorted order, assoc_failing_pairs the failing
-    (u, v) of each w, and products(w) scatters one w's products again for
-    a relation no profile decides.
-
-    The analysis keeps the two tables' sparse indexes, not the structures,
-    so a structure that holds its analysis is not part of a reference
-    cycle and is freed as soon as it is dropped.
+      commutation_profile, which names the q it holds for, if any.  Each
+      pair's profiles reduce to the one q it commutes for on every w
+      (_pair_q), so commutes is a dict read; only a failing (u, v, q)
+      walks its profiles;
+    - weak associativity: the first difference (exponent, lhs, rhs) of
+      each triple that fails assoc_sides, whose sides are built only there.
+    A witness names (u, v, w) by the two bases and its coordinates by
+    act's.  A commutation witness's sides are read off the table at its
+    exponent (mode_pair), those of the first failure of each (u, v, q)
+    once.  The analysis keeps the tables' sparse indexes and basis names
+    (tuples of strings), not the structures, so a structure that holds its
+    analysis is in no reference cycle and is freed as soon as it is dropped.
     """
 
     def __init__(self, alg: AlgebraStructure, act: AlgebraStructure | ModuleStructure):
         self.alg_index = alg.mode_index
         self.index = act.mode_index
+        self.basis = alg.basis
+        self.act_basis = act.basis
         self.n = alg.dim
         self.dim = act.dim
         self.cols = d_columns(alg)
@@ -348,18 +331,26 @@ class PairAnalysis:
                     yield w, e
                     break
 
+    def _witness(self, u: int, v: int, w: int, diff, *half: str) -> Witness:
+        """The witness at (*half, u, v, w) of a first difference (exponent, lhs, rhs)."""
+        names = (*half, self.basis[u], self.basis[v], self.act_basis[w])
+        return Witness(names, *diff, self.act_basis)
+
     def commutes(self, u: int, v: int, q: Fraction) -> bool:
         """Whether Y(u,x1)Y(v,x2)w = q Y(v,x2)Y(u,x1)w on every basis w; a dict read (_pair_q)."""
         return self._pair_q.get((u, v), q) == q
 
-    def first_commutation_failure(self, u: int, v: int, q: Fraction) -> tuple | None:
-        """The first item of commutation_failures, or None; built once per (u, v, q), read-only."""
+    def commutation_witness(self, u: int, v: int, q: Fraction) -> Witness | None:
+        """The witness of the first item of commutation_failures, or None when (u, v) commutes.
+
+        Its sides are built once per (u, v, q) and kept.
+        """
         if self.commutes(u, v, q):
             return None
         if (u, v, q) not in self._first:
-            found = next(self._failures(u, v, q))
-            self._first[(u, v, q)] = self.commutation_sides(u, v, q, *found)
-        return self._first[(u, v, q)]
+            self._first[(u, v, q)] = self._sides(u, v, q, *next(self._failures(u, v, q)))
+        w, *diff = self._first[(u, v, q)]
+        return self._witness(u, v, w, diff)
 
     def commutation_failures(self, u: int, v: int, q: Fraction):
         """(w, exponent, lhs, rhs) on each w where commutation fails, in increasing w; sparse.
@@ -369,18 +360,29 @@ class PairAnalysis:
         """
         if self.commutes(u, v, q):
             return iter(())
-        return (self.commutation_sides(u, v, q, *f) for f in self._failures(u, v, q))
+        return (self._sides(u, v, q, *f) for f in self._failures(u, v, q))
 
-    def commutation_sides(self, u: int, v: int, q: Fraction, w: int, e) -> tuple:
-        """(w, e, lhs, rhs) of the failure at (w, e) (mode_pair); a memoized one is not rebuilt."""
+    def _sides(self, u: int, v: int, q: Fraction, w: int, e) -> tuple:
+        """(w, e, lhs, rhs) of the failure at (w, e) (mode_pair), or the kept first failure."""
         if (first := self._first.get((u, v, q))) is not None and first[0] == w:
             return first
         rhs = scale(q, mode_pair(self.index, v, u, w, e[::-1])) if q else {}
         return w, e, mode_pair(self.index, u, v, w, e), rhs
 
-    def assoc_failing(self, u: int, v: int) -> dict:
-        """{w: sparse first difference} of the triples (u, v, w) that are not weakly associative."""
-        return self._records[1].get((u, v), {})
+    def assoc_failure(self, u: int, v: int, w: int) -> tuple | None:
+        """The first difference (exponent, lhs, rhs) of weak associativity on (u, v, w), sparse."""
+        return self._records[1].get((u, v), {}).get(w)
+
+    def assoc_witness(self, u: int, w: int, v: int | None = None) -> Witness | None:
+        """Weak associativity of (u, v, w): None when it holds (at order 0), else its witness.
+
+        With v None, uniform weak associativity of (u, w): the witness of the
+        least failing middle v, or None when every v holds.
+        """
+        if v is None and (v := self._first_failing_middle.get((u, w))) is None:
+            return None
+        diff = self.assoc_failure(u, v, w)
+        return None if diff is None else self._witness(u, v, w, diff)
 
     def assoc_failing_pairs(self, w: int) -> list:
         """The (u, v) for which (u, v, w) is not weakly associative."""
@@ -397,19 +399,36 @@ class PairAnalysis:
     def weak_assoc_failures(self, uniform: bool) -> list[tuple]:
         """The failing (u, w) of uniform weak associativity, or the failing (u, v, w); sorted.
 
-        (u, w) fails uniformly when some middle v fails (failing_middle).
+        (u, w) fails uniformly when some middle v fails (assoc_witness).
         """
         if uniform:
             return sorted(self._first_failing_middle)
         return sorted((u, v, w) for (u, v), failing in self._records[1].items() for w in failing)
 
-    def failing_middle(self, u: int, w: int) -> int | None:
-        """The least v for which (u, v, w) is not weakly associative, or None when every v holds."""
-        return self._first_failing_middle.get((u, w))
+    def jacobi_witness(self, u: int, v: int, w: int, commutation: tuple | None) -> Witness | None:
+        """The witness of a Jacobi-type identity on (u, v, w), or None when it holds.
 
-    def assoc_failure(self, u: int, v: int, w: int) -> tuple | None:
-        """The first difference (exponent, lhs, rhs) of weak associativity on (u, v, w), sparse."""
-        return self._records[1].get((u, v), {}).get(w)
+        commutation is the first difference (exponent, lhs, rhs) of the
+        product and the reversed side, or None when they agree.  The
+        witness names the half that fails: commutation first, else weak
+        associativity.
+        """
+        if commutation is not None:
+            return self._witness(u, v, w, commutation, "commutation")
+        diff = self.assoc_failure(u, v, w)
+        return None if diff is None else self._witness(u, v, w, diff, "associativity")
+
+    def jacobi_witnesses(self, u: int, v: int, q: Fraction, limit: int | None) -> list[Witness]:
+        """The q-Jacobi witnesses of (u, v) on the first `limit` failing w, in increasing w.
+
+        Every failing w when limit is None.  Only the first `limit`
+        commutation failures (in increasing w) are read and their sides
+        built: a w among the first `limit` failing w has fewer than `limit`
+        commutation failures before it.
+        """
+        commutation = {f[0]: f[1:] for f in islice(self.commutation_failures(u, v, q), limit)}
+        failing = sorted(commutation.keys() | self._records[1].get((u, v), {}).keys())
+        return [self.jacobi_witness(u, v, w, commutation.get(w)) for w in failing[:limit]]
 
 
 def pair_analysis(
@@ -427,7 +446,7 @@ def pair_analysis(
             alg._pairs = PairAnalysis(alg, alg)
         return alg._pairs
     held = act._pairs
-    if held is None or held.alg_index is not alg.mode_index:
+    if held is None or held.alg_index is not alg.mode_index or held.basis != alg.basis:
         adjoint = act.basis == alg.basis and act.mode_index == alg.mode_index
         held = act._pairs = pair_analysis(alg) if adjoint else PairAnalysis(alg, act)
     return held

@@ -36,8 +36,8 @@ from .algebra import (
     weak_assoc_triple,
 )
 from .construct import check_jacobi_like
-from .errors import InvalidArgument, ValidationError
-from .fileio import AlgebraBundle, algebra_to_data, canonical_json
+from .errors import InvalidArgument, ParseError, ValidationError
+from .fileio import AlgebraBundle, algebra_to_data, canonical_json, parse_rational
 from .linalg import integral
 from .modules import (
     adjoint_module,
@@ -129,16 +129,14 @@ class SuiteReport:
         return {**vars(self), "records": records, "summary": self.summary}
 
 
-def _fixed_q(options: SuiteOptions) -> Fraction | None:
+def _fixed_q(options: SuiteOptions) -> int | Fraction | None:
     """The commutation scalar as a rational, or None for 'from-cocycle'."""
     if options.q == "from-cocycle":
         return None
     try:
-        return Fraction(options.q)
-    except (ValueError, ZeroDivisionError):
-        raise InvalidArgument(
-            f"--q must be a rational number or 'from-cocycle', not {options.q!r}"
-        ) from None
+        return parse_rational(str(options.q))
+    except ParseError as exc:
+        raise InvalidArgument(f"--q must be a rational number or 'from-cocycle': {exc}") from None
 
 
 def _pair_q(bundle: AlgebraBundle, options: SuiteOptions):

@@ -10,6 +10,12 @@ library call, `find_locality_k`, `check_skew_symmetry`, and
 `find_weak_assoc_l` or `weak_assoc_triple`.  `reference_runners` gives them
 in the shape of `vertexcalc.suite`'s runners, so a test can run a suite
 both ways and compare the records.
+
+The pair analysis also builds the witness of each failure it records.
+Before it did, the checks turned its records into witnesses by hand; the
+last functions below are those assemblies, on the records alone
+(`commutation_failures`, `assoc_failure`), kept as the oracle of the
+analysis's witness methods.
 """
 
 from vertexcalc.algebra import (
@@ -18,7 +24,9 @@ from vertexcalc.algebra import (
     find_weak_assoc_l,
     weak_assoc_triple,
 )
-from vertexcalc.report import FAIL, PASS
+from vertexcalc.linalg import integral
+from vertexcalc.pairs import pair_analysis
+from vertexcalc.report import FAIL, PASS, Witness
 from vertexcalc.suite import (
     CHECK,
     CLASSIFICATION,
@@ -115,3 +123,42 @@ def suite_skew(bundle, options, report) -> None:
 def reference_runners() -> dict:
     """The runners above, keyed as in vertexcalc.suite._RUNNERS."""
     return {"locality": suite_locality, "skew": suite_skew}
+
+
+# -- the witness assemblies the checks made from the analysis's records ----------------
+
+
+def commutation_witness(alg, act, u, v, q):
+    """The first commutation failure of (u, v) on act, as the locality checks built it."""
+    first = next(pair_analysis(alg, act).commutation_failures(u, v, integral(q)), None)
+    if first is None:
+        return None
+    w, *diff = first
+    return Witness((alg.basis[u], alg.basis[v], act.basis[w]), *diff, act.basis)
+
+
+def assoc_witness(alg, act, u, v, w):
+    """The weak-associativity witness of (u, v, w) on act, as weak_assoc_triple built it."""
+    diff = pair_analysis(alg, act).assoc_failure(u, v, w)
+    if diff is None:
+        return None
+    return Witness((alg.basis[u], alg.basis[v], act.basis[w]), *diff, act.basis)
+
+
+def uniform_assoc_witness(alg, act, u, w):
+    """The witness of the least failing middle v, as find_weak_assoc_l and check_module built it."""
+    return next(
+        (x for v in range(alg.dim) if (x := assoc_witness(alg, act, u, v, w)) is not None), None
+    )
+
+
+def jacobi_witnesses(alg, u, v, q, limit):
+    """check_jacobi's witnesses: every failing w, commutation first, then cut to `limit`."""
+    pairs = pair_analysis(alg)
+    failing = {w: diff for w, *diff in pairs.commutation_failures(u, v, integral(q))}
+    assoc = {w: d for w in range(alg.dim) if (d := pairs.assoc_failure(u, v, w)) is not None}
+    out = []
+    for w in sorted(failing.keys() | assoc.keys())[:limit]:
+        half, diff = ("commutation", failing[w]) if w in failing else ("associativity", assoc[w])
+        out.append(Witness((half, alg.basis[u], alg.basis[v], alg.basis[w]), *diff, alg.basis))
+    return out

@@ -591,10 +591,16 @@ def test_the_memoized_first_failure_is_the_first_commutation_failure(name, alg, 
     for qfun in qfuns:
         for u, v in itertools.product(basis, basis):
             q = qfun(u, v)
-            want = next(analysis.commutation_failures(u, v, q), None)
+            first = next(analysis.commutation_failures(u, v, q), None)
+            want = None
+            if first is not None:
+                w, *diff = first
+                want = Witness((alg.basis[u], alg.basis[v], alg.basis[w]), *diff, alg.basis)
             for _ in range(2):  # the second read is the memo's
-                assert analysis.first_commutation_failure(u, v, q) == want, (name, u, v, q)
+                assert analysis.commutation_witness(u, v, q) == want, (name, u, v, q)
                 assert analysis.commutes(u, v, q) == (want is None)
+            # the walk reads the kept first failure back
+            assert next(analysis.commutation_failures(u, v, q), None) == first
             failing += want is not None
     assert len(qfuns) == (5 if name in ("z22_base", "z22_twist") else 4)
     assert failing > 0

@@ -355,7 +355,7 @@ def test_cli_error_exit_code(tmp_path):
     run_cli("check", a3, "--suite", "closure", "--dim-cap", "-1", expect=2)
     run_cli("closure", a3, "--dim-cap", "-1", expect=2)
     # a malformed --q is rejected whichever suite runs
-    for q in ("1/0", "abc"):
+    for q in ("1/0", "abc", "1e5000", "1e-5000"):
         run_cli("check", a3, "--q", q, expect=2)
         run_cli("check", a3, "--suite", "closure", "--q", q, expect=2)
     # outputs that cannot be written
@@ -365,6 +365,23 @@ def test_cli_error_exit_code(tmp_path):
     report = str(tmp_path / "rep.txt")
     run_cli("closure", a3, "--out", report, "--emit-algebra", unwritable, expect=2)
     run_cli("construct", "matrix", a3, "-o", unwritable, expect=2)
+
+
+@pytest.mark.parametrize("command", ["check", "report", "construct", "closure"])
+def test_cli_refuses_an_integer_literal_past_the_digit_limit(command, tmp_path):
+    # json.loads converts the literal with int(), which refuses it past the limit
+    path = tmp_path / "big.json"
+    path.write_text('{"format_version": 1' + "0" * 4999 + "}")
+    args = [str(path)]
+    if command == "construct":
+        args = ["matrix", str(path), "-o", str(tmp_path / "out.json")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "vertexcalc.cli", command, *args], capture_output=True, text=True
+    )
+    limit = sys.get_int_max_str_digits()
+    assert proc.returncode == 2
+    message = f"error: {path}: an integer literal has more than {limit} digits"
+    assert proc.stderr.splitlines() == [message]
 
 
 @pytest.mark.parametrize("command", ["check", "report"])
@@ -412,6 +429,16 @@ def test_cli_refuses_a_long_or_huge_coefficient_in_one_short_line(value, tmp_pat
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ") and len(line) < 200, line
     assert "Traceback" not in proc.stderr and "set_int_max_str_digits" not in line
+
+
+@pytest.mark.parametrize("q", ["1e5000", "7" * 6000])
+def test_a_huge_or_long_q_is_refused_in_one_short_line(q, capsys):
+    # --q is read by the file format's rational reader, whose error quotes at
+    # most 40 characters of the value
+    assert cli.main(["check", str(FIXTURES / "a3.json"), "--suite", "axioms", "--q", q]) == 2
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert out == "" and line.startswith("error: --q must be") and len(line) < 200, line
 
 
 @pytest.mark.parametrize("suite", ["locality", "all", "closure"])

@@ -8,8 +8,16 @@ field by field: on the seven fixtures and on `matrix_algebra(a3, 3)`, under
 every q of `QS` and under from-cocycle where it is defined, and on seeded
 perturbed tables, on which skew-symmetry fails and more than
 `MAX_WITNESSES` (u, w) fail weak associativity, so the witness cut shows.
+
+The witnesses the checks read off the pair analysis are held equal to the
+hand-built assemblies of `reference_suites` and to the unshared
+Jacobi-like loop of `test_construct`: on the seven fixtures under every q
+of `QS`, on the seeded perturbed tables of `test_construct`, and on a
+column module with one action mode doubled, which is not the adjoint and
+fails weak associativity and locality transfer.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -17,12 +25,32 @@ from pathlib import Path
 import pytest
 import reference_suites
 from reference_tables import index_from_dense, table_of
+from test_construct import _assoc_cases, _unshared_jacobi_like
 from test_pair_analysis import NAMES, QS
 
 import vertexcalc.suite as suite_module
-from vertexcalc.algebra import AlgebraStructure
-from vertexcalc.construct import matrix_algebra
+from vertexcalc.algebra import (
+    AlgebraStructure,
+    check_jacobi,
+    find_locality_k,
+    find_weak_assoc_l,
+    weak_assoc_triple,
+)
+from vertexcalc.construct import (
+    check_jacobi_like,
+    from_assoc_with_derivation,
+    matrix_algebra,
+    rmap_identity,
+)
+from vertexcalc.errors import VertexCalcError
 from vertexcalc.fileio import AlgebraBundle, parse_algebra_file
+from vertexcalc.modules import (
+    ModuleStructure,
+    adjoint_module,
+    check_locality_transfer,
+    check_module,
+    wn_module,
+)
 from vertexcalc.suite import MAX_WITNESSES, SuiteOptions, run_suite
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -92,3 +120,86 @@ def test_the_pair_suites_match_the_per_pair_loops(name, bundle, qs, monkeypatch)
         alg = bundle.alg
         uniform = alg.assoc_variant == "strong"
         assert len(alg._pairs.weak_assoc_failures(uniform)) > MAX_WITNESSES
+
+
+# -- the analysis's witnesses against the hand-built assemblies --------------------------
+
+
+def _corrupted_column_module():
+    """M(2, a3) and its column module with the action of one*E11 on one#c1 doubled."""
+    a3 = parse_algebra_file(FIXTURES / "a3.json").alg
+    m2, column = wn_module(a3, adjoint_module(a3), 2)
+    index = {key: dict(modes) for key, modes in column.mode_index.items()}
+    key = (m2.basis_index("one*E11"), column.basis.index("one#c1"))
+    index[key] = {n: [(k, 2 * c) for k, c in img] for n, img in index[key].items()}
+    return m2, ModuleStructure(basis=column.basis, mode_index=index)
+
+
+def _witness_cases():
+    """(name, alg, module, R-maps): fixtures, seeded perturbed tables, a corrupted module.
+
+    The perturbed associative sources that still build are associative; the
+    perturbed tables of this file are not, and fail both Jacobi halves.
+    """
+    for name in NAMES:
+        bundle = parse_algebra_file(FIXTURES / f"{name}.json")
+        alg = bundle.alg
+        rmaps = [rmap_identity(alg.dim)] + [r for r in [bundle.resolve_rmap()] if r is not None]
+        yield name, alg, adjoint_module(alg), rmaps
+    for k, data in enumerate(_assoc_cases(random.Random(20))):
+        try:
+            alg = from_assoc_with_derivation(data)
+        except VertexCalcError:
+            continue
+        yield f"assoc-{k}", alg, adjoint_module(alg), [rmap_identity(alg.dim)]
+    for name, bundle, _qs in BUNDLES:
+        if "perturbed" in name:
+            yield name, bundle.alg, adjoint_module(bundle.alg), [rmap_identity(bundle.alg.dim)]
+    yield "m2a3-corrupted-columns", *_corrupted_column_module(), []
+
+
+WITNESS_CASES = list(_witness_cases())
+
+
+@pytest.mark.parametrize(
+    "name, alg, mod, rmaps", WITNESS_CASES, ids=[c[0] for c in WITNESS_CASES]
+)
+def test_the_analysis_witnesses_equal_the_hand_built_ones(name, alg, mod, rmaps):
+    basis = range(alg.dim)
+    seen = set()
+    for u, v in itertools.product(basis, basis):
+        for w in range(alg.dim):
+            got = weak_assoc_triple(alg, u, v, w)
+            assert got == reference_suites.assoc_witness(alg, alg, u, v, w), (name, u, v, w)
+            seen.add(("assoc", got is None))
+        want = reference_suites.uniform_assoc_witness(alg, alg, u, v)
+        assert find_weak_assoc_l(alg, u, v) == want, (name, u, v)
+        for q in QS:
+            local = find_locality_k(alg, u, v, q)
+            assert local == reference_suites.commutation_witness(alg, alg, u, v, q)
+            seen.add(("locality", local is None))
+            for limit in (None, 1, MAX_WITNESSES):
+                rep = check_jacobi(alg, u, v, q, limit)
+                assert rep.witnesses == reference_suites.jacobi_witnesses(alg, u, v, q, limit)
+                seen.update(("jacobi", wit.where[0]) for wit in rep.witnesses)
+            transfer = check_locality_transfer(alg, mod, u, v, q, faithful=False).witnesses
+            module = reference_suites.commutation_witness(alg, mod, u, v, q)
+            assert transfer == ([module] if local is None and module else []), (name, u, v, q)
+            seen.add(("transfer", bool(transfer)))
+    rep = check_module(alg, mod)
+    got = [wit for wit in rep.witnesses if wit.where[0] not in ("vacuum-action", "d-derivative")]
+    cells = itertools.product(basis, range(mod.dim))
+    want = [reference_suites.uniform_assoc_witness(alg, mod, u, w) for u, w in cells]
+    assert got == [wit for wit in want if wit is not None], name
+    assert ("max_assoc_order" in rep.found_orders) == (None in want), name
+    seen.add(("module-assoc", not got))
+    for rmap in rmaps:
+        rep = check_jacobi_like(alg, rmap)
+        assert rep.witnesses == _unshared_jacobi_like(alg, rmap).witnesses, name
+    if name == "m2a3-corrupted-columns":
+        assert {("module-assoc", False), ("transfer", True)} <= seen
+    if name == "m2a3":
+        assert {("locality", False), ("jacobi", "commutation")} <= seen
+    if "perturbed" in name:
+        assert {("assoc", False), ("jacobi", "associativity"), ("module-assoc", False)} <= seen
+
