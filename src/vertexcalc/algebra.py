@@ -466,10 +466,9 @@ def assoc_sides(prod: Terms, iterate: Terms, sign: int = 1) -> tuple[Terms, Term
 def assoc_holds(prod: Terms, iterate: Terms) -> bool:
     """Whether the two sides of assoc_sides agree, read off one accumulator of their difference.
 
-    If every outer exponent e1 of prod is 0, the order is 0: the sides are prod and iterate.
+    At order 0 (every outer exponent e1 of prod is 0) the sides are prod and
+    iterate themselves, which PairAnalysis compares without this call.
     """
-    if all(e1 == 0 for e1, _e2 in prod):
-        return prod == iterate
     return not any(assoc_sides(prod, iterate, -1)[0].values())
 
 
@@ -648,7 +647,7 @@ def check_jacobi(
     if limit is not None and limit < 1:
         raise InvalidArgument(f"the witness limit must be positive or None, not {limit}")
     report = CheckReport(f"jacobi[{alg.basis[u_idx]},{alg.basis[v_idx]};q={q}]")
-    for witness in analysis_of(alg).jacobi_witnesses(u_idx, v_idx, integral(q), limit):
+    for witness in analysis_of(alg).jacobi_witnesses(u_idx, v_idx, integral(q), limit).values():
         report.fail(witness)
     return report
 

@@ -628,42 +628,48 @@ def check_jacobi_like(alg: AlgebraStructure, rmap: RMap) -> CheckReport:
     which the pair analysis records.  These are also the identity's two
     standard consequences, so one verdict covers them.
 
-    R keeps w, so both sides of every (u, v) on one w are read off the pair
-    analysis's scatter of that w (PairAnalysis.products): each w is
-    scattered once and a triple costs a lookup.  Only the pairs a verdict
-    can read are visited: on w, a pair whose straight product vanishes,
-    whose R-image of (v, u) names only pairs with vanishing products and
-    whose triple is weakly associative holds both halves.  So each w
-    visits the pairs with a nonzero product, the pairs R reaches them from
-    (R read backwards once per call) and the pairs whose triple is not
-    weakly associative (PairAnalysis.assoc_failing_pairs).  Each failure's
-    witness is PairAnalysis.jacobi_witness's, reported in (u, v, w) order.
+    Where R sends v ⊗ u to c (v ⊗ u), c = 1 for a pair R does not list, the
+    identity on (u, v) is the q-Jacobi identity at q = c (the braided
+    locality of Bakalov-Kac), read off the analysis with no scatter.  Any
+    other pair is compared on one w's scatter at a time (R keeps w), if
+    there is one.  On w it holds both halves when its straight product
+    vanishes, its R-image names only vanishing products and its triple is
+    weakly associative, so only the pairs with a nonzero product, reached
+    by R from one (R read backwards) or not weakly associative are visited.
+    Witnesses are PairAnalysis's, reported in (u, v, w) order.
     """
     report = CheckReport("jacobi-like")
     dim = alg.dim
     if rmap.dim != dim:
         raise MalformedStructure("R-map dimension mismatch")
     pairs = pair_analysis(alg)
-    # reaching[(a, b)]: every (u, v) whose R-image of (v, u) names (a, b);
-    # a pair R does not list is its own image
+    # routed: each (u, v) whose R-image of (v, u) is not c (v, u);
+    # reaching[(a, b)]: every routed (u, v) whose R-image names (a, b)
     reaching: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    routed = set()
     for (v_idx, u_idx), image in rmap.entries.items():
-        for _coeff, pair in image:
-            reaching.setdefault(pair, []).append((u_idx, v_idx))
+        if len(image) != 1 or image[0][1] != (v_idx, u_idx):
+            routed.add((u_idx, v_idx))
+            for _coeff, pair in image:
+                reaching.setdefault(pair, []).append((u_idx, v_idx))
     failures: dict[tuple[int, int, int], Witness] = {}
-    for w_idx in range(dim):
+    for u_idx, v_idx in iproduct(range(dim), repeat=2):
+        if (u_idx, v_idx) not in routed:
+            ((c, _pair),) = rmap.image((v_idx, u_idx))
+            if not pairs.jacobi_holds(u_idx, v_idx, c):
+                for w_idx, witness in pairs.jacobi_witnesses(u_idx, v_idx, c, None).items():
+                    failures[(u_idx, v_idx, w_idx)] = witness
+    for w_idx in range(dim) if routed else ():
         products = pairs.products(w_idx)
-        visit = set(products).union(pairs.assoc_failing_pairs(w_idx))
-        for a, b in products:
-            visit.update(reaching.get((a, b), ()))
-            if (a, b) not in rmap.entries:
-                visit.add((b, a))
+        visit = routed & (products.keys() | pairs.assoc_failing_pairs(w_idx))
+        for pair in products:
+            visit.update(reaching.get(pair, ()))
         for u_idx, v_idx in visit:
             straight = products.get((u_idx, v_idx), {})
             # (Y x Y)(x2, x1) applied to R(v ⊗ u) ⊗ w: sum of Y(a,x2)Y(b,x1)w,
             # which is Y(a,x1)Y(b,x2)w with its two exponents swapped
             rterms: Terms = {}
-            for coeff, pair in rmap.image((v_idx, u_idx)):
+            for coeff, pair in rmap.entries[(v_idx, u_idx)]:
                 for (e2, e1), outer in products.get(pair, {}).items():
                     add_term(rterms, (e1, e2), coeff, outer.items())
             diff = next(sparse_differences(straight, rterms), None) if straight or rterms else None

@@ -7,17 +7,18 @@ in one walk over the target basis that scatters coordinates through sparse
 columns (scatter_products, scatter_iterates).  It records for which q each
 triple commutes (commutation_profile, decided once per unordered pair and w
 by pair_profiles), so one analysis serves every q, and the first difference
-of each triple that is not weakly associative (assoc_holds); then it drops
-the products.
+of each triple that is not weakly associative (compared as it is at order
+0, else by assoc_holds); then it drops the products.
 
 The analysis owns the refutations: every witness of a commutation, weak
 associativity or Jacobi failure is built here from its records
 (commutation_witness, assoc_witness, jacobi_witness, jacobi_witnesses), and
 the checks in algebra, modules and construct read it.  jacobi_witness is
 the one rule that names the failing half, commutation first.  The
-Jacobi-like identity routes its reversed side through an R-map, which no
-profile decides: it compares the sides on one w's scatter at a time
-(PairAnalysis.products) and hands its difference to jacobi_witness.  The
+Jacobi-like identity routes its reversed side through an R-map: where R is
+a scalar c on v ⊗ u it is the q-Jacobi identity at q = c (jacobi_holds,
+jacobi_witnesses); any other image is compared on one w's scatter at a
+time (PairAnalysis.products), its difference handed to jacobi_witness.  The
 analysis is held by the structure it acts through, like the mode index.
 """
 
@@ -167,23 +168,14 @@ def iterate_sources(alg_index: ModeIndex) -> dict[int, list]:
     return sources
 
 
-def _nonzero(acc: dict) -> dict:
-    """acc without cancelled exponents or emptied keys; a key where none cancelled is kept as is."""
-    out = {}
-    for key, terms in acc.items():
-        if all(terms.values()):
-            out[key] = terms
-        elif kept := {e: x for e, x in terms.items() if x}:
-            out[key] = kept
-    return out
-
-
 def scatter_products(index: ModeIndex, cols: dict[int, list], w: int, n: int) -> dict:
     """{(u, v): Y(u,x1)Y(v,x2)w} for every pair of acting basis vectors whose product is nonzero.
 
     Each coordinate c e_k of each mode of Y(v,x2)w is pushed through its
     column cols[k] (acting_columns), so the walk costs the nonzero terms of
-    the products, not a mode lookup per pair.
+    the products, not a mode lookup per pair.  A first contribution is a
+    fresh nonzero vector; one that a later contribution cancels is dropped
+    at once, and so is a pair left with no vector.
     """
     acc: dict = {}
     for v in range(n):
@@ -198,9 +190,14 @@ def scatter_products(index: ModeIndex, cols: dict[int, list], w: int, n: int) ->
                         terms = acc[(u, v)] = {}
                     for e1, out in modes:
                         if (vec := terms.get((e1, e2))) is None:
-                            vec = terms[(e1, e2)] = {}
-                        add_scaled(vec, c, out)
-    return _nonzero(acc)
+                            terms[(e1, e2)] = dict(out) if c == 1 else {j: c * x for j, x in out}
+                        else:
+                            add_scaled(vec, c, out)
+                            if not vec:
+                                del terms[(e1, e2)]
+                    if not terms:  # every vector of the pair cancelled
+                        del acc[(u, v)]
+    return acc
 
 
 def scatter_iterates(cols: dict[int, list], sources: dict[int, list], w: int) -> dict:
@@ -208,7 +205,8 @@ def scatter_iterates(cols: dict[int, list], sources: dict[int, list], w: int) ->
 
     Each e_k with Y(e_k,x2)w nonzero, read off column w of the acting table
     (acting_columns), is pushed through the products that contain it
-    (iterate_sources), keyed by (x0-exponent, x2-exponent).
+    (iterate_sources), keyed by (x0-exponent, x2-exponent), and cleared of
+    cancelled vectors as in scatter_products.
     """
     acc: dict = {}
     column = dict(cols.get(w, ()))
@@ -221,9 +219,14 @@ def scatter_iterates(cols: dict[int, list], sources: dict[int, list], w: int) ->
                 terms = acc[(u, v)] = {}
             for e2, out in modes:
                 if (vec := terms.get((e0, e2))) is None:
-                    vec = terms[(e0, e2)] = {}
-                add_scaled(vec, c, out)
-    return _nonzero(acc)
+                    terms[(e0, e2)] = dict(out) if c == 1 else {j: c * x for j, x in out}
+                else:
+                    add_scaled(vec, c, out)
+                    if not vec:
+                        del terms[(e0, e2)]
+            if not terms:
+                del acc[(u, v)]
+    return acc
 
 
 class PairAnalysis:
@@ -240,7 +243,8 @@ class PairAnalysis:
       (_pair_q), so commutes is a dict read; only a failing (u, v, q)
       walks its profiles;
     - weak associativity: the first difference (exponent, lhs, rhs) of
-      each triple that fails assoc_sides, whose sides are built only there.
+      each triple that fails, in closed form at order 0 (no outer exponent)
+      or with no product; else from assoc_sides, built only on a failure.
     A witness names (u, v, w) by the two bases and its coordinates by
     act's.  A commutation witness's sides are read off the table at its
     exponent (mode_pair), those of the first failure of each (u, v, q)
@@ -295,13 +299,18 @@ class PairAnalysis:
                     p, r = pair_profiles(puv, pvu)
                     commute.setdefault((u, v), []).extend((w, shared.setdefault(p, p)))
                     commute.setdefault((v, u), []).extend((w, shared.setdefault(r, r)))
-            # every other pair has a zero product and iterate
-            for key in prods.keys() | iterates.keys():
-                prod, iterate = prods.get(key, {}), iterates.get(key, {})
-                # one accumulator decides the triple; only a failing one builds both sides
-                if not assoc_holds(prod, iterate):
-                    diff = next(sparse_differences(*assoc_sides(prod, iterate)))
-                    assoc.setdefault(key, {})[w] = diff
+                iterate = iterates.pop((u, v), {})
+                for e1, _e2 in puv:
+                    if e1:  # one accumulator decides; only a failing triple builds both sides
+                        sides = None if assoc_holds(puv, iterate) else assoc_sides(puv, iterate)
+                        break
+                else:  # every outer exponent is 0: the sides are puv and iterate
+                    sides = None if puv == iterate else (puv, iterate)
+                if sides is not None:
+                    assoc.setdefault((u, v), {})[w] = next(sparse_differences(*sides))
+            # an iterate with no product fails at its least exponent
+            for key, iterate in iterates.items():
+                assoc.setdefault(key, {})[w] = (e := min(iterate), {}, iterate[e])
         return {key: tuple(flat) for key, flat in commute.items()}, assoc
 
     @cached_property
@@ -418,8 +427,12 @@ class PairAnalysis:
         diff = self.assoc_failure(u, v, w)
         return None if diff is None else self._witness(u, v, w, diff, "associativity")
 
-    def jacobi_witnesses(self, u: int, v: int, q: Fraction, limit: int | None) -> list[Witness]:
-        """The q-Jacobi witnesses of (u, v) on the first `limit` failing w, in increasing w.
+    def jacobi_holds(self, u: int, v: int, q: Fraction) -> bool:
+        """Whether (u, v) commutes for q and every (u, v, w) is weakly associative (check_jacobi)."""
+        return self.commutes(u, v, q) and (u, v) not in self._records[1]
+
+    def jacobi_witnesses(self, u: int, v: int, q: Fraction, limit: int | None) -> dict:
+        """{w: witness} of the q-Jacobi identity on (u, v), the first `limit` failing w in order.
 
         Every failing w when limit is None.  Only the first `limit`
         commutation failures (in increasing w) are read and their sides
@@ -428,7 +441,7 @@ class PairAnalysis:
         """
         commutation = {f[0]: f[1:] for f in islice(self.commutation_failures(u, v, q), limit)}
         failing = sorted(commutation.keys() | self._records[1].get((u, v), {}).keys())
-        return [self.jacobi_witness(u, v, w, commutation.get(w)) for w in failing[:limit]]
+        return {w: self.jacobi_witness(u, v, w, commutation.get(w)) for w in failing[:limit]}
 
 
 def pair_analysis(

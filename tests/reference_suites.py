@@ -6,10 +6,11 @@ the skew suite decides each comparison once per unordered pair where the
 skew invariant allows it and builds no report, and the weak-associativity
 record reads the failing (u, w) or (u, v, w) off the analysis.  The loops
 below are the ones they replaced: every ordered pair goes through a full
-library call, `find_locality_k`, `check_skew_symmetry`, and
-`find_weak_assoc_l` or `weak_assoc_triple`.  `reference_runners` gives them
-in the shape of `vertexcalc.suite`'s runners, so a test can run a suite
-both ways and compare the records.
+library call, `find_locality_k`, `check_skew_symmetry`, `check_jacobi`
+with its witnesses cut to MAX_WITNESSES, and `find_weak_assoc_l` or
+`weak_assoc_triple`.  `reference_runners` gives them in the shape of
+`vertexcalc.suite`'s runners, so a test can run a suite both ways and
+compare the records.
 
 The pair analysis also builds the witness of each failure it records.
 Before it did, the checks turned its records into witnesses by hand; the
@@ -19,6 +20,7 @@ analysis's witness methods.
 """
 
 from vertexcalc.algebra import (
+    check_jacobi,
     check_skew_symmetry,
     find_locality_k,
     find_weak_assoc_l,
@@ -120,9 +122,38 @@ def suite_skew(bundle, options, report) -> None:
             )
 
 
+def suite_jacobi(bundle, options, report) -> None:
+    """One check_jacobi report per ordered pair, its witnesses cut to MAX_WITNESSES."""
+    alg = bundle.alg
+    pair_q = _pair_q(bundle, options)
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            q = pair_q(i, j)
+            rep = check_jacobi(alg, i, j, q, limit=MAX_WITNESSES)
+            report.add(
+                SuiteRecord(
+                    id=f"jacobi/{alg.basis[i]},{alg.basis[j]}",
+                    identity="q-Jacobi identity",
+                    kind=CLASSIFICATION,
+                    verdict="holds" if rep.passed else "fails",
+                    exact=False,
+                    orders={"q": str(q)},
+                    witnesses=[w.describe() for w in rep.witnesses],
+                )
+            )
+            report.add(
+                SuiteRecord(
+                    id=f"jacobi/round-trip/{alg.basis[i]},{alg.basis[j]}",
+                    identity="Jacobi equivalent to locality plus associativity",
+                    kind=CHECK,
+                    verdict=PASS,
+                )
+            )
+
+
 def reference_runners() -> dict:
     """The runners above, keyed as in vertexcalc.suite._RUNNERS."""
-    return {"locality": suite_locality, "skew": suite_skew}
+    return {"locality": suite_locality, "skew": suite_skew, "jacobi": suite_jacobi}
 
 
 # -- the witness assemblies the checks made from the analysis's records ----------------

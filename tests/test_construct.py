@@ -724,6 +724,98 @@ def test_jacobi_like_commutator_rmap_is_the_union_of_q_jacobi():
     assert any(n > 0 for name, n in counts.items() if name.startswith("base"))
 
 
+_SCALARS = (F(0), ONE, F(-1), F(1, 3), F(2))
+
+
+def _mixed_rmap(dim, rng):
+    # scalar images c (v ⊗ u), multi-term images and the identity, side by side
+    entries = {}
+    for pair in itertools.product(range(dim), repeat=2):
+        roll = rng.random()
+        if roll < 0.4:
+            entries[pair] = [(rng.choice(_SCALARS), pair)]
+        elif roll < 0.6:
+            terms = rng.randint(1, 2)
+            entries[pair] = [
+                (rng.choice(_SCALARS[1:]), (rng.randrange(dim), rng.randrange(dim)))
+                for _ in range(terms)
+            ]
+    entries[(dim - 1, 0)] = [(ONE, (dim - 1, 0)), (F(-1), (0, dim - 1))]
+    return RMap(dim, entries)
+
+
+def _counting(monkeypatch, owner, name, calls):
+    fn = getattr(owner, name)
+
+    def wrapped(*args):
+        calls.append(name)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, wrapped)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_jacobi_like_reads_scalar_images_off_the_analysis(seed, monkeypatch):
+    # a scalar image is read off the commutation profiles, any other one off
+    # the scatter of each w, both within one call; the witnesses are those
+    # of the unshared loop, which builds every product per triple
+    rng = random.Random(3500 + seed)
+    calls = []
+    _counting(monkeypatch, pairs_module, "scatter_products", calls)
+    _counting(monkeypatch, pairs_module.PairAnalysis, "jacobi_witnesses", calls)
+    seen = set()
+    cases = [_fixture_case(name)[0] for name in ("a3", "ut2", "z22_twist", "cross_a2z2")]
+    for alg in cases + [_assoc_only_case()[0], _twist_with_one_product_doubled()[0]]:
+        pair_analysis(alg)._records
+        rmap = _mixed_rmap(alg.dim, rng)
+        calls.clear()
+        rep = check_jacobi_like(alg, rmap)
+        assert rep.witnesses == _unshared_jacobi_like(alg, rmap).witnesses, alg.basis
+        assert "scatter_products" in calls and "jacobi_witnesses" in calls
+        seen.update(wit.where[0] for wit in rep.witnesses)
+    assert seen == {"commutation", "associativity"}
+
+
+def _twist_with_one_product_doubled():
+    # z22_twist with g01_(-1) g10 = -2 g11: weak associativity and the
+    # twisted commutation both fail
+    bundle = parse_algebra_file(FIXTURES / "z22_twist.json")
+    alg = bundle.alg
+    table = table_of(alg)
+    key = (alg.basis_index("g01"), alg.basis_index("g10"))
+    table[key] = {n: tuple(2 * x for x in vec) for n, vec in table[key].items()}
+    twisted = AlgebraStructure(alg.basis, alg.vacuum, index_from_dense(table, alg.dim))
+    return twisted, bundle
+
+
+def test_jacobi_like_of_the_cocycle_commutator_is_q_jacobi_at_the_cocycle_q(monkeypatch):
+    # R(v ⊗ u) = c(deg u, deg v) (v ⊗ u) is a scalar on every pair, so the
+    # Jacobi-like identity is the q-Jacobi identity at q = c, the braided
+    # locality of Bakalov-Kac, with no scatter: the failures on z22_twist,
+    # and on it with one product doubled, are those of check_jacobi at the
+    # from-cocycle q, witness for witness, and those of the unshared loop
+    broken, bundle = _twist_with_one_product_doubled()
+    grading, cocycle = bundle.grading, bundle.cocycle
+
+    def q_of(u, v):
+        return cocycle.commutator(grading.degrees[u], grading.degrees[v])
+
+    calls = []
+    _counting(monkeypatch, pairs_module, "scatter_products", calls)
+    counts = {}
+    for name, alg in (("z22_twist", bundle.alg), ("doubled", broken)):
+        rmap = rmap_from_commutator(alg, grading, cocycle)
+        assert rmap.entries == bundle.resolve_rmap().entries
+        pair_analysis(alg)._records
+        calls.clear()
+        rep = check_jacobi_like(alg, rmap)
+        assert calls == [], name
+        assert rep.witnesses == _q_jacobi_union(alg, q_of), name
+        assert rep.witnesses == _unshared_jacobi_like(alg, rmap).witnesses, name
+        counts[name] = sorted({wit.where[0] for wit in rep.witnesses})
+    assert counts == {"z22_twist": [], "doubled": ["associativity", "commutation"]}
+
+
 def test_rmap_tensor_swap_keys_basis_pairs():
     # R acts on V ⊗ V and keeps w: one image for each of the 75^2 pairs of
     # V ⊗ A with dim V = 3, dim A = 25, less the 3 * 3 * 25 trivial swaps
@@ -817,7 +909,8 @@ def test_jacobi_like_equals_the_unshared_loop(case):
 )
 def test_jacobi_like_builds_each_product_once(rmap, monkeypatch):
     # one scatter per w, read by the straight side and by the reversed side of
-    # every R-image: no product is built per triple
+    # every R-image: no product is built per triple; an R-map whose every
+    # image is a scalar (the identity) reads the analysis and scatters no w
     m = matrix_over_a3()
     expected = _unshared_jacobi_like(m, rmap)
     pair_analysis(m)._records  # the analysis's own walk is not counted here
@@ -833,7 +926,7 @@ def test_jacobi_like_builds_each_product_once(rmap, monkeypatch):
     # reference_pairs, and construct names no scatter: test_import_boundaries)
     monkeypatch.setattr(pairs_module, "scatter_products", counting_scatter)
     rep = check_jacobi_like(m, rmap)
-    assert sorted(scattered) == list(range(m.dim))
+    assert sorted(scattered) == (list(range(m.dim)) if rmap.entries else [])
     assert (rep.verdict, rep.exact, rep.witnesses) == (
         expected.verdict,
         expected.exact,

@@ -362,6 +362,61 @@ def test_scatter_walk_builds_exactly_the_nonzero_products(name, alg, mod, qfuns)
             assert scatter_iterates(cols, sources, w) == iterates, (name, w)
 
 
+def _cancelling_tables():
+    """Seeded tables with entries 0 and +-1 on the modes -2, -1 and 0, and one hand-made table.
+
+    Contributions to one coordinate of a product or iterate cancel.  In the
+    hand-made table whole pairs cancel: Y(e1,x)e0 = e1 - e2 while e1 and e2
+    both go to e0 under Y(e2,x), and under Y(e1,x) and Y(e2,x) e1 goes to
+    e0, so the product of (e2, e1) on e0 and the iterate of (e1, e0) on e1
+    vanish.
+    """
+    for seed in range(4):
+        rng = random.Random(3500 + seed)
+        dim = 3 + seed % 2
+        table = {
+            (i, j): {n: tuple(rng.choice((0, 1, -1)) for _ in range(dim)) for n in range(-2, 1)}
+            for i, j in itertools.product(range(dim), repeat=2)
+            if rng.random() < 0.8
+        }
+        yield table, dim
+    unit = {-1: (1, 0, 0)}
+    yield {(1, 0): {-1: (0, 1, -1)}, (2, 1): unit, (2, 2): unit, (1, 1): unit}, 3
+
+
+def test_the_walk_drops_exactly_the_vectors_that_cancel(monkeypatch):
+    emptied = collections.Counter()
+    add_scaled, scatter = pairs_module.add_scaled, ["products"]
+
+    def counting(acc, c, entries):
+        add_scaled(acc, c, entries)
+        emptied[scatter[0]] += not acc
+
+    monkeypatch.setattr(pairs_module, "add_scaled", counting)
+    for table, dim in _cancelling_tables():
+        basis = tuple(f"e{i}" for i in range(dim))
+        alg = AlgebraStructure(basis=basis, vacuum=0, mode_index=index_from_dense(table, dim))
+        analysis = PairAnalysis(alg, alg)
+        cols, sources = analysis.acting_columns, iterate_sources(analysis.alg_index)
+        got = {}
+        for w in range(dim):
+            walk = pair_walk(analysis.alg_index, analysis.index, dim, w)
+            scatter[0] = "products"
+            prods = got["products", w] = analysis.products(w)
+            scatter[0] = "iterates"
+            iterates = got["iterates", w] = scatter_iterates(cols, sources, w)
+            assert prods == {key: p for key, (p, _r, _i) in walk.items() if p}, (table, w)
+            assert iterates == {key: i for key, (_p, _r, i) in walk.items() if i}, (table, w)
+            # no empty vector and no pair without a vector survives
+            for terms in (*prods.values(), *iterates.values()):
+                assert terms and all(terms.values()), (table, w)
+        scatter[0] = "records"
+        assert analysis._records == reference_records(analysis), table
+    assert emptied["products"] > 0 and emptied["iterates"] > 0
+    # the last table's cancelled pairs, which the scatter reached
+    assert (2, 1) not in got["products", 0] and (1, 0) not in got["iterates", 1]
+
+
 def test_one_analysis_serves_every_q():
     # the same analysis object answers q = 1 and q = -1 on the graded twist
     bundle = parse_algebra_file(FIXTURES / "z22_twist.json")
@@ -570,7 +625,10 @@ def test_closed_forms_leave_few_pairs_to_walk(monkeypatch):
     # 1,061 pairs u != v and 68 pairs u = v, for 2,190 ordered profiles
     assert calls["pair_profiles"] == 1061 and calls["commutation_profile"] == 68
     assert calls["profile_walk"] <= 60
-    assert calls["assoc_holds"] == 1510 and calls["assoc_sides"] <= 151
+    # of the 1,510 triples with a product or an iterate, only the 151 with a
+    # nonzero outer exponent reach the accumulator; the rest are compared at
+    # order 0 in closed form, or have no product at all
+    assert calls["assoc_holds"] == 151 and calls["assoc_sides"] <= 151
 
 
 # -- one commutation verdict per (u, v, q) -----------------------------------------------
@@ -729,19 +787,31 @@ def test_each_failing_pair_builds_its_first_witness_once(q, monkeypatch):
     run_suite(bundle, "skew", options)
     run_suite(bundle, "modules", options)
     assert len(built) == sides * len(failing)
-    # a jacobi record builds sides only for the witnesses it prints
-    per_record = []
-    check_jacobi = suite_module.check_jacobi
+    # a jacobi record builds sides only for the witnesses it prints, a record
+    # that holds none, and the suite builds no report and calls no check_jacobi
+    per_record = {}
+    add, mark = suite_module.SuiteReport.add, [len(built)]
+    reports = []
 
-    def counting_jacobi(*args, **kwargs):
-        before = len(built)
-        rep = check_jacobi(*args, **kwargs)
-        per_record.append(len(built) - before)
-        return rep
+    def counting_add(self, record):
+        per_record[record.id] = (record.verdict, len(built) - mark[0])
+        mark[0] = len(built)
+        add(self, record)
 
-    monkeypatch.setattr(suite_module, "check_jacobi", counting_jacobi)
+    def no_report(*args, **kwargs):
+        reports.append(args)
+        return check_report(*args, **kwargs)
+
+    check_report = algebra_module.CheckReport
+    monkeypatch.setattr(suite_module.SuiteReport, "add", counting_add)
+    monkeypatch.setattr(algebra_module, "CheckReport", no_report)
+    monkeypatch.setattr(algebra_module, "check_jacobi", no_report)
     run_suite(bundle, "jacobi", options)
-    assert len(per_record) == alg.dim**2 and max(per_record) <= 2 * MAX_WITNESSES
+    counts = [v for rid, v in per_record.items() if not rid.startswith("jacobi/round-trip/")]
+    assert len(counts) == alg.dim**2 and reports == []
+    assert max(n for _verdict, n in counts) <= 2 * MAX_WITNESSES
+    assert {n for verdict, n in counts if verdict == "holds"} == {0}
+    assert any(n for verdict, n in counts if verdict == "fails")
     # a repeated question reads the memo: an equal witness, no new build
     built.clear()
     witnesses = {r.id: r.witnesses for r in report.records}

@@ -1,13 +1,16 @@
 """The pair suites against the per-pair loops they replaced (`reference_suites`).
 
-The axioms, locality, skew and closure suites read the pair analysis and
-build a witness only where a record prints one.  Each suite is run as it
-is and again with the loops of `reference_suites` in place of its
-locality, skew and weak-associativity runners, and the records must agree
-field by field: on the seven fixtures and on `matrix_algebra(a3, 3)`, under
-every q of `QS` and under from-cocycle where it is defined, and on seeded
-perturbed tables, on which skew-symmetry fails and more than
-`MAX_WITNESSES` (u, w) fail weak associativity, so the witness cut shows.
+The axioms, locality, skew, jacobi and closure suites read the pair
+analysis and build a witness only where a record prints one.  Each suite is
+run as it is and again with the loops of `reference_suites` in place of its
+locality, skew, jacobi and weak-associativity runners, and the records must
+agree field by field: on the seven fixtures and on `matrix_algebra(a3, 3)`,
+under every q of `QS` and under from-cocycle where it is defined, and on
+seeded perturbed tables, on which skew-symmetry fails, both halves of the
+q-Jacobi identity fail and more than `MAX_WITNESSES` (u, w) fail weak
+associativity, so the witness cut shows.  On the perturbed m2a3 tables one
+jacobi record names both halves, and a pair fails the q-Jacobi identity on
+more than `MAX_WITNESSES` w, so that cut shows too.
 
 The witnesses the checks read off the pair analysis are held equal to the
 hand-built assemblies of `reference_suites` and to the unshared
@@ -54,7 +57,7 @@ from vertexcalc.modules import (
 from vertexcalc.suite import MAX_WITNESSES, SuiteOptions, run_suite
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-SUITES = ("axioms", "locality", "skew", "closure")
+SUITES = ("axioms", "locality", "skew", "jacobi", "closure")
 
 
 def _perturbed(alg: AlgebraStructure, rng, cells: int, variant: str) -> AlgebraStructure:
@@ -114,9 +117,22 @@ def test_the_pair_suites_match_the_per_pair_loops(name, bundle, qs, monkeypatch)
                     seen.add(("assoc", g.verdict, len(g.witnesses)))
                 elif g.id.startswith("skew/") and not g.id.startswith("skew/equivalence/"):
                     seen.add(("skew", g.verdict))
+                elif g.id.startswith("jacobi/") and not g.id.startswith("jacobi/round-trip/"):
+                    halves = {text.split(",")[0] for text in g.witnesses}
+                    seen.update(("jacobi", half) for half in halves)
+                    seen.add(("jacobi halves", len(halves)))
+                    if q != "from-cocycle" and len(g.witnesses) == MAX_WITNESSES:
+                        u, v = map(bundle.alg.basis_index, g.id[len("jacobi/") :].split(","))
+                        failing = bundle.alg._pairs.jacobi_witnesses(u, v, Fraction(q), None)
+                        seen.add(("jacobi cut", len(failing) > MAX_WITNESSES))
     if "perturbed" in name:
-        # the perturbation reaches a failing skew pair and cuts the witness list
+        # the perturbation reaches a failing skew pair, fails both Jacobi
+        # halves and cuts the witness lists
         assert ("skew", "fails") in seen and ("assoc", "fail", MAX_WITNESSES) in seen
+        assert {("jacobi", "at (commutation"), ("jacobi", "at (associativity")} <= seen
+        if name.startswith("m2a3"):
+            # one record names both halves, and one pair fails on more w than it prints
+            assert {("jacobi halves", 2), ("jacobi cut", True)} <= seen
         alg = bundle.alg
         uniform = alg.assoc_variant == "strong"
         assert len(alg._pairs.weak_assoc_failures(uniform)) > MAX_WITNESSES
