@@ -1,18 +1,19 @@
-"""Exact formal calculus for nonlocal vertex algebras over the rationals.
+"""Exact verifier for nonlocal vertex algebras over the rationals.
 
-The package provides a windowed formal-distribution kernel, structure
-checkers for finite-dimensional vertex-algebra-like structures (with and
-without the locality axiom), builders for cocycle twists, matrix and tensor
-algebras and cross products, module checkers, and a closure engine that
-generates such structures from compatible vertex operators acting on a
-finite-dimensional space.
+The package checks finite-dimensional vertex-algebra-like structures (with
+and without the locality axiom) coefficient by coefficient: truncation,
+vacuum, creation and weak associativity, the translation identities,
+q-locality, skew-symmetry, and the q-Jacobi and Jacobi-like identities.  It
+builds such structures (cocycle twists, matrix and tensor algebras, cross
+products), checks modules over them, and generates them by closure from
+compatible vertex operators acting on a finite-dimensional space.
 
-All scalars are exact rationals; there is no floating point anywhere.
-The structure checkers, the Jacobi-type identities included, compare finite
-term dictionaries and are exact.  Distributions in the kernel are observed on
-finite windows: refutations are always conclusive, and confirmations are
-exact-complete whenever support descriptors certify that nothing escapes the
-window, otherwise they are flagged window-sound.
+Every verdict is exact: a scalar is an int where it is integral and a
+Fraction otherwise, and there is no floating point anywhere.  Structure data
+is Laurent-polynomial, so each identity, the Jacobi-type ones included, is
+decided by comparing finite term dictionaries, and each refutation carries
+a witness that reproduces it.  The windowed distribution kernel lives in
+vertexcalc.series; no verdict reads it.
 """
 
 from .algebra import (
@@ -85,21 +86,6 @@ from .operators import (
     verify_module_structure,
 )
 from .report import CheckReport, Witness
-from .series import (
-    Distribution,
-    RegionTag,
-    Window,
-    WindowVerdict,
-    binom_expand,
-    delta_series,
-    delta_three_term,
-    derivative,
-    mul,
-    power_expand,
-    residue,
-    taylor_shift,
-    window_equal,
-)
 from .suite import SuiteOptions, SuiteReport, emit_report, run_suite
 
 __all__ = [
@@ -111,7 +97,6 @@ __all__ = [
     "ClosureResult",
     "CocycleData",
     "CocycleInvalid",
-    "Distribution",
     "ExponentOutsideWindow",
     "GradedTag",
     "GradingInvalid",
@@ -128,19 +113,15 @@ __all__ = [
     "OutputError",
     "ParseError",
     "RMap",
-    "RegionTag",
     "SuiteOptions",
     "SuiteReport",
     "ValidationError",
     "VertexCalcError",
     "VertexOperator",
-    "Window",
-    "WindowVerdict",
     "Witness",
     "adjoint_module",
     "algebra_to_data",
     "binom",
-    "binom_expand",
     "check_creation_exponential",
     "check_d_bracket",
     "check_jacobi",
@@ -152,9 +133,6 @@ __all__ = [
     "closure",
     "cocycle_twist",
     "cross_product",
-    "delta_series",
-    "delta_three_term",
-    "derivative",
     "emit_report",
     "find_compat_order",
     "find_locality_k",
@@ -166,21 +144,16 @@ __all__ = [
     "identity_operator",
     "localizer",
     "matrix_algebra",
-    "mul",
     "nth_product",
     "nth_product_local",
     "operator_from_structure",
     "parse_algebra_file",
-    "power_expand",
-    "residue",
     "run_suite",
     "stabilizer",
-    "taylor_shift",
     "tensor_product",
     "validate_structure",
     "verify_module_structure",
     "weak_assoc_triple",
-    "window_equal",
     "wn_module",
     "write_algebra_file",
 ]

@@ -374,11 +374,9 @@ def validate_structure(alg: AlgebraStructure) -> CheckReport:
     # wrong mode is one witness.
     keys = [(vac, j, j) for j in range(dim)] + [(i, vac, i) for i in range(dim) if i != vac]
     for a, b, k in keys:
-        modes = alg.mode_index.get((a, b), {})
-        for n in sorted({n for n in modes if a == vac or n >= 0} | {-1}):
-            got, expect = dict(modes.get(n, ())), {k: 1} if n == -1 else {}
-            if got != expect:
-                report.fail(Witness((alg.basis[a], alg.basis[b]), (n,), got, expect, alg.basis))
+        modes = {n: w for n, w in basis_modes(alg.mode_index, a, b).items() if a == vac or n >= -1}
+        for n, got, expect in sparse_differences(modes, {-1: {k: 1}}):
+            report.fail(Witness((alg.basis[a], alg.basis[b]), (n,), got, expect, alg.basis))
     return report
 
 
@@ -472,6 +470,20 @@ def assoc_holds(prod: Terms, iterate: Terms) -> bool:
     return not any(assoc_sides(prod, iterate, -1)[0].values())
 
 
+def require_basis(alg: AlgebraStructure, *indices: int) -> None:
+    """Refuse an index outside range(alg.dim), which the pair analysis would read as holding."""
+    for i in indices:
+        if not 0 <= i < alg.dim:
+            raise MalformedStructure(f"basis index {i} is not in range({alg.dim})")
+
+
+def require_length(dim: int, vectors: list[Vec]) -> None:
+    """Refuse a vector whose length is not dim."""
+    for v in vectors:
+        if len(v) != dim:
+            raise MalformedStructure(f"a vector of length {len(v)} in a space of dimension {dim}")
+
+
 def analysis_of(alg: AlgebraStructure) -> PairAnalysis:
     """alg's pair analysis (vertexcalc.pairs.pair_analysis), built on first use.
 
@@ -505,6 +517,7 @@ def find_locality_k(
     constant witness of the nonlocal fixtures).  The witness is the first
     differing exponent on the first failing basis w.
     """
+    require_basis(alg, u_idx, v_idx)
     return analysis_of(alg).commutation_witness(u_idx, v_idx, integral(q))
 
 
@@ -578,6 +591,7 @@ def check_skew_symmetry(
     the truncation verdict are skew_truncation's, on the memoized locality
     verdict.
     """
+    require_basis(alg, u_idx, v_idx)
     report = CheckReport(f"skew-symmetry[{alg.basis[u_idx]},{alg.basis[v_idx]}]")
     q = integral(q)
     diff = skew_difference(alg, u_idx, v_idx, q)
@@ -605,6 +619,7 @@ def check_skew_symmetry(
 
 def weak_assoc_triple(alg: AlgebraStructure, u_idx: int, v_idx: int, w_idx: int) -> Witness | None:
     """Three-argument weak associativity: None when it holds (at order 0), else its witness."""
+    require_basis(alg, u_idx, v_idx, w_idx)
     return analysis_of(alg).assoc_witness(u_idx, w_idx, v_idx)
 
 
@@ -613,6 +628,7 @@ def find_weak_assoc_l(alg: AlgebraStructure, u_idx: int, w_idx: int) -> Witness 
 
     Otherwise the witness of the first failing v.
     """
+    require_basis(alg, u_idx, w_idx)
     return analysis_of(alg).assoc_witness(u_idx, w_idx)
 
 
@@ -646,6 +662,7 @@ def check_jacobi(
     """
     if limit is not None and limit < 1:
         raise InvalidArgument(f"the witness limit must be positive or None, not {limit}")
+    require_basis(alg, u_idx, v_idx)
     report = CheckReport(f"jacobi[{alg.basis[u_idx]},{alg.basis[v_idx]};q={q}]")
     for witness in analysis_of(alg).jacobi_witnesses(u_idx, v_idx, integral(q), limit).values():
         report.fail(witness)
@@ -695,6 +712,7 @@ def generate_subalgebra(alg: AlgebraStructure, generators: list[Vec]) -> list[Ve
 
     The rows are the accepted vectors in spin order, vacuum first, not an RREF.
     """
+    require_length(alg.dim, generators)
     rows = spin(alg.mode_index, [support(g) for g in generators], [{alg.vacuum: 1}], alg.dim)
     return [densify(v, alg.dim) for v in rows]
 
@@ -705,6 +723,7 @@ def stabilizer(alg: AlgebraStructure, subspace: list[Vec]) -> list[Vec]:
     For each echelon row u of U, mode n and coordinate r, the residue of
     (e_i)_n u modulo U at r, over i, is one condition on v.
     """
+    require_length(alg.dim, subspace)
     span = dense_span(subspace)
     conditions: dict[tuple, SparseVec] = {}
     for p, u in span.echelon():
@@ -722,6 +741,7 @@ def localizer(alg: AlgebraStructure, targets: list[Vec]) -> list[Vec]:
     the exact nullspace of one linear condition per (target, exponent,
     coordinate).
     """
+    require_length(alg.dim, targets)
     exp_images = analysis_of(alg).exp_images
     index = alg.mode_index
     conditions: dict[tuple, SparseVec] = {}

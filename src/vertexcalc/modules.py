@@ -34,6 +34,8 @@ from .algebra import (
     find_locality_k,
     mode_derivative,
     normal_index,
+    require_basis,
+    require_length,
     sparse_differences,
     sparse_modes,
     spin,
@@ -208,6 +210,7 @@ def check_locality_transfer(
     `faithful` is is_faithful(alg, mod), which callers decide once per module.
     """
     require_acting_range(alg, mod)
+    require_basis(alg, u_idx, v_idx)
     report = CheckReport(f"locality-transfer[{alg.basis[u_idx]},{alg.basis[v_idx]}]")
     q = integral(q)
     alg_holds = find_locality_k(alg, u_idx, v_idx, q) is None
@@ -264,6 +267,7 @@ def generate_submodule(
 
     The rows are the accepted vectors in spin order, start first, not an RREF.
     """
+    require_length(mod.dim, [start])
     acting = [((i, ONE),) for i in range(alg.dim)]
     rows = spin(mod.mode_index, acting, [{k: integral(c) for k, c in support(start)}], mod.dim)
     return [densify(v, mod.dim) for v in rows]

@@ -5,10 +5,11 @@ the module checks all read the same two-variable products of basis vectors.
 A structure's `PairAnalysis` (pair_analysis) builds each nonzero one once,
 in one walk over the target basis that scatters coordinates through sparse
 columns (scatter_products, scatter_iterates).  It records for which q each
-triple commutes (commutation_profile, decided once per unordered pair and w
-by pair_profiles), so one analysis serves every q, and the first difference
-of each triple that is not weakly associative (compared as it is at order
-0, else by assoc_holds); then it drops the products.
+triple commutes (its profile, decided once per unordered pair and w by
+pair_profiles, the one profile rule, the diagonal u = v included), so one
+analysis serves every q, and the first difference of each triple that is
+not weakly associative (compared as it is at order 0, else by
+assoc_holds); then it drops the products.
 
 The analysis owns the refutations: every witness of a commutation, weak
 associativity or Jacobi failure is built here from its records
@@ -63,31 +64,8 @@ def solving_q(a: SparseVec, b: SparseVec) -> int | Fraction | None:
     return q if a == scale(q, b) else None
 
 
-def commutation_profile(lhs: Terms, rhs: Terms) -> tuple:
-    """For which q the term dictionaries satisfy lhs = q rhs, and where each q fails first.
-
-    Each exponent e is solved by every q (both sides vanish there), by one
-    q_e, or by none (q_e is None).  The profile is (q_1, e_1) for the least
-    exponent e_1, followed by (q_2, e_2) for the least exponent that q_1
-    leaves unsolved when q_1 is not None.  So the relation holds for every q
-    when the profile is empty, for exactly q_1 when it is (q_1, e_1) with
-    q_1 not None, and for no q otherwise; and for each q it fails for, its
-    least differing exponent is the first e_i whose q_i is not q.  With no
-    empty vector in either side, as the scatter leaves them, empty or equal
-    sides are closed forms and only two different nonzero sides are walked
-    (profile_walk).
-    """
-    if not rhs:
-        return (None, min(lhs)) if lhs else ()
-    if not lhs:
-        return (0, min(rhs))
-    if lhs == rhs:
-        return (1, min(lhs))
-    return profile_walk(lhs, rhs)
-
-
 def profile_walk(lhs: Terms, rhs: Terms) -> tuple:
-    """The commutation_profile of two dictionaries, exponent by exponent in increasing order."""
+    """The profile (pair_profiles) of lhs = q rhs, exponent by exponent in increasing order."""
     out: tuple = ()
     for e in sorted(set(lhs) | set(rhs)):
         a, b = lhs.get(e, {}), rhs.get(e, {})
@@ -107,13 +85,25 @@ def swapped(terms: Terms) -> Terms:
 
 
 def pair_profiles(puv: Terms, pvu: Terms) -> tuple[tuple, tuple]:
-    """Both commutation_profiles of a pair u != v, from puv = Y(u,x1)Y(v,x2)w and pvu.
+    """The commutation profiles of (u, v) and (v, u) on one w, from puv = Y(u,x1)Y(v,x2)w and pvu.
+
+    The profile of lhs = q rhs says for which q it holds and where each q
+    fails first.  Each exponent e is solved by every q (both sides vanish
+    there), by one q_e, or by none (q_e is None).  The profile is (q_1, e_1)
+    for the least exponent e_1, followed by (q_2, e_2) for the least
+    exponent that q_1 leaves unsolved when q_1 is not None.  So the relation
+    holds for every q when the profile is empty, for exactly q_1 when it is
+    (q_1, e_1) with q_1 not None, and for no q otherwise; and for each q it
+    fails for, its least differing exponent is the first e_i whose q_i is
+    not q.
 
     The (v, u) relation is the (u, v) one with x1 and x2 exchanged and q
     inverted, so one comparison of puv (nonzero) with pvu read swapped
     decides both: (None, e) and (0, e') when pvu is zero, (1, e) twice when
-    they are equal, each e least in its own (x1, x2) order.  Only two
-    different nonzero sides are swapped and walked, once in each direction.
+    they are equal, each e least in its own (x1, x2) order.  The scatter
+    leaves no empty vector in either side, so only two different nonzero
+    sides are swapped and walked (profile_walk), once in each direction; on
+    the diagonal u = v, pvu is puv and the one profile is walked once.
     """
     if not pvu:
         return (None, min(puv)), (0, min([(e2, e1) for e1, e2 in puv]))
@@ -123,7 +113,8 @@ def pair_profiles(puv: Terms, pvu: Terms) -> tuple[tuple, tuple]:
                 break
         else:
             return (1, min(puv)), (1, min(pvu))
-    return profile_walk(puv, swapped(pvu)), profile_walk(pvu, swapped(puv))
+    p = profile_walk(puv, swapped(pvu))
+    return p, p if pvu is puv else profile_walk(pvu, swapped(puv))
 
 
 def mode_pair(index: ModeIndex, u: int, v: int, w: int, e) -> SparseVec:
@@ -238,10 +229,10 @@ class PairAnalysis:
     things and drops the products:
     - commutation: for each ordered (u, v) and each w on which
       Y(u,x1)Y(v,x2)w = q Y(v,x2)Y(u,x1)w does not hold for every q, its
-      commutation_profile, which names the q it holds for, if any.  Each
-      pair's profiles reduce to the one q it commutes for on every w
-      (_pair_q), so commutes is a dict read; only a failing (u, v, q)
-      walks its profiles;
+      profile by pair_profiles, the one profile rule, which names the q it
+      holds for, if any.  Each pair's profiles reduce to the one q it
+      commutes for on every w (_pair_q), so commutes is a dict read; only
+      a failing (u, v, q) walks its profiles;
     - weak associativity: the first difference (exponent, lhs, rhs) of
       each triple that fails, in closed form at order 0 (no outer exponent)
       or with no product; else from assoc_sides, built only on a failure.
@@ -291,14 +282,12 @@ class PairAnalysis:
             iterates = scatter_iterates(self.acting_columns, sources, w)
             # every other pair has a zero product and reversed product
             for (u, v), puv in prods.items():
-                pvu = prods.get((v, u), {})
-                if u == v:
-                    p = commutation_profile(puv, swapped(puv))
-                    commute.setdefault((u, u), []).extend((w, shared.setdefault(p, p)))
-                elif u < v or not pvu:  # else decided with (v, u)
+                pvu = prods.get((v, u), {})  # puv itself when u = v
+                if u <= v or not pvu:  # else decided with (v, u)
                     p, r = pair_profiles(puv, pvu)
                     commute.setdefault((u, v), []).extend((w, shared.setdefault(p, p)))
-                    commute.setdefault((v, u), []).extend((w, shared.setdefault(r, r)))
+                    if u != v:
+                        commute.setdefault((v, u), []).extend((w, shared.setdefault(r, r)))
                 iterate = iterates.pop((u, v), {})
                 for e1, _e2 in puv:
                     if e1:  # one accumulator decides; only a failing triple builds both sides

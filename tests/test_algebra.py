@@ -88,6 +88,7 @@ from vertexcalc.linalg import (
     vec_scale,
 )
 from vertexcalc.modules import ModuleStructure, adjoint_module
+from vertexcalc.pairs import iterate_sources, pair_analysis, scatter_iterates
 from vertexcalc.report import Witness
 from vertexcalc.series import (
     Window,
@@ -740,6 +741,26 @@ def test_assoc_invariant_matches_series_reference():
     assert seen == {"found", "refuted"}
 
 
+def test_a_pole_in_the_product_or_the_iterate_fails_weak_associativity():
+    # the pole theorem of weak associativity on seeded random tables: a
+    # triple whose product Y(u,x1)Y(v,x2)w has a negative x1 exponent, or
+    # whose iterate Y(Y(u,x0)v,x2)w has a negative x0 exponent, fails it
+    rng = random.Random(7)
+    poles = {"product": 0, "iterate": 0}
+    for _ in range(1500):
+        alg = _random_table(rng)
+        pairs = pair_analysis(alg)
+        sources = iterate_sources(alg.mode_index)
+        for w in range(alg.dim):
+            iterates = scatter_iterates(pairs.acting_columns, sources, w)
+            for kind, by_pair in (("product", pairs.products(w)), ("iterate", iterates)):
+                for (u, v), terms in by_pair.items():
+                    if min(e[0] for e in terms) < 0:
+                        poles[kind] += 1
+                        assert pairs.assoc_failure(u, v, w) is not None, (table_of(alg), u, v, w)
+    assert poles == {"product": 5383, "iterate": 3610}
+
+
 _HALVES = ("commutation", "associativity")
 
 
@@ -1101,6 +1122,37 @@ def test_localizer_output_is_subalgebra(ut2):
     for target in range(3):
         rows = localizer(ut2, [unit_vec(3, target)])
         assert subspace_is_subalgebra(ut2, rows).passed
+
+
+@pytest.mark.parametrize("builder", (generate_subalgebra, stabilizer, localizer))
+@pytest.mark.parametrize("length", (4, 2))
+def test_subspace_functions_refuse_a_vector_outside_the_space(a3, builder, length):
+    # a vector of another length is not in the space the structure acts on
+    with pytest.raises(MalformedStructure, match=f"length {length} in a space of dimension 3"):
+        builder(a3, [unit_vec(3, 1), unit_vec(length, 1)])
+
+
+# each relation check: its number of basis indices, and the arguments after them
+RELATION_CHECKS = {
+    find_locality_k: (2, (ONE_Q,)),
+    weak_assoc_triple: (3, ()),
+    find_weak_assoc_l: (2, ()),
+    check_jacobi: (2, (ONE_Q,)),
+    check_skew_symmetry: (2, (ONE_Q,)),
+}
+
+
+@pytest.mark.parametrize("check", RELATION_CHECKS, ids=lambda check: check.__name__)
+@pytest.mark.parametrize("index", (7, -2))
+def test_relation_checks_refuse_an_index_outside_the_basis(ut2, check, index):
+    # the pair analysis reads a pair it never recorded as one that holds, and
+    # -2 would name the basis vector 1 in a report: both are refused
+    arity, rest = RELATION_CHECKS[check]
+    for position in range(arity):
+        indices = [1] * arity
+        indices[position] = index
+        with pytest.raises(MalformedStructure, match=rf"basis index {index} is not in range\(3\)"):
+            check(ut2, *indices, *rest)
 
 
 SUBSPACE_STRUCTURES = sorted(p.stem for p in FIXTURES.glob("*.json")) + ["matrix-a3-3"]

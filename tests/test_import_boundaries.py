@@ -2,16 +2,17 @@
 
 The verdicts and the closure engine compute on exact term dictionaries and
 sparse rows; the windowed distribution kernel (vertexcalc.series) is kept
-for the tests and for the product and iterate series of vertexcalc.algebra.
-These checks read the sources with ast, so a window-kernel import that
-creeps back into a verdict path fails here, and so does a per-triple product
-in the Jacobi-like check, a per-triple product kernel anywhere in the
-package, a dense product or action in the builders, a dense mode table in
-any module or a densified table in a builder, a densified vector in a
-check that builds a witness, and any way for a float to arise in the
-package.  A relation check
-answers with its witness or None, so no module holds an order object, and
-the suite runs no loop over a stated invariant.
+for the tests and for the product and iterate series of vertexcalc.algebra,
+and the package root does not re-export it.  These checks read the sources
+with ast, so a window-kernel import that creeps back into a verdict path or
+the package root fails here, and so does a second commutation-profile rule,
+a per-triple product in the Jacobi-like check, a per-triple product kernel
+anywhere in the package, a dense product or action in the builders, a
+dense mode table in any module or a densified table in a builder, a
+densified vector in a check that builds a witness, and any way for a float
+to arise in the package.  A relation check answers with its witness or
+None, so no module holds an order object, and the suite runs no loop over a
+stated invariant.
 """
 
 import ast
@@ -22,8 +23,13 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "vertexcalc"
 
 def series_imports(module: str) -> set[str]:
     """The names a module imports from vertexcalc.series, "*" for a whole-module import."""
+    return series_imports_in((SRC / f"{module}.py").read_text())
+
+
+def series_imports_in(source: str) -> set[str]:
+    """The names the source imports from vertexcalc.series, "*" for a whole-module import."""
     names = set()
-    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
             if node.level == 1 and node.module == "series":
                 names.update(alias.name for alias in node.names)
@@ -48,9 +54,25 @@ def test_algebra_imports_only_the_product_series_names():
     assert series_imports("algebra") == {"Distribution", "Window", "from_terms", "mul"}
 
 
+def test_the_package_root_imports_nothing_from_series():
+    # the window kernel is imported from vertexcalc.series, not re-exported
+    assert series_imports("__init__") == set()
+
+
 def test_the_reader_finds_series_imports():
-    # the package root re-exports the kernel, so the reader must see it there
-    assert {"Distribution", "Window", "mul", "window_equal"} <= series_imports("__init__")
+    # each import form the reader handles, at module level and in a function
+    cases = {
+        "from .series import Window, mul as m": {"Window", "mul"},
+        "from . import series": {"*"},
+        "from . import linalg, series as s": {"*"},
+        "from vertexcalc.series import window_equal": {"window_equal"},
+        "from vertexcalc import series": {"*"},
+        "import vertexcalc.series": {"*"},
+        "def f():\n    from .series import from_terms": {"from_terms"},
+        "from .linalg import series\nfrom vertexcalc import algebra\nimport series": set(),
+    }
+    for source, names in cases.items():
+        assert series_imports_in(source) == names, source
 
 
 def names_used(module: str) -> set[str]:
@@ -85,6 +107,12 @@ PER_TRIPLE_KERNEL = {
     "outer_iterate",
     "assoc_search",
 }
+
+
+def test_one_profile_rule_decides_every_ordered_pair():
+    # pair_profiles decides the diagonal u = v too; the second rule is gone
+    assert "commutation_profile" not in names_used("pairs")
+    assert "pair_profiles" in names_used("pairs")
 
 
 def test_no_module_holds_the_per_triple_kernel():

@@ -149,6 +149,14 @@ def test_stray_acting_indices_are_malformed(a3, a3_adj):
     assert mod.acting == (-1, 0, 1, 2, 7)
 
 
+@pytest.mark.parametrize("index", (7, -2))
+def test_locality_transfer_refuses_an_index_outside_the_basis(a3, a3_adj, index):
+    # the module's pair analysis reads an unrecorded pair as one that holds
+    for u, v in ((index, 1), (1, index)):
+        with pytest.raises(MalformedStructure, match=rf"basis index {index} is not in range\(3\)"):
+            check_locality_transfer(a3, a3_adj, u, v, F(1), faithful=True)
+
+
 def test_locality_transfer_a3(a3, a3_adj):
     faithful = is_faithful(a3, a3_adj)
     for i in range(3):
@@ -355,6 +363,13 @@ def test_product_compatibility_where_locality_fails():
 def test_vacuum_generates_adjoint(a3, a3_adj):
     rows = generate_submodule(a3, a3_adj, a3_adj.unit(a3.vacuum))
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("length", (4, 2))
+def test_generation_refuses_a_start_vector_outside_the_module(a3, a3_adj, length):
+    # a start vector of another length is not in the module
+    with pytest.raises(MalformedStructure, match=f"length {length} in a space of dimension 3"):
+        generate_submodule(a3, a3_adj, unit_vec(length, 1))
 
 
 def test_ideal_vectors_do_not_generate(a3, a3_adj):

@@ -75,11 +75,12 @@ from vertexcalc.modules import (
 from vertexcalc.pairs import (
     PairAnalysis,
     acting_columns,
-    commutation_profile,
     iterate_sources,
     pair_analysis,
+    pair_profiles,
     scatter_iterates,
     scatter_products,
+    swapped,
 )
 from vertexcalc.errors import InvalidArgument
 from vertexcalc.report import Witness
@@ -543,16 +544,25 @@ def _profile_sides(rng):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_closed_form_profile_equals_the_loop(seed):
-    # the sides hold no empty vector, as the scatter leaves them
+    # as the scatter leaves them: puv is nonzero and no side holds an empty
+    # vector; the (v, u) profile compares pvu with puv swapped, and on the
+    # diagonal u = v pvu is puv itself
     rng = random.Random(seed)
     shapes = set()
     for _ in range(400):
-        lhs, rhs = _profile_sides(rng)
-        got, ref = commutation_profile(lhs, rhs), reference_profile(lhs, rhs)
-        assert (got, [type(x) for x in got]) == (ref, [type(x) for x in ref]), (lhs, rhs)
-        shapes.add(ref[0] if ref else "every q")
-    # lhs = q rhs for every q, for none, and for q = 0, 1 and the inverse ratios -1, 1/2, 3
-    assert shapes >= {"every q", None, 0, 1, -1, Fraction(1, 2), 3}
+        puv, rhs = _profile_sides(rng)
+        if not puv:
+            puv, rhs = rhs, puv
+        if not puv:
+            continue
+        pvu, diagonal = swapped(rhs), reference_profile(puv, swapped(puv))
+        profiles = (*pair_profiles(puv, pvu), *pair_profiles(puv, puv))
+        refs = (reference_profile(puv, rhs), reference_profile(pvu, swapped(puv)), diagonal, diagonal)
+        for got, ref in zip(profiles, refs):
+            assert (got, [type(x) for x in got]) == (ref, [type(x) for x in ref]), (puv, rhs)
+            shapes.add(ref[0])
+    # lhs = q rhs for no q, and for q = 0, 1 and the inverse ratios -1, 1/2, 3
+    assert shapes >= {None, 0, 1, -1, Fraction(1, 2), 3}
 
 
 def _assoc_sides_of(rng):
@@ -615,7 +625,6 @@ def test_closed_forms_leave_few_pairs_to_walk(monkeypatch):
         monkeypatch.setattr(module, name, wrapped)
 
     counting(pairs_module, "pair_profiles")
-    counting(pairs_module, "commutation_profile")
     counting(pairs_module, "profile_walk")
     counting(pairs_module, "assoc_holds")
     counting(pairs_module, "assoc_sides")
@@ -623,7 +632,7 @@ def test_closed_forms_leave_few_pairs_to_walk(monkeypatch):
     a3 = parse_algebra_file(FIXTURES / "a3.json").alg
     pair_analysis(matrix_algebra(a3, 3))._records
     # 1,061 pairs u != v and 68 pairs u = v, for 2,190 ordered profiles
-    assert calls["pair_profiles"] == 1061 and calls["commutation_profile"] == 68
+    assert calls["pair_profiles"] == 1061 + 68
     assert calls["profile_walk"] <= 60
     # of the 1,510 triples with a product or an iterate, only the 151 with a
     # nonzero outer exponent reach the accumulator; the rest are compared at
