@@ -8,39 +8,28 @@ translation-operator identities, q-locality, skew-symmetry, and the q-Jacobi
 identity.
 
 Everything here is exact.  Structure data is a Laurent polynomial in each
-variable, so every identity whose two sides are Laurent polynomials (the
-translation identities, skew-symmetry, locality, weak associativity) is
-decided by one comparison of finite term dictionaries, and both its
-refutations and its confirmations are exact-complete.  The Jacobi-type
-identities multiply by delta composites, but on such data they hold exactly
-when commutation and order-0 weak associativity hold (`check_jacobi`), so
-they are decided by the same comparisons and no window is involved.
+variable, so every identity whose two sides are Laurent polynomials is
+decided by one comparison of finite term dictionaries, refutations and
+confirmations alike.  The Jacobi-type identities hold exactly when
+commutation and order-0 weak associativity hold (`check_jacobi`), so no
+window is involved.
 
 The checks compute on nonzero entries only, from the mode index to the
 witness.  A structure stores its mode products as one sparse image index,
-which every builder and the parser hand to it directly.  `sparse_modes`, the
-one mode product, walks the nonzero (k, c) of its arguments (a basis vector
-is ((i, ONE),)) through that index.  One-variable products and the powers of
-D (applied through its sparse columns) are term dictionaries {exponent: {k:
-c}}, and a witness holds the first differing pair as it is, with the basis
-that names its coordinates.  The dense views are wrappers over these.
-
-Locality, skew-symmetry, weak associativity, the q-Jacobi identity and the
-module checks all read the same two-variable products Y(u,x1)Y(v,x2)w and
-iterates Y(Y(u,x0)v,x2)w of basis vectors.  One walk builds them: the
-scatter of vertexcalc.pairs, which pushes each coordinate through the
-acting table's sparse columns.  Each structure holds one pair analysis,
-built on first use, that scatters every such product once, records for
-which q commutation holds and which triples are not weakly associative,
-and drops the products; the checks read their verdicts and witnesses from
-it.  product_terms and iterate_terms, and the product and iterate series
-over them, combine the same scattered basis products bilinearly.
+and `sparse_modes`, the one mode product, walks the nonzero (k, c) of its
+arguments (a basis vector is ((i, ONE),)) through it.  One-variable
+products and the powers of D are term dictionaries {exponent: {k: c}}, and
+a witness holds the first differing pair as it is, with the basis that
+names its coordinates.  The two-variable products of basis vectors come
+from the scatter of vertexcalc.pairs; each structure holds one pair
+analysis, built on first use, whose verdicts and witnesses the checks read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import CapExceeded, InvalidArgument, MalformedStructure, NonNilpotentD
@@ -52,7 +41,6 @@ from .linalg import (
     Support,
     Vec,
     add_scaled,
-    binom_row,
     dense_span,
     densify,
     integral,
@@ -71,6 +59,7 @@ if TYPE_CHECKING:
 ModeMap = dict[int, Vec]
 ModeIndex = dict[tuple[int, int], dict[int, Support]]
 Terms = dict  # {exponent: {k: nonzero c}}, a sparse term dictionary
+FIRST = itemgetter(0)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +84,8 @@ def normal_index(index, dim: int, n_acting: int | None) -> ModeIndex:
     empty modes are dropped, k comes ascending and n in input order.  Target
     indices j and coordinates k must lie in range(dim) and acting indices i
     in range(n_acting), each k at most once per image; a module does not
-    know its algebra and passes None.
+    know its algebra and passes None.  Each image is sorted on k and walked
+    once; a bad coefficient is refused before a bad coordinate.
     """
     out: ModeIndex = {}
     for (i, j), modes in index.items():
@@ -103,14 +93,18 @@ def normal_index(index, dim: int, n_acting: int | None) -> ModeIndex:
             raise MalformedStructure(f"mode table indices ({i},{j}) out of range")
         entry = {}
         for n, img in modes.items():
-            img = sorted((k, integral(c)) for k, c in img)
-            ks = [k for k, _c in img]
-            if ks and (ks[0] < 0 or ks[-1] >= dim or len(set(ks)) < len(ks)):
+            img, kept, last, bad = sorted(img, key=FIRST), [], None, False
+            for k, c in img:
+                bad, last = bad or k == last or not 0 <= k < dim, k  # sorted: a repeat is adjacent
+                if c := c if type(c) is int else integral(c):
+                    kept.append((k, c))
+            if bad:
+                ks = [k for k, _c in img]
                 raise MalformedStructure(
                     f"image coordinates {ks} at ({i},{j},{n}) are not distinct in range({dim})"
                 )
-            if img := [(k, c) for k, c in img if c]:
-                entry[int(n)] = img
+            if kept:
+                entry[int(n)] = kept
         if entry:
             out[(i, j)] = entry
     return out
@@ -433,41 +427,37 @@ def check_creation_exponential(alg: AlgebraStructure) -> CheckReport:
 # weak associativity of one triple, and the pair analysis
 
 
-def assoc_sides(prod: Terms, iterate: Terms, sign: int = 1) -> tuple[Terms, Terms]:
-    """Both sides of weak associativity at the order where both are Laurent polynomials.
-
-    prod is Y(u,x1)Y(v,x2)w and iterate is Y(Y(u,x0)v,x2)w.  The relation
-    (x0+x2)^l Y(u,x0+x2)Y(v,x2)w = (x0+x2)^l Y(Y(u,x0)v,x2)w expands
-    (x0+x2)^m in nonnegative powers of x2, so both sides live in
-    Q[x0, x0^-1]((x2)), where x0+x2 is a unit.  The order-l relation is the
-    order-0 relation times a unit: it holds for some l exactly when it holds
-    at every l, and the least order is 0.  The sides are taken at
-    L = max(0, 1 + the largest outer mode n1 of prod), where every
-    (x0+x2)^(-n1-1+L) is a polynomial, so one comparison of their
-    (x0, x2)-terms decides the relation exactly.  With sign = -1 the right
-    side is subtracted from the left in one dictionary, returned twice
-    (assoc_holds).
-    """
-    order = max([0] + [-e1 for e1, _e2 in prod])
-    lhs: Terms = {}
-    for (e1, e2), c in prod.items():
-        for i, b in enumerate(binom_row(e1 + order)):
-            add_term(lhs, (e1 + order - i, e2 + i), b, c.items())
-    rhs: Terms = {} if sign == 1 else lhs
-    row = binom_row(order)
-    for (e0, e2), c in iterate.items():
-        for i, b in enumerate(row):
-            add_term(rhs, (e0 + order - i, e2 + i), sign * b, c.items())
-    return lhs, rhs
-
-
 def assoc_holds(prod: Terms, iterate: Terms) -> bool:
-    """Whether the two sides of assoc_sides agree, read off one accumulator of their difference.
+    """Whether (u, v, w) is weakly associative, decided by its poles and one order-0 walk.
 
-    At order 0 (every outer exponent e1 of prod is 0) the sides are prod and
-    iterate themselves, which PairAnalysis compares without this call.
+    prod is Y(u,x1)Y(v,x2)w and iterate Y(Y(u,x0)v,x2)w.  x0 and x0+x2 are
+    coprime in Q[x0, x2, x2^-1], so it holds exactly when prod has no
+    negative x1 exponent, iterate no negative x0 exponent, and Σ c
+    (x0+x2)^e1 x2^e2 over prod equals iterate.  That sum is walked one x0
+    exponent at a time (as pairs.assoc_difference), each layer read against
+    the iterate's sorted terms, up to the first that differs.
     """
-    return not any(assoc_sides(prod, iterate, -1)[0].values())
+    if not prod or min(prod)[0] < 0:
+        return not (prod or iterate)
+    rows, keys, p = [[e1, e2, c, 1] for (e1, e2), c in prod.items()], sorted(iterate), 0
+    for a in range(max(prod)[0] + 1):
+        layer: Terms = {}
+        for row in rows:
+            e1, e2, c, b = row
+            if e1 >= a:
+                if (e := (a, e1 + e2 - a)) in layer:  # a second term at e: a fresh sum
+                    add_scaled(acc := dict(layer[e]), b, c.items())
+                    layer[e] = acc
+                else:  # c itself is only read
+                    layer[e] = c if b == 1 else {k: b * x for k, x in c.items()}
+                row[3] = b * (e1 - a) // (a + 1)
+        if not all(layer.values()):  # a cancelled vector reads as zero
+            layer = {e: x for e, x in layer.items() if x}
+        p += len(layer)
+        # a layer term differs, or an iterate term at x0 exponent <= a is unmatched
+        if not layer.items() <= iterate.items() or p < len(keys) and keys[p][0] <= a:
+            return False
+    return p == len(keys)
 
 
 def require_basis(alg: AlgebraStructure, *indices: int) -> None:
@@ -522,11 +512,12 @@ def find_locality_k(
 
 
 def truncation_order(alg: AlgebraStructure, u_idx: int, v_idx: int) -> int:
-    """Least k >= 0 with x^k Y(u,x)v free of negative powers."""
-    modes = alg.mode_index.get((u_idx, v_idx), {})
-    if not modes:
-        return 0
-    return max(0, max(modes) + 1)
+    """Least k >= 0 with x^k Y(u,x)v free of negative powers; refuses an index outside range(dim)."""
+    if modes := alg.mode_index.get((u_idx, v_idx)):
+        return max(0, max(modes) + 1)
+    if not (0 <= u_idx < alg.dim and 0 <= v_idx < alg.dim):  # a named pair is in range
+        require_basis(alg, u_idx, v_idx)
+    return 0
 
 
 def skew_terms(images: list[Terms], modes: dict[int, SparseVec], q: Fraction) -> Terms:
@@ -554,9 +545,12 @@ def skew_difference(alg: AlgebraStructure, u_idx: int, v_idx: int, q: Fraction):
     that of (v, u, 1/q) does: substituting x -> -x and applying e^{xD},
     which is invertible because D is nilpotent, turns one relation into the
     other (Lepowsky-Li, Introduction to Vertex Operator Algebras, 2004).
+    An index outside range(dim) is refused.
     """
     index = alg.mode_index
     if (u_idx, v_idx) not in index and (v_idx, u_idx) not in index:
+        if not (0 <= u_idx < alg.dim and 0 <= v_idx < alg.dim):  # a named pair is in range
+            require_basis(alg, u_idx, v_idx)
         return None
     lhs = {(-n - 1,): w for n, w in basis_modes(index, u_idx, v_idx).items()}
     modes = basis_modes(index, v_idx, u_idx)
@@ -652,13 +646,10 @@ def check_jacobi(
     Then the left side is the product times x2^-1 d((x1-x0)/x2), and
     substituting x1 = x0 + x2 under that delta function leaves order-0 weak
     associativity.  So the identity holds on w exactly when commutation and
-    weak associativity hold there; each failing w has one witness, which
-    names the half that failed (PairAnalysis.jacobi_witness).  So the
-    verdict is (q-locality and weak associativity on every w) by
-    construction, and the report records no order.  The report holds the
-    witnesses of the first `limit` failing w, or of every one when limit is
-    None (PairAnalysis.jacobi_witnesses), and a positive limit keeps one on
-    every failing report.
+    weak associativity hold there, and the report records no order.  Each
+    failing w has one witness, naming the half that failed; the report
+    holds those of the first `limit` failing w, or of every one when limit
+    is None (PairAnalysis.jacobi_witnesses).
     """
     if limit is not None and limit < 1:
         raise InvalidArgument(f"the witness limit must be positive or None, not {limit}")

@@ -110,14 +110,6 @@ def binom(n: int, i: int) -> int:
     return num // den
 
 
-def binom_row(m: int) -> list[int]:
-    """[binom(m, 0), ..., binom(m, m)] for m >= 0, by c(i+1) = c(i) (m-i) / (i+1): O(m) products."""
-    row = [1]
-    for i in range(m):
-        row.append(row[-1] * (m - i) // (i + 1))
-    return row
-
-
 def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
 

@@ -101,11 +101,11 @@ def adjoint_module(alg: AlgebraStructure) -> ModuleStructure:
 def check_module(alg: AlgebraStructure, mod: ModuleStructure) -> CheckReport:
     """Identity action, derivative property, and module weak associativity.
 
-    Every triple (u, v, w) is decided by the module's pair analysis
-    (algebra.assoc_sides with the module as the acting table); its order is
-    0 whenever the relation holds.  When some (u, w) holds for every middle
-    argument, the report records the uniform order, the maximum over middle
-    arguments, which is then 0 as well.
+    Every triple (u, v, w) is decided by the module's pair analysis, with
+    the module as the acting table; its order is 0 whenever the relation
+    holds.  When some (u, w) holds for every middle argument, the report
+    records the uniform order, the maximum over middle arguments, which is
+    then 0 as well.
     """
     require_acting_range(alg, mod)
     report = CheckReport("module-axioms")

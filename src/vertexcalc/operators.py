@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import AlgebraStructure, ModeIndex
+from .algebra import AlgebraStructure, ModeIndex, require_basis
 from .errors import InvalidArgument, MalformedStructure, NotCompatible
 from .linalg import CoordSpan, Scalar, binom
 from .modules import ModuleStructure, check_module, is_faithful
@@ -101,8 +101,10 @@ def operator_from_structure(
 
     Column j of mode n is the image (e_v)_n w_j, read as its nonzero
     coordinates off the sparse mode index; modes and rows come in
-    increasing order and each row's columns in increasing order.
+    increasing order and each row's columns in increasing order.  An index
+    outside range(alg.dim) is refused.
     """
+    require_basis(alg, v_idx)
     act = alg if mod is None else mod
     modes: dict[int, Rows] = {}
     for j in range(act.dim):

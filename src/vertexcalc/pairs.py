@@ -3,13 +3,9 @@
 Locality, skew-symmetry, weak associativity, the Jacobi-type identities and
 the module checks all read the same two-variable products of basis vectors.
 A structure's `PairAnalysis` (pair_analysis) builds each nonzero one once,
-in one walk over the target basis that scatters coordinates through sparse
-columns (scatter_products, scatter_iterates).  It records for which q each
-triple commutes (its profile, decided once per unordered pair and w by
-pair_profiles, the one profile rule, the diagonal u = v included), so one
-analysis serves every q, and the first difference of each triple that is
-not weakly associative (compared as it is at order 0, else by
-assoc_holds); then it drops the products.
+in one walk that scatters coordinates through sparse columns
+(scatter_products, scatter_iterates), records each triple's commutation
+profile and weak-associativity failure, and drops the products.
 
 The analysis owns the refutations: every witness of a commutation, weak
 associativity or Jacobi failure is built here from its records
@@ -26,7 +22,7 @@ analysis is held by the structure it acts through, like the mode index.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 from typing import TYPE_CHECKING
 
@@ -35,8 +31,8 @@ from .algebra import (
     ModeIndex,
     SparseVec,
     Terms,
+    add_term,
     assoc_holds,
-    assoc_sides,
     d_columns,
     exp_sparse,
     scale,
@@ -115,6 +111,34 @@ def pair_profiles(puv: Terms, pvu: Terms) -> tuple[tuple, tuple]:
             return (1, min(puv)), (1, min(pvu))
     p = profile_walk(puv, swapped(pvu))
     return p, p if pvu is puv else profile_walk(pvu, swapped(puv))
+
+
+def assoc_difference(prod: Terms, iterate: Terms, order: int = 0):
+    """The first difference (exponent, lhs, rhs) of weak associativity at order, or None.
+
+    The sides are (x0+x2)^order times prod = Y(u,x1)Y(v,x2)w at x1 = x0+x2
+    and times iterate = Y(Y(u,x0)v,x2)w (order >= every -e1 of prod), in
+    nonnegative powers of x2: a term c x0^s (x0+x2)^m x2^t puts binom(m, a-s)
+    c at (a, t+m+s-a).  Both are walked by increasing x0 exponent a, each
+    binomial from the last by the ratio recurrence, up to the first layer
+    where they differ: one layer and one binomial per term, never the whole
+    expansion, and no step at an a that no term reaches.
+    """
+    terms = [[0, e1 + order, e2, c, 1, 0] for (e1, e2), c in prod.items()]
+    terms += [[e0, order, e2, c, 1, 1] for (e0, e2), c in iterate.items()]
+    a = min([term[0] for term in terms], default=0)
+    while terms:
+        layers: tuple = ({}, {})
+        for term in terms:
+            s, m, t, c, b, side = term
+            if s <= a:
+                add_term(layers[side], (a, t + m + s - a), b, c.items())
+                term[4] = b * (m + s - a) // (a - s + 1)
+        if (diff := next(sparse_differences(*layers), None)) is not None:
+            return diff
+        terms = [term for term in terms if term[0] + term[1] > a]
+        a = max(a + 1, min([term[0] for term in terms], default=a))
+    return None
 
 
 def mode_pair(index: ModeIndex, u: int, v: int, w: int, e) -> SparseVec:
@@ -224,9 +248,8 @@ class PairAnalysis:
     """Every product Y(u,x1)Y(v,x2)w of basis vectors, decided once, and each failure's witness.
 
     u and v range over the basis of `alg`, which also gives the iterates
-    Y(Y(u,x0)v,x2)w; w ranges over the basis of `act`, the acting table
-    (alg itself or a module).  On first use one walk over w records two
-    things and drops the products:
+    Y(Y(u,x0)v,x2)w; w over the basis of `act`, the acting table (alg or a
+    module).  On first use one walk over w records two things:
     - commutation: for each ordered (u, v) and each w on which
       Y(u,x1)Y(v,x2)w = q Y(v,x2)Y(u,x1)w does not hold for every q, its
       profile by pair_profiles, the one profile rule, which names the q it
@@ -235,7 +258,8 @@ class PairAnalysis:
       a failing (u, v, q) walks its profiles;
     - weak associativity: the first difference (exponent, lhs, rhs) of
       each triple that fails, in closed form at order 0 (no outer exponent)
-      or with no product; else from assoc_sides, built only on a failure.
+      or with no product; else decided by assoc_holds, and the difference
+      walked on first read (assoc_failure).
     A witness names (u, v, w) by the two bases and its coordinates by
     act's.  A commutation witness's sides are read off the table at its
     exponent (mode_pair), those of the first failure of each (u, v, q)
@@ -290,13 +314,15 @@ class PairAnalysis:
                         commute.setdefault((v, u), []).extend((w, shared.setdefault(r, r)))
                 iterate = iterates.pop((u, v), {})
                 for e1, _e2 in puv:
-                    if e1:  # one accumulator decides; only a failing triple builds both sides
-                        sides = None if assoc_holds(puv, iterate) else assoc_sides(puv, iterate)
+                    if e1:  # by the pole theorem; a failure's difference is walked on first read
+                        if not assoc_holds(puv, iterate):
+                            order = max(0, -min(puv)[0])
+                            diff = partial(assoc_difference, puv, iterate, order)
+                            assoc.setdefault((u, v), {})[w] = diff
                         break
                 else:  # every outer exponent is 0: the sides are puv and iterate
-                    sides = None if puv == iterate else (puv, iterate)
-                if sides is not None:
-                    assoc.setdefault((u, v), {})[w] = next(sparse_differences(*sides))
+                    if puv != iterate:
+                        assoc.setdefault((u, v), {})[w] = next(sparse_differences(puv, iterate))
             # an iterate with no product fails at its least exponent
             for key, iterate in iterates.items():
                 assoc.setdefault(key, {})[w] = (e := min(iterate), {}, iterate[e])
@@ -368,8 +394,16 @@ class PairAnalysis:
         return w, e, mode_pair(self.index, u, v, w, e), rhs
 
     def assoc_failure(self, u: int, v: int, w: int) -> tuple | None:
-        """The first difference (exponent, lhs, rhs) of weak associativity on (u, v, w), sparse."""
-        return self._records[1].get((u, v), {}).get(w)
+        """The first difference (exponent, lhs, rhs) of weak associativity on (u, v, w), sparse.
+
+        A failing triple with an outer exponent keeps its product and
+        iterate, and its difference is walked on first read (assoc_difference)
+        at the least order where every power of x0+x2 is a polynomial.
+        """
+        failing = self._records[1].get((u, v), {})
+        if callable(diff := failing.get(w)):
+            diff = failing[w] = diff()
+        return diff
 
     def assoc_witness(self, u: int, w: int, v: int | None = None) -> Witness | None:
         """Weak associativity of (u, v, w): None when it holds (at order 0), else its witness.

@@ -17,6 +17,13 @@ equal the analysis's, profiles and first differences included.  Each profile
 comes from `reference_profile`, the exponent-by-exponent loop the library ran
 on every pair before it decided empty and equal sides in closed form, kept
 here unchanged with its `solving_q`.
+
+`assoc_sides` expands both sides of weak associativity in full at the order
+where both are polynomials in x0+x2, with `binom_row`, as the library did
+before `algebra.assoc_holds` and `pairs.assoc_difference` decided the
+relation by its poles and walked it by x0 exponent; it is their oracle.
+`resolved_records` reads an analysis's records with each failure through
+`assoc_failure`, the form that is compared with `reference_records`.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from vertexcalc.algebra import (
     AlgebraStructure,
     ModeIndex,
     Terms,
-    assoc_sides,
+    add_term,
     scale,
     sparse_differences,
     sparse_modes,
@@ -39,6 +46,41 @@ from vertexcalc.modules import ModuleStructure
 from vertexcalc.report import Witness
 
 # -- the per-triple kernel ---------------------------------------------------------
+
+
+def binom_row(m: int) -> list[int]:
+    """[binom(m, 0), ..., binom(m, m)] for m >= 0, by c(i+1) = c(i) (m-i) / (i+1): O(m) products."""
+    row = [1]
+    for i in range(m):
+        row.append(row[-1] * (m - i) // (i + 1))
+    return row
+
+
+def assoc_sides(prod: Terms, iterate: Terms) -> tuple[Terms, Terms]:
+    """Both sides of weak associativity at the order where both are Laurent polynomials.
+
+    prod is Y(u,x1)Y(v,x2)w and iterate is Y(Y(u,x0)v,x2)w.  The relation
+    (x0+x2)^l Y(u,x0+x2)Y(v,x2)w = (x0+x2)^l Y(Y(u,x0)v,x2)w expands
+    (x0+x2)^m in nonnegative powers of x2, so both sides live in
+    Q[x0, x0^-1]((x2)), where x0+x2 is a unit.  The sides are taken at
+    L = max(0, 1 + the largest outer mode n1 of prod), where every
+    (x0+x2)^(-n1-1+L) is a polynomial, so one comparison of their
+    (x0, x2)-terms decides the relation exactly.  The library expanded both
+    sides this way, in full, with linalg.binom_row, before algebra.assoc_holds
+    and pairs.assoc_difference walked them by x0 exponent.
+    """
+    order = max([0] + [-e1 for e1, _e2 in prod])
+    lhs: Terms = {}
+    for (e1, e2), c in prod.items():
+        for i, b in enumerate(binom_row(e1 + order)):
+            add_term(lhs, (e1 + order - i, e2 + i), b, c.items())
+    rhs: Terms = {}
+    row = binom_row(order)
+    for (e0, e2), c in iterate.items():
+        for i, b in enumerate(row):
+            add_term(rhs, (e0 + order - i, e2 + i), b, c.items())
+    return lhs, rhs
+
 
 
 def scale_terms(q, terms: Terms) -> Terms:
@@ -204,6 +246,19 @@ def pair_walk(alg_index, index, n: int, w: int):
         iterate = outer_iterate(index, uv, ((w, ONE),)) if uv else {}
         result[(u, v)] = (prod, reverse, iterate)
     return result
+
+
+def resolved_records(analysis) -> tuple[dict, dict]:
+    """The (commute, assoc) records of a PairAnalysis, each failure read through assoc_failure.
+
+    A triple failed by a pole in x1 holds its difference unbuilt until it
+    is read; this is the form reference_records compares with.
+    """
+    commute, assoc = analysis._records
+    return commute, {
+        (u, v): {w: analysis.assoc_failure(u, v, w) for w in failing}
+        for (u, v), failing in assoc.items()
+    }
 
 
 def reference_records(analysis) -> tuple[dict, dict]:

@@ -22,6 +22,10 @@ tests that compare against them:
   read back through `support`, as the checks build it from sparse ones;
 - `sparse_columns` and `dense_matrix`, a square dense matrix as the sparse
   columns a derivation or a group element is given by, and back;
+- `reference_normal_index`, the normal form of a mode index as the
+  library took it in four passes over each image (sort on (k, c) with every
+  c through `integral`, the coordinate list, its set, the zero drop) before
+  `algebra.normal_index` sorted on k alone and walked each image once;
 - `reference_d_bracket` and `reference_skew_symmetry`, the translation
   bracket and skew-symmetry checks as they compared both sides on every
   basis pair, before the pairs the mode index names no entry for were
@@ -42,6 +46,7 @@ from vertexcalc.algebra import (
     sparse_modes,
     truncation_order,
 )
+from vertexcalc.errors import MalformedStructure
 from vertexcalc.linalg import ONE, dense_span, densify, integral, support, unit_vec
 from vertexcalc.pairs import pair_analysis
 from vertexcalc.report import CheckReport, Witness
@@ -76,6 +81,27 @@ def index_from_dense(table, dim):
                 entry[n] = img
         if entry:
             out[key] = entry
+    return out
+
+
+def reference_normal_index(index, dim, n_acting):
+    """The mode index in its one stored form, after range checks, four passes per image."""
+    out = {}
+    for (i, j), modes in index.items():
+        if not (0 <= j < dim and (n_acting is None or 0 <= i < n_acting)):
+            raise MalformedStructure(f"mode table indices ({i},{j}) out of range")
+        entry = {}
+        for n, img in modes.items():
+            img = sorted((k, integral(c)) for k, c in img)
+            ks = [k for k, _c in img]
+            if ks and (ks[0] < 0 or ks[-1] >= dim or len(set(ks)) < len(ks)):
+                raise MalformedStructure(
+                    f"image coordinates {ks} at ({i},{j},{n}) are not distinct in range({dim})"
+                )
+            if img := [(k, c) for k, c in img if c]:
+                entry[int(n)] = img
+        if entry:
+            out[(i, j)] = entry
     return out
 
 

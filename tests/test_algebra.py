@@ -5,15 +5,26 @@ tables: for a3, Y(a,x)b = (e^{xd}a)b with d = t^2 d/dt, so e.g. e^{xd}t =
 t + x t^2 and Y(t,x)one = t + x t^2.
 """
 
+import collections
 import functools
 import itertools
+import json
 import random
+import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from reference_pairs import assoc_search, commutation_sparse, reversed_sparse
+from reference_pairs import (
+    assoc_search,
+    assoc_sides,
+    commutation_sparse,
+    reference_records,
+    resolved_records,
+    reversed_sparse,
+)
 from reference_spans import (
     SpanBasis,
     dense_localizer,
@@ -30,6 +41,7 @@ from reference_tables import (
     mode_matrix,
     product,
     reference_d_bracket,
+    reference_normal_index,
     reference_skew_symmetry,
     subspace_is_subalgebra,
     table_of,
@@ -40,6 +52,7 @@ import vertexcalc.algebra as algebra_module
 from vertexcalc.algebra import (
     AlgebraStructure,
     add_term,
+    assoc_holds,
     check_creation_exponential,
     check_d_bracket,
     check_jacobi,
@@ -53,11 +66,15 @@ from vertexcalc.algebra import (
     iterate_series,
     iterate_terms,
     localizer,
+    normal_index,
     product_series,
     product_terms,
+    skew_difference,
     skew_terms,
+    sparse_differences,
     sparse_modes,
     stabilizer,
+    truncation_order,
     validate_structure,
     weak_assoc_triple,
 )
@@ -88,7 +105,13 @@ from vertexcalc.linalg import (
     vec_scale,
 )
 from vertexcalc.modules import ModuleStructure, adjoint_module
-from vertexcalc.pairs import iterate_sources, pair_analysis, scatter_iterates
+from vertexcalc.pairs import (
+    PairAnalysis,
+    assoc_difference,
+    iterate_sources,
+    pair_analysis,
+    scatter_iterates,
+)
 from vertexcalc.report import Witness
 from vertexcalc.series import (
     Window,
@@ -254,6 +277,71 @@ def test_normal_index_reads_every_coefficient_through_integral():
     # a module shares the normal form; its acting indices are checked against the algebra later
     mod = ModuleStructure(("w",), {(5, 0): {0: [(0, "2/4")], 1: [(0, 0)]}})
     assert mod.mode_index == {(5, 0): {0: [(0, F(1, 2))]}} and mod.acting == (5,)
+
+
+# coefficients as builders and the parser hand them in: zeros, Fractions with
+# denominator 1, rational strings and bools (_raw_index rarely adds a string
+# no rational reads)
+_RAW_COEFFICIENTS = (0, 1, -2, F(3, 4), F(6, 3), F(0), "1/2", "-3", "4/2", "0", True, False)
+
+
+def _raw_index(rng, dim):
+    """A mode index spec {(i, j): {n: (as_iterator, [(k, c), ...])}}, unsorted, sometimes malformed.
+
+    i, j or k fall out of range, or k repeats, with small probability each.
+    """
+    def index_in(bound, slack):
+        return rng.choice((-1, bound + slack)) if rng.random() < 0.06 else rng.randrange(bound)
+
+    spec = {}
+    for _ in range(rng.randint(0, 5)):
+        modes = {}
+        for _ in range(rng.randint(0, 3)):
+            ks = rng.sample(range(dim), rng.randint(0, dim))
+            if rng.random() < 0.1:
+                ks.append(rng.choice((-1, dim, *ks)))
+            rng.shuffle(ks)
+            pairs = [(k, rng.choice(_RAW_COEFFICIENTS)) for k in ks]
+            if pairs and rng.random() < 0.02:
+                pairs[0] = (pairs[0][0], "one half")
+            modes[rng.randint(-4, 2)] = (rng.random() < 0.3, pairs)
+        spec[(index_in(dim, 1), index_in(dim, 0))] = modes
+    return spec
+
+
+def _normal_outcome(fn, spec, dim, n_acting):
+    """fn's normal form with every coefficient's type, in order, or the error it raises."""
+    index = {
+        key: {n: iter(pairs) if lazy else list(pairs) for n, (lazy, pairs) in modes.items()}
+        for key, modes in spec.items()
+    }
+    try:
+        out = fn(index, dim, n_acting)
+    except (MalformedStructure, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return [
+        (key, [(n, [(k, c, type(c)) for k, c in img]) for n, img in modes.items()])
+        for key, modes in out.items()
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_normal_index_equals_the_four_pass_reference(seed):
+    # the one-pass walk against the four passes it replaced: equal output,
+    # order and coefficient types, or the same refusal
+    rng = random.Random(seed)
+    kinds = collections.Counter()
+    for _ in range(400):
+        dim = rng.randint(1, 4)
+        n_acting = rng.choice((None, dim, dim + 1))
+        spec = _raw_index(rng, dim)
+        got = _normal_outcome(normal_index, spec, dim, n_acting)
+        assert got == _normal_outcome(reference_normal_index, spec, dim, n_acting), (spec, dim)
+        kinds[got[0] if isinstance(got, tuple) else "normal"] += 1
+        if isinstance(got, tuple):
+            kinds[got[1].split(" ")[0]] += 1
+    assert kinds["normal"] > 100 and kinds["ValueError"] > 0
+    assert kinds["mode"] > 0 and kinds["image"] > 0  # an index and a coordinate refusal
 
 
 # -- the sparse mode table ------------------------------------------------------
@@ -699,16 +787,20 @@ def _series_assoc_reference(alg: AlgebraStructure, u: int, v: int, w: int):
     return "refuted", (verdict.witness, verdict.lhs, verdict.rhs)
 
 
-def _random_table(rng: random.Random) -> AlgebraStructure:
+def _random_table(rng: random.Random, modes=None) -> AlgebraStructure:
     # dim 3 with a clean vacuum row and column; the two other basis vectors
-    # get sparse products with modes in [-4, 2], nonnegative ones included
+    # get sparse products with one mode in [-4, 2], nonnegative ones
+    # included, or with one or two of the given modes
     table = {(0, j): {-1: unit_vec(3, j)} for j in range(3)}
     table.update({(i, 0): {-1: unit_vec(3, i)} for i in (1, 2)})
     for i in (1, 2):
         for j in (1, 2):
             if rng.random() < 0.6:
                 vec = (0, rng.choice((-1, 0, 1)), rng.choice((-1, 0, 1)))
-                table[(i, j)] = {rng.randint(-4, 2): vec}
+                if modes is None:
+                    table[(i, j)] = {rng.randint(-4, 2): vec}
+                else:
+                    table[(i, j)] = {n: vec for n in rng.sample(modes, rng.randint(1, 2))}
     return AlgebraStructure(
         basis=("one", "a", "b"), vacuum=0, mode_index=index_from_dense(table, 3)
     )
@@ -759,6 +851,85 @@ def test_a_pole_in_the_product_or_the_iterate_fails_weak_associativity():
                         poles[kind] += 1
                         assert pairs.assoc_failure(u, v, w) is not None, (table_of(alg), u, v, w)
     assert poles == {"product": 5383, "iterate": 3610}
+
+
+def _random_module(rng: random.Random, modes) -> ModuleStructure:
+    # dim 2 under _random_table's algebra: the vacuum acts as the identity
+    # and each other basis vector acts on each w by one random mode
+    table = {(0, j): {-1: unit_vec(2, j)} for j in range(2)}
+    for i in (1, 2):
+        for j in range(2):
+            if rng.random() < 0.7:
+                table[(i, j)] = {rng.choice(modes): (rng.choice((-1, 0, 1)), rng.choice((-1, 1)))}
+    return ModuleStructure(basis=("w0", "w1"), mode_index=index_from_dense(table, 2))
+
+
+@pytest.mark.parametrize(
+    "modes",
+    (None, (-2, -1, 0, 1), (-40, -2, -1, 0, 1, 30)),
+    ids=("modes-4..2", "two-modes", "large-and-singular-modes"),
+)
+def test_weak_associativity_by_its_poles_equals_the_full_expansion(modes):
+    # the pole theorem's decision (assoc_holds; assoc_difference at the order of
+    # assoc_sides) against both sides expanded in full (reference_pairs), per
+    # triple, on the algebra and on a module acting table: the verdict, and
+    # the first difference the witness prints
+    rng = random.Random(9)
+    seen = collections.Counter()
+    for _ in range(120):
+        alg = _random_table(rng, modes)
+        for act in (alg, _random_module(rng, modes or range(-4, 3))):
+            analysis = PairAnalysis(alg, act)
+            sources = iterate_sources(alg.mode_index)
+            for w in range(act.dim):
+                iterates = scatter_iterates(analysis.acting_columns, sources, w)
+                for (u, v), prod in analysis.products(w).items():
+                    iterate = iterates.get((u, v), {})
+                    first = next(sparse_differences(*assoc_sides(prod, iterate)), None)
+                    order = max(0, -min(prod)[0])
+                    assert assoc_holds(prod, iterate) == (first is None), (prod, iterate)
+                    assert assoc_difference(prod, iterate, order) == first, (prod, iterate)
+                    iterate_pole = min(iterate or [(0,)])[0] < 0
+                    pole = "product" if order else "iterate" if iterate_pole else None
+                    seen[pole, first is None, act is alg] += 1
+                    seen["equal sides with a pole"] += bool(order) and prod == iterate
+            # the records read each triple as the full expansion does
+            assert resolved_records(analysis) == reference_records(analysis), table_of(act)
+    # every triple with a pole fails; poles in both sides, holding and failing
+    # triples without one, on the algebra and on the module
+    for on_alg in (True, False):
+        assert not seen["product", True, on_alg] and not seen["iterate", True, on_alg]
+        assert seen["product", False, on_alg] and seen["iterate", False, on_alg]
+        assert seen[None, True, on_alg] and seen[None, False, on_alg]
+    # a product equal to its iterate with an outer exponent -2 and 0, which fails
+    assert modes is None or seen["equal sides with a pole"]
+
+
+def _a3_with_mode(tmp_path, n):
+    """The a3 fixture with its (t, one) mode -2 entry moved to mode n, parsed."""
+    doc = json.loads((FIXTURES / "a3.json").read_text())
+    (entry,) = [e for e in doc["entries"] if (e["u"], e["v"], e["n"]) == ("t", "one", -2)]
+    entry["n"] = n
+    (tmp_path / f"a3-{-n}.json").write_text(json.dumps(doc))
+    return parse_algebra_file(tmp_path / f"a3-{-n}.json")
+
+
+def test_a_large_mode_costs_what_its_terms_cost(tmp_path):
+    # (t, one, one) fails at its second x0 layer, whatever the mode: the
+    # axioms suite keeps one layer per side, not (x0+x2)^(-n-1) expanded
+    witness = run_suite(_a3_with_mode(tmp_path, -2000), "axioms").records[3].witnesses
+    assert witness == ["at (t,one,one) exponent (1, 1998): 1999 t2 != 0"]
+    for n in (-10**4, -10**5):
+        bundle = _a3_with_mode(tmp_path, n)
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            record = run_suite(bundle, "axioms").records[3]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 5 and peak < 2**20, (n, peak)
+        assert record.witnesses == [f"at (t,one,one) exponent (1, {-n - 2}): {-n - 1} t2 != 0"]
 
 
 _HALVES = ("commutation", "associativity")
@@ -1153,6 +1324,22 @@ def test_relation_checks_refuse_an_index_outside_the_basis(ut2, check, index):
         indices[position] = index
         with pytest.raises(MalformedStructure, match=rf"basis index {index} is not in range\(3\)"):
             check(ut2, *indices, *rest)
+
+
+@pytest.mark.parametrize("index", (7, -2))
+def test_skew_readers_refuse_an_index_outside_the_basis(ut2, index):
+    # the mode index names no pair with such an index, which read as a
+    # holding comparison and truncation order 0
+    for u, v in ((index, 2), (2, index), (index, index)):
+        with pytest.raises(MalformedStructure, match=rf"basis index {index} is not in range\(3\)"):
+            skew_difference(ut2, u, v, ONE_Q)
+        with pytest.raises(MalformedStructure, match=rf"basis index {index} is not in range\(3\)"):
+            truncation_order(ut2, u, v)
+    # an in-range pair the index names no entry for still holds in closed form
+    empty = [(u, v) for u in range(3) for v in range(3) if (u, v) not in ut2.mode_index]
+    assert empty and all(truncation_order(ut2, u, v) == 0 for u, v in empty)
+    unnamed = [(u, v) for u, v in empty if (v, u) not in ut2.mode_index]
+    assert unnamed and all(skew_difference(ut2, u, v, ONE_Q) is None for u, v in unnamed)
 
 
 SUBSPACE_STRUCTURES = sorted(p.stem for p in FIXTURES.glob("*.json")) + ["matrix-a3-3"]

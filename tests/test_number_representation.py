@@ -16,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from reference_pairs import resolved_records
 from reference_tables import index_from_dense
 
 import vertexcalc.algebra as algebra_module
@@ -81,7 +82,7 @@ def _index_entries(index):
 
 def _record_entries(analysis):
     """Every q of the commutation profiles and every coefficient of the first differences."""
-    commute, assoc = analysis._records
+    commute, assoc = resolved_records(analysis)
     profile_qs = [
         qe
         for flat in commute.values()

@@ -145,6 +145,17 @@ def test_operator_from_structure_matches_dense_construction(label):
             assert _layout(got) == _layout(ref), (label, v_idx, target is not None)
 
 
+@pytest.mark.parametrize("index", (7, -2))
+def test_operator_from_structure_refuses_an_index_outside_the_basis(index):
+    # -2 read the name e11 by negative indexing and no modes, a zero
+    # operator for a nonzero Y(e11, x); 7 ended in IndexError
+    ut2 = upper_triangular_2()
+    for target in (None, adjoint_module(ut2)):
+        with pytest.raises(MalformedStructure, match=rf"basis index {index} is not in range\(3\)"):
+            operator_from_structure(ut2, index, target)
+        assert operator_from_structure(ut2, 1, target).name == "e11"
+
+
 def test_identity_operator_rows():
     for dim in (0, 1, 4):
         one = identity_operator(dim)

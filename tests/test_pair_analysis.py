@@ -16,9 +16,10 @@ dictionaries, and their share of the work is counted.  The closed-form
 commutation verdict of each (u, v, q) is held equal to "every profile of the
 per-pair walk admits q", its memoized first failure to the first failure of
 the walk over its profiles, and only failing ones are counted to walk them,
-once; the binomial rows
-of weak associativity are held equal to `linalg.binom`, and counted to call
-it never.
+once; weak associativity, decided by its poles and walked by x0 exponent
+(`assoc_holds`, `assoc_difference`), is held equal to the full expansion of
+both sides (`reference_pairs.assoc_sides`), and its binomials, by the ratio
+recurrence, are counted to call `linalg.binom` never.
 """
 
 import collections
@@ -31,11 +32,14 @@ from pathlib import Path
 import pytest
 from reference_pairs import (
     assoc_search,
+    assoc_sides,
+    binom_row,
     commutation_sparse,
     pair_walk,
     product_sparse,
     reference_profile,
     reference_records,
+    resolved_records,
     reversed_sparse,
     scale_terms,
 )
@@ -48,7 +52,6 @@ import vertexcalc.suite as suite_module
 from vertexcalc.algebra import (
     AlgebraStructure,
     assoc_holds,
-    assoc_sides,
     check_jacobi,
     check_skew_symmetry,
     d_columns,
@@ -64,7 +67,7 @@ from vertexcalc.algebra import (
 )
 from vertexcalc.construct import matrix_algebra
 from vertexcalc.fileio import AlgebraBundle, parse_algebra_file
-from vertexcalc.linalg import ONE, binom, binom_row, densify
+from vertexcalc.linalg import ONE, binom, densify
 from vertexcalc.modules import (
     ModuleStructure,
     adjoint_module,
@@ -75,6 +78,7 @@ from vertexcalc.modules import (
 from vertexcalc.pairs import (
     PairAnalysis,
     acting_columns,
+    assoc_difference,
     iterate_sources,
     pair_analysis,
     pair_profiles,
@@ -342,7 +346,7 @@ def _analyses(alg, mod):
 @pytest.mark.parametrize("name, alg, mod, qfuns", CASES, ids=[c[0] for c in CASES])
 def test_scatter_walk_records_equal_the_pair_walk(name, alg, mod, qfuns):
     for analysis in _analyses(alg, mod):
-        commute, assoc = analysis._records
+        commute, assoc = resolved_records(analysis)
         assert (commute, assoc) == reference_records(analysis), name
         # equal profiles are one object
         profiles = [p for flat in commute.values() for p in flat[1::2]]
@@ -412,7 +416,7 @@ def test_the_walk_drops_exactly_the_vectors_that_cancel(monkeypatch):
             for terms in (*prods.values(), *iterates.values()):
                 assert terms and all(terms.values()), (table, w)
         scatter[0] = "records"
-        assert analysis._records == reference_records(analysis), table
+        assert resolved_records(analysis) == reference_records(analysis), table
     assert emptied["products"] > 0 and emptied["iterates"] > 0
     # the last table's cancelled pairs, which the scatter reached
     assert (2, 1) not in got["products", 0] and (1, 0) not in got["iterates", 1]
@@ -589,8 +593,12 @@ def test_assoc_holds_equals_the_first_difference_of_its_sides(seed):
         prod, iterate = _assoc_sides_of(rng)
         holds = assoc_holds(prod, iterate)
         lhs, rhs = assoc_sides(prod, iterate)
-        assert holds == (next(sparse_differences(lhs, rhs), None) is None), (prod, iterate)
+        first = next(sparse_differences(lhs, rhs), None)
+        assert holds == (first is None), (prod, iterate)
         assert holds == (term_differences(lhs, rhs, 3) == [])
+        # the walk at the order of assoc_sides stops at the same first difference
+        order = max([0] + [-e1 for e1, _e2 in prod])
+        assert assoc_difference(prod, iterate, order) == first, (prod, iterate)
         order0 = all(e1 == 0 for e1, _e2 in prod)
         seen.add((order0, bool(prod), holds))
     assert seen >= {(o, True, h) for o in (True, False) for h in (True, False)}
@@ -627,17 +635,16 @@ def test_closed_forms_leave_few_pairs_to_walk(monkeypatch):
     counting(pairs_module, "pair_profiles")
     counting(pairs_module, "profile_walk")
     counting(pairs_module, "assoc_holds")
-    counting(pairs_module, "assoc_sides")
-    counting(algebra_module, "assoc_sides")
     a3 = parse_algebra_file(FIXTURES / "a3.json").alg
-    pair_analysis(matrix_algebra(a3, 3))._records
+    records = pair_analysis(matrix_algebra(a3, 3))._records
     # 1,061 pairs u != v and 68 pairs u = v, for 2,190 ordered profiles
     assert calls["pair_profiles"] == 1061 + 68
     assert calls["profile_walk"] <= 60
     # of the 1,510 triples with a product or an iterate, only the 151 with a
-    # nonzero outer exponent reach the accumulator; the rest are compared at
-    # order 0 in closed form, or have no product at all
-    assert calls["assoc_holds"] == 151 and calls["assoc_sides"] <= 151
+    # nonzero outer exponent reach the layer walk; the rest are compared at
+    # order 0 in closed form, or have no product at all.  Every triple holds,
+    # so no failure is kept for a first difference to be walked from
+    assert calls["assoc_holds"] == 151 and records[1] == {}
 
 
 # -- one commutation verdict per (u, v, q) -----------------------------------------------
@@ -836,14 +843,16 @@ def test_each_failing_pair_builds_its_first_witness_once(q, monkeypatch):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_binomial_rows_equal_binom(seed):
+    # the rows the reference expansion (reference_pairs.assoc_sides) is built from
     rng = random.Random(seed)
     for m in [0, 1, 2] + [rng.randint(3, 400) for _ in range(20)]:
         assert binom_row(m) == [binom(m, i) for i in range(m + 1)], m
         assert all(type(c) is int for c in binom_row(m))
 
 
-def test_assoc_sides_calls_no_binom(monkeypatch, tmp_path):
-    # a mode n = -1600 makes an outer exponent 1599: one row of 1600 coefficients
+def test_assoc_difference_calls_no_binom(monkeypatch, tmp_path):
+    # a mode n = -1600 makes an outer exponent 1599: 1600 layers, each
+    # binomial from the one before by the ratio recurrence
     calls = []
 
     def counting(n, i):
@@ -854,17 +863,60 @@ def test_assoc_sides_calls_no_binom(monkeypatch, tmp_path):
     monkeypatch.setattr(algebra_module, "binom", counting, raising=False)
     prod = {(1599, -1): {0: 1}, (-2, 0): {1: Fraction(1, 2)}}
     iterate = {(3, -2): {2: -1}}
-    lhs, rhs = assoc_sides(prod, iterate)
+    first = next(sparse_differences(*assoc_sides(prod, iterate)))
+    assert assoc_difference(prod, iterate, 2) == first == ((0, 0), {1: Fraction(1, 2)}, {})
+    whole = {(1599, -1): {0: 1}}
+    expanded = assoc_sides(whole, {})[0]
+    assert assoc_holds(whole, expanded) and assoc_difference(whole, expanded) is None
+    expanded[(1000, 598)] = {0: 7}
+    assert assoc_difference(whole, expanded) == ((1000, 598), {0: binom(1599, 1000)}, {0: 7})
+    assert not assoc_holds(whole, expanded)
     assert calls == []
-    assert lhs[(1599 + 2 - 5, 4)] == {0: binom(1601, 5)}
-    assert rhs == {(3 + 2 - i, -2 + i): {2: -binom(2, i)} for i in range(3)}
-    # a3 with Y(t,x)one's mode -2 moved to -1600: every row is built, none by binom
+    # a3 with Y(t,x)one's mode -2 moved to -1600: the axioms suite calls no binom
     doc = json.loads((FIXTURES / "a3.json").read_text())
     (entry,) = [e for e in doc["entries"] if (e["u"], e["v"], e["n"]) == ("t", "one", -2)]
     entry["n"] = -1600
     (tmp_path / "a3.json").write_text(json.dumps(doc))
     report = run_suite(parse_algebra_file(tmp_path / "a3.json"), "axioms")
     assert calls == [] and len(report.records) == 4
+
+
+class _CountedVec(dict):
+    """A sparse vector that counts how often its terms are read."""
+
+    reads = 0
+
+    def items(self):
+        _CountedVec.reads += 1
+        return super().items()
+
+
+def test_the_walks_stop_at_the_first_differing_layer(monkeypatch):
+    # (x0+x2)^top: each layer 1 <= a < top reads the vector once to scale it
+    top = 10**4
+    prod = {(top, 0): _CountedVec({0: 1})}
+    expanded = assoc_sides({(top, 0): {0: 1}}, {})[0]
+    cases = (
+        (expanded, True, top - 1),  # holds: every layer is walked
+        ({**expanded, (-1, 0): {1: 1}}, False, 0),  # a pole in the iterate: layer 0
+        ({**expanded, (0, 0): {1: 1}}, False, 0),  # an unmatched iterate term at layer 0
+        ({**expanded, (5, 0): {1: 1}}, False, 5),  # the same at layer 5
+    )
+    for iterate, holds, reads in cases:
+        _CountedVec.reads = 0
+        assert assoc_holds(prod, iterate) == holds and _CountedVec.reads == reads
+    # the difference walk steps over the x0 exponents no term reaches
+    layers = []
+    compare = pairs_module.sparse_differences
+
+    def counting(lhs, rhs):
+        layers.append(1)
+        return compare(lhs, rhs)
+
+    monkeypatch.setattr(pairs_module, "sparse_differences", counting)
+    far = {(0, 0): {0: 1}, (10**5, 0): {1: 1}}
+    assert assoc_difference({(0, 0): {0: 1}}, far) == ((10**5, 0), {}, {1: 1})
+    assert len(layers) == 2
 
 
 # -- the pair suites read the analysis ----------------------------------------------------
