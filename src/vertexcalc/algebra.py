@@ -21,8 +21,9 @@ arguments (a basis vector is ((i, ONE),)) through it.  One-variable
 products and the powers of D are term dictionaries {exponent: {k: c}}, and
 a witness holds the first differing pair as it is, with the basis that
 names its coordinates.  The two-variable products of basis vectors come
-from the scatter of vertexcalc.pairs; each structure holds one pair
-analysis, built on first use, whose verdicts and witnesses the checks read.
+from the scatter of vertexcalc.pairs, which builds on vertexcalc.linalg
+alone; each structure holds one pair analysis, built on first use, whose
+verdicts and witnesses the checks read, and the images of e^{xD}.
 """
 
 from __future__ import annotations
@@ -39,14 +40,26 @@ from .linalg import (
     Mat,
     SparseVec,
     Support,
+    Terms,
     Vec,
     add_scaled,
+    add_term,
     dense_span,
     densify,
     integral,
+    scale,
     span_nullspace,
+    sparse_differences,
     support,
     unit_vec,
+)
+from .pairs import (
+    PairAnalysis,
+    acting_columns,
+    iterate_sources,
+    pair_analysis,
+    scatter_iterates,
+    scatter_products,
 )
 from .report import CheckReport, Witness
 from .series import Distribution, Window, from_terms
@@ -54,11 +67,9 @@ from .series import mul  # noqa: F401  perfbench/test_perfbench.py traces this b
 
 if TYPE_CHECKING:
     from .modules import ModuleStructure
-    from .pairs import PairAnalysis
 
 ModeMap = dict[int, Vec]
 ModeIndex = dict[tuple[int, int], dict[int, Support]]
-Terms = dict  # {exponent: {k: nonzero c}}, a sparse term dictionary
 FIRST = itemgetter(0)
 
 
@@ -81,21 +92,27 @@ def normal_index(index, dim: int, n_acting: int | None) -> ModeIndex:
 
     index maps (i, j) to {n: (k, c) pairs}; the pairs may come in any order
     and any iterable.  Each c goes through `integral`, zero coefficients and
-    empty modes are dropped, k comes ascending and n in input order.  Target
-    indices j and coordinates k must lie in range(dim) and acting indices i
-    in range(n_acting), each k at most once per image; a module does not
-    know its algebra and passes None.  Each image is sorted on k and walked
-    once; a bad coefficient is refused before a bad coordinate.
+    empty modes are dropped, k comes ascending and n in input order.  i, j, n
+    and k must be ints (not bools); target indices j and coordinates k must
+    lie in range(dim) and acting indices i in range(n_acting), each k at
+    most once per image; a module does not know its algebra and passes None.
+    Each image is sorted on k and walked once; a bad coefficient is refused
+    before a bad coordinate.
     """
     out: ModeIndex = {}
     for (i, j), modes in index.items():
+        if type(i) is not int or type(j) is not int:
+            raise MalformedStructure(f"mode table indices ({i!r},{j!r}) are not integers")
         if not (0 <= j < dim and (n_acting is None or 0 <= i < n_acting)):
             raise MalformedStructure(f"mode table indices ({i},{j}) out of range")
         entry = {}
         for n, img in modes.items():
+            if type(n) is not int:
+                raise MalformedStructure(f"mode {n!r} at ({i},{j}) is not an integer")
             img, kept, last, bad = sorted(img, key=FIRST), [], None, False
             for k, c in img:
-                bad, last = bad or k == last or not 0 <= k < dim, k  # sorted: a repeat is adjacent
+                # sorted: a repeat is adjacent
+                bad, last = bad or k == last or type(k) is not int or not 0 <= k < dim, k
                 if c := c if type(c) is int else integral(c):
                     kept.append((k, c))
             if bad:
@@ -104,7 +121,7 @@ def normal_index(index, dim: int, n_acting: int | None) -> ModeIndex:
                     f"image coordinates {ks} at ({i},{j},{n}) are not distinct in range({dim})"
                 )
             if kept:
-                entry[int(n)] = kept
+                entry[n] = kept
         if entry:
             out[(i, j)] = entry
     return out
@@ -146,16 +163,18 @@ class AlgebraStructure:
     construction.  `assoc_variant` records which associativity flavor the
     source construction guarantees ("strong": the order depends only on the
     outer pair; "weak": it may depend on all three arguments).  `_pairs`
-    holds the pair analysis (vertexcalc.pairs), built on first use and kept
-    for the structure's lifetime.
+    holds the pair analysis (vertexcalc.pairs) and `_exp_images` the images
+    of e^{xD} (exp_images), each built on first use and kept for the
+    structure's lifetime.  They are fields, not cached properties: writing
+    through `__dict__` would slow every attribute read of the structure.
     """
 
     basis: tuple[str, ...]
     vacuum: int
     mode_index: ModeIndex
     assoc_variant: str = "strong"
-    meta: dict = field(default_factory=dict)
     _pairs: PairAnalysis | None = field(default=None, init=False, repr=False, compare=False)
+    _exp_images: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.basis = tuple(self.basis)
@@ -179,6 +198,14 @@ class AlgebraStructure:
 
     def unit(self, i: int) -> Vec:
         return unit_vec(self.dim, i)
+
+    @property
+    def exp_images(self) -> list[Terms]:
+        """e^{xD} e_k as {power of x: {k: c}} for each basis index k (exp_sparse), built once."""
+        if self._exp_images is None:
+            cols = d_columns(self)
+            self._exp_images = [exp_sparse(cols, ((k, ONE),)) for k in range(self.dim)]
+        return self._exp_images
 
     def mode_bounds(self) -> tuple[int, int]:
         """Global [n_min, n_max] over all stored mode products."""
@@ -224,11 +251,6 @@ def d_sparse(cols: list[Support], entries: Support) -> SparseVec:
     return acc
 
 
-def scale(c, v: SparseVec) -> SparseVec:
-    """c v for a nonzero c; v itself when c is 1."""
-    return v if c == 1 else {k: c * x for k, x in v.items()}
-
-
 def mode_derivative(modes: dict[int, SparseVec]) -> dict[int, SparseVec]:
     """d/dx of sum_n w_n x^(-n-1): mode n moves to n+1 with the factor -n-1."""
     return {n + 1: scale(-n - 1, w) for n, w in modes.items() if n != -1}
@@ -254,29 +276,7 @@ def exp_sparse(cols: list[Support], entries: Support) -> Terms:
 
 
 # ---------------------------------------------------------------------------
-# term dictionaries {exponent: {k: c}} (missing or empty reads as zero)
-
-
-def add_term(terms: Terms, e, c, entries: Support) -> None:
-    """terms[e] += c * entries, nothing for c = 0; a new exponent gets a fresh dict.
-
-    So accumulating at e never writes into a vector stored elsewhere.
-    """
-    if c:
-        add_scaled(terms.setdefault(e, {}), c, entries)
-
-
-def sparse_differences(lhs: Terms, rhs: Terms):
-    """(exponent, lhs, rhs), sparse, wherever two term dictionaries differ, in increasing order.
-
-    Equal dictionaries yield nothing, without the walk over their exponents.
-    """
-    if lhs == rhs:
-        return
-    for e in sorted(set(lhs) | set(rhs)):
-        a, b = lhs.get(e, {}), rhs.get(e, {})
-        if a != b:
-            yield e, a, b
+# two-variable products of arbitrary vectors
 
 
 def _bilinear(scatter, u: Vec, v: Vec, w: Vec, dim: int) -> dict[tuple[int, int], Vec]:
@@ -303,11 +303,8 @@ def product_terms(
     `act` is the acting table: an algebra acting on itself, or a module.
     Each basis vector of w's support is scattered once
     (pairs.scatter_products), and the basis products are combined with the
-    coefficients of u, v and w.  vertexcalc.pairs builds on this module, so
-    it is imported here, on first use.
+    coefficients of u, v and w.
     """
-    from .pairs import acting_columns, scatter_products
-
     index, n = act.mode_index, len(u)
     cols = acting_columns(index, n)
     return _bilinear(lambda k: scatter_products(index, cols, k, n), u, v, w, act.dim)
@@ -321,8 +318,6 @@ def iterate_terms(
     u_n v is taken in alg and acts on w through act; each basis vector of
     w's support is scattered once (pairs.scatter_iterates).
     """
-    from .pairs import acting_columns, iterate_sources, scatter_iterates
-
     sources, cols = iterate_sources(alg.mode_index), acting_columns(act.mode_index, alg.dim)
     return _bilinear(lambda k: scatter_iterates(cols, sources, k), u, v, w, act.dim)
 
@@ -413,7 +408,7 @@ def check_d_bracket(alg: AlgebraStructure) -> CheckReport:
 def check_creation_exponential(alg: AlgebraStructure) -> CheckReport:
     """Y(v, x) vacuum = e^{xD} v for every basis vector, compared term by term."""
     report = CheckReport("creation-exponential")
-    images = analysis_of(alg).exp_images
+    images = alg.exp_images
     for i in range(alg.dim):
         modes = basis_modes(alg.mode_index, i, alg.vacuum)
         lhs = {(-n - 1,): w for n, w in modes.items()}
@@ -424,40 +419,7 @@ def check_creation_exponential(alg: AlgebraStructure) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# weak associativity of one triple, and the pair analysis
-
-
-def assoc_holds(prod: Terms, iterate: Terms) -> bool:
-    """Whether (u, v, w) is weakly associative, decided by its poles and one order-0 walk.
-
-    prod is Y(u,x1)Y(v,x2)w and iterate Y(Y(u,x0)v,x2)w.  x0 and x0+x2 are
-    coprime in Q[x0, x2, x2^-1], so it holds exactly when prod has no
-    negative x1 exponent, iterate no negative x0 exponent, and Σ c
-    (x0+x2)^e1 x2^e2 over prod equals iterate.  That sum is walked one x0
-    exponent at a time (as pairs.assoc_difference), each layer read against
-    the iterate's sorted terms, up to the first that differs.
-    """
-    if not prod or min(prod)[0] < 0:
-        return not (prod or iterate)
-    rows, keys, p = [[e1, e2, c, 1] for (e1, e2), c in prod.items()], sorted(iterate), 0
-    for a in range(max(prod)[0] + 1):
-        layer: Terms = {}
-        for row in rows:
-            e1, e2, c, b = row
-            if e1 >= a:
-                if (e := (a, e1 + e2 - a)) in layer:  # a second term at e: a fresh sum
-                    add_scaled(acc := dict(layer[e]), b, c.items())
-                    layer[e] = acc
-                else:  # c itself is only read
-                    layer[e] = c if b == 1 else {k: b * x for k, x in c.items()}
-                row[3] = b * (e1 - a) // (a + 1)
-        if not all(layer.values()):  # a cancelled vector reads as zero
-            layer = {e: x for e, x in layer.items() if x}
-        p += len(layer)
-        # a layer term differs, or an iterate term at x0 exponent <= a is unmatched
-        if not layer.items() <= iterate.items() or p < len(keys) and keys[p][0] <= a:
-            return False
-    return p == len(keys)
+# index and length checks
 
 
 def require_basis(alg: AlgebraStructure, *indices: int) -> None:
@@ -472,19 +434,6 @@ def require_length(dim: int, vectors: list[Vec]) -> None:
     for v in vectors:
         if len(v) != dim:
             raise MalformedStructure(f"a vector of length {len(v)} in a space of dimension {dim}")
-
-
-def analysis_of(alg: AlgebraStructure) -> PairAnalysis:
-    """alg's pair analysis (vertexcalc.pairs.pair_analysis), built on first use.
-
-    vertexcalc.pairs builds on the term kernel of this module, so it is
-    imported here, on first use, rather than at the top.
-    """
-    if alg._pairs is not None:
-        return alg._pairs
-    from .pairs import pair_analysis
-
-    return pair_analysis(alg)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +457,7 @@ def find_locality_k(
     differing exponent on the first failing basis w.
     """
     require_basis(alg, u_idx, v_idx)
-    return analysis_of(alg).commutation_witness(u_idx, v_idx, integral(q))
+    return pair_analysis(alg).commutation_witness(u_idx, v_idx, integral(q))
 
 
 def truncation_order(alg: AlgebraStructure, u_idx: int, v_idx: int) -> int:
@@ -524,7 +473,7 @@ def skew_terms(images: list[Terms], modes: dict[int, SparseVec], q: Fraction) ->
     """q e^{xD} Y(v,-x)u as {x-exponent: {k: c}}, from the sparse modes of Y(v,x)u.
 
     e^{xD} is linear, so it is read off its basis images: images[k] is
-    e^{xD} e_k as {power of x: {k: c}} (PairAnalysis.exp_images).
+    e^{xD} e_k as {power of x: {k: c}} (AlgebraStructure.exp_images).
     """
     terms: Terms = {}
     for n, w in modes.items():
@@ -554,7 +503,7 @@ def skew_difference(alg: AlgebraStructure, u_idx: int, v_idx: int, q: Fraction):
         return None
     lhs = {(-n - 1,): w for n, w in basis_modes(index, u_idx, v_idx).items()}
     modes = basis_modes(index, v_idx, u_idx)
-    rhs = {(m,): c for m, c in skew_terms(analysis_of(alg).exp_images, modes, q).items()}
+    rhs = {(m,): c for m, c in skew_terms(alg.exp_images, modes, q).items()}
     return next(sparse_differences(lhs, rhs), None)
 
 
@@ -592,7 +541,7 @@ def check_skew_symmetry(
     report.exact = diff is None
     if diff is not None:
         report.fail(Witness((alg.basis[u_idx], alg.basis[v_idx]), *diff, alg.basis))
-    local = analysis_of(alg).commutes(u_idx, v_idx, q)
+    local = pair_analysis(alg).commutes(u_idx, v_idx, q)
     orders, truncated = skew_truncation(alg, u_idx, v_idx, local)
     report.found_orders.update(orders)
     if not truncated:
@@ -614,7 +563,7 @@ def check_skew_symmetry(
 def weak_assoc_triple(alg: AlgebraStructure, u_idx: int, v_idx: int, w_idx: int) -> Witness | None:
     """Three-argument weak associativity: None when it holds (at order 0), else its witness."""
     require_basis(alg, u_idx, v_idx, w_idx)
-    return analysis_of(alg).assoc_witness(u_idx, w_idx, v_idx)
+    return pair_analysis(alg).assoc_witness(u_idx, w_idx, v_idx)
 
 
 def find_weak_assoc_l(alg: AlgebraStructure, u_idx: int, w_idx: int) -> Witness | None:
@@ -623,7 +572,7 @@ def find_weak_assoc_l(alg: AlgebraStructure, u_idx: int, w_idx: int) -> Witness 
     Otherwise the witness of the first failing v.
     """
     require_basis(alg, u_idx, w_idx)
-    return analysis_of(alg).assoc_witness(u_idx, w_idx)
+    return pair_analysis(alg).assoc_witness(u_idx, w_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +604,7 @@ def check_jacobi(
         raise InvalidArgument(f"the witness limit must be positive or None, not {limit}")
     require_basis(alg, u_idx, v_idx)
     report = CheckReport(f"jacobi[{alg.basis[u_idx]},{alg.basis[v_idx]};q={q}]")
-    for witness in analysis_of(alg).jacobi_witnesses(u_idx, v_idx, integral(q), limit).values():
+    for witness in pair_analysis(alg).jacobi_witnesses(u_idx, v_idx, integral(q), limit).values():
         report.fail(witness)
     return report
 
@@ -733,7 +682,7 @@ def localizer(alg: AlgebraStructure, targets: list[Vec]) -> list[Vec]:
     coordinate).
     """
     require_length(alg.dim, targets)
-    exp_images = analysis_of(alg).exp_images
+    exp_images = alg.exp_images
     index = alg.mode_index
     conditions: dict[tuple, SparseVec] = {}
     for t, w in enumerate(targets):

@@ -22,16 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .algebra import (
-    AlgebraStructure,
-    ModeIndex,
-    Terms,
-    add_term,
-    d_sparse,
-    exp_sparse,
-    sparse_differences,
-    sparse_modes,
-)
+from .algebra import AlgebraStructure, ModeIndex, d_sparse, exp_sparse, sparse_modes
 from .errors import (
     CocycleInvalid,
     GradingInvalid,
@@ -40,7 +31,17 @@ from .errors import (
     NotADerivation,
     NotAnAutomorphism,
 )
-from .linalg import ONE, SparseVec, Support, add_scaled, integral, support
+from .linalg import (
+    ONE,
+    SparseVec,
+    Support,
+    Terms,
+    add_scaled,
+    add_term,
+    integral,
+    sparse_differences,
+    support,
+)
 from .pairs import pair_analysis
 from .report import CheckReport, Witness, combination
 
@@ -149,8 +150,7 @@ def from_assoc_with_derivation(data: AssocAlgebraData) -> AlgebraStructure:
             products = {-1 - m: data.product(dv.items(), ((j, ONE),)) for m, dv in powers.items()}
             if modes := {n: w.items() for n, w in products.items() if w}:
                 index[(i, j)] = modes
-    meta = {"source": "assoc-with-derivation"}
-    return AlgebraStructure(data.basis, data.identity, index, meta=meta)
+    return AlgebraStructure(data.basis, data.identity, index)
 
 
 class _MatrixBasis:
@@ -276,7 +276,6 @@ def tensor_product(factors: list[AlgebraStructure]) -> AlgebraStructure:
             basis=tuple(f"{x}*{y}" for x in out.basis for y in b.basis),
             vacuum=out.vacuum * b.dim + b.vacuum,
             mode_index=table_tensor(out.mode_index, b.mode_index, b.dim, out.dim, b.dim),
-            meta={"source": "tensor", "factor_dims": (out.dim, b.dim)},
         )
     return out
 
@@ -295,11 +294,6 @@ def matrix_algebra(alg: AlgebraStructure, n: int) -> AlgebraStructure:
         basis=tuple(f"{v}*{m}" for v in alg.basis for m in mb.names),
         vacuum=alg.vacuum * mb.dim,
         mode_index=table_tensor(alg.mode_index, mb.product_index(), mb.dim, alg.dim, mb.dim),
-        meta={
-            "source": "matrix-over",
-            "matrix_size": n,
-            "factor_dims": (alg.dim, mb.dim),
-        },
     )
 
 
@@ -398,12 +392,7 @@ def cocycle_twist(
     for (i, j), modes in alg.mode_index.items():
         eps = cocycle.value(grading.degrees[i], grading.degrees[j])
         index[(i, j)] = {n: [(k, eps * c) for k, c in img] for n, img in modes.items()}
-    return AlgebraStructure(
-        basis=alg.basis,
-        vacuum=alg.vacuum,
-        mode_index=index,
-        meta={"source": "cocycle-twist", "base": alg.meta.get("source")},
-    )
+    return AlgebraStructure(basis=alg.basis, vacuum=alg.vacuum, mode_index=index)
 
 
 def group_algebra(grading_orders: tuple[int, ...]) -> tuple[AlgebraStructure, GradedTag]:
@@ -435,15 +424,24 @@ class GroupActionData:
     """A finite group with one action matrix per element, as its sparse columns.
 
     action[g][j] holds the nonzero (r, c) of g(e_j), integral c as an int.
+    The identity is read off the table, so the elements may come in any order.
     """
 
     elements: tuple[str, ...]
     table: dict[tuple[int, int], int]  # (g, h) -> g*h as element indices
     action: dict[int, list[Support]]
-    identity: int = 0
 
     def __post_init__(self):
         self.action = {g: _columns(cols) for g, cols in self.action.items()}
+
+    @property
+    def identity(self) -> int:
+        """The element e with e g = g e = g for every g; a table with none is refused."""
+        n = len(self.elements)
+        for e in range(n):
+            if all(self.table.get((e, g)) == g == self.table.get((g, e)) for g in range(n)):
+                return e
+        raise MalformedStructure("identity row/column of the group table is wrong")
 
     def validate_group(self, dim: int) -> None:
         """A complete, associative group table with inverses, acting by dim x dim matrices.
@@ -452,10 +450,6 @@ class GroupActionData:
         identity must act as 1, and g(h(e_j)) = (gh)(e_j) on every e_j.
         """
         n, e = len(self.elements), self.identity
-        if e not in range(n) or any(
-            self.table.get((e, g)) != g or self.table.get((g, e)) != g for g in range(n)
-        ):
-            raise MalformedStructure("identity row/column of the group table is wrong")
         cells = set(iproduct(range(n), repeat=2))
         if set(self.table) != cells or set(self.table.values()) - set(range(n)):
             raise MalformedStructure(f"the group table is not {n}x{n} over its elements")
@@ -479,8 +473,9 @@ class GroupActionData:
                 raise MalformedStructure("{} after {} does not act as {}".format(*names))
 
     def inverse(self, g: int) -> int:
+        e = self.identity
         for h in range(len(self.elements)):
-            if self.table[(g, h)] == self.identity:
+            if self.table[(g, h)] == e:
                 return h
         raise MalformedStructure(f"element {self.elements[g]} has no inverse")
 
@@ -537,12 +532,6 @@ def cross_product(alg: AlgebraStructure, act: GroupActionData) -> AlgebraStructu
         vacuum=alg.vacuum * ng + act.identity,
         mode_index=index,
         assoc_variant="weak",
-        meta={
-            "source": "cross-product",
-            "base_dim": dim,
-            "group_order": ng,
-            "group_abelian": act.is_abelian(),
-        },
     )
 
 
@@ -606,13 +595,14 @@ def rmap_cross_abelian(base_dim: int, act: GroupActionData) -> RMap:
     ng = len(act.elements)
     dim = base_dim * ng
     cols = act.action
+    inverse = [act.inverse(g) for g in range(ng)]
     entries: dict[tuple[int, int], list[tuple[Fraction, tuple[int, int]]]] = {}
     for b1 in range(dim):  # holds v g2
         v_idx, g2 = divmod(b1, ng)
         for b2 in range(dim):  # holds u g1
             u_idx, g1 = divmod(b2, ng)
             gv = cols[g1][v_idx]
-            gu = cols[act.inverse(g2)][u_idx]
+            gu = cols[inverse[g2]][u_idx]
             terms = [(c1 * c2, (r1 * ng + g2, r2 * ng + g1)) for r1, c1 in gv for r2, c2 in gu]
             if terms != [(1, (b1, b2))]:
                 entries[(b1, b2)] = terms

@@ -52,9 +52,7 @@ def a3_assoc_data() -> AssocAlgebraData:
 
 def truncated_poly_3() -> AlgebraStructure:
     """Q[t]/(t^3) with the nilpotent derivation t^2 d/dt (fixture "a3")."""
-    alg = from_assoc_with_derivation(a3_assoc_data())
-    alg.meta["fixture"] = "a3"
-    return alg
+    return from_assoc_with_derivation(a3_assoc_data())
 
 
 def ut2_assoc_data() -> AssocAlgebraData:
@@ -81,16 +79,12 @@ def upper_triangular_2() -> AlgebraStructure:
     standard nonlocal example: the operators Y(E11,x1) and Y(E12,x2) differ
     by the constant E12 on the vacuum, which no power of (x1-x2) removes.
     """
-    alg = from_assoc_with_derivation(ut2_assoc_data())
-    alg.meta["fixture"] = "ut2"
-    return alg
+    return from_assoc_with_derivation(ut2_assoc_data())
 
 
 def klein_group_algebra() -> tuple[AlgebraStructure, GradedTag]:
     """The group algebra of Z2 x Z2, graded by itself (basis g00..g11)."""
-    alg, grading = group_algebra((2, 2))
-    alg.meta["fixture"] = "z22"
-    return alg, grading
+    return group_algebra((2, 2))
 
 
 def klein_cocycle(grading: GradedTag) -> CocycleData:
@@ -106,16 +100,12 @@ def klein_twist() -> tuple[AlgebraStructure, GradedTag, CocycleData]:
     """The cocycle-twisted Klein group algebra (fixture "z22_twist")."""
     alg, grading = klein_group_algebra()
     cocycle = klein_cocycle(grading)
-    twisted = cocycle_twist(alg, grading, cocycle)
-    twisted.meta["fixture"] = "z22_twist"
-    return twisted, grading, cocycle
+    return cocycle_twist(alg, grading, cocycle), grading, cocycle
 
 
 def matrix_over_a3() -> AlgebraStructure:
     """2x2 matrices over the a3 fixture (fixture "m2a3")."""
-    alg = matrix_algebra(truncated_poly_3(), 2)
-    alg.meta["fixture"] = "m2a3"
-    return alg
+    return matrix_algebra(truncated_poly_3(), 2)
 
 
 def a2_assoc_data() -> AssocAlgebraData:
@@ -144,9 +134,7 @@ def cross_a2_z2() -> tuple[AlgebraStructure, AlgebraStructure, GroupActionData]:
     """The skew product of the dual numbers with the sign flip (fixture "cross")."""
     base = dual_numbers()
     act = sign_flip_action()
-    alg = cross_product(base, act)
-    alg.meta["fixture"] = "cross_a2z2"
-    return alg, base, act
+    return cross_product(base, act), base, act
 
 
 def all_fixture_builders():

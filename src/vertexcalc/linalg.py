@@ -9,7 +9,9 @@ its rows in pivot order are the reduced row echelon form, which is unique, so
 reduced bases are reproducible across runs.  The structure checks compute on
 the same sparse form: `support` reads the nonzero entries of a dense vector
 once, `add_scaled` accumulates on them, and `densify` comes back only for a
-public return value; a witness keeps its sparse vectors.
+public return value; a witness keeps its sparse vectors.  A Laurent
+polynomial with vector coefficients is a term dictionary {exponent: {k: c}}
+(`Terms`), built with `add_term` and compared with `sparse_differences`.
 
 Sparse coefficients are `int` where integral (`integral`, where they enter
 the kernel) and `Fraction` otherwise; the two compare and hash alike.  Dense
@@ -27,6 +29,7 @@ Mat = tuple[Vec, ...]
 Scalar = int | Fraction
 SparseVec = dict[object, Scalar]  # nonzero int or Fraction entries only; absent keys are zero
 Support = Sequence[tuple[int, Scalar]]  # the nonzero (index, int or Fraction) pairs of a Vec
+Terms = dict  # {exponent: {k: nonzero c}}, a sparse term dictionary
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -95,6 +98,36 @@ def add_scaled(acc: SparseVec, c: Scalar, entries: Iterable[tuple[object, Scalar
             acc[k] = y
         else:
             del acc[k]
+
+
+def scale(c, v: SparseVec) -> SparseVec:
+    """c v for a nonzero c; v itself when c is 1."""
+    return v if c == 1 else {k: c * x for k, x in v.items()}
+
+
+# term dictionaries {exponent: {k: c}} (missing or empty reads as zero)
+
+
+def add_term(terms: Terms, e, c, entries: Support) -> None:
+    """terms[e] += c * entries, nothing for c = 0; a new exponent gets a fresh dict.
+
+    So accumulating at e never writes into a vector stored elsewhere.
+    """
+    if c:
+        add_scaled(terms.setdefault(e, {}), c, entries)
+
+
+def sparse_differences(lhs: Terms, rhs: Terms):
+    """(exponent, lhs, rhs), sparse, wherever two term dictionaries differ, in increasing order.
+
+    Equal dictionaries yield nothing, without the walk over their exponents.
+    """
+    if lhs == rhs:
+        return
+    for e in sorted(set(lhs) | set(rhs)):
+        a, b = lhs.get(e, {}), rhs.get(e, {})
+        if a != b:
+            yield e, a, b
 
 
 def binom(n: int, i: int) -> int:

@@ -36,13 +36,12 @@ from .algebra import (
     normal_index,
     require_basis,
     require_length,
-    sparse_differences,
     sparse_modes,
     spin,
 )
 from .construct import _MatrixBasis, matrix_algebra, table_tensor, tensor_product
 from .errors import MalformedStructure
-from .linalg import ONE, CoordSpan, Vec, densify, integral, support
+from .linalg import ONE, CoordSpan, Vec, densify, integral, sparse_differences, support
 from .pairs import PairAnalysis, pair_analysis
 from .report import CheckReport, Witness
 
@@ -63,7 +62,6 @@ class ModuleStructure:
 
     basis: tuple[str, ...]
     mode_index: ModeIndex
-    meta: dict = field(default_factory=dict)
     acting: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _pairs: PairAnalysis | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -91,7 +89,7 @@ def require_acting_range(alg: AlgebraStructure, mod: ModuleStructure) -> None:
 
 def adjoint_module(alg: AlgebraStructure) -> ModuleStructure:
     """The algebra acting on itself by its own mode products."""
-    return ModuleStructure(basis=alg.basis, mode_index=alg.mode_index, meta={"source": "adjoint"})
+    return ModuleStructure(basis=alg.basis, mode_index=alg.mode_index)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +150,6 @@ def wn_module(
     return mat_alg, ModuleStructure(
         basis=tuple(f"{w}#c{c+1}" for w in mod.basis for c in range(n)),
         mode_index=table_tensor(mod.mode_index, mb.column_index(), mb.dim, mod.dim, n),
-        meta={"source": "column-module", "n": n},
     )
 
 
@@ -171,7 +168,6 @@ def tensor_module(
             mode_index=table_tensor(
                 mod_out.mode_index, mod.mode_index, alg.dim, mod_out.dim, mod.dim
             ),
-            meta={"source": "tensor-module"},
         )
     return tensor_product(algs), mod_out
 

@@ -417,12 +417,7 @@ def closure(
                 modes[n] = sol.items()
             if modes:
                 index[(i, j)] = modes
-    structure = AlgebraStructure(
-        basis=tuple(names),
-        vacuum=0,
-        mode_index=index,
-        meta={"source": "operator-closure"},
-    )
+    structure = AlgebraStructure(basis=tuple(names), vacuum=0, mode_index=index)
     return ClosureResult(OperatorSpan(ops, coords), structure, STATUS_CLOSED, True, rounds)
 
 
@@ -442,7 +437,7 @@ def closure_module(result: ClosureResult) -> ModuleStructure:
                     cols.setdefault(j, {})[r] = x
             for j in sorted(cols):
                 action.setdefault((i, j), {})[nn] = cols[j].items()
-    return ModuleStructure(basis=basis, mode_index=action, meta={"source": "closure"})
+    return ModuleStructure(basis=basis, mode_index=action)
 
 
 def verify_module_structure(result: ClosureResult) -> CheckReport:

@@ -5,7 +5,10 @@ the module checks all read the same two-variable products of basis vectors.
 A structure's `PairAnalysis` (pair_analysis) builds each nonzero one once,
 in one walk that scatters coordinates through sparse columns
 (scatter_products, scatter_iterates), records each triple's commutation
-profile and weak-associativity failure, and drops the products.
+profile and weak-associativity failure (assoc_holds, assoc_difference), and
+drops the products.  It builds on the sparse kernel of vertexcalc.linalg
+alone and reads a structure only through its mode index, its basis and the
+analysis it holds, so vertexcalc.algebra imports it, not the other way round.
 
 The analysis owns the refutations: every witness of a commutation, weak
 associativity or Jacobi failure is built here from its records
@@ -26,22 +29,11 @@ from functools import cached_property, partial
 from itertools import islice
 from typing import TYPE_CHECKING
 
-from .algebra import (
-    AlgebraStructure,
-    ModeIndex,
-    SparseVec,
-    Terms,
-    add_term,
-    assoc_holds,
-    d_columns,
-    exp_sparse,
-    scale,
-    sparse_differences,
-)
-from .linalg import ONE, add_scaled, integral
+from .linalg import SparseVec, Terms, add_scaled, add_term, integral, scale, sparse_differences
 from .report import Witness
 
 if TYPE_CHECKING:
+    from .algebra import AlgebraStructure, ModeIndex
     from .modules import ModuleStructure
 
 
@@ -111,6 +103,41 @@ def pair_profiles(puv: Terms, pvu: Terms) -> tuple[tuple, tuple]:
             return (1, min(puv)), (1, min(pvu))
     p = profile_walk(puv, swapped(pvu))
     return p, p if pvu is puv else profile_walk(pvu, swapped(puv))
+
+
+def assoc_holds(prod: Terms, iterate: Terms) -> bool:
+    """Whether (u, v, w) is weakly associative, decided by its poles and one order-0 walk.
+
+    prod is Y(u,x1)Y(v,x2)w and iterate Y(Y(u,x0)v,x2)w.  x0 and x0+x2 are
+    coprime in Q[x0, x2, x2^-1], so it holds exactly when prod has no
+    negative x1 exponent, iterate no negative x0 exponent, and Σ c
+    (x0+x2)^e1 x2^e2 over prod equals iterate.  That sum is walked one x0
+    exponent at a time (as assoc_difference), each layer read against the
+    iterate's sorted terms, up to the first that differs.  It is a walk of
+    its own because it builds no layer of the iterate: a holding triple, the
+    common case, is decided without one.
+    """
+    if not prod or min(prod)[0] < 0:
+        return not (prod or iterate)
+    rows, keys, p = [[e1, e2, c, 1] for (e1, e2), c in prod.items()], sorted(iterate), 0
+    for a in range(max(prod)[0] + 1):
+        layer: Terms = {}
+        for row in rows:
+            e1, e2, c, b = row
+            if e1 >= a:
+                if (e := (a, e1 + e2 - a)) in layer:  # a second term at e: a fresh sum
+                    add_scaled(acc := dict(layer[e]), b, c.items())
+                    layer[e] = acc
+                else:  # c itself is only read
+                    layer[e] = c if b == 1 else {k: b * x for k, x in c.items()}
+                row[3] = b * (e1 - a) // (a + 1)
+        if not all(layer.values()):  # a cancelled vector reads as zero
+            layer = {e: x for e, x in layer.items() if x}
+        p += len(layer)
+        # a layer term differs, or an iterate term at x0 exponent <= a is unmatched
+        if not layer.items() <= iterate.items() or p < len(keys) and keys[p][0] <= a:
+            return False
+    return p == len(keys)
 
 
 def assoc_difference(prod: Terms, iterate: Terms, order: int = 0):
@@ -275,12 +302,7 @@ class PairAnalysis:
         self.act_basis = act.basis
         self.n = alg.dim
         self.dim = act.dim
-        self.cols = d_columns(alg)
         self._first: dict = {}  # (u, v, q): (w, exponent, lhs, rhs) of the first failure
-
-    @cached_property
-    def exp_images(self) -> list[Terms]:
-        return [exp_sparse(self.cols, ((k, ONE),)) for k in range(self.n)]
 
     @cached_property
     def acting_columns(self) -> dict[int, list]:

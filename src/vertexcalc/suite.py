@@ -26,7 +26,6 @@ from fractions import Fraction
 
 from .algebra import (
     AlgebraStructure,
-    analysis_of,
     check_creation_exponential,
     check_d_bracket,
     find_locality_k,
@@ -48,6 +47,7 @@ from .modules import (
     is_faithful,
 )
 from .operators import closure, operator_from_structure, verify_module_structure
+from .pairs import pair_analysis
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport
 
 SUITES = ("axioms", "locality", "jacobi", "skew", "modules", "jacobi-like", "closure", "all")
@@ -192,7 +192,7 @@ def _assoc_record(
     Each relation holds at order 0 or at none, so max_l is the literal 0,
     kept as the record's order.
     """
-    failed = analysis_of(alg).weak_assoc_failures(uniform)
+    failed = pair_analysis(alg).weak_assoc_failures(uniform)
     witness = find_weak_assoc_l if uniform else weak_assoc_triple
     return SuiteRecord(
         id=rid,
@@ -209,7 +209,7 @@ def _suite_locality(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteR
     """Each pair's memoized commutation verdict; only a nonlocal pair builds a witness."""
     alg = bundle.alg
     pair_q = _pair_q(bundle, options)
-    pairs = analysis_of(alg)
+    pairs = pair_analysis(alg)
     texts: dict = {}  # str(q), formatted once per distinct q
     nonlocal_pairs = 0
     for i in range(alg.dim):
@@ -252,7 +252,7 @@ def _suite_skew(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteRepor
     """
     alg = bundle.alg
     pair_q = _pair_q(bundle, options)
-    pairs = analysis_of(alg)
+    pairs = pair_analysis(alg)
     decided: dict = {}  # {(v, u): the comparison of (u, v), which decides (v, u) as well}
     for i in range(alg.dim):
         for j in range(alg.dim):
@@ -290,7 +290,7 @@ def _suite_jacobi(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteRep
     """Each pair's q-Jacobi verdict read off the analysis; only a failing pair builds witnesses."""
     alg = bundle.alg
     pair_q = _pair_q(bundle, options)
-    pairs = analysis_of(alg)
+    pairs = pair_analysis(alg)
     texts: dict = {}  # str(q), formatted once per distinct q
     for i in range(alg.dim):
         for j in range(alg.dim):

@@ -144,7 +144,6 @@ def from_assoc_with_derivation(data: AssocAlgebraData) -> AlgebraStructure:
         basis=data.basis,
         vacuum=data.identity,
         mode_index=index_from_dense(y_data, dim),
-        meta={"source": "assoc-with-derivation"},
     )
 
 
@@ -199,12 +198,6 @@ def cross_product(alg: AlgebraStructure, act: GroupActionData) -> AlgebraStructu
         vacuum=alg.vacuum * ng + act.identity,
         mode_index=index,
         assoc_variant="weak",
-        meta={
-            "source": "cross-product",
-            "base_dim": dim,
-            "group_order": ng,
-            "group_abelian": act.is_abelian(),
-        },
     )
 
 

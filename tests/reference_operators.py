@@ -218,9 +218,7 @@ def dense_closure_module(result):
                 col = tuple(mat_c[r][j] for r in range(dim_w))
                 if any(x != 0 for x in col):
                     action.setdefault((i, j), {})[nn] = col
-    return ModuleStructure(
-        basis=basis, mode_index=index_from_dense(action, dim_w), meta={"source": "closure"}
-    )
+    return ModuleStructure(basis=basis, mode_index=index_from_dense(action, dim_w))
 
 
 # -- the all-pairs closure -------------------------------------------------------
@@ -296,5 +294,5 @@ def reference_closure(generators, dim_cap=64, local_products=False, dim=None):
             if modes:
                 index[(i, j)] = modes
     basis = tuple(names(k) for k in range(len(ops)))
-    structure = AlgebraStructure(basis, 0, index, meta={"source": "operator-closure"})
+    structure = AlgebraStructure(basis, 0, index)
     return ClosureResult(OperatorSpan(ops, coords), structure, STATUS_CLOSED, True, rounds)

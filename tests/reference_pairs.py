@@ -20,7 +20,7 @@ here unchanged with its `solving_q`.
 
 `assoc_sides` expands both sides of weak associativity in full at the order
 where both are polynomials in x0+x2, with `binom_row`, as the library did
-before `algebra.assoc_holds` and `pairs.assoc_difference` decided the
+before `pairs.assoc_holds` and `pairs.assoc_difference` decided the
 relation by its poles and walked it by x0 exponent; it is their oracle.
 `resolved_records` reads an analysis's records with each failure through
 `assoc_failure`, the form that is compared with `reference_records`.
@@ -66,7 +66,7 @@ def assoc_sides(prod: Terms, iterate: Terms) -> tuple[Terms, Terms]:
     L = max(0, 1 + the largest outer mode n1 of prod), where every
     (x0+x2)^(-n1-1+L) is a polynomial, so one comparison of their
     (x0, x2)-terms decides the relation exactly.  The library expanded both
-    sides this way, in full, with linalg.binom_row, before algebra.assoc_holds
+    sides this way, in full, with linalg.binom_row, before pairs.assoc_holds
     and pairs.assoc_difference walked them by x0 exponent.
     """
     order = max([0] + [-e1 for e1, _e2 in prod])

@@ -213,7 +213,7 @@ def reference_skew_symmetry(alg, u_idx, v_idx, q):
     pairs = pair_analysis(alg)
     lhs = {(-n - 1,): w for n, w in basis_modes(alg.mode_index, u_idx, v_idx).items()}
     modes = basis_modes(alg.mode_index, v_idx, u_idx)
-    rhs = {(m,): c for m, c in skew_terms(pairs.exp_images, modes, q).items()}
+    rhs = {(m,): c for m, c in skew_terms(alg.exp_images, modes, q).items()}
     diff = next(sparse_differences(lhs, rhs), None)
     report.exact = diff is None
     if diff is not None:

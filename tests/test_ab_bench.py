@@ -77,3 +77,62 @@ def test_the_direction_of_a_metric_decides_wins_and_bound(better, expect):
     summary = ab_bench.summarise(_runs([1.0] * 4, [1.5] * 4), metric)["pass_s"]
     assert (summary["change_wins"], summary["within_bound"]) == expect
     assert summary["median_ratio"] == 1.5
+
+
+def _failed_run(returncode, stderr):
+    """A stand-in for subprocess.run that ends as a failing run does."""
+
+    def run(command, **kwargs):
+        assert "check" not in kwargs  # a failing run must not raise
+        return ab_bench.subprocess.CompletedProcess(command, returncode, "", stderr)
+
+    return run
+
+
+def test_a_failed_run_is_recorded_with_its_exit_code_and_last_stderr_line(monkeypatch, tmp_path):
+    stderr = "Traceback (most recent call last):\n  ...\nMemoryError: out of memory\n"
+    monkeypatch.setattr(ab_bench.subprocess, "run", _failed_run(1, stderr))
+    record = ab_bench.run_side(tmp_path, "w", 3, 1)
+    assert record == {"exit_code": 1, "error": "MemoryError: out of memory"}
+    monkeypatch.setattr(ab_bench.subprocess, "run", _failed_run(-9, ""))
+    assert ab_bench.run_side(tmp_path, "w", 3, 1) == {"exit_code": -9, "error": ""}
+
+
+def test_a_failed_run_counts_as_failed_and_stays_out_of_the_quartiles():
+    runs = _runs([0.010, 0.012, 0.011, 0.013], [0.009, 0.012, 0.010, 0.012])
+    runs[3]["change"] = {"exit_code": 1, "error": "MemoryError: out of memory"}
+    summary = ab_bench.summarise(runs, END_TO_END)
+    # the change's quartiles come from its three runs, and pair 3 counts for neither side
+    assert summary["pass_s"]["change"] == {"q1": 0.0095, "median": 0.01, "q3": 0.011}
+    assert summary["pass_s"]["parent"] == {"q1": 0.01075, "median": 0.0115, "q3": 0.01225}
+    assert (summary["pass_s"]["pairs"], summary["pass_s"]["change_wins"]) == (3, 2)
+    # pair 0's change run failed one operation; pair 3's change run failed as a whole
+    assert summary["failed"] == {"parent": 0, "change": 2}
+    for run in runs:
+        run["change"] = {"exit_code": 2, "error": "error: bad"}
+    summary = ab_bench.summarise(runs, END_TO_END)["pass_s"]
+    assert (summary["change"], summary["median_ratio"], summary["within_bound"]) == (None, None, None)
+
+
+def test_the_session_goes_on_past_a_failed_run_and_writes_its_output(monkeypatch, tmp_path):
+    config = {"workloads": [{"name": "w"}], "end_to_end": END_TO_END}
+
+    def fresh_copy(source, into):
+        into.mkdir()
+        (into / "BENCHMARK.json").write_text(json.dumps(config))
+        return into
+
+    def run_side(root, workload, seed, seconds):
+        if root.name == "change" and seed == 5:
+            return {"exit_code": 1, "error": "ValueError: boom"}
+        return ab_bench.parse_result(_line(0.01 if root.name == "parent" else 0.011, 22.0))
+
+    monkeypatch.setattr(ab_bench, "fresh_copy", fresh_copy)
+    monkeypatch.setattr(ab_bench, "run_side", run_side)
+    out = tmp_path / "bench.json"
+    argv = ["a", "b", "--pairs", "3", "--seconds", "1", "--first-seed", "4", "--out", str(out)]
+    assert ab_bench.main(argv) == 0
+    workload = json.loads(out.read_text())["workloads"]["w"]
+    assert [run["change"].get("exit_code") for run in workload["runs"]] == [None, 1, None]
+    assert workload["summary"]["failed"] == {"parent": 0, "change": 1}
+    assert workload["summary"]["pass_s"]["pairs"] == 2

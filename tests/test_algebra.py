@@ -52,7 +52,6 @@ import vertexcalc.algebra as algebra_module
 from vertexcalc.algebra import (
     AlgebraStructure,
     add_term,
-    assoc_holds,
     check_creation_exponential,
     check_d_bracket,
     check_jacobi,
@@ -108,6 +107,7 @@ from vertexcalc.modules import ModuleStructure, adjoint_module
 from vertexcalc.pairs import (
     PairAnalysis,
     assoc_difference,
+    assoc_holds,
     iterate_sources,
     pair_analysis,
     scatter_iterates,
@@ -215,6 +215,19 @@ def test_malformed_indices_rejected(a3):
         AlgebraStructure(basis=a3.basis, vacuum=0, mode_index=index_from_dense(table, 3))
 
 
+def test_a_structure_keeps_its_lazy_values_in_fields(a3):
+    # a cached_property writes through the instance __dict__, after which
+    # CPython 3.11 reads every attribute of the instance more slowly; the
+    # pair analysis and the images of e^{xD} are fields set on first use
+    for cls in (AlgebraStructure, ModuleStructure):
+        assert [n for n, v in vars(cls).items() if isinstance(v, functools.cached_property)] == []
+    alg = replace(a3)
+    assert alg._exp_images is None
+    images = alg.exp_images
+    assert alg.exp_images is images and alg._exp_images is images
+    assert images[1] == {0: {1: 1}, 1: {2: 1}}  # e^{xD} t = t + x t^2 for D = t^2 d/dt
+
+
 def test_empty_basis_rejected():
     with pytest.raises(MalformedStructure):
         AlgebraStructure(basis=(), vacuum=0, mode_index={})
@@ -251,6 +264,29 @@ def test_sparse_index_out_of_range_is_malformed(case):
     else:
         with pytest.raises(MalformedStructure, match=message):
             ModuleStructure(basis=("w0", "w1", "w2"), mode_index=index)
+
+
+# (index on a three-vector basis, the refusal): an index, a mode or a coordinate that is
+# no int; a float coordinate or acting index ended the axioms suite in a TypeError,
+# and a float mode was cut to an int
+_NON_INTEGER_INDICES = {
+    "acting-index": ({(0.5, 0): {-1: [(0, 1)]}}, r"indices \(0\.5,0\) are not integers"),
+    "acting-index-bool": ({(True, 0): {-1: [(0, 1)]}}, r"indices \(True,0\) are not integers"),
+    "target-index": ({(0, F(1)): {-1: [(1, 1)]}}, r"indices \(0,Fraction\(1, 1\)\) are not"),
+    "mode": ({(0, 1): {-1.5: [(1, 1)]}}, r"mode -1\.5 at \(0,1\) is not an integer"),
+    "mode-bool": ({(0, 1): {False: [(1, 1)]}}, r"mode False at \(0,1\) is not an integer"),
+    "coordinate": ({(1, 0): {-1: [(1.5, 1)]}}, r"coordinates \[1\.5\] at \(1,0,-1\)"),
+    "coordinate-bool": ({(0, 1): {-1: [(True, 1)]}}, r"coordinates \[True\] at \(0,1,-1\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_INTEGER_INDICES))
+def test_a_non_integer_index_mode_or_coordinate_is_malformed(case):
+    index, message = _NON_INTEGER_INDICES[case]
+    with pytest.raises(MalformedStructure, match=message):
+        AlgebraStructure(basis=("one", "a", "b"), vacuum=0, mode_index=index)
+    with pytest.raises(MalformedStructure, match=message):
+        ModuleStructure(basis=("w0", "w1", "w2"), mode_index=index)
 
 
 class _SubFraction(Fraction):

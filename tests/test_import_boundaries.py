@@ -12,7 +12,8 @@ dense mode table in any module or a densified table in a builder, a
 densified vector in a check that builds a witness, and any way for a float
 to arise in the package.  A relation check answers with its witness or
 None, so no module holds an order object, and the suite runs no loop over a
-stated invariant.
+stated invariant.  The core imports in one direction, linalg, then pairs,
+then algebra, and no module imports inside a function.
 """
 
 import ast
@@ -136,9 +137,8 @@ def test_jacobi_like_builds_no_product_per_triple():
 
 
 def test_the_name_reader_finds_imports_calls_and_attributes():
-    # algebra imports both scatters inside functions and calls the mode
-    # product; construct imports pair_analysis and reads the analysis's
-    # products attribute
+    # algebra imports both scatters and calls the mode product; construct
+    # imports pair_analysis and reads the analysis's products attribute
     assert {"scatter_products", "scatter_iterates", "sparse_modes"} <= names_used("algebra")
     assert {"pair_analysis", "products"} <= names_used("construct")
 
@@ -374,3 +374,83 @@ def test_the_float_reader_finds_each_way_to_a_float():
     ]
     for source in good:
         assert float_sites(source) == [], source
+
+
+# -- one direction of import in the core -------------------------------------------------
+
+
+def nested_imports(source: str) -> list[int]:
+    """The lines of the imports the source makes inside a function or a class."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = ast.walk(node)
+            lines.update(n.lineno for n in inner if isinstance(n, (ast.Import, ast.ImportFrom)))
+    return sorted(lines)
+
+
+def package_imports(module: str) -> tuple[set[str], set[str]]:
+    """(run time, TYPE_CHECKING only): the package modules a module imports, as ".name"."""
+    return package_imports_in((SRC / f"{module}.py").read_text())
+
+
+def package_imports_in(source: str) -> tuple[set[str], set[str]]:
+    """(run time, TYPE_CHECKING only): the package modules the source imports, as ".name"."""
+    tree = ast.parse(source)
+    guarded = set()
+    for node in tree.body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            guarded.update(id(n) for n in ast.walk(node))
+    found: tuple[set[str], set[str]] = (set(), set())
+    for node in ast.walk(tree):
+        side = found[id(node) in guarded]
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                side.update("." + alias.name for alias in node.names)
+            else:
+                side.add("." + node.module)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("vertexcalc"):
+            side.add(node.module[len("vertexcalc"):] or ".")
+        elif isinstance(node, ast.Import):
+            side.update(a.name[len("vertexcalc"):] for a in node.names if a.name.startswith("vertexcalc"))
+    return found
+
+
+def test_no_module_imports_inside_a_function():
+    # each import is at the top of its module, so the order of import is the
+    # order of the modules, and a cycle shows as an ImportError at once
+    found = {path.name: nested_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert "algebra.py" in found
+
+
+def test_the_core_imports_in_one_direction():
+    # linalg -> pairs -> algebra: pairs builds on the sparse kernel alone and
+    # names the structures only in annotations; algebra imports pairs
+    assert package_imports("linalg") == (set(), set())
+    assert package_imports("pairs") == ({".linalg", ".report"}, {".algebra", ".modules"})
+    assert ".pairs" in package_imports("algebra")[0]
+    assert ".pairs" not in package_imports("linalg")[0] | package_imports("report")[0]
+
+
+def test_the_import_readers_find_nested_and_guarded_imports():
+    nested = {
+        "import os\ndef f():\n    import sys": [3],
+        "class A:\n    from . import pairs": [2],
+        "if TYPE_CHECKING:\n    from .algebra import A\nfrom .linalg import B": [],
+        "def f():\n    def g():\n        from .pairs import h": [3],
+    }
+    for source, lines in nested.items():
+        assert nested_imports(source) == lines, source
+    guarded = "if TYPE_CHECKING:\n    from .algebra import A\n"
+    packaged = {
+        "from .linalg import add_term\n" + guarded: ({".linalg"}, {".algebra"}),
+        "from . import pairs, report as r": ({".pairs", ".report"}, set()),
+        "from vertexcalc.pairs import x\nimport vertexcalc.algebra": ({".pairs", ".algebra"}, set()),
+        "import os\nfrom fractions import Fraction\ndef f():\n    from .suite import g": (
+            {".suite"},
+            set(),
+        ),
+    }
+    for source, found in packaged.items():
+        assert package_imports_in(source) == found, source

@@ -51,7 +51,6 @@ import vertexcalc.pairs as pairs_module
 import vertexcalc.suite as suite_module
 from vertexcalc.algebra import (
     AlgebraStructure,
-    assoc_holds,
     check_jacobi,
     check_skew_symmetry,
     d_columns,
@@ -79,6 +78,7 @@ from vertexcalc.pairs import (
     PairAnalysis,
     acting_columns,
     assoc_difference,
+    assoc_holds,
     iterate_sources,
     pair_analysis,
     pair_profiles,
@@ -489,24 +489,24 @@ def test_parsing_and_building_make_no_analysis(build_counts):
     assert m2._pairs is not None and a3._pairs is None
 
 
-def test_a_held_analysis_is_returned_without_entering_pair_analysis(monkeypatch):
-    # every locality check reads the structure's analysis; once it is held,
-    # algebra._analysis returns it as it is
-    entered = []
-    build = pairs_module.pair_analysis
+def test_each_structure_builds_one_analysis_and_holds_it(monkeypatch):
+    # every locality check reads the structure's analysis through
+    # pair_analysis; it is constructed once, and a held one is returned as it is
+    built = []
 
-    def counting(alg, act=None):
-        entered.append(id(alg))
-        return build(alg, act)
+    class CountingAnalysis(pairs_module.PairAnalysis):
+        def __init__(self, alg, act):
+            built.append(id(alg))
+            super().__init__(alg, act)
 
-    monkeypatch.setattr(pairs_module, "pair_analysis", counting)
+    monkeypatch.setattr(pairs_module, "PairAnalysis", CountingAnalysis)
     a3 = parse_algebra_file(FIXTURES / "a3.json").alg
     m3 = matrix_algebra(a3, 3)
     run_suite(AlgebraBundle(alg=m3, name="m3"), "locality")
-    assert entered == [id(m3)]
+    assert built == [id(m3)]
     analysis = m3._pairs
     run_suite(AlgebraBundle(alg=m3, name="m3"), "locality")
-    assert entered == [id(m3)] and m3._pairs is analysis
+    assert built == [id(m3)] and m3._pairs is analysis
 
 
 # -- closed forms against the loops -----------------------------------------------------

@@ -741,6 +741,23 @@ def test_malformed_group_actions_exit_2(case, tmp_path):
     run_cli("check", cross, "--suite", "all", expect=2)
 
 
+def _identity_second(group):
+    group["elements"].reverse()
+    group["table"] = [row[::-1] for row in group["table"][::-1]]
+
+
+def test_a_group_that_lists_its_identity_second_builds_its_cross_product(tmp_path):
+    # the identity was taken to be the first element, so this valid group
+    # was refused as "identity row/column of the group table is wrong"
+    base = _group_mutant(tmp_path, "a2_base", _identity_second)
+    assert parse_algebra_file(base).group.identity == 1
+    out = tmp_path / "built.json"
+    run_cli("construct", "cross", base, "-o", str(out))
+    built = parse_algebra_file(out).alg
+    assert built.basis[built.vacuum] == "one|e"
+    assert built.basis == ("one|g", "one|e", "t|g", "t|e")
+
+
 def test_cross_of_a_cross_product_names_the_matrix_shape(tmp_path, capsys):
     # the group of cross_a2z2 acts on its 2-dim base, not on the 4-dim file;
     # this was refused only because a cut-down image of the vacuum differed

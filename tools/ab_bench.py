@@ -15,7 +15,9 @@ Each run is `python3 perfbench/run.py --workload W --seed SEED --seconds S
 from the parent's BENCHMARK.json.  The output holds, per workload, every run
 and a summary of each metric: the quartiles of each side, the pairs the
 change wins (ties count for neither), the ratio of the medians and whether
-it is within the metric's bound.
+it is within the metric's bound.  A run that exits nonzero is recorded with
+its exit code and the last line of its stderr, counts as one failure of its
+side, and is left out of the metric summaries; the session goes on.
 """
 
 from __future__ import annotations
@@ -43,30 +45,45 @@ def parse_result(stdout: str) -> dict:
     return {key: result[key] for key in ("correct", "failed", "attempted")} | values
 
 
-def quartiles(values: list[float]) -> dict:
+def quartiles(values: list[float]) -> dict | None:
+    """The quartiles of the values, each the value itself when there is one, None for none."""
+    if not values:
+        return None
+    values = values if len(values) > 1 else values * 2
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": round(q1, 5), "median": round(median, 5), "q3": round(q3, 5)}
 
 
 def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """The summary block of one workload from its runs ({"parent": record, "change": record})."""
+    """The summary block of one workload from its runs ({"parent": record, "change": record}).
+
+    A failed run (a record with an exit code) gives no metric values: its
+    side's quartiles leave it out, and its pair counts for neither side.
+    """
     summary: dict = {}
     for metric in end_to_end:
-        name, lower = metric["name"], metric["better"] == "lower"
-        pairs = [(run["parent"][name], run["change"][name]) for run in runs]
-        parent = quartiles([p for p, _c in pairs])
-        change = quartiles([c for _p, c in pairs])
-        ratio = round(change["median"] / parent["median"], 4)
+        name, lower, bound = metric["name"], metric["better"] == "lower", metric["bound"]
+        values = {side: [run[side][name] for run in runs if name in run[side]] for side in SIDES}
+        pairs = [(run["parent"][name], run["change"][name]) for run in runs
+                 if name in run["parent"] and name in run["change"]]
+        parent, change = quartiles(values["parent"]), quartiles(values["change"])
+        ratio = within = None
+        if parent and change:
+            ratio = round(change["median"] / parent["median"], 4)
+            within = ratio <= 1 + bound if lower else ratio >= 1 - bound
         summary[name] = {
             "parent": parent,
             "change": change,
             "change_wins": sum(c < p if lower else c > p for p, c in pairs),
             "pairs": len(pairs),
             "median_ratio": ratio,
-            "bound": metric["bound"],
-            "within_bound": ratio <= 1 + metric["bound"] if lower else ratio >= 1 - metric["bound"],
+            "bound": bound,
+            "within_bound": within,
         }
-    summary["failed"] = {side: sum(run[side]["failed"] for run in runs) for side in SIDES}
+    summary["failed"] = {
+        side: sum(1 if "exit_code" in run[side] else run[side]["failed"] for run in runs)
+        for side in SIDES
+    }
     return summary
 
 
@@ -87,11 +104,22 @@ def fresh_copy(source: str, into: Path) -> Path:
 
 
 def run_side(root: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One run's record (parse_result), or its exit code and last stderr line if it failed."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     command += ["--seconds", str(seconds), "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True)
+    if done.returncode:
+        lines = done.stderr.strip().splitlines()
+        return {"exit_code": done.returncode, "error": lines[-1] if lines else ""}
     return parse_result(done.stdout)
+
+
+def describe(record: dict) -> str:
+    """A run's pass_s, or how it failed, for the progress line."""
+    if "exit_code" in record:
+        return f"failed with exit code {record['exit_code']}"
+    return f"{record['pass_s']:.5f}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -119,8 +147,8 @@ def main(argv: list[str] | None = None) -> int:
                 for side in order:
                     run[side] = run_side(roots[side], name, seed, args.seconds)
                 runs[name].append(run)
-                print(f"seed {seed} {name}: parent {run['parent']['pass_s']:.5f} "
-                      f"change {run['change']['pass_s']:.5f} pass_s", file=sys.stderr)
+                print(f"seed {seed} {name} pass_s: parent {describe(run['parent'])}, "
+                      f"change {describe(run['change'])}", file=sys.stderr)
     seeds = f"{args.first_seed}-{args.first_seed + args.pairs - 1}"
     doc = {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds "
