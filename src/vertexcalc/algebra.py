@@ -100,30 +100,36 @@ def normal_index(index, dim: int, n_acting: int | None) -> ModeIndex:
     before a bad coordinate.
     """
     out: ModeIndex = {}
-    for (i, j), modes in index.items():
-        if type(i) is not int or type(j) is not int:
-            raise MalformedStructure(f"mode table indices ({i!r},{j!r}) are not integers")
-        if not (0 <= j < dim and (n_acting is None or 0 <= i < n_acting)):
-            raise MalformedStructure(f"mode table indices ({i},{j}) out of range")
-        entry = {}
-        for n, img in modes.items():
-            if type(n) is not int:
-                raise MalformedStructure(f"mode {n!r} at ({i},{j}) is not an integer")
-            img, kept, last, bad = sorted(img, key=FIRST), [], None, False
-            for k, c in img:
-                # sorted: a repeat is adjacent
-                bad, last = bad or k == last or type(k) is not int or not 0 <= k < dim, k
-                if c := c if type(c) is int else integral(c):
-                    kept.append((k, c))
-            if bad:
-                ks = [k for k, _c in img]
-                raise MalformedStructure(
-                    f"image coordinates {ks} at ({i},{j},{n}) are not distinct in range({dim})"
-                )
-            if kept:
-                entry[n] = kept
-        if entry:
-            out[(i, j)] = entry
+    try:
+        for (i, j), modes in index.items():
+            if type(i) is not int or type(j) is not int:
+                raise MalformedStructure(f"mode table indices ({i!r},{j!r}) are not integers")
+            if not (0 <= j < dim and (n_acting is None or 0 <= i < n_acting)):
+                raise MalformedStructure(f"mode table indices ({i},{j}) out of range")
+            entry = {}
+            for n, img in modes.items():
+                if type(n) is not int:
+                    raise MalformedStructure(f"mode {n!r} at ({i},{j}) is not an integer")
+                img, kept, last, bad = sorted(img, key=FIRST), [], None, False
+                for k, c in img:
+                    # sorted: a repeat is adjacent
+                    bad, last = bad or k == last or type(k) is not int or not 0 <= k < dim, k
+                    if c := c if type(c) is int else integral(c):
+                        kept.append((k, c))
+                if bad:
+                    ks = [k for k, _c in img]
+                    raise MalformedStructure(
+                        f"image coordinates {ks} at ({i},{j},{n}) are not distinct in range({dim})"
+                    )
+                if kept:
+                    entry[n] = kept
+            if entry:
+                out[(i, j)] = entry
+    except (AttributeError, TypeError, ValueError, ArithmeticError) as exc:
+        # an entry of the wrong shape: a key or an image item that is not a
+        # pair, modes that are not a dict, a coefficient that is no rational,
+        # or coordinates of different types that do not sort
+        raise MalformedStructure(f"malformed mode table: {exc}") from exc
     return out
 
 

@@ -458,8 +458,7 @@ class GroupActionData:
                 names = ",".join(self.elements[x] for x in (g, h, k))
                 raise MalformedStructure(f"the group table is not associative at ({names})")
         for g in range(n):
-            if all(self.table[(g, h)] != e for h in range(n)):
-                raise MalformedStructure(f"element {self.elements[g]} has no inverse")
+            self.inverse(g)
         for g, name in enumerate(self.elements):
             if g not in self.action:
                 raise MalformedStructure(f"group element {name} has no action matrix")

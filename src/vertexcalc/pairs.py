@@ -25,7 +25,7 @@ analysis is held by the structure it acts through, like the mode index.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from itertools import islice
 from typing import TYPE_CHECKING
 
@@ -276,17 +276,18 @@ class PairAnalysis:
 
     u and v range over the basis of `alg`, which also gives the iterates
     Y(Y(u,x0)v,x2)w; w over the basis of `act`, the acting table (alg or a
-    module).  On first use one walk over w records two things:
-    - commutation: for each ordered (u, v) and each w on which
+    module).  The constructor walks every w once and records two things:
+    - commutation (profiles): for each ordered (u, v) and each w on which
       Y(u,x1)Y(v,x2)w = q Y(v,x2)Y(u,x1)w does not hold for every q, its
       profile by pair_profiles, the one profile rule, which names the q it
-      holds for, if any.  Each pair's profiles reduce to the one q it
-      commutes for on every w (_pair_q), so commutes is a dict read; only
-      a failing (u, v, q) walks its profiles;
-    - weak associativity: the first difference (exponent, lhs, rhs) of
-      each triple that fails, in closed form at order 0 (no outer exponent)
-      or with no product; else decided by assoc_holds, and the difference
-      walked on first read (assoc_failure).
+      holds for, if any.  Each pair's profiles are folded, as they are
+      recorded, into the one q it commutes for on every w, so commutes is
+      a dict read; only a failing (u, v, q) walks its profiles;
+    - weak associativity (assoc_diffs): the first difference (exponent,
+      lhs, rhs) of each triple that fails, in closed form at order 0 (no
+      outer exponent) or with no product; else decided by assoc_holds, and
+      the difference walked on first read (assoc_failure).  Each failing
+      triple is also filed by w and by its least failing middle v.
     A witness names (u, v, w) by the two bases and its coordinates by
     act's.  A commutation witness's sides are read off the table at its
     exponent (mode_pair), those of the first failure of each (u, v, q)
@@ -303,11 +304,51 @@ class PairAnalysis:
         self.n = alg.dim
         self.dim = act.dim
         self._first: dict = {}  # (u, v, q): (w, exponent, lhs, rhs) of the first failure
-
-    @cached_property
-    def acting_columns(self) -> dict[int, list]:
-        """The acting table's column index (acting_columns), shared by every scatter."""
-        return acting_columns(self.index, self.n)
+        self.acting_columns = acting_columns(self.index, self.n)  # shared by every scatter
+        sources = iterate_sources(self.alg_index)
+        profiles: dict = {}  # (u, v): [w, profile, ...] on each w where it fails for some q
+        pair_q: dict = {}  # (u, v): the one q it commutes for on every w, or None
+        assoc: dict = {}  # (u, v): {w: the first difference, or its walk}
+        middle: dict = {}  # (u, w): the least v for which (u, v, w) fails
+        by_w: dict = {}  # w: the (u, v) for which (u, v, w) fails
+        shared: dict = {}  # one object per distinct profile
+        for w in range(self.dim):
+            prods = self.products(w)
+            iterates = scatter_iterates(self.acting_columns, sources, w)
+            failed: dict = {}  # (u, v): the first difference on this w
+            # every other pair has a zero product and reversed product
+            for (u, v), puv in prods.items():
+                pvu = prods.get((v, u), {})  # puv itself when u = v
+                if u <= v or not pvu:  # else decided with (v, u)
+                    p, r = pair_profiles(puv, pvu)
+                    for key, profile in {(u, v): p, (v, u): r}.items():  # one key when u = v
+                        profile = shared.setdefault(profile, profile)
+                        profiles.setdefault(key, []).extend((w, profile))
+                        q = profile[0] if len(profile) == 2 else None
+                        pair_q[key] = q if pair_q.get(key, q) == q else None
+                iterate = iterates.pop((u, v), {})
+                for e1, _e2 in puv:
+                    if e1:  # by the pole theorem; a failure's difference is walked on first read
+                        if not assoc_holds(puv, iterate):
+                            order = max(0, -min(puv)[0])
+                            failed[(u, v)] = partial(assoc_difference, puv, iterate, order)
+                        break
+                else:  # every outer exponent is 0: the sides are puv and iterate
+                    if puv != iterate:
+                        failed[(u, v)] = next(sparse_differences(puv, iterate))
+            # an iterate with no product fails at its least exponent
+            for key, iterate in iterates.items():
+                failed[key] = (e := min(iterate), {}, iterate[e])
+            for (u, v), diff in failed.items():
+                assoc.setdefault((u, v), {})[w] = diff
+                middle[(u, w)] = min(v, middle.get((u, w), v))
+            if failed:
+                by_w[w] = list(failed)
+        self.profiles = {key: tuple(flat) for key, flat in profiles.items()}
+        self.assoc_diffs = assoc
+        self._pair_q = pair_q
+        self._first_failing_middle = middle
+        self._failing_pairs = by_w
 
     def products(self, w: int) -> dict:
         """{(u, v): Y(u,x1)Y(v,x2)w} for every pair of basis vectors whose product is nonzero.
@@ -317,59 +358,9 @@ class PairAnalysis:
         """
         return scatter_products(self.index, self.acting_columns, w, self.n)
 
-    @cached_property
-    def _records(self) -> tuple[dict, dict]:
-        sources = iterate_sources(self.alg_index)
-        commute: dict = {}
-        assoc: dict = {}
-        shared: dict = {}  # one object per distinct profile
-        for w in range(self.dim):
-            prods = self.products(w)
-            iterates = scatter_iterates(self.acting_columns, sources, w)
-            # every other pair has a zero product and reversed product
-            for (u, v), puv in prods.items():
-                pvu = prods.get((v, u), {})  # puv itself when u = v
-                if u <= v or not pvu:  # else decided with (v, u)
-                    p, r = pair_profiles(puv, pvu)
-                    commute.setdefault((u, v), []).extend((w, shared.setdefault(p, p)))
-                    if u != v:
-                        commute.setdefault((v, u), []).extend((w, shared.setdefault(r, r)))
-                iterate = iterates.pop((u, v), {})
-                for e1, _e2 in puv:
-                    if e1:  # by the pole theorem; a failure's difference is walked on first read
-                        if not assoc_holds(puv, iterate):
-                            order = max(0, -min(puv)[0])
-                            diff = partial(assoc_difference, puv, iterate, order)
-                            assoc.setdefault((u, v), {})[w] = diff
-                        break
-                else:  # every outer exponent is 0: the sides are puv and iterate
-                    if puv != iterate:
-                        assoc.setdefault((u, v), {})[w] = next(sparse_differences(puv, iterate))
-            # an iterate with no product fails at its least exponent
-            for key, iterate in iterates.items():
-                assoc.setdefault(key, {})[w] = (e := min(iterate), {}, iterate[e])
-        return {key: tuple(flat) for key, flat in commute.items()}, assoc
-
-    @cached_property
-    def _first_failing_middle(self) -> dict:
-        first: dict = {}
-        for (u, v), failing in sorted(self._records[1].items()):
-            for w in failing:
-                first.setdefault((u, w), v)
-        return first
-
-    @cached_property
-    def _pair_q(self) -> dict:
-        """{(u, v): the one q the pair commutes for on every w, or None}, for each recorded pair."""
-        closed = {}
-        for key, flat in self._records[0].items():
-            qs = {profile[0] if len(profile) == 2 else None for profile in flat[1::2]}
-            closed[key] = qs.pop() if len(qs) == 1 else None
-        return closed
-
     def _failures(self, u: int, v: int, q: Fraction):
         """(w, exponent) on each basis w where commutation fails, in increasing w."""
-        flat = self._records[0].get((u, v), ())
+        flat = self.profiles.get((u, v), ())
         for w, profile in zip(flat[::2], flat[1::2]):
             # the least differing exponent is the first e_i whose q_i is not q
             for qe, e in zip(profile[::2], profile[1::2]):
@@ -422,7 +413,7 @@ class PairAnalysis:
         iterate, and its difference is walked on first read (assoc_difference)
         at the least order where every power of x0+x2 is a polynomial.
         """
-        failing = self._records[1].get((u, v), {})
+        failing = self.assoc_diffs.get((u, v), {})
         if callable(diff := failing.get(w)):
             diff = failing[w] = diff()
         return diff
@@ -442,14 +433,6 @@ class PairAnalysis:
         """The (u, v) for which (u, v, w) is not weakly associative."""
         return self._failing_pairs.get(w, [])
 
-    @cached_property
-    def _failing_pairs(self) -> dict:
-        by_w: dict = {}
-        for pair, failing in self._records[1].items():
-            for w in failing:
-                by_w.setdefault(w, []).append(pair)
-        return by_w
-
     def weak_assoc_failures(self, uniform: bool) -> list[tuple]:
         """The failing (u, w) of uniform weak associativity, or the failing (u, v, w); sorted.
 
@@ -457,7 +440,7 @@ class PairAnalysis:
         """
         if uniform:
             return sorted(self._first_failing_middle)
-        return sorted((u, v, w) for (u, v), failing in self._records[1].items() for w in failing)
+        return sorted((u, v, w) for (u, v), failing in self.assoc_diffs.items() for w in failing)
 
     def jacobi_witness(self, u: int, v: int, w: int, commutation: tuple | None) -> Witness | None:
         """The witness of a Jacobi-type identity on (u, v, w), or None when it holds.
@@ -474,7 +457,7 @@ class PairAnalysis:
 
     def jacobi_holds(self, u: int, v: int, q: Fraction) -> bool:
         """Whether (u, v) commutes for q and every (u, v, w) is weakly associative (check_jacobi)."""
-        return self.commutes(u, v, q) and (u, v) not in self._records[1]
+        return self.commutes(u, v, q) and (u, v) not in self.assoc_diffs
 
     def jacobi_witnesses(self, u: int, v: int, q: Fraction, limit: int | None) -> dict:
         """{w: witness} of the q-Jacobi identity on (u, v), the first `limit` failing w in order.
@@ -485,7 +468,7 @@ class PairAnalysis:
         commutation failures before it.
         """
         commutation = {f[0]: f[1:] for f in islice(self.commutation_failures(u, v, q), limit)}
-        failing = sorted(commutation.keys() | self._records[1].get((u, v), {}).keys())
+        failing = sorted(commutation.keys() | self.assoc_diffs.get((u, v), {}).keys())
         return {w: self.jacobi_witness(u, v, w, commutation.get(w)) for w in failing[:limit]}
 
 

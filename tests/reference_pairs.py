@@ -12,7 +12,7 @@ from the scatter; it is kept here, unchanged, as the scatter's oracle.
 Y(v,x2)w once and then every outer product Y(u,x1)Y(v,x2)w with one
 `outer_product` call per pair; `reference_records` decides each ordered
 triple from those products and one `outer_iterate` call, exactly as
-`PairAnalysis._records` did before the walk was scattered.  Its records must
+`PairAnalysis` did before the walk was scattered.  Its records must
 equal the analysis's, profiles and first differences included.  Each profile
 comes from `reference_profile`, the exponent-by-exponent loop the library ran
 on every pair before it decided empty and equal sides in closed form, kept
@@ -249,15 +249,14 @@ def pair_walk(alg_index, index, n: int, w: int):
 
 
 def resolved_records(analysis) -> tuple[dict, dict]:
-    """The (commute, assoc) records of a PairAnalysis, each failure read through assoc_failure.
+    """The (profiles, assoc_diffs) of a PairAnalysis, each failure read through assoc_failure.
 
     A triple failed by a pole in x1 holds its difference unbuilt until it
     is read; this is the form reference_records compares with.
     """
-    commute, assoc = analysis._records
-    return commute, {
+    return analysis.profiles, {
         (u, v): {w: analysis.assoc_failure(u, v, w) for w in failing}
-        for (u, v), failing in assoc.items()
+        for (u, v), failing in analysis.assoc_diffs.items()
     }
 
 

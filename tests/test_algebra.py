@@ -268,8 +268,9 @@ def test_sparse_index_out_of_range_is_malformed(case):
 
 # (index on a three-vector basis, the refusal): an index, a mode or a coordinate that is
 # no int; a float coordinate or acting index ended the axioms suite in a TypeError,
-# and a float mode was cut to an int
-_NON_INTEGER_INDICES = {
+# and a float mode was cut to an int.  Then entries of the wrong shape, each of which
+# once escaped as a bare TypeError, AttributeError or ValueError
+_MALFORMED_INDICES = {
     "acting-index": ({(0.5, 0): {-1: [(0, 1)]}}, r"indices \(0\.5,0\) are not integers"),
     "acting-index-bool": ({(True, 0): {-1: [(0, 1)]}}, r"indices \(True,0\) are not integers"),
     "target-index": ({(0, F(1)): {-1: [(1, 1)]}}, r"indices \(0,Fraction\(1, 1\)\) are not"),
@@ -277,12 +278,18 @@ _NON_INTEGER_INDICES = {
     "mode-bool": ({(0, 1): {False: [(1, 1)]}}, r"mode False at \(0,1\) is not an integer"),
     "coordinate": ({(1, 0): {-1: [(1.5, 1)]}}, r"coordinates \[1\.5\] at \(1,0,-1\)"),
     "coordinate-bool": ({(0, 1): {-1: [(True, 1)]}}, r"coordinates \[True\] at \(0,1,-1\)"),
+    "coordinate-str-beside-int": ({(0, 1): {-1: [(1, 1), ("a", 1)]}}, "'<' not supported"),
+    "modes-list": ({(0, 1): [(-1, [(1, 1)])]}, "'list' object has no attribute 'items'"),
+    "coefficient-str": ({(0, 1): {-1: [(1, "x")]}}, "Invalid literal for Fraction: 'x'"),
+    "image-item-triple": ({(0, 1): {-1: [(1, 1, 0)]}}, r"too many values to unpack"),
+    "image-item-int": ({(0, 1): {-1: [1]}}, "'int' object is not subscriptable"),
+    "key-triple": ({(0, 1, 2): {-1: [(1, 1)]}}, r"too many values to unpack"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(_NON_INTEGER_INDICES))
+@pytest.mark.parametrize("case", sorted(_MALFORMED_INDICES))
 def test_a_non_integer_index_mode_or_coordinate_is_malformed(case):
-    index, message = _NON_INTEGER_INDICES[case]
+    index, message = _MALFORMED_INDICES[case]
     with pytest.raises(MalformedStructure, match=message):
         AlgebraStructure(basis=("one", "a", "b"), vacuum=0, mode_index=index)
     with pytest.raises(MalformedStructure, match=message):
@@ -353,12 +360,20 @@ def _normal_outcome(fn, spec, dim, n_acting):
     }
     try:
         out = fn(index, dim, n_acting)
-    except (MalformedStructure, ValueError) as exc:
+    except MalformedStructure as exc:
         return type(exc).__name__, str(exc)
     return [
         (key, [(n, [(k, c, type(c)) for k, c in img]) for n, img in modes.items()])
         for key, modes in out.items()
     ]
+
+
+def _reference_refusing(index, dim, n_acting):
+    """reference_normal_index, with a Python error refused as normal_index refuses it."""
+    try:
+        return reference_normal_index(index, dim, n_acting)
+    except ValueError as exc:  # a coefficient no rational reads
+        raise MalformedStructure(f"malformed mode table: {exc}") from exc
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -372,11 +387,11 @@ def test_normal_index_equals_the_four_pass_reference(seed):
         n_acting = rng.choice((None, dim, dim + 1))
         spec = _raw_index(rng, dim)
         got = _normal_outcome(normal_index, spec, dim, n_acting)
-        assert got == _normal_outcome(reference_normal_index, spec, dim, n_acting), (spec, dim)
+        assert got == _normal_outcome(_reference_refusing, spec, dim, n_acting), (spec, dim)
         kinds[got[0] if isinstance(got, tuple) else "normal"] += 1
         if isinstance(got, tuple):
             kinds[got[1].split(" ")[0]] += 1
-    assert kinds["normal"] > 100 and kinds["ValueError"] > 0
+    assert kinds["normal"] > 100 and kinds["malformed"] > 0  # a coefficient refusal
     assert kinds["mode"] > 0 and kinds["image"] > 0  # an index and a coordinate refusal
 
 

@@ -766,7 +766,7 @@ def test_jacobi_like_reads_scalar_images_off_the_analysis(seed, monkeypatch):
     seen = set()
     cases = [_fixture_case(name)[0] for name in ("a3", "ut2", "z22_twist", "cross_a2z2")]
     for alg in cases + [_assoc_only_case()[0], _twist_with_one_product_doubled()[0]]:
-        pair_analysis(alg)._records
+        pair_analysis(alg)
         rmap = _mixed_rmap(alg.dim, rng)
         calls.clear()
         rep = check_jacobi_like(alg, rmap)
@@ -806,7 +806,7 @@ def test_jacobi_like_of_the_cocycle_commutator_is_q_jacobi_at_the_cocycle_q(monk
     for name, alg in (("z22_twist", bundle.alg), ("doubled", broken)):
         rmap = rmap_from_commutator(alg, grading, cocycle)
         assert rmap.entries == bundle.resolve_rmap().entries
-        pair_analysis(alg)._records
+        pair_analysis(alg)
         calls.clear()
         rep = check_jacobi_like(alg, rmap)
         assert calls == [], name
@@ -913,7 +913,7 @@ def test_jacobi_like_builds_each_product_once(rmap, monkeypatch):
     # image is a scalar (the identity) reads the analysis and scatters no w
     m = matrix_over_a3()
     expected = _unshared_jacobi_like(m, rmap)
-    pair_analysis(m)._records  # the analysis's own walk is not counted here
+    pair_analysis(m)  # the analysis's own walk is not counted here
     scattered = []
     scatter = pairs_module.scatter_products
 

@@ -13,7 +13,8 @@ densified vector in a check that builds a witness, and any way for a float
 to arise in the package.  A relation check answers with its witness or
 None, so no module holds an order object, and the suite runs no loop over a
 stated invariant.  The core imports in one direction, linalg, then pairs,
-then algebra, and no module imports inside a function.
+then algebra, and no module imports inside a function or uses
+cached_property.
 """
 
 import ast
@@ -454,3 +455,28 @@ def test_the_import_readers_find_nested_and_guarded_imports():
     }
     for source, found in packaged.items():
         assert package_imports_in(source) == found, source
+
+
+# -- fields set in the constructor -------------------------------------------------------
+
+
+def test_no_module_imports_or_applies_cached_property():
+    """No module in the package imports or applies functools.cached_property.
+
+    A cached_property writes into the instance __dict__ on first use, and
+    CPython 3.11 then reads every attribute of that instance on its slow
+    path.  On AlgebraStructure.exp_images that cost 2.1% of a pass of the
+    scale workload (axioms, locality and skew on matrix_algebra(a3, 3)); on
+    the pair analysis it slowed the d^2 commutes reads of each pair suite.
+    A structure fills a plain field on first use instead, and the pair
+    analysis sets every field in its constructor.
+    """
+    found = {path.name: names_in(path.read_text()) for path in SRC.glob("*.py")}
+    assert [name for name, names in found.items() if "cached_property" in names] == []
+    assert "pairs.py" in found
+    for source in (
+        "from functools import cached_property",
+        "import functools\nclass A:\n    @functools.cached_property\n    def f(self): pass",
+        "from functools import cached_property as lazy",
+    ):
+        assert "cached_property" in names_in(source), source

@@ -19,7 +19,8 @@ the walk over its profiles, and only failing ones are counted to walk them,
 once; weak associativity, decided by its poles and walked by x0 exponent
 (`assoc_holds`, `assoc_difference`), is held equal to the full expansion of
 both sides (`reference_pairs.assoc_sides`), and its binomials, by the ratio
-recurrence, are counted to call `linalg.binom` never.
+recurrence, are counted to call `linalg.binom` never.  The analysis sets
+every field in its constructor: the suites add none to it.
 """
 
 import collections
@@ -65,7 +66,13 @@ from vertexcalc.algebra import (
     weak_assoc_triple,
 )
 from vertexcalc.construct import matrix_algebra
-from vertexcalc.fileio import AlgebraBundle, parse_algebra_file
+from vertexcalc.fileio import (
+    AlgebraBundle,
+    algebra_to_data,
+    module_section,
+    parse_algebra_data,
+    parse_algebra_file,
+)
 from vertexcalc.linalg import ONE, binom, densify
 from vertexcalc.modules import (
     ModuleStructure,
@@ -509,6 +516,37 @@ def test_each_structure_builds_one_analysis_and_holds_it(monkeypatch):
     assert built == [id(m3)] and m3._pairs is analysis
 
 
+def _file_module_bundle():
+    # M(2, a3) with the column module W^2 of a3's adjoint, read from file data
+    a3 = parse_algebra_file(FIXTURES / "a3.json").alg
+    m2, w2 = wn_module(a3, adjoint_module(a3), 2)
+    return parse_algebra_data(algebra_to_data(m2, {"module": module_section(w2, m2)}), "m2-w2")
+
+
+@pytest.mark.parametrize("name", NAMES + ("file-module",))
+def test_the_analysis_sets_every_field_in_its_constructor(name):
+    # a field first set after construction writes through the instance
+    # __dict__, after which CPython 3.11 reads each attribute of the instance,
+    # the d^2 commutes reads of a suite among them, more slowly; every suite
+    # reads the analyses the structures hold and adds no field to them
+    if name == "file-module":
+        bundle = _file_module_bundle()
+    else:
+        bundle = parse_algebra_file(FIXTURES / f"{name}.json")
+    alg, mod = bundle.alg, bundle.module
+    analyses = [pair_analysis(alg)]
+    if mod is None:  # the modules suite's adjoint shares the algebra's analysis
+        assert pair_analysis(alg, adjoint_module(alg)) is analyses[0]
+    else:
+        analyses.append(pair_analysis(alg, mod))
+        assert analyses[1] is not analyses[0]
+    fields = [list(vars(analysis)) for analysis in analyses]
+    assert {"acting_columns", "profiles", "assoc_diffs"} <= set(fields[0])
+    run_suite(bundle, "all")
+    assert alg._pairs is analyses[0] and (mod is None or mod._pairs is analyses[1])
+    assert [list(vars(analysis)) for analysis in analyses] == fields
+
+
 # -- closed forms against the loops -----------------------------------------------------
 
 COEFFS = (1, -1, 2, Fraction(1, 2), Fraction(-3, 2))
@@ -636,7 +674,7 @@ def test_closed_forms_leave_few_pairs_to_walk(monkeypatch):
     counting(pairs_module, "profile_walk")
     counting(pairs_module, "assoc_holds")
     a3 = parse_algebra_file(FIXTURES / "a3.json").alg
-    records = pair_analysis(matrix_algebra(a3, 3))._records
+    analysis = pair_analysis(matrix_algebra(a3, 3))
     # 1,061 pairs u != v and 68 pairs u = v, for 2,190 ordered profiles
     assert calls["pair_profiles"] == 1061 + 68
     assert calls["profile_walk"] <= 60
@@ -644,7 +682,7 @@ def test_closed_forms_leave_few_pairs_to_walk(monkeypatch):
     # nonzero outer exponent reach the layer walk; the rest are compared at
     # order 0 in closed form, or have no product at all.  Every triple holds,
     # so no failure is kept for a first difference to be walked from
-    assert calls["assoc_holds"] == 151 and records[1] == {}
+    assert calls["assoc_holds"] == 151 and analysis.assoc_diffs == {}
 
 
 # -- one commutation verdict per (u, v, q) -----------------------------------------------
