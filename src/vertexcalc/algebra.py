@@ -378,33 +378,37 @@ def validate_structure(alg: AlgebraStructure) -> CheckReport:
 def check_d_bracket(alg: AlgebraStructure) -> CheckReport:
     """Both translation identities: [D, Y(v,x)] = Y(Dv,x) = d/dx Y(v,x).
 
-    Only the pairs (i, j) where Y(e_i,x)e_j, Y(e_i,x)De_j or Y(De_i,x)e_j
-    can be nonzero are visited, in sorted order: (i, j) in the mode index,
-    or (i, k) or (k, j) in it for some e_k in D e_j or D e_i.  On every
-    other pair all three sides are zero and both identities hold.
+    The commutator D Y(e_i,x)e_j - Y(e_i,x)De_j and the middle Y(De_i,x)e_j
+    of every pair are built in one scatter over the index entries and D's
+    columns, and the pairs it reaches are compared in sorted order.  On
+    every other pair all three sides are zero and both identities hold.
     """
     report = CheckReport("translation-bracket")
     cols = d_columns(alg)
     index = alg.mode_index
     if d_vac := d_sparse(cols, ((alg.vacuum, ONE),)):
         report.fail(Witness((alg.basis[alg.vacuum],), None, d_vac, {}, alg.basis))
-    reached: list[list[int]] = [[] for _ in cols]  # reached[k]: every j with e_k in D e_j
+    reached: list[list] = [[] for _ in cols]  # reached[k]: every (j, c) with c e_k in D e_j
     for j, col in enumerate(cols):
-        for k, _c in col:
-            reached[k].append(j)
-    visit = set(index)
-    for a, b in index:
-        visit.update([(a, j) for j in reached[b]] + [(i, b) for i in reached[a]])
-    for i, j in sorted(visit):
-        base = basis_modes(index, i, j)
-        # commutator [D, Y(e_i, x)] e_j, mode by mode
-        commutator = {n: d_sparse(cols, w.items()) for n, w in base.items()}
-        for n, w in sparse_modes(index, ((i, ONE),), cols[j]).items():
-            add_term(commutator, n, -1, w.items())
-        middle = sparse_modes(index, cols[i], ((j, ONE),))
+        for k, c in col:
+            reached[k].append((j, c))
+    # (i, j): {n: D (e_i)_n e_j - (e_i)_n D e_j}, starting from D of every index entry
+    commutators = {ij: {n: d_sparse(cols, v) for n, v in ns.items()} for ij, ns in index.items()}
+    middles: dict = {}  # (i, j): {n: (D e_i)_n e_j}
+    for (a, b), modes in index.items():
+        for j, c in reached[b]:
+            commutator = commutators.setdefault((a, j), {})
+            for n, img in modes.items():
+                add_term(commutator, n, -c, img)
+        for i, c in reached[a]:
+            middle = middles.setdefault((i, b), {})
+            for n, img in modes.items():
+                add_term(middle, n, c, img)
+    for i, j in sorted(commutators.keys() | middles.keys()):
+        middle = middles.get((i, j), {})
         for name, lhs, rhs in (
-            ("commutator-vs-middle", commutator, middle),
-            ("middle-vs-derivative", middle, mode_derivative(base)),
+            ("commutator-vs-middle", commutators.get((i, j), {}), middle),
+            ("middle-vs-derivative", middle, mode_derivative(basis_modes(index, i, j))),
         ):
             for n, a, b in sparse_differences(lhs, rhs):
                 report.fail(Witness((name, alg.basis[i], alg.basis[j]), (n,), a, b, alg.basis))
@@ -513,20 +517,6 @@ def skew_difference(alg: AlgebraStructure, u_idx: int, v_idx: int, q: Fraction):
     return next(sparse_differences(lhs, rhs), None)
 
 
-def skew_truncation(alg: AlgebraStructure, u_idx: int, v_idx: int, local: bool) -> tuple:
-    """The orders a skew-symmetry report records, and whether the truncation condition holds.
-
-    The condition asks x^k Y(u,x)v to be free of negative powers at the
-    locality order k, which is 0 for a local pair (find_locality_k); so a
-    local pair fails it exactly when truncation_order is positive, and a
-    nonlocal pair has no order to test it at.
-    """
-    k_min = truncation_order(alg, u_idx, v_idx)
-    if not local:
-        return {"truncation_k": k_min}, True
-    return {"truncation_k": k_min, "locality_k": 0}, k_min == 0
-
-
 def check_skew_symmetry(
     alg: AlgebraStructure,
     u_idx: int,
@@ -536,9 +526,11 @@ def check_skew_symmetry(
     """Y(u,x)v = q e^{xD} Y(v,-x)u (skew_difference) plus the truncation condition.
 
     The report's `exact` flag is whether the two sides agree: the report
-    contract marks a failed skew comparison as not exact.  Its orders and
-    the truncation verdict are skew_truncation's, on the memoized locality
-    verdict.
+    contract marks a failed skew comparison as not exact.  The condition
+    asks x^k Y(u,x)v to be free of negative powers at the locality order k,
+    which is 0 for a local pair (find_locality_k); so a local pair fails it
+    exactly when truncation_order is positive, and a nonlocal pair has no
+    order to test it at.
     """
     require_basis(alg, u_idx, v_idx)
     report = CheckReport(f"skew-symmetry[{alg.basis[u_idx]},{alg.basis[v_idx]}]")
@@ -547,18 +539,12 @@ def check_skew_symmetry(
     report.exact = diff is None
     if diff is not None:
         report.fail(Witness((alg.basis[u_idx], alg.basis[v_idx]), *diff, alg.basis))
-    local = pair_analysis(alg).commutes(u_idx, v_idx, q)
-    orders, truncated = skew_truncation(alg, u_idx, v_idx, local)
-    report.found_orders.update(orders)
-    if not truncated:
-        report.fail(
-            Witness(
-                (alg.basis[u_idx], alg.basis[v_idx]),
-                None,
-                "x^0 leaves negative powers",
-                f"needs k >= {orders['truncation_k']}",
-            )
-        )
+    k_min = report.found_orders["truncation_k"] = truncation_order(alg, u_idx, v_idx)
+    if pair_analysis(alg).commutes(u_idx, v_idx, q):
+        report.found_orders["locality_k"] = 0
+        if k_min:
+            where = (alg.basis[u_idx], alg.basis[v_idx])
+            report.fail(Witness(where, None, "x^0 leaves negative powers", f"needs k >= {k_min}"))
     return report
 
 

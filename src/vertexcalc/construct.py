@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
+from math import prod
 
 from .algebra import AlgebraStructure, ModeIndex, d_sparse, exp_sparse, sparse_modes
 from .errors import (
@@ -316,8 +317,14 @@ class GradedTag:
             raise GradingInvalid(f"every degree needs {len(self.orders)} components")
         self.degrees = tuple(tuple(int(x) for x in d) for d in self.degrees)
         for d in self.degrees:
-            if not all(0 <= x < o for x, o in zip(d, self.orders)):
+            if not self.contains(d):
                 raise GradingInvalid(f"degree {d} is outside the group of orders {self.orders}")
+
+    def contains(self, g) -> bool:
+        """Whether g is a group element, one int in range(order) per order, without listing G."""
+        return type(g) is tuple and len(g) == len(self.orders) and all(
+            type(x) is int and 0 <= x < o for x, o in zip(g, self.orders)
+        )
 
     def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((x + y) % o for x, y, o in zip(a, b, self.orders))
@@ -337,9 +344,8 @@ class CocycleData:
     table: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]
 
     def __post_init__(self):
-        group = set(self.grading.elements())
         for g, h in self.table:
-            if g not in group or h not in group:
+            if not (self.grading.contains(g) and self.grading.contains(h)):
                 raise CocycleInvalid(f"cocycle key ({g}, {h}) is not a pair of group elements")
 
     def value(self, g: tuple[int, ...], h: tuple[int, ...]) -> Fraction:
@@ -349,6 +355,9 @@ class CocycleData:
         return v
 
     def validate(self) -> None:
+        """A normalized 2-cocycle; a table short of |G|^2 entries is refused before G is listed."""
+        if len(self.table) < (size := prod(self.grading.orders)) ** 2:
+            raise CocycleInvalid(f"the cocycle table has {len(self.table)} of {size}^2 entries")
         els = self.grading.elements()
         zero = self.grading.zero()
         for g in els:

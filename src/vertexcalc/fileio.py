@@ -28,6 +28,7 @@ from .construct import (
     rmap_from_commutator,
     rmap_identity,
     rmap_tensor_swap,
+    validate_grading,
 )
 from .errors import OutputError, ParseError, ValidationError
 from .linalg import Support, format_rational, integral
@@ -225,6 +226,7 @@ def parse_algebra_data(data: dict, name: str = "") -> AlgebraBundle:
             except KeyError as exc:
                 raise ValidationError(f"grading misses a degree for {exc}") from None
             bundle.grading = GradedTag(orders=orders, degrees=degrees)
+            validate_grading(alg, bundle.grading)
 
         if "cocycle" in data:
             section = "cocycle"

@@ -312,21 +312,28 @@ class PairAnalysis:
         middle: dict = {}  # (u, w): the least v for which (u, v, w) fails
         by_w: dict = {}  # w: the (u, v) for which (u, v, w) fails
         shared: dict = {}  # one object per distinct profile
+        empty: dict = {}  # the one zero product or iterate, read and never written
         for w in range(self.dim):
             prods = self.products(w)
             iterates = scatter_iterates(self.acting_columns, sources, w)
             failed: dict = {}  # (u, v): the first difference on this w
             # every other pair has a zero product and reversed product
             for (u, v), puv in prods.items():
-                pvu = prods.get((v, u), {})  # puv itself when u = v
+                pvu = prods.get((v, u), empty)  # puv itself when u = v
                 if u <= v or not pvu:  # else decided with (v, u)
                     p, r = pair_profiles(puv, pvu)
-                    for key, profile in {(u, v): p, (v, u): r}.items():  # one key when u = v
+                    for key, profile in ((u, v), p), ((v, u), r):
                         profile = shared.setdefault(profile, profile)
-                        profiles.setdefault(key, []).extend((w, profile))
                         q = profile[0] if len(profile) == 2 else None
-                        pair_q[key] = q if pair_q.get(key, q) == q else None
-                iterate = iterates.pop((u, v), {})
+                        if (flat := profiles.get(key)) is None:
+                            profiles[key], pair_q[key] = [w, profile], q
+                        else:
+                            flat += w, profile
+                            if pair_q[key] != q:
+                                pair_q[key] = None
+                        if u == v:  # the diagonal has one key
+                            break
+                iterate = iterates.pop((u, v), empty)
                 for e1, _e2 in puv:
                     if e1:  # by the pole theorem; a failure's difference is walked on first read
                         if not assoc_holds(puv, iterate):

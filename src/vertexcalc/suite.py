@@ -9,14 +9,12 @@ bytes; the text emission is a readable table of the same records.
 The pair suites read the structure's pair analysis (vertexcalc.pairs) and
 build a witness only for a record that prints one.  The locality suite reads
 each pair's commutation verdict and asks find_locality_k for the witness of a
-nonlocal pair only.  The skew suite reads each pair's comparison
-(skew_difference), truncation order and commutation verdict and builds no
-report: the comparison of (u, v, q) agrees exactly when that of (v, u, 1/q)
-does, so it is decided once per unordered pair when q(u,v) q(v,u) = 1 and
-q != 0.  The weak-associativity records read the failing (u, w) or
-(u, v, w) off the analysis and build the first MAX_WITNESSES witnesses.  The
-jacobi suite reads each pair's q-Jacobi verdict (jacobi_holds) and builds
-the first MAX_WITNESSES witnesses of a failing pair only.
+nonlocal pair only.  The skew suite compares only the pairs the mode index
+names (skew_difference) and builds no report.  The weak-associativity
+records read the failing (u, w) or (u, v, w) off the analysis and build the
+first MAX_WITNESSES witnesses.  The jacobi suite reads each pair's q-Jacobi
+verdict (jacobi_holds) and builds the first MAX_WITNESSES witnesses of a
+failing pair only.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from .algebra import (
     find_locality_k,
     find_weak_assoc_l,
     skew_difference,
-    skew_truncation,
     validate_structure,
     weak_assoc_triple,
 )
@@ -209,33 +206,28 @@ def _suite_locality(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteR
     """Each pair's memoized commutation verdict; only a nonlocal pair builds a witness."""
     alg = bundle.alg
     pair_q = _pair_q(bundle, options)
-    pairs = pair_analysis(alg)
+    commutes, basis, add = pair_analysis(alg).commutes, alg.basis, report.records.append
+    identity = "damped commutation of operator pairs"
     texts: dict = {}  # str(q), formatted once per distinct q
     nonlocal_pairs = 0
     for i in range(alg.dim):
         for j in range(alg.dim):
             q = pair_q(i, j)
-            if pairs.commutes(i, j, q):
+            if commutes(i, j, q):
                 verdict, witnesses = "local(k=0)", []  # a local pair commutes at order 0
             else:
                 verdict, witnesses = "nonlocal", [find_locality_k(alg, i, j, q).describe()]
                 nonlocal_pairs += 1
             if (text := texts.get(q)) is None:
                 text = texts[q] = str(q)
-            report.add(
-                SuiteRecord(
-                    id=f"locality/{alg.basis[i]},{alg.basis[j]}",
-                    identity="damped commutation of operator pairs",
-                    kind=CLASSIFICATION,
-                    verdict=verdict,
-                    orders={"q": text},
-                    witnesses=witnesses,
-                )
-            )
-    report.add(
+            # the fields in order (id, identity, kind, verdict, exact, orders, witnesses): a
+            # keyword call takes twice as long, and the suite makes one per pair
+            rid = f"locality/{basis[i]},{basis[j]}"
+            add(SuiteRecord(rid, identity, CLASSIFICATION, verdict, True, {"q": text}, witnesses))
+    add(
         SuiteRecord(
             id="locality/summary",
-            identity="damped commutation of operator pairs",
+            identity=identity,
             kind=CLASSIFICATION,
             verdict="nonlocal" if nonlocal_pairs else "local",
             orders={"nonlocal_pairs": nonlocal_pairs},
@@ -246,44 +238,43 @@ def _suite_locality(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteR
 def _suite_skew(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteReport):
     """Each pair's skew comparison, truncation order and commutation verdict; no witness.
 
-    The comparison of (u, v, q) agrees exactly when that of (v, u, 1/q) does
-    (skew_difference), so when q(u,v) q(v,u) = 1 and q != 0 it is decided
-    once per unordered pair; every other q compares both directions.
+    Only a pair with (u, v) or (v, u) in the mode index is compared
+    (skew_difference); on every other pair both sides are 0 and truncation_k
+    is 0.  When q(u,v) q(v,u) = 1 and q != 0 the comparison is decided once
+    per unordered pair, as that of (v, u, 1/q) agrees exactly when it does.
     """
     alg = bundle.alg
     pair_q = _pair_q(bundle, options)
-    pairs = pair_analysis(alg)
+    commutes, basis, add = pair_analysis(alg).commutes, alg.basis, report.records.append
+    index = alg.mode_index
+    identity = "skew-symmetry with truncation"
+    equivalence = "locality equivalent to skew-symmetry with truncation"
     decided: dict = {}  # {(v, u): the comparison of (u, v), which decides (v, u) as well}
     for i in range(alg.dim):
         for j in range(alg.dim):
             q = pair_q(i, j)
-            agree = decided.pop((i, j), None)
-            if agree is None:
-                agree = skew_difference(alg, i, j, q) is None
-                if i < j and q and q * pair_q(j, i) == 1:
-                    decided[(j, i)] = agree
-            local = pairs.commutes(i, j, q)
-            orders, truncated = skew_truncation(alg, i, j, local)
-            holds = agree and truncated
-            report.add(
-                SuiteRecord(
-                    id=f"skew/{alg.basis[i]},{alg.basis[j]}",
-                    identity="skew-symmetry with truncation",
-                    kind=CLASSIFICATION,
-                    verdict="holds" if holds else "fails",
-                    exact=agree,  # the report contract marks a failed comparison as not exact
-                    orders=orders,
-                )
-            )
-            report.add(
-                SuiteRecord(
-                    id=f"skew/equivalence/{alg.basis[i]},{alg.basis[j]}",
-                    identity="locality equivalent to skew-symmetry with truncation",
-                    kind=CHECK,
-                    verdict=PASS if holds == local else FAIL,
-                    witnesses=[] if holds == local else [f"skew={holds} locality={local}"],
-                )
-            )
+            local = commutes(i, j, q)
+            modes = index.get((i, j))
+            if modes is None and (j, i) not in index:
+                agree, k_min = True, 0
+            else:
+                agree = decided.pop((i, j), None)
+                if agree is None:
+                    agree = skew_difference(alg, i, j, q) is None
+                    if i < j and q and q * pair_q(j, i) == 1:
+                        decided[(j, i)] = agree
+                k_min = max(0, max(modes) + 1) if modes else 0  # truncation_order, read here
+            # a local pair is truncated at its locality order 0; a nonlocal one has no order
+            holds = agree and not (local and k_min)
+            orders = {"truncation_k": k_min, "locality_k": 0} if local else {"truncation_k": k_min}
+            # positional fields, as in _suite_locality; exact is false on a failed
+            # comparison, as the report contract asks
+            pair, verdict = f"{basis[i]},{basis[j]}", "holds" if holds else "fails"
+            add(SuiteRecord(f"skew/{pair}", identity, CLASSIFICATION, verdict, agree, orders))
+            verdict = PASS if holds == local else FAIL
+            mismatch = [] if holds == local else [f"skew={holds} locality={local}"]
+            rid = f"skew/equivalence/{pair}"
+            add(SuiteRecord(rid, equivalence, CHECK, verdict, True, {}, mismatch))
 
 
 def _suite_jacobi(bundle: AlgebraBundle, options: SuiteOptions, report: SuiteReport):

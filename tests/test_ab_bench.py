@@ -136,3 +136,46 @@ def test_the_session_goes_on_past_a_failed_run_and_writes_its_output(monkeypatch
     assert [run["change"].get("exit_code") for run in workload["runs"]] == [None, 1, None]
     assert workload["summary"]["failed"] == {"parent": 0, "change": 1}
     assert workload["summary"]["pass_s"]["pairs"] == 2
+
+
+def _three_workloads(monkeypatch, ran):
+    """fresh_copy and run_side stand-ins over workloads a, b and c; ran collects each run."""
+    config = {"workloads": [{"name": n} for n in ("a", "b", "c")], "end_to_end": END_TO_END}
+
+    def fresh_copy(source, into):
+        into.mkdir()
+        (into / "BENCHMARK.json").write_text(json.dumps(config))
+        return into
+
+    def run_side(root, workload, seed, seconds):
+        ran.append((root.name, workload))
+        return ab_bench.parse_result(_line(0.01, 22.0))
+
+    monkeypatch.setattr(ab_bench, "fresh_copy", fresh_copy)
+    monkeypatch.setattr(ab_bench, "run_side", run_side)
+
+
+def test_workload_runs_only_the_named_workloads_in_benchmark_order(monkeypatch, tmp_path):
+    ran: list = []
+    _three_workloads(monkeypatch, ran)
+    out = tmp_path / "bench.json"
+    argv = ["p", "c", "--pairs", "2", "--seconds", "1", "--first-seed", "1", "--out", str(out)]
+    assert ab_bench.main(argv + ["--workload", "c", "--workload", "a"]) == 0
+    assert list(json.loads(out.read_text())["workloads"]) == ["a", "c"]
+    assert sorted(set(ran)) == [(side, w) for side in ("change", "parent") for w in ("a", "c")]
+    assert len(ran) == 2 * 2 * 2  # two pairs of two sides on each named workload
+    ran.clear()
+    assert ab_bench.main(argv) == 0  # by default, every workload
+    assert list(json.loads(out.read_text())["workloads"]) == ["a", "b", "c"] and len(ran) == 12
+
+
+def test_an_unknown_workload_is_a_usage_error(monkeypatch, tmp_path, capsys):
+    ran: list = []
+    _three_workloads(monkeypatch, ran)
+    out = tmp_path / "bench.json"
+    argv = ["p", "c", "--pairs", "1", "--seconds", "1", "--first-seed", "1", "--out", str(out)]
+    with pytest.raises(SystemExit) as exit_info:
+        ab_bench.main(argv + ["--workload", "a", "--workload", "scale"])
+    assert exit_info.value.code == 2
+    assert "unknown workload scale; choose from a, b, c" in capsys.readouterr().err
+    assert ran == [] and not out.exists()

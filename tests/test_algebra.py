@@ -1180,6 +1180,22 @@ def _reached_through_d(alg, i, j):
     )
 
 
+def _with_cancelling_middle(rng, dim):
+    """A _sparse_table_with_d table whose middle Y(De_1,x)e_j cancels at one mode n.
+
+    D e_1 = c2 e_2 + c3 e_3, and (e_2)_n e_j and (e_3)_n e_j are multiples of
+    one e_k that the two coefficients cancel; j is not the vacuum, so D stays.
+    Returns the structure and (1, j, n).
+    """
+    alg = _sparse_table_with_d(rng, dim)
+    index = {key: dict(modes) for key, modes in alg.mode_index.items()}
+    c2, c3, x = (rng.choice(_RATIONALS) for _ in range(3))
+    j, n, k = rng.randrange(1, dim), rng.randrange(-3, 2), rng.randrange(dim)
+    index.setdefault((1, 0), {})[-2] = [(2, c2), (3, c3)]
+    index[(2, j)], index[(3, j)] = {n: [(k, x)]}, {n: [(k, -x * c2 / c3)]}
+    return AlgebraStructure(alg.basis, 0, index), (1, j, n)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_pair_closed_forms_equal_the_all_pairs_loops(seed):
     rng = random.Random(2900 + seed)
@@ -1202,7 +1218,14 @@ def test_pair_closed_forms_equal_the_all_pairs_loops(seed):
                 assert rep == reference_skew_symmetry(alg, u, v, q), (u, v, q)
                 closed = (u, v) not in alg.mode_index and (v, u) not in alg.mode_index
                 seen.add(("skew", closed, rep.passed))
-    assert {("bracket", False), "reached through D"} <= seen
+    for _ in range(5):
+        # two contributions to one (i, j, n) of the bracket's middle cancel
+        alg, (i, j, n) = _with_cancelling_middle(rng, rng.randint(4, 6))
+        assert check_d_bracket(alg) == reference_d_bracket(alg)
+        middle = sparse_modes(alg.mode_index, d_columns(alg)[i], ((j, ONE),))
+        if n not in middle and (2, j) in alg.mode_index and (3, j) in alg.mode_index:
+            seen.add("middle cancels")
+    assert {("bracket", False), "reached through D", "middle cancels"} <= seen
     assert "witness reached through D" in seen
     assert {("skew", True, True), ("skew", False, True), ("skew", False, False)} <= seen
 

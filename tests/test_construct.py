@@ -358,6 +358,24 @@ def test_cocycle_keys_outside_the_group_are_refused():
             CocycleData(grading, {**table, key: F(1)})
 
 
+@pytest.mark.parametrize("orders", [(10**9, 2), (10**30, 2)])
+def test_a_huge_group_is_checked_by_components_and_refused_by_size(orders):
+    # the keys were checked against the set of every group element, which
+    # ran out of memory at order 2 * 10^9 and overflowed at 2 * 10^30; the
+    # Klein table's keys lie in the larger group, and it is 16 entries short
+    # of a 2-cocycle on it, refused before validate lists the group
+    grading = GradedTag(orders=orders, degrees=())
+    table = klein_cocycle(klein_group_algebra()[1]).table
+    cocycle = CocycleData(grading, table)
+    with pytest.raises(CocycleInvalid, match=re.escape(f"has 16 of {2 * orders[0]}^2 entries")):
+        cocycle.validate()
+    # a component that is no int, or a key side that is no tuple, is no element either
+    outside = [((0, 2), (0, 0)), ((orders[0], 0), (1, 1)), ((0, -1), (0, 0)), ((0,), (0, 0))]
+    for key in outside + [(("a", 0), (0, 0)), ((0, 0), 5)]:
+        with pytest.raises(CocycleInvalid, match=re.escape(f"cocycle key {key} is not")):
+            CocycleData(grading, {**table, key: F(1)})
+
+
 # -- tensor products ------------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -957,3 +958,59 @@ def test_cocycle_keys_outside_the_group_exit_2(key, named, tmp_path, capsys):
     assert not built.exists()
     assert cli.main(["check", path, "--suite", "all", "--q", "from-cocycle"]) == 2
     assert capsys.readouterr().err == message
+
+
+def _order_mutant(tmp_path, fixture: str, orders: list, edit=None) -> str:
+    doc = json.loads((FIXTURES / f"{fixture}.json").read_text())
+    doc["grading"] = {**doc.get("grading", {}), "orders": orders}
+    if edit is not None:
+        edit(doc)
+    path = tmp_path / f"{fixture}-mutant.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _traced_peak(argvs, capsys) -> tuple[list, int]:
+    """The exit codes and stderr of cli.main on each argv, and the peak traced allocation."""
+    tracemalloc.start()
+    try:
+        outcomes = [(cli.main(argv), capsys.readouterr().err) for argv in argvs]
+        return outcomes, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "fixture, order", [("z22_twist", 10**9), ("z22_base", 10**30), ("z22_twist", 10**30)]
+)
+def test_a_huge_group_order_exits_2_without_listing_the_group(fixture, order, tmp_path, capsys):
+    # the parser built the set of every group element to check the cocycle
+    # keys: 2 * 10^9 elements ran out of memory, and 2 * 10^30 ended in
+    # itertools.product's OverflowError.  Under these orders the group
+    # algebra's products leave their graded pieces, which the parser refuses
+    path = _order_mutant(tmp_path, fixture, [order, 2])
+    built = tmp_path / "built.json"
+    argvs = [["check", path, "--suite", suite] for suite in ("axioms", "skew", "all")]
+    outcomes, peak = _traced_peak(argvs + [["construct", "twist", path, "-o", str(built)]], capsys)
+    message = "error: mode product (g10)_-1(g10) leaves the graded piece (2, 0)\n"
+    assert outcomes == [(2, message)] * 4
+    assert not built.exists()
+    assert peak < 4 * 2**20
+
+
+def test_a_cocycle_table_short_of_a_huge_group_exits_2(tmp_path, capsys):
+    # a3 graded trivially by a group of order 10^30 with one cocycle entry:
+    # the file is well graded, so check runs, and construct twist refuses the
+    # table by its size before it lists the group
+    def trivial_grading(doc):
+        doc["grading"]["degrees"] = {name: [0] for name in doc["basis"]}
+        doc["cocycle"] = {"table": {"0|0": "1"}}
+
+    path = _order_mutant(tmp_path, "a3", [10**30], trivial_grading)
+    built = tmp_path / "built.json"
+    argvs = [["check", path, "--suite", "all"], ["construct", "twist", path, "-o", str(built)]]
+    (check, twist), peak = _traced_peak(argvs, capsys)
+    assert check == (0, "")
+    assert twist == (2, f"error: the cocycle table has 1 of {10**30}^2 entries\n")
+    assert not built.exists()
+    assert peak < 4 * 2**20

@@ -115,7 +115,13 @@ def test_the_pair_suites_match_the_per_pair_loops(name, bundle, qs, monkeypatch)
                 assert vars(g) == vars(w), (name, q, suite, g.id)
                 if g.id.endswith("weak-associativity"):
                     seen.add(("assoc", g.verdict, len(g.witnesses)))
-                elif g.id.startswith("skew/") and not g.id.startswith("skew/equivalence/"):
+                elif g.id.startswith("skew/equivalence/"):
+                    # a pair the mode index names in neither order is decided with no call
+                    u, v = map(bundle.alg.basis_index, g.id[len("skew/equivalence/") :].split(","))
+                    index = bundle.alg.mode_index
+                    unnamed = (u, v) not in index and (v, u) not in index
+                    seen.add(("skew equivalence", unnamed, g.verdict))
+                elif g.id.startswith("skew/"):
                     seen.add(("skew", g.verdict))
                 elif g.id.startswith("jacobi/") and not g.id.startswith("jacobi/round-trip/"):
                     halves = {text.split(",")[0] for text in g.witnesses}
@@ -133,6 +139,9 @@ def test_the_pair_suites_match_the_per_pair_loops(name, bundle, qs, monkeypatch)
         if name.startswith("m2a3"):
             # one record names both halves, and one pair fails on more w than it prints
             assert {("jacobi halves", 2), ("jacobi cut", True)} <= seen
+            # a nonlocal pair that no index entry names fails the equivalence: both
+            # sides of its skew comparison are 0
+            assert ("skew equivalence", True, "fail") in seen
         alg = bundle.alg
         uniform = alg.assoc_variant == "strong"
         assert len(alg._pairs.weak_assoc_failures(uniform)) > MAX_WITNESSES

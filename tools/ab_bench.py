@@ -2,7 +2,7 @@
 """Alternating A/B runs of the benchmark on two versions of the repository.
 
     python3 tools/ab_bench.py PARENT CHANGE --pairs N --seconds S --first-seed K \\
-        --out BENCH_NN.json
+        --out BENCH_NN.json [--workload NAME]...
 
 PARENT and CHANGE are each a directory (a source checkout, copied) or a git
 revision of the current repository (exported with `git archive`).  Each side
@@ -12,12 +12,16 @@ K + p is pair p's seed; the parent goes first on even p and the change on
 odd p, and within a seed every workload runs its two sides back to back.
 Each run is `python3 perfbench/run.py --workload W --seed SEED --seconds S
 --trace 0`, with the workloads and their end-to-end metrics and bounds read
-from the parent's BENCHMARK.json.  The output holds, per workload, every run
-and a summary of each metric: the quartiles of each side, the pairs the
-change wins (ties count for neither), the ratio of the medians and whether
-it is within the metric's bound.  A run that exits nonzero is recorded with
-its exit code and the last line of its stderr, counts as one failure of its
-side, and is left out of the metric summaries; the session goes on.
+from the parent's BENCHMARK.json.  Every workload runs unless `--workload`
+names some: it may be repeated, runs the named ones in their BENCHMARK.json
+order, and refuses a name that file does not list.  A committed
+BENCH_*.json covers every workload; a run of some is a quick look.  The
+output holds, per workload, every run and a summary of each metric: the
+quartiles of each side, the pairs the change wins (ties count for neither),
+the ratio of the medians and whether it is within the metric's bound.  A
+run that exits nonzero is recorded with its exit code and the last line of
+its stderr, counts as one failure of its side, and is left out of the
+metric summaries; the session goes on.
 """
 
 from __future__ import annotations
@@ -130,6 +134,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=int, required=True)
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--workload", action="append", help="run only this workload (repeatable)")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds < 1:
         parser.error("--pairs and --seconds must be positive")
@@ -138,6 +143,9 @@ def main(argv: list[str] | None = None) -> int:
         roots = {side: fresh_copy(sources[side], Path(scratch) / side) for side in SIDES}
         config = json.loads((roots["parent"] / "BENCHMARK.json").read_text())
         names = [workload["name"] for workload in config["workloads"]]
+        if unknown := sorted(set(args.workload or ()) - set(names)):
+            parser.error(f"unknown workload {', '.join(unknown)}; choose from {', '.join(names)}")
+        names = [name for name in names if args.workload is None or name in args.workload]
         runs: dict = {name: [] for name in names}
         for p in range(args.pairs):
             seed = args.first_seed + p
